@@ -177,11 +177,12 @@ fn probe_flatmap(report: &mut Report) {
 
 fn probe_epoch_exchange(report: &mut Report) {
     use dcl1_noc::{Crossbar, CrossbarConfig, EpochBatch, EpochKey, Packet};
-    // The epoch-barrier flit exchange the sharded machine runs every
-    // cycle: stage in key order, seal, inject into a crossbar, clear
-    // keeping the allocation. After the first cycle grows the batch to
-    // its working set, the loop must be allocation-free — the barrier
-    // sits on the critical path of every sharded cycle.
+    // `dcl1_noc::epoch`'s staged ingress (no longer on the machine's
+    // cycle path — domains inject into their own crossbars — but still
+    // public API the `benchmark/` harness times): stage in key order,
+    // seal, inject into a crossbar, clear keeping the allocation. After
+    // the first cycle grows the batch to its working set, the loop must
+    // be allocation-free.
     let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(8, 4).expect("valid shape"));
     let mut batch: EpochBatch<Packet<u64>> = EpochBatch::with_capacity(8);
     let drive = |x: &mut Crossbar<u64>, batch: &mut EpochBatch<Packet<u64>>, iters: u64| {
@@ -316,10 +317,10 @@ fn probe_system(report: &mut Report) {
 
 fn probe_sharded_system(report: &mut Report) {
     // The sharded step loop (worker pool off, so the probe measures the
-    // partitioning machinery itself: mailbox swaps, per-cluster epoch
-    // batches, presence-log replay) is held to the same per-cycle bound
-    // as the sequential loop — sharding must not reintroduce per-event
-    // heap traffic.
+    // partitioning machinery itself: the per-domain region loop and
+    // presence-log replay) is held to the same per-cycle bound as the
+    // sequential loop — sharding must not reintroduce per-event heap
+    // traffic.
     const MAX_ALLOCS_PER_STEP: f64 = 8.0;
     const WARMUP_STEPS: u64 = 20_000;
     const PROBE_STEPS: u64 = 20_000;

@@ -187,10 +187,11 @@ fn bench_presence_mean() {
 
 fn bench_epoch_batch() {
     use dcl1_noc::{EpochBatch, EpochKey};
-    // The epoch-barrier swap the sharded machine performs every cycle:
-    // stage one flit per source in ascending key order (the common case —
-    // seal is then a sortedness check, not a sort), inject the sealed
-    // batch into a crossbar, and clear keeping the allocation.
+    // `dcl1_noc::epoch`'s staged ingress (public API; the machine itself
+    // now injects domain-locally): stage one flit per source in ascending
+    // key order (the common case — seal is then a sortedness check, not a
+    // sort), inject the sealed batch into a crossbar, and clear keeping
+    // the allocation.
     let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(8, 4).unwrap());
     let mut batch: EpochBatch<Packet<u64>> = EpochBatch::with_capacity(8);
     let mut cycle = 0u64;
@@ -224,9 +225,9 @@ fn bench_system_step() {
 
 fn bench_system_step_sharded() {
     // Same machine partitioned into 4 execution domains with worker
-    // threads off: measures the pure partitioning overhead (mailbox swap,
-    // per-cluster regrouping, presence-log replay) against the sequential
-    // figure above.
+    // threads off: measures the pure partitioning overhead (per-domain
+    // region loop, presence-log replay) against the sequential figure
+    // above.
     let cfg = GpuConfig::default();
     let app = by_name("T-AlexNet").unwrap();
     let mut sys =

@@ -5,7 +5,7 @@
 //!
 //! `--workers=N` sets intra-point parallelism: each machine is sharded
 //! across N execution domains and available/N points run concurrently
-//! (default: 4 shards, one point-thread per available core). Statistics
+//! (default: 1 domain, one point-thread per available core). Statistics
 //! are byte-identical at any setting.
 //!
 //! Observability: `--trace[=PATH]`, `--metrics[=PATH]`,

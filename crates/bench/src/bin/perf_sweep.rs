@@ -23,7 +23,7 @@
 //!   ... --workers=N         # intra-point parallelism: shard each machine
 //!                           # across N execution domains and run
 //!                           # available/N points concurrently (default:
-//!                           # 4 shards, one point-thread per available
+//!                           # 1 domain, one point-thread per available
 //!                           # core); recorded in the JSON
 //!   ... --design=NAME       # sweep these designs instead of the default
 //!                           # four (repeatable; names per Design::from_str,

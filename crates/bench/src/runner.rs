@@ -1420,11 +1420,12 @@ static SHARDS_MAX: AtomicU64 = AtomicU64::new(0);
 static BARRIER_WAIT_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Execution domains requested for every machine built by [`run_app`]
-/// when no override is set. Partitioning is determinism-neutral (stats
-/// are byte-identical at any shard count) and cheap when the per-shard
-/// worker pool stays off, so the sweeps default to a sharded machine and
-/// let [`dcl1::GpuSystem`] decide whether threads are worth running.
-pub const DEFAULT_SHARDS: usize = 4;
+/// when no override is set: one, i.e. no sharding and no shard pool.
+/// Partitioning is determinism-neutral (stats are byte-identical at any
+/// shard count) but measured slower than point-level parallelism on every
+/// host tried so far (EXPERIMENTS.md, "Intra-point parallel scaling"), so
+/// it is the opt-in behind `--workers=N` / [`set_shard_override`].
+pub const DEFAULT_SHARDS: usize = 1;
 
 /// Pins the intra-point shard count used for every subsequent
 /// [`run_app`] in this process; `0` restores [`DEFAULT_SHARDS`].
@@ -1513,6 +1514,7 @@ mod tests {
 
     #[test]
     fn parallel_runner_preserves_order() {
+        let _guard = test_env_lock();
         let app = by_name("C-BLK").unwrap();
         let reqs = vec![
             RunRequest::new(app, Design::Baseline),
@@ -1526,6 +1528,9 @@ mod tests {
 
     #[test]
     fn worker_panic_names_the_failing_point() {
+        // Holds the lock because the quarantine it provokes lands in the
+        // process-wide recovery log other tests difference.
+        let _guard = test_env_lock();
         let app = by_name("C-BLK").unwrap();
         // An invalid node count fails Design::topology at build time.
         let bad = RunRequest::new(app, Design::Shared { nodes: 77 });
@@ -1624,8 +1629,8 @@ mod tests {
             })
             .expect("some seed assigns a transient panic");
 
-        let clean = run_apps(std::slice::from_ref(&req), Scale::Smoke);
         let _guard = test_env_lock();
+        let clean = run_apps(std::slice::from_ref(&req), Scale::Smoke);
         let before = recovery_log();
         set_chaos(Some(seed));
         set_retry_backoff_ms(0);

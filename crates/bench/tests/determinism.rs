@@ -13,15 +13,17 @@ use dcl1_bench::Scale;
 use dcl1_workloads::by_name;
 use std::str::FromStr;
 
-/// The designs the grid covers: a private aggregation (NoC#1 spanning
-/// few crossbars), the fully shared design (one big crossbar, which
-/// shards unaligned), and the clustered flagship (cluster-aligned).
-const GRID_DESIGNS: [&str; 3] = ["pr4", "sh16", "sh16+c8+boost"];
+/// The designs the grid covers, with their NoC#1 cluster counts — the
+/// cap on execution domains, since a domain holds whole clusters: a
+/// private aggregation (4 crossbars), the fully shared design (one big
+/// crossbar, so it never shards), and the clustered flagship (8).
+const GRID_DESIGNS: [(&str, usize); 3] = [("pr4", 4), ("sh16", 1), ("sh16+c8+boost", 8)];
 
-/// Simulates C-BLK at smoke scale under `shards` execution domains and
-/// returns the canonical byte dump of the full `RunStats` (every field,
-/// fixed formatting — the same artifact sweep CI diffs).
-fn canonical(design: &Design, shards: usize, force_threads: bool) -> String {
+/// Simulates C-BLK at smoke scale with `shards` execution domains
+/// requested (`clusters` caps what the machine grants) and returns the
+/// canonical byte dump of the full `RunStats` (every field, fixed
+/// formatting — the same artifact sweep CI diffs).
+fn canonical(design: &Design, clusters: usize, shards: usize, force_threads: bool) -> String {
     let cfg = GpuConfig::default();
     let app = by_name("C-BLK").expect("C-BLK workload").scaled(1, 16);
     let opts =
@@ -29,7 +31,7 @@ fn canonical(design: &Design, shards: usize, force_threads: bool) -> String {
     let mut sys =
         GpuSystem::build(&cfg, design, &app, opts).unwrap_or_else(|e| panic!("build: {e}"));
     sys.set_shards(shards);
-    assert_eq!(sys.shards(), shards.max(1), "{}: shard request clamped", design.name());
+    assert_eq!(sys.shards(), shards.clamp(1, clusters), "{}: domains granted", design.name());
     if force_threads {
         sys.set_shard_threads(true);
     }
@@ -39,11 +41,11 @@ fn canonical(design: &Design, shards: usize, force_threads: bool) -> String {
 
 #[test]
 fn sharded_stats_match_sequential_across_grid() {
-    for name in GRID_DESIGNS {
+    for (name, clusters) in GRID_DESIGNS {
         let design = Design::from_str(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sequential = canonical(&design, 1, false);
+        let sequential = canonical(&design, clusters, 1, false);
         for shards in [2, 4, 8] {
-            let sharded = canonical(&design, shards, false);
+            let sharded = canonical(&design, clusters, shards, false);
             assert_eq!(
                 sharded, sequential,
                 "{name}: stats differ between 1 and {shards} shards"
@@ -55,12 +57,15 @@ fn sharded_stats_match_sequential_across_grid() {
 #[test]
 fn forced_thread_pool_matches_sequential() {
     // Threads default off on small hosts; forcing the pool on exercises
-    // the real submit/barrier/merge path regardless of core count.
-    let design = Design::from_str("sh16+c8+boost").expect("flagship parses");
-    let sequential = canonical(&design, 1, false);
-    for shards in [2, 4] {
-        let pooled = canonical(&design, shards, true);
-        assert_eq!(pooled, sequential, "thread pool changed stats at {shards} shards");
+    // the real submit/barrier/merge path regardless of core count — on
+    // every design that grants more than one domain.
+    for (name, clusters) in GRID_DESIGNS.into_iter().filter(|&(_, clusters)| clusters > 1) {
+        let design = Design::from_str(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let sequential = canonical(&design, clusters, 1, false);
+        for shards in [2, 4] {
+            let pooled = canonical(&design, clusters, shards, true);
+            assert_eq!(pooled, sequential, "{name}: thread pool changed stats at {shards} shards");
+        }
     }
 }
 

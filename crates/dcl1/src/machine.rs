@@ -11,36 +11,34 @@
 //!
 //! 1. CTA dispatch to cores with free slots;
 //! 2. **Issue region** (per shard domain): core issue (one instruction per
-//!    core per cycle) into per-core transaction outboxes, then stage each
-//!    outbox head for the epoch exchange;
-//! 3. **outbox exchange** (coordinator): staged heads move into NoC#1 /
-//!    node Q1 in global core order, with back-pressure memoized for stall
-//!    attribution;
-//! 4. NoC#1 ticks (1× or 2× per core cycle) with ejection into node Q1 /
-//!    completion at cores — per domain when the partition is
-//!    cluster-aligned, sequentially otherwise;
-//! 5. node Q3 → NoC#2 injection; NoC#2 ticks in the 700 MHz domain with
+//!    core per cycle) into per-core transaction outboxes, then each outbox
+//!    head moves into the domain's own NoC#1 crossbar / node Q1, with
+//!    back-pressure memoized for stall attribution;
+//! 3. **NoC#1 region** (per shard domain, same job as Issue): NoC#1 ticks
+//!    (1× or 2× per core cycle) with ejection into node Q1 / completion
+//!    at cores;
+//! 4. node Q3 → NoC#2 injection; NoC#2 ticks in the 700 MHz domain with
 //!    ejection into L2 input queues / node Q4 (coordinator — NoC#2 is the
 //!    one all-to-all structure, so it is never sharded);
-//! 6. **Mem region** (per shard domain): L2 slice ticks and DC-L1 node
-//!    ticks (presence reads the cycle-start snapshot, writes a domain
-//!    log), plus — when aligned — the node-reply drain;
-//! 7. **memory exchange** (coordinator): presence-log replay in domain
+//! 5. **Mem region** (per shard domain): L2 slice ticks, DC-L1 node ticks
+//!    (presence reads the cycle-start snapshot, writes a domain log) and
+//!    the node-reply drain;
+//! 6. **memory exchange** (coordinator): presence-log replay in domain
 //!    order, L2 ↔ DRAM moves, DRAM ticks in the 924 MHz domain.
 //!
 //! ## Sharded determinism
 //!
 //! The machine partitions its cores, DC-L1 nodes, NoC#1 clusters and L2
-//! slices into [`ShardDomain`]s ([`GpuSystem::set_shards`]). Regions
-//! touch one domain's state only; everything that crosses domains flows
-//! through coordinator-run exchanges whose order is fixed by global
-//! component order (epoch batches sorted by `(cycle, source, seq)`).
-//! Statistics are therefore a pure function of the *partition*, and the
-//! partition itself is chosen so results do not depend on the shard count:
-//! transaction ids come from per-core sequence counters, RTT meters are
-//! per core and merged in global core order, and presence updates are
-//! logged and replayed in node order. Running regions inline or on a
-//! worker pool is byte-identical by construction.
+//! slices into [`ShardDomain`]s ([`GpuSystem::set_shards`]), always on
+//! cluster boundaries, so core ↔ DC-L1 traffic never leaves a domain.
+//! Regions touch one domain's state only; what does cross domains (NoC#2,
+//! DRAM, presence) is stepped by the coordinator in global component
+//! order. Statistics are therefore a pure function of the *partition*,
+//! and the partition itself is chosen so results do not depend on the
+//! shard count: transaction ids come from per-core sequence counters, RTT
+//! meters are per core and merged in global core order, and presence
+//! updates are logged and replayed in node order. Running regions inline
+//! or on a worker pool is byte-identical by construction.
 //!
 //! [`ShardDomain`]: crate::shard::ShardDomain
 
@@ -61,7 +59,7 @@ use dcl1_gpu::{
     Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, MemBlock, MemKind, TraceFactory,
 };
 use dcl1_mem::{DramAccess, L2Reply, L2Request, L2Slice, MemAccessKind, MemoryController};
-use dcl1_noc::{Crossbar, CrossbarConfig, EpochBatch, Packet};
+use dcl1_noc::{Crossbar, CrossbarConfig, Packet};
 use dcl1_obs::metrics::MetricsSample;
 use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::registry::Registry;
@@ -201,10 +199,35 @@ struct PartitionCuts {
     node: Vec<usize>,
     cluster: Vec<usize>,
     slice: Vec<usize>,
-    /// True when every NoC#1 cluster (and, for direct attachment, every
-    /// node↔core pair) is wholly inside one domain, so the NoC#1 region
-    /// and the fused reply drain can run per domain.
-    aligned: bool,
+}
+
+impl PartitionCuts {
+    /// Cut points for (up to) `requested` domains. A pure function of
+    /// `(topology, requested)`, so a given request always yields the same
+    /// partition. Domains hold whole clusters — a cluster's cores, its
+    /// nodes and both of its NoC#1 crossbars — so the request clamps to
+    /// the cluster count: a fully shared design (`ShY`, one crossbar)
+    /// and the ideal single L1 (one node) stay one domain, while
+    /// private-L1 machines (one core + one L1 per "cluster") cut anywhere.
+    fn plan(topo: &Topology, l2_slices: usize, requested: usize) -> Self {
+        let n = requested.clamp(1, topo.clusters);
+        let even = |total: usize| -> Vec<usize> { (0..=n).map(|i| i * total / n).collect() };
+        let unit = even(topo.clusters);
+        PartitionCuts {
+            core: unit.iter().map(|k| k * topo.cores_per_cluster()).collect(),
+            node: unit.iter().map(|k| k * topo.nodes_per_cluster()).collect(),
+            cluster: match topo.attachment {
+                Attachment::Direct => vec![0; n + 1],
+                Attachment::Noc1 { .. } => unit,
+            },
+            slice: even(l2_slices),
+        }
+    }
+
+    /// Number of domains the plan produces.
+    fn domains(&self) -> usize {
+        self.core.len() - 1
+    }
 }
 
 /// The assembled machine.
@@ -224,19 +247,10 @@ pub struct GpuSystem<'w> {
     /// Worker threads (one per non-coordinator shard); `None` runs every
     /// region inline on the coordinator — byte-identical either way.
     pool: Option<ShardPool>,
-    /// See [`PartitionCuts::aligned`].
-    aligned: bool,
-    /// Shard count last requested via [`set_shards`](GpuSystem::set_shards)
-    /// (before feasibility clamping).
-    requested_shards: usize,
     /// Overrides the use-worker-threads heuristic (tests force both paths).
     thread_override: Option<bool>,
     /// Wall nanoseconds the coordinator spent waiting at epoch barriers.
     barrier_wait_nanos: u64,
-    /// Per-cluster cross-domain flit batches for the outbox exchange.
-    xchg: Vec<EpochBatch<Packet<Txn>>>,
-    /// Reused (core, txn-id) scratch for exchange acceptance bookkeeping.
-    inject_scratch: Vec<(u64, u64)>,
 
     /// Replica-presence map. Shared read-only with workers during regions
     /// (cycle-start snapshot); exclusively re-acquired at the barrier to
@@ -272,6 +286,9 @@ pub struct GpuSystem<'w> {
     progress: Option<ProgressHook<'w>>,
     /// Cycles between progress-hook callbacks.
     progress_every: u64,
+    /// Origin of the profiler lap in progress (`None` with the profiler off).
+    // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
+    lap_t: Option<Instant>,
 
     /// Checked-sim harness (`--check`); `None` by default, in which case
     /// every invariant hook is a skipped branch and no epoch sweeps run.
@@ -405,7 +422,6 @@ impl<'w> GpuSystem<'w> {
             .collect::<Result<Vec<_>, _>>()?;
         let mcs = (0..cfg.mcs).map(|_| MemoryController::new(cfg.dram)).collect();
 
-        let cuts = Self::partition_plan(&topo, l, 1);
         let domain = ShardDomain {
             id: 0,
             core0: 0,
@@ -421,14 +437,9 @@ impl<'w> GpuSystem<'w> {
             noc1_req,
             noc1_rep,
             l2,
-            mailbox: EpochBatch::with_capacity(cfg.cores),
             plog: crate::presence::PresenceLog::new(),
             flow: FlowMeter::new("txns"),
             busy_nanos: 0,
-        };
-        let (xchg_clusters, cpc) = match topo.attachment {
-            Attachment::Noc1 { .. } => (topo.clusters, topo.cores_per_cluster()),
-            Attachment::Direct => (0, 0),
         };
 
         Ok(GpuSystem {
@@ -440,12 +451,8 @@ impl<'w> GpuSystem<'w> {
             }),
             shards: vec![domain],
             pool: None,
-            aligned: cuts.aligned,
-            requested_shards: 1,
             thread_override: None,
             barrier_wait_nanos: 0,
-            xchg: (0..xchg_clusters).map(|_| EpochBatch::with_capacity(cpc)).collect(),
-            inject_scratch: Vec::with_capacity(cfg.cores),
             // Distinct presence-tracked lines are bounded by the level's
             // aggregate capacity; pre-sizing means the map never re-hashes.
             presence: Arc::new(PresenceMap::with_capacity(
@@ -468,6 +475,7 @@ impl<'w> GpuSystem<'w> {
             profiler: None,
             progress: None,
             progress_every: DEFAULT_PROGRESS_EVERY,
+            lap_t: None,
             checker: None,
             watchdog_epoch: None,
             deadline_secs: None,
@@ -485,69 +493,28 @@ impl<'w> GpuSystem<'w> {
     // Partitioning
     // ---------------------------------------------------------------
 
-    /// Component cut points for an `n`-way partition. A pure function of
-    /// `(topology, n)`, so a given shard count always yields the same
-    /// partition — and the partition is chosen so the *simulated* behavior
-    /// is the same for every `n` (see the module docs).
-    fn partition_plan(topo: &Topology, l2_slices: usize, n: usize) -> PartitionCuts {
-        let even = |total: usize| -> Vec<usize> { (0..=n).map(|i| i * total / n).collect() };
-        let slice = even(l2_slices);
-        match topo.attachment {
-            Attachment::Direct => PartitionCuts {
-                core: even(topo.cores),
-                node: even(topo.nodes),
-                cluster: vec![0; n + 1],
-                slice,
-                // node index == core index makes every request/reply pair
-                // domain-local under identical cuts; the ideal-ports
-                // machine (1 node, many ports) is the exception.
-                aligned: !topo.ideal_ports && topo.nodes == topo.cores,
-            },
-            Attachment::Noc1 { .. } => {
-                if topo.clusters >= n {
-                    // Cut on cluster boundaries: both sides of every NoC#1
-                    // crossbar stay inside one domain.
-                    let cluster = even(topo.clusters);
-                    let cpc = topo.cores_per_cluster();
-                    let m = topo.nodes_per_cluster();
-                    PartitionCuts {
-                        core: cluster.iter().map(|k| k * cpc).collect(),
-                        node: cluster.iter().map(|k| k * m).collect(),
-                        cluster,
-                        slice,
-                        aligned: true,
-                    }
-                } else {
-                    // Fewer clusters than shards (e.g. Sh16's single 40×16
-                    // crossbar): cores/nodes/slices still partition, the
-                    // crossbars stay with domain 0, and the NoC#1 phase
-                    // runs sequentially on the coordinator.
-                    let mut cluster = vec![topo.clusters; n + 1];
-                    cluster[0] = 0;
-                    PartitionCuts {
-                        core: even(topo.cores),
-                        node: even(topo.nodes),
-                        cluster,
-                        slice,
-                        aligned: false,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Repartitions the machine into `n` domains, merging and re-cutting
-    /// every per-domain vector in global component order. Only legal at a
-    /// quiescent point (no transaction in flight — asserted in debug
-    /// builds), which is where callers invoke it: before a run, or at the
-    /// start of a traced run.
-    fn repartition(&mut self, n: usize) {
-        let n = n.clamp(1, self.topo.cores.max(1));
+    /// Partitions the machine into (up to) `n` execution domains, merging
+    /// and re-cutting every per-domain vector in global component order.
+    /// Only legal at a quiescent point (no transaction in flight —
+    /// asserted in debug builds): before a run, or at the start of a
+    /// traced run.
+    ///
+    /// Statistics are independent of the shard count by construction:
+    /// domains hold whole clusters — a core, the NoC#1 crossbars it
+    /// injects into and every DC-L1 node it can reach — so core ↔ DC-L1
+    /// traffic is domain-local, everything that does span domains (NoC#2,
+    /// DRAM, presence replay) is stepped by the coordinator in global
+    /// component order, and per-core counters (transaction sequencing, RTT
+    /// meters) merge in global core order. The request clamps to the
+    /// cluster count: fully shared designs (`ShY`, one crossbar) and the
+    /// ideal single L1 stay at one domain.
+    pub fn set_shards(&mut self, n: usize) {
+        let cuts = PartitionCuts::plan(&self.topo, self.cfg.l2_slices, n);
+        let n = cuts.domains();
         if self.shards.len() == n {
             return;
         }
         self.pool = None;
-        let cuts = Self::partition_plan(&self.topo, self.cfg.l2_slices, n);
 
         let total_cores = self.topo.cores;
         let mut produced = 0u64;
@@ -562,7 +529,7 @@ impl<'w> GpuSystem<'w> {
         let mut noc1_rep = Vec::new();
         let mut l2 = Vec::with_capacity(self.cfg.l2_slices);
         for d in self.shards.drain(..) {
-            debug_assert!(d.plog.is_empty(), "repartition with unapplied presence deltas");
+            debug_assert!(d.plog.is_empty(), "set_shards with unapplied presence deltas");
             produced += d.flow.produced();
             consumed += d.flow.consumed();
             cores.extend(d.cores);
@@ -578,7 +545,7 @@ impl<'w> GpuSystem<'w> {
         // Per-core in-flight counts cannot be reconstructed from domain
         // aggregates, so the ledgers only merge when nothing is in flight;
         // the merged history lands on domain 0.
-        debug_assert_eq!(produced, consumed, "repartition with transactions in flight");
+        debug_assert_eq!(produced, consumed, "set_shards with transactions in flight");
 
         let mut cores = cores.into_iter();
         let mut outbox = outbox.into_iter();
@@ -618,34 +585,12 @@ impl<'w> GpuSystem<'w> {
                     .take(cuts.cluster[i + 1] - cuts.cluster[i])
                     .collect(),
                 l2: l2.by_ref().take(cuts.slice[i + 1] - cuts.slice[i]).collect(),
-                mailbox: EpochBatch::with_capacity(nc),
                 plog: crate::presence::PresenceLog::new(),
                 flow,
                 busy_nanos: 0,
             });
         }
         self.shards = shards;
-        self.aligned = cuts.aligned;
-    }
-
-    /// Partitions the machine into (up to) `n` execution domains.
-    ///
-    /// Statistics are independent of the shard count by construction: the
-    /// partition follows component boundaries (cluster-aligned where the
-    /// topology allows), all cross-domain traffic moves at deterministic
-    /// coordinator-run exchanges ordered by global component index, and
-    /// per-core counters (transaction sequencing, RTT meters) merge in
-    /// global core order. Infeasible topologies clamp: the ideal-ports
-    /// single-L1 machine and direct designs whose node count differs from
-    /// the core count stay at one domain; otherwise `n` is capped at the
-    /// core count.
-    pub fn set_shards(&mut self, n: usize) {
-        self.requested_shards = n.max(1);
-        let infeasible = self.topo.ideal_ports
-            || (matches!(self.topo.attachment, Attachment::Direct)
-                && self.topo.nodes != self.topo.cores);
-        let eff = if infeasible { 1 } else { self.requested_shards.min(self.topo.cores.max(1)) };
-        self.repartition(eff);
     }
 
     /// Number of execution domains the machine is currently partitioned
@@ -814,9 +759,8 @@ impl<'w> GpuSystem<'w> {
 
     /// Times one pipeline lap when the profiler is enabled, re-basing the
     /// lap origin so consecutive calls partition the cycle.
-    // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
-    fn lap(&mut self, phase: Phase, t: &mut Option<Instant>) {
-        if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), t.as_mut()) {
+    fn lap(&mut self, phase: Phase) {
+        if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), self.lap_t.as_mut()) {
             // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
             let now = Instant::now();
             p.add(phase, u64::try_from(now.duration_since(*t0).as_nanos()).unwrap_or(u64::MAX));
@@ -1017,35 +961,44 @@ impl<'w> GpuSystem<'w> {
         }
     }
 
-    /// Runs one region over every domain: inline in domain order when the
-    /// pool is off, or shard 0 on the coordinator with the rest fanned out
-    /// and an epoch barrier at the end. Identical results either way.
-    fn run_region_all(&mut self, region: Region) -> Result<(), SimError> {
+    /// Runs `regions` in order over every domain, closing a profiler lap
+    /// per region: inline, region by region in domain order, when the pool
+    /// is off; otherwise every other domain ships to its worker for the
+    /// whole list while the coordinator runs shard 0's, with one epoch
+    /// barrier at the end (its wait lands in the last region's lap).
+    /// Identical results either way — regions touch only their own domain.
+    fn run_regions(&mut self, regions: &'static [Region]) -> Result<(), SimError> {
         let now = self.now;
-        if self.pool.is_none() || self.shards.len() == 1 {
+        if let Some(pool) = &self.pool {
+            for i in 1..self.shards.len() {
+                let domain = std::mem::replace(&mut self.shards[i], ShardDomain::placeholder());
+                pool.submit(i - 1, domain, regions, now, &self.rctx, &self.presence);
+            }
+        }
+        let local = if self.pool.is_some() { 1 } else { self.shards.len() };
+        for (i, &region) in regions.iter().enumerate() {
+            if i > 0 {
+                self.lap(regions[i - 1].phase());
+            }
+            // simcheck: allow(wall_clock): coordinator-shard busy diagnostics, never feeds stats
+            let t0 = self.pool.as_ref().map(|_| Instant::now());
             let GpuSystem { shards, rctx, presence, obs, .. } = self;
-            for d in shards.iter_mut() {
+            for d in &mut shards[..local] {
                 d.run_region(region, now, rctx, presence, obs);
             }
-            return Ok(());
+            if let Some(t0) = t0 {
+                shards[0].busy_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            }
         }
-        for i in 1..self.shards.len() {
-            let domain = std::mem::replace(&mut self.shards[i], ShardDomain::placeholder());
-            let pool = self.pool.as_ref().unwrap_or_else(|| unreachable!("checked Some"));
-            pool.submit(i - 1, domain, region, now, &self.rctx, &self.presence);
+        if let Some(pool) = &self.pool {
+            for i in 1..self.shards.len() {
+                let (domain, waited) = pool.wait(i - 1, now)?;
+                self.barrier_wait_nanos += waited;
+                self.shards[i] = domain;
+            }
         }
-        {
-            let GpuSystem { shards, rctx, presence, obs, .. } = self;
-            // simcheck: allow(wall_clock): coordinator-shard busy diagnostics, never feeds stats
-            let t0 = Instant::now();
-            shards[0].run_region(region, now, rctx, presence, obs);
-            shards[0].busy_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-        for i in 1..self.shards.len() {
-            let pool = self.pool.as_ref().unwrap_or_else(|| unreachable!("checked Some"));
-            let (domain, waited) = pool.wait(i - 1, now)?;
-            self.barrier_wait_nanos += waited;
-            self.shards[i] = domain;
+        if let Some(last) = regions.last() {
+            self.lap(last.phase());
         }
         Ok(())
     }
@@ -1059,189 +1012,6 @@ impl<'w> GpuSystem<'w> {
         });
         for d in &mut self.shards {
             d.plog.apply_to(map);
-        }
-    }
-
-    /// Moves staged outbox heads (one per core per cycle) into NoC#1 or
-    /// directly into node Q1, in global core order, memoizing why each
-    /// head could not (or could only just) move so issue can attribute the
-    /// next port stall without re-probing the network.
-    fn exchange_outboxes(&mut self) {
-        let now = self.now;
-        match self.topo.attachment {
-            Attachment::Direct => {
-                for di in 0..self.shards.len() {
-                    let mut mb =
-                        std::mem::replace(&mut self.shards[di].mailbox, EpochBatch::new());
-                    for &(_, f) in mb.entries() {
-                        if shard::node_in(&mut self.shards, f.node).can_accept_request() {
-                            let d = shard::domain_of_core(&mut self.shards, f.core);
-                            let i = f.core - d.core0;
-                            let txn = d.outbox[i]
-                                .pop_front()
-                                .unwrap_or_else(|| unreachable!("staged head exists"));
-                            debug_assert_eq!(txn.id, f.txn.id);
-                            d.outbox_cause[i] = MemBlock::OutboxDrain;
-                            self.obs.trace_hop(txn.id, "l1_queue", now);
-                            shard::node_in(&mut self.shards, f.node)
-                                .try_push_request(txn)
-                                .unwrap_or_else(|_| unreachable!("checked room"));
-                        } else {
-                            let d = shard::domain_of_core(&mut self.shards, f.core);
-                            d.outbox_cause[f.core - d.core0] = MemBlock::L1Queue;
-                        }
-                    }
-                    mb.clear();
-                    self.shards[di].mailbox = mb;
-                }
-            }
-            Attachment::Noc1 { .. } => {
-                // Regroup staged flits per cluster. Domain order is
-                // ascending core order, and clusters are contiguous core
-                // ranges, so each per-cluster batch stages in key order
-                // and the global acceptance order below matches the
-                // sequential machine's ascending-core walk.
-                for di in 0..self.shards.len() {
-                    let mut mb =
-                        std::mem::replace(&mut self.shards[di].mailbox, EpochBatch::new());
-                    for &(key, f) in mb.entries() {
-                        let pkt = self.rctx.packet(f.src, f.dst, f.data_bytes, f.txn);
-                        self.xchg[f.cluster].stage(key, pkt);
-                    }
-                    mb.clear();
-                    self.shards[di].mailbox = mb;
-                }
-                let GpuSystem { shards, xchg, inject_scratch, obs, .. } = self;
-                for (k, batch) in xchg.iter_mut().enumerate() {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    batch.seal();
-                    inject_scratch.clear();
-                    let x = shard::noc1_req_in(shards, k);
-                    x.inject_batch(batch, |key, pkt| {
-                        inject_scratch.push((key.source, pkt.payload.id));
-                    });
-                    for &(core_u, txn_id) in inject_scratch.iter() {
-                        let core = usize::try_from(core_u)
-                            .unwrap_or_else(|_| unreachable!("core id fits usize"));
-                        let d = shard::domain_of_core(shards, core);
-                        let i = core - d.core0;
-                        let txn = d.outbox[i]
-                            .pop_front()
-                            .unwrap_or_else(|| unreachable!("staged head exists"));
-                        debug_assert_eq!(txn.id, txn_id);
-                        d.outbox_cause[i] = MemBlock::OutboxDrain;
-                        obs.trace_hop(txn_id, "noc1_req", now);
-                    }
-                    // Rejected heads stay in their outboxes (re-staged
-                    // next cycle); only the stall cause is recorded.
-                    for &(key, _) in batch.entries() {
-                        let core = usize::try_from(key.source)
-                            .unwrap_or_else(|_| unreachable!("core id fits usize"));
-                        let d = shard::domain_of_core(shards, core);
-                        d.outbox_cause[core - d.core0] = MemBlock::Noc;
-                    }
-                    batch.clear();
-                }
-            }
-        }
-    }
-
-    /// Sequential NoC#1 ticks (unaligned partitions: a crossbar's ports
-    /// span domains, so the coordinator walks all clusters in global
-    /// order — the exact walk the one-domain machine performs).
-    fn tick_noc1_seq(&mut self) {
-        let ticks = self.topo.noc1_ticks_per_cycle();
-        let m = self.topo.nodes_per_cluster();
-        let cpc = self.topo.cores_per_cluster();
-        let clusters = match self.topo.attachment {
-            Attachment::Noc1 { .. } => self.topo.clusters,
-            Attachment::Direct => 0,
-        };
-        let now = self.now;
-        for _ in 0..ticks {
-            for k in 0..clusters {
-                shard::noc1_req_in(&mut self.shards, k).tick();
-                if shard::noc1_req_in(&mut self.shards, k).has_output() {
-                    for slot in 0..m {
-                        let n = k * m + slot;
-                        while shard::node_in(&mut self.shards, n).can_accept_request() {
-                            match shard::noc1_req_in(&mut self.shards, k).pop_output(slot) {
-                                Some(pkt) => {
-                                    self.obs.trace_hop(pkt.payload.id, "l1_queue", now);
-                                    shard::node_in(&mut self.shards, n)
-                                        .try_push_request(pkt.payload)
-                                        .unwrap_or_else(|_| unreachable!("checked room"));
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                }
-                shard::noc1_rep_in(&mut self.shards, k).tick();
-                if shard::noc1_rep_in(&mut self.shards, k).has_output() {
-                    for port in 0..cpc {
-                        while let Some(pkt) =
-                            shard::noc1_rep_in(&mut self.shards, k).pop_output(port)
-                        {
-                            self.complete_at_core_seq(pkt.payload);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn complete_at_core_seq(&mut self, txn: Txn) {
-        let now = self.now;
-        let d = shard::domain_of_core(&mut self.shards, txn.core.index());
-        d.complete_at_core(txn, now, &mut self.obs);
-    }
-
-    /// Node Q2 → core (direct) or NoC#1 reply injection, walked in global
-    /// node order by the coordinator (unaligned partitions; the aligned
-    /// case fuses this into the Mem region).
-    fn drain_node_replies_seq(&mut self) {
-        match self.topo.attachment {
-            Attachment::Direct => {
-                // A direct-attached L1 returns one reply per cycle at full
-                // width; the ideal single L1 has one reply port per core.
-                let pops = if self.topo.ideal_ports { self.cfg.cores } else { 1 };
-                for n in 0..self.topo.nodes {
-                    for _ in 0..pops {
-                        match shard::node_in(&mut self.shards, n).pop_reply() {
-                            Some(txn) => self.complete_at_core_seq(txn),
-                            None => break,
-                        }
-                    }
-                }
-            }
-            Attachment::Noc1 { .. } => {
-                let m = self.topo.nodes_per_cluster();
-                let cpc = self.topo.cores_per_cluster();
-                let now = self.now;
-                for n in 0..self.topo.nodes {
-                    let cluster = n / m;
-                    let Some(txn) =
-                        shard::node_in(&mut self.shards, n).peek_reply().copied()
-                    else {
-                        continue;
-                    };
-                    let src = n % m;
-                    let dst = txn.core.index() % cpc;
-                    if shard::noc1_rep_in(&mut self.shards, cluster).can_inject(src) {
-                        let txn = shard::node_in(&mut self.shards, n)
-                            .pop_reply()
-                            .expect("peeked Some");
-                        self.obs.trace_hop(txn.id, "noc1_rep", now);
-                        let pkt = self.rctx.packet(src, dst, shard::up_bytes(&txn), txn);
-                        shard::noc1_rep_in(&mut self.shards, cluster)
-                            .try_inject(pkt)
-                            .unwrap_or_else(|_| unreachable!("checked room"));
-                    }
-                }
-            }
         }
     }
 
@@ -1771,7 +1541,7 @@ impl<'w> GpuSystem<'w> {
         // keep that stream identical to the historical one-domain machine
         // by running tracing runs sequentially.
         if self.obs.tracing() && self.shards.len() > 1 {
-            self.repartition(1);
+            self.set_shards(1);
         }
         let threads = self.shards.len() > 1
             && self.thread_override.unwrap_or_else(|| {
@@ -1848,29 +1618,22 @@ impl<'w> GpuSystem<'w> {
             return Ok(());
         }
         // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
-        let mut lap_t = self.profiler.as_deref().map(|_| Instant::now());
+        self.lap_t = self.profiler.as_deref().map(|_| Instant::now());
         self.dispatch_ctas();
-        self.run_region_all(Region::Issue)?;
-        self.lap(Phase::Issue, &mut lap_t);
-        self.exchange_outboxes();
-        self.lap(Phase::Exchange, &mut lap_t);
-        match self.topo.attachment {
-            Attachment::Noc1 { .. } if self.aligned => self.run_region_all(Region::Noc1)?,
-            Attachment::Noc1 { .. } => self.tick_noc1_seq(),
-            Attachment::Direct => {}
-        }
+        // Front job: issue and NoC#1 are both cluster-local, so a pooled
+        // domain runs them back-to-back under one barrier.
+        self.run_regions(match self.topo.attachment {
+            Attachment::Noc1 { .. } => &[Region::Issue, Region::Noc1],
+            Attachment::Direct => &[Region::Issue],
+        })?;
         self.inject_noc2_requests();
         self.inject_noc2_replies();
         self.tick_noc2();
-        self.lap(Phase::Noc1, &mut lap_t);
-        self.run_region_all(Region::Mem { fuse_drain: self.aligned })?;
-        self.lap(Phase::Mem, &mut lap_t);
+        self.lap(Phase::Noc1);
+        self.run_regions(&[Region::Mem])?;
         self.apply_presence();
         self.exchange_memory();
-        if !self.aligned {
-            self.drain_node_replies_seq();
-        }
-        self.lap(Phase::Exchange, &mut lap_t);
+        self.lap(Phase::Exchange);
         if self.now.is_multiple_of(self.opts.replica_sample_interval)
             && self.presence.distinct_lines() > 0
         {
@@ -2325,6 +2088,73 @@ impl<'w> GpuSystem<'w> {
                 .iter_nodes()
                 .map(|n| n.stats().q3_stall_cycles.get())
                 .sum(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcl1_gpu::{TraceSource, VecTrace};
+
+    #[derive(Debug)]
+    struct NoKernel;
+
+    impl TraceFactory for NoKernel {
+        fn wavefront_trace(&self, _cta: u32, _wf: u32) -> Box<dyn TraceSource> {
+            Box::new(VecTrace::new(Vec::new()))
+        }
+        fn total_ctas(&self) -> u32 {
+            0
+        }
+        fn wavefronts_per_cta(&self) -> u32 {
+            1
+        }
+    }
+
+    /// The partition contract every region relies on: whatever shard count
+    /// is requested, each cluster's cores, nodes and both NoC#1 crossbars
+    /// land in one domain, so issue-side injection, NoC#1 ejection and the
+    /// reply drain never reach outside their own domain.
+    #[test]
+    fn every_cluster_lands_in_one_domain() {
+        let cfg = GpuConfig::default();
+        let catalog = [
+            "baseline", "baseline+2xl1", "baseline+2xnoc", "baseline+4xflit", "ideal", "cdxbar",
+            "cdxbar+2xnoc", "pr80", "pr40", "pr20", "pr10", "pr4", "sh40", "sh16", "sh40+c5",
+            "sh40+c10", "sh40+c10+boost", "sh40+c20", "sh16+c8+boost",
+        ];
+        for name in catalog {
+            let design: Design = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut sys = GpuSystem::build(&cfg, &design, &NoKernel, SimOptions::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let topo = sys.topology().clone();
+            let (cpc, m) = (topo.cores_per_cluster(), topo.nodes_per_cluster());
+            for n in 1..=8 {
+                sys.set_shards(n);
+                assert_eq!(sys.shards(), n.min(topo.clusters), "{name} at {n}: domain count");
+                for k in 0..topo.clusters {
+                    let d = shard::domain_of_core(&mut sys.shards, k * cpc);
+                    let within =
+                        |lo: usize, hi: usize, d0: usize, len: usize| d0 <= lo && hi <= d0 + len;
+                    assert!(
+                        within(k * cpc, (k + 1) * cpc, d.core0, d.cores.len()),
+                        "{name} at {n}: cluster {k}'s cores span domains"
+                    );
+                    assert!(
+                        within(k * m, (k + 1) * m, d.node0, d.nodes.len()),
+                        "{name} at {n}: cluster {k}'s nodes left its cores' domain"
+                    );
+                    let xbars = match topo.attachment {
+                        Attachment::Noc1 { .. } => within(k, k + 1, d.cluster0, d.noc1_req.len()),
+                        Attachment::Direct => d.noc1_req.is_empty(),
+                    };
+                    assert!(
+                        xbars && d.noc1_req.len() == d.noc1_rep.len(),
+                        "{name} at {n}: cluster {k}'s crossbars left its cores' domain"
+                    );
+                }
+            }
         }
     }
 }

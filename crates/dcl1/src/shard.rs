@@ -1,15 +1,17 @@
 //! Sharded execution domains for the cycle-level machine.
 //!
 //! [`crate::machine::GpuSystem`] partitions its cores, DC-L1 nodes, NoC#1
-//! crossbars and L2 slices into [`ShardDomain`]s. Each simulated cycle is
-//! a sequence of *regions* — per-domain work that touches only one
-//! domain's state — separated by coordinator-run *exchanges* that move
-//! cross-domain traffic in a deterministic order (global component order,
-//! enforced by [`EpochKey`]-sorted batches). Because regions are
-//! domain-disjoint and exchanges are single-threaded, the machine's
-//! statistics are a pure function of the partition, not of how many OS
-//! threads execute the regions: running every region inline or fanning
-//! them out over a [`ShardPool`] is byte-identical.
+//! crossbars and L2 slices into [`ShardDomain`]s, always on cluster
+//! boundaries: a core, the NoC#1 crossbars it injects into and every DC-L1
+//! node it can reach share one domain, so no core↔DC-L1 flit ever crosses
+//! a domain. Each simulated cycle is a sequence of *regions* — per-domain
+//! work that touches only one domain's state — with the all-to-all
+//! structures (NoC#2, DRAM, presence replay) stepped by the coordinator in
+//! global component order between them. Because regions are
+//! domain-disjoint and the coordinator's work is single-threaded, the
+//! machine's statistics are a pure function of the partition, not of how
+//! many OS threads execute the regions: running every region inline or
+//! fanning them out over a [`ShardPool`] is byte-identical.
 //!
 //! The partition itself is also semantics-neutral by construction — see
 //! `GpuSystem::set_shards` for the determinism argument.
@@ -22,7 +24,8 @@ use dcl1_common::stats::RunningMean;
 use dcl1_common::{Cycle, FlowMeter, Histogram};
 use dcl1_gpu::{Core, MemBlock, MemKind};
 use dcl1_mem::L2Slice;
-use dcl1_noc::{Crossbar, EpochBatch, EpochKey, Packet};
+use dcl1_noc::{Crossbar, Packet};
+use dcl1_obs::profiler::Phase;
 use dcl1_obs::Observer;
 use dcl1_resilience::SimError;
 use std::collections::VecDeque;
@@ -40,6 +43,19 @@ use std::time::{Duration, Instant};
 /// practice); exceeding this means a worker is livelocked or the OS has
 /// wedged the thread, and supervision should quarantine the point.
 const BARRIER_TIMEOUT_SECS: u64 = 60;
+
+/// One turn of a wait loop (worker awaiting a job, coordinator awaiting a
+/// worker): jobs arrive back-to-back every cycle, so a brief spin usually
+/// wins; yielding after that keeps an oversubscribed host — where the
+/// awaited thread may need this very CPU — degrading instead of stalling.
+fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 64 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
 
 /// Static name of a transaction kind for trace span args.
 pub(crate) fn kind_str(kind: MemKind) -> &'static str {
@@ -98,47 +114,34 @@ pub(crate) struct CoreMeter {
     pub rtt_hist: Histogram,
 }
 
-/// One staged outbox head awaiting the epoch exchange: the transaction
-/// plus its precomputed route, so the coordinator only arbitrates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StagedFlit {
-    /// Issuing core (global index).
-    pub core: usize,
-    /// Home DC-L1 node (global index).
-    pub node: usize,
-    /// NoC#1 cluster of the issuing core (0 for direct attachment).
-    pub cluster: usize,
-    /// NoC#1 input port within the cluster.
-    pub src: usize,
-    /// NoC#1 output port within the cluster.
-    pub dst: usize,
-    /// Request payload bytes (store/atomic data).
-    pub data_bytes: u32,
-    /// The transaction (a copy of the outbox head; the head itself is
-    /// popped by the exchange only if the network accepts it).
-    pub txn: Txn,
-}
-
 /// One per-domain slice of a simulated cycle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Region {
-    /// Core issue + outbox-head staging.
+    /// Core issue, then outbox heads into this domain's NoC#1 request
+    /// crossbars / node Q1.
     Issue,
-    /// NoC#1 ticks with domain-local ejection/completion (aligned
-    /// partitions only).
+    /// NoC#1 ticks with domain-local ejection/completion.
     Noc1,
-    /// L2 slice ticks, DC-L1 node ticks (presence via session log), and —
-    /// when the partition is aligned — the node-reply drain fused in.
-    Mem {
-        /// Run the Q2 → NoC#1-reply / core drain inside the region.
-        fuse_drain: bool,
-    },
+    /// L2 slice ticks, DC-L1 node ticks (presence via session log) and
+    /// the node-reply drain.
+    Mem,
+}
+
+impl Region {
+    /// The profiler phase this region's time is attributed to.
+    pub fn phase(self) -> Phase {
+        match self {
+            Region::Issue => Phase::Issue,
+            Region::Noc1 => Phase::Noc1,
+            Region::Mem => Phase::Mem,
+        }
+    }
 }
 
 /// One shard's slice of the machine: a contiguous range of cores (with
 /// their outboxes, meters and transaction sequencers), DC-L1 nodes, NoC#1
-/// cluster crossbars and L2 slices, plus the staging state used at the
-/// epoch barrier.
+/// cluster crossbars and L2 slices, plus the presence log replayed at the
+/// barrier.
 #[derive(Debug)]
 pub(crate) struct ShardDomain {
     /// Domain index (usize::MAX marks the placeholder left behind while a
@@ -170,9 +173,6 @@ pub(crate) struct ShardDomain {
     pub noc1_rep: Vec<Crossbar<Txn>>,
     pub l2: Vec<L2Slice<Txn>>,
 
-    /// Staged outbox heads for the epoch exchange, keyed by
-    /// `(cycle, core, txn id)`.
-    pub mailbox: EpochBatch<StagedFlit>,
     /// Presence deltas accumulated by this domain's node ticks, replayed
     /// into the shared map at the barrier (in domain order).
     pub plog: PresenceLog,
@@ -204,7 +204,6 @@ impl ShardDomain {
             noc1_req: Vec::new(),
             noc1_rep: Vec::new(),
             l2: Vec::new(),
-            mailbox: EpochBatch::new(),
             plog: PresenceLog::new(),
             flow: FlowMeter::new("txns"),
             busy_nanos: 0,
@@ -223,12 +222,12 @@ impl ShardDomain {
         match region {
             Region::Issue => self.region_issue(now, ctx, obs),
             Region::Noc1 => self.region_noc1(now, ctx, obs),
-            Region::Mem { fuse_drain } => self.region_mem(now, ctx, presence, fuse_drain, obs),
+            Region::Mem => self.region_mem(now, ctx, presence, obs),
         }
     }
 
     /// Core issue (one instruction per core per cycle) into the per-core
-    /// outboxes, then stage each outbox head for the epoch exchange.
+    /// outboxes, then each outbox head into this domain's NoC#1 / node Q1.
     fn region_issue(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
         for i in 0..self.cores.len() {
             if self.cores[i].is_drained() {
@@ -263,32 +262,56 @@ impl ShardDomain {
                 self.outbox[i].push_back(txn);
             }
         }
-        // Stage outbox heads with their routes. Ascending core order means
-        // the keys are already sorted, so sealing is a verification pass.
+        self.inject_outbox_heads(now, ctx, obs);
+    }
+
+    /// Moves each outbox head (one per core per cycle) into its cluster's
+    /// NoC#1 request crossbar or directly into node Q1, in ascending core
+    /// order, memoizing why a head could not (or could only just) move so
+    /// issue can attribute the next port stall without re-probing the
+    /// network. Both targets are in this domain: partitions never cut a
+    /// cluster.
+    fn inject_outbox_heads(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+        let cpc = ctx.topo.cores_per_cluster();
+        let m = ctx.topo.nodes_per_cluster();
         for i in 0..self.outbox.len() {
             let Some(&txn) = self.outbox[i].front() else { continue };
             let c = self.core0 + i;
-            let node = ctx.topo.home_node(c, txn.line);
-            let (cluster, src, dst) = match ctx.topo.attachment {
-                Attachment::Direct => (0, 0, 0),
-                Attachment::Noc1 { .. } => (
-                    ctx.topo.cluster_of_core(c),
-                    c % ctx.topo.cores_per_cluster(),
-                    node % ctx.topo.nodes_per_cluster(),
-                ),
+            let n = ctx.topo.home_node(c, txn.line);
+            let cause = match ctx.topo.attachment {
+                Attachment::Direct => {
+                    let node = &mut self.nodes[n - self.node0];
+                    if node.can_accept_request() {
+                        obs.trace_hop(txn.id, "l1_queue", now);
+                        node.try_push_request(txn)
+                            .unwrap_or_else(|_| unreachable!("checked room"));
+                        MemBlock::OutboxDrain
+                    } else {
+                        MemBlock::L1Queue
+                    }
+                }
+                Attachment::Noc1 { .. } => {
+                    let (ki, src) = (c / cpc - self.cluster0, c % cpc);
+                    if self.noc1_req[ki].can_inject(src) {
+                        obs.trace_hop(txn.id, "noc1_req", now);
+                        self.noc1_req[ki]
+                            .try_inject(ctx.packet(src, n % m, down_bytes(&txn), txn))
+                            .unwrap_or_else(|_| unreachable!("checked room"));
+                        MemBlock::OutboxDrain
+                    } else {
+                        MemBlock::Noc
+                    }
+                }
             };
-            self.mailbox.stage(
-                EpochKey { cycle: now, source: c as u64, seq: txn.id },
-                StagedFlit { core: c, node, cluster, src, dst, data_bytes: down_bytes(&txn), txn },
-            );
+            if cause == MemBlock::OutboxDrain {
+                self.outbox[i].pop_front();
+            }
+            self.outbox_cause[i] = cause;
         }
-        self.mailbox.seal();
     }
 
     /// NoC#1 ticks for this domain's clusters, with request ejection into
     /// this domain's nodes and reply completion at this domain's cores.
-    /// Only runs when the partition is cluster-aligned, which guarantees
-    /// both sides of every crossbar are domain-local.
     fn region_noc1(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
         let ticks = ctx.topo.noc1_ticks_per_cycle();
         let m = ctx.topo.nodes_per_cluster();
@@ -328,14 +351,12 @@ impl ShardDomain {
     }
 
     /// L2 slice ticks, node ticks (presence reads from the cycle-start
-    /// snapshot, writes to the domain log) and, when fused, the node-reply
-    /// drain.
+    /// snapshot, writes to the domain log) and the node-reply drain.
     fn region_mem(
         &mut self,
         now: Cycle,
         ctx: &MachineCtx,
         presence: &PresenceMap,
-        fuse_drain: bool,
         obs: &mut Observer,
     ) {
         for l2 in &mut self.l2 {
@@ -347,20 +368,19 @@ impl ShardDomain {
                 node.tick(&mut sess, obs);
             }
         }
-        if fuse_drain {
-            self.drain_replies(now, ctx, obs);
-        }
+        self.drain_replies(now, ctx, obs);
     }
 
     /// Node Q2 → core (direct) or NoC#1 reply injection, domain-local.
-    /// Matches the sequential drain exactly: one reply per node per cycle
-    /// (the non-ideal direct and clustered cases; the ideal-ports machine
-    /// never shards, so its many-port drain stays on the sequential path).
     fn drain_replies(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
         match ctx.topo.attachment {
             Attachment::Direct => {
+                // A direct-attached L1 returns one reply per cycle at full
+                // width; the ideal single L1 has one reply port per core.
+                let pops = if ctx.topo.ideal_ports { ctx.cores_total } else { 1 };
                 for ni in 0..self.nodes.len() {
-                    if let Some(txn) = self.nodes[ni].pop_reply() {
+                    for _ in 0..pops {
+                        let Some(txn) = self.nodes[ni].pop_reply() else { break };
                         self.complete_at_core(txn, now, obs);
                     }
                 }
@@ -444,34 +464,14 @@ pub(crate) fn l2_in(shards: &mut [ShardDomain], s: usize) -> &mut L2Slice<Txn> {
     &mut d.l2[i]
 }
 
-/// Global NoC#1 request crossbar of cluster `k`.
-pub(crate) fn noc1_req_in(shards: &mut [ShardDomain], k: usize) -> &mut Crossbar<Txn> {
-    let d = shards
-        .iter_mut()
-        .find(|d| k >= d.cluster0 && k < d.cluster0 + d.noc1_req.len())
-        .unwrap_or_else(|| unreachable!("cluster {k} outside every domain"));
-    let i = k - d.cluster0;
-    &mut d.noc1_req[i]
-}
-
-/// Global NoC#1 reply crossbar of cluster `k`.
-pub(crate) fn noc1_rep_in(shards: &mut [ShardDomain], k: usize) -> &mut Crossbar<Txn> {
-    let d = shards
-        .iter_mut()
-        .find(|d| k >= d.cluster0 && k < d.cluster0 + d.noc1_rep.len())
-        .unwrap_or_else(|| unreachable!("cluster {k} outside every domain"));
-    let i = k - d.cluster0;
-    &mut d.noc1_rep[i]
-}
-
 // ---------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------
 
-/// One region of work shipped to a worker.
+/// One domain's regions, run back-to-back on a worker.
 struct Job {
     domain: ShardDomain,
-    region: Region,
+    regions: &'static [Region],
     now: Cycle,
     ctx: Arc<MachineCtx>,
     presence: Arc<PresenceMap>,
@@ -515,8 +515,6 @@ fn worker_loop(slot: &Slot) {
     let mut obs = Observer::disabled();
     let mut seen = 0u64;
     loop {
-        // Wait for work: brief spin (regions arrive back-to-back every
-        // cycle), then yield.
         let mut spins = 0u32;
         loop {
             if slot.stop.load(Ordering::Acquire) {
@@ -527,12 +525,7 @@ fn worker_loop(slot: &Slot) {
                 seen = s;
                 break;
             }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            backoff(&mut spins);
         }
         let Some(mut job) = slot.job.lock().expect("worker job mutex").take() else {
             continue;
@@ -540,7 +533,9 @@ fn worker_loop(slot: &Slot) {
         let mut guard = DeadGuard { slot, armed: true };
         // simcheck: allow(wall_clock): per-shard busy diagnostics, never feeds stats
         let t0 = Instant::now();
-        job.domain.run_region(job.region, job.now, &job.ctx, &job.presence, &mut obs);
+        for &region in job.regions {
+            job.domain.run_region(region, job.now, &job.ctx, &job.presence, &mut obs);
+        }
         job.domain.busy_nanos +=
             u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let Job { domain, presence, ctx, .. } = job;
@@ -597,13 +592,13 @@ impl ShardPool {
         self.slots.len()
     }
 
-    /// Ships `domain` (shard `1 + worker`) to worker `worker` for one
-    /// region.
+    /// Ships `domain` (shard `1 + worker`) to worker `worker`, which runs
+    /// `regions` in order.
     pub fn submit(
         &self,
         worker: usize,
         domain: ShardDomain,
-        region: Region,
+        regions: &'static [Region],
         now: Cycle,
         ctx: &Arc<MachineCtx>,
         presence: &Arc<PresenceMap>,
@@ -611,7 +606,7 @@ impl ShardPool {
         let slot = &self.slots[worker];
         *slot.job.lock().expect("job mutex") = Some(Job {
             domain,
-            region,
+            regions,
             now,
             ctx: Arc::clone(ctx),
             presence: Arc::clone(presence),
@@ -619,7 +614,7 @@ impl ShardPool {
         slot.submitted.fetch_add(1, Ordering::Release);
     }
 
-    /// Waits for worker `worker`'s current region and returns its domain
+    /// Waits for worker `worker`'s current job and returns its domain
     /// and the coordinator's wall wait in nanoseconds.
     ///
     /// # Errors
@@ -631,6 +626,7 @@ impl ShardPool {
         let slot = &self.slots[worker];
         // simcheck: allow(wall_clock): barrier-wait diagnostics and hang timeout, never feeds stats
         let t0 = Instant::now();
+        let mut spins = 0u32;
         loop {
             if slot.completed.load(Ordering::Acquire) == slot.submitted.load(Ordering::Acquire)
             {
@@ -654,7 +650,7 @@ impl ShardPool {
                     ),
                 });
             }
-            std::hint::spin_loop();
+            backoff(&mut spins);
         }
         let waited = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let domain = slot

@@ -13,6 +13,12 @@
 //! consume → `clear`, with both internal vectors retaining their capacity
 //! across epochs so the steady-state exchange performs **zero heap
 //! allocations** (enforced by the `alloc-probe` CI gate).
+//!
+//! `dcl1::machine` no longer stages anything here: its partitions never
+//! cut a NoC#1 cluster, so every core → DC-L1 flit is injected by the
+//! domain that owns the crossbar. The module stays public because the
+//! `benchmark/` harness times it (`noc.epoch_batch_ns`); retire the two
+//! together.
 
 use crate::{Crossbar, Packet};
 

@@ -173,11 +173,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 character, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("Some(_) arm guarantees a byte");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape (neither
+                // byte occurs inside a multi-byte character), validating
+                // only those bytes so parsing stays linear in the input.
+                let rest = &bytes[*pos..];
+                let run =
+                    rest.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -264,6 +267,41 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_bytes() {
+        // 2 MiB of string payload (multi-byte characters included) in one
+        // long value plus many short ones. The old per-character
+        // revalidation of the remaining input needed ~10^12 byte checks
+        // here (minutes); one pass takes milliseconds even unoptimized.
+        let long = "héllo wörld ".repeat(1 << 16);
+        let mut doc = format!("{{\"long\":\"{long}\",\"items\":[");
+        for i in 0..(1 << 16) {
+            let _ = write!(doc, "{}\"span-{i}-αβγ\\n\"", if i == 0 { "" } else { "," });
+        }
+        doc.push_str("]}");
+        assert!(doc.len() >= 2 << 20, "document is {} bytes", doc.len());
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "parse took {took:?}");
+        assert_eq!(v.get("long").unwrap().as_str(), Some(long.as_str()));
+        let items = v.get("items").unwrap().as_arr().unwrap();
+        assert_eq!(items.len(), 1 << 16);
+        assert_eq!(items[7].as_str(), Some("span-7-αβγ\n"));
+    }
+
+    #[test]
+    fn parse_string_rejects_invalid_utf8() {
+        // `Json::parse` takes `&str`, so only the byte-level entry point
+        // can see malformed input: a lone continuation byte, a truncated
+        // two-byte sequence before the closing quote, and an escape whose
+        // hex digits split a character.
+        for bad in [&b"\"ab\x80cd\""[..], b"\"ab\xc3\"", "\"\\u000é\"".as_bytes()] {
+            assert!(parse_string(bad, &mut 0).is_err(), "{bad:?}");
+        }
+        assert_eq!(parse_string("\"aé\\\\b\"".as_bytes(), &mut 0).unwrap(), "aé\\b");
     }
 
     #[test]

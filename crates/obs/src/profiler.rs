@@ -21,7 +21,7 @@ pub enum Phase {
     Noc1,
     /// Memory region: DC-L1 node ticks, L2, DRAM, reply drains.
     Mem,
-    /// Epoch-barrier work: outbox exchange, presence replay, memory mail.
+    /// Epoch-barrier work: presence replay, L2 ↔ DRAM moves, DRAM ticks.
     Exchange,
     /// Time shard workers spent blocked on the epoch barrier.
     BarrierWait,

@@ -2,8 +2,9 @@
 //! [`crate::index::ItemIndex`].
 //!
 //! The epoch-barrier machine (`dcl1::shard`) is deterministic only while
-//! three invariants hold: shard regions share no mutable state, all
-//! cross-shard traffic is staged through sorted `EpochBatch`es, and every
+//! three invariants hold: shard regions share no mutable state, a domain
+//! injects only into crossbars it owns (partitions never cut a NoC#1
+//! cluster, so there is no cross-domain flit to stage), and every
 //! reduction over per-shard results is commutative. The rules here check
 //! those invariants at `cargo` time, lexically, over the whole workspace
 //! — the runtime 1-vs-N-shard byte-identity tests remain the ground
@@ -269,10 +270,11 @@ fn sanctioned_structs(index: &ItemIndex) -> std::collections::BTreeSet<String> {
     names
 }
 
-/// `epoch_order`: inside shard-step paths, cross-shard traffic must go
-/// through `EpochBatch` staging; a direct `inject` into a crossbar that
-/// is not the region's own (`self`-rooted) bypasses the sorted barrier
-/// and makes delivery order depend on shard scheduling.
+/// `epoch_order`: inside shard-step paths a domain injects only into
+/// crossbars it owns. Partitions are cluster-aligned, so no NoC#1 flit
+/// crosses domains and nothing is staged between them; an `inject` whose
+/// receiver is not the region's own (`self`-rooted) reaches into a peer
+/// domain and makes delivery order depend on shard scheduling.
 fn epoch_order(
     index: &ItemIndex,
     by_path: &BTreeMap<&Path, &SourceFile>,
@@ -318,8 +320,9 @@ fn epoch_order(
                         line,
                         message: format!(
                             "`{}` into a non-`self` crossbar inside shard-step fn `{}`: \
-                             cross-shard traffic must be staged through EpochBatch so \
-                             delivery order is sorted, not scheduling-dependent",
+                             a domain injects only into crossbars it owns (partitions \
+                             never cut a cluster), or delivery order becomes \
+                             scheduling-dependent",
                             needle.trim_start_matches('.').trim_end_matches('('),
                             f.name
                         ),
