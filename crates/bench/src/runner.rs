@@ -68,13 +68,29 @@ impl Scale {
     }
 
     /// Reads the scale from the `DCL1_SCALE` environment variable
-    /// (`full` / `quarter` / `smoke`), defaulting to `Quarter` so plain
-    /// `cargo bench` finishes in minutes.
+    /// (`full` / `quarter` / `smoke`, any case). Unset means `Quarter`, so
+    /// plain `cargo bench` finishes in minutes; a value that is set but
+    /// not one of the three would silently run a different experiment, so
+    /// it ends the process (exit status 2) naming the accepted spellings.
     pub fn from_env() -> Scale {
-        match std::env::var("DCL1_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Quarter,
+        let Some(raw) = std::env::var_os("DCL1_SCALE") else { return Scale::Quarter };
+        raw.to_string_lossy().parse().unwrap_or_else(|e| {
+            eprintln!("DCL1_SCALE: {e}");
+            std::process::exit(2)
+        })
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `full` / `quarter` / `smoke`, case-insensitively.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "full" => Ok(Scale::Full),
+            "quarter" => Ok(Scale::Quarter),
+            "smoke" => Ok(Scale::Smoke),
+            _ => Err(format!("unknown scale '{s}': expected full, quarter or smoke")),
         }
     }
 }
@@ -1510,6 +1526,20 @@ mod tests {
     fn scale_ratios() {
         assert_eq!(Scale::Full.ratio(), (1, 1));
         assert_eq!(Scale::Smoke.ratio(), (1, 16));
+    }
+
+    #[test]
+    fn scale_parsing_rejects_what_it_does_not_know() {
+        assert_eq!("full".parse(), Ok(Scale::Full));
+        assert_eq!("quarter".parse(), Ok(Scale::Quarter));
+        assert_eq!("Smoke".parse(), Ok(Scale::Smoke));
+        for typo in ["smok", "1/16", "", " smoke", "smoke,full"] {
+            let err = typo.parse::<Scale>().expect_err(typo);
+            assert!(
+                ["full", "quarter", "smoke"].iter().all(|ok| err.contains(ok)),
+                "{typo:?}: {err}"
+            );
+        }
     }
 
     #[test]

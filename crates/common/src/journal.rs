@@ -66,31 +66,51 @@ impl JournalWriter {
 /// Renders one journal line (exposed for tests and tooling).
 #[must_use]
 pub fn render_line(key: u128, point: &str, payload: &str) -> String {
-    let crc = checksum::fnv64_hex(payload.as_bytes());
-    let hex = hex_encode(payload.as_bytes());
     // `point` is an APP/DESIGN label (alphanumerics, `/`, `+`, `-`), safe
     // to embed without JSON escaping; anything exotic is filtered here so
     // the line stays valid JSON regardless.
     let point: String =
         point.chars().filter(|c| c.is_ascii_graphic() && *c != '"' && *c != '\\').collect();
-    format!("{{\"v\":1,\"key\":\"{key:032x}\",\"point\":\"{point}\",\"crc\":\"{crc}\",\"payload\":\"{hex}\"}}\n")
+    frame(&format!("\"key\":\"{key:032x}\",\"point\":\"{point}\""), payload)
 }
 
-/// Reads every intact record from `path`, skipping torn or corrupt lines.
-/// Returns the entries plus the number of lines skipped; a missing file is
-/// an empty journal, not an error.
+/// The line framing every journal in the workspace shares: a version tag,
+/// the caller's own `head` fields (rendered `"name":value` pairs, comma
+/// separated), then the checksum and hex-encoded form of `payload`.
 #[must_use]
-pub fn read_entries(path: &Path) -> (Vec<JournalEntry>, usize) {
+pub fn frame(head: &str, payload: &str) -> String {
+    let crc = checksum::fnv64_hex(payload.as_bytes());
+    let hex = hex_encode(payload.as_bytes());
+    format!("{{\"v\":1,{head},\"crc\":\"{crc}\",\"payload\":\"{hex}\"}}\n")
+}
+
+/// Inverse of [`frame`]: the payload of one line, or `None` when the line
+/// is unversioned, malformed, or fails its checksum. The caller reads its
+/// own head fields with [`field`].
+#[must_use]
+pub fn unframe(line: &str) -> Option<String> {
+    if field(line, "v")? != "1" {
+        return None;
+    }
+    let payload = hex_decode(&field(line, "payload")?)?;
+    if !checksum::verify_hex(&payload, &field(line, "crc")?) {
+        return None;
+    }
+    String::from_utf8(payload).ok()
+}
+
+/// Every line of the journal at `path` that `parse` accepts, plus the
+/// number of torn or corrupt lines it rejected; a missing file is an empty
+/// journal, not an error.
+#[must_use]
+pub fn read_intact<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> (Vec<T>, usize) {
     let Ok(text) = std::fs::read_to_string(path) else {
         return (Vec::new(), 0);
     };
     let mut out = Vec::new();
     let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match parse(line) {
             Some(e) => out.push(e),
             None => skipped += 1,
         }
@@ -98,28 +118,28 @@ pub fn read_entries(path: &Path) -> (Vec<JournalEntry>, usize) {
     (out, skipped)
 }
 
+/// Reads every intact record from `path`, skipping torn or corrupt lines.
+/// Returns the entries plus the number of lines skipped; a missing file is
+/// an empty journal, not an error.
+#[must_use]
+pub fn read_entries(path: &Path) -> (Vec<JournalEntry>, usize) {
+    read_intact(path, parse_line)
+}
+
 /// Parses one line; `None` when the line is malformed, unversioned, or
 /// fails its checksum.
 #[must_use]
 pub fn parse_line(line: &str) -> Option<JournalEntry> {
-    if field(line, "v")? != "1" {
-        return None;
-    }
+    let payload = unframe(line)?;
     let key = u128::from_str_radix(&field(line, "key")?, 16).ok()?;
-    let point = field(line, "point")?;
-    let crc = field(line, "crc")?;
-    let payload_bytes = hex_decode(&field(line, "payload")?)?;
-    if !checksum::verify_hex(&payload_bytes, &crc) {
-        return None;
-    }
-    let payload = String::from_utf8(payload_bytes).ok()?;
-    Some(JournalEntry { key, point, payload })
+    Some(JournalEntry { key, point: field(line, "point")?, payload })
 }
 
-/// Extracts the string value of `"name":"..."` from a flat JSON object of
-/// string/number fields. Sufficient for this module's own format (values
-/// never contain quotes); not a general JSON parser.
-fn field(line: &str, name: &str) -> Option<String> {
+/// Extracts the value of `"name":...` from a flat JSON object of
+/// string/number fields. Sufficient for [`frame`]d lines (values never
+/// contain quotes); not a general JSON parser.
+#[must_use]
+pub fn field(line: &str, name: &str) -> Option<String> {
     let tag = format!("\"{name}\":");
     let at = line.find(&tag)? + tag.len();
     let rest = &line[at..];

@@ -3,6 +3,7 @@
 use dcl1_common::ConfigError;
 use dcl1_gpu::IssuePolicy;
 use dcl1_mem::{DramConfig, L2Config};
+use dcl1_noc::CrossbarConfig;
 
 /// Full-machine configuration. Defaults reproduce the paper's Table II
 /// (80 cores, 16 KB 4-way write-evict L1s, 32 L2 slices, 16 GDDR5 MCs);
@@ -152,6 +153,15 @@ impl GpuConfig {
     /// L2 slices per memory controller.
     pub fn slices_per_mc(&self) -> usize {
         self.l2_slices / self.mcs
+    }
+
+    /// Router configuration of an `inputs×outputs` crossbar of this
+    /// machine (either NoC), with the configured VC lookahead.
+    pub(crate) fn xbar_config(&self, inputs: usize, outputs: usize) -> CrossbarConfig {
+        CrossbarConfig {
+            vc_lookahead: self.noc_vcs.max(1),
+            ..CrossbarConfig::new(inputs, outputs).expect("nonzero ports")
+        }
     }
 }
 

@@ -53,6 +53,7 @@ pub mod config;
 pub mod design;
 pub mod machine;
 pub mod metrics;
+mod noc2;
 pub mod node;
 pub mod presence;
 mod shard;

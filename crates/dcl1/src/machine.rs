@@ -17,9 +17,12 @@
 //! 3. **NoC#1 region** (per shard domain, same job as Issue): NoC#1 ticks
 //!    (1× or 2× per core cycle) with ejection into node Q1 / completion
 //!    at cores;
-//! 4. node Q3 → NoC#2 injection; NoC#2 ticks in the 700 MHz domain with
-//!    ejection into L2 input queues / node Q4 (coordinator — NoC#2 is the
-//!    one all-to-all structure, so it is never sharded);
+//! 4. **NoC#2** (coordinator; `noc2.rs`): node Q3 heads and stashed
+//!    L2 replies are injected, then the fabric ticks in its own clock
+//!    domain(s), ejecting into L2 input queues / node Q4. Which of the
+//!    three shapes the design resolves to, and how a flit is routed
+//!    through it, is that module's business alone — this file only walks
+//!    its crossbars, injects into it and ticks it;
 //! 5. **Mem region** (per shard domain): L2 slice ticks, DC-L1 node ticks
 //!    (presence reads the cycle-start snapshot, writes a domain log) and
 //!    the node-reply drain;
@@ -44,8 +47,9 @@
 
 use crate::check::{SimChecker, EPOCH_CYCLES};
 use crate::config::GpuConfig;
-use crate::design::{Attachment, Design, Noc2Kind, Topology};
+use crate::design::{Attachment, Design, Topology};
 use crate::metrics::MachineMetrics;
+use crate::noc2::Noc2;
 use crate::node::{Dcl1Node, NodeConfig};
 use crate::presence::PresenceMap;
 use crate::shard::{
@@ -56,10 +60,10 @@ use crate::txn::Txn;
 use dcl1_common::stats::RunningMean;
 use dcl1_common::{ClockDomain, ConfigError, CoreId, Cycle, FlowMeter};
 use dcl1_gpu::{
-    Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, MemBlock, MemKind, TraceFactory,
+    Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, MemBlock, TraceFactory,
 };
-use dcl1_mem::{DramAccess, L2Reply, L2Request, L2Slice, MemAccessKind, MemoryController};
-use dcl1_noc::{Crossbar, CrossbarConfig, Packet};
+use dcl1_mem::{DramAccess, L2Slice, MemoryController};
+use dcl1_noc::Crossbar;
 use dcl1_obs::metrics::MetricsSample;
 use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::registry::Registry;
@@ -150,48 +154,6 @@ impl Default for SimOptions {
     }
 }
 
-/// NoC#2 instantiation (one direction).
-#[derive(Debug)]
-enum Noc2Net {
-    /// One `sources×slices` crossbar.
-    Single(Crossbar<Txn>),
-    /// One crossbar per home slot (paper Fig 10).
-    Sliced(Vec<Crossbar<Txn>>),
-    /// The hierarchical CDXBar comparator.
-    TwoStage {
-        stage1: Vec<Crossbar<Txn>>,
-        stage2: Crossbar<Txn>,
-    },
-}
-
-impl Noc2Net {
-    fn is_idle(&self) -> bool {
-        match self {
-            Noc2Net::Single(x) => x.is_idle(),
-            Noc2Net::Sliced(v) => v.iter().all(Crossbar::is_idle),
-            Noc2Net::TwoStage { stage1, stage2 } => {
-                stage1.iter().all(Crossbar::is_idle) && stage2.is_idle()
-            }
-        }
-    }
-
-    fn check_conservation(&self, site: &str) -> dcl1_common::InvariantResult {
-        match self {
-            Noc2Net::Single(x) => x.check_conservation(site),
-            Noc2Net::Sliced(v) => v
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, x)| x.check_conservation(&format!("{site}.slot{i}"))),
-            Noc2Net::TwoStage { stage1, stage2 } => {
-                stage1.iter().enumerate().try_for_each(|(i, x)| {
-                    x.check_conservation(&format!("{site}.stage1_{i}"))
-                })?;
-                stage2.check_conservation(&format!("{site}.stage2"))
-            }
-        }
-    }
-}
-
 /// Where each domain's component ranges start: cut `i`..cut `i+1` is
 /// domain `i`'s slice of the global component vector.
 struct PartitionCuts {
@@ -257,14 +219,9 @@ pub struct GpuSystem<'w> {
     /// replay the domain logs.
     presence: Arc<PresenceMap>,
 
-    noc2_req: Noc2Net,
-    noc2_rep: Noc2Net,
-    noc2_clock: ClockDomain,
-    /// Stage-1/stage-2 clocks for the CDXBar comparator.
-    cdx_clocks: Option<(ClockDomain, ClockDomain)>,
-
-    /// Reply popped from a slice but not yet injected into NoC#2.
-    l2_reply_stash: Vec<Option<L2Reply<Txn>>>,
+    /// NoC#2: both directions, their clocks and the reply stash
+    /// (coordinator-stepped; the shape lives in `noc2.rs`).
+    noc2: Noc2,
     /// DRAM access popped from a slice but not yet accepted by its MC.
     dram_stash: Vec<Option<DramAccess>>,
     mcs: Vec<MemoryController<usize>>,
@@ -362,61 +319,24 @@ impl<'w> GpuSystem<'w> {
             .collect();
 
         // NoC#1.
-        let xcfg = |i: usize, o: usize| -> CrossbarConfig {
-            CrossbarConfig {
-                vc_lookahead: cfg.noc_vcs.max(1),
-                ..CrossbarConfig::new(i, o).expect("nonzero ports")
-            }
-        };
         let (noc1_req, noc1_rep) = match topo.attachment {
             Attachment::Direct => (Vec::new(), Vec::new()),
             Attachment::Noc1 { .. } => {
                 let cpc = topo.cores_per_cluster();
                 let m = topo.nodes_per_cluster();
-                let req = (0..topo.clusters).map(|_| Crossbar::new(xcfg(cpc, m))).collect();
-                let rep = (0..topo.clusters).map(|_| Crossbar::new(xcfg(m, cpc))).collect();
+                let make = |i: usize, o: usize| Crossbar::new(cfg.xbar_config(i, o));
+                let req = (0..topo.clusters).map(|_| make(cpc, m)).collect();
+                let rep = (0..topo.clusters).map(|_| make(m, cpc)).collect();
                 (req, rep)
             }
         };
 
-        // NoC#2.
+        let rctx = Arc::new(MachineCtx {
+            topo: topo.clone(),
+            cores_total: cfg.cores as u64,
+            flit_bytes: cfg.flit_bytes * topo.flit_mult,
+        });
         let l = cfg.l2_slices;
-        let make = |i: usize, o: usize| -> Crossbar<Txn> { Crossbar::new(xcfg(i, o)) };
-        let (noc2_req, noc2_rep, cdx_clocks) = match topo.noc2 {
-            Noc2Kind::Single => {
-                // The ideal single-L1 hypothetical keeps full memory-side
-                // bandwidth (paper §II-A): one NoC#2 port per core.
-                let sources = if topo.ideal_ports { topo.cores } else { topo.nodes };
-                (
-                    Noc2Net::Single(make(sources, l)),
-                    Noc2Net::Single(make(l, sources)),
-                    None,
-                )
-            }
-            Noc2Kind::Sliced { groups } => {
-                let o = l / groups;
-                let req = (0..groups).map(|_| make(topo.clusters, o)).collect();
-                let rep = (0..groups).map(|_| make(o, topo.clusters)).collect();
-                (Noc2Net::Sliced(req), Noc2Net::Sliced(rep), None)
-            }
-            Noc2Kind::TwoStage { groups, uplinks, stage1_mult, stage2_mult } => {
-                let cpg = topo.cores / groups;
-                let req = Noc2Net::TwoStage {
-                    stage1: (0..groups).map(|_| make(cpg, uplinks)).collect(),
-                    stage2: make(groups * uplinks, l),
-                };
-                let rep = Noc2Net::TwoStage {
-                    stage1: (0..groups).map(|_| make(uplinks, cpg)).collect(),
-                    stage2: make(l, groups * uplinks),
-                };
-                let clocks = (
-                    ClockDomain::new(cfg.noc_mhz * stage1_mult, cfg.core_mhz),
-                    ClockDomain::new(cfg.noc_mhz * stage2_mult, cfg.core_mhz),
-                );
-                (req, rep, Some(clocks))
-            }
-        };
-
         let l2 = (0..l)
             .map(|_| L2Slice::new(cfg.l2))
             .collect::<Result<Vec<_>, _>>()?;
@@ -444,11 +364,8 @@ impl<'w> GpuSystem<'w> {
 
         Ok(GpuSystem {
             dispatcher: CtaDispatcher::new(opts.cta_policy, factory.total_ctas(), cfg.cores),
-            rctx: Arc::new(MachineCtx {
-                topo: topo.clone(),
-                cores_total: cfg.cores as u64,
-                flit_bytes: cfg.flit_bytes * topo.flit_mult,
-            }),
+            noc2: Noc2::build(cfg, &rctx),
+            rctx,
             shards: vec![domain],
             pool: None,
             thread_override: None,
@@ -458,17 +375,12 @@ impl<'w> GpuSystem<'w> {
             presence: Arc::new(PresenceMap::with_capacity(
                 node_cfg.size_bytes / cfg.line_bytes.max(1) * topo.nodes,
             )),
-            l2_reply_stash: (0..l).map(|_| None).collect(),
             dram_stash: (0..l).map(|_| None).collect(),
-            noc2_clock: ClockDomain::new(cfg.noc_mhz * topo.noc2_freq_mult, cfg.core_mhz),
             dram_clock: ClockDomain::new(cfg.mem_mhz, cfg.core_mhz),
             cfg: cfg.clone(),
             topo,
             opts,
             factory,
-            noc2_req,
-            noc2_rep,
-            cdx_clocks,
             mcs,
             obs: Observer::disabled(),
             metrics: None,
@@ -689,19 +601,7 @@ impl<'w> GpuSystem<'w> {
         let MachineMetrics { reg, gpu, noc, mem, cache, dcl1, shard } = mm;
         gpu.record(reg, self.iter_cores().map(|c| *c.stats()));
         let noc1 = dcl1_noc::metrics::totals(self.iter_noc1().map(Crossbar::stats));
-        let nq2 = |net: &Noc2Net| -> dcl1_noc::metrics::FlitTotals {
-            match net {
-                Noc2Net::Single(x) => dcl1_noc::metrics::totals(std::iter::once(x.stats())),
-                Noc2Net::Sliced(v) => dcl1_noc::metrics::totals(v.iter().map(Crossbar::stats)),
-                Noc2Net::TwoStage { stage1, stage2 } => dcl1_noc::metrics::totals(
-                    stage1.iter().map(Crossbar::stats).chain(std::iter::once(stage2.stats())),
-                ),
-            }
-        };
-        let mut noc2 = nq2(&self.noc2_req);
-        let rep = nq2(&self.noc2_rep);
-        noc2.flits += rep.flits;
-        noc2.packets += rep.packets;
+        let noc2 = dcl1_noc::metrics::totals(self.noc2.xbars().map(Crossbar::stats));
         noc.record(reg, noc1, noc2);
         mem.record(
             reg,
@@ -847,10 +747,6 @@ impl<'w> GpuSystem<'w> {
         self.now - self.stat_base_cycle
     }
 
-    fn slice_of(&self, line: dcl1_common::LineAddr) -> usize {
-        line.interleave(self.cfg.l2_slices)
-    }
-
     fn mc_of_slice(&self, slice: usize) -> usize {
         slice / self.cfg.slices_per_mc()
     }
@@ -871,18 +767,7 @@ impl<'w> GpuSystem<'w> {
         mix(self.iter_l2().map(|s| s.stats().accesses.get()).sum());
         mix(self.mcs.iter().map(|m| m.stats().reads.get() + m.stats().writes.get()).sum());
         mix(self.iter_noc1().map(|x| x.stats().total_flits()).sum());
-        let nq2 = |net: &Noc2Net| -> u64 {
-            match net {
-                Noc2Net::Single(x) => x.stats().total_flits(),
-                Noc2Net::Sliced(v) => v.iter().map(|x| x.stats().total_flits()).sum(),
-                Noc2Net::TwoStage { stage1, stage2 } => {
-                    stage1.iter().map(|x| x.stats().total_flits()).sum::<u64>()
-                        + stage2.stats().total_flits()
-                }
-            }
-        };
-        mix(nq2(&self.noc2_req));
-        mix(nq2(&self.noc2_rep));
+        mix(self.noc2.xbars().map(|x| x.stats().total_flits()).sum());
         mix(u64::from(self.warmup_done));
         sig
     }
@@ -1015,367 +900,6 @@ impl<'w> GpuSystem<'w> {
         }
     }
 
-    /// Node Q3 → NoC#2 request injection (coordinator: NoC#2 is
-    /// all-to-all, so both sides always span domains).
-    fn inject_noc2_requests(&mut self) {
-        let m = self.topo.nodes_per_cluster();
-        let pops = if self.topo.ideal_ports { self.cfg.cores } else { 1 };
-        let now = self.now;
-        for n in 0..self.topo.nodes {
-            for _ in 0..pops {
-                let Some(txn) = shard::node_in(&mut self.shards, n).peek_l2_request().copied()
-                else {
-                    break;
-                };
-                let slice = self.slice_of(txn.line);
-                let data = shard::down_bytes(&txn);
-                let flit = self.rctx.flit_bytes;
-                let mut advanced = false;
-                match &mut self.noc2_req {
-                    Noc2Net::Single(x) => {
-                        let src = if self.topo.ideal_ports { txn.core.index() } else { n };
-                        if x.can_inject(src) {
-                            shard::node_in(&mut self.shards, n).pop_l2_request();
-                            self.obs.trace_hop(txn.id, "noc2_req", now);
-                            advanced = true;
-                            let pkt = Packet {
-                                src,
-                                dst: slice,
-                                flits: 1 + data.div_ceil(flit),
-                                payload: txn,
-                            };
-                            x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-                        }
-                    }
-                    Noc2Net::Sliced(xs) => {
-                        let slot = n % m;
-                        debug_assert_eq!(
-                            slice % xs.len(),
-                            slot % xs.len(),
-                            "home-slot / slice interleaving mismatch"
-                        );
-                        let cluster = n / m;
-                        let dst = slice / xs.len();
-                        let x = &mut xs[slot];
-                        if x.can_inject(cluster) {
-                            shard::node_in(&mut self.shards, n).pop_l2_request();
-                            self.obs.trace_hop(txn.id, "noc2_req", now);
-                            advanced = true;
-                            let pkt = Packet {
-                                src: cluster,
-                                dst,
-                                flits: 1 + data.div_ceil(flit),
-                                payload: txn,
-                            };
-                            x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-                        }
-                    }
-                    Noc2Net::TwoStage { stage1, .. } => {
-                        // Baseline machine: node index == core index.
-                        let groups = stage1.len();
-                        let cpg = self.topo.cores / groups;
-                        let g = n / cpg;
-                        let src = n % cpg;
-                        let uplinks = stage1[g].config().outputs;
-                        let dst = slice % uplinks;
-                        if stage1[g].can_inject(src) {
-                            shard::node_in(&mut self.shards, n).pop_l2_request();
-                            self.obs.trace_hop(txn.id, "noc2_req", now);
-                            advanced = true;
-                            let pkt = Packet {
-                                src,
-                                dst,
-                                flits: 1 + data.div_ceil(flit),
-                                payload: txn,
-                            };
-                            stage1[g]
-                                .try_inject(pkt)
-                                .unwrap_or_else(|_| unreachable!("checked room"));
-                        }
-                    }
-                }
-                if !advanced {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// L2 replies → NoC#2 reply injection (via per-slice stashes).
-    fn inject_noc2_replies(&mut self) {
-        let m = self.topo.nodes_per_cluster();
-        let now = self.now;
-        for s in 0..self.cfg.l2_slices {
-            if self.l2_reply_stash[s].is_none() {
-                self.l2_reply_stash[s] = shard::l2_in(&mut self.shards, s).pop_reply();
-            }
-            let Some(reply) = &self.l2_reply_stash[s] else { continue };
-            let txn = reply.payload;
-            // Full-line fills for loads; acks/small data otherwise.
-            let data = match txn.kind {
-                MemKind::Load => u32::try_from(self.cfg.line_bytes).expect("line_bytes fits u32"),
-                MemKind::Aux | MemKind::Atomic => txn.bytes,
-                MemKind::Store => 0,
-            };
-            let flit = self.rctx.flit_bytes;
-            // For baseline machines home_node is the core's own L1; for
-            // the ideal single L1 it is node 0; for DC-L1 designs it is
-            // the home DC-L1 that issued the fill.
-            let node = self.topo.home_node(txn.core.index(), txn.line);
-            match &mut self.noc2_rep {
-                Noc2Net::Single(x) => {
-                    let dst = if self.topo.ideal_ports { txn.core.index() } else { node };
-                    if x.can_inject(s) {
-                        let pkt =
-                            Packet { src: s, dst, flits: 1 + data.div_ceil(flit), payload: txn };
-                        x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-                        self.obs.trace_hop(txn.id, "noc2_rep", now);
-                        self.l2_reply_stash[s] = None;
-                    }
-                }
-                Noc2Net::Sliced(xs) => {
-                    let groups = xs.len();
-                    let slot = node % m;
-                    debug_assert_eq!(s % groups, slot % groups);
-                    let cluster = node / m;
-                    let src = s / groups;
-                    let x = &mut xs[slot];
-                    if x.can_inject(src) {
-                        let pkt = Packet {
-                            src,
-                            dst: cluster,
-                            flits: 1 + data.div_ceil(flit),
-                            payload: txn,
-                        };
-                        x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-                        self.obs.trace_hop(txn.id, "noc2_rep", now);
-                        self.l2_reply_stash[s] = None;
-                    }
-                }
-                Noc2Net::TwoStage { stage2, stage1 } => {
-                    let groups = stage1.len();
-                    let cpg = self.topo.cores / groups;
-                    let g = node / cpg;
-                    let uplinks = stage1[0].config().inputs;
-                    let dst = g * uplinks + s % uplinks;
-                    if stage2.can_inject(s) {
-                        let pkt =
-                            Packet { src: s, dst, flits: 1 + data.div_ceil(flit), payload: txn };
-                        stage2.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-                        self.obs.trace_hop(txn.id, "noc2_rep", now);
-                        self.l2_reply_stash[s] = None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn tick_noc2(&mut self) {
-        let ticks = self.noc2_clock.advance();
-        let (s1_ticks, s2_ticks) = match &mut self.cdx_clocks {
-            Some((c1, c2)) => (c1.advance(), c2.advance()),
-            None => (0, 0),
-        };
-        let now = self.now;
-        // Request direction.
-        match &mut self.noc2_req {
-            Noc2Net::Single(x) => {
-                for _ in 0..ticks {
-                    x.tick();
-                    Self::eject_into_l2(x, &mut self.shards, None, &mut self.obs, now);
-                }
-            }
-            Noc2Net::Sliced(xs) => {
-                for _ in 0..ticks {
-                    let groups = xs.len();
-                    for (slot, x) in xs.iter_mut().enumerate() {
-                        x.tick();
-                        Self::eject_into_l2(
-                            x,
-                            &mut self.shards,
-                            Some((slot, groups)),
-                            &mut self.obs,
-                            now,
-                        );
-                    }
-                }
-            }
-            Noc2Net::TwoStage { stage1, stage2 } => {
-                for _ in 0..s1_ticks {
-                    for (g, x) in stage1.iter_mut().enumerate() {
-                        x.tick();
-                        if !x.has_output() {
-                            continue;
-                        }
-                        // Stage-1 ejects feed stage-2 inputs.
-                        let uplinks = x.config().outputs;
-                        for u in 0..uplinks {
-                            while let Some(_pkt) = x.peek_output(u) {
-                                let input = g * uplinks + u;
-                                if !stage2.can_inject(input) {
-                                    break;
-                                }
-                                let pkt = x.pop_output(u).expect("peeked Some");
-                                let slice = Self::slice_of_static(
-                                    pkt.payload.line,
-                                    stage2.config().outputs,
-                                );
-                                let fwd = Packet {
-                                    src: input,
-                                    dst: slice,
-                                    flits: pkt.flits,
-                                    payload: pkt.payload,
-                                };
-                                stage2
-                                    .try_inject(fwd)
-                                    .unwrap_or_else(|_| unreachable!("checked room"));
-                            }
-                        }
-                    }
-                }
-                for _ in 0..s2_ticks {
-                    stage2.tick();
-                    Self::eject_into_l2(stage2, &mut self.shards, None, &mut self.obs, now);
-                }
-            }
-        }
-        // Reply direction.
-        let m = self.topo.nodes_per_cluster();
-        match &mut self.noc2_rep {
-            Noc2Net::Single(x) => {
-                let ideal = self.topo.ideal_ports;
-                for _ in 0..ticks {
-                    x.tick();
-                    if !x.has_output() {
-                        continue;
-                    }
-                    for port in 0..x.config().outputs {
-                        let n = if ideal { 0 } else { port };
-                        while shard::node_in(&mut self.shards, n).can_accept_l2_reply() {
-                            match x.pop_output(port) {
-                                Some(pkt) => shard::node_in(&mut self.shards, n)
-                                    .try_push_l2_reply(pkt.payload)
-                                    .unwrap_or_else(|_| unreachable!("checked room")),
-                                None => break,
-                            }
-                        }
-                    }
-                }
-            }
-            Noc2Net::Sliced(xs) => {
-                for _ in 0..ticks {
-                    for (slot, x) in xs.iter_mut().enumerate() {
-                        x.tick();
-                        if !x.has_output() {
-                            continue;
-                        }
-                        for cluster in 0..self.topo.clusters {
-                            let node = cluster * m + slot;
-                            while shard::node_in(&mut self.shards, node).can_accept_l2_reply() {
-                                match x.pop_output(cluster) {
-                                    Some(pkt) => shard::node_in(&mut self.shards, node)
-                                        .try_push_l2_reply(pkt.payload)
-                                        .unwrap_or_else(|_| unreachable!("checked room")),
-                                    None => break,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Noc2Net::TwoStage { stage1, stage2 } => {
-                for _ in 0..s2_ticks {
-                    stage2.tick();
-                    if !stage2.has_output() {
-                        continue;
-                    }
-                    // Stage-2 ejects feed per-group stage-1 reply xbars.
-                    let groups = stage1.len();
-                    let cpg = self.topo.cores / groups;
-                    let uplinks = stage1[0].config().inputs;
-                    for port in 0..stage2.config().outputs {
-                        let g = port / uplinks;
-                        let u = port % uplinks;
-                        while let Some(_pkt) = stage2.peek_output(port) {
-                            if !stage1[g].can_inject(u) {
-                                break;
-                            }
-                            let pkt = stage2.pop_output(port).expect("peeked Some");
-                            let dst = pkt.payload.core.index() % cpg;
-                            let fwd =
-                                Packet { src: u, dst, flits: pkt.flits, payload: pkt.payload };
-                            stage1[g]
-                                .try_inject(fwd)
-                                .unwrap_or_else(|_| unreachable!("checked room"));
-                        }
-                    }
-                }
-                for _ in 0..s1_ticks {
-                    for (g, x) in stage1.iter_mut().enumerate() {
-                        x.tick();
-                        if !x.has_output() {
-                            continue;
-                        }
-                        let cpg = x.config().outputs;
-                        for port in 0..cpg {
-                            let node = g * cpg + port;
-                            while shard::node_in(&mut self.shards, node).can_accept_l2_reply() {
-                                match x.pop_output(port) {
-                                    Some(pkt) => shard::node_in(&mut self.shards, node)
-                                        .try_push_l2_reply(pkt.payload)
-                                        .unwrap_or_else(|_| unreachable!("checked room")),
-                                    None => break,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn slice_of_static(line: dcl1_common::LineAddr, slices: usize) -> usize {
-        line.interleave(slices)
-    }
-
-    /// Drains a request-direction crossbar's ejection ports into the L2
-    /// slices. `sliced` carries `(slot, groups)` so output port `p` maps
-    /// to slice `p * groups + slot`; `None` means output port == slice.
-    fn eject_into_l2(
-        x: &mut Crossbar<Txn>,
-        shards: &mut [ShardDomain],
-        sliced: Option<(usize, usize)>,
-        obs: &mut Observer,
-        now: Cycle,
-    ) {
-        if !x.has_output() {
-            return;
-        }
-        for port in 0..x.config().outputs {
-            let slice = match sliced {
-                Some((slot, groups)) => port * groups + slot,
-                None => port,
-            };
-            while shard::l2_in(shards, slice).can_accept() {
-                match x.pop_output(port) {
-                    Some(pkt) => {
-                        let txn = pkt.payload;
-                        obs.trace_hop(txn.id, "l2", now);
-                        let kind = match txn.kind {
-                            MemKind::Load | MemKind::Aux => MemAccessKind::Read,
-                            MemKind::Store => MemAccessKind::Write,
-                            MemKind::Atomic => MemAccessKind::Atomic,
-                        };
-                        shard::l2_in(shards, slice)
-                            .try_enqueue(L2Request { line: txn.line, kind, payload: txn })
-                            .unwrap_or_else(|_| unreachable!("checked room"));
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-
     /// L2 ↔ DRAM moves and DRAM ticks (coordinator: memory controllers
     /// serve slices from every domain, in global slice order).
     fn exchange_memory(&mut self) {
@@ -1454,8 +978,12 @@ impl<'w> GpuSystem<'w> {
                 x.check_conservation(&format!("noc1_rep{}", d.cluster0 + i))?;
             }
         }
-        self.noc2_req.check_conservation("noc2_req")?;
-        self.noc2_rep.check_conservation("noc2_rep")?;
+        for (i, x) in self.noc2.req_xbars().enumerate() {
+            x.check_conservation(&format!("noc2_req{i}"))?;
+        }
+        for (i, x) in self.noc2.rep_xbars().enumerate() {
+            x.check_conservation(&format!("noc2_rep{i}"))?;
+        }
         for (i, mc) in self.mcs.iter().enumerate() {
             if mc.queue_len() > self.cfg.dram.queue_depth {
                 return Err(InvariantError::new(
@@ -1504,10 +1032,8 @@ impl<'w> GpuSystem<'w> {
             && self.iter_outbox().all(VecDeque::is_empty)
             && self.iter_nodes().all(Dcl1Node::is_idle)
             && self.iter_noc1().all(Crossbar::is_idle)
-            && self.noc2_req.is_idle()
-            && self.noc2_rep.is_idle()
+            && self.noc2.is_idle()
             && self.iter_l2().all(L2Slice::is_idle)
-            && self.l2_reply_stash.iter().all(Option::is_none)
             && self.dram_stash.iter().all(Option::is_none)
             && self.mcs.iter().all(MemoryController::is_idle)
     }
@@ -1626,9 +1152,10 @@ impl<'w> GpuSystem<'w> {
             Attachment::Noc1 { .. } => &[Region::Issue, Region::Noc1],
             Attachment::Direct => &[Region::Issue],
         })?;
-        self.inject_noc2_requests();
-        self.inject_noc2_replies();
-        self.tick_noc2();
+        let GpuSystem { noc2, shards, obs, now, .. } = self;
+        noc2.inject_requests(shards, obs, *now);
+        noc2.inject_replies(shards, obs, *now);
+        noc2.tick(shards, obs, *now);
         self.lap(Phase::Noc1);
         self.run_regions(&[Region::Mem])?;
         self.apply_presence();
@@ -1683,9 +1210,7 @@ impl<'w> GpuSystem<'w> {
         // Cheap occupancy guards first, so active phases bail out fast.
         if self.iter_outbox().any(|o| !o.is_empty())
             || !self.iter_noc1().all(Crossbar::is_idle)
-            || !self.noc2_req.is_idle()
-            || !self.noc2_rep.is_idle()
-            || self.l2_reply_stash.iter().any(Option::is_some)
+            || !self.noc2.is_idle()
             || self.dram_stash.iter().any(Option::is_some)
         {
             return;
@@ -1781,21 +1306,7 @@ impl<'w> GpuSystem<'w> {
                 l2.skip_idle_cycles(skip);
             }
         }
-        let t2 = self.noc2_clock.advance_by(skip);
-        let (t_s1, t_s2) = match &mut self.cdx_clocks {
-            Some((c1, c2)) => (c1.advance_by(skip), c2.advance_by(skip)),
-            None => (0, 0),
-        };
-        for net in [&mut self.noc2_req, &mut self.noc2_rep] {
-            match net {
-                Noc2Net::Single(x) => x.skip_idle_ticks(t2),
-                Noc2Net::Sliced(v) => v.iter_mut().for_each(|x| x.skip_idle_ticks(t2)),
-                Noc2Net::TwoStage { stage1, stage2 } => {
-                    stage1.iter_mut().for_each(|x| x.skip_idle_ticks(t_s1));
-                    stage2.skip_idle_ticks(t_s2);
-                }
-            }
-        }
+        self.noc2.skip_idle_cycles(skip);
         let tm = self.dram_clock.advance_by(skip);
         for mc in &mut self.mcs {
             mc.skip_idle_ticks(tm);
@@ -1827,16 +1338,7 @@ impl<'w> GpuSystem<'w> {
                 *m = CoreMeter::default();
             }
         }
-        for net in [&mut self.noc2_req, &mut self.noc2_rep] {
-            match net {
-                Noc2Net::Single(x) => x.reset_stats(),
-                Noc2Net::Sliced(v) => v.iter_mut().for_each(Crossbar::reset_stats),
-                Noc2Net::TwoStage { stage1, stage2 } => {
-                    stage1.iter_mut().for_each(Crossbar::reset_stats);
-                    stage2.reset_stats();
-                }
-            }
-        }
+        self.noc2.reset_stats();
         for mc in &mut self.mcs {
             mc.reset_stats();
         }
@@ -1845,23 +1347,6 @@ impl<'w> GpuSystem<'w> {
 
     /// Snapshots every machine-wide occupancy gauge for the metrics stream.
     fn metrics_sample(&self) -> MetricsSample {
-        let nq2 = |net: &Noc2Net| -> (u64, u64) {
-            match net {
-                Noc2Net::Single(x) => (x.in_flight() as u64, x.stats().total_flits()),
-                Noc2Net::Sliced(v) => (
-                    v.iter().map(Crossbar::in_flight).sum::<usize>() as u64,
-                    v.iter().map(|x| x.stats().total_flits()).sum(),
-                ),
-                Noc2Net::TwoStage { stage1, stage2 } => (
-                    (stage1.iter().map(Crossbar::in_flight).sum::<usize>() + stage2.in_flight())
-                        as u64,
-                    stage1.iter().map(|x| x.stats().total_flits()).sum::<u64>()
-                        + stage2.stats().total_flits(),
-                ),
-            }
-        };
-        let (noc2_req_inflight, noc2_req_flits) = nq2(&self.noc2_req);
-        let (noc2_rep_inflight, noc2_rep_flits) = nq2(&self.noc2_rep);
         MetricsSample {
             cycle: self.now,
             outbox_depth: self.iter_outbox().map(VecDeque::len).sum::<usize>() as u64,
@@ -1883,10 +1368,10 @@ impl<'w> GpuSystem<'w> {
                 .flat_map(|d| d.noc1_rep.iter())
                 .map(Crossbar::in_flight)
                 .sum::<usize>() as u64,
-            noc2_req_inflight,
-            noc2_rep_inflight,
+            noc2_req_inflight: self.noc2.req_xbars().map(Crossbar::in_flight).sum::<usize>() as u64,
+            noc2_rep_inflight: self.noc2.rep_xbars().map(Crossbar::in_flight).sum::<usize>() as u64,
             noc1_flits: self.iter_noc1().map(|x| x.stats().total_flits()).sum(),
-            noc2_flits: noc2_req_flits + noc2_rep_flits,
+            noc2_flits: self.noc2.xbars().map(|x| x.stats().total_flits()).sum(),
             l2_input: self.iter_l2().map(L2Slice::input_len).sum::<usize>() as u64,
             l2_mshr: self.iter_l2().map(L2Slice::mshr_len).sum::<usize>() as u64,
             l2_replies: self.iter_l2().map(L2Slice::replies_pending).sum::<usize>() as u64,
@@ -1942,20 +1427,13 @@ impl<'w> GpuSystem<'w> {
         let n1p: usize =
             self.shards.iter().flat_map(|d| d.noc1_rep.iter()).map(Crossbar::in_flight).sum();
         writeln!(s, "noc1_req_inflight={} noc1_rep_inflight={}", n1r, n1p).ok();
-        let n2 = |net: &Noc2Net| -> usize {
-            match net {
-                Noc2Net::Single(x) => x.in_flight(),
-                Noc2Net::Sliced(v) => v.iter().map(Crossbar::in_flight).sum(),
-                Noc2Net::TwoStage { stage1, stage2 } => {
-                    stage1.iter().map(Crossbar::in_flight).sum::<usize>() + stage2.in_flight()
-                }
-            }
-        };
-        writeln!(s, "noc2_req_inflight={} noc2_rep_inflight={}", n2(&self.noc2_req), n2(&self.noc2_rep)).ok();
+        let n2r: usize = self.noc2.req_xbars().map(Crossbar::in_flight).sum();
+        let n2p: usize = self.noc2.rep_xbars().map(Crossbar::in_flight).sum();
+        writeln!(s, "noc2_req_inflight={} noc2_rep_inflight={}", n2r, n2p).ok();
         let l2acc: u64 = self.iter_l2().map(|x| x.stats().accesses.get()).sum();
         let l2miss: u64 = self.iter_l2().map(|x| x.stats().misses.get()).sum();
         writeln!(s, "l2_accesses={} l2_misses={} reply_stash={} dram_stash={}", l2acc, l2miss,
-            self.l2_reply_stash.iter().filter(|o| o.is_some()).count(),
+            self.noc2.stashed_replies(),
             self.dram_stash.iter().filter(|o| o.is_some()).count()).ok();
         let l2q: usize = self.iter_l2().map(L2Slice::input_len).sum();
         let l2m: usize = self.iter_l2().map(L2Slice::mshr_len).sum();
@@ -2000,15 +1478,7 @@ impl<'w> GpuSystem<'w> {
         let mean_port_utilization = dcl1_common::stats::mean(&utils);
 
         // Reply-link utilization toward the L1 level (Fig 2 / Fig 17).
-        let max_reply_link_utilization = match &self.noc2_rep {
-            Noc2Net::Single(x) => x.stats().max_link_utilization(),
-            Noc2Net::Sliced(xs) => {
-                xs.iter().map(|x| x.stats().max_link_utilization()).fold(0.0, f64::max)
-            }
-            Noc2Net::TwoStage { stage1, .. } => {
-                stage1.iter().map(|x| x.stats().max_link_utilization()).fold(0.0, f64::max)
-            }
-        };
+        let max_reply_link_utilization = self.noc2.max_reply_link_utilization();
 
         let l2_accesses = self.iter_l2().map(|s| s.stats().accesses.get()).sum();
         let l2_misses = self.iter_l2().map(|s| s.stats().misses.get()).sum();
@@ -2027,26 +1497,7 @@ impl<'w> GpuSystem<'w> {
             let f: u64 = self.iter_noc1().map(|x| x.stats().total_flits()).sum();
             noc_flits.push(f);
         }
-        match (&self.noc2_req, &self.noc2_rep) {
-            (Noc2Net::Single(a), Noc2Net::Single(b)) => {
-                noc_flits.push(a.stats().total_flits() + b.stats().total_flits());
-            }
-            (Noc2Net::Sliced(a), Noc2Net::Sliced(b)) => {
-                noc_flits.push(
-                    a.iter().chain(b.iter()).map(|x| x.stats().total_flits()).sum::<u64>(),
-                );
-            }
-            (
-                Noc2Net::TwoStage { stage1: s1a, stage2: s2a },
-                Noc2Net::TwoStage { stage1: s1b, stage2: s2b },
-            ) => {
-                noc_flits.push(
-                    s1a.iter().chain(s1b.iter()).map(|x| x.stats().total_flits()).sum::<u64>(),
-                );
-                noc_flits.push(s2a.stats().total_flits() + s2b.stats().total_flits());
-            }
-            _ => unreachable!("request and reply NoC#2 always share a shape"),
-        }
+        noc_flits.extend(self.noc2.flits_per_spec_entry());
 
         let meters = self.merged_meters();
         RunStats {

@@ -108,19 +108,49 @@ fn run(design: Design, kernel: &SharedRegionKernel) -> dcl1::RunStats {
     stats
 }
 
-fn all_designs() -> Vec<Design> {
+/// The byte-pinned part of a run of the default [`SharedRegionKernel`]:
+/// `(cycles, noc_flits, l2_accesses, dram_requests, p99_load_rtt)`. Every
+/// flit to or from the L2 crosses NoC#2, so any change in how a NoC#2 shape
+/// routes, arbitrates or clocks moves at least one of these.
+type Golden = (u64, &'static [u64], u64, u64, u64);
+
+fn assert_golden(stats: &dcl1::RunStats, want: Golden) {
+    let got = (
+        stats.cycles,
+        &stats.noc_flits[..],
+        stats.l2_accesses,
+        stats.dram_requests,
+        stats.p99_load_rtt,
+    );
+    assert_eq!(got, want, "{}: golden moved", stats.design);
+}
+
+/// Every design the 8-core, 4-slice test machine resolves, with its golden
+/// and the NoC#2 shape it pins (no sweep digest covers ideal ports).
+fn all_designs() -> Vec<(Design, Golden)> {
     use dcl1::design::BaselineBoost;
     vec![
-        Design::Baseline,
-        Design::BoostedBaseline(BaselineBoost::Cache2x),
-        Design::BoostedBaseline(BaselineBoost::NocFreq2x),
-        Design::BoostedBaseline(BaselineBoost::Flit4x),
-        Design::IdealSingleL1,
-        Design::Private { nodes: 8 },
-        Design::Private { nodes: 4 },
-        Design::Shared { nodes: 4 },
-        Design::Clustered { nodes: 4, clusters: 2, boost: false },
-        Design::Clustered { nodes: 4, clusters: 2, boost: true },
+        // Single, 8×4.
+        (Design::Baseline, (12800, &[5970], 995, 647, 1280)),
+        (Design::BoostedBaseline(BaselineBoost::Cache2x), (12800, &[5814], 969, 647, 1280)),
+        (Design::BoostedBaseline(BaselineBoost::NocFreq2x), (12736, &[5994], 999, 647, 1280)),
+        (Design::BoostedBaseline(BaselineBoost::Flit4x), (12800, &[2982], 994, 649, 1280)),
+        // Single with ideal ports: one node, one NoC#2 port per core.
+        (Design::IdealSingleL1, (12800, &[4932], 822, 650, 1280)),
+        // Sliced{1}: one clusters×4 crossbar.
+        (Design::Private { nodes: 8 }, (12800, &[4608, 5964], 994, 648, 1280)),
+        (Design::Private { nodes: 4 }, (12864, &[4608, 5772], 962, 650, 1280)),
+        // Sliced{4}: four 1×1 crossbars.
+        (Design::Shared { nodes: 4 }, (12480, &[4608, 4884], 814, 651, 1024)),
+        // Sliced{2}: two 2×2 crossbars.
+        (
+            Design::Clustered { nodes: 4, clusters: 2, boost: false },
+            (12736, &[4608, 5514], 919, 648, 1280),
+        ),
+        (
+            Design::Clustered { nodes: 4, clusters: 2, boost: true },
+            (12864, &[4608, 5532], 922, 647, 1280),
+        ),
     ]
 }
 
@@ -128,7 +158,7 @@ fn all_designs() -> Vec<Design> {
 fn every_design_runs_to_completion_with_identical_work() {
     let kernel = SharedRegionKernel::default();
     let expected = (kernel.ctas * kernel.wf_per_cta * kernel.instrs) as u64;
-    for design in all_designs() {
+    for (design, golden) in all_designs() {
         let stats = run(design, &kernel);
         assert_eq!(
             stats.instructions, expected,
@@ -137,6 +167,7 @@ fn every_design_runs_to_completion_with_identical_work() {
         );
         assert!(stats.l1_accesses > 0, "{}: no L1 traffic", stats.design);
         assert!(stats.ipc() > 0.0, "{}: zero IPC", stats.design);
+        assert_golden(&stats, golden);
     }
 }
 
@@ -146,9 +177,20 @@ fn cdxbar_runs_with_ten_core_machine() {
     let mut cfg = GpuConfig::small_test();
     cfg.cores = 10;
     let kernel = SharedRegionKernel::default();
-    for design in [
-        Design::CdXbar { stage1_mult: 1, stage2_mult: 1 },
-        Design::CdXbar { stage1_mult: 2, stage2_mult: 2 },
+    // TwoStage at all three clockings (no sweep digest covers this shape).
+    for (design, golden) in [
+        (
+            Design::CdXbar { stage1_mult: 1, stage2_mult: 1 },
+            (12864, &[6006u64, 6006][..], 1001, 651, 1280),
+        ),
+        (
+            Design::CdXbar { stage1_mult: 2, stage2_mult: 1 },
+            (12800, &[5994, 5994][..], 999, 649, 1280),
+        ),
+        (
+            Design::CdXbar { stage1_mult: 2, stage2_mult: 2 },
+            (12800, &[6000, 6000][..], 1000, 650, 1280),
+        ),
     ] {
         let opts = SimOptions { max_cycles: 2_000_000, ..SimOptions::default() };
         let mut sys = GpuSystem::build(&cfg, &design, &kernel, opts).unwrap();
@@ -158,6 +200,7 @@ fn cdxbar_runs_with_ten_core_machine() {
             stats.instructions,
             (kernel.ctas * kernel.wf_per_cta * kernel.instrs) as u64
         );
+        assert_golden(&stats, golden);
     }
 }
 
@@ -283,7 +326,7 @@ fn stores_and_bypasses_flow_through_all_designs() {
     }
 
     let cfg = GpuConfig::small_test();
-    for design in all_designs() {
+    for (design, _) in all_designs() {
         let opts = SimOptions { max_cycles: 2_000_000, ..SimOptions::default() };
         let mut sys = GpuSystem::build(&cfg, &design, &MixedKernel, opts).unwrap();
         let stats = sys.run();

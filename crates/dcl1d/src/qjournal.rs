@@ -9,15 +9,15 @@
 //! checkpoint journal); pending jobs are re-enqueued under their original
 //! ids, and re-running them hits the disk cache rather than recomputing.
 //!
-//! Line shape (same framing discipline as `dcl1_common::journal`, with an
-//! `op` discriminator instead of a memo key):
+//! Line shape (`dcl1_common::journal`'s framing, with an `op`
+//! discriminator and job id where the sweep journal has a memo key):
 //!
 //! ```json
 //! {"v":1,"op":"accept","id":7,"crc":"<16 hex>","payload":"<hex>"}
 //! ```
 
 use crate::queue::JobSpec;
-use dcl1_common::checksum;
+use dcl1_common::journal::{field, frame, read_intact, unframe};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -97,26 +97,16 @@ impl QueueJournal {
 /// Renders one journal line (exposed for tests and tooling).
 #[must_use]
 pub fn render_record(op: QueueOp, id: u64, payload: &str) -> String {
-    let crc = checksum::fnv64_hex(payload.as_bytes());
-    let hex = hex_encode(payload.as_bytes());
-    format!("{{\"v\":1,\"op\":\"{}\",\"id\":{id},\"crc\":\"{crc}\",\"payload\":\"{hex}\"}}\n", op.tag())
+    frame(&format!("\"op\":\"{}\",\"id\":{id}", op.tag()), payload)
 }
 
 /// Parses one line; `None` when the line is malformed, unversioned, has
 /// an unknown op, or fails its checksum.
 #[must_use]
 pub fn parse_record(line: &str) -> Option<QueueRecord> {
-    if field(line, "v")? != "1" {
-        return None;
-    }
+    let payload = unframe(line)?;
     let op = QueueOp::from_tag(&field(line, "op")?)?;
     let id = field(line, "id")?.parse().ok()?;
-    let crc = field(line, "crc")?;
-    let payload_bytes = hex_decode(&field(line, "payload")?)?;
-    if !checksum::verify_hex(&payload_bytes, &crc) {
-        return None;
-    }
-    let payload = String::from_utf8(payload_bytes).ok()?;
     Some(QueueRecord { op, id, payload })
 }
 
@@ -125,21 +115,7 @@ pub fn parse_record(line: &str) -> Option<QueueRecord> {
 /// is an empty journal, not an error.
 #[must_use]
 pub fn read_records(path: &Path) -> (Vec<QueueRecord>, usize) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return (Vec::new(), 0);
-    };
-    let mut out = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record(line) {
-            Some(r) => out.push(r),
-            None => skipped += 1,
-        }
-    }
-    (out, skipped)
+    read_intact(path, parse_record)
 }
 
 /// The queue state a journal replay reconstructs.
@@ -190,47 +166,6 @@ pub fn replay(path: &Path) -> ResumePlan {
     }
     plan.pending = open.into_iter().collect();
     plan
-}
-
-// `dcl1_common::journal` keeps its hex helpers private (deliberately —
-// each journal format owns its full framing), so this module carries its
-// own pair.
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
-        s.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        #[expect(clippy::cast_possible_truncation)] // two hex digits fit u8
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
-}
-
-/// Extracts the value of `"name":...` from a flat JSON object of
-/// string/number fields; sufficient for this module's own format.
-fn field(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\":");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    if let Some(s) = rest.strip_prefix('"') {
-        Some(s[..s.find('"')?].to_string())
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().to_string())
-    }
 }
 
 #[cfg(test)]
