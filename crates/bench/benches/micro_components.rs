@@ -239,6 +239,52 @@ fn bench_system_step_sharded() {
     });
 }
 
+fn bench_ledger() {
+    use dcl1_bench::ledger::ResultLedger;
+    // One `daemon_warm` tenant: 28 labels, each completed 5 600 times
+    // with identical stats, then a `status` digest over all of them.
+    // Reported per completed job, since that is what a tenant accumulates.
+    const LABELS: u64 = 28;
+    const COPIES: u64 = 5_600;
+    let points: Vec<(String, dcl1::RunStats)> = (0..LABELS)
+        .map(|i| {
+            let stats = dcl1::RunStats {
+                design: "Sh40+C10+Boost".to_string(),
+                cycles: 10_000 + i,
+                noc_flits: (0..40).map(|n| n * 1_000 + i).collect(),
+                per_node_accesses: (0..40).map(|n| n * 777 + i).collect(),
+                ..dcl1::RunStats::default()
+            };
+            (format!("APP-{i:02}/Sh40+C10+Boost"), stats)
+        })
+        .collect();
+    let jobs = (LABELS * COPIES) as f64;
+    let mut ledger = ResultLedger::default();
+    let t0 = Instant::now();
+    for _ in 0..COPIES {
+        for (label, stats) in &points {
+            ledger.push(black_box(label), black_box(stats));
+        }
+    }
+    let push_ns = t0.elapsed().as_nanos() as f64 / jobs;
+    let mut samples: Vec<f64> = (0..21)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(ledger.digest());
+            t0.elapsed().as_nanos() as f64 / jobs
+        })
+        .collect();
+    let first = samples[0];
+    samples.sort_by(|a, b| a.total_cmp(b));
+    println!("{:<36} {push_ns:>10.1} ns/job    (serialise once + coalesce)", "ledger_push");
+    println!(
+        "{:<36} {:>10.2} ns/job    (first call, filling block tables: {first:.2}; n={})",
+        "ledger_digest_156800_completed",
+        samples[samples.len() / 2],
+        samples.len()
+    );
+}
+
 fn main() {
     println!("micro-component benchmarks (median of ~0.5s batched samples)\n");
     bench_cache();
@@ -254,4 +300,5 @@ fn main() {
     bench_epoch_batch();
     bench_system_step();
     bench_system_step_sharded();
+    bench_ledger();
 }

@@ -15,6 +15,7 @@
 pub mod compare;
 pub mod experiments;
 pub mod grid;
+pub mod ledger;
 pub mod obscli;
 pub mod rescli;
 pub mod runner;

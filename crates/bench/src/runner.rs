@@ -25,8 +25,9 @@
 //! after a kill, and deterministic fault injection ([`set_chaos`]) exists
 //! to prove all of the above actually works.
 
+use crate::ledger::ResultLedger;
 use dcl1::{Design, GpuConfig, GpuSystem, ProgressHook, RunStats, SimError, SimOptions};
-use dcl1_common::{checksum, journal};
+use dcl1_common::journal;
 use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
 use dcl1_obs::recovery::RecoveryLog;
@@ -251,7 +252,7 @@ fn parse_vec(s: &str) -> Option<Vec<u64>> {
     s.split(',').map(|x| x.parse().ok()).collect()
 }
 
-fn serialize_stats(s: &RunStats) -> String {
+pub(crate) fn serialize_stats(s: &RunStats) -> String {
     let mut out = String::new();
     let mut kv = |k: &str, v: String| {
         out.push_str(k);
@@ -1282,19 +1283,11 @@ pub fn run_app_observed(req: &RunRequest, scale: Scale, obs: dcl1::Observer) -> 
 /// `(label, stats)` pair sorted by label, serialized exactly as the disk
 /// cache serializes stats (f64 as bit patterns). Two sweeps over the same
 /// points produced identical statistics iff their dumps are byte-equal —
-/// the artifact the resume/chaos CI jobs diff.
+/// the artifact the resume/chaos CI jobs diff. Order and framing are
+/// [`ResultLedger`]'s.
 #[must_use]
 pub fn canonical_stats_dump(points: &[(String, RunStats)]) -> String {
-    let mut sorted: Vec<&(String, RunStats)> = points.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::new();
-    for (label, stats) in sorted {
-        out.push_str("=== ");
-        out.push_str(label);
-        out.push('\n');
-        out.push_str(&serialize_stats(stats));
-    }
-    out
+    ResultLedger::of(points).dump()
 }
 
 /// The FNV-1a digest of [`canonical_stats_dump`], as fixed-width hex —
@@ -1302,7 +1295,7 @@ pub fn canonical_stats_dump(points: &[(String, RunStats)]) -> String {
 /// keeping both dumps.
 #[must_use]
 pub fn stats_digest(points: &[(String, RunStats)]) -> String {
-    checksum::fnv64_hex(canonical_stats_dump(points).as_bytes())
+    ResultLedger::of(points).digest()
 }
 
 /// The outcome of a supervised sweep: per-point results in input order

@@ -6,7 +6,9 @@
 //! under full queue overload. `subscribe` upgrades a connection into a
 //! live JSONL progress stream fed by a fan-out writer shared with the
 //! sweep runner's progress sink, so point-level runner events and the
-//! daemon's own tenant-level job events interleave on one channel.
+//! daemon's own tenant-level job events interleave on one channel. That
+//! channel is written by the job threads themselves, so a subscriber gets
+//! a bounded write timeout and is disconnected when it stops reading.
 
 use crate::proto::{self, Request};
 use crate::scheduler::{Daemon, DaemonConfig};
@@ -14,32 +16,56 @@ use dcl1_bench::runner;
 use dcl1_obs::json::escape;
 use dcl1_obs::progress::ProgressSink;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The shared subscriber list: progress lines fan out to every stream.
 type SubscriberList = Arc<Mutex<Vec<TcpStream>>>;
 
+/// How long one progress line may block on one subscriber. Every job
+/// thread emits through the same sink, so a subscriber that stopped
+/// reading stalls them all for at most this long, once, and is gone.
+const SUBSCRIBER_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// An `io::Write` that duplicates every buffer to all live subscribers
-/// and silently drops the dead ones. `ProgressSink` writes one complete
-/// JSON line per call, so each subscriber sees whole lines.
+/// and drops the ones that are dead or whose socket buffer stayed full
+/// for [`SUBSCRIBER_WRITE_TIMEOUT`] — closing the connection, because a
+/// timed-out write may have left half a line behind. `ProgressSink`
+/// writes one complete JSON line per call, so every subscriber still
+/// attached has seen whole lines only.
 pub struct FanoutWriter {
     // simcheck: allow(shard_shared_state): subscriber list is connection state, never simulator state
     subs: SubscriberList,
 }
 
+impl FanoutWriter {
+    /// Adds `stream` to the fan-out.
+    fn subscribe(subs: &SubscriberList, stream: &TcpStream) -> io::Result<()> {
+        let clone = stream.try_clone()?;
+        clone.set_write_timeout(Some(SUBSCRIBER_WRITE_TIMEOUT))?;
+        subs.lock().map_err(|_| io::Error::other("subscriber list poisoned"))?.push(clone);
+        Ok(())
+    }
+}
+
 impl Write for FanoutWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if let Ok(mut subs) = self.subs.lock() {
-            subs.retain_mut(|s| s.write_all(buf).is_ok());
+            subs.retain_mut(|s| {
+                let alive = s.write_all(buf).is_ok();
+                if !alive {
+                    let _ = s.shutdown(Shutdown::Both);
+                }
+                alive
+            });
         }
         Ok(buf.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if let Ok(mut subs) = self.subs.lock() {
-            subs.retain_mut(|s| s.flush().is_ok());
-        }
+        // `TcpStream::flush` is a no-op: `write` already handed the line
+        // to the kernel.
         Ok(())
     }
 }
@@ -124,14 +150,10 @@ fn handle_request(
             let n = daemon.cancel_tenant(&tenant, job);
             Some(format!("{{\"ok\":true,\"cancelled\":{n}}}\n"))
         }
-        Request::Subscribe => {
-            if let (Ok(clone), Ok(mut subs)) = (stream.try_clone(), subs.lock()) {
-                subs.push(clone);
-                Some("{\"ok\":true,\"subscribed\":true}\n".to_string())
-            } else {
-                Some(error_reply("subscribe failed"))
-            }
-        }
+        Request::Subscribe => Some(match FanoutWriter::subscribe(subs, stream) {
+            Ok(()) => "{\"ok\":true,\"subscribed\":true}\n".to_string(),
+            Err(_) => error_reply("subscribe failed"),
+        }),
         Request::Drain => {
             let mut line = daemon.handle_drain();
             line.push('\n');
@@ -222,4 +244,99 @@ fn render_verdicts(verdicts: &[crate::queue::Verdict]) -> String {
     }
     out.push_str("]}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::{JobSpec, Quotas};
+    use std::io::Read;
+    use std::sync::mpsc;
+
+    fn subscribe(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(b"{\"cmd\":\"subscribe\"}\n").expect("send subscribe");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("subscribe reply");
+        assert!(reply.contains("\"subscribed\":true"), "{reply}");
+        (stream, reader)
+    }
+
+    #[test]
+    fn a_subscriber_that_stops_reading_is_dropped_and_blocks_nobody() {
+        let cfg = DaemonConfig {
+            workers: 2,
+            scale: dcl1_bench::Scale::Smoke,
+            quotas: Quotas::default(),
+            journal: None,
+            resume: false,
+        };
+        let server = Arc::new(Server::launch("127.0.0.1:0", cfg).expect("launch"));
+        let addr = server.local_addr().expect("addr");
+        let serving = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.serve())
+        };
+
+        // One subscriber never reads past its subscribe reply; the other
+        // reads everything until its connection closes.
+        let (_wedged, _unread) = subscribe(addr);
+        let (healthy, mut reader) = subscribe(addr);
+        let collector = std::thread::spawn(move || {
+            let mut text = String::new();
+            let _ = reader.read_to_string(&mut text);
+            text
+        });
+
+        // Fill the wedged subscriber's socket buffers (a few MB on
+        // loopback) through the same writer the progress sink uses. At
+        // most one line may wait out the timeout; at the parent commit
+        // this blocked forever.
+        let (done, filled) = mpsc::channel();
+        let subs = Arc::clone(&server.subs);
+        let filler = std::thread::spawn(move || {
+            let mut fanout = FanoutWriter { subs: Arc::clone(&subs) };
+            let line = format!("{{\"filler\": \"{}\"}}\n", "x".repeat(1000));
+            let mut lines = 0u64;
+            while subs.lock().expect("subs").len() == 2 && lines < 64 * 1024 {
+                fanout.write_all(line.as_bytes()).expect("fanout never fails");
+                lines += 1;
+            }
+            let _ = done.send(lines);
+        });
+        let lines = filled
+            .recv_timeout(SUBSCRIBER_WRITE_TIMEOUT + Duration::from_secs(30))
+            .expect("fan-out wedged on the subscriber that does not read");
+        filler.join().expect("filler thread");
+        assert_eq!(server.subs.lock().expect("subs").len(), 1, "after {lines} lines");
+
+        // Job threads emit through that fan-out: jobs naming no known
+        // workload quarantine at once (class `config`), one event each.
+        let jobs: Vec<JobSpec> = (0..32)
+            .map(|i| JobSpec {
+                tenant: "t".to_string(),
+                app: format!("NO-SUCH-APP-{i}"),
+                design: "Baseline".to_string(),
+                priority: 2,
+                deadline_secs: None,
+                chaos: None,
+            })
+            .collect();
+        assert_eq!(server.daemon.submit_jobs(jobs).len(), 32);
+        let mut ctl = TcpStream::connect(addr).expect("connect");
+        ctl.write_all(b"{\"cmd\":\"drain\"}\n").expect("send drain");
+        let mut reply = String::new();
+        BufReader::new(&ctl).read_line(&mut reply).expect("drain reply");
+        assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+        serving.join().expect("accept loop");
+
+        healthy.shutdown(Shutdown::Both).expect("close healthy subscriber");
+        let text = collector.join().expect("collector");
+        assert!(text.ends_with('\n'), "stream ended inside a line");
+        let got: Vec<&str> = text.lines().collect();
+        assert!(got.iter().all(|l| l.starts_with('{') && l.ends_with('}')), "torn line");
+        let quarantined = got.iter().filter(|l| l.contains("\"event\": \"quarantined\"")).count();
+        assert_eq!((got.len() as u64, quarantined), (lines + 32, 32));
+    }
 }
