@@ -79,6 +79,27 @@ fn bench_crossbar_idle() {
     });
 }
 
+fn bench_crossbar_sparse() {
+    // An 80x40 switch (Sh40's NoC#1) with two requesters: arbitration and
+    // ejection should cost what two packets cost, not what 40 ports do.
+    let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(80, 40).unwrap());
+    let mut n = 0u64;
+    bench("xbar_arbitrate_sparse_80x40_2req", || {
+        for (src, dst) in [(3, 7), (50, 31)] {
+            if x.can_inject(src) {
+                n += 1;
+                let _ = x.try_inject(Packet::new(src, dst, 32, n));
+            }
+        }
+        x.tick();
+        let mut at = 0;
+        while let Some(out) = x.next_parked(at) {
+            at = out + 1;
+            while x.pop_output(out).is_some() {}
+        }
+    });
+}
+
 fn bench_trace() {
     let spec = by_name("T-AlexNet").unwrap();
     let mut t = AppTrace::new(spec, 0, 0);
@@ -223,6 +244,61 @@ fn bench_system_step() {
     });
 }
 
+/// `ctas` CTAs of `wavefronts` wavefronts that never finish: a load, then
+/// ALU work, forever — the machine stays as loaded as it starts.
+#[derive(Debug)]
+struct Endless {
+    ctas: u32,
+    wavefronts: u32,
+}
+
+#[derive(Debug)]
+struct EndlessTrace(u64);
+
+impl TraceSource for EndlessTrace {
+    fn next_instr(&mut self) -> dcl1_gpu::WavefrontInstr {
+        use dcl1_gpu::{MemAccess, MemInstr, MemKind, WavefrontInstr};
+        self.0 += 1;
+        if self.0.is_multiple_of(2) {
+            return WavefrontInstr::Alu { latency: 2 };
+        }
+        WavefrontInstr::Mem(MemInstr {
+            kind: MemKind::Load,
+            accesses: vec![MemAccess { line: LineAddr::new(self.0 * 97 % 65_536), bytes: 128 }],
+        })
+    }
+}
+
+impl dcl1_gpu::TraceFactory for Endless {
+    fn wavefront_trace(&self, cta: u32, wf: u32) -> Box<dyn TraceSource> {
+        Box::new(EndlessTrace(u64::from(cta) * 1_000 + u64::from(wf) * 10))
+    }
+    fn total_ctas(&self) -> u32 {
+        self.ctas
+    }
+    fn wavefronts_per_cta(&self) -> u32 {
+        self.wavefronts
+    }
+}
+
+fn bench_system_step_sparse() {
+    // Cost follows activity: the 80-core Sh40 machine with every
+    // wavefront slot of every core busy, then with one busy wavefront on
+    // one core and the other 79 cores asleep.
+    let cfg = GpuConfig::default();
+    let sh40 = Design::Shared { nodes: 40 };
+    let full = Endless { ctas: 80 * 6, wavefronts: 8 };
+    let mut loaded = GpuSystem::build(&cfg, &sh40, &full, SimOptions::default()).unwrap();
+    bench("step_loaded_sh40_80core", || {
+        loaded.step();
+    });
+    let one = Endless { ctas: 1, wavefronts: 1 };
+    let mut sparse = GpuSystem::build(&cfg, &sh40, &one, SimOptions::default()).unwrap();
+    bench("step_sparse_sh40_one_busy_core", || {
+        sparse.step();
+    });
+}
+
 fn bench_system_step_sharded() {
     // Same machine partitioned into 4 execution domains with worker
     // threads off: measures the pure partitioning overhead (per-domain
@@ -290,6 +366,7 @@ fn main() {
     bench_cache();
     bench_crossbar();
     bench_crossbar_idle();
+    bench_crossbar_sparse();
     bench_trace();
     bench_mshr();
     bench_mshr_complete_into();
@@ -299,6 +376,7 @@ fn main() {
     bench_presence_mean();
     bench_epoch_batch();
     bench_system_step();
+    bench_system_step_sparse();
     bench_system_step_sharded();
     bench_ledger();
 }

@@ -1,41 +1,82 @@
-//! Performance-debugging tool: runs selected (app, design) points and
-//! dumps internal pressure counters.
+//! Performance-debugging tool: runs (app, design) points outside the memo
+//! layers and dumps the machine's internal pressure counters.
 //!
-//! Usage: `DCL1_SCALE=smoke cargo run --release -p dcl1-bench --bin dbg [app:design ...]`
+//! Usage:
+//!   DCL1_SCALE=smoke cargo run --release -p dcl1-bench --bin dbg [APP:DESIGN ...]
+//!                           # each point's `debug_snapshot` (default:
+//!                           # P-2MM on the baseline and on sh40)
+//!   ... --bin dbg -- --census
+//!                           # the 112-point grid; prints only the visit
+//!                           # census summed over it — what a step costs,
+//!                           # per component class (EXPERIMENTS.md "Where
+//!                           # a step goes")
 
 // Debugging tool, not sim state: panics and small casts are acceptable.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
-use dcl1::{Design, GpuConfig, GpuSystem, SimOptions};
-use dcl1_bench::Scale;
+use dcl1::{GpuConfig, GpuSystem, SimOptions};
+use dcl1_bench::runner::RunRequest;
+use dcl1_bench::{grid, Scale};
+use std::collections::BTreeMap;
+
+/// Runs one point the way the sweep runner does (same scaling, same
+/// warm-up) and returns its statistics and the machine's snapshot.
+fn run(req: &RunRequest, scale: Scale) -> (dcl1::RunStats, String, std::time::Duration) {
+    let (num, den) = scale.ratio();
+    let spec = req.app.scaled(num, den);
+    let opts = SimOptions { warmup_instructions: spec.total_instructions() / 3, ..req.opts };
+    let mut sys = GpuSystem::build(&req.cfg, &req.design, &spec, opts).unwrap();
+    let t0 = std::time::Instant::now();
+    let stats = sys.run();
+    (stats, sys.debug_snapshot(), t0.elapsed())
+}
 
 fn main() {
     let scale = Scale::from_env();
-    let (num, den) = scale.ratio();
-    let cap: u64 = std::env::var("DBG_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(4_000_000);
-    for (app, d, big_l1) in [
-        ("P-2MM", Design::Baseline, false),
-        ("P-2MM", Design::Shared { nodes: 40 }, false),
-    ] {
-        let spec = dcl1_workloads::by_name(app).unwrap().scaled(num, den);
-        let mut cfg = GpuConfig::default();
-        if big_l1 {
-            cfg.l1_bytes *= 16;
+    let cfg = GpuConfig::default();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--census") {
+        // Sum every `steps=` / `visit*=` counter of the snapshot's last
+        // line over the grid.
+        let mut census: BTreeMap<String, u64> = BTreeMap::new();
+        let designs = grid::default_designs(&cfg);
+        for req in grid::build_grid(&designs, &[], &cfg, SimOptions::default()) {
+            let (_, snapshot, _) = run(&req, scale);
+            for field in snapshot.lines().last().unwrap().split_whitespace() {
+                let (key, value) = field.split_once('=').unwrap();
+                *census.entry(key.to_string()).or_default() += value.parse::<u64>().unwrap();
+            }
         }
-        let opts = SimOptions {
-            max_cycles: cap,
-            warmup_instructions: spec.total_instructions() / 3,
-            ..SimOptions::default()
+        let steps = census["steps"];
+        println!("steps {steps}");
+        for (key, n) in census.iter().filter(|(key, _)| key.starts_with("visit")) {
+            println!("{key:16} {n:12} {:8.2} per step", *n as f64 / steps as f64);
+        }
+        return;
+    }
+    let points = if args.is_empty() {
+        vec!["P-2MM:baseline".to_string(), "P-2MM:sh40".to_string()]
+    } else {
+        args
+    };
+    for point in points {
+        let (app, design) = point.split_once(':').expect("a point is APP:DESIGN");
+        let req = RunRequest {
+            app: dcl1_workloads::by_name(app).expect("an app from the catalog"),
+            design: design.parse().expect("a design name"),
+            cfg: cfg.clone(),
+            opts: SimOptions::default(),
         };
-        let mut sys = GpuSystem::build(&cfg, &d, &spec, opts).unwrap();
-        let t0 = std::time::Instant::now();
-        let s = sys.run();
+        let (s, snapshot, wall) = run(&req, scale);
         println!(
-            "{app:12}{} {:16} cycles={:9} instr={:9} (expected {:9}) ipc={:5.2} miss={:.2} rtt={:6.1} wall={:?}",
-            if big_l1 { "(16x)" } else { "" }, s.design, s.cycles, s.instructions, spec.total_instructions(),
-            s.ipc(), s.l1_miss_rate(), s.mean_load_rtt, t0.elapsed()
+            "{app:12} {:16} cycles={:9} instr={:9} ipc={:5.2} miss={:.2} rtt={:6.1} wall={wall:?}",
+            s.design,
+            s.cycles,
+            s.instructions,
+            s.ipc(),
+            s.l1_miss_rate(),
+            s.mean_load_rtt
         );
-        print!("{}", sys.debug_snapshot());
-        println!("---");
+        println!("{snapshot}---");
     }
 }

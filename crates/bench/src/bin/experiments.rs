@@ -26,9 +26,16 @@ use dcl1_bench::{ObsCli, ResCli, Scale, Table};
 /// One experiment entry point.
 type Experiment = fn(Scale) -> Vec<Table>;
 
+const USAGE: &str = "usage: experiments [tab1|figNN|ablations|ext_scaling].. [--workers=N] \
+[--check] [--journal[=PATH]] [--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] \
+[--watchdog=CYCLES] [--retry-backoff-ms=N] [--trace[=PATH]] [--trace-sample=N] \
+[--metrics[=PATH]] [--metrics-interval=N] [--observe=APP/DESIGN] [--progress[=PATH]]   \
+(scale: DCL1_SCALE)";
+
 fn main() {
-    let scale = Scale::from_env();
     let mut filter: Vec<String> = std::env::args().skip(1).collect();
+    dcl1_bench::exit_on_help(&filter, USAGE);
+    let scale = Scale::from_env();
     let obs = ObsCli::parse(&mut filter);
     let res = ResCli::parse(&mut filter);
     eprintln!("[experiments] {}", res.banner());
@@ -51,7 +58,6 @@ fn main() {
             false
         }
     });
-    obs.run_if_enabled(scale);
     let all: Vec<(&str, Experiment)> = vec![
         ("tab1", ex::tab1_private_configs::run),
         ("fig01", ex::fig01_motivation::run),
@@ -72,6 +78,12 @@ fn main() {
         ("ablations", ex::ablations::run),
         ("ext_scaling", ex::ext_scaling::run),
     ];
+    // What is left must name experiments: a typo would otherwise select
+    // nothing, silently.
+    if let Some(arg) = filter.iter().find(|f| !all.iter().any(|(name, _)| f == name)) {
+        dcl1_bench::reject_unknown_arg("experiments", USAGE, arg);
+    }
+    obs.run_if_enabled(scale);
     let t0 = std::time::Instant::now();
     for (name, run) in all {
         if !filter.is_empty() && !filter.iter().any(|f| f == name) {

@@ -46,6 +46,28 @@ use dcl1_bench::{grid, ObsCli, ResCli, Scale, Table};
 use dcl1_obs::json::escape;
 use std::fmt::Write as _;
 
+const USAGE: &str = "usage: perf_sweep [--no-fast-forward] [--keep-cache] [--json=PATH] \
+[--stats-out=PATH] [--only=SUBSTR].. [--design=NAME].. [--workers=N] [--allocs=PATH] \
+[--compare=BASELINE.json [--compare-threshold=R]] [--check] [--journal[=PATH]] \
+[--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] [--watchdog=CYCLES] \
+[--retry-backoff-ms=N] [--trace[=PATH]] [--trace-sample=N] [--metrics[=PATH]] \
+[--metrics-interval=N] [--observe=APP/DESIGN] [--progress[=PATH]]   (scale: DCL1_SCALE)";
+
+/// This binary's own arguments (`ObsCli` / `ResCli` have taken theirs).
+fn is_own_arg(arg: &str) -> bool {
+    const VALUED: [&str; 8] = [
+        "--json=",
+        "--stats-out=",
+        "--only=",
+        "--design=",
+        "--workers=",
+        "--allocs=",
+        "--compare=",
+        "--compare-threshold=",
+    ];
+    arg == "--no-fast-forward" || arg == "--keep-cache" || VALUED.iter().any(|p| arg.starts_with(p))
+}
+
 /// Renders the sweep report as a JSON document.
 #[expect(clippy::too_many_arguments)] // a report has many independent facts
 fn sweep_json(
@@ -141,8 +163,13 @@ fn simcheck_provenance() -> Option<(usize, usize, usize)> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    dcl1_bench::exit_on_help(&args, USAGE);
     let obs = ObsCli::parse(&mut args);
     let res = ResCli::parse(&mut args);
+    // Before the cache is cleared on the strength of a typo.
+    if let Some(arg) = args.iter().find(|a| !is_own_arg(a)) {
+        dcl1_bench::reject_unknown_arg("perf_sweep", USAGE, arg);
+    }
     let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
     let keep_cache = args.iter().any(|a| a == "--keep-cache");
     let json_path = args

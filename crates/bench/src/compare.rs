@@ -281,10 +281,13 @@ mod tests {
 
     const HISTORY_WORKLOADS: [&str; 4] = ["sweep_cold", "shard_pair", "daemon_cold", "daemon_warm"];
     const HISTORY_METRICS: [&str; 3] = ["wall_s", "jobs_per_s", "peak_rss_mb"];
+    /// Per-row kernel numbers from the traced `sweep_cold` run (and the
+    /// `dbg --census` visit tally).
+    const HISTORY_KERNEL: [&str; 3] = ["sim_khz", "ns_per_step", "visits_per_step"];
 
     /// One `BENCH_history.jsonl` row: every key present; a metric is a
-    /// positive number, or `null` where the PR's CHANGES.md row did not
-    /// record it. Returns the row's PR number.
+    /// positive number, or `null` where the PR did not record it. Returns
+    /// the row's PR number.
     fn check_history_row(line: &str) -> Result<u64, String> {
         let row = Json::parse(line)?;
         let need = |key: &str| row.get(key).ok_or_else(|| format!("missing key {key:?}"));
@@ -296,16 +299,20 @@ mod tests {
         if !need("loc_crates_src")?.as_f64().is_some_and(|n| n > 0.0) {
             return Err(format!("pr {pr}: bad loc_crates_src"));
         }
+        let metric = |name: String, v: Option<&Json>| match v {
+            Some(Json::Null) => Ok(()),
+            Some(v) if v.as_f64().is_some_and(|x| x.is_finite() && x > 0.0) => Ok(()),
+            Some(v) => Err(format!("pr {pr}: {name} = {v:?}")),
+            None => Err(format!("pr {pr}: missing {name}")),
+        };
+        for k in HISTORY_KERNEL {
+            metric(k.to_string(), row.get(k))?;
+        }
         let workloads = need("workloads")?;
         for w in HISTORY_WORKLOADS {
             let wl = workloads.get(w).ok_or_else(|| format!("pr {pr}: missing workload {w}"))?;
             for m in HISTORY_METRICS {
-                match wl.get(m) {
-                    Some(Json::Null) => {}
-                    Some(v) if v.as_f64().is_some_and(|x| x.is_finite() && x > 0.0) => {}
-                    Some(v) => return Err(format!("pr {pr}: {w}.{m} = {v:?}")),
-                    None => return Err(format!("pr {pr}: {w} is missing {m}")),
-                }
+                metric(format!("{w}.{m}"), wl.get(m))?;
             }
         }
         #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // checked above
@@ -325,7 +332,15 @@ mod tests {
 
         // Absence fails, not only a bad value.
         let row = text.lines().next().expect("rows");
-        for key in ["\"grid_digest\"", "\"loc_crates_src\"", "\"shard_pair\"", "\"peak_rss_mb\""] {
+        for key in [
+            "\"grid_digest\"",
+            "\"loc_crates_src\"",
+            "\"shard_pair\"",
+            "\"peak_rss_mb\"",
+            "\"sim_khz\"",
+            "\"ns_per_step\"",
+            "\"visits_per_step\"",
+        ] {
             let renamed = row.replacen(key, "\"x\"", 1);
             assert_ne!(renamed, row, "{key} not in the row");
             assert!(check_history_row(&renamed).is_err(), "a row without {key} passed");

@@ -28,3 +28,20 @@ pub use runner::{
     SweepOutcome,
 };
 pub use table::Table;
+
+/// With `--help` / `-h` anywhere on the command line, prints `usage` and
+/// exits 0 — before a bench binary parses, opens or clears anything.
+pub fn exit_on_help(args: &[String], usage: &str) {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+}
+
+/// Refuses a command line with an argument no parser claimed: reports it
+/// with the usage line and exits 2, so a typo never runs (or clears the
+/// cache for) something other than what was asked.
+pub fn reject_unknown_arg(bin: &str, usage: &str, arg: &str) -> ! {
+    eprintln!("{bin}: unknown argument {arg:?}\n{usage}");
+    std::process::exit(2);
+}

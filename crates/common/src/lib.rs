@@ -2,6 +2,7 @@
 //!
 //! This crate deliberately contains no simulation logic. It provides:
 //!
+//! * [`active`] — ascending-order occupancy sets for the per-cycle walks;
 //! * [`addr`] — byte addresses, cache-line addresses and sector arithmetic;
 //! * [`checksum`] — stable FNV-1a content digests for crash-safe persistence;
 //! * [`journal`] — append-only JSONL checkpoint records with per-line
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod active;
 pub mod addr;
 pub mod checksum;
 pub mod clock;
@@ -42,6 +44,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 
+pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, LINE_SIZE};
 pub use clock::{ClockDomain, Cycle};
 pub use error::ConfigError;

@@ -357,15 +357,20 @@ impl Topology {
     /// interleave by home bits within the core's cluster (paper §V-A,
     /// §VI-A: `⌈log2(Y/Z)⌉` home bits).
     pub fn home_node(&self, core: usize, line: dcl1_common::LineAddr) -> usize {
-        let z = self.cluster_of_core(core);
         let m = self.nodes_per_cluster();
+        self.cluster_of_core(core) * m + self.home_slot(m, core, line)
+    }
+
+    /// The home node's index within the core's cluster, given
+    /// `m = nodes_per_cluster()` (per-transaction callers cache it).
+    pub fn home_slot(&self, m: usize, core: usize, line: dcl1_common::LineAddr) -> usize {
         if self.shared_within_cluster {
-            z * m + line.interleave(m)
+            line.interleave(m)
         } else {
             // Private: cores of the cluster share the cluster's single
             // node (m == 1 for PrY); fall back to striping cores over
             // nodes if m > 1 ever occurs.
-            z * m + (core % m)
+            core % m
         }
     }
 

@@ -53,15 +53,13 @@ use crate::noc2::Noc2;
 use crate::node::{Dcl1Node, NodeConfig};
 use crate::presence::PresenceMap;
 use crate::shard::{
-    self, CoreMeter, MachineCtx, Region, ShardDomain, ShardPool, ShardReport,
+    self, CoreMeter, MachineCtx, Region, ShardDomain, ShardPool, ShardReport, Visit,
 };
 use crate::stats::RunStats;
 use crate::txn::Txn;
 use dcl1_common::stats::RunningMean;
-use dcl1_common::{ClockDomain, ConfigError, CoreId, Cycle, FlowMeter};
-use dcl1_gpu::{
-    Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, MemBlock, TraceFactory,
-};
+use dcl1_common::{ActiveSet, ClockDomain, ConfigError, CoreId, Cycle, FlowMeter};
+use dcl1_gpu::{Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, TraceFactory};
 use dcl1_mem::{DramAccess, L2Slice, MemoryController};
 use dcl1_noc::Crossbar;
 use dcl1_obs::metrics::MetricsSample;
@@ -225,6 +223,9 @@ pub struct GpuSystem<'w> {
     /// DRAM access popped from a slice but not yet accepted by its MC.
     dram_stash: Vec<Option<DramAccess>>,
     mcs: Vec<MemoryController<usize>>,
+    /// Channels with a queued request or a read completion in flight; a
+    /// channel outside sleeps until `exchange_memory` enqueues into it.
+    channels_live: ActiveSet,
     dram_clock: ClockDomain,
 
     /// Observability sinks (tracing + metrics); `Observer::disabled()` by
@@ -266,6 +267,9 @@ pub struct GpuSystem<'w> {
     watch_sig: u64,
 
     now: Cycle,
+    /// Steps executed (diagnostic: with the domains' visit tallies,
+    /// `debug_snapshot`'s visits per step).
+    steps: u64,
     /// Cycle at which statistics were last reset (end of warmup).
     stat_base_cycle: Cycle,
     warmup_done: bool,
@@ -332,6 +336,8 @@ impl<'w> GpuSystem<'w> {
         };
 
         let rctx = Arc::new(MachineCtx {
+            cpc: topo.cores_per_cluster(),
+            m: topo.nodes_per_cluster(),
             topo: topo.clone(),
             cores_total: cfg.cores as u64,
             flit_bytes: cfg.flit_bytes * topo.flit_mult,
@@ -342,25 +348,8 @@ impl<'w> GpuSystem<'w> {
             .collect::<Result<Vec<_>, _>>()?;
         let mcs = (0..cfg.mcs).map(|_| MemoryController::new(cfg.dram)).collect();
 
-        let domain = ShardDomain {
-            id: 0,
-            core0: 0,
-            node0: 0,
-            cluster0: 0,
-            slice0: 0,
-            cores,
-            outbox: (0..cfg.cores).map(|_| VecDeque::new()).collect(),
-            outbox_cause: vec![MemBlock::OutboxDrain; cfg.cores],
-            txn_seq: vec![0; cfg.cores],
-            meters: vec![CoreMeter::default(); cfg.cores],
-            nodes,
-            noc1_req,
-            noc1_rep,
-            l2,
-            plog: crate::presence::PresenceLog::new(),
-            flow: FlowMeter::new("txns"),
-            busy_nanos: 0,
-        };
+        let domain =
+            ShardDomain::new(0, (0, 0, 0, 0), cores, nodes, noc1_req, noc1_rep, l2, FlowMeter::new("txns"));
 
         Ok(GpuSystem {
             dispatcher: CtaDispatcher::new(opts.cta_policy, factory.total_ctas(), cfg.cores),
@@ -376,6 +365,7 @@ impl<'w> GpuSystem<'w> {
                 node_cfg.size_bytes / cfg.line_bytes.max(1) * topo.nodes,
             )),
             dram_stash: (0..l).map(|_| None).collect(),
+            channels_live: ActiveSet::full(cfg.mcs),
             dram_clock: ClockDomain::new(cfg.mem_mhz, cfg.core_mhz),
             cfg: cfg.clone(),
             topo,
@@ -395,6 +385,7 @@ impl<'w> GpuSystem<'w> {
             watch_cycle: 0,
             watch_sig: 0,
             now: 0,
+            steps: 0,
             stat_base_cycle: 0,
             warmup_done: false,
             replica_samples: RunningMean::default(),
@@ -428,25 +419,26 @@ impl<'w> GpuSystem<'w> {
         }
         self.pool = None;
 
+        // Every component starts the new partition awake (sleepers are
+        // clocked through `now`); what can sleep drifts off again.
         let total_cores = self.topo.cores;
         let mut produced = 0u64;
         let mut consumed = 0u64;
+        let mut visits = [0; 6];
         let mut cores = Vec::with_capacity(total_cores);
-        let mut outbox = Vec::with_capacity(total_cores);
-        let mut outbox_cause = Vec::with_capacity(total_cores);
         let mut txn_seq = Vec::with_capacity(total_cores);
         let mut meters = Vec::with_capacity(total_cores);
         let mut nodes = Vec::with_capacity(self.topo.nodes);
         let mut noc1_req = Vec::new();
         let mut noc1_rep = Vec::new();
         let mut l2 = Vec::with_capacity(self.cfg.l2_slices);
-        for d in self.shards.drain(..) {
+        for mut d in self.shards.drain(..) {
             debug_assert!(d.plog.is_empty(), "set_shards with unapplied presence deltas");
+            d.wake_all(self.now);
             produced += d.flow.produced();
             consumed += d.flow.consumed();
+            visits.iter_mut().zip(d.visits).for_each(|(sum, n)| *sum += n);
             cores.extend(d.cores);
-            outbox.extend(d.outbox);
-            outbox_cause.extend(d.outbox_cause);
             txn_seq.extend(d.txn_seq);
             meters.extend(d.meters);
             nodes.extend(d.nodes);
@@ -455,13 +447,12 @@ impl<'w> GpuSystem<'w> {
             l2.extend(d.l2);
         }
         // Per-core in-flight counts cannot be reconstructed from domain
-        // aggregates, so the ledgers only merge when nothing is in flight;
-        // the merged history lands on domain 0.
+        // aggregates, so the ledgers only merge when nothing is in flight
+        // (every outbox is then empty and starts fresh); the merged
+        // history lands on domain 0.
         debug_assert_eq!(produced, consumed, "set_shards with transactions in flight");
 
         let mut cores = cores.into_iter();
-        let mut outbox = outbox.into_iter();
-        let mut outbox_cause = outbox_cause.into_iter();
         let mut txn_seq = txn_seq.into_iter();
         let mut meters = meters.into_iter();
         let mut nodes = nodes.into_iter();
@@ -471,36 +462,28 @@ impl<'w> GpuSystem<'w> {
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let nc = cuts.core[i + 1] - cuts.core[i];
+            let clusters = cuts.cluster[i + 1] - cuts.cluster[i];
             let mut flow = FlowMeter::new("txns");
             if i == 0 {
                 flow.produce(produced);
                 flow.consume(consumed);
             }
-            shards.push(ShardDomain {
-                id: i,
-                core0: cuts.core[i],
-                node0: cuts.node[i],
-                cluster0: cuts.cluster[i],
-                slice0: cuts.slice[i],
-                cores: cores.by_ref().take(nc).collect(),
-                outbox: outbox.by_ref().take(nc).collect(),
-                outbox_cause: outbox_cause.by_ref().take(nc).collect(),
-                txn_seq: txn_seq.by_ref().take(nc).collect(),
-                meters: meters.by_ref().take(nc).collect(),
-                nodes: nodes.by_ref().take(cuts.node[i + 1] - cuts.node[i]).collect(),
-                noc1_req: noc1_req
-                    .by_ref()
-                    .take(cuts.cluster[i + 1] - cuts.cluster[i])
-                    .collect(),
-                noc1_rep: noc1_rep
-                    .by_ref()
-                    .take(cuts.cluster[i + 1] - cuts.cluster[i])
-                    .collect(),
-                l2: l2.by_ref().take(cuts.slice[i + 1] - cuts.slice[i]).collect(),
-                plog: crate::presence::PresenceLog::new(),
+            let mut d = ShardDomain::new(
+                i,
+                (cuts.core[i], cuts.node[i], cuts.cluster[i], cuts.slice[i]),
+                cores.by_ref().take(nc).collect(),
+                nodes.by_ref().take(cuts.node[i + 1] - cuts.node[i]).collect(),
+                noc1_req.by_ref().take(clusters).collect(),
+                noc1_rep.by_ref().take(clusters).collect(),
+                l2.by_ref().take(cuts.slice[i + 1] - cuts.slice[i]).collect(),
                 flow,
-                busy_nanos: 0,
-            });
+            );
+            d.txn_seq = txn_seq.by_ref().take(nc).collect();
+            d.meters = meters.by_ref().take(nc).collect();
+            if i == 0 {
+                d.visits = visits;
+            }
+            shards.push(d);
         }
         self.shards = shards;
     }
@@ -582,6 +565,7 @@ impl<'w> GpuSystem<'w> {
         // Take/put-back so `record_into` can borrow `self` shared while
         // the bundle is borrowed mutably.
         let Some(mut mm) = self.metrics.take() else { return };
+        self.settle_cores();
         self.record_into(&mut mm);
         self.metrics = Some(mm);
     }
@@ -737,18 +721,23 @@ impl<'w> GpuSystem<'w> {
         m
     }
 
+    /// Credits every parked core the cycles it is owed, so per-core
+    /// `instructions + stalls == measured cycles` holds for a reader — at
+    /// any cycle: the credit is what the skipped ticks would have counted.
+    fn settle_cores(&mut self) {
+        let now = self.now;
+        self.shards.iter_mut().for_each(|d| d.settle_cores(now));
+    }
+
     /// Per-core statistics (stall breakdowns alongside issue counts).
-    pub fn core_stats(&self) -> Vec<CoreStats> {
+    pub fn core_stats(&mut self) -> Vec<CoreStats> {
+        self.settle_cores();
         self.iter_cores().map(|c| *c.stats()).collect()
     }
 
     /// Cycles elapsed since statistics last reset (the measured window).
     pub fn measured_cycles(&self) -> u64 {
         self.now - self.stat_base_cycle
-    }
-
-    fn mc_of_slice(&self, slice: usize) -> usize {
-        slice / self.cfg.slices_per_mc()
     }
 
     /// A stable digest of every counter that advances when the machine
@@ -798,7 +787,7 @@ impl<'w> GpuSystem<'w> {
     /// pressure-point snapshot (queue depths, in-flight flits, stall
     /// counters) plus MSHR occupancy and the per-domain transaction
     /// flow-meter balance.
-    fn watchdog_dump(&self) -> String {
+    fn watchdog_dump(&mut self) -> String {
         use std::fmt::Write;
         let mut s = self.debug_snapshot();
         let waiters: usize = self.iter_nodes().map(Dcl1Node::mshr_waiters).sum();
@@ -836,6 +825,8 @@ impl<'w> GpuSystem<'w> {
                     let Some(cta) = self.dispatcher.fetch(CoreId::new(c)) else { continue };
                     let traces =
                         (0..wpc).map(|w| self.factory.wavefront_trace(cta, w)).collect();
+                    // Dispatch precedes the cycle's issue pass.
+                    d.wake_core(i, self.now - 1);
                     d.cores[i].add_cta(cta, traces);
                     progress = true;
                 }
@@ -901,34 +892,54 @@ impl<'w> GpuSystem<'w> {
     }
 
     /// L2 ↔ DRAM moves and DRAM ticks (coordinator: memory controllers
-    /// serve slices from every domain, in global slice order).
+    /// serve slices from every domain, in global slice order), over the
+    /// slices and channels with work. The cycle's last visit to a slice:
+    /// one left with nothing queued, brewing or stashed goes to sleep.
     fn exchange_memory(&mut self) {
-        for s in 0..self.cfg.l2_slices {
-            // L2 → DRAM (via stash).
-            if self.dram_stash[s].is_none() {
-                self.dram_stash[s] = shard::l2_in(&mut self.shards, s).pop_dram();
-            }
-            if let Some(acc) = self.dram_stash[s] {
-                let mc = self.mc_of_slice(s);
-                let payload = if acc.is_write { None } else { Some(s) };
-                if self.mcs[mc].can_accept() {
-                    self.mcs[mc]
-                        .try_enqueue(acc.line, acc.is_write, payload)
-                        .unwrap_or_else(|_| unreachable!("checked room"));
-                    self.dram_stash[s] = None;
+        let GpuSystem {
+            shards, mcs, channels_live, dram_stash, dram_clock, noc2, cfg, now, ..
+        } = self;
+        for d in shards.iter_mut() {
+            let ShardDomain { slices_live, l2, slice0, visits, .. } = d;
+            visits[Visit::Slices as usize] += slices_live.count();
+            slices_live.retain(|i| {
+                let s = *slice0 + i;
+                // L2 → DRAM (via stash).
+                if dram_stash[s].is_none() {
+                    dram_stash[s] = l2[i].pop_dram();
                 }
-            }
+                if let Some(acc) = dram_stash[s] {
+                    let mc = s / cfg.slices_per_mc();
+                    if mcs[mc].can_accept() {
+                        if channels_live.insert(mc) {
+                            // Enqueues precede the cycle's DRAM ticks.
+                            let slept = dram_clock.total_ticks() - mcs[mc].now();
+                            mcs[mc].skip_idle_ticks(slept);
+                        }
+                        let payload = if acc.is_write { None } else { Some(s) };
+                        mcs[mc]
+                            .try_enqueue(acc.line, acc.is_write, payload)
+                            .unwrap_or_else(|_| unreachable!("checked room"));
+                        dram_stash[s] = None;
+                    }
+                }
+                dram_stash[s].is_some()
+                    || noc2.has_stashed(s)
+                    || l2[i].quiescent_horizon() != Some(u64::MAX)
+            });
         }
         // DRAM domain.
-        let ticks = self.dram_clock.advance();
-        for _ in 0..ticks {
-            for mc in &mut self.mcs {
-                mc.tick();
-                while let Some((line, slice)) = mc.pop_reply() {
-                    shard::l2_in(&mut self.shards, slice).dram_fill(line);
+        for _ in 0..dram_clock.advance() {
+            shards[0].visits[Visit::Channels as usize] += channels_live.count();
+            for mc in channels_live.iter() {
+                mcs[mc].tick();
+                while let Some((line, slice)) = mcs[mc].pop_reply() {
+                    // Fills follow the cycle's slice ticks.
+                    shard::slice_awake(shards, slice, *now).dram_fill(line);
                 }
             }
         }
+        channels_live.retain(|mc| !mcs[mc].is_idle());
     }
 
     // ---------------------------------------------------------------
@@ -984,7 +995,22 @@ impl<'w> GpuSystem<'w> {
         for (i, x) in self.noc2.rep_xbars().enumerate() {
             x.check_conservation(&format!("noc2_rep{i}"))?;
         }
+        // Occupancy sets: a component outside its set has nothing queued
+        // and a clock no later than the machine's.
+        for d in &self.shards {
+            d.check_sleepers(self.now)?;
+            for i in (0..d.l2.len()).filter(|&i| !d.slices_live.contains(i)) {
+                let s = d.slice0 + i;
+                if self.dram_stash[s].is_some() || self.noc2.has_stashed(s) {
+                    return Err(InvariantError::new(format!("l2_{s}"), "asleep with a stash"));
+                }
+            }
+        }
         for (i, mc) in self.mcs.iter().enumerate() {
+            let asleep = !self.channels_live.contains(i);
+            if asleep && !(mc.is_idle() && mc.now() <= self.dram_clock.total_ticks()) {
+                return Err(InvariantError::new(format!("mc{i}"), "asleep with work pending"));
+            }
             if mc.queue_len() > self.cfg.dram.queue_depth {
                 return Err(InvariantError::new(
                     format!("mc{i}"),
@@ -997,18 +1023,23 @@ impl<'w> GpuSystem<'w> {
             }
         }
         // Stall attribution: every measured core cycle is exactly one of
-        // issue / classified stall — continuously, not just at exit.
+        // issue / classified stall / owed to a parked core — continuously,
+        // not just at exit.
         let cycles = self.measured_cycles();
-        for (i, c) in self.iter_cores().enumerate() {
+        let owed = self.shards.iter().flat_map(|d| {
+            (0..d.cores.len())
+                .map(|i| if d.cores_live.contains(i) { 0 } else { self.now - d.parked_at[i] })
+        });
+        for (i, (c, owed)) in self.iter_cores().zip(owed).enumerate() {
             let cs = c.stats();
             let instr = cs.instructions.get();
             let stall = cs.stall.total();
-            if instr + stall != cycles {
+            if instr + stall + owed != cycles {
                 return Err(InvariantError::new(
                     format!("core{i}"),
                     format!(
                         "stall partition: {instr} instructions + {stall} stalls \
-                         != {cycles} measured cycles"
+                         + {owed} owed != {cycles} measured cycles"
                     ),
                 ));
             }
@@ -1115,6 +1146,7 @@ impl<'w> GpuSystem<'w> {
             }
         }
         // Final pull snapshot at drain — this is the one reports read.
+        self.settle_cores();
         self.record_registry();
         Ok(self.collect_stats())
     }
@@ -1143,6 +1175,7 @@ impl<'w> GpuSystem<'w> {
             // exactly the no-progress shape the watchdog must catch.
             return Ok(());
         }
+        self.steps += 1;
         // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
         self.lap_t = self.profiler.as_deref().map(|_| Instant::now());
         self.dispatch_ctas();
@@ -1207,34 +1240,36 @@ impl<'w> GpuSystem<'w> {
             // window the watchdog is supposed to observe.
             return;
         }
-        // Cheap occupancy guards first, so active phases bail out fast.
-        if self.iter_outbox().any(|o| !o.is_empty())
-            || !self.iter_noc1().all(Crossbar::is_idle)
-            || !self.noc2.is_idle()
-            || self.dram_stash.iter().any(Option::is_some)
-        {
-            return;
-        }
         // `horizon` = steps until the earliest event fires (that step must
-        // execute normally).
+        // execute normally). Only a component in a set can hold work or a
+        // timer. Cheapest tests first, so active phases bail out fast.
         let mut horizon = u64::MAX;
-        for n in self.iter_nodes() {
-            match n.quiescent_horizon() {
-                None => return,
-                Some(h) => horizon = horizon.min(h),
+        for d in &self.shards {
+            if !d.outbox_wait.is_empty() {
+                return;
+            }
+            for ni in d.nodes_live.iter() {
+                match d.nodes[ni].quiescent_horizon() {
+                    None => return,
+                    Some(h) => horizon = horizon.min(h),
+                }
+            }
+            for i in d.slices_live.iter() {
+                let s = d.slice0 + i;
+                if self.dram_stash[s].is_some() || self.noc2.has_stashed(s) {
+                    return;
+                }
+                match d.l2[i].quiescent_horizon() {
+                    None => return,
+                    // Replies are popped in the inject phase, which sees the
+                    // slice clock one tick behind the machine step count.
+                    Some(u64::MAX) => {}
+                    Some(h) => horizon = horizon.min(h + 1),
+                }
             }
         }
-        for s in self.iter_l2() {
-            match s.quiescent_horizon() {
-                None => return,
-                // Replies are popped in the inject phase, which sees the
-                // slice clock one tick behind the machine step count.
-                Some(u64::MAX) => {}
-                Some(h) => horizon = horizon.min(h + 1),
-            }
-        }
-        for mc in &self.mcs {
-            match mc.quiescent_horizon() {
+        for mc in self.channels_live.iter() {
+            match self.mcs[mc].quiescent_horizon() {
                 None => return,
                 Some(u64::MAX) => {}
                 // A mature reply (t = 0) is picked up at the next DRAM
@@ -1242,10 +1277,16 @@ impl<'w> GpuSystem<'w> {
                 Some(t) => horizon = horizon.min(self.dram_clock.cycles_until_ticks(t.max(1))),
             }
         }
+        if !self.iter_noc1().all(Crossbar::is_idle) || !self.noc2.is_idle() {
+            return;
+        }
         let now = self.now;
         for d in &mut self.shards {
-            for c in &mut d.cores {
-                match c.blocked_until(now) {
+            for i in d.cores_live.iter() {
+                if !d.outbox[i].is_empty() {
+                    return;
+                }
+                match d.cores[i].blocked_until(now) {
                     None => return,
                     Some(Cycle::MAX) => {}
                     Some(until) => horizon = horizon.min(until - now),
@@ -1290,26 +1331,27 @@ impl<'w> GpuSystem<'w> {
             return;
         }
 
+        // Sleepers are left behind; whoever wakes one clocks it through.
         self.now += skip;
         let n1 = skip * self.topo.noc1_ticks_per_cycle();
         for d in &mut self.shards {
-            for c in &mut d.cores {
-                c.add_idle_cycles(skip);
+            for i in d.cores_live.iter() {
+                d.cores[i].add_idle_cycles(skip);
             }
             for x in d.noc1_req.iter_mut().chain(d.noc1_rep.iter_mut()) {
                 x.skip_idle_ticks(n1);
             }
-            for n in &mut d.nodes {
-                n.skip_idle_cycles(skip);
+            for ni in d.nodes_live.iter() {
+                d.nodes[ni].skip_idle_cycles(skip);
             }
-            for l2 in &mut d.l2 {
-                l2.skip_idle_cycles(skip);
+            for i in d.slices_live.iter() {
+                d.l2[i].skip_idle_cycles(skip);
             }
         }
         self.noc2.skip_idle_cycles(skip);
         let tm = self.dram_clock.advance_by(skip);
-        for mc in &mut self.mcs {
-            mc.skip_idle_ticks(tm);
+        for mc in self.channels_live.iter() {
+            self.mcs[mc].skip_idle_ticks(tm);
         }
     }
 
@@ -1325,6 +1367,8 @@ impl<'w> GpuSystem<'w> {
             for c in &mut d.cores {
                 c.reset_stats();
             }
+            // What a parked core was owed belongs to the discarded window.
+            d.parked_at.fill(self.now);
             for n in &mut d.nodes {
                 n.reset_stats();
             }
@@ -1397,8 +1441,9 @@ impl<'w> GpuSystem<'w> {
 
     /// A human-readable dump of internal pressure points (stall counters,
     /// queue rejections, in-flight packets) for performance debugging.
-    pub fn debug_snapshot(&self) -> String {
+    pub fn debug_snapshot(&mut self) -> String {
         use std::fmt::Write;
+        self.settle_cores();
         let mut s = String::new();
         let idle: u64 = self.iter_cores().map(|c| c.stats().idle_cycles.get()).sum();
         let mstall: u64 = self.iter_cores().map(|c| c.stats().mem_stall_cycles.get()).sum();
@@ -1456,6 +1501,17 @@ impl<'w> GpuSystem<'w> {
             meters.miss_rtt.count()
         )
         .ok();
+        // What a step costs: component visits the walks made, by class.
+        let mut v = [0u64; 6];
+        for d in &self.shards {
+            v.iter_mut().zip(d.visits).for_each(|(sum, n)| *sum += n);
+        }
+        write!(s, "steps={} visits={}", self.steps, v.iter().sum::<u64>()).ok();
+        // `Visit` order.
+        for (class, n) in ["cores", "outboxes", "xbars", "nodes", "slices", "channels"].iter().zip(v) {
+            write!(s, " visit_{class}={n}").ok();
+        }
+        s.push('\n');
         s
     }
 

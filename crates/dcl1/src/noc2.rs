@@ -35,11 +35,11 @@
 
 use crate::config::GpuConfig;
 use crate::design::{Noc2Kind, Topology};
-use crate::shard::{self, MachineCtx, ShardDomain};
+use crate::shard::{self, MachineCtx, ShardDomain, Visit};
 use crate::txn::Txn;
 use dcl1_common::{ClockDomain, Cycle};
 use dcl1_gpu::MemKind;
-use dcl1_mem::{L2Reply, L2Request, MemAccessKind};
+use dcl1_mem::{L2Request, MemAccessKind};
 use dcl1_noc::{Crossbar, Packet};
 use dcl1_obs::Observer;
 use std::sync::Arc;
@@ -67,31 +67,47 @@ pub(crate) struct Noc2 {
     /// First-stage clock.
     clock: ClockDomain,
     stage2: Option<Stage2>,
-    /// Reply popped from a slice but not yet injected.
-    stash: Vec<Option<L2Reply<Txn>>>,
+    /// Per node, where its requests enter ([`request_port`]): a refused
+    /// Q3 head retries without re-deriving it.
+    req_port: Vec<(usize, usize)>,
+    /// Reply popped from a slice but not yet injected, already routed:
+    /// `(first-stage crossbar, packet)`. A slice with a stashed reply
+    /// stays in its domain's `slices_live`.
+    stash: Vec<Option<(usize, Packet<Txn>)>>,
 }
 
-/// Request route of `txn` leaving node `n`: `(first-stage crossbar, input
-/// port, output port)`.
-fn request_route(topo: &Topology, slices: usize, n: usize, txn: &Txn) -> (usize, usize, usize) {
+/// Where node `n`'s requests enter: `(first-stage crossbar, input port)`.
+/// (The ideal single L1 enters at the issuing core's port instead.)
+fn request_port(topo: &Topology, n: usize) -> (usize, usize) {
+    match topo.noc2 {
+        Noc2Kind::Single => (0, n),
+        Noc2Kind::Sliced { .. } => {
+            let m = topo.nodes_per_cluster();
+            (n % m, n / m)
+        }
+        // CDXBar sits over the baseline machine: node index == core index.
+        Noc2Kind::TwoStage { groups, .. } => {
+            let cpg = topo.cores / groups;
+            (n / cpg, n % cpg)
+        }
+    }
+}
+
+/// The first-stage output port `txn`'s request leaves by, entering at
+/// crossbar `slot` (see [`request_port`]).
+fn request_dst(topo: &Topology, slices: usize, slot: usize, txn: &Txn) -> usize {
     let slice = txn.line.interleave(slices);
     match topo.noc2 {
-        Noc2Kind::Single => (0, if topo.ideal_ports { txn.core.index() } else { n }, slice),
+        Noc2Kind::Single => slice,
         Noc2Kind::Sliced { groups } => {
-            let m = topo.nodes_per_cluster();
-            let slot = n % m;
             debug_assert_eq!(
                 slice % groups,
                 slot % groups,
                 "home-slot / slice interleaving mismatch"
             );
-            (slot, n / m, slice / groups)
+            slice / groups
         }
-        // CDXBar sits over the baseline machine: node index == core index.
-        Noc2Kind::TwoStage { groups, uplinks, .. } => {
-            let cpg = topo.cores / groups;
-            (n / cpg, n % cpg, slice % uplinks)
-        }
+        Noc2Kind::TwoStage { uplinks, .. } => slice % uplinks,
     }
 }
 
@@ -127,23 +143,6 @@ fn node_at(topo: &Topology, i: usize, port: usize) -> usize {
     }
 }
 
-/// The one injection body: when `x` has room at the packet's input port,
-/// records `hop` and injects; reports whether the packet went.
-fn try_send(
-    x: &mut Crossbar<Txn>,
-    pkt: Packet<Txn>,
-    hop: &'static str,
-    obs: &mut Observer,
-    now: Cycle,
-) -> bool {
-    if !x.can_inject(pkt.src) {
-        return false;
-    }
-    obs.trace_hop(pkt.payload.id, hop, now);
-    x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
-    true
-}
-
 /// Stage → stage: moves packets waiting at `from`'s output `port` into
 /// `to`'s input `src`, re-addressed by `dst`, while `to` has room.
 fn forward(
@@ -173,11 +172,14 @@ fn eject_into_l2(
     obs: &mut Observer,
     now: Cycle,
 ) {
-    if !x.has_output() {
-        return;
-    }
-    for port in 0..x.config().outputs {
-        let l2 = shard::l2_in(shards, port * stride + slot);
+    let mut at = 0;
+    while let Some(port) = x.next_parked(at) {
+        at = port + 1;
+        if x.peek_output(port).is_none() {
+            continue; // still in the router pipeline
+        }
+        // Ejection precedes the cycle's slice ticks.
+        let l2 = shard::slice_awake(shards, port * stride + slot, now - 1);
         while l2.can_accept() {
             let Some(Packet { payload: txn, .. }) = x.pop_output(port) else { break };
             obs.trace_hop(txn.id, "l2", now);
@@ -228,6 +230,7 @@ impl Noc2 {
                 rep: make(l, ports),
                 clock: clock(mult),
             }),
+            req_port: (0..topo.nodes).map(|n| request_port(topo, n)).collect(),
             stash: (0..l).map(|_| None).collect(),
         }
     }
@@ -258,54 +261,76 @@ impl Noc2 {
         self.stash.iter().flatten().count()
     }
 
+    /// Whether slice `s` has a reply waiting in the stash.
+    pub fn has_stashed(&self, s: usize) -> bool {
+        self.stash[s].is_some()
+    }
+
     /// No flit in any crossbar and no stashed reply.
     pub fn is_idle(&self) -> bool {
         self.xbars().all(Crossbar::is_idle) && self.stash.iter().all(Option::is_none)
     }
 
-    /// Node Q3 → request injection: one head per node per cycle (one per
-    /// core port on the ideal single L1), in node order.
+    /// Node Q3 → request injection: one head per node with work per cycle
+    /// (one per core port on the ideal single L1), in node order.
     pub fn inject_requests(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
         let topo = &self.ctx.topo;
         let pops = if topo.ideal_ports { topo.cores } else { 1 };
-        for n in 0..topo.nodes {
-            let node = shard::node_in(shards, n);
-            for _ in 0..pops {
-                let Some(&txn) = node.peek_l2_request() else { break };
-                let (i, src, dst) = request_route(topo, self.slices, n, &txn);
-                let pkt = self.ctx.packet(src, dst, shard::down_bytes(&txn), txn);
-                if !try_send(&mut self.req[i], pkt, "noc2_req", obs, now) {
-                    break;
+        for d in shards {
+            d.visits[Visit::Nodes as usize] += d.nodes_live.count();
+            for ni in d.nodes_live.iter() {
+                let node = &mut d.nodes[ni];
+                let (i, port) = self.req_port[d.node0 + ni];
+                for _ in 0..pops {
+                    let Some(&txn) = node.peek_l2_request() else { break };
+                    let src = if topo.ideal_ports { txn.core.index() } else { port };
+                    // Room before route: a refused head derives nothing.
+                    if !self.req[i].can_inject(src) {
+                        break;
+                    }
+                    let dst = request_dst(topo, self.slices, i, &txn);
+                    obs.trace_hop(txn.id, "noc2_req", now);
+                    self.req[i]
+                        .try_inject(self.ctx.packet(src, dst, shard::down_bytes(&txn), txn))
+                        .unwrap_or_else(|_| unreachable!("checked room"));
+                    node.pop_l2_request();
                 }
-                node.pop_l2_request();
             }
         }
     }
 
     /// L2 replies → reply injection through the per-slice stash, in slice
-    /// order.
+    /// order over the slices with work. A reply is routed once, when it
+    /// enters the stash; a refused one retries with the packet it has.
     pub fn inject_replies(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
-        for s in 0..self.stash.len() {
-            if self.stash[s].is_none() {
-                self.stash[s] = shard::l2_in(shards, s).pop_reply();
-            }
-            let Some(reply) = &self.stash[s] else { continue };
-            let txn = reply.payload;
-            // Full-line fills for loads; acks/small data otherwise.
-            let data = match txn.kind {
-                MemKind::Load => self.line_bytes,
-                MemKind::Aux | MemKind::Atomic => txn.bytes,
-                MemKind::Store => 0,
-            };
-            let (i, src, dst) = reply_route(&self.ctx.topo, s, &txn);
-            let pkt = self.ctx.packet(src, dst, data, txn);
-            // Every slice feeds the second stage when there is one.
-            let x = match &mut self.stage2 {
-                Some(stage2) => &mut stage2.rep,
-                None => &mut self.rep[i],
-            };
-            if try_send(x, pkt, "noc2_rep", obs, now) {
-                self.stash[s] = None;
+        for d in shards {
+            d.visits[Visit::Slices as usize] += d.slices_live.count();
+            for li in d.slices_live.iter() {
+                let s = d.slice0 + li;
+                if self.stash[s].is_none() {
+                    self.stash[s] = d.l2[li].pop_reply().map(|reply| {
+                        let txn = reply.payload;
+                        // Full-line fills for loads; acks/small data otherwise.
+                        let data = match txn.kind {
+                            MemKind::Load => self.line_bytes,
+                            MemKind::Aux | MemKind::Atomic => txn.bytes,
+                            MemKind::Store => 0,
+                        };
+                        let (i, src, dst) = reply_route(&self.ctx.topo, s, &txn);
+                        (i, self.ctx.packet(src, dst, data, txn))
+                    });
+                }
+                let Some((i, pkt)) = &self.stash[s] else { continue };
+                // Every slice feeds the second stage when there is one.
+                let x = match &mut self.stage2 {
+                    Some(stage2) => &mut stage2.rep,
+                    None => &mut self.rep[*i],
+                };
+                if x.can_inject(pkt.src) {
+                    obs.trace_hop(pkt.payload.id, "noc2_rep", now);
+                    let (_, pkt) = self.stash[s].take().expect("matched Some");
+                    x.try_inject(pkt).unwrap_or_else(|_| unreachable!("checked room"));
+                }
             }
         }
     }
@@ -317,19 +342,21 @@ impl Noc2 {
         let Noc2 { ctx, req, rep, clock, stage2, .. } = self;
         let t1 = clock.advance();
         let t2 = stage2.as_mut().map_or(0, |s| s.clock.advance());
+        shards[0].visits[Visit::Xbars as usize] +=
+            2 * (u64::from(t1) * req.len() as u64 + u64::from(t2));
         // Requests: node side first, then (CDXBar) the slice side.
         let stride = req.len();
         for _ in 0..t1 {
             for (i, x) in req.iter_mut().enumerate() {
                 x.tick();
-                let Some(Stage2 { req: to, .. }) = stage2 else {
-                    eject_into_l2(x, i, stride, shards, obs, now);
-                    continue;
-                };
-                if x.has_output() {
-                    let uplinks = x.config().outputs;
-                    for u in 0..uplinks {
-                        forward(x, u, to, i * uplinks + u, |t| t.line.interleave(slices));
+                match stage2 {
+                    None => eject_into_l2(x, i, stride, shards, obs, now),
+                    Some(Stage2 { req: to, .. }) => {
+                        let (uplinks, mut at) = (x.config().outputs, 0);
+                        while let Some(u) = x.next_parked(at) {
+                            at = u + 1;
+                            forward(x, u, to, i * uplinks + u, |t| t.line.interleave(slices));
+                        }
                     }
                 }
             }
@@ -345,10 +372,9 @@ impl Noc2 {
             let (uplinks, cpg) = (rep[0].config().inputs, rep[0].config().outputs);
             for _ in 0..t2 {
                 x.tick();
-                if !x.has_output() {
-                    continue;
-                }
-                for port in 0..x.config().outputs {
+                let mut at = 0;
+                while let Some(port) = x.next_parked(at) {
+                    at = port + 1;
                     let to = &mut rep[port / uplinks];
                     forward(x, port, to, port % uplinks, |t| t.core.index() % cpg);
                 }
@@ -357,11 +383,13 @@ impl Noc2 {
         for _ in 0..t1 {
             for (i, x) in rep.iter_mut().enumerate() {
                 x.tick();
-                if !x.has_output() {
-                    continue;
-                }
-                for port in 0..x.config().outputs {
-                    let node = shard::node_in(shards, node_at(&ctx.topo, i, port));
+                let mut at = 0;
+                while let Some(port) = x.next_parked(at) {
+                    at = port + 1;
+                    if x.peek_output(port).is_none() {
+                        continue; // still in the router pipeline
+                    }
+                    let node = shard::node_awake(shards, node_at(&ctx.topo, i, port), now - 1);
                     while node.can_accept_l2_reply() {
                         let Some(pkt) = x.pop_output(port) else { break };
                         node.try_push_l2_reply(pkt.payload)

@@ -226,6 +226,11 @@ impl Dcl1Node {
         self.now += cycles;
     }
 
+    /// Core cycles this node has been clocked through (ticked or skipped).
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
     /// Whether every queue, pipe and MSHR is empty.
     pub fn is_idle(&self) -> bool {
         self.q1.is_empty()
@@ -318,7 +323,10 @@ impl Dcl1Node {
     /// [`PresenceSession`](crate::presence::PresenceSession) on the
     /// sharded one; `obs` receives lifecycle span hops for sampled
     /// transactions (a free no-op when tracing is off).
-    pub fn tick<P: PresenceSink>(&mut self, presence: &mut P, obs: &mut Observer) {
+    ///
+    /// Returns whether the tick found nothing to do (and only advanced the
+    /// clock) — the owner's cue to check whether the node can sleep.
+    pub fn tick<P: PresenceSink>(&mut self, presence: &mut P, obs: &mut Observer) -> bool {
         self.now += 1;
 
         // Fast path: with no fills, demands, matured-or-maturing hits or
@@ -330,7 +338,7 @@ impl Dcl1Node {
             && self.hit_pipe.is_empty()
             && self.reply_stage.is_empty()
         {
-            return;
+            return true;
         }
 
         // 1. Service L2 replies from Q4 (fill port; widened for the
@@ -487,6 +495,7 @@ impl Dcl1Node {
             let Some(txn) = self.reply_stage.pop_front() else { break };
             self.q2.try_push(txn).unwrap_or_else(|_| unreachable!("checked room"));
         }
+        false
     }
 
     fn install<P: PresenceSink>(&mut self, line: LineAddr, presence: &mut P) {

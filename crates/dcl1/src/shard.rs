@@ -21,7 +21,7 @@ use crate::node::Dcl1Node;
 use crate::presence::{PresenceLog, PresenceMap, PresenceSession};
 use crate::txn::Txn;
 use dcl1_common::stats::RunningMean;
-use dcl1_common::{Cycle, FlowMeter, Histogram};
+use dcl1_common::{ActiveSet, Cycle, FlowMeter, Histogram, InvariantError, InvariantResult};
 use dcl1_gpu::{Core, MemBlock, MemKind};
 use dcl1_mem::L2Slice;
 use dcl1_noc::{Crossbar, Packet};
@@ -92,6 +92,10 @@ pub(crate) struct MachineCtx {
     pub cores_total: u64,
     /// Effective flit width (config flit bytes × topology multiplier).
     pub flit_bytes: u32,
+    /// `topo.cores_per_cluster()` and `topo.nodes_per_cluster()`: read per
+    /// transaction, so divided once.
+    pub cpc: usize,
+    pub m: usize,
 }
 
 impl MachineCtx {
@@ -138,10 +142,27 @@ impl Region {
     }
 }
 
+/// Component classes of the per-cycle visit tally (`debug_snapshot`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Visit {
+    Cores,
+    Outboxes,
+    Xbars,
+    Nodes,
+    Slices,
+    Channels,
+}
+
 /// One shard's slice of the machine: a contiguous range of cores (with
 /// their outboxes, meters and transaction sequencers), DC-L1 nodes, NoC#1
 /// cluster crossbars and L2 slices, plus the presence log replayed at the
 /// barrier.
+///
+/// The per-cycle walks visit only the components in the `*_live` sets
+/// (local indices). Whoever hands a component work puts it back in its
+/// set, first clocking it through the cycles it slept with the calls
+/// whole-machine fast-forward uses; its walk takes it out when a visit
+/// finds nothing pending (DESIGN.md "Who wakes whom").
 #[derive(Debug)]
 pub(crate) struct ShardDomain {
     /// Domain index (usize::MAX marks the placeholder left behind while a
@@ -157,8 +178,16 @@ pub(crate) struct ShardDomain {
     pub slice0: usize,
 
     pub cores: Vec<Core>,
+    /// Cores to visit: the next tick is not predetermined, or the outbox
+    /// has a head to offer. A core outside is [`Core::inert`] and owes the
+    /// ticks since `parked_at` (its last accounted cycle), paid on wake.
+    pub cores_live: ActiveSet,
+    pub parked_at: Vec<Cycle>,
     /// Per-core coalesced transactions awaiting injection.
     pub outbox: Vec<VecDeque<Txn>>,
+    /// Outboxes whose head found its port full: offered again only once
+    /// that port frees a slot.
+    pub outbox_wait: ActiveSet,
     /// Outcome of each core's most recent outbox-drain attempt (memoized
     /// stall attribution; meaningful only while the outbox is non-empty).
     pub outbox_cause: Vec<MemBlock>,
@@ -169,9 +198,13 @@ pub(crate) struct ShardDomain {
     /// Per-core RTT meters (merged in global core order at collection).
     pub meters: Vec<CoreMeter>,
     pub nodes: Vec<Dcl1Node>,
+    /// Nodes holding anything in a queue, the reply stage or the hit pipe.
+    pub nodes_live: ActiveSet,
     pub noc1_req: Vec<Crossbar<Txn>>,
     pub noc1_rep: Vec<Crossbar<Txn>>,
     pub l2: Vec<L2Slice<Txn>>,
+    /// Slices with input, brewing replies, DRAM-bound requests or a stash.
+    pub slices_live: ActiveSet,
 
     /// Presence deltas accumulated by this domain's node ticks, replayed
     /// into the shared map at the barrier (in domain order).
@@ -183,31 +216,56 @@ pub(crate) struct ShardDomain {
     /// Wall nanoseconds this domain spent executing regions (diagnostics
     /// only; nondeterministic by nature).
     pub busy_nanos: u64,
+    /// Visits made, indexed by [`Visit`].
+    pub visits: [u64; 6],
 }
 
 impl ShardDomain {
+    /// A domain over the given components, every one of them awake.
+    #[expect(clippy::too_many_arguments)] // one argument per component vector
+    pub fn new(
+        id: usize,
+        (core0, node0, cluster0, slice0): (usize, usize, usize, usize),
+        cores: Vec<Core>,
+        nodes: Vec<Dcl1Node>,
+        noc1_req: Vec<Crossbar<Txn>>,
+        noc1_rep: Vec<Crossbar<Txn>>,
+        l2: Vec<L2Slice<Txn>>,
+        flow: FlowMeter,
+    ) -> Self {
+        let n = cores.len();
+        ShardDomain {
+            id,
+            core0,
+            node0,
+            cluster0,
+            slice0,
+            cores_live: ActiveSet::full(n),
+            parked_at: vec![0; n],
+            outbox: (0..n).map(|_| VecDeque::new()).collect(),
+            outbox_wait: ActiveSet::new(n),
+            outbox_cause: vec![MemBlock::OutboxDrain; n],
+            txn_seq: vec![0; n],
+            meters: vec![CoreMeter::default(); n],
+            cores,
+            nodes_live: ActiveSet::full(nodes.len()),
+            nodes,
+            noc1_req,
+            noc1_rep,
+            slices_live: ActiveSet::full(l2.len()),
+            l2,
+            plog: PresenceLog::new(),
+            flow,
+            busy_nanos: 0,
+            visits: [0; 6],
+        }
+    }
+
     /// The empty stand-in left in the machine while the real domain is on
     /// a worker thread.
     pub fn placeholder() -> Self {
-        ShardDomain {
-            id: usize::MAX,
-            core0: 0,
-            node0: 0,
-            cluster0: 0,
-            slice0: 0,
-            cores: Vec::new(),
-            outbox: Vec::new(),
-            outbox_cause: Vec::new(),
-            txn_seq: Vec::new(),
-            meters: Vec::new(),
-            nodes: Vec::new(),
-            noc1_req: Vec::new(),
-            noc1_rep: Vec::new(),
-            l2: Vec::new(),
-            plog: PresenceLog::new(),
-            flow: FlowMeter::new("txns"),
-            busy_nanos: 0,
-        }
+        let flow = FlowMeter::new("txns");
+        ShardDomain::new(usize::MAX, (0, 0, 0, 0), vec![], vec![], vec![], vec![], vec![], flow)
     }
 
     /// Executes one region against this domain only.
@@ -226,132 +284,255 @@ impl ShardDomain {
         }
     }
 
-    /// Core issue (one instruction per core per cycle) into the per-core
-    /// outboxes, then each outbox head into this domain's NoC#1 / node Q1.
-    fn region_issue(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
-        for i in 0..self.cores.len() {
-            if self.cores[i].is_drained() {
-                // A drained core's tick is a fruitless slot scan that only
-                // counts an idle cycle; account for it directly.
-                self.cores[i].add_idle_cycles(1);
-                continue;
-            }
-            // The memory port is closed exactly when the outbox is
-            // non-empty; the cause was memoized by the last exchange.
-            let block =
-                if self.outbox[i].is_empty() { None } else { Some(self.outbox_cause[i]) };
-            let Some(issued) = self.cores[i].tick_blocked(now, block) else { continue };
-            let c = self.core0 + i;
-            for a in &issued.instr.accesses {
-                let id = self.txn_seq[i] * ctx.cores_total + c as u64 + 1;
-                self.txn_seq[i] += 1;
-                let txn = Txn {
-                    id,
-                    core: issued.core,
-                    wavefront: issued.wavefront,
-                    line: a.line,
-                    bytes: a.bytes,
-                    kind: issued.instr.kind,
-                    issued_at: now,
-                    l1_hit: false,
-                };
-                if obs.tracing() {
-                    obs.trace_begin(txn.id, now, c as u64, kind_str(txn.kind), txn.line.raw());
-                }
-                self.flow.produce(1);
-                self.outbox[i].push_back(txn);
-            }
+    /// Puts core `i` back on the issue walk, first crediting the ticks it
+    /// slept through `through`, the last cycle whose issue slot has passed.
+    /// Call *before* the event that ends the core's inertia.
+    pub fn wake_core(&mut self, i: usize, through: Cycle) {
+        if self.cores_live.insert(i) {
+            self.credit_parked(i, through);
         }
-        self.inject_outbox_heads(now, ctx, obs);
     }
 
-    /// Moves each outbox head (one per core per cycle) into its cluster's
-    /// NoC#1 request crossbar or directly into node Q1, in ascending core
-    /// order, memoizing why a head could not (or could only just) move so
-    /// issue can attribute the next port stall without re-probing the
-    /// network. Both targets are in this domain: partitions never cut a
-    /// cluster.
-    fn inject_outbox_heads(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
-        let cpc = ctx.topo.cores_per_cluster();
-        let m = ctx.topo.nodes_per_cluster();
-        for i in 0..self.outbox.len() {
-            let Some(&txn) = self.outbox[i].front() else { continue };
-            let c = self.core0 + i;
-            let n = ctx.topo.home_node(c, txn.line);
-            let cause = match ctx.topo.attachment {
-                Attachment::Direct => {
-                    let node = &mut self.nodes[n - self.node0];
-                    if node.can_accept_request() {
-                        obs.trace_hop(txn.id, "l1_queue", now);
-                        node.try_push_request(txn)
-                            .unwrap_or_else(|_| unreachable!("checked room"));
-                        MemBlock::OutboxDrain
-                    } else {
-                        MemBlock::L1Queue
-                    }
-                }
-                Attachment::Noc1 { .. } => {
-                    let (ki, src) = (c / cpc - self.cluster0, c % cpc);
-                    if self.noc1_req[ki].can_inject(src) {
-                        obs.trace_hop(txn.id, "noc1_req", now);
-                        self.noc1_req[ki]
-                            .try_inject(ctx.packet(src, n % m, down_bytes(&txn), txn))
-                            .unwrap_or_else(|_| unreachable!("checked room"));
-                        MemBlock::OutboxDrain
-                    } else {
-                        MemBlock::Noc
-                    }
-                }
-            };
-            if cause == MemBlock::OutboxDrain {
-                self.outbox[i].pop_front();
+    /// Credits every parked core through `now` (it stays parked): what a
+    /// reader of core statistics needs.
+    pub fn settle_cores(&mut self, now: Cycle) {
+        for i in 0..self.cores.len() {
+            if !self.cores_live.contains(i) {
+                self.credit_parked(i, now);
             }
-            self.outbox_cause[i] = cause;
         }
+    }
+
+    /// Idle cycles, or stalls behind the port its waiting head found closed.
+    fn credit_parked(&mut self, i: usize, through: Cycle) {
+        let block = self.outbox[i].front().map(|_| self.outbox_cause[i]);
+        self.cores[i].add_inert_cycles(through - self.parked_at[i], block);
+        self.parked_at[i] = through;
+    }
+
+    /// Puts node `ni` back on the node walks, clocked through `through`:
+    /// `now - 1` from every producer (outbox heads, NoC#1 and NoC#2
+    /// ejection all precede the cycle's node ticks).
+    pub fn wake_node(&mut self, ni: usize, through: Cycle) {
+        if self.nodes_live.insert(ni) {
+            let node = &mut self.nodes[ni];
+            node.skip_idle_cycles(through - node.now());
+        }
+    }
+
+    /// Puts slice `i` back on the slice walks, clocked through `through`:
+    /// `now - 1` for a request (NoC#2 ejection precedes the cycle's slice
+    /// ticks), `now` for a DRAM fill (it follows them).
+    pub fn wake_slice(&mut self, i: usize, through: Cycle) {
+        if self.slices_live.insert(i) {
+            let l2 = &mut self.l2[i];
+            l2.skip_idle_cycles(through - l2.now());
+        }
+    }
+
+    /// Wakes every component, each clocked (cores: credited) through `now`.
+    pub fn wake_all(&mut self, now: Cycle) {
+        (0..self.cores.len()).for_each(|i| self.wake_core(i, now));
+        (0..self.nodes.len()).for_each(|ni| self.wake_node(ni, now));
+        (0..self.l2.len()).for_each(|i| self.wake_slice(i, now));
+    }
+
+    /// The port outbox `i`'s head waits on freed a slot: visit the core
+    /// again, to offer the head (its stall cause may now change).
+    fn retry_outbox(&mut self, i: usize, now: Cycle) {
+        if self.outbox_wait.contains(i) {
+            self.outbox_wait.remove(i);
+            self.wake_core(i, now);
+        }
+    }
+
+    /// Everything outside a set has nothing to do: a parked core is inert
+    /// with no head to offer (a waiting one, if port-blocked), only
+    /// non-empty outboxes wait, sleeping nodes and slices hold nothing, and
+    /// no sleeper's clock is ahead of `now`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first sleeper found with work pending.
+    pub fn check_sleepers(&self, now: Cycle) -> InvariantResult {
+        let fail = |site: String| Err(InvariantError::new(site, "asleep with work pending"));
+        for (i, core) in self.cores.iter().enumerate() {
+            let (empty, waits) = (self.outbox[i].is_empty(), self.outbox_wait.contains(i));
+            let parked = !self.cores_live.contains(i);
+            let inert = core.inert().is_some_and(|port_blocked| !port_blocked || waits);
+            if (waits && empty) || (parked && !(inert && (empty || waits) && self.parked_at[i] <= now)) {
+                return fail(format!("core{}", self.core0 + i));
+            }
+        }
+        for (ni, node) in self.nodes.iter().enumerate() {
+            let idle = node.quiescent_horizon() == Some(u64::MAX) && node.now() <= now;
+            if !self.nodes_live.contains(ni) && !idle {
+                return fail(format!("node{}", self.node0 + ni));
+            }
+        }
+        for (i, l2) in self.l2.iter().enumerate() {
+            let idle = l2.quiescent_horizon() == Some(u64::MAX) && l2.now() <= now;
+            if !self.slices_live.contains(i) && !idle {
+                return fail(format!("l2_{}", self.slice0 + i));
+            }
+        }
+        Ok(())
+    }
+
+    /// One pass over the cores that can act: core issue (one instruction
+    /// per core per cycle) into the core's outbox, then that outbox's head
+    /// into this domain's NoC#1 / node Q1. Core `j`'s issue never reads
+    /// core `i`'s injection, so the fused pass orders every shared port's
+    /// arrivals exactly as issue-all-then-inject-all did.
+    fn region_issue(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+        debug_assert_eq!(self.check_sleepers(now), Ok(()));
+        // Nothing wakes a core during the pass: the set can leave `self`.
+        let mut live = std::mem::take(&mut self.cores_live);
+        self.visits[Visit::Cores as usize] += live.count();
+        live.retain(|i| {
+            self.issue(i, now, ctx, obs);
+            if !self.outbox[i].is_empty() && !self.outbox_wait.contains(i) {
+                self.inject_outbox_head(i, now, ctx, obs);
+            }
+            // Park a core with no head left to offer whose ticks are
+            // predetermined: nothing ready, or only memory instructions
+            // ready behind a head that waits.
+            let waits = self.outbox_wait.contains(i);
+            let parks = (waits || self.outbox[i].is_empty())
+                && self.cores[i].inert().is_some_and(|port_blocked| !port_blocked || waits);
+            if parks {
+                self.parked_at[i] = now;
+            }
+            !parks
+        });
+        self.cores_live = live;
+    }
+
+    /// Ticks core `i`; a memory instruction it issues lands in its outbox.
+    fn issue(&mut self, i: usize, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+        // The memory port is closed exactly when the outbox is non-empty;
+        // the cause was memoized by the last injection attempt.
+        let block = self.outbox[i].front().map(|_| self.outbox_cause[i]);
+        let Some(issued) = self.cores[i].tick_blocked(now, block) else { return };
+        let c = self.core0 + i;
+        for a in &issued.instr.accesses {
+            let id = self.txn_seq[i] * ctx.cores_total + c as u64 + 1;
+            self.txn_seq[i] += 1;
+            let txn = Txn {
+                id,
+                core: issued.core,
+                wavefront: issued.wavefront,
+                line: a.line,
+                bytes: a.bytes,
+                kind: issued.instr.kind,
+                issued_at: now,
+                l1_hit: false,
+            };
+            if obs.tracing() {
+                obs.trace_begin(txn.id, now, c as u64, kind_str(txn.kind), txn.line.raw());
+            }
+            self.flow.produce(1);
+            self.outbox[i].push_back(txn);
+        }
+    }
+
+    /// Offers outbox `i`'s head to its cluster's NoC#1 request crossbar or
+    /// directly to node Q1, memoizing why it could not (or could only
+    /// just) move so issue can attribute the next port stall without
+    /// re-probing the network. Both targets are in this domain. A refused
+    /// head waits for its port to free a slot; nothing else lets it move.
+    fn inject_outbox_head(&mut self, i: usize, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+        let txn = *self.outbox[i].front().expect("an outbox on the walk has a head");
+        let c = self.core0 + i;
+        let (k, src) = (c / ctx.cpc, c % ctx.cpc);
+        let cause = match ctx.topo.attachment {
+            Attachment::Direct => {
+                let ni = k * ctx.m + ctx.topo.home_slot(ctx.m, c, txn.line) - self.node0;
+                if self.nodes[ni].can_accept_request() {
+                    obs.trace_hop(txn.id, "l1_queue", now);
+                    self.wake_node(ni, now - 1);
+                    self.nodes[ni]
+                        .try_push_request(txn)
+                        .unwrap_or_else(|_| unreachable!("checked room"));
+                    MemBlock::OutboxDrain
+                } else {
+                    MemBlock::L1Queue
+                }
+            }
+            Attachment::Noc1 { .. } => {
+                // Room before route: a refused head never pays for its
+                // home-node lookup.
+                let ki = k - self.cluster0;
+                if self.noc1_req[ki].can_inject(src) {
+                    let slot = ctx.topo.home_slot(ctx.m, c, txn.line);
+                    obs.trace_hop(txn.id, "noc1_req", now);
+                    self.noc1_req[ki]
+                        .try_inject(ctx.packet(src, slot, down_bytes(&txn), txn))
+                        .unwrap_or_else(|_| unreachable!("checked room"));
+                    MemBlock::OutboxDrain
+                } else {
+                    self.noc1_req[ki].await_grant(src);
+                    MemBlock::Noc
+                }
+            }
+        };
+        if cause == MemBlock::OutboxDrain {
+            self.outbox[i].pop_front();
+        } else {
+            self.outbox_wait.insert(i);
+        }
+        self.visits[Visit::Outboxes as usize] += 1;
+        self.outbox_cause[i] = cause;
     }
 
     /// NoC#1 ticks for this domain's clusters, with request ejection into
     /// this domain's nodes and reply completion at this domain's cores.
     fn region_noc1(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
         let ticks = ctx.topo.noc1_ticks_per_cycle();
-        let m = ctx.topo.nodes_per_cluster();
-        let cpc = ctx.topo.cores_per_cluster();
+        let (m, cpc) = (ctx.m, ctx.cpc);
         for _ in 0..ticks {
             for ki in 0..self.noc1_req.len() {
                 let k = self.cluster0 + ki;
+                self.visits[Visit::Xbars as usize] += 2;
                 self.noc1_req[ki].tick();
-                // Eject requests into node Q1 (respecting Q1 room). The
-                // occupancy count lets quiet switches skip the port scan.
-                if self.noc1_req[ki].has_output() {
-                    for slot in 0..m {
-                        let ni = k * m + slot - self.node0;
-                        while self.nodes[ni].can_accept_request() {
-                            match self.noc1_req[ki].pop_output(slot) {
-                                Some(pkt) => {
-                                    obs.trace_hop(pkt.payload.id, "l1_queue", now);
-                                    self.nodes[ni]
-                                        .try_push_request(pkt.payload)
-                                        .unwrap_or_else(|_| unreachable!("checked room"));
-                                }
-                                None => break,
-                            }
-                        }
+                // A grant frees a slot: a head waiting at that input can move.
+                if !self.outbox_wait.is_empty() {
+                    for src in self.noc1_req[ki].take_granted() {
+                        self.retry_outbox(k * cpc + src - self.core0, now);
+                    }
+                }
+                // Eject requests into node Q1 (respecting Q1 room), from
+                // the ports that hold any.
+                let mut at = 0;
+                while let Some(slot) = self.noc1_req[ki].next_parked(at) {
+                    at = slot + 1;
+                    let ni = k * m + slot - self.node0;
+                    while self.nodes[ni].can_accept_request() {
+                        let Some(pkt) = self.noc1_req[ki].pop_output(slot) else { break };
+                        obs.trace_hop(pkt.payload.id, "l1_queue", now);
+                        self.wake_node(ni, now - 1);
+                        self.nodes[ni]
+                            .try_push_request(pkt.payload)
+                            .unwrap_or_else(|_| unreachable!("checked room"));
                     }
                 }
                 self.noc1_rep[ki].tick();
-                if self.noc1_rep[ki].has_output() {
-                    for port in 0..cpc {
-                        while let Some(pkt) = self.noc1_rep[ki].pop_output(port) {
-                            self.complete_at_core(pkt.payload, now, obs);
-                        }
+                let mut at = 0;
+                while let Some(port) = self.noc1_rep[ki].next_parked(at) {
+                    at = port + 1;
+                    while let Some(pkt) = self.noc1_rep[ki].pop_output(port) {
+                        self.complete_at_core(pkt.payload, now, obs);
                     }
                 }
             }
         }
     }
 
-    /// L2 slice ticks, node ticks (presence reads from the cycle-start
-    /// snapshot, writes to the domain log) and the node-reply drain.
+    /// L2 slice ticks, then one pass over the nodes with work: the node's
+    /// tick (presence reads from the cycle-start snapshot, writes to the
+    /// domain log) and its reply drain — node `j`'s tick never reads what
+    /// node `i`'s drain wrote. The cycle's last visit to a node: one left
+    /// with nothing queued, staged or maturing goes to sleep.
     fn region_mem(
         &mut self,
         now: Cycle,
@@ -359,51 +540,57 @@ impl ShardDomain {
         presence: &PresenceMap,
         obs: &mut Observer,
     ) {
-        for l2 in &mut self.l2 {
-            l2.tick();
+        self.visits[Visit::Slices as usize] += self.slices_live.count();
+        for i in self.slices_live.iter() {
+            self.l2[i].tick();
         }
-        {
-            let mut sess = PresenceSession::new(presence, &mut self.plog);
-            for node in &mut self.nodes {
-                node.tick(&mut sess, obs);
-            }
-        }
-        self.drain_replies(now, ctx, obs);
+        let mut live = std::mem::take(&mut self.nodes_live);
+        self.visits[Visit::Nodes as usize] += live.count();
+        live.retain(|ni| {
+            let idle =
+                self.nodes[ni].tick(&mut PresenceSession::new(presence, &mut self.plog), obs);
+            self.drain_replies(ni, now, ctx, obs);
+            // Only a node whose tick found nothing can have nothing left.
+            !(idle && self.nodes[ni].quiescent_horizon() == Some(u64::MAX))
+        });
+        self.nodes_live = live;
     }
 
-    /// Node Q2 → core (direct) or NoC#1 reply injection, domain-local.
-    fn drain_replies(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+    /// Node `ni`'s Q2 → core (direct) or NoC#1 reply injection,
+    /// domain-local.
+    fn drain_replies(&mut self, ni: usize, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+        let n = self.node0 + ni;
+        let (m, cpc) = (ctx.m, ctx.cpc);
         match ctx.topo.attachment {
             Attachment::Direct => {
                 // A direct-attached L1 returns one reply per cycle at full
                 // width; the ideal single L1 has one reply port per core.
                 let pops = if ctx.topo.ideal_ports { ctx.cores_total } else { 1 };
-                for ni in 0..self.nodes.len() {
-                    for _ in 0..pops {
-                        let Some(txn) = self.nodes[ni].pop_reply() else { break };
-                        self.complete_at_core(txn, now, obs);
+                for _ in 0..pops {
+                    let Some(txn) = self.nodes[ni].pop_reply() else { break };
+                    self.complete_at_core(txn, now, obs);
+                }
+                // Q1 room (only the tick just run makes any) is what the
+                // heads of cluster `n`'s cores wait for.
+                if !self.outbox_wait.is_empty() && self.nodes[ni].can_accept_request() {
+                    let c0 = n * cpc - self.core0;
+                    for i in c0..c0 + cpc {
+                        self.retry_outbox(i, now);
                     }
                 }
             }
-            Attachment::Noc1 { .. } => {
-                let m = ctx.topo.nodes_per_cluster();
-                let cpc = ctx.topo.cores_per_cluster();
-                for ni in 0..self.nodes.len() {
-                    let n = self.node0 + ni;
-                    let ki = n / m - self.cluster0;
-                    let Some(txn) = self.nodes[ni].peek_reply() else { continue };
-                    let src = n % m;
-                    let dst = txn.core.index() % cpc;
-                    if self.noc1_rep[ki].can_inject(src) {
-                        let txn = self.nodes[ni].pop_reply().expect("peeked Some");
-                        obs.trace_hop(txn.id, "noc1_rep", now);
-                        let pkt = ctx.packet(src, dst, up_bytes(&txn), txn);
-                        self.noc1_rep[ki]
-                            .try_inject(pkt)
-                            .unwrap_or_else(|_| unreachable!("checked room"));
-                    }
+            Attachment::Noc1 { .. } if self.nodes[ni].peek_reply().is_some() => {
+                let (ki, src) = (n / m - self.cluster0, n % m);
+                if self.noc1_rep[ki].can_inject(src) {
+                    let txn = self.nodes[ni].pop_reply().expect("peeked Some");
+                    obs.trace_hop(txn.id, "noc1_rep", now);
+                    let pkt = ctx.packet(src, txn.core.index() % cpc, up_bytes(&txn), txn);
+                    self.noc1_rep[ki]
+                        .try_inject(pkt)
+                        .unwrap_or_else(|_| unreachable!("checked room"));
                 }
             }
+            Attachment::Noc1 { .. } => {}
         }
     }
 
@@ -424,6 +611,8 @@ impl ShardDomain {
                 meter.miss_rtt.record(rtt);
             }
         }
+        // Completions arrive after the cycle's issue pass.
+        self.wake_core(ci, now);
         self.cores[ci].complete_access(txn.wavefront);
     }
 }
@@ -444,23 +633,25 @@ pub(crate) fn domain_of_core(shards: &mut [ShardDomain], c: usize) -> &mut Shard
         .unwrap_or_else(|| unreachable!("core {c} outside every domain"))
 }
 
-/// Global node `n`.
-pub(crate) fn node_in(shards: &mut [ShardDomain], n: usize) -> &mut Dcl1Node {
+/// Global node `n`, awake ([`ShardDomain::wake_node`]).
+pub(crate) fn node_awake(shards: &mut [ShardDomain], n: usize, through: Cycle) -> &mut Dcl1Node {
     let d = shards
         .iter_mut()
         .find(|d| n >= d.node0 && n < d.node0 + d.nodes.len())
         .unwrap_or_else(|| unreachable!("node {n} outside every domain"));
     let i = n - d.node0;
+    d.wake_node(i, through);
     &mut d.nodes[i]
 }
 
-/// Global L2 slice `s`.
-pub(crate) fn l2_in(shards: &mut [ShardDomain], s: usize) -> &mut L2Slice<Txn> {
+/// Global L2 slice `s`, awake ([`ShardDomain::wake_slice`]).
+pub(crate) fn slice_awake(shards: &mut [ShardDomain], s: usize, through: Cycle) -> &mut L2Slice<Txn> {
     let d = shards
         .iter_mut()
         .find(|d| s >= d.slice0 && s < d.slice0 + d.l2.len())
         .unwrap_or_else(|| unreachable!("slice {s} outside every domain"));
     let i = s - d.slice0;
+    d.wake_slice(i, through);
     &mut d.l2[i]
 }
 

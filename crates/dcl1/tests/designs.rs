@@ -109,10 +109,13 @@ fn run(design: Design, kernel: &SharedRegionKernel) -> dcl1::RunStats {
 }
 
 /// The byte-pinned part of a run of the default [`SharedRegionKernel`]:
-/// `(cycles, noc_flits, l2_accesses, dram_requests, p99_load_rtt)`. Every
-/// flit to or from the L2 crosses NoC#2, so any change in how a NoC#2 shape
-/// routes, arbitrates or clocks moves at least one of these.
-type Golden = (u64, &'static [u64], u64, u64, u64);
+/// `(cycles, noc_flits, l2_accesses, dram_requests, p99_load_rtt,
+/// [stall_fill_wait, stall_drained, stall_mem_noc, stall_mem_l1_queue])`.
+/// Every flit to or from the L2 crosses NoC#2, so any change in how a NoC#2
+/// shape routes, arbitrates or clocks moves at least one of the first five;
+/// the stall classes are the ones a parked core is credited lazily, so a
+/// miscounted sleep moves the last four.
+type Golden = (u64, &'static [u64], u64, u64, u64, [u64; 4]);
 
 fn assert_golden(stats: &dcl1::RunStats, want: Golden) {
     let got = (
@@ -121,6 +124,7 @@ fn assert_golden(stats: &dcl1::RunStats, want: Golden) {
         stats.l2_accesses,
         stats.dram_requests,
         stats.p99_load_rtt,
+        [stats.stall_fill_wait, stats.stall_drained, stats.stall_mem_noc, stats.stall_mem_l1_queue],
     );
     assert_eq!(got, want, "{}: golden moved", stats.design);
 }
@@ -131,25 +135,25 @@ fn all_designs() -> Vec<(Design, Golden)> {
     use dcl1::design::BaselineBoost;
     vec![
         // Single, 8×4.
-        (Design::Baseline, (12800, &[5970], 995, 647, 1280)),
-        (Design::BoostedBaseline(BaselineBoost::Cache2x), (12800, &[5814], 969, 647, 1280)),
-        (Design::BoostedBaseline(BaselineBoost::NocFreq2x), (12736, &[5994], 999, 647, 1280)),
-        (Design::BoostedBaseline(BaselineBoost::Flit4x), (12800, &[2982], 994, 649, 1280)),
+        (Design::Baseline, (12800, &[5970], 995, 647, 1280, [98660, 1680, 0, 0])),
+        (Design::BoostedBaseline(BaselineBoost::Cache2x), (12800, &[5814], 969, 647, 1280, [98656, 1682, 0, 0])),
+        (Design::BoostedBaseline(BaselineBoost::NocFreq2x), (12736, &[5994], 999, 647, 1280, [97838, 1990, 0, 0])),
+        (Design::BoostedBaseline(BaselineBoost::Flit4x), (12800, &[2982], 994, 649, 1280, [98476, 1864, 0, 0])),
         // Single with ideal ports: one node, one NoC#2 port per core.
-        (Design::IdealSingleL1, (12800, &[4932], 822, 650, 1280)),
+        (Design::IdealSingleL1, (12800, &[4932], 822, 650, 1280, [98112, 2230, 0, 0])),
         // Sliced{1}: one clusters×4 crossbar.
-        (Design::Private { nodes: 8 }, (12800, &[4608, 5964], 994, 648, 1280)),
-        (Design::Private { nodes: 4 }, (12864, &[4608, 5772], 962, 650, 1280)),
+        (Design::Private { nodes: 8 }, (12800, &[4608, 5964], 994, 648, 1280, [98580, 1760, 0, 0])),
+        (Design::Private { nodes: 4 }, (12864, &[4608, 5772], 962, 650, 1280, [98334, 2520, 0, 0])),
         // Sliced{4}: four 1×1 crossbars.
-        (Design::Shared { nodes: 4 }, (12480, &[4608, 4884], 814, 651, 1024)),
+        (Design::Shared { nodes: 4 }, (12480, &[4608, 4884], 814, 651, 1024, [95890, 1884, 0, 0])),
         // Sliced{2}: two 2×2 crossbars.
         (
             Design::Clustered { nodes: 4, clusters: 2, boost: false },
-            (12736, &[4608, 5514], 919, 648, 1280),
+            (12736, &[4608, 5514], 919, 648, 1280, [98098, 1728, 0, 0]),
         ),
         (
             Design::Clustered { nodes: 4, clusters: 2, boost: true },
-            (12864, &[4608, 5532], 922, 647, 1280),
+            (12864, &[4608, 5532], 922, 647, 1280, [98664, 2188, 0, 0]),
         ),
     ]
 }
@@ -181,15 +185,15 @@ fn cdxbar_runs_with_ten_core_machine() {
     for (design, golden) in [
         (
             Design::CdXbar { stage1_mult: 1, stage2_mult: 1 },
-            (12864, &[6006u64, 6006][..], 1001, 651, 1280),
+            (12864, &[6006u64, 6006][..], 1001, 651, 1280, [121231, 5348, 0, 0]),
         ),
         (
             Design::CdXbar { stage1_mult: 2, stage2_mult: 1 },
-            (12800, &[5994, 5994][..], 999, 649, 1280),
+            (12800, &[5994, 5994][..], 999, 649, 1280, [120598, 5342, 0, 0]),
         ),
         (
             Design::CdXbar { stage1_mult: 2, stage2_mult: 2 },
-            (12800, &[6000, 6000][..], 1000, 650, 1280),
+            (12800, &[6000, 6000][..], 1000, 650, 1280, [120598, 5340, 0, 0]),
         ),
     ] {
         let opts = SimOptions { max_cycles: 2_000_000, ..SimOptions::default() };

@@ -347,14 +347,44 @@ impl Core {
         }
     }
 
-    /// Records one memory-port stall cycle, attributed to `block`.
+    /// Records `cycles` memory-port stall cycles, attributed to `block`.
     #[inline]
-    fn count_mem_stall(&mut self, block: MemBlock) {
-        self.stats.mem_stall_cycles.inc();
+    fn count_mem_stall(&mut self, block: MemBlock, cycles: u64) {
+        self.stats.mem_stall_cycles.add(cycles);
         match block {
-            MemBlock::OutboxDrain => self.stats.stall.mem_outbox.inc(),
-            MemBlock::L1Queue => self.stats.stall.mem_l1_queue.inc(),
-            MemBlock::Noc => self.stats.stall.mem_noc.inc(),
+            MemBlock::OutboxDrain => self.stats.stall.mem_outbox.add(cycles),
+            MemBlock::L1Queue => self.stats.stall.mem_l1_queue.add(cycles),
+            MemBlock::Noc => self.stats.stall.mem_noc.add(cycles),
+        }
+    }
+
+    /// Whether every tick's outcome is known until the next
+    /// [`complete_access`](Core::complete_access) or
+    /// [`add_cta`](Core::add_cta): the inert-tick memo holds and no `Busy`
+    /// wavefront will expire. The owner may then stop clocking the core and
+    /// settle later with [`add_inert_cycles`](Core::add_inert_cycles).
+    /// `Some(false)`: nothing is ready — each tick is an idle cycle.
+    /// `Some(true)`: only memory instructions are ready — each tick behind
+    /// a closed port is a memory-port stall; an open port ends the inertia.
+    pub fn inert(&self) -> Option<bool> {
+        (self.scan_valid
+            && self.ready_count == self.validated_ready
+            && self.next_busy_expiry == Cycle::MAX)
+            .then_some(self.ready_count > 0)
+    }
+
+    /// Records what `cycles` calls of [`tick_blocked`](Core::tick_blocked)
+    /// with this `block` would have, on a core [`inert`](Core::inert)
+    /// throughout (if port-blocked: behind that one cause throughout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core is not inert, or is port-blocked with no `block`.
+    pub fn add_inert_cycles(&mut self, cycles: u64, block: Option<MemBlock>) {
+        match (self.inert(), block) {
+            (Some(false), _) => self.count_idle(cycles),
+            (Some(true), Some(cause)) => self.count_mem_stall(cause, cycles),
+            _ => unreachable!("skipped ticks on a core whose ticks were not predetermined"),
         }
     }
 
@@ -447,7 +477,7 @@ impl Core {
             if blocked {
                 // Every stored-`Ready` wavefront was memory-blocked at
                 // validation and the port is still closed.
-                self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain));
+                self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain), 1);
                 return None;
             }
             // The port opened for a waiting memory instruction: scan.
@@ -558,7 +588,7 @@ impl Core {
         if acc.mem_blocked {
             // `mem_blocked` only becomes true behind a closed port, so the
             // cause is always present.
-            self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain));
+            self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain), 1);
         } else if !acc.any_ready {
             self.count_idle(1);
         }

@@ -94,6 +94,10 @@ struct Pending<T> {
     is_write: bool,
     payload: Option<T>,
     arrived: u64,
+    /// Bank and row of `line`, decoded once at enqueue: every FR-FCFS
+    /// pass reads them for every queued request.
+    bank: usize,
+    row: u64,
 }
 
 /// One memory channel. Enqueue with
@@ -162,18 +166,12 @@ impl<T> MemoryController<T> {
         if !self.can_accept() {
             return Err(payload);
         }
-        self.queue.push_back(Pending { line, is_write, payload, arrived: self.now });
+        let row = line.base().raw() / self.config.row_bytes as u64;
+        // Bank index is reduced mod `banks` (< usize).
+        #[expect(clippy::cast_possible_truncation)]
+        let bank = (row as usize) % self.config.banks;
+        self.queue.push_back(Pending { line, is_write, payload, arrived: self.now, bank, row });
         Ok(())
-    }
-
-    fn row_of(&self, line: LineAddr) -> u64 {
-        line.base().raw() / self.config.row_bytes as u64
-    }
-
-    // Bank index is reduced mod `banks` (< usize).
-    #[expect(clippy::cast_possible_truncation)]
-    fn bank_of(&self, line: LineAddr) -> usize {
-        (self.row_of(line) as usize) % self.config.banks
     }
 
     /// Advances one memory-clock tick: FR-FCFS selects at most one request
@@ -196,12 +194,11 @@ impl<T> MemoryController<T> {
         let first_pass = if starved { 1 } else { 0 };
         for pass in first_pass..2 {
             for (i, req) in self.queue.iter().enumerate() {
-                let bank = self.bank_of(req.line);
-                let st = &self.banks[bank];
+                let st = &self.banks[req.bank];
                 if st.ready_at > self.now {
                     continue;
                 }
-                let row_hit = st.open_row == Some(self.row_of(req.line));
+                let row_hit = st.open_row == Some(req.row);
                 if pass == 0 && !row_hit {
                     continue;
                 }
@@ -214,8 +211,7 @@ impl<T> MemoryController<T> {
         }
         let Some(idx) = choice else { return };
         let req = self.queue.remove(idx).expect("index from scan");
-        let bank = self.bank_of(req.line);
-        let row = self.row_of(req.line);
+        let (bank, row) = (req.bank, req.row);
 
         let st = &mut self.banks[bank];
         let mut access_ready = self.now;
@@ -295,6 +291,12 @@ impl<T> MemoryController<T> {
     pub fn skip_idle_ticks(&mut self, ticks: u64) {
         debug_assert!(self.quiescent_horizon().is_some_and(|h| h >= ticks));
         self.now += ticks;
+    }
+
+    /// Memory ticks this channel has been clocked through (ticked or
+    /// skipped).
+    pub fn now(&self) -> u64 {
+        self.now
     }
 
     /// Whether the channel has no queued or in-flight work.

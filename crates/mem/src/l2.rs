@@ -382,6 +382,11 @@ impl<T> L2Slice<T> {
         self.now += cycles;
     }
 
+    /// Core cycles this slice has been clocked through (ticked or skipped).
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
     /// Whether all queues and MSHRs are drained.
     pub fn is_idle(&self) -> bool {
         self.input.is_empty()

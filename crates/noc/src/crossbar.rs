@@ -88,6 +88,36 @@ impl CrossbarStats {
     }
 }
 
+/// A set of port indices below 128, as two words so that flipping one
+/// port touches one of them (a `u128` shift-and-or costs twice as much,
+/// and these sets change several times per packet).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Ports([u64; 2]);
+
+impl Ports {
+    #[inline]
+    fn insert(&mut self, port: usize) {
+        self.0[(port >> 6) & 1] |= 1 << (port & 63);
+    }
+
+    #[inline]
+    fn remove(&mut self, port: usize) {
+        self.0[(port >> 6) & 1] &= !(1 << (port & 63));
+    }
+
+    #[inline]
+    fn bits(self) -> u128 {
+        u128::from(self.0[0]) | u128::from(self.0[1]) << 64
+    }
+
+    /// The set of the ports whose flag is set.
+    fn of(flags: impl Iterator<Item = bool>) -> Ports {
+        let mut set = Ports::default();
+        flags.enumerate().filter(|&(_, on)| on).for_each(|(port, _)| set.insert(port));
+        set
+    }
+}
+
 /// An in-progress packet transfer from one input to one output.
 #[derive(Debug)]
 struct Transfer<T> {
@@ -141,12 +171,29 @@ pub struct Crossbar<T> {
     window_dsts: Vec<u128>,
     /// Transpose of `window_dsts`: per-output bitset of inputs with a
     /// packet for that output inside the lookahead window. Maintained
-    /// only when [`masks_exact`](Crossbar::masks_exact) — it turns the
+    /// only when [`exact`](Crossbar::exact) — it turns the
     /// round-robin input scan into two bit operations.
     requesters: Vec<u128>,
     /// Bitset of inputs with an active transfer (only meaningful when
-    /// [`masks_exact`](Crossbar::masks_exact)).
-    active_mask: u128,
+    /// [`exact`](Crossbar::exact)).
+    active_mask: Ports,
+    /// Whether the port counts fit the 128-bit masks, making
+    /// `window_dsts`/`requesters` exact rather than conservative and the
+    /// four port masks below meaningful. Wider switches (and the test
+    /// oracle) scan ports instead.
+    exact: bool,
+    /// Outputs with `pending > 0`: the only ones arbitration can grant.
+    pending_mask: Ports,
+    /// Outputs currently receiving a transfer (`output_busy` is `Some`).
+    busy_mask: Ports,
+    /// Outputs holding at least one parked packet (non-empty `eject`).
+    parked_mask: Ports,
+    /// Inputs whose producer found them full and awaits a grant — the
+    /// only event that frees an injection slot — and the awaited inputs
+    /// granted since the last [`take_granted`](Crossbar::take_granted).
+    /// On a switch that is not `exact`, nonzero means "some input".
+    awaited: u128,
+    granted: u128,
     /// Total packets across the input queues (Σ `pending`).
     queued: usize,
     /// Inputs with an active transfer.
@@ -182,7 +229,13 @@ impl<T> Crossbar<T> {
             pending: vec![0; config.outputs],
             window_dsts: vec![0; config.inputs],
             requesters: vec![0; config.outputs],
-            active_mask: 0,
+            active_mask: Ports::default(),
+            exact: config.inputs <= 128 && config.outputs <= 128,
+            pending_mask: Ports::default(),
+            busy_mask: Ports::default(),
+            parked_mask: Ports::default(),
+            awaited: 0,
+            granted: 0,
             queued: 0,
             active_count: 0,
             ejected: 0,
@@ -199,6 +252,14 @@ impl<T> Crossbar<T> {
             lifetime_moved_flits: 0,
             config,
         }
+    }
+
+    /// A crossbar that arbitrates and ejects by port scan whatever its
+    /// size — the path switches too wide for the masks take, and the
+    /// oracle the mask path is tested against.
+    #[cfg(test)]
+    fn scanning(config: CrossbarConfig) -> Self {
+        Crossbar { exact: false, ..Crossbar::new(config) }
     }
 
     /// Returns the structural configuration.
@@ -246,14 +307,11 @@ impl<T> Crossbar<T> {
         self.lifetime_injected_packets += 1;
         self.lifetime_injected_flits += flits;
         self.pending[dst] += 1;
+        if self.exact {
+            self.pending_mask.insert(dst);
+        }
         self.queued += 1;
         Ok(())
-    }
-
-    /// Whether the port counts fit the 128-bit masks, making
-    /// `window_dsts`/`requesters` exact rather than conservative.
-    fn masks_exact(&self) -> bool {
-        self.config.inputs <= 128 && self.config.outputs <= 128
     }
 
     /// Bit for `dst` in a [`window_dsts`](Crossbar::window_dsts) mask; the
@@ -272,7 +330,7 @@ impl<T> Crossbar<T> {
     fn set_window(&mut self, port: usize, new: u128) {
         let old = self.window_dsts[port];
         self.window_dsts[port] = new;
-        if old == new || !self.masks_exact() {
+        if old == new || !self.exact {
             return;
         }
         let bit = 1u128 << port;
@@ -321,56 +379,60 @@ impl<T> Crossbar<T> {
         // Arbitration first: each free output picks the next requesting
         // input in round-robin order, so a granted packet moves its first
         // flit this very tick. An input with an active transfer can't start
-        // another (head-of-line blocking). Outputs with no queued requester
-        // (`pending`) are skipped outright — the inner scan could never
-        // grant them anything.
-        if self.queued > 0 {
-            let exact = self.masks_exact();
-            for out in 0..self.config.outputs {
-                if self.pending[out] == 0 {
-                    continue;
-                }
-                if self.output_busy[out].is_some() {
-                    continue;
-                }
+        // another (head-of-line blocking). Only outputs somebody is
+        // requesting (`pending`) and nobody is sending to can be granted;
+        // with exact masks those are one bit-and away, in the same
+        // ascending order the port scan visits them.
+        if self.queued > 0 && self.exact {
+            let mut free = self.pending_mask.bits() & !self.busy_mask.bits();
+            let mut active = self.active_mask.bits();
+            while free != 0 {
+                let out = free.trailing_zeros() as usize;
+                free &= free - 1;
                 if self.eject[out].len() >= self.config.eject_capacity {
                     continue; // downstream backpressure
                 }
-                let start = self.rr[out];
-                if exact {
-                    // Exact masks: the free inputs requesting `out` are one
-                    // bit-and away, and the round-robin pick from `start`
-                    // is a pair of trailing-zeros scans — equivalent to
-                    // (and replacing) the rotating input scan below.
-                    let mask = self.requesters[out] & !self.active_mask;
-                    if mask == 0 {
-                        continue;
-                    }
-                    let above = mask >> start;
-                    let input = if above != 0 {
-                        start + above.trailing_zeros() as usize
-                    } else {
-                        mask.trailing_zeros() as usize
-                    };
-                    self.grant(out, input);
+                // The free inputs requesting `out`; the round-robin pick
+                // from `start` is a pair of trailing-zeros scans.
+                let mask = self.requesters[out] & !active;
+                if mask == 0 {
                     continue;
                 }
+                let start = self.rr[out];
+                let above = mask >> start;
+                let input = if above != 0 {
+                    start + above.trailing_zeros() as usize
+                } else {
+                    mask.trailing_zeros() as usize
+                };
+                self.grant(out, input);
+                active |= 1u128 << input;
+            }
+        } else if self.queued > 0 {
+            for out in 0..self.config.outputs {
+                if self.pending[out] == 0
+                    || self.output_busy[out].is_some()
+                    || self.eject[out].len() >= self.config.eject_capacity
+                {
+                    continue;
+                }
+                let start = self.rr[out];
                 for k in 0..self.config.inputs {
                     let input = (start + k) % self.config.inputs;
                     if self.active[input].is_some() {
                         continue;
                     }
-                    // Conservative pre-filter (wide switches): the window
+                    // Conservative pre-filter: on a wide switch the window
                     // bitset can have false positives, so the position
-                    // scan below stays authoritative.
+                    // scan stays authoritative.
                     if self.window_dsts[input] & Self::dst_bit(out) == 0 {
                         continue;
                     }
-                    let pos = self.inputs[input]
+                    let windowed = self.inputs[input]
                         .iter()
                         .take(self.config.vc_lookahead)
-                        .position(|p| p.dst == out);
-                    if pos.is_some() {
+                        .any(|p| p.dst == out);
+                    if windowed {
                         self.grant(out, input);
                         break;
                     }
@@ -394,12 +456,25 @@ impl<T> Crossbar<T> {
         let flits = packet.flits;
         self.active[input] = Some(Transfer { packet, remaining_flits: flits });
         self.output_busy[out] = Some(input);
-        self.rr[out] = (input + 1) % self.config.inputs;
+        self.rr[out] = if input + 1 == self.config.inputs { 0 } else { input + 1 };
         self.pending[out] -= 1;
         self.queued -= 1;
         self.active_count += 1;
         self.active_inputs.push(input);
-        self.active_mask |= 1u128 << (input & 127);
+        if self.awaited != 0 {
+            let input_bit = 1u128 << (input & 127);
+            if !self.exact || self.awaited & input_bit != 0 {
+                self.awaited &= !input_bit;
+                self.granted |= input_bit;
+            }
+        }
+        if self.exact {
+            self.active_mask.insert(input);
+            self.busy_mask.insert(out);
+            if self.pending[out] == 0 {
+                self.pending_mask.remove(out);
+            }
+        }
         self.recompute_window(input);
     }
 
@@ -423,7 +498,11 @@ impl<T> Crossbar<T> {
                 self.stats.packets += 1;
                 self.active_count -= 1;
                 self.ejected += 1;
-                self.active_mask &= !(1u128 << (input & 127));
+                if self.exact {
+                    self.active_mask.remove(input);
+                    self.busy_mask.remove(dst);
+                    self.parked_mask.insert(dst);
+                }
                 self.active_inputs.swap_remove(i);
             } else {
                 i += 1;
@@ -455,7 +534,11 @@ impl<T> Crossbar<T> {
                     self.lifetime_delivered_packets <= self.lifetime_injected_packets,
                     "crossbar delivered a packet it never accepted"
                 );
-                self.eject[port].pop_front().map(|(_, p)| p)
+                let packet = self.eject[port].pop_front().map(|(_, p)| p);
+                if self.exact && self.eject[port].is_empty() {
+                    self.parked_mask.remove(port);
+                }
+                packet
             }
             _ => None,
         }
@@ -470,10 +553,47 @@ impl<T> Crossbar<T> {
         }
     }
 
-    /// Whether any packet is waiting in an output queue. O(1); lets callers
-    /// skip per-port ejection scans on quiet switches.
-    pub fn has_output(&self) -> bool {
-        self.ejected > 0
+    /// The lowest output port `>= from` holding a parked packet (delivered,
+    /// possibly still behind the router pipeline), if any. Ejection loops
+    /// walk these instead of probing every port:
+    /// `while let Some(port) = x.next_parked(at) { at = port + 1; .. }`.
+    pub fn next_parked(&self, from: usize) -> Option<usize> {
+        if self.ejected == 0 {
+            None
+        } else if self.exact {
+            let rest = if from < 128 { self.parked_mask.bits() >> from } else { 0 };
+            (rest != 0).then(|| from + rest.trailing_zeros() as usize)
+        } else {
+            (from..self.config.outputs).find(|&port| !self.eject[port].is_empty())
+        }
+    }
+
+    /// Asks for input `port`'s next grant to be reported by
+    /// [`take_granted`](Crossbar::take_granted). A producer that found
+    /// [`can_inject`](Crossbar::can_inject) false calls this and need not
+    /// look again until its port is reported: a grant is the only event
+    /// that frees an injection slot.
+    pub fn await_grant(&mut self, port: usize) {
+        self.awaited |= 1u128 << (port & 127);
+    }
+
+    /// The awaited input ports granted since the last call, in ascending
+    /// order (each is reported once; await it again to hear of the next).
+    /// A switch too wide for exact masks reports every port once any
+    /// awaited one may have been granted.
+    pub fn take_granted(&mut self) -> impl Iterator<Item = usize> {
+        let granted = std::mem::take(&mut self.granted);
+        let every = if self.exact || granted == 0 { 0 } else { self.config.inputs };
+        if every != 0 {
+            self.awaited = 0;
+        }
+        let mut bits = if self.exact { granted } else { 0 };
+        let exact = std::iter::from_fn(move || {
+            let port = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(port)
+        });
+        exact.chain(0..every)
     }
 
     /// Whether any packet is queued, in flight, or awaiting ejection. O(1).
@@ -499,8 +619,9 @@ impl<T> Crossbar<T> {
     /// Checks every conservation law the switch must obey, recomputing the
     /// O(1) occupancy counters from the ground truth they summarize:
     ///
-    /// * `queued`/`active_count`/`ejected`/`pending` match the queues they
-    ///   mirror, and each input queue conserves its own items;
+    /// * `queued`/`active_count`/`ejected`/`pending` and the active /
+    ///   pending / busy / parked port masks match the queues they mirror,
+    ///   and each input queue conserves its own items;
     /// * packets: lifetime injected == lifetime delivered + in flight;
     /// * flits: lifetime injected == lifetime moved + flits still held in
     ///   input queues and partial transfers.
@@ -556,6 +677,22 @@ impl<T> Crossbar<T> {
                 site,
                 format!("ejected counter {} != recount {}", self.ejected, ejected),
             ));
+        }
+        if self.exact {
+            let recount = [
+                ("active", self.active_mask, Ports::of(self.active.iter().map(Option::is_some))),
+                ("pending", self.pending_mask, Ports::of(pending.iter().map(|&n| n > 0))),
+                ("busy", self.busy_mask, Ports::of(self.output_busy.iter().map(Option::is_some))),
+                ("parked", self.parked_mask, Ports::of(self.eject.iter().map(|q| !q.is_empty()))),
+            ];
+            for (name, have, want) in recount {
+                if have != want {
+                    return Err(InvariantError::new(
+                        site,
+                        format!("{name} mask {have:x?} != recount {want:x?}"),
+                    ));
+                }
+            }
         }
         let in_flight = self.in_flight() as u64;
         if self.lifetime_injected_packets != self.lifetime_delivered_packets + in_flight {
@@ -823,5 +960,95 @@ mod tests {
         assert!(x.pop_output(1).is_some());
         assert!(x.is_idle());
         assert_eq!(x.in_flight(), 0);
+    }
+
+    /// Mask arbitration, the parked-output walk and the grant report
+    /// against the port-scan oracle: random traffic with multi-flit
+    /// packets, injection backpressure and ejection that stalls for
+    /// stretches, compared tick by tick.
+    #[test]
+    fn mask_path_matches_the_port_scan_oracle() {
+        use dcl1_common::SplitMix64;
+        for (seed, i, o) in [(1u64, 8, 4), (2, 80, 40), (3, 3, 128), (4, 128, 2), (5, 1, 1)] {
+            let config = CrossbarConfig { eject_capacity: 2, ..cfg(i, o) };
+            let mut x: Crossbar<u64> = Crossbar::new(config);
+            let mut oracle: Crossbar<u64> = Crossbar::scanning(config);
+            assert!(x.exact && !oracle.exact);
+            let mut rng = SplitMix64::new(seed);
+            let mut id = 0u64;
+            for tick in 0..4000u32 {
+                // Bursty injection: sometimes nothing, sometimes a flood
+                // that fills input queues (both switches refuse alike).
+                for _ in 0..rng.next_below(if tick % 97 < 30 { 3 * i as u64 } else { 3 }) {
+                    id += 1;
+                    let (src, dst) = (rng.next_below(i as u64), rng.next_below(o as u64));
+                    let bytes = [0, 32, 128][rng.next_below(3) as usize];
+                    let pkt = || Packet::new(src as usize, dst as usize, bytes, id);
+                    assert_eq!(x.try_inject(pkt()).is_ok(), oracle.try_inject(pkt()).is_ok());
+                }
+                // Producers at a random few inputs await their next grant.
+                for _ in 0..rng.next_below(4) {
+                    let port = rng.next_below(i as u64) as usize;
+                    x.await_grant(port);
+                    oracle.await_grant(port);
+                }
+                let awaited = x.awaited;
+                let before: Vec<usize> = x.inputs.iter().map(BoundedQueue::len).collect();
+                x.tick();
+                oracle.tick();
+                let ctx = format!("seed {seed} tick {tick}");
+                // Same grants in the same order (the active list is in
+                // grant order), same arbiter state.
+                assert_eq!(x.active_inputs, oracle.active_inputs, "{ctx}");
+                assert_eq!(x.output_busy, oracle.output_busy, "{ctx}");
+                assert_eq!(x.rr, oracle.rr, "{ctx}");
+                // The grant report is exactly the awaited inputs that lost
+                // a packet, and they are awaited no longer.
+                let granted: Vec<usize> = x.take_granted().collect();
+                let shrunk: Vec<usize> = (0..i)
+                    .filter(|&p| awaited & (1 << p) != 0 && x.inputs[p].len() < before[p])
+                    .collect();
+                assert_eq!(granted, shrunk, "{ctx}");
+                assert!(granted.iter().all(|&p| x.awaited & (1 << p) == 0), "{ctx}");
+                // The scan path over-reports; a producer woken for nothing
+                // finds its port still full and awaits again.
+                let conservative: Vec<usize> = oracle.take_granted().collect();
+                assert!(granted.iter().all(|p| conservative.contains(p)), "{ctx}");
+                (0..i).filter(|&p| x.awaited & (1 << p) != 0).for_each(|p| oracle.await_grant(p));
+                // Ejection stalls for stretches, so eject buffers fill and
+                // backpressure reaches arbitration.
+                if tick % 61 >= 20 {
+                    let (mut at, mut walked) = (0, Vec::new());
+                    while let Some(port) = x.next_parked(at) {
+                        at = port + 1;
+                        walked.push(port);
+                        assert_eq!(oracle.next_parked(port), Some(port), "{ctx}");
+                        while let Some(p) = x.pop_output(port) {
+                            assert_eq!(oracle.pop_output(port).map(|q| q.payload), Some(p.payload));
+                        }
+                        assert!(oracle.pop_output(port).is_none(), "{ctx}");
+                    }
+                    assert!(walked.is_sorted(), "{ctx}");
+                }
+                assert_eq!(x.stats().ticks, oracle.stats().ticks, "{ctx}");
+                assert_eq!(x.stats().output_flits, oracle.stats().output_flits, "{ctx}");
+                assert_eq!(x.stats().input_flits, oracle.stats().input_flits, "{ctx}");
+                assert_eq!(x.stats().packets, oracle.stats().packets, "{ctx}");
+                assert_eq!(x.in_flight(), oracle.in_flight(), "{ctx}");
+                assert_eq!(
+                    (x.lifetime_injected_packets, x.lifetime_delivered_packets),
+                    (oracle.lifetime_injected_packets, oracle.lifetime_delivered_packets),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (x.lifetime_injected_flits, x.lifetime_moved_flits),
+                    (oracle.lifetime_injected_flits, oracle.lifetime_moved_flits),
+                    "{ctx}"
+                );
+                x.check_conservation("mask").unwrap();
+                oracle.check_conservation("scan").unwrap();
+            }
+            assert!(x.stats().packets > 500, "seed {seed}: traffic too thin to prove anything");
+        }
     }
 }
