@@ -21,9 +21,8 @@
 //!
 //! Exits nonzero on any violation, so CI can run it as a plain step.
 //! `--json=PATH` additionally writes the measurements as a JSON fragment
-//! (`{"probes": [{"name", "allocs", "bytes"}...], "system": {"per_step"}}`)
-//! that `perf_sweep --allocs=PATH` embeds in `BENCH_sweep.json`, where the
-//! `--compare` gate holds them against the committed baseline.
+//! (`{"probes": [{"name", "allocs", "bytes"}...], "system": {"per_step"}}`),
+//! the source of a PR's allocations-per-step figure.
 
 use dcl1::{Design, GpuConfig, GpuSystem, PresenceMap, SimOptions};
 use dcl1_obs::registry::Registry;
@@ -100,8 +99,8 @@ impl Report {
 }
 
 /// Asserts a probe window allocated nothing; reports and flips `failed`
-/// otherwise. `slug` is the stable machine name the `--json` dump (and
-/// the `perf_sweep --compare` baseline) keys the probe by.
+/// otherwise. `slug` is the stable machine name the `--json` dump keys
+/// the probe by.
 fn expect_zero(slug: &'static str, name: &str, allocs: u64, bytes: u64, report: &mut Report) {
     report.probes.push((slug, allocs, bytes));
     if allocs == 0 {

@@ -1,7 +1,8 @@
-//! Micro-benchmarks for the simulator's hot components: cache lookups,
-//! crossbar ticks, trace generation, and a short end-to-end step loop.
-//! These guard the simulator's own performance (the figure benches are
-//! wall-clock-bound by it).
+//! Micro-benchmarks for the hot structures the performance ledger
+//! (`benchmark/src/micro.rs`) has no leg for: sparse crossbar arbitration,
+//! MSHR allocate/complete, the O(1) replica mean, a loaded and a sparse
+//! machine step, and the result ledger. Everything else is a declared
+//! per-layer metric of `benchmark/` and is measured only there.
 //!
 //! Hand-rolled timing harness (no external bench framework): each
 //! benchmark is warmed up, then run in batches until ~0.5 s of samples
@@ -11,11 +12,9 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
 use dcl1::{Design, GpuConfig, GpuSystem, SimOptions};
-use dcl1_cache::{CacheGeometry, SetAssocCache};
 use dcl1_common::LineAddr;
 use dcl1_gpu::TraceSource;
 use dcl1_noc::{Crossbar, CrossbarConfig, Packet};
-use dcl1_workloads::{by_name, AppTrace};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -42,43 +41,6 @@ fn bench(name: &str, mut f: impl FnMut()) {
     println!("{name:<36} {median:>10.1} ns/iter   (min {lo:.1}, max {hi:.1}, n={})", samples.len());
 }
 
-fn bench_cache() {
-    let geom = CacheGeometry::new(16 * 1024, 4, 128).unwrap();
-    let mut cache = SetAssocCache::new(geom);
-    let mut i = 0u64;
-    bench("cache_lookup_fill_mix", || {
-        i = i.wrapping_add(0x9E37_79B9);
-        let line = LineAddr::new(i % 4096);
-        if cache.lookup(black_box(line)) == dcl1_cache::LookupResult::Miss {
-            cache.fill(line);
-        }
-    });
-}
-
-fn bench_crossbar() {
-    let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(8, 4).unwrap());
-    let mut n = 0u64;
-    bench("crossbar_8x4_saturated_tick", || {
-        for src in 0..8 {
-            if x.can_inject(src) {
-                n += 1;
-                let _ = x.try_inject(Packet::new(src, (n % 4) as usize, 32, n));
-            }
-        }
-        x.tick();
-        for out in 0..4 {
-            while x.pop_output(out).is_some() {}
-        }
-    });
-}
-
-fn bench_crossbar_idle() {
-    let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(8, 4).unwrap());
-    bench("crossbar_8x4_idle_tick", || {
-        x.tick();
-    });
-}
-
 fn bench_crossbar_sparse() {
     // An 80x40 switch (Sh40's NoC#1) with two requesters: arbitration and
     // ejection should cost what two packets cost, not what 40 ports do.
@@ -100,16 +62,6 @@ fn bench_crossbar_sparse() {
     });
 }
 
-fn bench_trace() {
-    let spec = by_name("T-AlexNet").unwrap();
-    let mut t = AppTrace::new(spec, 0, 0);
-    bench("trace_generation_alexnet", || {
-        if matches!(t.next_instr(), dcl1_gpu::WavefrontInstr::Done) {
-            t = AppTrace::new(spec, 0, 0);
-        }
-    });
-}
-
 fn bench_mshr() {
     use dcl1_cache::Mshr;
     let mut mshr: Mshr<u64> = Mshr::new(64, 8);
@@ -119,72 +71,6 @@ fn bench_mshr() {
         let line = LineAddr::new(i % 64);
         if mshr.try_allocate(black_box(line), i).is_err() || i.is_multiple_of(8) {
             black_box(mshr.complete(line));
-        }
-    });
-}
-
-fn bench_mshr_complete_into() {
-    use dcl1_cache::Mshr;
-    // The steady-state hot path: allocate + merge waiters, then drain a
-    // fill through a caller-owned scratch buffer. After warm-up neither
-    // the slab nor the scratch allocates.
-    let mut mshr: Mshr<u64> = Mshr::new(64, 8);
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut i = 0u64;
-    bench("mshr_merge_complete_into", || {
-        i += 1;
-        let line = LineAddr::new(i % 32);
-        let _ = mshr.try_allocate(black_box(line), i);
-        let _ = mshr.try_allocate(line, i + 1); // merge on the same entry
-        if i.is_multiple_of(4) {
-            scratch.clear();
-            black_box(mshr.complete_into(line, &mut scratch));
-        }
-    });
-}
-
-fn bench_flatmap() {
-    use dcl1_common::FlatMap;
-    // Insert/probe/remove churn over a clustered key range: the access
-    // pattern the MSHR index and dirty-line set see.
-    let mut map: FlatMap<u64> = FlatMap::with_capacity(4096);
-    let mut i = 0u64;
-    bench("flatmap_insert_probe_remove", || {
-        i += 1;
-        let key = i % 4096;
-        map.insert(black_box(key), i);
-        black_box(map.get(key));
-        if i.is_multiple_of(2) {
-            map.remove(key.wrapping_sub(7) % 4096);
-        }
-    });
-}
-
-fn bench_dram() {
-    use dcl1_mem::{DramConfig, MemoryController};
-    let mut mc: MemoryController<u32> = MemoryController::new(DramConfig::default());
-    let mut i = 0u64;
-    bench("dram_frfcfs_tick_loaded", || {
-        i += 1;
-        if mc.can_accept() {
-            let _ = mc.try_enqueue(LineAddr::new(i * 17 % 4096), false, Some(i as u32));
-        }
-        mc.tick();
-        while mc.pop_reply().is_some() {}
-    });
-}
-
-fn bench_presence() {
-    use dcl1::PresenceMap;
-    let mut p = PresenceMap::new();
-    let mut i = 0u64;
-    bench("presence_fill_probe_evict", || {
-        i += 1;
-        let line = LineAddr::new(i % 10_000);
-        p.on_fill(line);
-        black_box(p.copies(line));
-        if i.is_multiple_of(2) {
-            p.on_evict(line);
         }
     });
 }
@@ -203,44 +89,6 @@ fn bench_presence_mean() {
     }
     bench("presence_mean_replicas_10k_lines", || {
         black_box(p.mean_replicas());
-    });
-}
-
-fn bench_epoch_batch() {
-    use dcl1_noc::{EpochBatch, EpochKey};
-    // `dcl1_noc::epoch`'s staged ingress (public API; the machine itself
-    // now injects domain-locally): stage one flit per source in ascending
-    // key order (the common case — seal is then a sortedness check, not a
-    // sort), inject the sealed batch into a crossbar, and clear keeping
-    // the allocation.
-    let mut x: Crossbar<u64> = Crossbar::new(CrossbarConfig::new(8, 4).unwrap());
-    let mut batch: EpochBatch<Packet<u64>> = EpochBatch::with_capacity(8);
-    let mut cycle = 0u64;
-    bench("epoch_batch_stage_seal_inject", || {
-        cycle += 1;
-        for src in 0..8u64 {
-            batch.stage(
-                EpochKey { cycle, source: src, seq: cycle * 8 + src },
-                Packet::new(src as usize, (src % 4) as usize, 2, src),
-            );
-        }
-        batch.seal();
-        x.inject_batch(&mut batch, |_, _| {});
-        batch.clear();
-        x.tick();
-        for out in 0..4 {
-            while x.pop_output(out).is_some() {}
-        }
-    });
-}
-
-fn bench_system_step() {
-    let cfg = GpuConfig::default();
-    let app = by_name("T-AlexNet").unwrap();
-    let mut sys =
-        GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default()).unwrap();
-    bench("system_step_sh40c10boost_80core", || {
-        sys.step();
     });
 }
 
@@ -299,22 +147,6 @@ fn bench_system_step_sparse() {
     });
 }
 
-fn bench_system_step_sharded() {
-    // Same machine partitioned into 4 execution domains with worker
-    // threads off: measures the pure partitioning overhead (per-domain
-    // region loop, presence-log replay) against the sequential figure
-    // above.
-    let cfg = GpuConfig::default();
-    let app = by_name("T-AlexNet").unwrap();
-    let mut sys =
-        GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default()).unwrap();
-    sys.set_shards(4);
-    sys.set_shard_threads(false);
-    bench("system_step_sharded4_inline", || {
-        sys.step();
-    });
-}
-
 fn bench_ledger() {
     use dcl1_bench::ledger::ResultLedger;
     // One `daemon_warm` tenant: 28 labels, each completed 5 600 times
@@ -363,20 +195,9 @@ fn bench_ledger() {
 
 fn main() {
     println!("micro-component benchmarks (median of ~0.5s batched samples)\n");
-    bench_cache();
-    bench_crossbar();
-    bench_crossbar_idle();
     bench_crossbar_sparse();
-    bench_trace();
     bench_mshr();
-    bench_mshr_complete_into();
-    bench_flatmap();
-    bench_dram();
-    bench_presence();
     bench_presence_mean();
-    bench_epoch_batch();
-    bench_system_step();
     bench_system_step_sparse();
-    bench_system_step_sharded();
     bench_ledger();
 }

@@ -40,24 +40,7 @@ fn main() {
     let res = ResCli::parse(&mut filter);
     eprintln!("[experiments] {}", res.banner());
     obs.install_progress();
-    filter.retain(|a| match a.strip_prefix("--workers=") {
-        None => true,
-        Some(w) => {
-            match w.parse::<usize>() {
-                Ok(n) if n > 0 => {
-                    dcl1_bench::runner::set_shard_override(n);
-                    let avail =
-                        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-                    dcl1_bench::runner::set_worker_override((avail / n).max(1));
-                }
-                _ => {
-                    eprintln!("experiments: bad --workers={w}: expected a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            false
-        }
-    });
+    dcl1_bench::apply_workers_flag("experiments", &mut filter);
     let all: Vec<(&str, Experiment)> = vec![
         ("tab1", ex::tab1_private_configs::run),
         ("fig01", ex::fig01_motivation::run),

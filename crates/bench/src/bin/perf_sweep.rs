@@ -32,39 +32,26 @@
 //!                           # supervision knobs (see ResCli)
 //!   ... --trace[=PATH] --metrics[=PATH] --metrics-interval=N --progress[=PATH]
 //!                           # observability sinks (see ObsCli)
-//!   ... --allocs=PATH       # embed an alloc-probe --json report in the
-//!                           # sweep JSON (compared by --compare)
-//!   ... --compare=BASELINE.json [--compare-threshold=R]
-//!                           # regression gate: diff this run against a
-//!                           # committed baseline report; exit 1 on any
-//!                           # digest/throughput/phase/alloc regression
+//!
+//! Exits 1 when the memo accounting undercounts: every planned point must
+//! have been served by a tier, simulated, or quarantined.
 
 use dcl1::{GpuConfig, SimOptions};
-use dcl1_bench::compare::{compare_reports, DEFAULT_THROUGHPUT_THRESHOLD};
 use dcl1_bench::runner::{self, SweepOutcome};
 use dcl1_bench::{grid, ObsCli, ResCli, Scale, Table};
 use dcl1_obs::json::escape;
 use std::fmt::Write as _;
 
 const USAGE: &str = "usage: perf_sweep [--no-fast-forward] [--keep-cache] [--json=PATH] \
-[--stats-out=PATH] [--only=SUBSTR].. [--design=NAME].. [--workers=N] [--allocs=PATH] \
-[--compare=BASELINE.json [--compare-threshold=R]] [--check] [--journal[=PATH]] \
-[--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] [--watchdog=CYCLES] \
+[--stats-out=PATH] [--only=SUBSTR].. [--design=NAME].. [--workers=N] [--check] \
+[--journal[=PATH]] [--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] [--watchdog=CYCLES] \
 [--retry-backoff-ms=N] [--trace[=PATH]] [--trace-sample=N] [--metrics[=PATH]] \
 [--metrics-interval=N] [--observe=APP/DESIGN] [--progress[=PATH]]   (scale: DCL1_SCALE)";
 
-/// This binary's own arguments (`ObsCli` / `ResCli` have taken theirs).
+/// This binary's own arguments (`ObsCli` / `ResCli` / `--workers=` are
+/// already taken).
 fn is_own_arg(arg: &str) -> bool {
-    const VALUED: [&str; 8] = [
-        "--json=",
-        "--stats-out=",
-        "--only=",
-        "--design=",
-        "--workers=",
-        "--allocs=",
-        "--compare=",
-        "--compare-threshold=",
-    ];
+    const VALUED: [&str; 4] = ["--json=", "--stats-out=", "--only=", "--design="];
     arg == "--no-fast-forward" || arg == "--keep-cache" || VALUED.iter().any(|p| arg.starts_with(p))
 }
 
@@ -80,7 +67,6 @@ fn sweep_json(
     end_to_end_wall: f64,
     chaos_seed: Option<u64>,
     digest: &str,
-    allocs_json: Option<&str>,
 ) -> String {
     let m = runner::memo_stats();
     let sim_wall = m.wall_nanos as f64 / 1e9;
@@ -115,14 +101,7 @@ fn sweep_json(
     runner::sweep_phase_profile().render_json_into(&mut out);
     out.push_str(",\n  \"registry\": {");
     runner::sweep_registry_snapshot().render_json_into(&mut out);
-    out.push_str("},\n  \"allocs\": ");
-    match allocs_json {
-        // The alloc-probe fragment is embedded verbatim (it is already
-        // JSON); trailing whitespace would garble the document.
-        Some(frag) => out.push_str(frag.trim_end()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n  \"simcheck\": ");
+    out.push_str("},\n  \"simcheck\": ");
     match simcheck_provenance() {
         Some((rules, findings, suppressed)) => {
             let _ = write!(
@@ -166,6 +145,7 @@ fn main() {
     dcl1_bench::exit_on_help(&args, USAGE);
     let obs = ObsCli::parse(&mut args);
     let res = ResCli::parse(&mut args);
+    dcl1_bench::apply_workers_flag("perf_sweep", &mut args);
     // Before the cache is cleared on the strength of a typo.
     if let Some(arg) = args.iter().find(|a| !is_own_arg(a)) {
         dcl1_bench::reject_unknown_arg("perf_sweep", USAGE, arg);
@@ -178,46 +158,8 @@ fn main() {
         .unwrap_or("BENCH_sweep.json")
         .to_string();
     let stats_out = args.iter().find_map(|a| a.strip_prefix("--stats-out=")).map(String::from);
-    let compare_path =
-        args.iter().find_map(|a| a.strip_prefix("--compare=")).map(String::from);
-    let compare_threshold = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--compare-threshold="))
-        .map_or(DEFAULT_THROUGHPUT_THRESHOLD, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("perf_sweep: bad --compare-threshold={v}: expected a float");
-                std::process::exit(2);
-            })
-        });
-    let allocs_json = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--allocs="))
-        .map(|p| {
-            std::fs::read_to_string(p).unwrap_or_else(|e| {
-                eprintln!("perf_sweep: cannot read --allocs={p}: {e}");
-                std::process::exit(2);
-            })
-        });
     let only: Vec<String> =
         args.iter().filter_map(|a| a.strip_prefix("--only=")).map(String::from).collect();
-    if let Some(w) = args.iter().find_map(|a| a.strip_prefix("--workers=")) {
-        match w.parse::<usize>() {
-            Ok(n) if n > 0 => {
-                // `--workers=N` is intra-point parallelism: N shard
-                // domains inside each machine, and the point-level fan-out
-                // shrinks to available/N so the two layers together never
-                // oversubscribe the host.
-                runner::set_shard_override(n);
-                let avail =
-                    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-                runner::set_worker_override((avail / n).max(1));
-            }
-            _ => {
-                eprintln!("perf_sweep: bad --workers={w}: expected a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
     let scale = Scale::from_env();
 
     if !keep_cache {
@@ -306,7 +248,6 @@ fn main() {
         wall.as_secs_f64(),
         res.chaos_seed,
         &digest,
-        allocs_json.as_deref(),
     );
     match std::fs::write(&json_path, &report) {
         Ok(()) => eprintln!("[perf_sweep] wrote {json_path}"),
@@ -315,24 +256,17 @@ fn main() {
 
     obs.run_if_enabled(scale);
 
-    if let Some(path) = &compare_path {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perf_sweep: cannot read --compare={path}: {e}");
-            std::process::exit(2);
-        });
-        match compare_reports(&report, &baseline, compare_threshold) {
-            Ok(cmp) => {
-                print!("{cmp}");
-                if !cmp.passed() {
-                    eprintln!("[perf_sweep] regression gate failed against {path}");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("perf_sweep: --compare failed: {e}");
-                std::process::exit(2);
-            }
-        }
+    // Every planned point is accounted for: served by a tier, simulated,
+    // or quarantined. An undercount means a tier stopped reporting.
+    let m = runner::memo_stats();
+    let served = m.total_hits() + m.simulated + recovery.quarantines;
+    if served < reqs.len() as u64 {
+        eprintln!(
+            "[perf_sweep] memo accounting undercounts: {served} hits+simulated+quarantined \
+             for {} point(s)",
+            reqs.len()
+        );
+        std::process::exit(1);
     }
 
     // Under chaos, quarantines are injected on purpose (persistent-panic

@@ -1,5 +1,5 @@
 //! One module per paper table/figure. Each exposes
-//! `run(scale) -> Vec<Table>`; the `benches/` targets print the results
+//! `run(scale) -> Vec<Table>`; the `experiments` binary prints the results
 //! and EXPERIMENTS.md records them against the paper's numbers.
 
 pub mod ablations;

@@ -3,8 +3,8 @@
 //!
 //! Each `experiments::figNN` module exposes a `run(scale) -> Vec<Table>`
 //! function that executes the required simulations and returns
-//! paper-style tables; the `benches/` targets (built with
-//! `harness = false`) print them. `scale` shrinks per-wavefront trace
+//! paper-style tables; the `experiments` binary prints them (all, or the
+//! ones named on its command line). `scale` shrinks per-wavefront trace
 //! length (grids stay full so occupancy is realistic); EXPERIMENTS.md
 //! records a `Scale::Quarter` pass, and `Scale::Full` reproduces the
 //! same shapes with longer traces.
@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compare;
 pub mod experiments;
 pub mod grid;
 pub mod ledger;
@@ -44,4 +43,25 @@ pub fn exit_on_help(args: &[String], usage: &str) {
 pub fn reject_unknown_arg(bin: &str, usage: &str, arg: &str) -> ! {
     eprintln!("{bin}: unknown argument {arg:?}\n{usage}");
     std::process::exit(2);
+}
+
+/// Applies and removes every `--workers=N` in `args`. `N` is intra-point
+/// parallelism: N shard domains inside each machine, with the point-level
+/// fan-out shrunk to available/N so the two layers together never
+/// oversubscribe the host. Anything but a positive integer exits 2.
+pub fn apply_workers_flag(bin: &str, args: &mut Vec<String>) {
+    args.retain(|a| {
+        let Some(w) = a.strip_prefix("--workers=") else { return true };
+        match w.parse::<usize>() {
+            Ok(n) if n > 0 => {
+                runner::set_shard_override(n);
+                runner::set_worker_override((runner::available_cores() / n).max(1));
+            }
+            _ => {
+                eprintln!("{bin}: bad --workers={w}: expected a positive integer");
+                std::process::exit(2);
+            }
+        }
+        false
+    });
 }

@@ -70,7 +70,7 @@ impl Scale {
 
     /// Reads the scale from the `DCL1_SCALE` environment variable
     /// (`full` / `quarter` / `smoke`, any case). Unset means `Quarter`, so
-    /// plain `cargo bench` finishes in minutes; a value that is set but
+    /// an unconfigured run finishes in minutes; a value that is set but
     /// not one of the three would silently run a different experiment, so
     /// it ends the process (exit status 2) naming the accepted spellings.
     pub fn from_env() -> Scale {
@@ -1486,11 +1486,16 @@ pub fn set_worker_override(workers: usize) {
     WORKER_OVERRIDE.store(workers, Ordering::Relaxed);
 }
 
+/// Cores this process may run on; 1 when the host will not say.
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
 /// The worker-thread count [`run_apps`] will use: the override if one is
 /// set, otherwise the number of available cores.
 pub fn effective_workers() -> usize {
     match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        0 => available_cores(),
         n => n,
     }
 }

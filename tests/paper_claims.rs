@@ -1,11 +1,5 @@
-//! Qualitative paper-claim checks on the real 80-core machine.
-//!
-//! These run the full-size GPU, so they are `#[ignore]`d by default and
-//! meant for release mode:
-//!
-//! ```bash
-//! cargo test --release --test paper_claims -- --ignored
-//! ```
+//! Qualitative paper-claim checks on the real 80-core machine, at an
+//! eighth of each application's trace length.
 
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
@@ -28,7 +22,6 @@ fn run(app: &str, design: Design) -> RunStats {
 /// Paper Fig 1: Tango's AlexNet has ~95% replication ratio; BlackScholes
 /// has none.
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn replication_ratio_extremes_match_fig1() {
     let alex = run("T-AlexNet", Design::Baseline);
     assert!(alex.replication_ratio() > 0.8, "AlexNet repl {}", alex.replication_ratio());
@@ -39,7 +32,6 @@ fn replication_ratio_extremes_match_fig1() {
 /// Paper §V-B: the shared organization eliminates cross-L1 replication
 /// and collapses the miss rate of replication-sensitive apps.
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn sh40_eliminates_replication_and_cuts_misses() {
     let base = run("T-AlexNet", Design::Baseline);
     let sh = run("T-AlexNet", Design::Shared { nodes: 40 });
@@ -55,7 +47,6 @@ fn sh40_eliminates_replication_and_cuts_misses() {
 
 /// Paper §VI: clustering bounds replicas to the cluster count.
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn clustering_bounds_replicas() {
     let c10 = run("T-AlexNet", Design::Clustered { nodes: 40, clusters: 10, boost: false });
     assert!(c10.mean_replicas <= 10.0 + 0.5, "replicas {}", c10.mean_replicas);
@@ -66,7 +57,6 @@ fn clustering_bounds_replicas() {
 /// Paper Fig 13a / §VI-C: the bandwidth-sensitive poor performer
 /// (P-2DCONV) drops under the clustered design and recovers with Boost.
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn boost_recovers_bandwidth_sensitive_apps()
 {
     let base = run("P-2DCONV", Design::Baseline);
@@ -80,7 +70,6 @@ fn boost_recovers_bandwidth_sensitive_apps()
 /// the fully shared design but not at baseline, and clustering relieves
 /// the hotspot.
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn partition_camping_story() {
     let base = run("P-GEMM", Design::Baseline);
     let sh = run("P-GEMM", Design::Shared { nodes: 40 });
@@ -94,7 +83,6 @@ fn partition_camping_story() {
 /// Paper Table I / Fig 4a: Pr80 performs close to baseline despite the
 /// 4× peak-bandwidth drop (latency tolerance).
 #[test]
-#[ignore = "full-size machine; run with --release -- --ignored"]
 fn pr80_close_to_baseline() {
     let base = run("C-BLK", Design::Baseline);
     let pr80 = run("C-BLK", Design::Private { nodes: 80 });
