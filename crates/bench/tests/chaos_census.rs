@@ -10,19 +10,14 @@
 //! and (c) left detectably corrupt in the shared tier, whose rejection is
 //! each reader's own job (healing is local-only by design).
 
+mod util;
+
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::{grid, runner, Scale};
 use dcl1_common::checksum;
 use dcl1_resilience::Chaos;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcl1-census-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use std::path::Path;
+use util::{finish, num, scratch, sweep_cmd};
 
 /// The apps this census sweeps, each restricted to two designs so the
 /// in-test request list models the sweep's point set exactly.
@@ -68,26 +63,12 @@ fn chaos_corruption_census_lands_on_v3_bucketed_entries() {
     let victims = Chaos::new(seed).corruption_points(&labels);
     assert_eq!(victims.len(), census.corruptions, "census and point list disagree");
 
-    let dir = scratch("sweep");
-    let json = dir.join("sweep.json");
+    let dir = scratch("census");
     let mut args: Vec<String> = CENSUS_APPS.iter().map(|a| format!("--only={a}")).collect();
-    args.push("--design=pr4".to_string());
-    args.push("--design=sh16".to_string());
+    args.extend(["--design=pr4".to_string(), "--design=sh16".to_string()]);
     args.push(format!("--chaos={seed}"));
-    args.push(format!("--json={}", json.display()));
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_sweep"))
-        .args(&args)
-        .env("DCL1_SCALE", "smoke")
-        .env("DCL1_CACHE_DIR", dir.join("cache"))
-        .env("DCL1_CACHE_SHARED_DIR", dir.join("shared"))
-        .current_dir(&dir)
-        .output()
-        .expect("spawn perf_sweep");
-    assert!(
-        out.status.success(),
-        "chaos sweep (seed {seed}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let sweep =
+        finish(sweep_cmd(&dir).env("DCL1_CACHE_SHARED_DIR", dir.join("shared")).args(&args), "sweep");
 
     // Every corruption the engine claims must have landed on the real
     // fan-out layout: healed local entry, still-corrupt shared copy.
@@ -116,11 +97,10 @@ fn chaos_corruption_census_lands_on_v3_bucketed_entries() {
     // The recovery ledger saw exactly the injected corruptions (each one
     // detected once, locally), and the quarantine dir holds the damaged
     // originals.
-    let report = std::fs::read_to_string(&json).expect("sweep report");
-    assert!(
-        report.contains(&format!("\"cache_corruptions\": {}", census.corruptions)),
-        "seed {seed}: ledger disagrees with the census ({} expected):\n{report}",
-        census.corruptions
+    assert_eq!(
+        num(&sweep.report, &["recovery", "cache_corruptions"]),
+        census.corruptions as f64,
+        "seed {seed}: ledger disagrees with the census"
     );
     let qdir = dir.join("cache").join("v3").join("quarantine");
     let quarantined = std::fs::read_dir(&qdir)

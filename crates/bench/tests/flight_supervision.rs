@@ -9,6 +9,8 @@
 //! to a run that never panicked, or the crash would silently change
 //! results.
 
+mod util;
+
 use dcl1_resilience::{supervise, RetryPolicy};
 use dcl1_store::{Codec, DiskTierConfig, Flight, ResultStore, StoreConfig};
 use std::path::PathBuf;
@@ -25,12 +27,6 @@ impl Codec<String> for TextCodec {
     fn decode(&self, body: &str) -> Option<String> {
         Some(body.to_string())
     }
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcl1-flight-sup-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn open_store(root: PathBuf) -> ResultStore<String> {
@@ -53,7 +49,7 @@ fn open_store(root: PathBuf) -> ResultStore<String> {
 
 #[test]
 fn panicking_leader_inside_supervise_releases_waiters_and_reelects() {
-    let dir = scratch("reelect");
+    let dir = util::scratch("reelect");
     let store = Arc::new(open_store(dir.join("cache")));
     let reference = open_store(dir.join("reference"));
 

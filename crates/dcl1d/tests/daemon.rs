@@ -1,174 +1,76 @@
-//! End-to-end daemon acceptance against the real `dcl1d` binary.
+//! End-to-end daemon acceptance against the real `dcl1d` binary, every
+//! tenant sweeping the whole 112-point smoke grid.
 //!
-//! Two service guarantees are proven here at smoke scale:
-//!
-//! 1. **Tenant isolation under chaos**: three tenants sweep the same
-//!    point subset concurrently, one of them with fault injection armed.
-//!    The chaotic tenant's persistent panics end in quarantine records
-//!    scoped to that tenant; the other two complete fully and produce
-//!    byte-identical digests.
+//! 1. **Tenant isolation under chaos**: three tenants sweep the grid
+//!    concurrently, one of them with fault injection armed. The chaotic
+//!    tenant's persistent panics end in quarantine records scoped to that
+//!    tenant; the other two complete fully, on the fault-free digest.
 //! 2. **Crash-safe queueing**: `kill -9` mid-sweep, restart with
 //!    `--resume`, and every accepted job is completed exactly once —
 //!    with the resumed work served from the warm result cache, not
 //!    recomputed (`memo.simulated == 0` in the restarted process).
+//! 3. **The ledger digest**: a grid resubmitted five times over a warm
+//!    store digests to what a byte-at-a-time FNV-1a makes of the dump.
 
-use dcl1_bench::{grid, runner};
+mod util;
+
+use dcl1::{GpuConfig, RunStats, SimOptions};
+use dcl1_bench::{grid, runner, Scale};
 use dcl1_obs::json::Json;
 use dcl1_resilience::Chaos;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+use util::{at, num, rpc, scratch, start_daemon, submit_grid};
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcl1d-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+const GRID_DIGEST: &str = "18859340e85217ad";
+const JOBS: f64 = 112.0;
+
+/// The grid as `perf_sweep` and the daemon build it.
+fn grid_requests() -> Vec<runner::RunRequest> {
+    let cfg = GpuConfig::default();
+    let opts = SimOptions { fast_forward: true, ..SimOptions::default() };
+    grid::build_grid(&grid::default_designs(&cfg), &[], &cfg, opts)
 }
 
-/// Spawns the daemon on an ephemeral port and waits for its port file.
-fn start_daemon(dir: &Path, tag: &str, extra: &[String]) -> (Child, String) {
-    let port_file = dir.join(format!("port-{tag}"));
-    let _ = std::fs::remove_file(&port_file);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcl1d"));
-    cmd.arg("--addr=127.0.0.1:0")
-        .arg(format!("--port-file={}", port_file.display()))
-        .args(extra)
-        .env("DCL1_SCALE", "smoke")
-        .env("DCL1_CACHE_DIR", dir.join("cache"))
-        .current_dir(dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    let child = cmd.spawn().expect("spawn dcl1d");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let addr = loop {
-        if let Ok(s) = std::fs::read_to_string(&port_file) {
-            if !s.is_empty() {
-                break s;
-            }
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote its port file");
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    (child, addr)
-}
-
-/// Sends one request line and reads one reply line.
-fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
-    stream.write_all(line.as_bytes()).expect("send request");
-    stream.write_all(b"\n").expect("send newline");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut reply = String::new();
-    reader.read_line(&mut reply).expect("read reply");
-    assert!(!reply.is_empty(), "daemon closed the connection on: {line}");
-    reply.trim_end().to_string()
-}
-
-fn connect(addr: &str) -> TcpStream {
-    TcpStream::connect(addr).expect("connect to daemon")
-}
-
-/// The `--only` subset both tests sweep: 2 apps × 4 default designs.
-const ONLY: [&str; 2] = ["C-BLK", "C-RAY"];
-
-/// The point labels the subset produces, exactly as the runner (and
-/// therefore the chaos engine) names them.
-fn subset_labels() -> Vec<String> {
-    let cfg = dcl1::GpuConfig::default();
-    let only: Vec<String> = ONLY.iter().map(|s| (*s).to_string()).collect();
-    grid::build_grid(&grid::default_designs(&cfg), &only, &cfg, dcl1::SimOptions::default())
-        .iter()
-        .map(runner::point_label)
-        .collect()
-}
-
-fn submit_line(tenant: &str, chaos: Option<u64>) -> String {
-    let chaos = chaos.map_or(String::new(), |s| format!(",\"chaos\":{s}"));
-    format!(
-        "{{\"cmd\":\"submit\",\"tenant\":\"{tenant}\",\"grid\":true,\
-         \"only\":[\"C-BLK\",\"C-RAY\"]{chaos}}}"
-    )
-}
-
-fn tenant_field<'a>(status: &'a Json, tenant: &str, field: &str) -> &'a Json {
-    status
-        .get("tenants")
-        .and_then(|t| t.get(tenant))
-        .and_then(|t| t.get(field))
-        .unwrap_or_else(|| panic!("status missing tenants.{tenant}.{field}"))
-}
-
-fn count(status: &Json, tenant: &str, field: &str) -> u64 {
-    let v = tenant_field(status, tenant, field)
-        .as_f64()
-        .unwrap_or_else(|| panic!("tenants.{tenant}.{field} is not a number"));
-    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // small counts
-    {
-        v as u64
-    }
+fn quarantined<'a>(status: &'a Json, tenant: &str) -> &'a [Json] {
+    at(status, &["tenants", tenant, "quarantined"]).as_arr().expect("quarantined is a list")
 }
 
 #[test]
 fn tenants_are_isolated_under_chaos() {
-    let labels = subset_labels();
-    assert_eq!(labels.len(), 8, "subset is 2 apps x 4 default designs");
-    // A seed whose persistent panics hit at least one point of the
-    // subset: the chaotic tenant must visibly quarantine work while the
-    // others stay untouched.
-    let seed = (0..300_000u64)
-        .find(|&s| Chaos::new(s).census(&labels).persistent_panics >= 1)
-        .expect("no persistent-panic seed in range");
-    let expected_quarantines = Chaos::new(seed).census(&labels).persistent_panics;
+    // Seed 1's persistent panics (8 of the 112 points) must visibly
+    // quarantine for the chaotic tenant while the others stay untouched.
+    const SEED: u64 = 1;
+    let labels: Vec<String> = grid_requests().iter().map(runner::point_label).collect();
+    let expected_quarantines = Chaos::new(SEED).census(&labels).persistent_panics;
+    assert!(expected_quarantines >= 1, "seed {SEED} injects no persistent panic");
 
     let dir = scratch("isolation");
-    let (mut child, addr) = start_daemon(&dir, "iso", &["--workers=3".to_string()]);
-
-    let mut ctl = connect(&addr);
-    for (tenant, chaos) in [("alice", None), ("bob", None), ("mallory", Some(seed))] {
-        let reply = roundtrip(&mut ctl, &submit_line(tenant, chaos));
-        assert!(
-            reply.contains("\"accepted\":8"),
-            "{tenant} submit not fully accepted: {reply}"
-        );
+    let (mut child, mut ctl) = start_daemon(&dir, "iso", &["--workers=4"]);
+    for (tenant, chaos) in [("alice", None), ("bob", None), ("mallory", Some(SEED))] {
+        assert_eq!(submit_grid(&mut ctl, tenant, chaos), JOBS, "{tenant} not fully accepted");
     }
 
     // `status` must answer while the sweep runs (graceful-degradation
     // contract: status is never starved by load).
-    let live = roundtrip(&mut ctl, "{\"cmd\":\"status\"}");
-    assert!(live.contains("\"ok\":true"), "status wedged during sweep: {live}");
+    let live = rpc(&mut ctl, "{\"cmd\":\"status\"}");
+    assert_eq!(at(&live, &["ok"]), &Json::Bool(true), "status wedged during the sweep");
 
     // Drain blocks until every queued and in-flight job resolves.
-    let final_status = roundtrip(&mut ctl, "{\"cmd\":\"drain\"}");
-    let doc = Json::parse(&final_status).expect("final status parses");
-
+    let fin = rpc(&mut ctl, "{\"cmd\":\"drain\"}");
     for tenant in ["alice", "bob"] {
-        assert_eq!(count(&doc, tenant, "completed"), 8, "{tenant} lost work:\n{final_status}");
-        let quarantined = tenant_field(&doc, tenant, "quarantined")
-            .as_arr()
-            .expect("quarantined is a list");
-        assert!(
-            quarantined.is_empty(),
-            "{tenant} caught mallory's faults:\n{final_status}"
+        assert_eq!(num(&fin, &["tenants", tenant, "completed"]), JOBS, "{tenant} lost work");
+        assert!(quarantined(&fin, tenant).is_empty(), "{tenant} caught mallory's faults");
+        assert_eq!(
+            at(&fin, &["tenants", tenant, "digest"]).as_str(),
+            Some(GRID_DIGEST),
+            "{tenant}'s digest moved"
         );
     }
-    let alice = tenant_field(&doc, "alice", "digest").as_str().expect("alice digest");
-    let bob = tenant_field(&doc, "bob", "digest").as_str().expect("bob digest");
-    assert_eq!(alice, bob, "fault-free tenants diverged:\n{final_status}");
-
-    let mallory_q = tenant_field(&doc, "mallory", "quarantined")
-        .as_arr()
-        .expect("mallory quarantined list");
+    assert_eq!(quarantined(&fin, "mallory").len(), expected_quarantines);
     assert_eq!(
-        mallory_q.len(),
-        expected_quarantines,
-        "seed {seed}: quarantine count off:\n{final_status}"
-    );
-    assert_eq!(
-        usize::try_from(count(&doc, "mallory", "completed")).expect("count fits usize"),
-        8 - expected_quarantines,
-        "mallory's recoverable faults did not recover:\n{final_status}"
+        num(&fin, &["tenants", "mallory", "completed"]),
+        JOBS - expected_quarantines as f64,
+        "mallory's recoverable faults did not recover"
     );
 
     child.wait().expect("daemon exits after drain");
@@ -178,100 +80,121 @@ fn tenants_are_isolated_under_chaos() {
 #[test]
 fn kill9_resume_completes_exactly_once_from_cache() {
     let dir = scratch("resume");
-    let journal = dir.join("queue.jsonl");
+    let journal_arg = "--journal=queue.jsonl";
+    let done_in_journal = || {
+        let (records, _) = dcl1d::qjournal::read_records(&dir.join("queue.jsonl"));
+        records.iter().filter(|r| r.op == dcl1d::qjournal::QueueOp::Done).count() as f64
+    };
 
     // Phase 1: warm the result cache — a tenant completes the whole
-    // subset, then the daemon drains cleanly.
-    let (mut warm, addr) = start_daemon(
-        &dir,
-        "warm",
-        &["--workers=2".to_string(), format!("--journal={}", dir.join("warm.jsonl").display())],
-    );
-    let mut ctl = connect(&addr);
-    let reply = roundtrip(&mut ctl, &submit_line("warmup", None));
-    assert!(reply.contains("\"accepted\":8"), "warmup submit failed: {reply}");
-    let status = roundtrip(&mut ctl, "{\"cmd\":\"drain\"}");
-    assert!(status.contains("\"completed\":8"), "warmup incomplete: {status}");
+    // grid, then the daemon drains cleanly.
+    let (mut warm, mut ctl) = start_daemon(&dir, "warm", &["--workers=2", "--journal=warm.jsonl"]);
+    assert_eq!(submit_grid(&mut ctl, "warmup", None), JOBS);
+    let status = rpc(&mut ctl, "{\"cmd\":\"drain\"}");
+    assert_eq!(num(&status, &["tenants", "warmup", "completed"]), JOBS);
     warm.wait().expect("warm daemon exits");
 
     // Phase 2: same cache, fresh journal. Kill -9 as soon as the journal
     // shows the first completion, leaving accepted-but-unfinished jobs
     // behind. (If the daemon finishes everything before the kill lands,
     // the resume set is empty and the contract below still holds.)
-    let (mut victim, addr) = start_daemon(
-        &dir,
-        "victim",
-        &["--workers=1".to_string(), format!("--journal={}", journal.display())],
-    );
-    let mut ctl = connect(&addr);
-    let reply = roundtrip(&mut ctl, &submit_line("dora", None));
-    assert!(reply.contains("\"accepted\":8"), "victim submit failed: {reply}");
+    let (mut victim, mut ctl) = start_daemon(&dir, "victim", &["--workers=1", journal_arg]);
+    assert_eq!(submit_grid(&mut ctl, "dora", None), JOBS);
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (records, _) = dcl1d::qjournal::read_records(&journal);
-        let done = records.iter().filter(|r| r.op == dcl1d::qjournal::QueueOp::Done).count();
-        if done >= 1 {
-            break;
-        }
+    while done_in_journal() < 1.0 {
         assert!(Instant::now() < deadline, "victim never completed a job");
         std::thread::sleep(Duration::from_millis(1));
     }
     victim.kill().expect("kill -9 the victim");
     victim.wait().expect("reap the victim");
-
-    let (records, _) = dcl1d::qjournal::read_records(&journal);
-    let done_before = records
-        .iter()
-        .filter(|r| r.op == dcl1d::qjournal::QueueOp::Done)
-        .count() as u64;
-    assert!(done_before >= 1, "journal lost the completion that triggered the kill");
+    let done_before = done_in_journal();
+    assert!(done_before >= 1.0, "journal lost the completion that triggered the kill");
 
     // Phase 3: restart with --resume. Exactly the unfinished jobs run
     // again, all served from the warm cache: zero recomputation.
-    let (mut revived, addr) = start_daemon(
-        &dir,
-        "revived",
-        &[
-            "--workers=2".to_string(),
-            format!("--journal={}", journal.display()),
-            "--resume".to_string(),
-        ],
-    );
-    let mut ctl = connect(&addr);
-    let final_status = roundtrip(&mut ctl, "{\"cmd\":\"drain\"}");
-    let doc = Json::parse(&final_status).expect("final status parses");
-
-    let resume = doc
-        .get("daemon")
-        .and_then(|d| d.get("resume"))
-        .expect("resume summary present");
-    let pending = resume.get("pending").and_then(Json::as_f64).expect("pending count");
-    assert_eq!(
-        resume.get("done").and_then(Json::as_f64),
-        Some(done_before as f64),
-        "resume summary disagrees with the journal:\n{final_status}"
-    );
+    let (mut revived, mut ctl) =
+        start_daemon(&dir, "revived", &["--workers=4", journal_arg, "--resume"]);
+    let fin = rpc(&mut ctl, "{\"cmd\":\"drain\"}");
+    let resume = |what: &str| num(&fin, &["daemon", "resume", what]);
+    assert_eq!(resume("accepted"), JOBS);
+    assert_eq!(resume("done"), done_before, "resume summary disagrees with the journal");
+    let pending = resume("pending");
+    assert_eq!(pending, JOBS - done_before);
 
     // Exactly-once: jobs finished before the kill are not re-enqueued,
     // jobs accepted but unfinished all complete now.
-    let completed_after = if pending > 0.0 { count(&doc, "dora", "completed") } else { 0 };
-    assert_eq!(
-        done_before + completed_after,
-        8,
-        "accepted jobs not completed exactly once:\n{final_status}"
-    );
+    let completed_after =
+        if pending > 0.0 { num(&fin, &["tenants", "dora", "completed"]) } else { 0.0 };
+    assert_eq!(done_before + completed_after, JOBS, "accepted jobs not completed exactly once");
 
     // No duplicate compute: every resumed job is a cache hit (the cache
     // was fully warmed in phase 1), so the revived process simulated
     // nothing.
-    let simulated = doc
-        .get("daemon")
-        .and_then(|d| d.get("memo"))
-        .and_then(|m| m.get("memo.simulated"))
-        .and_then(Json::as_f64)
-        .expect("memo.simulated counter");
-    assert_eq!(simulated, 0.0, "resume recomputed cached work:\n{final_status}");
+    assert_eq!(num(&fin, &["daemon", "memo", "memo.simulated"]), 0.0, "resume recomputed");
 
     revived.wait().expect("revived daemon exits after drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The grid resubmitted five times over a warm store: the tenant's
+/// ledger digest (run-length blocks, memoised per block) against a third
+/// implementation of FNV-1a-64 — neither the ledger's block map nor
+/// `checksum::fnv64` — over the dump with every `=== ` chunk repeated five
+/// times in place.
+#[test]
+fn resubmitted_grid_digest_matches_a_naive_fnv1a() {
+    const COPIES: usize = 5;
+    let dir = scratch("resubmit");
+
+    // Warm the store in this process (the only runner use in this test
+    // binary, so the store it builds on first use is this directory),
+    // which also yields the dump.
+    std::env::set_var("DCL1_CACHE_DIR", dir.join("cache"));
+    let reqs = grid_requests();
+    let outcome = runner::run_apps_supervised(&reqs, Scale::Smoke, runner::effective_workers());
+    let points: Vec<(String, RunStats)> =
+        reqs.iter().map(runner::point_label).zip(outcome.results.into_iter().flatten()).collect();
+    assert_eq!(points.len(), 112);
+    let dump = runner::canonical_stats_dump(&points);
+    let mut chunks: Vec<String> = Vec::new();
+    for line in dump.split_inclusive('\n') {
+        if line.starts_with("=== ") {
+            chunks.push(String::new());
+        }
+        chunks.last_mut().expect("a dump starts with a label line").push_str(line);
+    }
+    assert_eq!(chunks.len(), 112);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in chunks {
+        for _ in 0..COPIES {
+            for b in chunk.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    let want = format!("{h:016x}");
+
+    let (mut child, mut ctl) = start_daemon(&dir, "carol", &["--workers=4"]);
+    let simulated = |status: &Json| num(status, &["daemon", "memo", "memo.simulated"]);
+    assert_eq!(simulated(&rpc(&mut ctl, "{\"cmd\":\"status\"}")), 0.0);
+    for round in 1..=COPIES {
+        assert_eq!(submit_grid(&mut ctl, "carol", None), JOBS, "round {round}");
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let status = rpc(&mut ctl, "{\"cmd\":\"status\",\"tenant\":\"carol\"}");
+            if num(&status, &["tenants", "carol", "completed"]) == JOBS * round as f64 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "round {round} stuck: {status:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    let fin = rpc(&mut ctl, "{\"cmd\":\"drain\"}");
+    assert_eq!(num(&fin, &["tenants", "carol", "completed"]), JOBS * COPIES as f64);
+    assert!(quarantined(&fin, "carol").is_empty());
+    assert_eq!(at(&fin, &["tenants", "carol", "digest"]).as_str(), Some(want.as_str()));
+    assert_eq!(simulated(&fin), 0.0, "a warm resubmission simulated");
+
+    child.wait().expect("daemon exits after drain");
     let _ = std::fs::remove_dir_all(&dir);
 }

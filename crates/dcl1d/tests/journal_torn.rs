@@ -5,17 +5,12 @@
 //! skip the torn record, and accept the lost job again on resubmission —
 //! never crash, never double-accept, never resurrect a finished job.
 
+mod util;
+
 use dcl1d::qjournal::{render_record, replay, QueueOp};
 use dcl1d::queue::{JobSpec, Quotas, Verdict};
 use dcl1d::scheduler::{Daemon, DaemonConfig};
-use std::path::PathBuf;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dcl1d-torn-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use util::scratch;
 
 fn spec(tenant: &str, app: &str) -> JobSpec {
     JobSpec {

@@ -5,6 +5,8 @@
 //! One test, because it points this process's result store at a scratch
 //! directory and reads process-wide sweep counters.
 
+mod util;
+
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::runner::{self, RunRequest};
 use dcl1_bench::{grid, Scale};
@@ -39,8 +41,7 @@ const GOLDEN_ONE: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accept
 
 #[test]
 fn resubmitted_sweep_digest_and_golden_reply() {
-    let dir = std::env::temp_dir().join(format!("dcl1d-status-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = util::scratch("status");
     std::env::set_var("DCL1_CACHE_DIR", dir.join("cache"));
 
     let cfg = GpuConfig::default();

@@ -12,11 +12,7 @@ cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 base=$(git rev-parse --verify "$1^{commit}")
 
 tmp=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$tmp/base" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
 # Each checkout builds into, and keeps its warm-store fixture under, its own
@@ -25,9 +21,9 @@ trap 'exit 130' INT TERM
 unset CARGO_TARGET_DIR
 ledger=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 
-# One full set of the checkout at $1, written to $tmp/$2.json.
+# One full set of the tree at $1, written to $tmp/$2.json.
 measure() {
-    echo "#### $2: $(git -C "$1" describe --always --dirty)"
+    echo "#### $2"
     (cd "$1" && "${ledger[@]}" --out "$tmp/$2.json")
 }
 compare() {
@@ -35,7 +31,10 @@ compare() {
     "${ledger[@]}" compare "$tmp/base.json" "$tmp/new.json"
 }
 
-git worktree add --quiet --detach "$tmp/base" "$base"
+# The base is an export, not a worktree: nothing to unregister if this dies.
+echo "#### base is $base, new is $(git describe --always --dirty)"
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 measure "$tmp/base" base
 measure . new
 compare && exit 0

@@ -5,6 +5,8 @@
 //! the parallel runner must return the same results regardless of worker
 //! count — with its memoized values matching a fresh simulation.
 
+mod util;
+
 use dcl1::{Design, GpuConfig, GpuSystem, RunStats, SimOptions};
 use dcl1_bench::runner::{self, RunRequest};
 use dcl1_bench::Scale;
@@ -54,12 +56,8 @@ fn fast_forward_does_not_change_stats() {
 
 #[test]
 fn worker_count_does_not_change_stats() {
-    // Redirect the disk cache so stale entries from other binaries can't
-    // leak into the comparison (the env var is read per call; this test
-    // binary is its own process).
-    let dir = std::env::temp_dir().join("dcl1-determinism-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("DCL1_CACHE_DIR", &dir);
+    // So stale entries from other binaries can't leak into the comparison.
+    let _store = util::private_store();
 
     let reqs: Vec<RunRequest> = ["C-BLK", "C-BFS", "P-GEMM"]
         .iter()
@@ -74,6 +72,4 @@ fn worker_count_does_not_change_stats() {
         let fresh = simulate_fresh(req, Scale::Smoke);
         assert_eq!(&fresh, got, "{}: memoized result differs from a fresh run", got.design);
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
