@@ -8,8 +8,11 @@
 //!   ... --bin dbg -- --census
 //!                           # the 112-point grid; prints only the visit
 //!                           # census summed over it — what a step costs,
-//!                           # per component class (EXPERIMENTS.md "Where
-//!                           # a step goes")
+//!                           # per component class, split into visits
+//!                           # that moved state and visits that did not,
+//!                           # and how often a component that still held
+//!                           # something was let sleep (EXPERIMENTS.md
+//!                           # "Where a step goes")
 
 // Debugging tool, not sim state: panics and small casts are acceptable.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
@@ -36,8 +39,8 @@ fn main() {
     let cfg = GpuConfig::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--census") {
-        // Sum every `steps=` / `visit*=` counter of the snapshot's last
-        // line over the grid.
+        // Sum every counter of the snapshot's last line (`steps=`,
+        // `visit*=`, `acted_*=`, `parked_*=`) over the grid.
         let mut census: BTreeMap<String, u64> = BTreeMap::new();
         let designs = grid::default_designs(&cfg);
         for req in grid::build_grid(&designs, &[], &cfg, SimOptions::default()) {
@@ -48,10 +51,19 @@ fn main() {
             }
         }
         let steps = census["steps"];
+        let per_step = |n: u64| n as f64 / steps as f64;
         println!("steps {steps}");
-        for (key, n) in census.iter().filter(|(key, _)| key.starts_with("visit")) {
-            println!("{key:16} {n:12} {:8.2} per step", *n as f64 / steps as f64);
+        println!(
+            "{:10} {:>12} {:>9} {:>12} {:>12} {:>12}",
+            "class", "visits", "per step", "moved state", "did nothing", "parked"
+        );
+        for (key, &made) in census.iter().filter(|(key, _)| key.starts_with("visit_")) {
+            let class = &key["visit_".len()..];
+            let (acted, parked) = (census[&format!("acted_{class}")], census[&format!("parked_{class}")]);
+            let idle = made - acted;
+            println!("{class:10} {made:12} {:9.2} {acted:12} {idle:12} {parked:12}", per_step(made));
         }
+        println!("visits {} = {:.2} per step", census["visits"], per_step(census["visits"]));
         return;
     }
     let points = if args.is_empty() {

@@ -223,8 +223,10 @@ fn main() {
         }
     }
 
-    // Canonical per-point stats: the byte-comparable artifact resume and
-    // chaos CI jobs diff against a fault-free reference run.
+    // Canonical per-point stats: the byte-comparable artifact
+    // `crates/bench/tests/resilience.rs` diffs against a fault-free
+    // reference run, and `scripts/ci.sh release-digests` stepping against
+    // fast-forward.
     let labeled: Vec<(String, dcl1::RunStats)> = reqs
         .iter()
         .zip(&outcome.results)

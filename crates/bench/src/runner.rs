@@ -737,7 +737,8 @@ pub fn set_point_deadline_secs(secs: u64) {
 }
 
 /// Sets the retry backoff unit in milliseconds (`0` retries immediately —
-/// what the chaos CI job uses to stay fast).
+/// what a `--chaos` sweep, so `crates/bench/tests/resilience.rs`, uses to
+/// stay fast).
 pub fn set_retry_backoff_ms(ms: u64) {
     BACKOFF_MS.store(ms, Ordering::Relaxed);
 }
@@ -1283,8 +1284,9 @@ pub fn run_app_observed(req: &RunRequest, scale: Scale, obs: dcl1::Observer) -> 
 /// `(label, stats)` pair sorted by label, serialized exactly as the disk
 /// cache serializes stats (f64 as bit patterns). Two sweeps over the same
 /// points produced identical statistics iff their dumps are byte-equal —
-/// the artifact the resume/chaos CI jobs diff. Order and framing are
-/// [`ResultLedger`]'s.
+/// the artifact `crates/bench/tests/resilience.rs` (a killed and resumed
+/// sweep, a chaos sweep) and `scripts/ci.sh release-digests` diff. Order
+/// and framing are [`ResultLedger`]'s.
 #[must_use]
 pub fn canonical_stats_dump(points: &[(String, RunStats)]) -> String {
     ResultLedger::of(points).dump()

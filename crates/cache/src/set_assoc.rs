@@ -103,6 +103,15 @@ impl SetAssocCache {
         LookupResult::Miss
     }
 
+    /// Accounts for `n` more [`lookup`](SetAssocCache::lookup)s of a line
+    /// that misses, with no fill in between: the use stamp and the miss
+    /// count move, no way does. What a blocked requester that would have
+    /// retried its lookup every cycle is owed when it wakes.
+    pub fn repeat_misses(&mut self, n: u64) {
+        self.stamp += n;
+        self.stats.misses.add(n);
+    }
+
     /// Checks presence without perturbing LRU state or statistics.
     ///
     /// Used by the replication instrumentation, which probes *other* caches
@@ -245,6 +254,27 @@ mod tests {
         let evicted = c.fill(LineAddr::new(4));
         assert_eq!(evicted, Some(a));
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn repeat_misses_matches_repeated_lookups() {
+        let (mut polled, mut credited) = (small(), small());
+        let (a, b, d) = (LineAddr::new(0), LineAddr::new(2), LineAddr::new(4));
+        for c in [&mut polled, &mut credited] {
+            c.fill(a);
+            c.fill(b);
+            assert_eq!(c.lookup(d), LookupResult::Miss);
+        }
+        for _ in 0..7 {
+            assert_eq!(polled.lookup(d), LookupResult::Miss);
+        }
+        credited.repeat_misses(7);
+        assert_eq!(polled.stats(), credited.stats());
+        assert_eq!(polled.stamp, credited.stamp);
+        for c in [&mut polled, &mut credited] {
+            c.lookup(a);
+            assert_eq!(c.fill(d), Some(b));
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`queue`] — bounded FIFO queues with occupancy/backpressure statistics;
 //! * [`stats`] — counters, running means and utilization helpers;
 //! * [`rng`] — a small deterministic RNG (SplitMix64) so simulations are
-//!   reproducible without threading a `rand` generator everywhere.
+//!   reproducible without threading a `rand` generator everywhere;
+//! * [`wheel`] — the wake wheel timed sleepers park in.
 //!
 //! # Examples
 //!
@@ -43,6 +44,7 @@ pub mod invariant;
 pub mod queue;
 pub mod rng;
 pub mod stats;
+pub mod wheel;
 
 pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, LINE_SIZE};
@@ -54,3 +56,4 @@ pub use ids::{ClusterId, CoreId, McId, NodeId, SliceId, WavefrontId};
 pub use invariant::{FlowMeter, InvariantError, InvariantResult};
 pub use queue::BoundedQueue;
 pub use rng::SplitMix64;
+pub use wheel::WakeWheel;

@@ -57,6 +57,7 @@ mod noc2;
 pub mod node;
 pub mod presence;
 mod shard;
+mod sleep;
 pub mod stats;
 pub mod txn;
 

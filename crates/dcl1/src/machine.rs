@@ -50,15 +50,15 @@ use crate::config::GpuConfig;
 use crate::design::{Attachment, Design, Topology};
 use crate::metrics::MachineMetrics;
 use crate::noc2::Noc2;
-use crate::node::{Dcl1Node, NodeConfig};
+use crate::node::{Dcl1Node, NodeConfig, NodeStats};
 use crate::presence::PresenceMap;
-use crate::shard::{
-    self, CoreMeter, MachineCtx, Region, ShardDomain, ShardPool, ShardReport, Visit,
-};
+use crate::shard::{self, CoreMeter, MachineCtx, Region, ShardDomain, ShardPool, ShardReport};
+use crate::sleep::{self, Census, Visit};
 use crate::stats::RunStats;
 use crate::txn::Txn;
+use dcl1_cache::CacheStats;
 use dcl1_common::stats::RunningMean;
-use dcl1_common::{ActiveSet, ClockDomain, ConfigError, CoreId, Cycle, FlowMeter};
+use dcl1_common::{ActiveSet, ClockDomain, ConfigError, CoreId, Cycle, FlowMeter, WakeWheel};
 use dcl1_gpu::{Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, TraceFactory};
 use dcl1_mem::{DramAccess, L2Slice, MemoryController};
 use dcl1_noc::Crossbar;
@@ -222,10 +222,15 @@ pub struct GpuSystem<'w> {
     noc2: Noc2,
     /// DRAM access popped from a slice but not yet accepted by its MC.
     dram_stash: Vec<Option<DramAccess>>,
+    /// Slices whose stashed DRAM access found the controller's queue full:
+    /// offered again once the controller dequeues.
+    dram_wait: ActiveSet,
     mcs: Vec<MemoryController<usize>>,
-    /// Channels with a queued request or a read completion in flight; a
-    /// channel outside sleeps until `exchange_memory` enqueues into it.
+    /// Channels with a queued request, or a read completing within a tick;
+    /// a channel outside sleeps until `exchange_memory` enqueues into it or
+    /// its alarm in `dram_wheel` (by memory tick) rings.
     channels_live: ActiveSet,
+    dram_wheel: WakeWheel,
     dram_clock: ClockDomain,
 
     /// Observability sinks (tracing + metrics); `Observer::disabled()` by
@@ -365,7 +370,9 @@ impl<'w> GpuSystem<'w> {
                 node_cfg.size_bytes / cfg.line_bytes.max(1) * topo.nodes,
             )),
             dram_stash: (0..l).map(|_| None).collect(),
+            dram_wait: ActiveSet::new(l),
             channels_live: ActiveSet::full(cfg.mcs),
+            dram_wheel: WakeWheel::new(),
             dram_clock: ClockDomain::new(cfg.mem_mhz, cfg.core_mhz),
             cfg: cfg.clone(),
             topo,
@@ -424,7 +431,7 @@ impl<'w> GpuSystem<'w> {
         let total_cores = self.topo.cores;
         let mut produced = 0u64;
         let mut consumed = 0u64;
-        let mut visits = [0; 6];
+        let mut visits = Census::default();
         let mut cores = Vec::with_capacity(total_cores);
         let mut txn_seq = Vec::with_capacity(total_cores);
         let mut meters = Vec::with_capacity(total_cores);
@@ -434,10 +441,10 @@ impl<'w> GpuSystem<'w> {
         let mut l2 = Vec::with_capacity(self.cfg.l2_slices);
         for mut d in self.shards.drain(..) {
             debug_assert!(d.plog.is_empty(), "set_shards with unapplied presence deltas");
-            d.wake_all(self.now);
+            d.wake_all(self.now, &self.rctx);
             produced += d.flow.produced();
             consumed += d.flow.consumed();
-            visits.iter_mut().zip(d.visits).for_each(|(sum, n)| *sum += n);
+            visits.merge(&d.visits);
             cores.extend(d.cores);
             txn_seq.extend(d.txn_seq);
             meters.extend(d.meters);
@@ -565,7 +572,7 @@ impl<'w> GpuSystem<'w> {
         // Take/put-back so `record_into` can borrow `self` shared while
         // the bundle is borrowed mutably.
         let Some(mut mm) = self.metrics.take() else { return };
-        self.settle_cores();
+        self.settle();
         self.record_into(&mut mm);
         self.metrics = Some(mm);
     }
@@ -721,18 +728,39 @@ impl<'w> GpuSystem<'w> {
         m
     }
 
-    /// Credits every parked core the cycles it is owed, so per-core
-    /// `instructions + stalls == measured cycles` holds for a reader — at
-    /// any cycle: the credit is what the skipped ticks would have counted.
-    fn settle_cores(&mut self) {
-        let now = self.now;
-        self.shards.iter_mut().for_each(|d| d.settle_cores(now));
+    /// Credits every sleeper what it is owed, so a reader sees the counters
+    /// ticking every component would have produced (per core `instructions
+    /// + stalls == measured cycles`, per crossbar its ticks) at any cycle.
+    fn settle(&mut self) {
+        let GpuSystem { shards, rctx, noc2, now, .. } = self;
+        shards.iter_mut().for_each(|d| d.settle(*now, rctx));
+        noc2.settle();
+    }
+
+    /// Wakes every sleeper, clocked and credited through the current cycle:
+    /// the next step polls every component, as a machine that never slept
+    /// would. Called every cycle, the reference tests hold sleeping to.
+    pub fn wake_all(&mut self) {
+        let GpuSystem { shards, rctx, noc2, mcs, channels_live, dram_clock, now, .. } = self;
+        shards.iter_mut().for_each(|d| d.wake_all(*now, rctx));
+        noc2.wake_all();
+        for (i, mc) in mcs.iter_mut().enumerate() {
+            if channels_live.insert(i) { mc.skip_idle_ticks(dram_clock.total_ticks() - mc.now()) }
+        }
     }
 
     /// Per-core statistics (stall breakdowns alongside issue counts).
     pub fn core_stats(&mut self) -> Vec<CoreStats> {
-        self.settle_cores();
+        self.settle();
         self.iter_cores().map(|c| *c.stats()).collect()
+    }
+
+    /// Per node, its statistics and its tag array's; per crossbar (NoC#1,
+    /// then NoC#2), the ticks it has been through.
+    pub fn component_stats(&mut self) -> (Vec<(NodeStats, CacheStats)>, Vec<u64>) {
+        self.settle();
+        let nodes = self.iter_nodes().map(|n| (*n.stats(), *n.cache().stats())).collect();
+        (nodes, self.iter_noc1().chain(self.noc2.xbars()).map(|x| x.stats().ticks).collect())
     }
 
     /// Cycles elapsed since statistics last reset (the measured window).
@@ -894,22 +922,26 @@ impl<'w> GpuSystem<'w> {
     /// L2 ↔ DRAM moves and DRAM ticks (coordinator: memory controllers
     /// serve slices from every domain, in global slice order), over the
     /// slices and channels with work. The cycle's last visit to a slice:
-    /// one left with nothing queued, brewing or stashed goes to sleep.
+    /// it sleeps once `sleep::slice_sleeps` — a refused DRAM access awaits
+    /// the controller's next dequeue, a brewing reply two or more cycles
+    /// from ready the alarm set here. A channel with only a read completing
+    /// two or more ticks away sleeps to that tick.
     fn exchange_memory(&mut self) {
         let GpuSystem {
-            shards, mcs, channels_live, dram_stash, dram_clock, noc2, cfg, now, ..
+            shards, mcs, channels_live, dram_stash, dram_wait, dram_wheel, dram_clock, noc2, cfg, now, ..
         } = self;
+        let spm = cfg.slices_per_mc();
         for d in shards.iter_mut() {
-            let ShardDomain { slices_live, l2, slice0, visits, .. } = d;
-            visits[Visit::Slices as usize] += slices_live.count();
+            let ShardDomain { slices_live, l2, slice0, visits, wheel, .. } = d;
             slices_live.retain(|i| {
-                let s = *slice0 + i;
+                let (s, l2) = (*slice0 + i, &mut l2[i]);
                 // L2 → DRAM (via stash).
                 if dram_stash[s].is_none() {
-                    dram_stash[s] = l2[i].pop_dram();
+                    dram_stash[s] = l2.pop_dram();
                 }
-                if let Some(acc) = dram_stash[s] {
-                    let mc = s / cfg.slices_per_mc();
+                let offered = dram_stash[s];
+                if let Some(acc) = offered {
+                    let mc = s / spm;
                     if mcs[mc].can_accept() {
                         if channels_live.insert(mc) {
                             // Enqueues precede the cycle's DRAM ticks.
@@ -921,25 +953,58 @@ impl<'w> GpuSystem<'w> {
                             .try_enqueue(acc.line, acc.is_write, payload)
                             .unwrap_or_else(|_| unreachable!("checked room"));
                         dram_stash[s] = None;
+                    } else {
+                        dram_wait.insert(s);
                     }
                 }
-                dram_stash[s].is_some()
-                    || noc2.has_stashed(s)
-                    || l2[i].quiescent_horizon() != Some(u64::MAX)
+                visits.visit(Visit::Slices, offered.is_some() && dram_stash[s].is_none());
+                let holds = (dram_stash[s].map(|_| true), noc2.stashed_waits(s));
+                let sleeps = sleep::slice_sleeps(l2, holds, |at| {
+                    let timed = at > *now + 2;
+                    if timed {
+                        wheel.schedule(*now, at, sleep::alarm_id(false, i));
+                    }
+                    timed
+                });
+                let idle = holds == (None, None) && l2.quiescent_horizon() == Some(u64::MAX);
+                !visits.park(Visit::Slices, sleeps, idle)
             });
         }
         // DRAM domain.
-        for _ in 0..dram_clock.advance() {
-            shards[0].visits[Visit::Channels as usize] += channels_live.count();
+        let ticks = dram_clock.total_ticks();
+        for tick in ticks + 1..=ticks + u64::from(dram_clock.advance()) {
+            while let Some(mc) = dram_wheel.pop_due(tick) {
+                if channels_live.insert(mc as usize) {
+                    let mc = &mut mcs[mc as usize];
+                    mc.skip_idle_ticks(tick - 1 - mc.now());
+                }
+            }
             for mc in channels_live.iter() {
-                mcs[mc].tick();
+                let issued = mcs[mc].tick();
+                let mut acted = issued;
                 while let Some((line, slice)) = mcs[mc].pop_reply() {
                     // Fills follow the cycle's slice ticks.
                     shard::slice_awake(shards, slice, *now).dram_fill(line);
+                    acted = true;
                 }
+                // So does the queue slot a dequeue frees.
+                for s in (mc * spm..(mc + 1) * spm).filter(|_| issued) {
+                    if dram_wait.contains(s) {
+                        dram_wait.remove(s);
+                        shard::slice_awake(shards, s, *now);
+                    }
+                }
+                shards[0].visits.visit(Visit::Channels, acted);
             }
         }
-        channels_live.retain(|mc| !mcs[mc].is_idle());
+        let ticks = dram_clock.total_ticks();
+        channels_live.retain(|mc| {
+            let timed = mcs[mc].quiescent_horizon().filter(|h| (2..u64::MAX).contains(h));
+            if let Some(h) = timed {
+                dram_wheel.schedule(ticks, ticks + h, sleep::wheel_id(mc));
+            }
+            !shards[0].visits.park(Visit::Channels, timed.is_some() || mcs[mc].is_idle(), timed.is_none())
+        });
     }
 
     // ---------------------------------------------------------------
@@ -995,21 +1060,29 @@ impl<'w> GpuSystem<'w> {
         for (i, x) in self.noc2.rep_xbars().enumerate() {
             x.check_conservation(&format!("noc2_rep{i}"))?;
         }
-        // Occupancy sets: a component outside its set has nothing queued
-        // and a clock no later than the machine's.
+        // Occupancy sets: a component outside its set can do nothing, has
+        // the event that ends that armed, and a clock no later than the
+        // machine's.
+        self.noc2.check_sleepers(&self.shards)?;
+        let unarmed = |site: String| Err(InvariantError::new(site, "asleep with no wake armed"));
         for d in &self.shards {
-            d.check_sleepers(self.now)?;
+            d.check_sleepers(self.now, &self.rctx)?;
             for i in (0..d.l2.len()).filter(|&i| !d.slices_live.contains(i)) {
                 let s = d.slice0 + i;
-                if self.dram_stash[s].is_some() || self.noc2.has_stashed(s) {
-                    return Err(InvariantError::new(format!("l2_{s}"), "asleep with a stash"));
+                let dram = self.dram_stash[s].map(|_| self.dram_wait.contains(s));
+                let alarm = |at| d.wheel.is_set(self.now, at, sleep::alarm_id(false, i));
+                if !sleep::slice_sleeps(&d.l2[i], (dram, self.noc2.stashed_waits(s)), alarm) {
+                    return unarmed(format!("l2_{s}"));
                 }
             }
         }
+        let ticks = self.dram_clock.total_ticks();
         for (i, mc) in self.mcs.iter().enumerate() {
-            let asleep = !self.channels_live.contains(i);
-            if asleep && !(mc.is_idle() && mc.now() <= self.dram_clock.total_ticks()) {
-                return Err(InvariantError::new(format!("mc{i}"), "asleep with work pending"));
+            match mc.quiescent_horizon().filter(|_| mc.now() <= ticks) {
+                _ if self.channels_live.contains(i) => {}
+                None => return Err(InvariantError::new(format!("mc{i}"), "asleep with work pending")),
+                Some(h) if h == u64::MAX || self.dram_wheel.is_set(ticks, mc.now() + h, sleep::wheel_id(i)) => {}
+                Some(_) => return unarmed(format!("mc{i}")),
             }
             if mc.queue_len() > self.cfg.dram.queue_depth {
                 return Err(InvariantError::new(
@@ -1146,7 +1219,7 @@ impl<'w> GpuSystem<'w> {
             }
         }
         // Final pull snapshot at drain — this is the one reports read.
-        self.settle_cores();
+        self.settle();
         self.record_registry();
         Ok(self.collect_stats())
     }
@@ -1243,9 +1316,14 @@ impl<'w> GpuSystem<'w> {
         // `horizon` = steps until the earliest event fires (that step must
         // execute normally). Only a component in a set can hold work or a
         // timer. Cheapest tests first, so active phases bail out fast.
+        // A crossbar awake holds a packet — as does any crossbar a sleeper
+        // awaits a grant from.
+        if self.noc2.awake() {
+            return;
+        }
         let mut horizon = u64::MAX;
         for d in &self.shards {
-            if !d.outbox_wait.is_empty() {
+            if !d.outbox_wait.is_empty() || !d.xbars_live.is_empty() {
                 return;
             }
             for ni in d.nodes_live.iter() {
@@ -1277,9 +1355,6 @@ impl<'w> GpuSystem<'w> {
                 Some(t) => horizon = horizon.min(self.dram_clock.cycles_until_ticks(t.max(1))),
             }
         }
-        if !self.iter_noc1().all(Crossbar::is_idle) || !self.noc2.is_idle() {
-            return;
-        }
         let now = self.now;
         for d in &mut self.shards {
             for i in d.cores_live.iter() {
@@ -1298,6 +1373,14 @@ impl<'w> GpuSystem<'w> {
             if self.iter_cores().any(|c| c.can_host_cta(wpc)) {
                 return;
             }
+        }
+        // The timed sleepers: the step an alarm rings in must execute.
+        for at in self.shards.iter().filter_map(|d| d.wheel.next_due(self.now)) {
+            horizon = horizon.min(at - self.now);
+        }
+        let ticks = self.dram_clock.total_ticks();
+        if let Some(at) = self.dram_wheel.next_due(ticks) {
+            horizon = horizon.min(self.dram_clock.cycles_until_ticks(at - ticks));
         }
 
         let mut skip = if horizon == u64::MAX {
@@ -1331,21 +1414,18 @@ impl<'w> GpuSystem<'w> {
             return;
         }
 
-        // Sleepers are left behind; whoever wakes one clocks it through.
+        // Sleepers — every crossbar among them — are left behind; whoever
+        // wakes one clocks it through.
         self.now += skip;
-        let n1 = skip * self.topo.noc1_ticks_per_cycle();
         for d in &mut self.shards {
             for i in d.cores_live.iter() {
                 d.cores[i].add_idle_cycles(skip);
             }
-            for x in d.noc1_req.iter_mut().chain(d.noc1_rep.iter_mut()) {
-                x.skip_idle_ticks(n1);
-            }
             for ni in d.nodes_live.iter() {
-                d.nodes[ni].skip_idle_cycles(skip);
+                d.nodes[ni].skip_cycles(skip);
             }
             for i in d.slices_live.iter() {
-                d.l2[i].skip_idle_cycles(skip);
+                d.l2[i].skip_cycles(skip);
             }
         }
         self.noc2.skip_idle_cycles(skip);
@@ -1363,12 +1443,12 @@ impl<'w> GpuSystem<'w> {
     pub fn reset_statistics(&mut self) {
         self.warmup_done = true;
         self.stat_base_cycle = self.now;
+        // What a sleeper was owed belongs to the discarded window.
+        self.settle();
         for d in &mut self.shards {
             for c in &mut d.cores {
                 c.reset_stats();
             }
-            // What a parked core was owed belongs to the discarded window.
-            d.parked_at.fill(self.now);
             for n in &mut d.nodes {
                 n.reset_stats();
             }
@@ -1443,7 +1523,7 @@ impl<'w> GpuSystem<'w> {
     /// queue rejections, in-flight packets) for performance debugging.
     pub fn debug_snapshot(&mut self) -> String {
         use std::fmt::Write;
-        self.settle_cores();
+        self.settle();
         let mut s = String::new();
         let idle: u64 = self.iter_cores().map(|c| c.stats().idle_cycles.get()).sum();
         let mstall: u64 = self.iter_cores().map(|c| c.stats().mem_stall_cycles.get()).sum();
@@ -1501,15 +1581,15 @@ impl<'w> GpuSystem<'w> {
             meters.miss_rtt.count()
         )
         .ok();
-        // What a step costs: component visits the walks made, by class.
-        let mut v = [0u64; 6];
-        for d in &self.shards {
-            v.iter_mut().zip(d.visits).for_each(|(sum, n)| *sum += n);
-        }
-        write!(s, "steps={} visits={}", self.steps, v.iter().sum::<u64>()).ok();
+        // What a step costs: component visits the walks made, by class,
+        // and how many of them moved anything.
+        let mut v = Census::default();
+        self.shards.iter().for_each(|d| v.merge(&d.visits));
+        write!(s, "steps={} visits={}", self.steps, v.made.iter().sum::<u64>()).ok();
         // `Visit` order.
-        for (class, n) in ["cores", "outboxes", "xbars", "nodes", "slices", "channels"].iter().zip(v) {
-            write!(s, " visit_{class}={n}").ok();
+        for (i, class) in ["cores", "outboxes", "xbars", "nodes", "slices", "channels"].iter().enumerate() {
+            write!(s, " visit_{class}={} acted_{class}={} parked_{class}={}", v.made[i], v.acted[i], v.parked[i])
+                .ok();
         }
         s.push('\n');
         s

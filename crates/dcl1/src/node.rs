@@ -77,6 +77,17 @@ impl NodeStats {
     }
 }
 
+/// Why the head of Q1 was not served: what each further tick adds, until
+/// a fill is serviced or Q3 drains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeadStall {
+    /// An MSHR stall (no free entry, or the merge list full) rather than
+    /// a full Q3.
+    mshr: bool,
+    /// The stalled tick looked the line up in the tag array, and missed.
+    lookup: bool,
+}
+
 /// One DC-L1 node.
 #[derive(Debug)]
 pub struct Dcl1Node {
@@ -93,6 +104,9 @@ pub struct Dcl1Node {
     /// Scratch buffer for MSHR completions — reused every fill so the
     /// per-transaction path never allocates in steady state.
     fill_scratch: Vec<Txn>,
+    /// How the last tick left the head of Q1, if stalled (`Some` only
+    /// while Q1 is non-empty).
+    head_stall: Option<HeadStall>,
     config: NodeConfig,
     stats: NodeStats,
     now: Cycle,
@@ -124,6 +138,7 @@ impl Dcl1Node {
             hit_pipe: VecDeque::new(),
             reply_stage: VecDeque::new(),
             fill_scratch: Vec::new(),
+            head_stall: None,
             config,
             stats: NodeStats::default(),
             now: 0,
@@ -181,6 +196,8 @@ impl Dcl1Node {
 
     /// Pops the next request bound for the L2.
     pub fn pop_l2_request(&mut self) -> Option<Txn> {
+        // Q3 room may be what the head of Q1 waits for.
+        self.head_stall = None;
         self.q3.pop()
     }
 
@@ -217,13 +234,38 @@ impl Dcl1Node {
         }
     }
 
+    /// Whether every tick is a foregone conclusion until somebody pushes
+    /// into Q1 or Q4 or pops Q2 or Q3: no fill to service, no hit
+    /// maturing, staged replies (if any) behind a full Q2, and Q1 empty or
+    /// its head stalled — on the MSHR until a fill is serviced, on a full
+    /// Q3 until it drains.
+    pub fn blocked(&self) -> bool {
+        self.q4.is_empty()
+            && self.hit_pipe.is_empty()
+            && (self.reply_stage.is_empty() || self.q2.is_full())
+            && (self.q1.is_empty() || self.head_stall.is_some())
+    }
+
     /// Advances the node clock by `cycles` without ticking. Exactly
     /// equivalent to `cycles` calls to [`tick`](Dcl1Node::tick) on a node
-    /// whose queues are empty and whose hit pipe matures no entry in that
-    /// span (a tick in that state only increments the clock).
-    pub fn skip_idle_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.quiescent_horizon().is_some_and(|h| h > cycles));
+    /// that is [`blocked`](Dcl1Node::blocked), or whose queues are empty
+    /// and whose hit pipe matures no entry in that span: such a tick
+    /// increments the clock and, for a stalled Q1 head, the stall counters
+    /// (and the tag array's miss count, where the retry looks the line up).
+    pub fn skip_cycles(&mut self, cycles: u64) {
+        debug_assert!(self.blocked() || self.quiescent_horizon().is_some_and(|h| h > cycles));
         self.now += cycles;
+        if let Some(stall) = self.head_stall {
+            self.stats.stall_cycles.add(cycles);
+            if stall.mshr {
+                self.stats.mshr_stall_cycles.add(cycles);
+            } else {
+                self.stats.q3_stall_cycles.add(cycles);
+            }
+            if stall.lookup {
+                self.cache.repeat_misses(cycles);
+            }
+        }
     }
 
     /// Core cycles this node has been clocked through (ticked or skipped).
@@ -324,8 +366,9 @@ impl Dcl1Node {
     /// sharded one; `obs` receives lifecycle span hops for sampled
     /// transactions (a free no-op when tracing is off).
     ///
-    /// Returns whether the tick found nothing to do (and only advanced the
-    /// clock) — the owner's cue to check whether the node can sleep.
+    /// Returns whether anything moved — if nothing did (the tick advanced
+    /// the clock and at most counted a stall), the owner's cue to check
+    /// whether the node can sleep.
     pub fn tick<P: PresenceSink>(&mut self, presence: &mut P, obs: &mut Observer) -> bool {
         self.now += 1;
 
@@ -338,13 +381,15 @@ impl Dcl1Node {
             && self.hit_pipe.is_empty()
             && self.reply_stage.is_empty()
         {
-            return true;
+            return false;
         }
+        let mut moved = false;
 
         // 1. Service L2 replies from Q4 (fill port; widened for the
         //    ideal single-L1 study).
         for _ in 0..self.config.ports {
         if let Some(txn) = self.q4.pop() {
+            moved = true;
             match txn.kind {
                 MemKind::Load => {
                     // Install the line and wake every merged waiter.
@@ -371,6 +416,7 @@ impl Dcl1Node {
         }
 
         // 2. Serve demand requests from Q1 (data port, `ports` per cycle).
+        self.head_stall = None;
         for _ in 0..self.config.ports {
             let Some(head) = self.q1.front() else { break };
             let kind = head.kind;
@@ -378,8 +424,7 @@ impl Dcl1Node {
                 MemKind::Atomic | MemKind::Aux => {
                     // Bypass Q1 → Q3.
                     if self.q3.is_full() {
-                        self.stats.stall_cycles.inc();
-                        self.stats.q3_stall_cycles.inc();
+                        self.stall_head(false, false);
                         break;
                     }
                     let txn = self.q1.pop().expect("front was Some");
@@ -393,8 +438,7 @@ impl Dcl1Node {
                     // A merge into a full merge list would lose the
                     // request: stall the head until the fill returns.
                     if pending && !self.mshr.can_accept(line) {
-                        self.stats.stall_cycles.inc();
-                        self.stats.mshr_stall_cycles.inc();
+                        self.stall_head(true, false);
                         break;
                     }
                     let hit = if self.config.perfect {
@@ -412,12 +456,7 @@ impl Dcl1Node {
                                 if !pending && (self.mshr.is_full() || self.q3.is_full()) {
                                     // Structural stall: leave the head in
                                     // Q1 and retry next cycle.
-                                    self.stats.stall_cycles.inc();
-                                    if self.mshr.is_full() {
-                                        self.stats.mshr_stall_cycles.inc();
-                                    } else {
-                                        self.stats.q3_stall_cycles.inc();
-                                    }
+                                    self.stall_head(self.mshr.is_full(), true);
                                     break;
                                 }
                                 self.stats.accesses.inc();
@@ -450,8 +489,7 @@ impl Dcl1Node {
                     // Write-evict + no-write-allocate: the write always
                     // forwards to the L2, so require Q3 room up front.
                     if self.q3.is_full() {
-                        self.stats.stall_cycles.inc();
-                        self.stats.q3_stall_cycles.inc();
+                        self.stall_head(false, false);
                         break;
                     }
                     let txn = self.q1.pop().expect("front was Some");
@@ -477,11 +515,13 @@ impl Dcl1Node {
                     self.q3.try_push(txn).unwrap_or_else(|_| unreachable!("checked room"));
                 }
             }
+            moved = true;
         }
 
         // 3. Release hits whose latency elapsed.
         while let Some((ready, _)) = self.hit_pipe.front() {
             if *ready <= self.now {
+                moved = true;
                 let (_, txn) = self.hit_pipe.pop_front().expect("front was Some");
                 obs.trace_hop(txn.id, "reply", self.now);
                 self.reply_stage.push_back(txn);
@@ -494,8 +534,20 @@ impl Dcl1Node {
         while !self.q2.is_full() {
             let Some(txn) = self.reply_stage.pop_front() else { break };
             self.q2.try_push(txn).unwrap_or_else(|_| unreachable!("checked room"));
+            moved = true;
         }
-        false
+        moved
+    }
+
+    /// Counts one stalled cycle of the Q1 head and remembers its kind.
+    fn stall_head(&mut self, mshr: bool, lookup: bool) {
+        self.head_stall = Some(HeadStall { mshr, lookup });
+        self.stats.stall_cycles.inc();
+        if mshr {
+            self.stats.mshr_stall_cycles.inc();
+        } else {
+            self.stats.q3_stall_cycles.inc();
+        }
     }
 
     fn install<P: PresenceSink>(&mut self, line: LineAddr, presence: &mut P) {
@@ -721,5 +773,40 @@ mod tests {
         }
         n.tick(&mut p, &mut Observer::disabled());
         assert_eq!(n.stats().accesses.get(), 4);
+    }
+
+    #[test]
+    fn skipping_a_blocked_node_credits_what_its_ticks_count() {
+        let mut p = PresenceMap::new();
+        // An MSHR-full load miss (retried through the tag array) and a
+        // store behind a full Q3 (no lookup).
+        let cases = [
+            (NodeConfig { mshr_entries: 1, ..cfg() }, MemKind::Load),
+            (NodeConfig { queue_entries: 1, ..cfg() }, MemKind::Store),
+        ];
+        for (config, kind) in cases {
+            let mut stalled = || {
+                let mut n = Dcl1Node::new(config).unwrap();
+                n.try_push_request(txn(1, 1, kind)).unwrap();
+                tick_n(1, &mut n, &mut p);
+                n.try_push_request(txn(2, 2, kind)).unwrap();
+                assert!(!n.tick(&mut p, &mut Observer::disabled()), "{kind:?}: head must stall");
+                assert!(n.blocked());
+                n
+            };
+            let (mut ticked, mut skipped) = (stalled(), stalled());
+            tick_n(9, &mut ticked, &mut p);
+            skipped.skip_cycles(9);
+            assert_eq!(ticked.stats().stall_cycles.get(), 10, "{kind:?}");
+            assert_eq!(format!("{:?}", ticked.stats()), format!("{:?}", skipped.stats()));
+            assert_eq!(ticked.cache().stats(), skipped.cache().stats(), "{kind:?}");
+            assert_eq!(ticked.now(), skipped.now());
+            // Q3 room ends a Q3 stall; an MSHR stall outlasts it.
+            for n in [&mut ticked, &mut skipped] {
+                n.pop_l2_request().unwrap();
+                assert!(!n.blocked(), "{kind:?}: re-probe after a Q3 pop");
+                assert_eq!(n.tick(&mut p, &mut Observer::disabled()), kind == MemKind::Store);
+            }
+        }
     }
 }

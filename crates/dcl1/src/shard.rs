@@ -19,9 +19,10 @@
 use crate::design::{Attachment, Topology};
 use crate::node::Dcl1Node;
 use crate::presence::{PresenceLog, PresenceMap, PresenceSession};
+use crate::sleep::{Census, Visit};
 use crate::txn::Txn;
 use dcl1_common::stats::RunningMean;
-use dcl1_common::{ActiveSet, Cycle, FlowMeter, Histogram, InvariantError, InvariantResult};
+use dcl1_common::{ActiveSet, Cycle, FlowMeter, Histogram, WakeWheel};
 use dcl1_gpu::{Core, MemBlock, MemKind};
 use dcl1_mem::L2Slice;
 use dcl1_noc::{Crossbar, Packet};
@@ -142,27 +143,18 @@ impl Region {
     }
 }
 
-/// Component classes of the per-cycle visit tally (`debug_snapshot`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Visit {
-    Cores,
-    Outboxes,
-    Xbars,
-    Nodes,
-    Slices,
-    Channels,
-}
-
 /// One shard's slice of the machine: a contiguous range of cores (with
 /// their outboxes, meters and transaction sequencers), DC-L1 nodes, NoC#1
 /// cluster crossbars and L2 slices, plus the presence log replayed at the
 /// barrier.
 ///
 /// The per-cycle walks visit only the components in the `*_live` sets
-/// (local indices). Whoever hands a component work puts it back in its
-/// set, first clocking it through the cycles it slept with the calls
-/// whole-machine fast-forward uses; its walk takes it out when a visit
-/// finds nothing pending (DESIGN.md "Who wakes whom").
+/// (local indices). A walk takes a component out when every further visit
+/// is a foregone conclusion — it holds nothing, only a timer, or only
+/// work something refused — with the one event that can end that armed;
+/// whoever causes the event puts it back, first clocking it through the
+/// cycles it slept and crediting what their ticks would have counted
+/// (DESIGN.md "Who wakes whom").
 #[derive(Debug)]
 pub(crate) struct ShardDomain {
     /// Domain index (usize::MAX marks the placeholder left behind while a
@@ -198,13 +190,25 @@ pub(crate) struct ShardDomain {
     /// Per-core RTT meters (merged in global core order at collection).
     pub meters: Vec<CoreMeter>,
     pub nodes: Vec<Dcl1Node>,
-    /// Nodes holding anything in a queue, the reply stage or the hit pipe.
+    /// Nodes a tick or an offer can move something in.
     pub nodes_live: ActiveSet,
+    /// Nodes whose Q3 head NoC#2 refused: offered again only once the
+    /// input it awaits is granted.
+    pub q3_wait: ActiveSet,
     pub noc1_req: Vec<Crossbar<Txn>>,
     pub noc1_rep: Vec<Crossbar<Txn>>,
+    /// NoC#1 crossbars a tick or an ejection can move a packet in: cluster
+    /// `k`'s request crossbar is `2k`, its reply crossbar `2k + 1`.
+    pub xbars_live: ActiveSet,
+    /// Request crossbars whose every packet is parked at a node with a full
+    /// Q1: ticked again once a node of the cluster has room.
+    pub xbars_wait: ActiveSet,
     pub l2: Vec<L2Slice<Txn>>,
-    /// Slices with input, brewing replies, DRAM-bound requests or a stash.
+    /// Slices a tick, a reply offer or a DRAM offer can move something in.
     pub slices_live: ActiveSet,
+    /// Alarms, by cycle, of the nodes and slices whose only pending thing
+    /// is a timer.
+    pub wheel: WakeWheel,
 
     /// Presence deltas accumulated by this domain's node ticks, replayed
     /// into the shared map at the barrier (in domain order).
@@ -216,8 +220,7 @@ pub(crate) struct ShardDomain {
     /// Wall nanoseconds this domain spent executing regions (diagnostics
     /// only; nondeterministic by nature).
     pub busy_nanos: u64,
-    /// Visits made, indexed by [`Visit`].
-    pub visits: [u64; 6],
+    pub visits: Census,
 }
 
 impl ShardDomain {
@@ -249,15 +252,19 @@ impl ShardDomain {
             meters: vec![CoreMeter::default(); n],
             cores,
             nodes_live: ActiveSet::full(nodes.len()),
+            q3_wait: ActiveSet::new(nodes.len()),
             nodes,
+            xbars_live: ActiveSet::full(2 * noc1_req.len()),
+            xbars_wait: ActiveSet::new(2 * noc1_req.len()),
             noc1_req,
             noc1_rep,
             slices_live: ActiveSet::full(l2.len()),
             l2,
+            wheel: WakeWheel::new(),
             plog: PresenceLog::new(),
             flow,
             busy_nanos: 0,
-            visits: [0; 6],
+            visits: Census::default(),
         }
     }
 
@@ -284,113 +291,21 @@ impl ShardDomain {
         }
     }
 
-    /// Puts core `i` back on the issue walk, first crediting the ticks it
-    /// slept through `through`, the last cycle whose issue slot has passed.
-    /// Call *before* the event that ends the core's inertia.
-    pub fn wake_core(&mut self, i: usize, through: Cycle) {
-        if self.cores_live.insert(i) {
-            self.credit_parked(i, through);
-        }
-    }
-
-    /// Credits every parked core through `now` (it stays parked): what a
-    /// reader of core statistics needs.
-    pub fn settle_cores(&mut self, now: Cycle) {
-        for i in 0..self.cores.len() {
-            if !self.cores_live.contains(i) {
-                self.credit_parked(i, now);
-            }
-        }
-    }
-
-    /// Idle cycles, or stalls behind the port its waiting head found closed.
-    fn credit_parked(&mut self, i: usize, through: Cycle) {
-        let block = self.outbox[i].front().map(|_| self.outbox_cause[i]);
-        self.cores[i].add_inert_cycles(through - self.parked_at[i], block);
-        self.parked_at[i] = through;
-    }
-
-    /// Puts node `ni` back on the node walks, clocked through `through`:
-    /// `now - 1` from every producer (outbox heads, NoC#1 and NoC#2
-    /// ejection all precede the cycle's node ticks).
-    pub fn wake_node(&mut self, ni: usize, through: Cycle) {
-        if self.nodes_live.insert(ni) {
-            let node = &mut self.nodes[ni];
-            node.skip_idle_cycles(through - node.now());
-        }
-    }
-
-    /// Puts slice `i` back on the slice walks, clocked through `through`:
-    /// `now - 1` for a request (NoC#2 ejection precedes the cycle's slice
-    /// ticks), `now` for a DRAM fill (it follows them).
-    pub fn wake_slice(&mut self, i: usize, through: Cycle) {
-        if self.slices_live.insert(i) {
-            let l2 = &mut self.l2[i];
-            l2.skip_idle_cycles(through - l2.now());
-        }
-    }
-
-    /// Wakes every component, each clocked (cores: credited) through `now`.
-    pub fn wake_all(&mut self, now: Cycle) {
-        (0..self.cores.len()).for_each(|i| self.wake_core(i, now));
-        (0..self.nodes.len()).for_each(|ni| self.wake_node(ni, now));
-        (0..self.l2.len()).for_each(|i| self.wake_slice(i, now));
-    }
-
-    /// The port outbox `i`'s head waits on freed a slot: visit the core
-    /// again, to offer the head (its stall cause may now change).
-    fn retry_outbox(&mut self, i: usize, now: Cycle) {
-        if self.outbox_wait.contains(i) {
-            self.outbox_wait.remove(i);
-            self.wake_core(i, now);
-        }
-    }
-
-    /// Everything outside a set has nothing to do: a parked core is inert
-    /// with no head to offer (a waiting one, if port-blocked), only
-    /// non-empty outboxes wait, sleeping nodes and slices hold nothing, and
-    /// no sleeper's clock is ahead of `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sleeper found with work pending.
-    pub fn check_sleepers(&self, now: Cycle) -> InvariantResult {
-        let fail = |site: String| Err(InvariantError::new(site, "asleep with work pending"));
-        for (i, core) in self.cores.iter().enumerate() {
-            let (empty, waits) = (self.outbox[i].is_empty(), self.outbox_wait.contains(i));
-            let parked = !self.cores_live.contains(i);
-            let inert = core.inert().is_some_and(|port_blocked| !port_blocked || waits);
-            if (waits && empty) || (parked && !(inert && (empty || waits) && self.parked_at[i] <= now)) {
-                return fail(format!("core{}", self.core0 + i));
-            }
-        }
-        for (ni, node) in self.nodes.iter().enumerate() {
-            let idle = node.quiescent_horizon() == Some(u64::MAX) && node.now() <= now;
-            if !self.nodes_live.contains(ni) && !idle {
-                return fail(format!("node{}", self.node0 + ni));
-            }
-        }
-        for (i, l2) in self.l2.iter().enumerate() {
-            let idle = l2.quiescent_horizon() == Some(u64::MAX) && l2.now() <= now;
-            if !self.slices_live.contains(i) && !idle {
-                return fail(format!("l2_{}", self.slice0 + i));
-            }
-        }
-        Ok(())
-    }
-
     /// One pass over the cores that can act: core issue (one instruction
     /// per core per cycle) into the core's outbox, then that outbox's head
     /// into this domain's NoC#1 / node Q1. Core `j`'s issue never reads
     /// core `i`'s injection, so the fused pass orders every shared port's
     /// arrivals exactly as issue-all-then-inject-all did.
     fn region_issue(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
-        debug_assert_eq!(self.check_sleepers(now), Ok(()));
+        // The cycle's first pass: the timers that expire in it ring here.
+        self.ring_alarms(now);
+        debug_assert_eq!(self.check_sleepers(now, ctx), Ok(()));
         // Nothing wakes a core during the pass: the set can leave `self`.
         let mut live = std::mem::take(&mut self.cores_live);
-        self.visits[Visit::Cores as usize] += live.count();
         live.retain(|i| {
+            let retired = self.cores[i].stats().instructions.get();
             self.issue(i, now, ctx, obs);
+            self.visits.visit(Visit::Cores, self.cores[i].stats().instructions.get() != retired);
             if !self.outbox[i].is_empty() && !self.outbox_wait.contains(i) {
                 self.inject_outbox_head(i, now, ctx, obs);
             }
@@ -466,6 +381,7 @@ impl ShardDomain {
                 if self.noc1_req[ki].can_inject(src) {
                     let slot = ctx.topo.home_slot(ctx.m, c, txn.line);
                     obs.trace_hop(txn.id, "noc1_req", now);
+                    self.wake_xbar(2 * ki, now - 1, ctx);
                     self.noc1_req[ki]
                         .try_inject(ctx.packet(src, slot, down_bytes(&txn), txn))
                         .unwrap_or_else(|_| unreachable!("checked room"));
@@ -481,58 +397,79 @@ impl ShardDomain {
         } else {
             self.outbox_wait.insert(i);
         }
-        self.visits[Visit::Outboxes as usize] += 1;
+        self.visits.visit(Visit::Outboxes, cause == MemBlock::OutboxDrain);
         self.outbox_cause[i] = cause;
     }
 
-    /// NoC#1 ticks for this domain's clusters, with request ejection into
-    /// this domain's nodes and reply completion at this domain's cores.
+    /// NoC#1 ticks for this domain's crossbars that hold a packet, with
+    /// request ejection into this domain's nodes and reply completion at
+    /// this domain's cores. A grant frees an injection slot: the outbox
+    /// head or the node's Q2 head waiting at that input can move. A
+    /// crossbar left empty, or with nothing but packets its nodes have no
+    /// room for, goes to sleep.
     fn region_noc1(&mut self, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
-        let ticks = ctx.topo.noc1_ticks_per_cycle();
         let (m, cpc) = (ctx.m, ctx.cpc);
-        for _ in 0..ticks {
-            for ki in 0..self.noc1_req.len() {
-                let k = self.cluster0 + ki;
-                self.visits[Visit::Xbars as usize] += 2;
-                self.noc1_req[ki].tick();
-                // A grant frees a slot: a head waiting at that input can move.
-                if !self.outbox_wait.is_empty() {
+        for _ in 0..ctx.topo.noc1_ticks_per_cycle() {
+            // Nothing injects during the pass: the set can leave `self`.
+            let mut live = std::mem::take(&mut self.xbars_live);
+            live.retain(|xi| {
+                let (ki, k) = (xi / 2, self.cluster0 + xi / 2);
+                let flits = self.noc1(xi).lifetime_moved_flits();
+                self.noc1(xi).tick();
+                let mut acted = self.noc1(xi).lifetime_moved_flits() != flits;
+                let mut at = 0;
+                if xi.is_multiple_of(2) {
                     for src in self.noc1_req[ki].take_granted() {
                         self.retry_outbox(k * cpc + src - self.core0, now);
                     }
-                }
-                // Eject requests into node Q1 (respecting Q1 room), from
-                // the ports that hold any.
-                let mut at = 0;
-                while let Some(slot) = self.noc1_req[ki].next_parked(at) {
-                    at = slot + 1;
-                    let ni = k * m + slot - self.node0;
-                    while self.nodes[ni].can_accept_request() {
-                        let Some(pkt) = self.noc1_req[ki].pop_output(slot) else { break };
-                        obs.trace_hop(pkt.payload.id, "l1_queue", now);
-                        self.wake_node(ni, now - 1);
-                        self.nodes[ni]
-                            .try_push_request(pkt.payload)
-                            .unwrap_or_else(|_| unreachable!("checked room"));
+                    // Eject requests into node Q1 (respecting Q1 room),
+                    // from the ports that hold any.
+                    while let Some(slot) = self.noc1_req[ki].next_parked(at) {
+                        at = slot + 1;
+                        let ni = k * m + slot - self.node0;
+                        while self.nodes[ni].can_accept_request() {
+                            let Some(pkt) = self.noc1_req[ki].pop_output(slot) else { break };
+                            obs.trace_hop(pkt.payload.id, "l1_queue", now);
+                            self.wake_node(ni, now - 1);
+                            self.nodes[ni]
+                                .try_push_request(pkt.payload)
+                                .unwrap_or_else(|_| unreachable!("checked room"));
+                            acted = true;
+                        }
+                    }
+                } else {
+                    for src in self.noc1_rep[ki].take_granted() {
+                        self.wake_node(k * m + src - self.node0, now - 1);
+                    }
+                    while let Some(port) = self.noc1_rep[ki].next_parked(at) {
+                        at = port + 1;
+                        while let Some(pkt) = self.noc1_rep[ki].pop_output(port) {
+                            self.complete_at_core(pkt.payload, now, obs);
+                            acted = true;
+                        }
                     }
                 }
-                self.noc1_rep[ki].tick();
-                let mut at = 0;
-                while let Some(port) = self.noc1_rep[ki].next_parked(at) {
-                    at = port + 1;
-                    while let Some(pkt) = self.noc1_rep[ki].pop_output(port) {
-                        self.complete_at_core(pkt.payload, now, obs);
-                    }
+                self.visits.visit(Visit::Xbars, acted);
+                // Every node just refused what is parked for it, and no
+                // tick can move anything else: `drain_replies` sees the
+                // Q1 room that ends that.
+                let waits = !acted && self.noc1(xi).waits_on_ejection();
+                if self.visits.park(Visit::Xbars, waits, false) {
+                    self.xbars_wait.insert(xi);
                 }
-            }
+                !(waits || self.noc1(xi).is_idle())
+            });
+            self.xbars_live = live;
         }
     }
 
     /// L2 slice ticks, then one pass over the nodes with work: the node's
     /// tick (presence reads from the cycle-start snapshot, writes to the
     /// domain log) and its reply drain — node `j`'s tick never reads what
-    /// node `i`'s drain wrote. The cycle's last visit to a node: one left
-    /// with nothing queued, staged or maturing goes to sleep.
+    /// node `i`'s drain wrote. The cycle's last visit to a node: one that
+    /// can do nothing more goes to sleep ([`node_sleeps`]).
+    ///
+    /// [`node_sleeps`]: ShardDomain::node_sleeps
     fn region_mem(
         &mut self,
         now: Cycle,
@@ -540,27 +477,36 @@ impl ShardDomain {
         presence: &PresenceMap,
         obs: &mut Observer,
     ) {
-        self.visits[Visit::Slices as usize] += self.slices_live.count();
         for i in self.slices_live.iter() {
-            self.l2[i].tick();
+            let served = self.l2[i].tick();
+            self.visits.visit(Visit::Slices, served);
         }
+        // Nothing wakes a node during the pass: the set can leave `self`.
         let mut live = std::mem::take(&mut self.nodes_live);
-        self.visits[Visit::Nodes as usize] += live.count();
         live.retain(|ni| {
-            let idle =
+            let moved =
                 self.nodes[ni].tick(&mut PresenceSession::new(presence, &mut self.plog), obs);
-            self.drain_replies(ni, now, ctx, obs);
-            // Only a node whose tick found nothing can have nothing left.
-            !(idle && self.nodes[ni].quiescent_horizon() == Some(u64::MAX))
+            let drained = self.drain_replies(ni, now, ctx, obs);
+            self.visits.visit(Visit::Nodes, moved || drained);
+            // Only a node whose tick moved nothing can have nothing to do.
+            moved || !self.node_sleeps(ni, now, ctx)
         });
         self.nodes_live = live;
     }
 
     /// Node `ni`'s Q2 → core (direct) or NoC#1 reply injection,
-    /// domain-local.
-    fn drain_replies(&mut self, ni: usize, now: Cycle, ctx: &MachineCtx, obs: &mut Observer) {
+    /// domain-local; whether a reply left. A head NoC#1 refuses waits for
+    /// a grant of its input.
+    fn drain_replies(
+        &mut self,
+        ni: usize,
+        now: Cycle,
+        ctx: &MachineCtx,
+        obs: &mut Observer,
+    ) -> bool {
         let n = self.node0 + ni;
         let (m, cpc) = (ctx.m, ctx.cpc);
+        let mut drained = false;
         match ctx.topo.attachment {
             Attachment::Direct => {
                 // A direct-attached L1 returns one reply per cycle at full
@@ -569,6 +515,7 @@ impl ShardDomain {
                 for _ in 0..pops {
                     let Some(txn) = self.nodes[ni].pop_reply() else { break };
                     self.complete_at_core(txn, now, obs);
+                    drained = true;
                 }
                 // Q1 room (only the tick just run makes any) is what the
                 // heads of cluster `n`'s cores wait for.
@@ -579,19 +526,32 @@ impl ShardDomain {
                     }
                 }
             }
-            Attachment::Noc1 { .. } if self.nodes[ni].peek_reply().is_some() => {
+            Attachment::Noc1 { .. } => {
                 let (ki, src) = (n / m - self.cluster0, n % m);
-                if self.noc1_rep[ki].can_inject(src) {
-                    let txn = self.nodes[ni].pop_reply().expect("peeked Some");
-                    obs.trace_hop(txn.id, "noc1_rep", now);
-                    let pkt = ctx.packet(src, txn.core.index() % cpc, up_bytes(&txn), txn);
-                    self.noc1_rep[ki]
-                        .try_inject(pkt)
-                        .unwrap_or_else(|_| unreachable!("checked room"));
+                // Q1 room (only the tick just run makes any) is what the
+                // cluster's request crossbar waits for, if it holds a
+                // packet for this node: after this cycle's NoC#1 ticks.
+                let room = self.xbars_wait.contains(2 * ki) && self.nodes[ni].can_accept_request();
+                if room && self.noc1_req[ki].peek_output(src).is_some() {
+                    self.wake_xbar(2 * ki, now, ctx);
+                }
+                match self.nodes[ni].peek_reply() {
+                    None => {}
+                    Some(_) if self.noc1_rep[ki].can_inject(src) => {
+                        let txn = self.nodes[ni].pop_reply().expect("peeked Some");
+                        obs.trace_hop(txn.id, "noc1_rep", now);
+                        let pkt = ctx.packet(src, txn.core.index() % cpc, up_bytes(&txn), txn);
+                        self.wake_xbar(2 * ki + 1, now, ctx);
+                        self.noc1_rep[ki]
+                            .try_inject(pkt)
+                            .unwrap_or_else(|_| unreachable!("checked room"));
+                        drained = true;
+                    }
+                    Some(_) => self.noc1_rep[ki].await_grant(src),
                 }
             }
-            Attachment::Noc1 { .. } => {}
         }
+        drained
     }
 
     /// Retires a transaction at its issuing core (always in this domain:
@@ -633,24 +593,44 @@ pub(crate) fn domain_of_core(shards: &mut [ShardDomain], c: usize) -> &mut Shard
         .unwrap_or_else(|| unreachable!("core {c} outside every domain"))
 }
 
-/// Global node `n`, awake ([`ShardDomain::wake_node`]).
-pub(crate) fn node_awake(shards: &mut [ShardDomain], n: usize, through: Cycle) -> &mut Dcl1Node {
+/// The domain owning global node `n`, and `n`'s index in it.
+fn domain_of_node(shards: &mut [ShardDomain], n: usize) -> (&mut ShardDomain, usize) {
     let d = shards
         .iter_mut()
         .find(|d| n >= d.node0 && n < d.node0 + d.nodes.len())
         .unwrap_or_else(|| unreachable!("node {n} outside every domain"));
     let i = n - d.node0;
+    (d, i)
+}
+
+/// Global node `n`, awake ([`ShardDomain::wake_node`]).
+pub(crate) fn node_awake(shards: &mut [ShardDomain], n: usize, through: Cycle) -> &mut Dcl1Node {
+    let (d, i) = domain_of_node(shards, n);
     d.wake_node(i, through);
     &mut d.nodes[i]
 }
 
-/// Global L2 slice `s`, awake ([`ShardDomain::wake_slice`]).
-pub(crate) fn slice_awake(shards: &mut [ShardDomain], s: usize, through: Cycle) -> &mut L2Slice<Txn> {
+/// NoC#2 granted the input global node `n`'s Q3 head waited at: the head
+/// is on offer again, the node awake.
+pub(crate) fn retry_q3(shards: &mut [ShardDomain], n: usize, through: Cycle) {
+    let (d, i) = domain_of_node(shards, n);
+    d.q3_wait.remove(i);
+    d.wake_node(i, through);
+}
+
+/// The domain owning global L2 slice `s`, and `s`'s index in it.
+pub(crate) fn domain_of_slice(shards: &mut [ShardDomain], s: usize) -> (&mut ShardDomain, usize) {
     let d = shards
         .iter_mut()
         .find(|d| s >= d.slice0 && s < d.slice0 + d.l2.len())
         .unwrap_or_else(|| unreachable!("slice {s} outside every domain"));
     let i = s - d.slice0;
+    (d, i)
+}
+
+/// Global L2 slice `s`, awake ([`ShardDomain::wake_slice`]).
+pub(crate) fn slice_awake(shards: &mut [ShardDomain], s: usize, through: Cycle) -> &mut L2Slice<Txn> {
+    let (d, i) = domain_of_slice(shards, s);
     d.wake_slice(i, through);
     &mut d.l2[i]
 }

@@ -9,37 +9,9 @@
 
 mod util;
 
-use dcl1::design::Design;
-use dcl1::{GpuConfig, GpuSystem, SimOptions};
-use dcl1_common::SplitMix64;
+use dcl1::{GpuSystem, SimOptions};
 use dcl1_gpu::CoreStats;
-use util::{KernelParams, RandomKernel, DESIGNS};
-
-/// A drawn kernel made heavy enough to back the memory system up into the
-/// cores, so cores park behind closed ports as well as on outstanding
-/// fills.
-fn congested() -> RandomKernel {
-    let drawn = KernelParams::draw(&mut SplitMix64::new(0x1A2_7C4E));
-    RandomKernel(KernelParams {
-        ctas: 32,
-        wf_per_cta: 4,
-        instrs: 48,
-        mem_fraction: 0.9,
-        store_fraction: 0.3,
-        span: 8,
-        ..drawn
-    })
-}
-
-/// Every machine the test drives: the 8-core test machine under every
-/// design the paper sweeps, and the 10-core one CDXBar needs.
-fn machines() -> Vec<(GpuConfig, Design)> {
-    let ten = GpuConfig { cores: 10, ..GpuConfig::small_test() };
-    let mut all: Vec<_> = DESIGNS.iter().map(|&d| (GpuConfig::small_test(), d)).collect();
-    all.push((ten.clone(), Design::CdXbar { stage1_mult: 1, stage2_mult: 1 }));
-    all.push((ten, Design::Baseline));
-    all
-}
+use util::{congested, machines};
 
 /// Reads the per-core stats and checks the stall partition on each.
 fn read(sys: &mut GpuSystem<'_>, ctx: &str) -> Vec<CoreStats> {

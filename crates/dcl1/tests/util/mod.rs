@@ -4,7 +4,7 @@
 // Test fixture: seeded-random trace math uses small, in-range casts.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
-use dcl1::Design;
+use dcl1::{Design, GpuConfig};
 use dcl1_common::{LineAddr, SplitMix64};
 use dcl1_gpu::{MemAccess, MemInstr, MemKind, TraceFactory, TraceSource, WavefrontInstr};
 
@@ -119,3 +119,31 @@ pub const DESIGNS: [Design; 9] = [
     Design::Clustered { nodes: 8, clusters: 2, boost: true },
     Design::Clustered { nodes: 8, clusters: 4, boost: true },
 ];
+
+/// A drawn kernel made heavy enough to back the memory system up into the
+/// cores, so cores park behind closed ports as well as on outstanding
+/// fills.
+#[allow(dead_code)] // the sleeper tests only
+pub fn congested() -> RandomKernel {
+    let drawn = KernelParams::draw(&mut SplitMix64::new(0x1A2_7C4E));
+    RandomKernel(KernelParams {
+        ctas: 32,
+        wf_per_cta: 4,
+        instrs: 48,
+        mem_fraction: 0.9,
+        store_fraction: 0.3,
+        span: 8,
+        ..drawn
+    })
+}
+
+/// Every machine the test drives: the 8-core test machine under every
+/// design the paper sweeps, and the 10-core one CDXBar needs.
+#[allow(dead_code)] // the sleeper tests only
+pub fn machines() -> Vec<(GpuConfig, Design)> {
+    let ten = GpuConfig { cores: 10, ..GpuConfig::small_test() };
+    let mut all: Vec<_> = DESIGNS.iter().map(|&d| (GpuConfig::small_test(), d)).collect();
+    all.push((ten.clone(), Design::CdXbar { stage1_mult: 1, stage2_mult: 1 }));
+    all.push((ten, Design::Baseline));
+    all
+}

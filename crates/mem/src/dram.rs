@@ -175,11 +175,12 @@ impl<T> MemoryController<T> {
     }
 
     /// Advances one memory-clock tick: FR-FCFS selects at most one request
-    /// to issue.
-    pub fn tick(&mut self) {
+    /// to issue. Returns whether one issued — the only event that frees a
+    /// queue slot, so what a refused enqueuer waits for.
+    pub fn tick(&mut self) -> bool {
         self.now += 1;
         if self.queue.is_empty() {
-            return;
+            return false;
         }
 
         // FR-FCFS: first pass looks for the oldest row hit on a ready
@@ -209,7 +210,7 @@ impl<T> MemoryController<T> {
                 break;
             }
         }
-        let Some(idx) = choice else { return };
+        let Some(idx) = choice else { return false };
         let req = self.queue.remove(idx).expect("index from scan");
         let (bank, row) = (req.bank, req.row);
 
@@ -256,6 +257,7 @@ impl<T> MemoryController<T> {
             let pos = self.replies.partition_point(|(t, _, _)| *t <= done);
             self.replies.insert(pos, (done, req.line, payload));
         }
+        true
     }
 
     /// Pops the next completed read, if its data burst has finished.

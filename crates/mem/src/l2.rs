@@ -124,6 +124,10 @@ pub struct L2Slice<T> {
     /// Scratch buffer for MSHR completions, reused across fills so the
     /// fan-out never allocates in steady state.
     fill_scratch: Vec<(MemAccessKind, T)>,
+    /// Set while the input head waits for an MSHR entry or merge slot —
+    /// only [`dram_fill`](L2Slice::dram_fill) frees one — to whether each
+    /// tick's retry goes through a (missing) tag lookup.
+    head_stall: Option<bool>,
     config: L2Config,
     stats: L2Stats,
     now: Cycle,
@@ -150,6 +154,7 @@ impl<T> L2Slice<T> {
             // slice's line capacity means it never re-hashes.
             dirty: FlatSet::with_capacity(config.size_bytes / config.line_size),
             fill_scratch: Vec::new(),
+            head_stall: None,
             config,
             stats: L2Stats::default(),
             now: 0,
@@ -171,11 +176,12 @@ impl<T> L2Slice<T> {
     }
 
     /// Advances one core cycle: services at most one request from the
-    /// input queue (single tag port).
-    pub fn tick(&mut self) {
+    /// input queue (single tag port). Returns whether it serviced one.
+    pub fn tick(&mut self) -> bool {
         self.now += 1;
+        self.head_stall = None;
 
-        let Some(req) = self.input.front() else { return };
+        let Some(req) = self.input.front() else { return false };
         let line = req.line;
         let kind = req.kind;
 
@@ -187,14 +193,15 @@ impl<T> L2Slice<T> {
                 // MSHR cannot accept — it would be lost.
                 if self.mshr.is_pending(line) {
                     if !self.mshr.can_accept(line) {
-                        return; // merge list full: stall the head
+                        self.head_stall = Some(false);
+                        return false; // merge list full: stall the head
                     }
                     let req = self.input.pop().expect("front was Some");
                     self.stats.accesses.inc();
                     self.stats.misses.inc();
                     let merged = self.mshr.try_allocate(line, (kind, req.payload));
                     debug_assert!(merged.is_ok());
-                    return;
+                    return true;
                 }
                 match self.cache.lookup(line) {
                     LookupResult::Hit => {
@@ -205,7 +212,8 @@ impl<T> L2Slice<T> {
                     }
                     LookupResult::Miss => {
                         if self.mshr.is_full() {
-                            return; // structural stall; retry next cycle
+                            self.head_stall = Some(true);
+                            return false; // structural stall; retry next cycle
                         }
                         let req = self.input.pop().expect("front was Some");
                         self.stats.accesses.inc();
@@ -240,12 +248,13 @@ impl<T> L2Slice<T> {
                 // read (fetching on miss) plus a local modify, then ACKs.
                 if self.mshr.is_pending(line) {
                     if !self.mshr.can_accept(line) {
-                        return; // merge list full: stall the head
+                        self.head_stall = Some(false);
+                        return false; // merge list full: stall the head
                     }
                     let req = self.input.pop().expect("front was Some");
                     let merged = self.mshr.try_allocate(line, (kind, req.payload));
                     debug_assert!(merged.is_ok());
-                    return;
+                    return true;
                 }
                 match self.cache.lookup(line) {
                     LookupResult::Hit => {
@@ -261,7 +270,8 @@ impl<T> L2Slice<T> {
                     }
                     LookupResult::Miss => {
                         if self.mshr.is_full() {
-                            return;
+                            self.head_stall = Some(true);
+                            return false;
                         }
                         let req = self.input.pop().expect("front was Some");
                         self.stats.accesses.inc();
@@ -272,6 +282,7 @@ impl<T> L2Slice<T> {
                 }
             }
         }
+        true
     }
 
     fn queue_reply(&mut self, line: LineAddr, kind: MemAccessKind, hit: bool, payload: T, lat: u32) {
@@ -284,6 +295,7 @@ impl<T> L2Slice<T> {
     /// Completes a DRAM fill for `line`: installs it and wakes all merged
     /// requesters.
     pub fn dram_fill(&mut self, line: LineAddr) {
+        self.head_stall = None;
         if let Some(evicted) = self.cache.fill(line) {
             if self.dirty.remove(evicted.raw()) {
                 self.dram_out.push_back(DramAccess { line: evicted, is_write: true });
@@ -373,13 +385,31 @@ impl<T> L2Slice<T> {
         }
     }
 
+    /// Whether a tick services nothing: the input queue is empty, or its
+    /// head waits for an MSHR entry or merge slot, which only
+    /// [`dram_fill`](L2Slice::dram_fill) frees.
+    pub fn input_blocked(&self) -> bool {
+        self.input.is_empty() || self.head_stall.is_some()
+    }
+
+    /// Ticks until the head pending reply is poppable (0 = now), if any
+    /// reply is brewing.
+    pub fn next_reply_in(&self) -> Option<u64> {
+        self.pending_replies.front().map(|(ready, _)| ready.saturating_sub(self.now))
+    }
+
     /// Advances the slice clock by `cycles` without ticking. Exactly
-    /// equivalent to `cycles` ticks with an empty input queue (such a tick
-    /// only increments the clock); callers must not jump past the cycle
-    /// where the head pending reply becomes poppable.
-    pub fn skip_idle_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.quiescent_horizon().is_some_and(|h| h >= cycles));
+    /// equivalent to `cycles` ticks while
+    /// [`input_blocked`](L2Slice::input_blocked): such a tick increments
+    /// the clock and, where a stalled head retries its tag lookup, the tag
+    /// array's miss count. Callers that pop replies must not jump past the
+    /// cycle where the head pending reply becomes poppable.
+    pub fn skip_cycles(&mut self, cycles: u64) {
+        debug_assert!(self.input_blocked());
         self.now += cycles;
+        if self.head_stall == Some(true) {
+            self.cache.repeat_misses(cycles);
+        }
     }
 
     /// Core cycles this slice has been clocked through (ticked or skipped).
@@ -568,5 +598,33 @@ mod tests {
         }
         // The stalled head proceeds once the entry frees.
         assert!(s.pop_dram().is_some());
+    }
+
+    #[test]
+    fn skipping_a_stalled_head_credits_its_retried_lookups() {
+        let stalled = || {
+            let cfg = L2Config { mshr_entries: 1, ..L2Config::default() };
+            let mut s: L2Slice<u32> = L2Slice::new(cfg).unwrap();
+            for p in 1..=2 {
+                let line = LineAddr::new(u64::from(p));
+                s.try_enqueue(L2Request { line, kind: MemAccessKind::Read, payload: p }).unwrap();
+            }
+            assert!(s.tick(), "the first miss allocates");
+            assert!(!s.tick(), "the second finds the MSHR full");
+            assert!(s.input_blocked());
+            s
+        };
+        let (mut ticked, mut skipped) = (stalled(), stalled());
+        for _ in 0..9 {
+            assert!(!ticked.tick());
+        }
+        skipped.skip_cycles(9);
+        assert_eq!(ticked.cache().stats(), skipped.cache().stats());
+        assert_eq!(ticked.cache().stats().misses.get(), 11);
+        assert_eq!(ticked.now(), skipped.now());
+        for s in [&mut ticked, &mut skipped] {
+            s.dram_fill(LineAddr::new(1));
+            assert!(!s.input_blocked() && s.tick(), "the fill frees the entry");
+        }
     }
 }

@@ -194,12 +194,20 @@ pub struct Crossbar<T> {
     /// On a switch that is not `exact`, nonzero means "some input".
     awaited: u128,
     granted: u128,
+    /// The last arbitration granted nothing with no transfer in flight:
+    /// every packet arbitration can see wants an output whose ejection
+    /// buffer is full. Only an injection or a freed ejection slot changes
+    /// that, so ticks skip arbitration until one happens.
+    stuck: bool,
     /// Total packets across the input queues (Σ `pending`).
     queued: usize,
     /// Inputs with an active transfer.
     active_count: usize,
     /// Packets parked across the ejection buffers.
     ejected: usize,
+    /// The tick the newest parked packet clears the router pipeline at:
+    /// from then on every parked packet is deliverable.
+    last_ready: u64,
     now: u64,
     stats: CrossbarStats,
     /// Lifetime packets accepted by `try_inject`. Unlike `stats`, the
@@ -236,9 +244,11 @@ impl<T> Crossbar<T> {
             parked_mask: Ports::default(),
             awaited: 0,
             granted: 0,
+            stuck: false,
             queued: 0,
             active_count: 0,
             ejected: 0,
+            last_ready: 0,
             now: 0,
             stats: CrossbarStats {
                 ticks: 0,
@@ -311,6 +321,7 @@ impl<T> Crossbar<T> {
             self.pending_mask.insert(dst);
         }
         self.queued += 1;
+        self.stuck = false;
         Ok(())
     }
 
@@ -370,9 +381,10 @@ impl<T> Crossbar<T> {
 
         // Fast path: nothing queued and nothing in flight means arbitration
         // and flit movement are both no-ops (ejection buffers only wait for
-        // `now` to advance). `ticks` still counts — it is the denominator of
-        // every link-utilization figure.
-        if self.queued == 0 && self.active_count == 0 {
+        // `now` to advance), and neither can happen while arbitration is
+        // `stuck`. `ticks` still counts — it is the denominator of every
+        // link-utilization figure.
+        if (self.queued == 0 && self.active_count == 0) || self.stuck {
             return;
         }
 
@@ -440,6 +452,8 @@ impl<T> Crossbar<T> {
             }
         }
 
+        // (The port-scan path always arbitrates: it is the oracle.)
+        self.stuck = self.exact && self.active_count == 0;
         self.move_flits();
     }
 
@@ -494,6 +508,7 @@ impl<T> Crossbar<T> {
                 let tr = self.active[input].take().expect("just matched Some");
                 self.output_busy[dst] = None;
                 let ready = self.now + self.config.router_latency as u64;
+                self.last_ready = ready;
                 self.eject[dst].push_back((ready, tr.packet));
                 self.stats.packets += 1;
                 self.active_count -= 1;
@@ -510,15 +525,30 @@ impl<T> Crossbar<T> {
         }
     }
 
+    /// Whether nothing can move until a consumer drains an ejection
+    /// buffer: no transfer in flight, nothing queued that arbitration can
+    /// grant, and every parked packet deliverable already. If the consumers
+    /// have just refused them all, ticks do nothing until one has room.
+    pub fn waits_on_ejection(&self) -> bool {
+        self.active_count == 0
+            && (self.queued == 0 || self.stuck)
+            && self.ejected > 0
+            && self.now >= self.last_ready
+    }
+
     /// Advances the clock by `n` ticks at once — exactly equivalent to `n`
-    /// calls to [`tick`](Crossbar::tick) on an empty switch, in O(1). Used
-    /// by whole-machine idle fast-forward.
+    /// calls to [`tick`](Crossbar::tick) on a switch that is empty or
+    /// [`waits_on_ejection`](Crossbar::waits_on_ejection), in O(1): what a
+    /// switch nobody ticked while it slept is owed when it wakes.
     ///
     /// # Panics
     ///
-    /// Debug-panics if the switch is not completely empty.
+    /// Debug-panics if a tick could have moved anything.
     pub fn skip_idle_ticks(&mut self, n: u64) {
-        debug_assert!(self.is_idle(), "skip_idle_ticks on a non-idle crossbar");
+        debug_assert!(
+            self.is_idle() || self.waits_on_ejection(),
+            "skip_idle_ticks on a crossbar with packets to move"
+        );
         self.now += n;
         self.stats.ticks += n;
     }
@@ -529,6 +559,7 @@ impl<T> Crossbar<T> {
         match self.eject[port].front() {
             Some((ready, _)) if *ready <= self.now => {
                 self.ejected -= 1;
+                self.stuck = false;
                 self.lifetime_delivered_packets += 1;
                 debug_assert!(
                     self.lifetime_delivered_packets <= self.lifetime_injected_packets,
@@ -577,6 +608,13 @@ impl<T> Crossbar<T> {
         self.awaited |= 1u128 << (port & 127);
     }
 
+    /// Whether input `port`'s producer still awaits its grant: the input
+    /// has been full ever since [`await_grant`](Crossbar::await_grant). On a
+    /// switch too wide for exact masks, whether any producer does.
+    pub fn awaits(&self, port: usize) -> bool {
+        if self.exact { self.awaited & (1u128 << port) != 0 } else { self.awaited != 0 }
+    }
+
     /// The awaited input ports granted since the last call, in ascending
     /// order (each is reported once; await it again to hear of the next).
     /// A switch too wide for exact masks reports every port once any
@@ -594,6 +632,11 @@ impl<T> Crossbar<T> {
             Some(port)
         });
         exact.chain(0..every)
+    }
+
+    /// Ticks this switch has been clocked through (ticked or skipped).
+    pub fn now(&self) -> u64 {
+        self.now
     }
 
     /// Whether any packet is queued, in flight, or awaiting ejection. O(1).
@@ -616,12 +659,18 @@ impl<T> Crossbar<T> {
         self.lifetime_delivered_packets
     }
 
+    /// Lifetime flits moved across the switch fabric (survives `reset_stats`).
+    pub fn lifetime_moved_flits(&self) -> u64 {
+        self.lifetime_moved_flits
+    }
+
     /// Checks every conservation law the switch must obey, recomputing the
     /// O(1) occupancy counters from the ground truth they summarize:
     ///
     /// * `queued`/`active_count`/`ejected`/`pending` and the active /
     ///   pending / busy / parked port masks match the queues they mirror,
-    ///   and each input queue conserves its own items;
+    ///   each input queue conserves its own items, and arbitration is
+    ///   `stuck` only over queued packets with no transfer in flight;
     /// * packets: lifetime injected == lifetime delivered + in flight;
     /// * flits: lifetime injected == lifetime moved + flits still held in
     ///   input queues and partial transfers.
@@ -693,6 +742,9 @@ impl<T> Crossbar<T> {
                     ));
                 }
             }
+        }
+        if self.stuck && (self.active_count > 0 || self.queued == 0) {
+            return Err(InvariantError::new(site, "arbitration stuck with nothing to arbitrate"));
         }
         let in_flight = self.in_flight() as u64;
         if self.lifetime_injected_packets != self.lifetime_delivered_packets + in_flight {
@@ -946,6 +998,39 @@ mod tests {
     }
 
     #[test]
+    fn skipping_a_switch_that_waits_on_ejection_matches_ticking_it() {
+        let backed_up = || {
+            let mut x: Crossbar<u8> = Crossbar::new(CrossbarConfig { eject_capacity: 1, ..cfg(2, 1) });
+            for (src, id) in [(0, 1), (1, 2), (0, 3)] {
+                x.try_inject(Packet::new(src, 0, 0, id)).unwrap();
+            }
+            assert!(!x.waits_on_ejection(), "packets to move");
+            for _ in 0..2 {
+                x.tick(); // the first is delivered; nobody pops it
+            }
+            assert!(!x.waits_on_ejection(), "still behind the router pipeline");
+            x.tick();
+            x.tick();
+            assert!(x.waits_on_ejection() && x.stuck);
+            x
+        };
+        let (mut ticked, mut skipped) = (backed_up(), backed_up());
+        for _ in 0..9 {
+            ticked.tick();
+        }
+        skipped.skip_idle_ticks(9);
+        assert_eq!((ticked.now, ticked.stats().ticks), (skipped.now, skipped.stats().ticks));
+        // A freed ejection slot ends the wait, identically.
+        for _ in 0..12 {
+            let got = (ticked.pop_output(0).map(|p| p.payload), skipped.pop_output(0).map(|p| p.payload));
+            assert_eq!(got.0, got.1);
+            ticked.tick();
+            skipped.tick();
+        }
+        assert!(ticked.is_idle() && skipped.is_idle());
+    }
+
+    #[test]
     fn occupancy_counters_track_packet_lifecycle() {
         let mut x: Crossbar<u8> = Crossbar::new(cfg(2, 2));
         assert!(x.is_idle());
@@ -969,6 +1054,7 @@ mod tests {
     #[test]
     fn mask_path_matches_the_port_scan_oracle() {
         use dcl1_common::SplitMix64;
+        let mut stuck_ticks = 0u32;
         for (seed, i, o) in [(1u64, 8, 4), (2, 80, 40), (3, 3, 128), (4, 128, 2), (5, 1, 1)] {
             let config = CrossbarConfig { eject_capacity: 2, ..cfg(i, o) };
             let mut x: Crossbar<u64> = Crossbar::new(config);
@@ -994,6 +1080,10 @@ mod tests {
                 }
                 let awaited = x.awaited;
                 let before: Vec<usize> = x.inputs.iter().map(BoundedQueue::len).collect();
+                // The scan path arbitrates every tick; the mask path skips
+                // the ticks it knows can grant nothing.
+                stuck_ticks += u32::from(x.stuck);
+                assert!(!oracle.stuck && (0..i).all(|p| x.awaits(p) == (awaited & (1 << p) != 0)));
                 x.tick();
                 oracle.tick();
                 let ctx = format!("seed {seed} tick {tick}");
@@ -1050,5 +1140,6 @@ mod tests {
             }
             assert!(x.stats().packets > 500, "seed {seed}: traffic too thin to prove anything");
         }
+        assert!(stuck_ticks > 100, "arbitration hardly ever stuck: {stuck_ticks} ticks");
     }
 }

@@ -6,8 +6,8 @@
 # run in a temporary directory that goes when the script exits.
 #
 # usage: scripts/ci.sh LEG [BASE_REF]
-#   LEG       build | test | lint | checked | alloc | release-digests |
-#             perf-gate | all
+#   LEG       build | test | lint | checked | alloc | census |
+#             release-digests | perf-gate | all
 #   BASE_REF  what perf-gate measures against (default HEAD~1)
 set -euo pipefail
 
@@ -55,6 +55,16 @@ leg_checked() {
 # Zero steady-state allocations on the hot paths.
 leg_alloc() { cargo run --release --offline --quiet -p alloc-probe; }
 
+# What a step costs, counted: the component visits the smoke grid makes per
+# step (`dbg --census`, EXPERIMENTS.md "Where a step goes"). An exact,
+# repeatable count, so the ceiling needs no noise band; it was 143.7 before
+# blocked components slept.
+leg_census() {
+    (cd "$tmp" && DCL1_SCALE=smoke cargo run --release --offline --quiet \
+        --manifest-path "$root/Cargo.toml" -p dcl1-bench --bin dbg -- --census) |
+        tee /dev/stderr | awk '$1 == "visits" { ok = $4 <= 70 } END { exit !ok }'
+}
+
 # The release build on its own: stepping and fast-forward dump the same
 # bytes on the smoke grid (tests/contract.rs pins that digest, on a build
 # with debug assertions), and the quarter grid keeps its digest on the
@@ -72,7 +82,7 @@ leg_release_digests() {
 leg_perf_gate() { scripts/perf-gate.sh "${1:-HEAD~1}"; }
 
 usage() {
-    echo "usage: $0 build|test|lint|checked|alloc|release-digests|perf-gate|all [BASE_REF]" >&2
+    echo "usage: $0 build|test|lint|checked|alloc|census|release-digests|perf-gate|all [BASE_REF]" >&2
     exit 2
 }
 
@@ -90,7 +100,7 @@ run() {
 if [ "$1" = all ]; then
     shift
     t0=$SECONDS
-    for leg in build test lint checked alloc release-digests perf-gate; do
+    for leg in build test lint checked alloc census release-digests perf-gate; do
         run "$leg" "$@"
     done
     echo "#### ci.sh all: ok, $((SECONDS - t0)) s"
