@@ -1,50 +1,56 @@
 //! Performance-debugging tool: runs (app, design) points outside the memo
-//! layers and dumps the machine's internal pressure counters.
-//!
-//! Usage:
-//!   DCL1_SCALE=smoke cargo run --release -p dcl1-bench --bin dbg [APP:DESIGN ...]
-//!                           # each point's `debug_snapshot` (default:
-//!                           # P-2MM on the baseline and on sh40)
-//!   ... --bin dbg -- --census
-//!                           # the 112-point grid; prints only the visit
-//!                           # census summed over it — what a step costs,
-//!                           # per component class, split into visits
-//!                           # that moved state and visits that did not,
-//!                           # and how often a component that still held
-//!                           # something was let sleep (EXPERIMENTS.md
-//!                           # "Where a step goes")
+//! layers and dumps the machine's internal pressure counters; `--help`
+//! lists the options.
 
 // Debugging tool, not sim state: panics and small casts are acceptable.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
-use dcl1::{GpuConfig, GpuSystem, SimOptions};
-use dcl1_bench::runner::RunRequest;
+use dcl1::{GpuConfig, SimOptions};
+use dcl1_bench::cli::{Cli, Flag, Kind};
+use dcl1_bench::runner::{self, RunRequest};
 use dcl1_bench::{grid, Scale};
 use std::collections::BTreeMap;
 
-/// Runs one point the way the sweep runner does (same scaling, same
-/// warm-up) and returns its statistics and the machine's snapshot.
-fn run(req: &RunRequest, scale: Scale) -> (dcl1::RunStats, String, std::time::Duration) {
-    let (num, den) = scale.ratio();
-    let spec = req.app.scaled(num, den);
-    let opts = SimOptions { warmup_instructions: spec.total_instructions() / 3, ..req.opts };
-    let mut sys = GpuSystem::build(&req.cfg, &req.design, &spec, opts).unwrap();
-    let t0 = std::time::Instant::now();
-    let stats = sys.run();
-    (stats, sys.debug_snapshot(), t0.elapsed())
+const CLI: Cli = Cli {
+    bin: "dbg",
+    about: "Prints each APP:DESIGN point's statistics and debug snapshot (default \
+            P-2MM:baseline P-2MM:sh40). Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+    positionals: Some("APP:DESIGN"),
+    flags: &[&[Flag::new(
+        "census",
+        Kind::Switch,
+        "instead, visits per step by component class over the 112-point grid: moved state, \
+         did nothing, parked (EXPERIMENTS.md \"Where a step goes\")",
+    )]],
+};
+
+/// Resolves `APP:DESIGN` on the default machine.
+fn point(arg: &str, cfg: &GpuConfig) -> Result<RunRequest, String> {
+    let (app, design) = arg.split_once(':').ok_or("a point is APP:DESIGN")?;
+    Ok(RunRequest {
+        app: dcl1_workloads::by_name(app).ok_or_else(|| format!("unknown app {app:?}"))?,
+        design: design.parse().map_err(|e| format!("{e}"))?,
+        cfg: cfg.clone(),
+        opts: SimOptions::default(),
+    })
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
     let cfg = GpuConfig::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--census") {
+    let mut points: Vec<RunRequest> = args
+        .positionals()
+        .iter()
+        .map(|p| point(p, &cfg).unwrap_or_else(|e| args.fail(&format!("bad point {p:?}: {e}"))))
+        .collect();
+    let scale = Scale::from_env();
+    if args.switch("census") {
         // Sum every counter of the snapshot's last line (`steps=`,
         // `visit*=`, `acted_*=`, `parked_*=`) over the grid.
         let mut census: BTreeMap<String, u64> = BTreeMap::new();
         let designs = grid::default_designs(&cfg);
         for req in grid::build_grid(&designs, &[], &cfg, SimOptions::default()) {
-            let (_, snapshot, _) = run(&req, scale);
+            let (_, snapshot) = runner::run_app_snapshot(&req, scale).unwrap();
             for field in snapshot.lines().last().unwrap().split_whitespace() {
                 let (key, value) = field.split_once('=').unwrap();
                 *census.entry(key.to_string()).or_default() += value.parse::<u64>().unwrap();
@@ -66,20 +72,14 @@ fn main() {
         println!("visits {} = {:.2} per step", census["visits"], per_step(census["visits"]));
         return;
     }
-    let points = if args.is_empty() {
-        vec!["P-2MM:baseline".to_string(), "P-2MM:sh40".to_string()]
-    } else {
-        args
-    };
-    for point in points {
-        let (app, design) = point.split_once(':').expect("a point is APP:DESIGN");
-        let req = RunRequest {
-            app: dcl1_workloads::by_name(app).expect("an app from the catalog"),
-            design: design.parse().expect("a design name"),
-            cfg: cfg.clone(),
-            opts: SimOptions::default(),
-        };
-        let (s, snapshot, wall) = run(&req, scale);
+    if points.is_empty() {
+        points = ["P-2MM:baseline", "P-2MM:sh40"].map(|p| point(p, &cfg).unwrap()).into();
+    }
+    for req in points {
+        let t0 = std::time::Instant::now();
+        let (s, snapshot) = runner::run_app_snapshot(&req, scale).unwrap();
+        let wall = t0.elapsed();
+        let app = req.app.name;
         println!(
             "{app:12} {:16} cycles={:9} instr={:9} ipc={:5.2} miss={:.2} rtt={:6.1} wall={wall:?}",
             s.design,

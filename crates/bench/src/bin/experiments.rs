@@ -1,46 +1,27 @@
-//! Runs every experiment module in one process (sharing the memoized
-//! simulation cache across figures) and prints all tables.
-//!
-//! Usage: `DCL1_SCALE=full cargo run --release -p dcl1-bench --bin experiments [figNN ...]`
-//!
-//! `--workers=N` sets intra-point parallelism: each machine is sharded
-//! across N execution domains and available/N points run concurrently
-//! (default: 1 domain, one point-thread per available core). Statistics
-//! are byte-identical at any setting.
-//!
-//! Observability: `--trace[=PATH]`, `--metrics[=PATH]`,
-//! `--metrics-interval=N` and `--observe=APP/DESIGN` additionally run one
-//! instrumented point and print its stall-attribution table;
-//! `--progress[=PATH]` streams per-point lifecycle events as JSONL (see
-//! `dcl1_bench::ObsCli`).
-//!
-//! Supervision: `--journal[=PATH]` checkpoints each completed point,
-//! `--resume[=PATH]` preloads the journal so a killed run resimulates
-//! only unfinished points, and `--chaos=SEED` / `--deadline=SECS` /
-//! `--watchdog=CYCLES` configure fault injection and hang detection (see
-//! `dcl1_bench::ResCli`).
+//! Regenerates the paper's tables and figures in one process, sharing
+//! the memoized simulations across them; `--help` lists the options.
 
+use dcl1_bench::cli::Cli;
 use dcl1_bench::experiments as ex;
-use dcl1_bench::{ObsCli, ResCli, Scale, Table};
+use dcl1_bench::sweepcli::{self, SweepCli};
+use dcl1_bench::{Scale, Table};
 
 /// One experiment entry point.
 type Experiment = fn(Scale) -> Vec<Table>;
 
-const USAGE: &str = "usage: experiments [tab1|figNN|ablations|ext_scaling].. [--workers=N] \
-[--check] [--journal[=PATH]] [--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] \
-[--watchdog=CYCLES] [--retry-backoff-ms=N] [--trace[=PATH]] [--trace-sample=N] \
-[--metrics[=PATH]] [--metrics-interval=N] [--observe=APP/DESIGN] [--progress[=PATH]]   \
-(scale: DCL1_SCALE)";
+const CLI: Cli = Cli {
+    bin: "experiments",
+    about: "Prints the named experiments' tables (tab1, fig01..fig19, ablations, \
+            ext_scaling), or all of them. Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+    positionals: Some("EXPERIMENT"),
+    flags: &[sweepcli::FLAGS],
+};
 
 fn main() {
-    let mut filter: Vec<String> = std::env::args().skip(1).collect();
-    dcl1_bench::exit_on_help(&filter, USAGE);
+    let args = CLI.parse(std::env::args().skip(1));
+    let shared = SweepCli::from_args(&args);
+    let filter = args.positionals();
     let scale = Scale::from_env();
-    let obs = ObsCli::parse(&mut filter);
-    let res = ResCli::parse(&mut filter);
-    eprintln!("[experiments] {}", res.banner());
-    obs.install_progress();
-    dcl1_bench::apply_workers_flag("experiments", &mut filter);
     let all: Vec<(&str, Experiment)> = vec![
         ("tab1", ex::tab1_private_configs::run),
         ("fig01", ex::fig01_motivation::run),
@@ -61,12 +42,13 @@ fn main() {
         ("ablations", ex::ablations::run),
         ("ext_scaling", ex::ext_scaling::run),
     ];
-    // What is left must name experiments: a typo would otherwise select
-    // nothing, silently.
+    // Every positional must name an experiment: a typo would otherwise
+    // select nothing, silently.
     if let Some(arg) = filter.iter().find(|f| !all.iter().any(|(name, _)| f == name)) {
-        dcl1_bench::reject_unknown_arg("experiments", USAGE, arg);
+        args.fail(&format!("unknown argument {arg:?}"));
     }
-    obs.run_if_enabled(scale);
+    eprintln!("[experiments] {}", shared.apply());
+    shared.run_observed(scale);
     let t0 = std::time::Instant::now();
     for (name, run) in all {
         if !filter.is_empty() && !filter.iter().any(|f| f == name) {

@@ -1,59 +1,39 @@
-//! Cold-cache throughput benchmark: the all-apps × four-design sweep used
-//! to score simulator performance work.
-//!
-//! Clears the on-disk memo first so every point is actually simulated,
-//! then prints per-point timings and the aggregate throughput table, and
-//! writes the same data machine-readably to `BENCH_sweep.json`.
+//! Cold-cache throughput sweep over the 112-point grid; `--help` lists
+//! the options.
 //!
 //! The sweep is supervised: worker panics and watchdog-detected hangs are
-//! retried with deterministic backoff and, on exhaustion, quarantined —
-//! the sweep completes, the quarantined points are listed in the JSON
-//! report, and the exit code is nonzero only when a point failed without
-//! fault injection armed.
-//!
-//! Usage:
-//!   DCL1_SCALE=smoke cargo run --release -p dcl1-bench --bin perf_sweep
-//!   ... --no-fast-forward   # disable the idle fast-forward (A/B baseline)
-//!   ... --keep-cache        # skip the cache clear (measure warm behavior)
-//!   ... --json=PATH         # where to write the JSON report
-//!   ... --stats-out=PATH    # also write the canonical per-point stats
-//!                           # dump (byte-comparable across runs)
-//!   ... --only=SUBSTR       # keep only points whose "APP/DESIGN" name
-//!                           # contains SUBSTR (repeatable)
-//!   ... --workers=N         # intra-point parallelism: shard each machine
-//!                           # across N execution domains and run
-//!                           # available/N points concurrently (default:
-//!                           # 1 domain, one point-thread per available
-//!                           # core); recorded in the JSON
-//!   ... --design=NAME       # sweep these designs instead of the default
-//!                           # four (repeatable; names per Design::from_str,
-//!                           # e.g. pr4, sh16, sh16+c8+boost)
-//!   ... --journal[=PATH] --resume[=PATH] --chaos=SEED --deadline=SECS
-//!                           # supervision knobs (see ResCli)
-//!   ... --trace[=PATH] --metrics[=PATH] --metrics-interval=N --progress[=PATH]
-//!                           # observability sinks (see ObsCli)
-//!
-//! Exits 1 when the memo accounting undercounts: every planned point must
-//! have been served by a tier, simulated, or quarantined.
+//! retried and, on exhaustion, quarantined — the sweep completes, the
+//! quarantined points are listed in the JSON report, and the exit code is
+//! nonzero only when a point failed without fault injection armed, or
+//! when the memo accounting undercounts (every planned point must have
+//! been served by a tier, simulated, or quarantined).
 
 use dcl1::{GpuConfig, SimOptions};
+use dcl1_bench::cli::Kind::{Repeated, Switch, Value};
+use dcl1_bench::cli::{Cli, Flag};
 use dcl1_bench::runner::{self, SweepOutcome};
-use dcl1_bench::{grid, ObsCli, ResCli, Scale, Table};
+use dcl1_bench::sweepcli::{self, SweepCli};
+use dcl1_bench::{grid, Scale, Table};
 use dcl1_obs::json::escape;
 use std::fmt::Write as _;
 
-const USAGE: &str = "usage: perf_sweep [--no-fast-forward] [--keep-cache] [--json=PATH] \
-[--stats-out=PATH] [--only=SUBSTR].. [--design=NAME].. [--workers=N] [--check] \
-[--journal[=PATH]] [--resume[=PATH]] [--chaos=SEED] [--deadline=SECS] [--watchdog=CYCLES] \
-[--retry-backoff-ms=N] [--trace[=PATH]] [--trace-sample=N] [--metrics[=PATH]] \
-[--metrics-interval=N] [--observe=APP/DESIGN] [--progress[=PATH]]   (scale: DCL1_SCALE)";
+const CLI: Cli = Cli {
+    bin: "perf_sweep",
+    about: "Clears the result cache, simulates every app on the default four designs, prints \
+            per-point timings and throughput, and writes BENCH_sweep.json. \
+            Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+    positionals: None,
+    flags: &[FLAGS, sweepcli::FLAGS],
+};
 
-/// This binary's own arguments (`ObsCli` / `ResCli` / `--workers=` are
-/// already taken).
-fn is_own_arg(arg: &str) -> bool {
-    const VALUED: [&str; 4] = ["--json=", "--stats-out=", "--only=", "--design="];
-    arg == "--no-fast-forward" || arg == "--keep-cache" || VALUED.iter().any(|p| arg.starts_with(p))
-}
+const FLAGS: &[Flag] = &[
+    Flag::new("no-fast-forward", Switch, "step every cycle (the fast-forward's reference)"),
+    Flag::new("keep-cache", Switch, "keep the cache (measure warm behaviour)"),
+    Flag::new("json", Value("PATH"), "the report (default BENCH_sweep.json)"),
+    Flag::new("stats-out", Value("PATH"), "also write the byte-comparable per-point stats dump"),
+    Flag::new("only", Repeated("SUBSTR"), "keep the points whose APP/DESIGN contains SUBSTR"),
+    Flag::new("design", Repeated("NAME"), "sweep NAME (pr4, sh16+c8+boost, ...), not the four"),
+];
 
 /// Renders the sweep report as a JSON document.
 #[expect(clippy::too_many_arguments)] // a report has many independent facts
@@ -141,39 +121,23 @@ fn simcheck_provenance() -> Option<(usize, usize, usize)> {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    dcl1_bench::exit_on_help(&args, USAGE);
-    let obs = ObsCli::parse(&mut args);
-    let res = ResCli::parse(&mut args);
-    dcl1_bench::apply_workers_flag("perf_sweep", &mut args);
-    // Before the cache is cleared on the strength of a typo.
-    if let Some(arg) = args.iter().find(|a| !is_own_arg(a)) {
-        dcl1_bench::reject_unknown_arg("perf_sweep", USAGE, arg);
-    }
-    let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
-    let keep_cache = args.iter().any(|a| a == "--keep-cache");
-    let json_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--json="))
-        .unwrap_or("BENCH_sweep.json")
-        .to_string();
-    let stats_out = args.iter().find_map(|a| a.strip_prefix("--stats-out=")).map(String::from);
-    let only: Vec<String> =
-        args.iter().filter_map(|a| a.strip_prefix("--only=")).map(String::from).collect();
+    let args = CLI.parse(std::env::args().skip(1));
+    let shared = SweepCli::from_args(&args);
+    let fast_forward = !args.switch("no-fast-forward");
+    let json_path = args.value("json").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let stats_out: Option<String> = args.value("stats-out");
+    let only: Vec<String> = args.values("only");
+    let cfg = GpuConfig::default();
+    let designs = grid::parse_designs(&args.values::<String>("design"), &cfg)
+        .unwrap_or_else(|e| args.fail(&e));
     let scale = Scale::from_env();
 
-    if !keep_cache {
+    // Everything is read and valid; only now touch the cache.
+    let banner = shared.apply();
+    if !args.switch("keep-cache") {
         runner::clear_disk_cache();
     }
-    eprintln!("[perf_sweep] {}", res.banner());
-    obs.install_progress();
-    let cfg = GpuConfig::default();
-    let design_names: Vec<String> =
-        args.iter().filter_map(|a| a.strip_prefix("--design=")).map(String::from).collect();
-    let designs = grid::parse_designs(&design_names, &cfg).unwrap_or_else(|e| {
-        eprintln!("perf_sweep: {e}");
-        std::process::exit(2);
-    });
+    eprintln!("[perf_sweep] {banner}");
     let opts = SimOptions { fast_forward, ..SimOptions::default() };
     let reqs = grid::build_grid(&designs, &only, &cfg, opts);
 
@@ -248,7 +212,7 @@ fn main() {
         reqs.len(),
         total,
         wall.as_secs_f64(),
-        res.chaos_seed,
+        shared.chaos_seed,
         &digest,
     );
     match std::fs::write(&json_path, &report) {
@@ -256,7 +220,7 @@ fn main() {
         Err(e) => eprintln!("[perf_sweep] cannot write {json_path}: {e}"),
     }
 
-    obs.run_if_enabled(scale);
+    shared.run_observed(scale);
 
     // Every planned point is accounted for: served by a tier, simulated,
     // or quarantined. An undercount means a tier stopped reporting.
@@ -275,7 +239,7 @@ fn main() {
     // points); the proof of robustness is the byte-identical digest plus
     // the quarantine report, so the sweep still exits 0. Without chaos, a
     // quarantined point is a genuine failure.
-    if !outcome.quarantined.is_empty() && res.chaos_seed.is_none() {
+    if !outcome.quarantined.is_empty() && shared.chaos_seed.is_none() {
         eprintln!("[perf_sweep] {} point(s) failed supervision", outcome.quarantined.len());
         std::process::exit(1);
     }

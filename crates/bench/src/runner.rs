@@ -713,40 +713,16 @@ fn emit_progress(ev: &ProgressEvent<'_>) {
 // Supervision configuration
 // ---------------------------------------------------------------------------
 
-/// Watchdog epoch applied to supervised runs; `0` disables the watchdog.
-/// Defaults to [`dcl1::DEFAULT_WATCHDOG_EPOCH`] — the probe only reads
-/// gauges, so arming it never changes statistics.
-static WATCHDOG_EPOCH: AtomicU64 = AtomicU64::new(dcl1::DEFAULT_WATCHDOG_EPOCH);
-
-/// Per-point wall-clock deadline in seconds; `0` means none.
-static DEADLINE_SECS: AtomicU64 = AtomicU64::new(0);
-
-/// Retry backoff unit in milliseconds (attempt `n` sleeps `n × base`).
-static BACKOFF_MS: AtomicU64 = AtomicU64::new(50);
-
-/// Overrides the progress-watchdog epoch for supervised runs (`0`
-/// disables the watchdog entirely).
-pub fn set_watchdog_epoch(epoch_cycles: u64) {
-    WATCHDOG_EPOCH.store(epoch_cycles, Ordering::Relaxed);
-}
-
-/// Sets the per-point wall-clock deadline, in whole seconds (`0` = none).
-/// A point that exceeds it fails the attempt with `SimError::Deadline`.
-pub fn set_point_deadline_secs(secs: u64) {
-    DEADLINE_SECS.store(secs, Ordering::Relaxed);
-}
-
-/// Sets the retry backoff unit in milliseconds (`0` retries immediately —
-/// what a `--chaos` sweep, so `crates/bench/tests/resilience.rs`, uses to
-/// stay fast).
-pub fn set_retry_backoff_ms(ms: u64) {
-    BACKOFF_MS.store(ms, Ordering::Relaxed);
-}
-
+/// Three attempts, attempt `n` sleeping `n × 50` ms first — or not at all
+/// while chaos is armed (on this thread or process-wide): a chaos sweep
+/// recovers dozens of injected faults, and sleeping through a backoff on
+/// each would dominate its run time without making the proof stronger.
 fn retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        backoff: std::time::Duration::from_millis(BACKOFF_MS.load(Ordering::Relaxed)),
+    let policy = RetryPolicy::default();
+    if active_chaos().is_some() {
+        RetryPolicy { backoff: std::time::Duration::ZERO, ..policy }
+    } else {
+        policy
     }
 }
 
@@ -779,7 +755,7 @@ thread_local! {
     /// tenant by arming it only on the worker thread running that
     /// tenant's job, leaving every other tenant's runs fault-free.
     static THREAD_CHAOS: std::cell::Cell<Option<Chaos>> = const { std::cell::Cell::new(None) };
-    /// Per-thread deadline override (per-job deadlines in `dcl1d`).
+    /// Per-thread deadline (per-job deadlines in `dcl1d`).
     static THREAD_DEADLINE: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
     /// Tier that served the last completed point on this thread.
     static LAST_SOURCE: std::cell::Cell<Option<&'static str>> = const { std::cell::Cell::new(None) };
@@ -802,9 +778,10 @@ pub fn set_thread_chaos(seed: Option<u64>) {
     THREAD_CHAOS.with(|c| c.set(seed.map(Chaos::new)));
 }
 
-/// Sets (or with `None` clears) a per-thread wall-clock deadline override
-/// for subsequent runs on this thread, taking precedence over
-/// [`set_point_deadline_secs`]. `dcl1d` maps per-job deadlines onto this.
+/// Sets (or with `None` clears) a wall-clock deadline, in whole seconds,
+/// for subsequent runs on this thread (`0` = none): a point that exceeds
+/// it fails the attempt with `SimError::Deadline`. `dcl1d` maps per-job
+/// deadlines onto this.
 pub fn set_thread_deadline_secs(secs: Option<u64>) {
     THREAD_DEADLINE.with(|d| d.set(secs));
 }
@@ -1064,68 +1041,52 @@ pub fn run_app_result(req: &RunRequest, scale: Scale, attempt: u32) -> Result<Ru
             }
         }
     }
-    let (num, den) = scale.ratio();
-    let app = req.app.scaled(num, den);
-    // Warm the caches over the first third of the kernel, then measure —
-    // standard simulation methodology; keeps short scaled runs from being
-    // dominated by cold misses.
-    let mut opts = req.opts;
-    if opts.warmup_instructions == 0 {
-        opts.warmup_instructions = app.total_instructions() / 3;
-    }
     let start = Instant::now();
-    let mut sys = GpuSystem::build(&req.cfg, &req.design, &app, opts)
-        .map_err(|e| SimError::Config(format!("{}: {e}", req.design.name())))?;
-    sys.set_shards(effective_shards());
-    // Registry and profiler are pull-only diagnostics: statistics are
-    // byte-identical with them on (the determinism suite pins this), so
-    // every supervised run carries them.
-    sys.enable_registry();
-    sys.enable_profiler();
-    if let Some(sink) = active_progress_sink() {
-        let label = point.clone();
-        let total = app.total_instructions().max(1);
-        let hook_start = Instant::now();
-        sys.set_progress_hook(ProgressHook::new(move |cycle, retired| {
-            let secs = hook_start.elapsed().as_secs_f64();
-            let khz = if secs > 0.0 { cycle as f64 / secs / 1e3 } else { 0.0 };
-            let ev = ProgressEvent::new(ProgressStage::Progress, &label)
-                .attempt(attempt)
-                .pct((100 * retired / total).min(100))
-                .cycles(cycle)
-                .khz(khz);
-            sink.emit(&ev);
-        }));
-    }
-    if checked {
-        sys.enable_check();
-    }
-    let epoch = WATCHDOG_EPOCH.load(Ordering::Relaxed);
-    if epoch > 0 {
-        sys.set_watchdog(epoch);
-    }
-    let deadline = THREAD_DEADLINE
-        .with(std::cell::Cell::get)
-        .unwrap_or_else(|| DEADLINE_SECS.load(Ordering::Relaxed));
-    if deadline > 0 {
-        sys.set_deadline_secs(deadline);
-    }
-    if let Some(c) = &chaos {
-        if c.should_stall(&point, attempt) {
-            // Freeze progress mid-run and tighten the epoch so the
-            // watchdog converts the hang into a livelock within
-            // milliseconds instead of the default ~1M cycles.
-            sys.inject_stall_from(CHAOS_STALL_CYCLE);
-            sys.set_watchdog(CHAOS_STALL_EPOCH);
+    let (stats, wall, profile) = with_point(req, scale, |sys, total| {
+        // Registry and profiler are pull-only diagnostics: statistics are
+        // byte-identical with them on (the determinism suite pins this), so
+        // every supervised run carries them.
+        sys.enable_registry();
+        sys.enable_profiler();
+        if let Some(sink) = active_progress_sink() {
+            let label = point.clone();
+            let total = total.max(1);
+            let hook_start = Instant::now();
+            sys.set_progress_hook(ProgressHook::new(move |cycle, retired| {
+                let secs = hook_start.elapsed().as_secs_f64();
+                let khz = if secs > 0.0 { cycle as f64 / secs / 1e3 } else { 0.0 };
+                let ev = ProgressEvent::new(ProgressStage::Progress, &label)
+                    .attempt(attempt)
+                    .pct((100 * retired / total).min(100))
+                    .cycles(cycle)
+                    .khz(khz);
+                sink.emit(&ev);
+            }));
         }
-    }
-    let stats = sys.run_result()?;
-    let wall = start.elapsed();
-    note_shard_report(&sys.shard_report());
-    let profile = sys.take_profiler().unwrap_or_default();
-    if let Some(mm) = sys.take_metrics() {
-        sweep_registry().lock().expect("sweep registry lock").reg.absorb(mm.registry());
-    }
+        if checked {
+            sys.enable_check();
+        }
+        if let Some(secs) = THREAD_DEADLINE.with(std::cell::Cell::get).filter(|&s| s > 0) {
+            sys.set_deadline_secs(secs);
+        }
+        if let Some(c) = &chaos {
+            if c.should_stall(&point, attempt) {
+                // Freeze progress mid-run and tighten the epoch so the
+                // watchdog converts the hang into a livelock within
+                // milliseconds instead of the default ~1M cycles.
+                sys.inject_stall_from(CHAOS_STALL_CYCLE);
+                sys.set_watchdog(CHAOS_STALL_EPOCH);
+            }
+        }
+        let stats = sys.run_result()?;
+        let wall = start.elapsed();
+        note_shard_report(&sys.shard_report());
+        let profile = sys.take_profiler().unwrap_or_default();
+        if let Some(mm) = sys.take_metrics() {
+            sweep_registry().lock().expect("sweep registry lock").reg.absorb(mm.registry());
+        }
+        Ok((stats, wall, profile))
+    })?;
     sweep_profiler().lock().expect("sweep profiler lock").absorb(&profile);
 
     SIMULATED.fetch_add(1, Ordering::Relaxed);
@@ -1235,23 +1196,18 @@ pub fn set_check_mode(enabled: bool) {
 
 static CHECK_MODE: AtomicBool = AtomicBool::new(false);
 
-/// Runs one simulation point with observability sinks attached, returning
-/// a structured error instead of panicking on a bad design or a hang.
-///
-/// Bypasses both memo layers in both directions: tracing and metrics are
-/// side effects of actually simulating, so a cached result would produce
-/// empty output files — and an observed run is never written back, keeping
-/// the cache free of runs the observer may have slowed down.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] when the design fails to resolve, and
-/// watchdog errors when one is armed and fires.
-pub fn run_app_observed_result(
+/// Builds the machine of one point and hands it to `run` with the scaled
+/// kernel's instruction count — the only place a run's machine is built:
+/// the app scaled, caches warmed over the first third of the kernel
+/// (standard methodology; keeps short scaled runs from being dominated by
+/// cold misses) unless the request sets its own warm-up, the runner's
+/// shard count, and the progress watchdog armed (it only reads gauges, so
+/// statistics do not change).
+fn with_point<T>(
     req: &RunRequest,
     scale: Scale,
-    obs: dcl1::Observer,
-) -> Result<RunStats, SimError> {
+    run: impl FnOnce(&mut GpuSystem<'_>, u64) -> Result<T, SimError>,
+) -> Result<T, SimError> {
     let (num, den) = scale.ratio();
     let app = req.app.scaled(num, den);
     let mut opts = req.opts;
@@ -1261,23 +1217,43 @@ pub fn run_app_observed_result(
     let mut sys = GpuSystem::build(&req.cfg, &req.design, &app, opts)
         .map_err(|e| SimError::Config(format!("{}: {e}", req.design.name())))?;
     sys.set_shards(effective_shards());
-    sys.attach_observer(obs);
-    let epoch = WATCHDOG_EPOCH.load(Ordering::Relaxed);
-    if epoch > 0 {
-        sys.set_watchdog(epoch);
-    }
-    let out = sys.run_result();
-    note_shard_report(&sys.shard_report());
-    out
+    sys.set_watchdog(dcl1::DEFAULT_WATCHDOG_EPOCH);
+    run(&mut sys, app.total_instructions())
 }
 
 /// Runs one simulation point with observability sinks attached.
 ///
-/// # Panics
+/// Bypasses both memo layers in both directions: tracing and metrics are
+/// side effects of actually simulating, so a cached result would produce
+/// empty output files — and an observed run is never written back, keeping
+/// the cache free of runs the observer may have slowed down.
 ///
-/// Panics if the design fails to resolve (an experiment-definition bug).
-pub fn run_app_observed(req: &RunRequest, scale: Scale, obs: dcl1::Observer) -> RunStats {
-    run_app_observed_result(req, scale, obs).unwrap_or_else(|e| panic!("{e}"))
+/// # Errors
+///
+/// Returns [`SimError::Config`] when the design fails to resolve, and
+/// watchdog errors when the run hangs.
+pub fn run_app_observed(
+    req: &RunRequest,
+    scale: Scale,
+    obs: dcl1::Observer,
+) -> Result<RunStats, SimError> {
+    with_point(req, scale, |sys, _| {
+        sys.attach_observer(obs);
+        let out = sys.run_result();
+        note_shard_report(&sys.shard_report());
+        out
+    })
+}
+
+/// Runs one point outside the memo and the sweep's bookkeeping, built as
+/// every run is, and returns its statistics with the machine's
+/// [`GpuSystem::debug_snapshot`] — what `dbg` prints.
+///
+/// # Errors
+///
+/// As [`run_app_observed`].
+pub fn run_app_snapshot(req: &RunRequest, scale: Scale) -> Result<(RunStats, String), SimError> {
+    with_point(req, scale, |sys, _| Ok((sys.run_result()?, sys.debug_snapshot())))
 }
 
 /// Renders completed points as one canonical, byte-stable document: each
@@ -1663,13 +1639,11 @@ mod tests {
         let clean = run_apps(std::slice::from_ref(&req), Scale::Smoke);
         let before = recovery_log();
         set_chaos(Some(seed));
-        set_retry_backoff_ms(0);
         // Bypass the memo (the clean run filled it) by dropping the key:
         // chaos panics fire before the memo lookup, so the retry still
         // exercises the full path; the memo then serves the clean result.
         let outcome = run_apps_supervised(&[req], Scale::Smoke, 1);
         set_chaos(None);
-        set_retry_backoff_ms(50);
 
         assert!(outcome.quarantined.is_empty(), "{:?}", outcome.quarantined);
         assert_eq!(outcome.results[0].as_ref().unwrap(), &clean[0], "retry changed stats");

@@ -1,8 +1,9 @@
 //! `perf_sweep` and `experiments` refuse a command line they only half
 //! understand: `--help` prints the usage and exits 0, an argument nobody
-//! claims exits 2 — and in neither case is the result cache touched
-//! (`perf_sweep` used to clear it, then run the default sweep). The
-//! options of the deleted baseline gate are typos like any other.
+//! claims or a value that does not parse exits 2 — and in no case is the
+//! result cache touched (`perf_sweep` used to clear it, then run the
+//! default sweep; a malformed value used to panic). The options of the
+//! deleted baseline gate are typos like any other.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -56,7 +57,31 @@ fn help_and_typos_leave_the_cache_alone() {
             assert!(stdout.is_empty(), "{tag} {typo:?} ran something: {stdout}");
             assert!(entry.exists(), "{tag} {typo:?} cleared the cache");
         }
+        // Known flags with a value that does not parse, or none at all.
+        for bad in ["--metrics-interval=x", "--chaos=", "--workers=0", "--only"] {
+            let (code, stdout, stderr) = run(bin, &cache, &[bad]);
+            assert_eq!(code, Some(2), "{tag} {bad}: {stderr}");
+            assert!(stderr.contains(bad.split('=').next().unwrap()), "{tag} {bad}: {stderr}");
+            assert!(stderr.contains("usage: "), "{tag} {bad}: {stderr}");
+            assert!(stdout.is_empty(), "{tag} {bad} ran something: {stdout}");
+            assert!(entry.exists(), "{tag} {bad} cleared the cache");
+        }
         let _ = std::fs::remove_dir_all(&cache);
+    }
+}
+
+#[test]
+fn dbg_refuses_a_point_it_cannot_resolve() {
+    for point in ["NOPE:baseline", "C-BLK:nope", "C-BLK"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbg"))
+            .arg(point)
+            .env("DCL1_SCALE", "smoke")
+            .output()
+            .expect("spawn dbg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{point}: {stderr}");
+        assert!(stderr.contains(point) && stderr.contains("usage: "), "{point}: {stderr}");
+        assert!(out.stdout.is_empty(), "{point} ran something");
     }
 }
 

@@ -1,7 +1,7 @@
 //! What a cold `perf_sweep` over the smoke grid writes besides
 //! statistics: the `--progress` event stream, the `--json` report's phase
 //! profile and registry, and the `--trace` / `--metrics` files of the
-//! observed point. Every document is parsed with `dcl1_obs::json` and
+//! `--observe` point. Every document is parsed with `dcl1_obs::json` and
 //! every key is looked up by name, so a key that stops being written
 //! fails here just as a wrong value does.
 
@@ -32,6 +32,7 @@ fn progress_stream_report_trace_and_metrics_keep_their_schema() {
             "--trace=trace.json",
             "--metrics=metrics.jsonl",
             "--metrics-interval=512",
+            "--observe=P-GEMM/sh40",
         ],
     );
 
@@ -103,7 +104,13 @@ fn progress_stream_report_trace_and_metrics_keep_their_schema() {
         list(p, &["phases"]);
     }
 
-    // The observed point's trace and metrics.
+    // The observed point — the one `--observe` names, not the default —
+    // and its trace and metrics.
+    assert!(
+        out.stderr.contains("[observe] simulating P-GEMM/Sh40 trace=trace.json metrics=metrics.jsonl"),
+        "{}",
+        out.stderr
+    );
     let trace = Json::parse(&read(&dir.join("trace.json"))).expect("trace parses");
     let spans: BTreeSet<&str> = list(&trace, &["traceEvents"])
         .iter()

@@ -11,6 +11,8 @@
 //!    recomputed (`memo.simulated == 0` in the restarted process).
 //! 3. **The ledger digest**: a grid resubmitted five times over a warm
 //!    store digests to what a byte-at-a-time FNV-1a makes of the dump.
+//! 4. **The command line**: the quota flags bound admission, and a flag
+//!    the daemon does not understand stops it before it binds a port.
 
 mod util;
 
@@ -18,6 +20,8 @@ use dcl1::{GpuConfig, RunStats, SimOptions};
 use dcl1_bench::{grid, runner, Scale};
 use dcl1_obs::json::Json;
 use dcl1_resilience::Chaos;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use util::{at, num, rpc, scratch, start_daemon, submit_grid};
 
@@ -197,4 +201,58 @@ fn resubmitted_grid_digest_matches_a_naive_fnv1a() {
 
     child.wait().expect("daemon exits after drain");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn quota_flags_bound_admission() {
+    let dir = scratch("quotas");
+    let (mut child, mut ctl) = start_daemon(
+        &dir,
+        "quotas",
+        &["--workers=1", "--max-queued=1", "--tenant-queued=1", "--tenant-inflight=1"],
+    );
+    let first = rpc(
+        &mut ctl,
+        "{\"cmd\":\"submit\",\"tenant\":\"ann\",\"points\":[{\"app\":\"C-BLK\",\"design\":\"pr4\"}]}",
+    );
+    assert_eq!(num(&first, &["accepted"]), 1.0, "{first:?}");
+    // One job queued or running for ann; the whole grid cannot fit behind
+    // a one-job queue.
+    let second = rpc(&mut ctl, "{\"cmd\":\"submit\",\"tenant\":\"ann\",\"grid\":true}");
+    assert!(num(&second, &["rejected"]) >= JOBS - 2.0, "{second:?}");
+    assert!(num(&second, &["retry_after_ms"]) > 0.0, "{second:?}");
+    let accepted = 1.0 + num(&second, &["accepted"]);
+    let fin = rpc(&mut ctl, "{\"cmd\":\"drain\"}");
+    assert_eq!(num(&fin, &["tenants", "ann", "completed"]), accepted);
+    child.wait().expect("daemon exits after drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_mistyped_flag_exits_2_before_binding() {
+    for bad in ["--wokers=4", "--workers=abc", "--tenant-inflight=x"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dcl1d"))
+            .args(["--addr=127.0.0.1:0", bad])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn dcl1d");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll dcl1d") {
+                break Some(status);
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
+        assert_eq!(status.and_then(|s| s.code()), Some(2), "{bad}: {stderr}");
+        assert!(!stderr.contains("listening on"), "{bad} bound a port: {stderr}");
+        assert!(stderr.contains("usage: "), "{bad}: {stderr}");
+    }
 }

@@ -6,7 +6,7 @@
 # run in a temporary directory that goes when the script exits.
 #
 # usage: scripts/ci.sh LEG [BASE_REF]
-#   LEG       build | test | lint | checked | alloc | census |
+#   LEG       build | test | lint | surface | checked | alloc | census |
 #             release-digests | perf-gate | all
 #   BASE_REF  what perf-gate measures against (default HEAD~1)
 set -euo pipefail
@@ -39,6 +39,33 @@ leg_lint() {
     cargo run --release --offline --quiet -p simcheck -- schema
     # NoC#2's shape is decided in noc2.rs only.
     if grep -nE 'Noc2Kind::|Noc2Net' crates/dcl1/src/machine.rs crates/dcl1/src/shard.rs; then
+        return 1
+    fi
+}
+
+# The command-line surface cannot grow back: every flag a binary's --help
+# lists is named by a test, a leg of this script (this one aside) or the
+# ledger; and the documents name none of the options and binaries that
+# were deleted for lack of a caller.
+leg_surface() {
+    cargo build --release --offline --workspace --bins
+    local corpus=$tmp/surface-corpus bin help flag orphans=()
+    {
+        find tests crates/*/tests benchmark/src scripts -type f ! -path scripts/ci.sh -exec cat {} +
+        sed '/^leg_surface() {/,/^}/d' scripts/ci.sh
+    } >"$corpus"
+    for bin in perf_sweep experiments dbg dcl1-sim dcl1d; do
+        help=$("target/release/$bin" --help)
+        for flag in $(grep -oE -- '--[a-z][a-z0-9-]*' <<<"$help" | sort -u); do
+            grep -qE -- "$flag([^a-z0-9-]|\$)" "$corpus" || orphans+=("$bin $flag")
+        done
+    done
+    if [ ${#orphans[@]} -gt 0 ]; then
+        printf 'exercised nowhere: %s\n' "${orphans[@]}" >&2
+        return 1
+    fi
+    if grep -nE -- '--(watchdog|retry-backoff-ms|deadline=|trace-sample)|(^|[^a-z_])calibrate([^a-z]|$)' \
+        README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
         return 1
     fi
 }
@@ -82,7 +109,7 @@ leg_release_digests() {
 leg_perf_gate() { scripts/perf-gate.sh "${1:-HEAD~1}"; }
 
 usage() {
-    echo "usage: $0 build|test|lint|checked|alloc|census|release-digests|perf-gate|all [BASE_REF]" >&2
+    echo "usage: $0 build|test|lint|surface|checked|alloc|census|release-digests|perf-gate|all [BASE_REF]" >&2
     exit 2
 }
 
@@ -100,7 +127,7 @@ run() {
 if [ "$1" = all ]; then
     shift
     t0=$SECONDS
-    for leg in build test lint checked alloc census release-digests perf-gate; do
+    for leg in build test lint surface checked alloc census release-digests perf-gate; do
         run "$leg" "$@"
     done
     echo "#### ci.sh all: ok, $((SECONDS - t0)) s"

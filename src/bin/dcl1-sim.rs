@@ -1,99 +1,67 @@
-//! `dcl1-sim` — command-line front end to the simulator.
-//!
-//! ```text
-//! dcl1-sim [--app NAME | --trace FILE] [--design NAME]... [options]
-//!
-//!   --app NAME          workload from the 28-app catalog (default T-AlexNet)
-//!   --trace FILE        replay a recorded .dcl1trc trace instead
-//!   --design NAME       design to run; repeatable (default baseline + sh40+c10+boost)
-//!                       names: baseline, ideal, pr40, sh40, sh40+c10,
-//!                       sh40+c10+boost, cdxbar, baseline+2xl1, ...
-//!   --scale S           full | quarter | smoke (default quarter)
-//!   --cores N           core count (default 80; must fit the design)
-//!   --l1-kb N           per-core L1 capacity in KiB (default 16)
-//!   --latency N         override L1/DC-L1 access latency
-//!   --perfect           perfect (always-hit) L1s
-//!   --gto               greedy-then-oldest wavefront scheduler
-//!   --distributed-ctas  block-distributed CTA scheduler
-//!   --no-warmup         measure from cold (default: warm first third)
-//!   --csv               emit CSV instead of a table
-//! ```
+//! `dcl1-sim` — command-line front end to the simulator; `--help` lists
+//! the options.
 
-use dcl1_repro::bench::Table;
+use dcl1_repro::bench::cli::Kind::{Repeated, Switch, Value};
+use dcl1_repro::bench::cli::{Cli, Flag};
+use dcl1_repro::bench::{Scale, Table};
 use dcl1_repro::dcl1::{Design, GpuConfig, GpuSystem, RunStats, SimOptions};
 use dcl1_repro::gpu::{CtaPolicy, IssuePolicy, TraceFactory};
 use dcl1_repro::workloads::{all_apps, by_name, FileTraceFactory};
 
-fn fail(msg: &str) -> ! {
-    eprintln!("dcl1-sim: {msg}");
-    eprintln!("run with --help for usage");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    bin: "dcl1-sim",
+    about: "Runs one workload on a set of designs and prints a table, the first design \
+            the IPC reference. Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+    positionals: None,
+    flags: &[&[
+        Flag::new("list-apps", Switch, "print the catalog and exit"),
+        Flag::new("app", Value("NAME"), "workload from the 28-app catalog (default T-AlexNet)"),
+        Flag::new("replay", Value("FILE"), "replay a recorded .dcl1trc trace instead (from cold)"),
+        Flag::new(
+            "design",
+            Repeated("NAME"),
+            "baseline | ideal | prY | shY | shY+cZ | shY+cZ+boost | cdxbar[+2xnoc1|+2xnoc] | \
+             baseline+2xl1 | baseline+2xnoc | baseline+4xflit (default baseline, sh40+c10+boost)",
+        ),
+        Flag::new("cores", Value("N"), "core count (default 80)"),
+        Flag::new("l1-kb", Value("N"), "per-core L1 KiB (default 16)"),
+        Flag::new("latency", Value("N"), "L1/DC-L1 access latency override"),
+        Flag::new("perfect", Switch, "perfect (always-hit) L1s"),
+        Flag::new("gto", Switch, "greedy-then-oldest wavefront scheduler"),
+        Flag::new("distributed-ctas", Switch, "block-distributed CTA scheduler"),
+        Flag::new("no-warmup", Switch, "measure from cold (default: warm over the first third)"),
+        Flag::new("csv", Switch, "CSV instead of a table"),
+    ]],
+};
 
 fn main() {
-    let mut app_name = "T-AlexNet".to_string();
-    let mut trace_path: Option<String> = None;
-    let mut designs: Vec<Design> = Vec::new();
-    let mut scale = (1u32, 4u32);
-    let mut cfg = GpuConfig::default();
-    let mut opts = SimOptions::default();
-    let mut warmup = true;
-    let mut csv = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{}", HELP);
-                return;
-            }
-            "--list-apps" => {
-                for app in all_apps() {
-                    println!(
-                        "{:14} {:10} {}",
-                        app.name,
-                        format!("{:?}", app.suite),
-                        if app.replication_sensitive { "replication-sensitive" } else { "" }
-                    );
-                }
-                return;
-            }
-            "--app" => app_name = value("--app"),
-            "--trace" => trace_path = Some(value("--trace")),
-            "--design" => {
-                let name = value("--design");
-                designs.push(name.parse().unwrap_or_else(|e| fail(&format!("{e}"))));
-            }
-            "--scale" => {
-                scale = match value("--scale").as_str() {
-                    "full" => (1, 1),
-                    "quarter" => (1, 4),
-                    "smoke" => (1, 16),
-                    other => fail(&format!("unknown scale {other}")),
-                }
-            }
-            "--cores" => {
-                cfg.cores = value("--cores").parse().unwrap_or_else(|_| fail("bad --cores"))
-            }
-            "--l1-kb" => {
-                let kb: usize = value("--l1-kb").parse().unwrap_or_else(|_| fail("bad --l1-kb"));
-                cfg.l1_bytes = kb * 1024;
-            }
-            "--latency" => {
-                opts.l1_latency_override =
-                    Some(value("--latency").parse().unwrap_or_else(|_| fail("bad --latency")))
-            }
-            "--perfect" => opts.perfect_l1 = true,
-            "--gto" => cfg.issue_policy = IssuePolicy::GreedyThenOldest,
-            "--distributed-ctas" => opts.cta_policy = CtaPolicy::DistributedBlocks,
-            "--no-warmup" => warmup = false,
-            "--csv" => csv = true,
-            other => fail(&format!("unknown argument {other}")),
+    let args = CLI.parse(std::env::args().skip(1));
+    if args.switch("list-apps") {
+        for app in all_apps() {
+            println!(
+                "{:14} {:10} {}",
+                app.name,
+                format!("{:?}", app.suite),
+                if app.replication_sensitive { "replication-sensitive" } else { "" }
+            );
         }
+        return;
     }
+    let mut cfg = GpuConfig::default();
+    cfg.cores = args.value("cores").unwrap_or(cfg.cores);
+    cfg.l1_bytes = args.value::<usize>("l1-kb").map_or(cfg.l1_bytes, |kb| kb * 1024);
+    if args.switch("gto") {
+        cfg.issue_policy = IssuePolicy::GreedyThenOldest;
+    }
+    let mut opts = SimOptions {
+        l1_latency_override: args.value("latency"),
+        perfect_l1: args.switch("perfect"),
+        ..SimOptions::default()
+    };
+    if args.switch("distributed-ctas") {
+        opts.cta_policy = CtaPolicy::DistributedBlocks;
+    }
+    let mut designs: Vec<Design> = args.values("design");
     if designs.is_empty() {
         designs = vec![Design::Baseline, Design::flagship(&cfg)];
     }
@@ -101,40 +69,36 @@ fn main() {
     // Resolve the workload.
     let replay;
     let spec;
-    let factory: &dyn TraceFactory = match &trace_path {
+    let (name, factory): (String, &dyn TraceFactory) = match args.value::<String>("replay") {
         Some(p) => {
-            replay = FileTraceFactory::load(p)
-                .unwrap_or_else(|e| fail(&format!("cannot load trace {p}: {e}")));
-            &replay
+            replay = FileTraceFactory::load(&p)
+                .unwrap_or_else(|e| args.fail(&format!("cannot load trace {p}: {e}")));
+            (p, &replay)
         }
         None => {
-            spec = by_name(&app_name)
-                .unwrap_or_else(|| fail(&format!("unknown app {app_name}; try --list-apps")))
-                .scaled(scale.0, scale.1);
-            if warmup {
+            let name = args.value("app").unwrap_or_else(|| "T-AlexNet".to_string());
+            let (num, den) = Scale::from_env().ratio();
+            spec = by_name(&name)
+                .unwrap_or_else(|| args.fail(&format!("unknown app {name}; try --list-apps")))
+                .scaled(num, den);
+            if !args.switch("no-warmup") {
                 opts.warmup_instructions = spec.total_instructions() / 3;
             }
-            &spec
+            (name, &spec)
         }
     };
 
     let mut table = Table::new(
-        format!("{app_name}: {} designs on {} cores", designs.len(), cfg.cores),
+        format!("{name}: {} designs on {} cores", designs.len(), cfg.cores),
         &["design", "cycles", "IPC", "miss", "repl", "rtt_p50", "rtt_p95", "dram"],
     );
     let mut base_ipc: Option<f64> = None;
     for design in &designs {
         let mut sys = GpuSystem::build(&cfg, design, factory, opts)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", design.name())));
+            .unwrap_or_else(|e| args.fail(&format!("{}: {e}", design.name())));
         let stats: RunStats = sys.run();
         let ipc = stats.ipc();
-        let norm = match base_ipc {
-            None => {
-                base_ipc = Some(ipc);
-                1.0
-            }
-            Some(b) => ipc / b,
-        };
+        let norm = ipc / *base_ipc.get_or_insert(ipc);
         table.row(
             stats.design.clone(),
             vec![
@@ -148,27 +112,9 @@ fn main() {
             ],
         );
     }
-    if csv {
+    if args.switch("csv") {
         print!("{}", table.to_csv());
     } else {
         println!("{table}");
     }
 }
-
-const HELP: &str = "dcl1-sim — DC-L1 GPU cache-hierarchy simulator
-usage: dcl1-sim [--app NAME | --trace FILE] [--design NAME]... [options]
-  --app NAME          workload from the 28-app catalog (default T-AlexNet)
-  --list-apps         print the catalog and exit
-  --trace FILE        replay a recorded .dcl1trc trace
-  --design NAME       repeatable: baseline | ideal | prY | shY | shY+cZ |
-                      shY+cZ+boost | cdxbar[+2xnoc1|+2xnoc] |
-                      baseline+2xl1 | baseline+2xnoc | baseline+4xflit
-  --scale S           full | quarter | smoke    (default quarter)
-  --cores N           core count                (default 80)
-  --l1-kb N           per-core L1 KiB           (default 16)
-  --latency N         L1/DC-L1 access latency override
-  --perfect           perfect (always-hit) L1s
-  --gto               greedy-then-oldest wavefront scheduler
-  --distributed-ctas  block-distributed CTA scheduler
-  --no-warmup         measure from cold
-  --csv               CSV output";
