@@ -315,11 +315,10 @@ fn probe_system(report: &mut Report) {
 }
 
 fn probe_sharded_system(report: &mut Report) {
-    // The sharded step loop (worker pool off, so the probe measures the
-    // partitioning machinery itself: the per-domain region loop and
-    // presence-log replay) is held to the same per-cycle bound as the
-    // sequential loop — sharding must not reintroduce per-event heap
-    // traffic.
+    // The sharded step loop (the partitioning machinery itself: the
+    // per-domain region loop and presence-log replay) is held to the same
+    // per-cycle bound as the sequential loop — sharding must not
+    // reintroduce per-event heap traffic.
     const MAX_ALLOCS_PER_STEP: f64 = 8.0;
     const WARMUP_STEPS: u64 = 20_000;
     const PROBE_STEPS: u64 = 20_000;
@@ -328,7 +327,6 @@ fn probe_sharded_system(report: &mut Report) {
     let mut sys = GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default())
         .expect("flagship design builds");
     sys.set_shards(2);
-    sys.set_shard_threads(false);
     for _ in 0..WARMUP_STEPS {
         sys.step();
     }

@@ -52,15 +52,13 @@ fn sweep_json(
     let sim_wall = m.wall_nanos as f64 / 1e9;
     let khz = if sim_wall > 0.0 { m.sim_cycles as f64 / sim_wall / 1e3 } else { 0.0 };
     let recovery = runner::recovery_log();
-    let sh = runner::shard_sweep_stats();
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"scale\": \"{scale:?}\",\n  \"fast_forward\": {fast_forward},\n  \"workers\": {},\n  \"shards\": {{\n    \"requested\": {},\n    \"effective_max\": {},\n    \"barrier_stall_seconds\": {:.6}\n  }},\n  \"chaos_seed\": {},\n  \"stats_digest\": \"{digest}\",\n  \"totals\": {{\n    \"points\": {total_points},\n    \"points_simulated\": {},\n    \"points_from_memo\": {},\n    \"sim_cycles\": {total_sim_cycles},\n    \"sim_wall_seconds\": {sim_wall:.6},\n    \"sim_khz\": {khz:.3},\n    \"end_to_end_wall_seconds\": {end_to_end_wall:.6}\n  }},\n  \"recovery\": {{ {} }},\n  \"quarantined\": [",
+        "{{\n  \"scale\": \"{scale:?}\",\n  \"fast_forward\": {fast_forward},\n  \"workers\": {},\n  \"shards\": {{\n    \"requested\": {},\n    \"effective_max\": {}\n  }},\n  \"chaos_seed\": {},\n  \"stats_digest\": \"{digest}\",\n  \"totals\": {{\n    \"points\": {total_points},\n    \"points_simulated\": {},\n    \"points_from_memo\": {},\n    \"sim_cycles\": {total_sim_cycles},\n    \"sim_wall_seconds\": {sim_wall:.6},\n    \"sim_khz\": {khz:.3},\n    \"end_to_end_wall_seconds\": {end_to_end_wall:.6}\n  }},\n  \"recovery\": {{ {} }},\n  \"quarantined\": [",
         runner::effective_workers(),
         runner::effective_shards(),
-        sh.shards,
-        sh.barrier_wait_nanos as f64 / 1e9,
+        runner::shard_sweep_stats().shards,
         chaos_seed.map_or("null".to_string(), |s| s.to_string()),
         m.simulated,
         m.total_hits(),

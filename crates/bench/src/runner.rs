@@ -1080,7 +1080,7 @@ pub fn run_app_result(req: &RunRequest, scale: Scale, attempt: u32) -> Result<Ru
         }
         let stats = sys.run_result()?;
         let wall = start.elapsed();
-        note_shard_report(&sys.shard_report());
+        note_shards(sys.shards());
         let profile = sys.take_profiler().unwrap_or_default();
         if let Some(mm) = sys.take_metrics() {
             sweep_registry().lock().expect("sweep registry lock").reg.absorb(mm.registry());
@@ -1240,7 +1240,7 @@ pub fn run_app_observed(
     with_point(req, scale, |sys, _| {
         sys.attach_observer(obs);
         let out = sys.run_result();
-        note_shard_report(&sys.shard_report());
+        note_shards(sys.shards());
         out
     })
 }
@@ -1404,21 +1404,20 @@ pub fn run_apps_with_workers(reqs: &[RunRequest], scale: Scale, workers: usize) 
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static SHARDS_MAX: AtomicU64 = AtomicU64::new(0);
-static BARRIER_WAIT_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Execution domains requested for every machine built by [`run_app`]
-/// when no override is set: one, i.e. no sharding and no shard pool.
-/// Partitioning is determinism-neutral (stats are byte-identical at any
-/// shard count) but measured slower than point-level parallelism on every
-/// host tried so far (EXPERIMENTS.md, "Intra-point parallel scaling"), so
-/// it is the opt-in behind `--workers=N` / [`set_shard_override`].
+/// when no override is set: one. Partitioning is determinism-neutral
+/// (stats are byte-identical at any shard count) and buys no speed — a
+/// machine steps its domains one after another on one thread
+/// (EXPERIMENTS.md, "Intra-point parallel scaling") — so it is the opt-in
+/// behind `--workers=N` / [`set_shard_override`].
 pub const DEFAULT_SHARDS: usize = 1;
 
 /// Pins the intra-point shard count used for every subsequent
 /// [`run_app`] in this process; `0` restores [`DEFAULT_SHARDS`].
 /// Orthogonal to [`set_worker_override`], which controls how many points
 /// run concurrently: `--workers=N` on the bench binaries maps to `N`
-/// shards inside each point and `available/N` concurrent points.
+/// shards inside each point and leaves the point count alone.
 pub fn set_shard_override(shards: usize) {
     SHARD_OVERRIDE.store(shards, Ordering::Relaxed);
 }
@@ -1437,23 +1436,20 @@ pub fn effective_shards() -> usize {
 pub struct ShardSweepStats {
     /// Largest effective shard count any simulated point ran with.
     pub shards: u64,
-    /// Total wall nanoseconds coordinators spent waiting at epoch
-    /// barriers, summed over simulated points.
+    /// Always 0: a machine steps its domains on its own thread, so nothing
+    /// waits at a barrier. Kept only because the `benchmark/` ledger reads
+    /// it.
     pub barrier_wait_nanos: u64,
 }
 
 /// Returns this process's accumulated sharding diagnostics.
 pub fn shard_sweep_stats() -> ShardSweepStats {
-    ShardSweepStats {
-        shards: SHARDS_MAX.load(Ordering::Relaxed),
-        barrier_wait_nanos: BARRIER_WAIT_NANOS.load(Ordering::Relaxed),
-    }
+    ShardSweepStats { shards: SHARDS_MAX.load(Ordering::Relaxed), barrier_wait_nanos: 0 }
 }
 
-/// Folds one machine's per-run shard report into the process totals.
-fn note_shard_report(rep: &dcl1::ShardReport) {
-    SHARDS_MAX.fetch_max(rep.shards as u64, Ordering::Relaxed);
-    BARRIER_WAIT_NANOS.fetch_add(rep.barrier_wait_nanos, Ordering::Relaxed);
+/// Folds one machine's domain count into the process maximum.
+fn note_shards(shards: usize) {
+    SHARDS_MAX.fetch_max(shards as u64, Ordering::Relaxed);
 }
 
 /// Pins the worker-thread count used by [`run_apps`] for every subsequent
@@ -1464,16 +1460,12 @@ pub fn set_worker_override(workers: usize) {
     WORKER_OVERRIDE.store(workers, Ordering::Relaxed);
 }
 
-/// Cores this process may run on; 1 when the host will not say.
-pub(crate) fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
 /// The worker-thread count [`run_apps`] will use: the override if one is
-/// set, otherwise the number of available cores.
+/// set, otherwise the number of cores this process may run on (1 when the
+/// host will not say).
 pub fn effective_workers() -> usize {
     match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => available_cores(),
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         n => n,
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// The shared flag table.
 pub const FLAGS: &[Flag] = &[
-    Flag::new("workers", Value("N"), "N shard domains per machine, available/N points at once"),
+    Flag::new("workers", Value("N"), "N shard domains per machine (points still use every core)"),
     Flag::new("check", Switch, "run every point under the invariant harness (memo bypassed)"),
     Flag::new("journal", Optional("PATH", JOURNAL), "append each finished point to a journal"),
     Flag::new("resume", Optional("PATH", JOURNAL), "preload the journal, then append to it"),
@@ -78,7 +78,6 @@ impl SweepCli {
     pub fn apply(&self) -> String {
         if let Some(n) = self.workers {
             runner::set_shard_override(n.get());
-            runner::set_worker_override((runner::available_cores() / n.get()).max(1));
         }
         runner::set_check_mode(self.check);
         runner::set_chaos(self.chaos_seed);

@@ -1,8 +1,8 @@
 //! `--check` acceptance: over the three CI design points, a run under the
 //! conservation-invariant harness (a) completes with every epoch sweep
 //! passing and (b) produces statistics byte-identical to an unchecked run
-//! of the same point — on one domain and on two with the shard pool
-//! forced on, so the laws are swept over the pooled region pipeline too.
+//! of the same point — on one domain and on two, so the laws are swept
+//! over a partitioned region pipeline too.
 //!
 //! Builds the machines directly rather than through `runner::run_app` so
 //! the test neither flips the process-global check mode (which would race
@@ -17,8 +17,8 @@ const CI_POINTS: [&str; 3] = ["pr4", "sh16", "sh16+c8+boost"];
 
 /// Simulates C-BLK at smoke scale (1/16 traces, warmup over the first
 /// third — the same shaping `runner::run_app` applies) on up to `shards`
-/// domains (pooled when more than one), optionally under the invariant
-/// harness. Returns the stats and the epochs checked.
+/// domains, optionally under the invariant harness. Returns the stats and
+/// the epochs checked.
 fn simulate(design: &Design, check: bool, shards: usize) -> (RunStats, u64) {
     let cfg = GpuConfig::default();
     let app = by_name("C-BLK").expect("C-BLK workload").scaled(1, 16);
@@ -27,7 +27,6 @@ fn simulate(design: &Design, check: bool, shards: usize) -> (RunStats, u64) {
     let mut sys =
         GpuSystem::build(&cfg, design, &app, opts).unwrap_or_else(|e| panic!("build: {e}"));
     sys.set_shards(shards);
-    sys.set_shard_threads(true);
     if check {
         sys.enable_check();
     }

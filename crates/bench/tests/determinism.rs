@@ -1,7 +1,6 @@
 //! Intra-point determinism acceptance: partitioning the machine into any
-//! number of execution domains — worker threads on or off — must not move
-//! a single byte of statistics, and must not change a point's memo-cache
-//! identity.
+//! number of execution domains must not move a single byte of statistics,
+//! and must not change a point's memo-cache identity.
 //!
 //! The machine-level tests build the machines directly rather than
 //! through `runner::run_app` so a memoized result can never satisfy (and
@@ -29,7 +28,7 @@ const GRID_DESIGNS: [(&str, usize); 3] = [("pr4", 4), ("sh16", 1), ("sh16+c8+boo
 /// requested (`clusters` caps what the machine grants) and returns the
 /// canonical byte dump of the full `RunStats` (every field, fixed
 /// formatting — the same artifact sweep CI diffs).
-fn canonical(design: &Design, clusters: usize, shards: usize, force_threads: bool) -> String {
+fn canonical(design: &Design, clusters: usize, shards: usize) -> String {
     let cfg = GpuConfig::default();
     let app = by_name("C-BLK").expect("C-BLK workload").scaled(1, 16);
     let opts =
@@ -38,9 +37,6 @@ fn canonical(design: &Design, clusters: usize, shards: usize, force_threads: boo
         GpuSystem::build(&cfg, design, &app, opts).unwrap_or_else(|e| panic!("build: {e}"));
     sys.set_shards(shards);
     assert_eq!(sys.shards(), shards.clamp(1, clusters), "{}: domains granted", design.name());
-    if force_threads {
-        sys.set_shard_threads(true);
-    }
     let stats = sys.run();
     runner::canonical_stats_dump(&[(design.name(), stats)])
 }
@@ -49,28 +45,13 @@ fn canonical(design: &Design, clusters: usize, shards: usize, force_threads: boo
 fn sharded_stats_match_sequential_across_grid() {
     for (name, clusters) in GRID_DESIGNS {
         let design = Design::from_str(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sequential = canonical(&design, clusters, 1, false);
+        let sequential = canonical(&design, clusters, 1);
         for shards in [2, 4, 8] {
-            let sharded = canonical(&design, clusters, shards, false);
+            let sharded = canonical(&design, clusters, shards);
             assert_eq!(
                 sharded, sequential,
                 "{name}: stats differ between 1 and {shards} shards"
             );
-        }
-    }
-}
-
-#[test]
-fn forced_thread_pool_matches_sequential() {
-    // Threads default off on small hosts; forcing the pool on exercises
-    // the real submit/barrier/merge path regardless of core count — on
-    // every design that grants more than one domain.
-    for (name, clusters) in GRID_DESIGNS.into_iter().filter(|&(_, clusters)| clusters > 1) {
-        let design = Design::from_str(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sequential = canonical(&design, clusters, 1, false);
-        for shards in [2, 4] {
-            let pooled = canonical(&design, clusters, shards, true);
-            assert_eq!(pooled, sequential, "{name}: thread pool changed stats at {shards} shards");
         }
     }
 }
@@ -104,9 +85,11 @@ fn memo_key_is_independent_of_shard_count() {
 /// execution domains (Sh40's single crossbar clamps to one; the other
 /// three designs run all 4). Domains hold whole NoC#1 clusters, so the
 /// shard count is an execution strategy, not a simulation input: the dump
-/// must not move. A chaos-injected sharded point then shows quarantine
-/// isolates a failure: S-SPMV/Sh40 persistently panics under seed 1, and
-/// the clean points sharing its sweep still match the sequential bytes.
+/// must not move. Nor does the sweep run fewer points at once: a machine
+/// steps its domains on one thread, so every core still takes a point. A
+/// chaos-injected sharded point then shows quarantine isolates a failure:
+/// S-SPMV/Sh40 persistently panics under seed 1, and the clean points
+/// sharing its sweep still match the sequential bytes.
 #[test]
 fn four_domain_sweep_matches_the_sequential_sweep() {
     let dir = scratch("parallel");
@@ -118,6 +101,11 @@ fn four_domain_sweep_matches_the_sequential_sweep() {
     assert_eq!(num(&seq.report, &["shards", "effective_max"]), 1.0);
     assert_eq!(num(&par.report, &["shards", "requested"]), 4.0);
     assert_eq!(num(&par.report, &["shards", "effective_max"]), 4.0);
+    assert_eq!(
+        num(&par.report, &["workers"]),
+        num(&seq.report, &["workers"]),
+        "--workers=4 idled cores"
+    );
 
     // `--only` is a substring filter, so Sh40 also selects the
     // Sh40+C10+Boost points; all of those run clean under seed 1.

@@ -71,7 +71,6 @@ pub use machine::{
 pub use metrics::MachineMetrics;
 pub use node::{Dcl1Node, NodeConfig, NodeStats};
 pub use presence::{PresenceLog, PresenceMap, PresenceSession, PresenceSink};
-pub use shard::ShardReport;
 pub use dcl1_obs::metrics::{MetricsFormat, MetricsSample};
 pub use dcl1_obs::Observer;
 pub use stats::RunStats;

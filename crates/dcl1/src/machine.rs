@@ -14,10 +14,10 @@
 //!    core per cycle) into per-core transaction outboxes, then each outbox
 //!    head moves into the domain's own NoC#1 crossbar / node Q1, with
 //!    back-pressure memoized for stall attribution;
-//! 3. **NoC#1 region** (per shard domain, same job as Issue): NoC#1 ticks
+//! 3. **NoC#1 region** (per shard domain): NoC#1 ticks
 //!    (1× or 2× per core cycle) with ejection into node Q1 / completion
 //!    at cores;
-//! 4. **NoC#2** (coordinator; `noc2.rs`): node Q3 heads and stashed
+//! 4. **NoC#2** (machine-wide; `noc2.rs`): node Q3 heads and stashed
 //!    L2 replies are injected, then the fabric ticks in its own clock
 //!    domain(s), ejecting into L2 input queues / node Q4. Which of the
 //!    three shapes the design resolves to, and how a flit is routed
@@ -26,7 +26,7 @@
 //! 5. **Mem region** (per shard domain): L2 slice ticks, DC-L1 node ticks
 //!    (presence reads the cycle-start snapshot, writes a domain log) and
 //!    the node-reply drain;
-//! 6. **memory exchange** (coordinator): presence-log replay in domain
+//! 6. **memory exchange** (machine-wide): presence-log replay in domain
 //!    order, L2 ↔ DRAM moves, DRAM ticks in the 924 MHz domain.
 //!
 //! ## Sharded determinism
@@ -34,14 +34,13 @@
 //! The machine partitions its cores, DC-L1 nodes, NoC#1 clusters and L2
 //! slices into [`ShardDomain`]s ([`GpuSystem::set_shards`]), always on
 //! cluster boundaries, so core ↔ DC-L1 traffic never leaves a domain.
-//! Regions touch one domain's state only; what does cross domains (NoC#2,
-//! DRAM, presence) is stepped by the coordinator in global component
-//! order. Statistics are therefore a pure function of the *partition*,
-//! and the partition itself is chosen so results do not depend on the
-//! shard count: transaction ids come from per-core sequence counters, RTT
-//! meters are per core and merged in global core order, and presence
-//! updates are logged and replayed in node order. Running regions inline
-//! or on a worker pool is byte-identical by construction.
+//! Every region runs on the machine's own thread, domain after domain in
+//! domain order, and touches one domain's state only; what does cross
+//! domains (NoC#2, DRAM, presence) is stepped between regions in global
+//! component order. The partition is chosen so results do not depend on
+//! the shard count: transaction ids come from per-core sequence counters,
+//! RTT meters are per core and merged in global core order, and presence
+//! updates are logged and replayed in node order.
 //!
 //! [`ShardDomain`]: crate::shard::ShardDomain
 
@@ -52,7 +51,7 @@ use crate::metrics::MachineMetrics;
 use crate::noc2::Noc2;
 use crate::node::{Dcl1Node, NodeConfig, NodeStats};
 use crate::presence::PresenceMap;
-use crate::shard::{self, CoreMeter, MachineCtx, Region, ShardDomain, ShardPool, ShardReport};
+use crate::shard::{self, CoreMeter, MachineCtx, Region, ShardDomain};
 use crate::sleep::{self, Census, Visit};
 use crate::stats::RunStats;
 use crate::txn::Txn;
@@ -69,9 +68,9 @@ use dcl1_obs::Observer;
 use dcl1_resilience::SimError;
 use std::collections::VecDeque;
 use std::sync::Arc;
-// Wall time here is read only by the deadline watchdog and the per-shard
-// busy/barrier diagnostics; it never feeds statistics.
-// simcheck: allow(wall_clock): supervision and shard diagnostics only, never feeds stats
+// Wall time here is read only by the deadline watchdog and the phase
+// profiler; it never feeds statistics.
+// simcheck: allow(wall_clock): supervision and profiler diagnostics only, never feeds stats
 use std::time::Instant;
 
 /// Default cycles between progress-watchdog checks once
@@ -202,23 +201,15 @@ pub struct GpuSystem<'w> {
     /// Execution domains: every core, outbox, DC-L1 node, NoC#1 crossbar
     /// and L2 slice lives in exactly one (sequential = one domain).
     shards: Vec<ShardDomain>,
-    /// Immutable facts shared with worker threads.
+    /// Immutable facts shared by the domains and NoC#2.
     rctx: Arc<MachineCtx>,
-    /// Worker threads (one per non-coordinator shard); `None` runs every
-    /// region inline on the coordinator — byte-identical either way.
-    pool: Option<ShardPool>,
-    /// Overrides the use-worker-threads heuristic (tests force both paths).
-    thread_override: Option<bool>,
-    /// Wall nanoseconds the coordinator spent waiting at epoch barriers.
-    barrier_wait_nanos: u64,
 
-    /// Replica-presence map. Shared read-only with workers during regions
-    /// (cycle-start snapshot); exclusively re-acquired at the barrier to
-    /// replay the domain logs.
-    presence: Arc<PresenceMap>,
+    /// Replica-presence map. Read-only during the Mem region (cycle-start
+    /// snapshot); the domain logs are replayed into it after the region.
+    presence: PresenceMap,
 
     /// NoC#2: both directions, their clocks and the reply stash
-    /// (coordinator-stepped; the shape lives in `noc2.rs`).
+    /// (stepped between regions; the shape lives in `noc2.rs`).
     noc2: Noc2,
     /// DRAM access popped from a slice but not yet accepted by its MC.
     dram_stash: Vec<Option<DramAccess>>,
@@ -354,21 +345,18 @@ impl<'w> GpuSystem<'w> {
         let mcs = (0..cfg.mcs).map(|_| MemoryController::new(cfg.dram)).collect();
 
         let domain =
-            ShardDomain::new(0, (0, 0, 0, 0), cores, nodes, noc1_req, noc1_rep, l2, FlowMeter::new("txns"));
+            ShardDomain::new((0, 0, 0, 0), cores, nodes, noc1_req, noc1_rep, l2, FlowMeter::new("txns"));
 
         Ok(GpuSystem {
             dispatcher: CtaDispatcher::new(opts.cta_policy, factory.total_ctas(), cfg.cores),
             noc2: Noc2::build(cfg, &rctx),
             rctx,
             shards: vec![domain],
-            pool: None,
-            thread_override: None,
-            barrier_wait_nanos: 0,
             // Distinct presence-tracked lines are bounded by the level's
             // aggregate capacity; pre-sizing means the map never re-hashes.
-            presence: Arc::new(PresenceMap::with_capacity(
+            presence: PresenceMap::with_capacity(
                 node_cfg.size_bytes / cfg.line_bytes.max(1) * topo.nodes,
-            )),
+            ),
             dram_stash: (0..l).map(|_| None).collect(),
             dram_wait: ActiveSet::new(l),
             channels_live: ActiveSet::full(cfg.mcs),
@@ -413,7 +401,7 @@ impl<'w> GpuSystem<'w> {
     /// domains hold whole clusters — a core, the NoC#1 crossbars it
     /// injects into and every DC-L1 node it can reach — so core ↔ DC-L1
     /// traffic is domain-local, everything that does span domains (NoC#2,
-    /// DRAM, presence replay) is stepped by the coordinator in global
+    /// DRAM, presence replay) is stepped between regions in global
     /// component order, and per-core counters (transaction sequencing, RTT
     /// meters) merge in global core order. The request clamps to the
     /// cluster count: fully shared designs (`ShY`, one crossbar) and the
@@ -424,7 +412,6 @@ impl<'w> GpuSystem<'w> {
         if self.shards.len() == n {
             return;
         }
-        self.pool = None;
 
         // Every component starts the new partition awake (sleepers are
         // clocked through `now`); what can sleep drifts off again.
@@ -476,7 +463,6 @@ impl<'w> GpuSystem<'w> {
                 flow.consume(consumed);
             }
             let mut d = ShardDomain::new(
-                i,
                 (cuts.core[i], cuts.node[i], cuts.cluster[i], cuts.slice[i]),
                 cores.by_ref().take(nc).collect(),
                 nodes.by_ref().take(cuts.node[i + 1] - cuts.node[i]).collect(),
@@ -501,22 +487,9 @@ impl<'w> GpuSystem<'w> {
         self.shards.len()
     }
 
-    /// Forces worker threads on or off for sharded regions (the default
-    /// follows host parallelism). Purely an execution-strategy knob:
-    /// results are byte-identical either way.
-    pub fn set_shard_threads(&mut self, on: bool) {
-        self.thread_override = Some(on);
-    }
-
-    /// Per-shard execution diagnostics for the last run (wall-clock
-    /// derived; never part of simulation results).
-    pub fn shard_report(&self) -> ShardReport {
-        ShardReport {
-            shards: self.shards.len(),
-            barrier_wait_nanos: self.barrier_wait_nanos,
-            busy_nanos: self.shards.iter().map(|d| d.busy_nanos).collect(),
-        }
-    }
+    /// Does nothing: every domain runs on the machine's own thread. Kept
+    /// only because the `benchmark/` ledger's kernel micro-legs call it.
+    pub fn set_shard_threads(&mut self, _on: bool) {}
 
     // ---------------------------------------------------------------
     // Accessors and small helpers
@@ -629,15 +602,10 @@ impl<'w> GpuSystem<'w> {
         }
     }
 
-    /// Detaches the accumulated phase profile (with the epoch-barrier
-    /// wait folded in as one `barrier_wait` lap), disabling further
+    /// Detaches the accumulated phase profile, disabling further
     /// profiling. `None` if the profiler was never enabled.
     pub fn take_profiler(&mut self) -> Option<PhaseProfiler> {
-        let mut p = *(self.profiler.take()?);
-        if self.barrier_wait_nanos > 0 {
-            p.add(Phase::BarrierWait, self.barrier_wait_nanos);
-        }
-        Some(p)
+        self.profiler.take().map(|p| *p)
     }
 
     /// Attaches a liveness callback invoked with `(cycle,
@@ -865,61 +833,27 @@ impl<'w> GpuSystem<'w> {
         }
     }
 
-    /// Runs `regions` in order over every domain, closing a profiler lap
-    /// per region: inline, region by region in domain order, when the pool
-    /// is off; otherwise every other domain ships to its worker for the
-    /// whole list while the coordinator runs shard 0's, with one epoch
-    /// barrier at the end (its wait lands in the last region's lap).
-    /// Identical results either way — regions touch only their own domain.
-    fn run_regions(&mut self, regions: &'static [Region]) -> Result<(), SimError> {
-        let now = self.now;
-        if let Some(pool) = &self.pool {
-            for i in 1..self.shards.len() {
-                let domain = std::mem::replace(&mut self.shards[i], ShardDomain::placeholder());
-                pool.submit(i - 1, domain, regions, now, &self.rctx, &self.presence);
+    /// Runs each of `regions` over every domain in domain order, closing
+    /// a profiler lap per region. Regions touch only their own domain.
+    fn run_regions(&mut self, regions: &[Region]) {
+        for &region in regions {
+            let GpuSystem { shards, rctx, presence, obs, now, .. } = self;
+            for d in shards.iter_mut() {
+                d.run_region(region, *now, rctx, presence, obs);
             }
+            self.lap(region.phase());
         }
-        let local = if self.pool.is_some() { 1 } else { self.shards.len() };
-        for (i, &region) in regions.iter().enumerate() {
-            if i > 0 {
-                self.lap(regions[i - 1].phase());
-            }
-            // simcheck: allow(wall_clock): coordinator-shard busy diagnostics, never feeds stats
-            let t0 = self.pool.as_ref().map(|_| Instant::now());
-            let GpuSystem { shards, rctx, presence, obs, .. } = self;
-            for d in &mut shards[..local] {
-                d.run_region(region, now, rctx, presence, obs);
-            }
-            if let Some(t0) = t0 {
-                shards[0].busy_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
-        }
-        if let Some(pool) = &self.pool {
-            for i in 1..self.shards.len() {
-                let (domain, waited) = pool.wait(i - 1, now)?;
-                self.barrier_wait_nanos += waited;
-                self.shards[i] = domain;
-            }
-        }
-        if let Some(last) = regions.last() {
-            self.lap(last.phase());
-        }
-        Ok(())
     }
 
-    /// Replays every domain's presence log into the shared map, in domain
-    /// (= global node) order. Workers have dropped their snapshot refs by
-    /// the time the barrier releases, so exclusive access is guaranteed.
+    /// Replays every domain's presence log into the map, in domain
+    /// (= global node) order.
     fn apply_presence(&mut self) {
-        let map = Arc::get_mut(&mut self.presence).unwrap_or_else(|| {
-            unreachable!("presence snapshot refs are dropped before the barrier releases")
-        });
         for d in &mut self.shards {
-            d.plog.apply_to(map);
+            d.plog.apply_to(&mut self.presence);
         }
     }
 
-    /// L2 ↔ DRAM moves and DRAM ticks (coordinator: memory controllers
+    /// L2 ↔ DRAM moves and DRAM ticks (machine-wide: memory controllers
     /// serve slices from every domain, in global slice order), over the
     /// slices and channels with work. The cycle's last visit to a slice:
     /// it sleeps once `sleep::slice_sleeps` — a refused DRAM access awaits
@@ -1161,36 +1095,22 @@ impl<'w> GpuSystem<'w> {
     /// # Errors
     ///
     /// Returns [`SimError::Livelock`] when an armed watchdog observes a
-    /// full epoch with no forward progress while the machine is not idle
-    /// — including a worker shard that dies or wedges past the barrier
-    /// timeout — and [`SimError::Deadline`] when the wall-clock budget is
-    /// exceeded. With neither configured and the pool off, this never
-    /// fails.
+    /// full epoch with no forward progress while the machine is not idle,
+    /// and [`SimError::Deadline`] when the wall-clock budget is exceeded.
+    /// With neither configured, this never fails.
     pub fn run_result(&mut self) -> Result<RunStats, SimError> {
         // A tracing observer records per-transaction hops in phase order;
         // keep that stream identical to the historical one-domain machine
-        // by running tracing runs sequentially.
+        // by running tracing runs on one domain.
         if self.obs.tracing() && self.shards.len() > 1 {
             self.set_shards(1);
-        }
-        let threads = self.shards.len() > 1
-            && self.thread_override.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, usize::from) >= 2
-            });
-        if threads {
-            let want = self.shards.len() - 1;
-            if self.pool.as_ref().is_none_or(|p| p.workers() != want) {
-                self.pool = Some(ShardPool::new(want));
-            }
-        } else {
-            self.pool = None;
         }
         // simcheck: allow(wall_clock): supervision-only deadline check, never feeds stats
         let started = self.deadline_secs.map(|_| Instant::now());
         self.watch_cycle = self.now;
         self.watch_sig = self.progress_signature();
         while self.now < self.opts.max_cycles {
-            self.step_result()?;
+            self.step();
             if !self.warmup_done && self.opts.warmup_instructions > 0 && self.now.is_multiple_of(64) {
                 let retired: u64 =
                     self.iter_cores().map(|c| c.stats().instructions.get()).sum();
@@ -1225,45 +1145,27 @@ impl<'w> GpuSystem<'w> {
     }
 
     /// Advances exactly one core cycle.
-    ///
-    /// Infallible wrapper over [`step_result`](GpuSystem::step_result):
-    /// stepping only fails when a pooled worker shard dies, and a caller
-    /// single-stepping the machine is not running the pool.
     pub fn step(&mut self) {
-        if let Err(e) = self.step_result() {
-            panic!("{e}");
-        }
-    }
-
-    /// Advances exactly one core cycle, surfacing shard-pool failures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Livelock`] when a worker shard panics or
-    /// misses the epoch barrier timeout.
-    pub fn step_result(&mut self) -> Result<(), SimError> {
         self.now += 1;
         if self.stalled() {
             // Chaos stall: the clock runs but no phase does work, which is
             // exactly the no-progress shape the watchdog must catch.
-            return Ok(());
+            return;
         }
         self.steps += 1;
         // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
         self.lap_t = self.profiler.as_deref().map(|_| Instant::now());
         self.dispatch_ctas();
-        // Front job: issue and NoC#1 are both cluster-local, so a pooled
-        // domain runs them back-to-back under one barrier.
         self.run_regions(match self.topo.attachment {
             Attachment::Noc1 { .. } => &[Region::Issue, Region::Noc1],
             Attachment::Direct => &[Region::Issue],
-        })?;
+        });
         let GpuSystem { noc2, shards, obs, now, .. } = self;
         noc2.inject_requests(shards, obs, *now);
         noc2.inject_replies(shards, obs, *now);
         noc2.tick(shards, obs, *now);
         self.lap(Phase::Noc1);
-        self.run_regions(&[Region::Mem])?;
+        self.run_regions(&[Region::Mem]);
         self.apply_presence();
         self.exchange_memory();
         self.lap(Phase::Exchange);
@@ -1291,7 +1193,6 @@ impl<'w> GpuSystem<'w> {
         if self.checker.is_some() && self.now.is_multiple_of(EPOCH_CYCLES) {
             self.sweep_invariants(false);
         }
-        Ok(())
     }
 
     /// When the whole machine is quiescent — no queued or staged
@@ -1508,9 +1409,6 @@ impl<'w> GpuSystem<'w> {
                 as u64,
             instructions: self.iter_cores().map(|c| c.stats().instructions.get()).sum(),
             shards: self.shards.len() as u64,
-            barrier_wait_nanos: self.barrier_wait_nanos,
-            shard_busy_max_nanos: self.shards.iter().map(|d| d.busy_nanos).max().unwrap_or(0),
-            shard_busy_min_nanos: self.shards.iter().map(|d| d.busy_nanos).min().unwrap_or(0),
         }
     }
 

@@ -650,7 +650,7 @@ mod tests {
             topo,
         });
         let flow = FlowMeter::new("txns");
-        let domain = ShardDomain::new(0, (0, 0, 0, 0), vec![], nodes, vec![], vec![], l2, flow);
+        let domain = ShardDomain::new((0, 0, 0, 0), vec![], nodes, vec![], vec![], l2, flow);
         (Arc::clone(&ctx), Noc2::build(&cfg, &ctx), vec![domain])
     }
 

@@ -19,13 +19,13 @@ use dcl1_common::{FlatMap, LineAddr};
 
 /// Presence instrumentation as seen by a cache node's tick.
 ///
-/// The sequential machine hands nodes the [`PresenceMap`] directly; the
-/// sharded machine hands each shard a [`PresenceSession`] — a read-only
-/// snapshot of the map plus a private delta log — so node ticks never
-/// contend on shared state and the merged result is independent of shard
-/// scheduling. Presence feeds only the replication *measurements* (never
-/// timing), so deferring cross-shard visibility of a fill/evict to the
-/// next cycle's barrier is a sound relaxation.
+/// A [`PresenceMap`] can be handed to nodes directly; the machine hands
+/// each domain a [`PresenceSession`] — a read-only snapshot of the map
+/// plus a private delta log — so no node tick sees another's same-cycle
+/// writes and the merged result is independent of the partition. Presence
+/// feeds only the replication *measurements* (never timing), so deferring
+/// visibility of a fill/evict to the replay that ends the cycle's Mem
+/// region is a sound relaxation.
 pub trait PresenceSink {
     /// Copies of `line` currently visible to this observer.
     fn copies(&self, line: LineAddr) -> u32;
@@ -49,9 +49,9 @@ impl PresenceSink for PresenceMap {
     }
 }
 
-/// A shard's private log of presence deltas for one epoch, replayed into
-/// the shared [`PresenceMap`] at the barrier in deterministic shard/node
-/// order. Reused across epochs; steady-state allocation-free once warm.
+/// A shard's private log of presence deltas for one cycle, replayed into
+/// the [`PresenceMap`] after the Mem region in deterministic shard/node
+/// order. Reused across cycles; steady-state allocation-free once warm.
 #[derive(Debug, Default)]
 pub struct PresenceLog {
     /// `(line, +1 fill / -1 evict)` events in occurrence order.
@@ -64,7 +64,7 @@ impl PresenceLog {
         PresenceLog::default()
     }
 
-    /// Net copy delta this log holds for `line`. The per-epoch event list
+    /// Net copy delta this log holds for `line`. The per-cycle event list
     /// is a handful of fills/evicts, so a linear scan beats any map.
     fn delta(&self, line: LineAddr) -> i64 {
         self.events
@@ -97,15 +97,15 @@ impl PresenceLog {
     }
 }
 
-/// One shard's view of presence during a parallel region.
+/// One shard's view of presence during the Mem region.
 ///
 /// **Reads are snapshot-only**: `copies` answers from the cycle-start
-/// barrier state, never from any same-cycle fill or evict (not even this
+/// state, never from any same-cycle fill or evict (not even this
 /// shard's own). That makes the replication measurement a pure function of
 /// the snapshot — identical for one shard or eight — where the old
 /// sequential machine let node `n` see fills from nodes `0..n` of the same
 /// cycle, an ordering artifact no hardware property depends on. Writes go
-/// to the private log, replayed at the barrier.
+/// to the private log, replayed after the region.
 #[derive(Debug)]
 pub struct PresenceSession<'a> {
     base: &'a PresenceMap,
@@ -113,7 +113,7 @@ pub struct PresenceSession<'a> {
 }
 
 impl<'a> PresenceSession<'a> {
-    /// Opens a session over the barrier snapshot `base`, accumulating
+    /// Opens a session over the cycle-start snapshot `base`, accumulating
     /// deltas into `log`.
     pub fn new(base: &'a PresenceMap, log: &'a mut PresenceLog) -> Self {
         PresenceSession { base, log }
@@ -284,7 +284,7 @@ mod tests {
     }
 
     /// Session reads are snapshot-only (shard-count invariant); writes
-    /// log privately and replay at the barrier, including the
+    /// log privately and replay after the region, including the
     /// fill-then-evict-same-cycle case.
     #[test]
     fn session_snapshot_reads_and_ordered_replay() {

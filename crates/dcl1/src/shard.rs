@@ -1,4 +1,4 @@
-//! Sharded execution domains for the cycle-level machine.
+//! Execution domains of the cycle-level machine.
 //!
 //! [`crate::machine::GpuSystem`] partitions its cores, DC-L1 nodes, NoC#1
 //! crossbars and L2 slices into [`ShardDomain`]s, always on cluster
@@ -6,14 +6,11 @@
 //! node it can reach share one domain, so no core↔DC-L1 flit ever crosses
 //! a domain. Each simulated cycle is a sequence of *regions* — per-domain
 //! work that touches only one domain's state — with the all-to-all
-//! structures (NoC#2, DRAM, presence replay) stepped by the coordinator in
-//! global component order between them. Because regions are
-//! domain-disjoint and the coordinator's work is single-threaded, the
-//! machine's statistics are a pure function of the partition, not of how
-//! many OS threads execute the regions: running every region inline or
-//! fanning them out over a [`ShardPool`] is byte-identical.
+//! structures (NoC#2, DRAM, presence replay) stepped in global component
+//! order between them. The machine runs every region on its own thread,
+//! domain after domain in domain order.
 //!
-//! The partition itself is also semantics-neutral by construction — see
+//! The partition is semantics-neutral by construction — see
 //! `GpuSystem::set_shards` for the determinism argument.
 
 use crate::design::{Attachment, Topology};
@@ -28,35 +25,7 @@ use dcl1_mem::L2Slice;
 use dcl1_noc::{Crossbar, Packet};
 use dcl1_obs::profiler::Phase;
 use dcl1_obs::Observer;
-use dcl1_resilience::SimError;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-// Wall time in this module is used only for (a) per-shard busy/barrier
-// timing exported as diagnostics and (b) the barrier hang timeout; it
-// never feeds statistics.
-// simcheck: allow(wall_clock): shard busy/barrier diagnostics and hang timeout only, never feeds stats
-use std::time::{Duration, Instant};
-
-/// Seconds the coordinator waits for one shard's region before declaring
-/// the run wedged. A region is a bounded amount of work (microseconds in
-/// practice); exceeding this means a worker is livelocked or the OS has
-/// wedged the thread, and supervision should quarantine the point.
-const BARRIER_TIMEOUT_SECS: u64 = 60;
-
-/// One turn of a wait loop (worker awaiting a job, coordinator awaiting a
-/// worker): jobs arrive back-to-back every cycle, so a brief spin usually
-/// wins; yielding after that keeps an oversubscribed host — where the
-/// awaited thread may need this very CPU — degrading instead of stalling.
-fn backoff(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
 
 /// Static name of a transaction kind for trace span args.
 pub(crate) fn kind_str(kind: MemKind) -> &'static str {
@@ -84,7 +53,7 @@ pub(crate) fn up_bytes(txn: &Txn) -> u32 {
     }
 }
 
-/// Immutable machine facts shared by every domain (and thread).
+/// Immutable machine facts shared by every domain.
 #[derive(Debug)]
 pub(crate) struct MachineCtx {
     /// The resolved topology (routing, cluster shapes, tick ratios).
@@ -108,9 +77,9 @@ impl MachineCtx {
 
 /// Per-core round-trip-time meters.
 ///
-/// Kept per core (not per machine) so completions recorded concurrently by
-/// different domains merge into machine-level means in a fixed order —
-/// global core order — independent of the shard count.
+/// Kept per core (not per machine) so completions recorded by different
+/// domains merge into machine-level means in a fixed order — global core
+/// order — independent of the shard count.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct CoreMeter {
     pub load_rtt: RunningMean,
@@ -145,8 +114,8 @@ impl Region {
 
 /// One shard's slice of the machine: a contiguous range of cores (with
 /// their outboxes, meters and transaction sequencers), DC-L1 nodes, NoC#1
-/// cluster crossbars and L2 slices, plus the presence log replayed at the
-/// barrier.
+/// cluster crossbars and L2 slices, plus the presence log replayed after
+/// the cycle's Mem region.
 ///
 /// The per-cycle walks visit only the components in the `*_live` sets
 /// (local indices). A walk takes a component out when every further visit
@@ -157,9 +126,6 @@ impl Region {
 /// (DESIGN.md "Who wakes whom").
 #[derive(Debug)]
 pub(crate) struct ShardDomain {
-    /// Domain index (usize::MAX marks the placeholder left behind while a
-    /// domain is shipped to a worker).
-    pub id: usize,
     /// First global core index in this domain.
     pub core0: usize,
     /// First global node index.
@@ -211,23 +177,18 @@ pub(crate) struct ShardDomain {
     pub wheel: WakeWheel,
 
     /// Presence deltas accumulated by this domain's node ticks, replayed
-    /// into the shared map at the barrier (in domain order).
+    /// into the machine's map after the Mem region (in domain order).
     pub plog: PresenceLog,
     /// Transaction conservation: produced at issue, consumed at
     /// completion. A transaction issues and completes at the same core,
     /// so the meter is domain-local.
     pub flow: FlowMeter,
-    /// Wall nanoseconds this domain spent executing regions (diagnostics
-    /// only; nondeterministic by nature).
-    pub busy_nanos: u64,
     pub visits: Census,
 }
 
 impl ShardDomain {
     /// A domain over the given components, every one of them awake.
-    #[expect(clippy::too_many_arguments)] // one argument per component vector
     pub fn new(
-        id: usize,
         (core0, node0, cluster0, slice0): (usize, usize, usize, usize),
         cores: Vec<Core>,
         nodes: Vec<Dcl1Node>,
@@ -238,7 +199,6 @@ impl ShardDomain {
     ) -> Self {
         let n = cores.len();
         ShardDomain {
-            id,
             core0,
             node0,
             cluster0,
@@ -263,16 +223,8 @@ impl ShardDomain {
             wheel: WakeWheel::new(),
             plog: PresenceLog::new(),
             flow,
-            busy_nanos: 0,
             visits: Census::default(),
         }
-    }
-
-    /// The empty stand-in left in the machine while the real domain is on
-    /// a worker thread.
-    pub fn placeholder() -> Self {
-        let flow = FlowMeter::new("txns");
-        ShardDomain::new(usize::MAX, (0, 0, 0, 0), vec![], vec![], vec![], vec![], vec![], flow)
     }
 
     /// Executes one region against this domain only.
@@ -633,225 +585,4 @@ pub(crate) fn slice_awake(shards: &mut [ShardDomain], s: usize, through: Cycle) 
     let (d, i) = domain_of_slice(shards, s);
     d.wake_slice(i, through);
     &mut d.l2[i]
-}
-
-// ---------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------
-
-/// One domain's regions, run back-to-back on a worker.
-struct Job {
-    domain: ShardDomain,
-    regions: &'static [Region],
-    now: Cycle,
-    ctx: Arc<MachineCtx>,
-    presence: Arc<PresenceMap>,
-}
-
-/// One worker's coordination state.
-#[derive(Debug)]
-struct Slot {
-    job: Mutex<Option<Job>>,
-    done: Mutex<Option<ShardDomain>>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    /// Set when the worker dies mid-job (panic unwound through the
-    /// guard); the coordinator turns this into `SimError::Livelock`.
-    dead: AtomicBool,
-    stop: AtomicBool,
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("domain", &self.domain.id).field("now", &self.now).finish()
-    }
-}
-
-/// Marks the slot dead if dropped while armed — i.e. if the region
-/// panicked before the worker could disarm it.
-struct DeadGuard<'a> {
-    slot: &'a Slot,
-    armed: bool,
-}
-
-impl Drop for DeadGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.slot.dead.store(true, Ordering::Release);
-        }
-    }
-}
-
-fn worker_loop(slot: &Slot) {
-    let mut obs = Observer::disabled();
-    let mut seen = 0u64;
-    loop {
-        let mut spins = 0u32;
-        loop {
-            if slot.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let s = slot.submitted.load(Ordering::Acquire);
-            if s != seen {
-                seen = s;
-                break;
-            }
-            backoff(&mut spins);
-        }
-        let Some(mut job) = slot.job.lock().expect("worker job mutex").take() else {
-            continue;
-        };
-        let mut guard = DeadGuard { slot, armed: true };
-        // simcheck: allow(wall_clock): per-shard busy diagnostics, never feeds stats
-        let t0 = Instant::now();
-        for &region in job.regions {
-            job.domain.run_region(region, job.now, &job.ctx, &job.presence, &mut obs);
-        }
-        job.domain.busy_nanos +=
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let Job { domain, presence, ctx, .. } = job;
-        // Release the presence snapshot *before* signalling completion so
-        // the coordinator's `Arc::get_mut` (barrier replay) succeeds.
-        drop(presence);
-        drop(ctx);
-        *slot.done.lock().expect("worker done mutex") = Some(domain);
-        guard.armed = false;
-        slot.completed.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// A fixed set of worker threads, one per non-coordinator shard. Domains
-/// are `mem::replace`-shipped through per-worker slots; the coordinator
-/// runs shard 0 itself and then waits at the barrier.
-#[derive(Debug)]
-pub(crate) struct ShardPool {
-    slots: Vec<Arc<Slot>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawns `workers` threads (shards minus the coordinator's).
-    pub fn new(workers: usize) -> Self {
-        let slots: Vec<Arc<Slot>> = (0..workers)
-            .map(|_| {
-                Arc::new(Slot {
-                    job: Mutex::new(None),
-                    done: Mutex::new(None),
-                    submitted: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
-                    dead: AtomicBool::new(false),
-                    stop: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let threads = slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let slot = Arc::clone(slot);
-                std::thread::Builder::new()
-                    .name(format!("dcl1-shard-{}", i + 1))
-                    .spawn(move || worker_loop(&slot))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        ShardPool { slots, threads }
-    }
-
-    /// Worker count (pool capacity).
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Ships `domain` (shard `1 + worker`) to worker `worker`, which runs
-    /// `regions` in order.
-    pub fn submit(
-        &self,
-        worker: usize,
-        domain: ShardDomain,
-        regions: &'static [Region],
-        now: Cycle,
-        ctx: &Arc<MachineCtx>,
-        presence: &Arc<PresenceMap>,
-    ) {
-        let slot = &self.slots[worker];
-        *slot.job.lock().expect("job mutex") = Some(Job {
-            domain,
-            regions,
-            now,
-            ctx: Arc::clone(ctx),
-            presence: Arc::clone(presence),
-        });
-        slot.submitted.fetch_add(1, Ordering::Release);
-    }
-
-    /// Waits for worker `worker`'s current job and returns its domain
-    /// and the coordinator's wall wait in nanoseconds.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Livelock`] when the worker died mid-region (its domain
-    /// is lost — the machine must be discarded) or the barrier timeout
-    /// elapsed.
-    pub fn wait(&self, worker: usize, cycle: Cycle) -> Result<(ShardDomain, u64), SimError> {
-        let slot = &self.slots[worker];
-        // simcheck: allow(wall_clock): barrier-wait diagnostics and hang timeout, never feeds stats
-        let t0 = Instant::now();
-        let mut spins = 0u32;
-        loop {
-            if slot.completed.load(Ordering::Acquire) == slot.submitted.load(Ordering::Acquire)
-            {
-                break;
-            }
-            if slot.dead.load(Ordering::Acquire) {
-                return Err(SimError::Livelock {
-                    cycle,
-                    dump: format!(
-                        "shard worker {} died mid-region (panicked); domain state lost",
-                        worker + 1
-                    ),
-                });
-            }
-            if t0.elapsed() > Duration::from_secs(BARRIER_TIMEOUT_SECS) {
-                return Err(SimError::Livelock {
-                    cycle,
-                    dump: format!(
-                        "shard worker {} exceeded the {BARRIER_TIMEOUT_SECS}s epoch barrier",
-                        worker + 1
-                    ),
-                });
-            }
-            backoff(&mut spins);
-        }
-        let waited = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let domain = slot
-            .done
-            .lock()
-            .expect("done mutex")
-            .take()
-            .unwrap_or_else(|| unreachable!("completed region always stores its domain"));
-        Ok((domain, waited))
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            slot.stop.store(true, Ordering::Release);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Per-shard execution report for one run (bench diagnostics).
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Number of execution domains the machine was partitioned into.
-    pub shards: usize,
-    /// Wall nanoseconds the coordinator spent waiting at epoch barriers.
-    pub barrier_wait_nanos: u64,
-    /// Wall nanoseconds each shard spent executing regions.
-    pub busy_nanos: Vec<u64>,
 }

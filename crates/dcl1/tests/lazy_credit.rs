@@ -71,25 +71,24 @@ fn reads_at_odd_cycles_match_settling_every_step() {
 }
 
 #[test]
-fn pooled_run_stopped_at_an_odd_cycle_agrees_with_stepping() {
+fn two_domain_run_stopped_at_an_odd_cycle_agrees_with_stepping() {
     let kernel = congested();
     for (cfg, design) in machines() {
         for cap in [501u64, 1_003, 2_007] {
             // No fast-forward: `run` is then `cap` plain steps.
             let opts = SimOptions { max_cycles: cap, fast_forward: false, ..SimOptions::default() };
-            let mut pooled = GpuSystem::build(&cfg, &design, &kernel, opts).unwrap();
-            pooled.set_shards(2);
-            pooled.set_shard_threads(true);
-            let _ = pooled.run();
+            let mut sharded = GpuSystem::build(&cfg, &design, &kernel, opts).unwrap();
+            sharded.set_shards(2);
+            let _ = sharded.run();
             let mut stepped = GpuSystem::build(&cfg, &design, &kernel, opts).unwrap();
             for _ in 0..cap {
                 stepped.step();
                 stepped.core_stats();
             }
-            let ctx = format!("{design:?} pooled, cap {cap}");
-            assert_eq!(pooled.now(), cap, "{ctx}: ran dry before the cap");
+            let ctx = format!("{design:?} two domains, cap {cap}");
+            assert_eq!(sharded.now(), cap, "{ctx}: ran dry before the cap");
             assert_eq!(
-                format!("{:?}", read(&mut pooled, &ctx)),
+                format!("{:?}", read(&mut sharded, &ctx)),
                 format!("{:?}", read(&mut stepped, &ctx)),
                 "{ctx}"
             );

@@ -60,16 +60,6 @@ pub struct MetricsSample {
     pub instructions: u64,
     /// Execution domains the machine is partitioned into (1 = sequential).
     pub shards: u64,
-    /// Cumulative wall nanoseconds the coordinator spent waiting at epoch
-    /// barriers (0 when regions run inline). Wall-clock derived: useful
-    /// for scaling diagnostics, never fed back into simulation state.
-    pub barrier_wait_nanos: u64,
-    /// Largest cumulative per-shard region execution time, wall
-    /// nanoseconds (load-imbalance numerator).
-    pub shard_busy_max_nanos: u64,
-    /// Smallest cumulative per-shard region execution time, wall
-    /// nanoseconds (load-imbalance denominator).
-    pub shard_busy_min_nanos: u64,
 }
 
 /// One named accessor in [`MetricsSample::FIELDS`].
@@ -101,9 +91,6 @@ impl MetricsSample {
         ("waiting_wavefronts", |s| s.waiting_wavefronts),
         ("instructions", |s| s.instructions),
         ("shards", |s| s.shards),
-        ("barrier_wait_nanos", |s| s.barrier_wait_nanos),
-        ("shard_busy_max_nanos", |s| s.shard_busy_max_nanos),
-        ("shard_busy_min_nanos", |s| s.shard_busy_min_nanos),
     ];
 }
 

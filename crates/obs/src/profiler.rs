@@ -1,6 +1,6 @@
 //! Hierarchical phase profiler: wall-time attribution for the machine's
-//! per-cycle regions (Issue / NoC#1 / Mem / epoch exchange), shard
-//! barrier waits, and the runner's memo-cache and journal IO.
+//! per-cycle regions (Issue / NoC#1 / Mem / memory exchange) and the
+//! runner's memo-cache and journal IO.
 //!
 //! The profiler is a plain accumulator — a fixed array of nanosecond
 //! totals and lap counts indexed by [`Phase`] — so enabling it costs two
@@ -21,9 +21,12 @@ pub enum Phase {
     Noc1,
     /// Memory region: DC-L1 node ticks, L2, DRAM, reply drains.
     Mem,
-    /// Epoch-barrier work: presence replay, L2 ↔ DRAM moves, DRAM ticks.
+    /// Machine-wide memory work: presence replay, L2 ↔ DRAM moves, DRAM
+    /// ticks.
     Exchange,
-    /// Time shard workers spent blocked on the epoch barrier.
+    /// Always 0: a machine steps its domains on its own thread, so nothing
+    /// waits at a barrier. Kept only because the `benchmark/` ledger reads
+    /// its share.
     BarrierWait,
     /// Memo-cache local-disk IO (load, store, checksum verification).
     CacheIo,
@@ -213,7 +216,7 @@ mod tests {
     #[test]
     fn json_lists_every_phase() {
         let mut p = PhaseProfiler::new();
-        p.add(Phase::BarrierWait, 42);
+        p.add(Phase::JournalWrite, 42);
         let mut out = String::new();
         p.render_json_into(&mut out);
         let doc = crate::json::Json::parse(&out).unwrap();
@@ -221,8 +224,8 @@ mod tests {
         assert_eq!(arr.len(), PHASE_COUNT);
         let bw = arr
             .iter()
-            .find(|e| e.get("phase").and_then(crate::json::Json::as_str) == Some("barrier_wait"))
-            .expect("barrier_wait present");
+            .find(|e| e.get("phase").and_then(crate::json::Json::as_str) == Some("journal_write"))
+            .expect("journal_write present");
         assert_eq!(bw.get("nanos").unwrap().as_f64(), Some(42.0));
         assert_eq!(bw.get("count").unwrap().as_f64(), Some(1.0));
     }

@@ -82,12 +82,10 @@ pub fn lint_crossfile(files: &[SourceFile], index: &ItemIndex) -> CrossReport {
     report
 }
 
-/// Whether a fn is a sanctioned shared-state owner: `ShardPool` (the one
-/// blessed thread/`Mutex` holder) or anything in `crates/resilience`.
-/// Sanctioned fns are neither scanned nor traversed through.
+/// Whether a fn is a sanctioned shared-state owner: anything in
+/// `crates/resilience`. Sanctioned fns are not traversed through.
 fn sanctioned_fn(f: &FnItem) -> bool {
-    f.impl_type.as_deref() == Some("ShardPool")
-        || f.path.to_string_lossy().replace('\\', "/").contains("crates/resilience/")
+    f.path.to_string_lossy().replace('\\', "/").contains("crates/resilience/")
 }
 
 /// Shard-step entry points: `run_region` and the `region_*` family in the
@@ -170,20 +168,20 @@ fn shared_state_token(code: &str) -> Option<&'static str> {
 
 /// `shard_shared_state`: no interior mutability or thread spawning
 /// reachable from shard-step paths, and no shard-crate struct owning
-/// such state — except `ShardPool` (plus the structs its fields name)
-/// and `crates/resilience`.
+/// such state. Only `crates/resilience`, which is not a shard crate, may
+/// hold it.
 fn shard_shared_state(
     index: &ItemIndex,
     by_path: &BTreeMap<&Path, &SourceFile>,
     reachable: &[bool],
     out: &mut Vec<Finding>,
 ) {
-    // Fn half: scan the body lines of every reachable, unsanctioned fn
-    // in the shard crates.
+    // Fn half: scan the body lines of every reachable fn in the shard
+    // crates.
     let mut seen_lines: std::collections::BTreeSet<(std::path::PathBuf, usize)> =
         std::collections::BTreeSet::new();
     for (i, f) in index.fns.iter().enumerate() {
-        if !reachable[i] || sanctioned_fn(f) || !SHARD_CRATES.contains(&f.krate.as_str()) {
+        if !reachable[i] || !SHARD_CRATES.contains(&f.krate.as_str()) {
             continue;
         }
         let Some(file) = by_path.get(f.path.as_path()) else { continue };
@@ -199,8 +197,8 @@ fn shard_shared_state(
                         line: line.number,
                         message: format!(
                             "{label} inside `{}`, reachable from a shard-step region: shard \
-                             domains must not share mutable state (only ShardPool and \
-                             crates/resilience may own it)",
+                             domains must not share mutable state (only crates/resilience \
+                             may own it)",
                             f.name
                         ),
                     });
@@ -209,12 +207,8 @@ fn shard_shared_state(
         }
     }
     // Struct half: no shard-crate struct may own shared-state fields.
-    let sanctioned = sanctioned_structs(index);
     for s in &index.structs {
-        if s.in_test
-            || !SHARD_CRATES.contains(&s.krate.as_str())
-            || sanctioned.contains(&s.name)
-        {
+        if s.in_test || !SHARD_CRATES.contains(&s.krate.as_str()) {
             continue;
         }
         for field in &s.fields {
@@ -227,7 +221,7 @@ fn shard_shared_state(
                         message: format!(
                             "field `{}.{}` owns {label} state in a shard crate: per-shard \
                              state must be plainly owned so domains stay independent (only \
-                             ShardPool and crates/resilience may hold shared state)",
+                             crates/resilience may hold shared state)",
                             s.name, field.name
                         ),
                     });
@@ -235,39 +229,6 @@ fn shard_shared_state(
             }
         }
     }
-}
-
-/// Struct names exempt from the struct half of `shard_shared_state`:
-/// `ShardPool` itself, every type named in its fields (one level — the
-/// pool's slots are its implementation detail, the domains inside them
-/// are not), and everything defined in `crates/resilience`.
-fn sanctioned_structs(index: &ItemIndex) -> std::collections::BTreeSet<String> {
-    let mut names = std::collections::BTreeSet::new();
-    names.insert("ShardPool".to_string());
-    for s in &index.structs {
-        if s.path.to_string_lossy().replace('\\', "/").contains("crates/resilience/") {
-            names.insert(s.name.clone());
-        }
-        if s.name == "ShardPool" {
-            for field in &s.fields {
-                let mut ident = String::new();
-                for c in field.ty.chars() {
-                    if c.is_alphanumeric() || c == '_' {
-                        ident.push(c);
-                    } else {
-                        if ident.chars().next().is_some_and(char::is_uppercase) {
-                            names.insert(std::mem::take(&mut ident));
-                        }
-                        ident.clear();
-                    }
-                }
-                if ident.chars().next().is_some_and(char::is_uppercase) {
-                    names.insert(ident);
-                }
-            }
-        }
-    }
-    names
 }
 
 /// `epoch_order`: inside shard-step paths a domain injects only into
@@ -676,12 +637,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_pool_and_resilience_are_sanctioned() {
+    fn a_thread_pool_fires_and_resilience_is_sanctioned() {
+        // A worker pool in a shard crate is shared state like any other:
+        // its slot fields and the lock taken on a region path all fire.
         let pool = "pub struct ShardPool {\n    slots: Vec<Arc<Slot>>,\n}\n\
                     pub struct Slot {\n    job: Mutex<Option<Job>>,\n    done: AtomicBool,\n}\n\
-                    impl ShardPool {\n    pub fn region_helper(&self) {\n        self.slots[0].job.lock();\n    }\n}\n";
+                    impl ShardPool {\n    pub fn region_helper(&self) {\n        let g: MutexGuard<Job> = self.slots[0].job.lock();\n    }\n}\n";
         let r = cross(&[("crates/dcl1/src/pool.rs", pool)]);
-        assert!(rule_lines(&r, "shard_shared_state").is_empty(), "{:?}", r.findings);
+        assert_eq!(rule_lines(&r, "shard_shared_state"), [10, 5, 6], "{:?}", r.findings);
 
         let res = "pub struct Supervisor {\n    state: Mutex<u64>,\n}\n\
                    pub fn region_retry() {\n    let x: AtomicU64 = AtomicU64::new(0);\n}\n";

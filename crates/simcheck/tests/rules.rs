@@ -165,21 +165,21 @@ fn rules_fire_on_a_nondeterministic_shard_merge() {
     assert!(fires("crates/dcl1/src/shard.rs", narrowed_merge, "truncating_cast"));
 }
 
-/// The sanctioned exceptions in the real sharded machine are
+/// The sanctioned exceptions in the real machine are
 /// annotation-suppressed *with reasons* — the same snippets without the
 /// annotation would be findings.
 #[test]
 fn shard_wall_clock_exceptions_are_annotated_with_reasons() {
-    // Shape of the sanctioned uses in shard.rs/machine.rs: barrier-wait
-    // and busy-time diagnostics that never feed simulation state.
-    let sanctioned = "// simcheck: allow(wall_clock): barrier-wait diagnostics only, never feeds stats\n\
+    // Shape of the sanctioned uses in machine.rs: phase-profiler laps
+    // that never feed simulation state.
+    let sanctioned = "// simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats\n\
         let t0 = std::time::Instant::now();\n";
-    let r = lint_file(&SourceFile::from_source("crates/dcl1/src/shard.rs", sanctioned));
+    let r = lint_file(&SourceFile::from_source("crates/dcl1/src/machine.rs", sanctioned));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 1);
 
     let unsanctioned = "let t0 = std::time::Instant::now();\n";
-    assert!(fires("crates/dcl1/src/shard.rs", unsanctioned, "wall_clock"));
+    assert!(fires("crates/dcl1/src/machine.rs", unsanctioned, "wall_clock"));
 }
 
 /// A seeded metric-registration fixture: deterministically generate a

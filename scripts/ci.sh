@@ -102,7 +102,7 @@ leg_release_digests() {
     cmp "$tmp/ff.txt" "$tmp/step.txt"
     sweep quarter --json=quarter.json
     grep -q '"scale": "Quarter"' "$tmp/quarter.json"
-    grep -q '"effective_max": 1,' "$tmp/quarter.json"
+    grep -q '"effective_max": 1$' "$tmp/quarter.json"
     grep -q '"stats_digest": "2e98351861e1a7f3"' "$tmp/quarter.json"
 }
 
