@@ -10,6 +10,7 @@
 
 // Bench harness: panicking on a broken setup is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(clippy::disallowed_types, reason = "a timing harness")]
 
 use dcl1::{Design, GpuConfig, GpuSystem, SimOptions};
 use dcl1_common::LineAddr;

@@ -4,6 +4,7 @@
 
 // Debugging tool, not sim state: panics and small casts are acceptable.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![expect(clippy::disallowed_types, reason = "reports its own wall time")]
 
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::cli::{Cli, Flag, Kind};

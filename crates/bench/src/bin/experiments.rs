@@ -1,6 +1,8 @@
 //! Regenerates the paper's tables and figures in one process, sharing
 //! the memoized simulations across them; `--help` lists the options.
 
+#![expect(clippy::disallowed_types, reason = "reports its own wall time")]
+
 use dcl1_bench::cli::Cli;
 use dcl1_bench::experiments as ex;
 use dcl1_bench::sweepcli::{self, SweepCli};

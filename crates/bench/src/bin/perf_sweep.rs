@@ -8,6 +8,8 @@
 //! when the memo accounting undercounts (every planned point must have
 //! been served by a tier, simulated, or quarantined).
 
+#![expect(clippy::disallowed_types, reason = "reports its own wall time")]
+
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::cli::Kind::{Repeated, Switch, Value};
 use dcl1_bench::cli::{Cli, Flag};
@@ -79,17 +81,7 @@ fn sweep_json(
     runner::sweep_phase_profile().render_json_into(&mut out);
     out.push_str(",\n  \"registry\": {");
     runner::sweep_registry_snapshot().render_json_into(&mut out);
-    out.push_str("},\n  \"simcheck\": ");
-    match simcheck_provenance() {
-        Some((rules, findings, suppressed)) => {
-            let _ = write!(
-                out,
-                "{{\"rules\": {rules}, \"findings\": {findings}, \"suppressed\": {suppressed}}}"
-            );
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n  \"points\": [");
+    out.push_str("},\n  \"points\": [");
     for (i, t) in timings.iter().enumerate() {
         let _ = write!(
             out,
@@ -106,16 +98,6 @@ fn sweep_json(
     }
     out.push_str("\n  ]\n}\n");
     out
-}
-
-/// The sweep's lint pedigree: rule census size, finding count (0 on a
-/// healthy tree — the simcheck-clean gate), and suppression count, from
-/// a fresh lint of the enclosing workspace. `None` when the sweep runs
-/// outside a workspace checkout (e.g. a deployed binary).
-fn simcheck_provenance() -> Option<(usize, usize, usize)> {
-    let root = simcheck::workspace::find_root(None).ok()?;
-    let report = simcheck::run_lint(&root).ok()?;
-    Some((report.rules, report.findings.len(), report.suppressed))
 }
 
 fn main() {

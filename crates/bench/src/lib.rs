@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![expect(clippy::disallowed_types, reason = "a sweep harness times its own runs")]
 
 pub mod cli;
 pub mod experiments;

@@ -2,11 +2,10 @@
 //!
 //! Results are memoized in a tiered [`dcl1_store::ResultStore`], keyed by
 //! a structured hash of the full (app, design, config, options, scale)
-//! point: a sharded in-memory LRU (`DCL1_CACHE_MEM_BUDGET_BYTES`), a
-//! fan-out checksummed disk tier under `target/dcl1-cache/` (or
-//! `DCL1_CACHE_DIR`, budget `DCL1_CACHE_BUDGET_BYTES`), and an optional
-//! shared read-through tier (`DCL1_CACHE_SHARED_DIR`, write-back
-//! controlled by `DCL1_CACHE_SHARED_WRITEBACK`). Experiment modules that
+//! point: a sharded in-memory LRU of 256 MiB, an unbounded fan-out
+//! checksummed disk tier under `target/dcl1-cache/` (or `DCL1_CACHE_DIR`),
+//! and an optional shared read-through, write-back tier
+//! (`DCL1_CACHE_SHARED_DIR`). Experiment modules that
 //! share points (e.g. every figure's baseline runs) pay for them once per
 //! machine — or, with a shared tier, once per fleet. Concurrent requests
 //! for the same uncomputed key are deduplicated by per-key single-flight:
@@ -27,6 +26,7 @@
 
 use crate::ledger::ResultLedger;
 use dcl1::{Design, GpuConfig, GpuSystem, ProgressHook, RunStats, SimError, SimOptions};
+use dcl1_common::checksum::Fnv128;
 use dcl1_common::journal;
 use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
@@ -40,7 +40,8 @@ use dcl1_store::{
 };
 use dcl1_workloads::AppSpec;
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -73,6 +74,7 @@ impl Scale {
     /// an unconfigured run finishes in minutes; a value that is set but
     /// not one of the three would silently run a different experiment, so
     /// it ends the process (exit status 2) naming the accepted spellings.
+    #[expect(clippy::disallowed_methods, reason = "DCL1_SCALE is the one scale knob")]
     pub fn from_env() -> Scale {
         let Some(raw) = std::env::var_os("DCL1_SCALE") else { return Scale::Quarter };
         raw.to_string_lossy().parse().unwrap_or_else(|e| {
@@ -131,40 +133,6 @@ impl RunRequest {
 /// moves some floating-point statistics relative to the v2 machine.
 const CACHE_SCHEMA_VERSION: u32 = 3;
 
-/// 128-bit FNV-1a, used instead of `DefaultHasher` because the on-disk
-/// cache needs a hash that is stable across processes and Rust releases.
-struct Fnv128 {
-    state: u128,
-}
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-    fn new() -> Self {
-        Fnv128 { state: Self::OFFSET }
-    }
-
-    fn value(&self) -> u128 {
-        self.state
-    }
-}
-
-impl Hasher for Fnv128 {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    // Hasher contract: fold the 128-bit state to its low 64 bits.
-    #[expect(clippy::cast_possible_truncation)]
-    fn finish(&self) -> u64 {
-        self.state as u64
-    }
-}
-
 /// The full structured identity of a simulation point.
 #[derive(Hash)]
 struct MemoKey<'a> {
@@ -185,7 +153,7 @@ fn memo_key(req: &RunRequest, scale: Scale) -> u128 {
         opts: &req.opts,
         scale,
     };
-    let mut h = Fnv128::new();
+    let mut h = Fnv128::default();
     key.hash(&mut h);
     h.value()
 }
@@ -212,6 +180,7 @@ fn versioned_cache_dir(base: PathBuf) -> PathBuf {
 
 /// Directory holding persisted results: `$DCL1_CACHE_DIR` if set, else
 /// `target/dcl1-cache/v<schema>/` in the workspace.
+#[expect(clippy::disallowed_methods, reason = "where the cache lives is the host's choice")]
 pub fn disk_cache_dir() -> PathBuf {
     let base = std::env::var_os("DCL1_CACHE_DIR").map(PathBuf::from).unwrap_or_else(|| {
         std::env::var_os("CARGO_TARGET_DIR")
@@ -231,119 +200,128 @@ pub fn clear_disk_cache() {
     }
 }
 
-/// Serializes `f64` as its exact bit pattern so a disk round-trip is
-/// bit-identical (decimal formatting would not be).
-fn fmt_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// One serialised `RunStats` field, borrowed so the same table both reads
+/// and writes it.
+enum Field<'a> {
+    Count(&'a mut u64),
+    /// Written as its exact bit pattern, so a disk round-trip is
+    /// bit-identical (decimal formatting would not be).
+    Real(&'a mut f64),
+    Counts(&'a mut Vec<u64>),
+    /// Free-form rest of the line.
+    Text(&'a mut String),
 }
 
-fn parse_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn fmt_vec(v: &[u64]) -> String {
-    v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-}
-
-fn parse_vec(s: &str) -> Option<Vec<u64>> {
-    if s.is_empty() {
-        return Some(Vec::new());
+impl std::fmt::Display for Field<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Field::Count(v) => write!(f, "{v}"),
+            Field::Real(v) => write!(f, "{:016x}", v.to_bits()),
+            Field::Counts(v) => {
+                for (i, x) in v.iter().enumerate() {
+                    write!(f, "{}{x}", if i == 0 { "" } else { "," })?;
+                }
+                Ok(())
+            }
+            Field::Text(v) => f.write_str(v),
+        }
     }
-    s.split(',').map(|x| x.parse().ok()).collect()
+}
+
+impl Field<'_> {
+    fn parse(&mut self, s: &str) -> Option<()> {
+        match self {
+            Field::Count(v) => **v = s.parse().ok()?,
+            Field::Real(v) => **v = f64::from_bits(u64::from_str_radix(s, 16).ok()?),
+            Field::Counts(v) if s.is_empty() => v.clear(),
+            Field::Counts(v) => **v = s.split(',').map(|x| x.parse().ok()).collect::<Option<_>>()?,
+            Field::Text(v) => **v = s.to_string(),
+        }
+        Some(())
+    }
+}
+
+/// The on-disk stats schema: every `RunStats` field under its key, in file
+/// order. Serialise, deserialise and the every-key-once check all read
+/// this one table. The destructuring has no `..`, so a field added to
+/// `RunStats` does not compile until it has a key here, and
+/// `tests::stats_schema_is_pinned_to_its_version` fails until
+/// `CACHE_SCHEMA_VERSION` moves with the key list. The order is the
+/// file's, so it is part of every stored entry and every digest.
+fn stats_fields(s: &mut RunStats) -> [(&'static str, Field<'_>); 29] {
+    use Field::{Count, Counts, Real, Text};
+    let RunStats {
+        design, cycles, instructions, l1_accesses, l1_hits, l1_misses, l1_replicated_misses,
+        mean_replicas, max_port_utilization, mean_port_utilization, max_reply_link_utilization,
+        mean_load_rtt, p50_load_rtt, p95_load_rtt, p99_load_rtt, l2_accesses, l2_misses,
+        dram_requests, dram_row_hit_rate, noc_flits, per_node_accesses, stall_drained,
+        stall_alu_busy, stall_fill_wait, stall_mem_outbox, stall_mem_l1_queue, stall_mem_noc,
+        l1_mshr_stall_cycles, l1_queue_stall_cycles,
+    } = s;
+    [
+        ("cycles", Count(cycles)),
+        ("instructions", Count(instructions)),
+        ("l1_accesses", Count(l1_accesses)),
+        ("l1_hits", Count(l1_hits)),
+        ("l1_misses", Count(l1_misses)),
+        ("l1_replicated_misses", Count(l1_replicated_misses)),
+        ("mean_replicas", Real(mean_replicas)),
+        ("max_port_utilization", Real(max_port_utilization)),
+        ("mean_port_utilization", Real(mean_port_utilization)),
+        ("max_reply_link_utilization", Real(max_reply_link_utilization)),
+        ("mean_load_rtt", Real(mean_load_rtt)),
+        ("p50_load_rtt", Count(p50_load_rtt)),
+        ("p95_load_rtt", Count(p95_load_rtt)),
+        ("p99_load_rtt", Count(p99_load_rtt)),
+        ("l2_accesses", Count(l2_accesses)),
+        ("l2_misses", Count(l2_misses)),
+        ("dram_requests", Count(dram_requests)),
+        ("dram_row_hit_rate", Real(dram_row_hit_rate)),
+        ("noc_flits", Counts(noc_flits)),
+        ("per_node_accesses", Counts(per_node_accesses)),
+        ("stall_drained", Count(stall_drained)),
+        ("stall_alu_busy", Count(stall_alu_busy)),
+        ("stall_fill_wait", Count(stall_fill_wait)),
+        ("stall_mem_outbox", Count(stall_mem_outbox)),
+        ("stall_mem_l1_queue", Count(stall_mem_l1_queue)),
+        ("stall_mem_noc", Count(stall_mem_noc)),
+        ("l1_mshr_stall_cycles", Count(l1_mshr_stall_cycles)),
+        ("l1_queue_stall_cycles", Count(l1_queue_stall_cycles)),
+        ("design", Text(design)),
+    ]
 }
 
 pub(crate) fn serialize_stats(s: &RunStats) -> String {
+    let mut s = s.clone();
     let mut out = String::new();
-    let mut kv = |k: &str, v: String| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
-    kv("cycles", s.cycles.to_string());
-    kv("instructions", s.instructions.to_string());
-    kv("l1_accesses", s.l1_accesses.to_string());
-    kv("l1_hits", s.l1_hits.to_string());
-    kv("l1_misses", s.l1_misses.to_string());
-    kv("l1_replicated_misses", s.l1_replicated_misses.to_string());
-    kv("mean_replicas", fmt_f64(s.mean_replicas));
-    kv("max_port_utilization", fmt_f64(s.max_port_utilization));
-    kv("mean_port_utilization", fmt_f64(s.mean_port_utilization));
-    kv("max_reply_link_utilization", fmt_f64(s.max_reply_link_utilization));
-    kv("mean_load_rtt", fmt_f64(s.mean_load_rtt));
-    kv("p50_load_rtt", s.p50_load_rtt.to_string());
-    kv("p95_load_rtt", s.p95_load_rtt.to_string());
-    kv("p99_load_rtt", s.p99_load_rtt.to_string());
-    kv("l2_accesses", s.l2_accesses.to_string());
-    kv("l2_misses", s.l2_misses.to_string());
-    kv("dram_requests", s.dram_requests.to_string());
-    kv("dram_row_hit_rate", fmt_f64(s.dram_row_hit_rate));
-    kv("noc_flits", fmt_vec(&s.noc_flits));
-    kv("per_node_accesses", fmt_vec(&s.per_node_accesses));
-    kv("stall_drained", s.stall_drained.to_string());
-    kv("stall_alu_busy", s.stall_alu_busy.to_string());
-    kv("stall_fill_wait", s.stall_fill_wait.to_string());
-    kv("stall_mem_outbox", s.stall_mem_outbox.to_string());
-    kv("stall_mem_l1_queue", s.stall_mem_l1_queue.to_string());
-    kv("stall_mem_noc", s.stall_mem_noc.to_string());
-    kv("l1_mshr_stall_cycles", s.l1_mshr_stall_cycles.to_string());
-    kv("l1_queue_stall_cycles", s.l1_queue_stall_cycles.to_string());
-    // Last because the free-form design name is rest-of-line.
-    kv("design", s.design.clone());
+    for (key, field) in stats_fields(&mut s) {
+        let _ = writeln!(out, "{key} {field}");
+    }
     out
 }
 
+/// Parses a body [`serialize_stats`] wrote. Every key must appear exactly
+/// once: a truncated write, a stale schema or a doctored body whose line
+/// count happens to match is rejected, never half-parsed.
 fn deserialize_stats(text: &str) -> Option<RunStats> {
     let mut s = RunStats::default();
-    let mut seen = 0usize;
+    let mut fields = stats_fields(&mut s);
+    let mut seen = [false; 29];
     for line in text.lines() {
         let (k, v) = line.split_once(' ')?;
-        match k {
-            "cycles" => s.cycles = v.parse().ok()?,
-            "instructions" => s.instructions = v.parse().ok()?,
-            "l1_accesses" => s.l1_accesses = v.parse().ok()?,
-            "l1_hits" => s.l1_hits = v.parse().ok()?,
-            "l1_misses" => s.l1_misses = v.parse().ok()?,
-            "l1_replicated_misses" => s.l1_replicated_misses = v.parse().ok()?,
-            "mean_replicas" => s.mean_replicas = parse_f64(v)?,
-            "max_port_utilization" => s.max_port_utilization = parse_f64(v)?,
-            "mean_port_utilization" => s.mean_port_utilization = parse_f64(v)?,
-            "max_reply_link_utilization" => s.max_reply_link_utilization = parse_f64(v)?,
-            "mean_load_rtt" => s.mean_load_rtt = parse_f64(v)?,
-            "p50_load_rtt" => s.p50_load_rtt = v.parse().ok()?,
-            "p95_load_rtt" => s.p95_load_rtt = v.parse().ok()?,
-            "p99_load_rtt" => s.p99_load_rtt = v.parse().ok()?,
-            "l2_accesses" => s.l2_accesses = v.parse().ok()?,
-            "l2_misses" => s.l2_misses = v.parse().ok()?,
-            "dram_requests" => s.dram_requests = v.parse().ok()?,
-            "dram_row_hit_rate" => s.dram_row_hit_rate = parse_f64(v)?,
-            "noc_flits" => s.noc_flits = parse_vec(v)?,
-            "per_node_accesses" => s.per_node_accesses = parse_vec(v)?,
-            "stall_drained" => s.stall_drained = v.parse().ok()?,
-            "stall_alu_busy" => s.stall_alu_busy = v.parse().ok()?,
-            "stall_fill_wait" => s.stall_fill_wait = v.parse().ok()?,
-            "stall_mem_outbox" => s.stall_mem_outbox = v.parse().ok()?,
-            "stall_mem_l1_queue" => s.stall_mem_l1_queue = v.parse().ok()?,
-            "stall_mem_noc" => s.stall_mem_noc = v.parse().ok()?,
-            "l1_mshr_stall_cycles" => s.l1_mshr_stall_cycles = v.parse().ok()?,
-            "l1_queue_stall_cycles" => s.l1_queue_stall_cycles = v.parse().ok()?,
-            "design" => s.design = v.to_string(),
-            _ => return None,
+        let i = fields.iter().position(|(key, _)| *key == k)?;
+        if std::mem::replace(&mut seen[i], true) {
+            return None;
         }
-        seen += 1;
+        fields[i].1.parse(v)?;
     }
-    // A truncated file (e.g. interrupted write) must not parse.
-    if seen == 29 {
-        Some(s)
-    } else {
-        None
-    }
+    seen.iter().all(|&x| x).then_some(s)
 }
 
 /// Bridges `RunStats` across the store's disk boundary. The serialized
-/// schema (and `CACHE_SCHEMA_VERSION`) stays in this file — simcheck's
-/// `stats_schema` rule audits it here — while the store handles framing,
-/// checksums, atomic writes, fan-out, and quarantine.
+/// schema (and `CACHE_SCHEMA_VERSION`) stays in this file, pinned by
+/// `tests::stats_schema_is_pinned_to_its_version`, while the store
+/// handles framing, checksums, atomic writes, fan-out, and quarantine.
 struct StatsCodec;
 
 impl Codec<RunStats> for StatsCodec {
@@ -356,31 +334,26 @@ impl Codec<RunStats> for StatsCodec {
     }
 }
 
-/// Default in-memory tier budget: 256 MiB holds ~500k smoke-scale
-/// entries — effectively "everything" for today's sweeps while bounding a
-/// future `dcl1d` daemon's resident set.
-const DEFAULT_MEM_BUDGET_BYTES: u64 = 256 << 20;
+/// In-memory tier budget: 256 MiB holds ~500k smoke-scale entries —
+/// effectively "everything" for today's sweeps while bounding a `dcl1d`
+/// daemon's resident set.
+const MEM_BUDGET_BYTES: u64 = 256 << 20;
 
 /// In-memory LRU shard count: enough that a 16-worker sweep rarely
 /// contends on one shard lock, small enough that per-shard budgets stay
 /// meaningful.
 const MEM_SHARDS: usize = 8;
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
-
 /// The process-wide tiered result store, built lazily from the
 /// environment on first memo use:
 ///
-/// * mem tier — `DCL1_CACHE_MEM_BUDGET_BYTES` (default 256 MiB);
-/// * disk tier — [`disk_cache_dir`], budget `DCL1_CACHE_BUDGET_BYTES`
-///   (default unbounded), flat-layout entries migrated and stale `v<N>`
-///   siblings purged on open;
+/// * mem tier — [`MEM_BUDGET_BYTES`];
+/// * disk tier — [`disk_cache_dir`], unbounded, flat-layout entries
+///   migrated and stale `v<N>` siblings purged on open;
 /// * shared tier — `DCL1_CACHE_SHARED_DIR` (schema-versioned subdir is
-///   appended), read-through with write-back unless
-///   `DCL1_CACHE_SHARED_WRITEBACK` is `0`/`off`/`false`. Never migrated
-///   or purged: other hosts of the fleet may still be on an older schema.
+///   appended), read-through with write-back. Never migrated or purged:
+///   other hosts of the fleet may still be on an older schema.
+#[expect(clippy::disallowed_methods, reason = "the shared tier's mount is the host's choice")]
 fn store() -> &'static ResultStore<RunStats> {
     static STORE: std::sync::OnceLock<ResultStore<RunStats>> = std::sync::OnceLock::new();
     STORE.get_or_init(|| {
@@ -390,23 +363,18 @@ fn store() -> &'static ResultStore<RunStats> {
             migrate_flat: false,
             purge_stale_siblings: false,
         });
-        let shared_writeback = !matches!(
-            std::env::var("DCL1_CACHE_SHARED_WRITEBACK").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
         ResultStore::open(
             &StoreConfig {
-                mem_budget_bytes: env_u64("DCL1_CACHE_MEM_BUDGET_BYTES")
-                    .unwrap_or(DEFAULT_MEM_BUDGET_BYTES),
+                mem_budget_bytes: MEM_BUDGET_BYTES,
                 mem_shards: MEM_SHARDS,
                 disk: Some(DiskTierConfig {
                     root: disk_cache_dir(),
-                    budget_bytes: env_u64("DCL1_CACHE_BUDGET_BYTES"),
+                    budget_bytes: None,
                     migrate_flat: true,
                     purge_stale_siblings: true,
                 }),
                 shared,
-                shared_writeback,
+                shared_writeback: true,
             },
             StatsCodec,
         )
@@ -577,11 +545,10 @@ struct SweepRegistry {
     fill_nanos: HistogramId,
 }
 
-fn sweep_registry() -> &'static Mutex<SweepRegistry> {
-    static REG: std::sync::OnceLock<Mutex<SweepRegistry>> = std::sync::OnceLock::new();
-    REG.get_or_init(|| {
-        let mut reg = Registry::new();
-        Mutex::new(SweepRegistry {
+impl SweepRegistry {
+    /// Registers the `memo.*` namespace into `reg`.
+    fn new(mut reg: Registry) -> SweepRegistry {
+        SweepRegistry {
             mem_hits: reg.counter("memo.mem_hits"),
             disk_hits: reg.counter("memo.disk_hits"),
             shared_hits: reg.counter("memo.shared_hits"),
@@ -601,8 +568,13 @@ fn sweep_registry() -> &'static Mutex<SweepRegistry> {
             shared_lookup_nanos: reg.histogram("memo.shared_lookup_nanos"),
             fill_nanos: reg.histogram("memo.fill_nanos"),
             reg,
-        })
-    })
+        }
+    }
+}
+
+fn sweep_registry() -> &'static Mutex<SweepRegistry> {
+    static REG: std::sync::OnceLock<Mutex<SweepRegistry>> = std::sync::OnceLock::new();
+    REG.get_or_init(|| Mutex::new(SweepRegistry::new(Registry::new())))
 }
 
 /// A deterministic snapshot of the sweep-wide counter registry: every
@@ -1486,9 +1458,7 @@ mod tests {
     use super::*;
     use dcl1_resilience::supervisor::panic_message;
     use dcl1_workloads::by_name;
-    // Test-only: asserting on panics is the test's job; production code
-    // routes panics through the resilience supervisor.
-    use std::panic::{catch_unwind, AssertUnwindSafe}; // simcheck: allow(bare_catch_unwind): test asserts on panic propagation
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn scale_ratios() {
@@ -1532,11 +1502,29 @@ mod tests {
         let app = by_name("C-BLK").unwrap();
         // An invalid node count fails Design::topology at build time.
         let bad = RunRequest::new(app, Design::Shared { nodes: 77 });
+        #[expect(clippy::disallowed_methods, reason = "the test asserts that the panic propagates")]
         let err = catch_unwind(AssertUnwindSafe(|| run_apps(&[bad], Scale::Smoke)))
             .expect_err("must propagate the worker panic");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("C-BLK"), "missing app name: {msg}");
         assert!(msg.contains("Sh77"), "missing design name: {msg}");
+    }
+
+    #[test]
+    fn memo_names_collide_with_no_machine_namespace() {
+        // The sweep registry absorbs machine registries by name, so a
+        // `memo.*` name a machine also registers would be summed silently.
+        // In one registry, registration panics on the shared name instead.
+        let _ = SweepRegistry::new(dcl1::MachineMetrics::new().registry().clone());
+    }
+
+    #[test]
+    fn memo_key_is_pinned() {
+        // Every stored result is filed under this hash: if it moves, the
+        // whole store is orphaned without an error. A deliberate change
+        // bumps CACHE_SCHEMA_VERSION and this pin together.
+        let req = RunRequest::new(by_name("C-BLK").unwrap(), Design::Baseline);
+        assert_eq!(memo_key_hex(&req, Scale::Smoke), "04782f8fa19b17f2213abf0264080a01");
     }
 
     #[test]
@@ -1588,6 +1576,33 @@ mod tests {
         let text = serialize_stats(&s);
         let truncated = &text[..text.len() / 2];
         assert!(deserialize_stats(truncated).is_none());
+    }
+
+    #[test]
+    fn stats_schema_is_pinned_to_its_version() {
+        // Renaming, adding, dropping or reordering a serialised key changes
+        // what old entries mean: bump CACHE_SCHEMA_VERSION, then this pin.
+        let keys = stats_fields(&mut RunStats::default()).map(|(key, _)| key).join(" ");
+        assert_eq!(CACHE_SCHEMA_VERSION, 3);
+        assert_eq!(
+            keys,
+            "cycles instructions l1_accesses l1_hits l1_misses l1_replicated_misses \
+             mean_replicas max_port_utilization mean_port_utilization max_reply_link_utilization \
+             mean_load_rtt p50_load_rtt p95_load_rtt p99_load_rtt l2_accesses l2_misses \
+             dram_requests dram_row_hit_rate noc_flits per_node_accesses stall_drained \
+             stall_alu_busy stall_fill_wait stall_mem_outbox stall_mem_l1_queue stall_mem_noc \
+             l1_mshr_stall_cycles l1_queue_stall_cycles design"
+        );
+    }
+
+    #[test]
+    fn a_body_missing_a_key_is_rejected_even_at_the_right_line_count() {
+        let good = serialize_stats(&RunStats { cycles: 7, instructions: 9, ..RunStats::default() });
+        // `cycles` twice, `instructions` never: still 29 lines.
+        let doctored = good.replace("instructions 9\n", "cycles 7\n");
+        assert_eq!(doctored.lines().count(), good.lines().count());
+        assert!(deserialize_stats(&good).is_some());
+        assert!(deserialize_stats(&doctored).is_none());
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! to a run that never panicked, or the crash would silently change
 //! results.
 
+#![expect(clippy::disallowed_types, reason = "times the binary from outside")]
+
 mod util;
 
 use dcl1_resilience::{supervise, RetryPolicy};

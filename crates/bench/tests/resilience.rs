@@ -8,6 +8,8 @@
 //! directory, so nothing here races the in-process runner tests or a
 //! developer's real cache.
 
+#![expect(clippy::disallowed_types, reason = "times the binary from outside")]
+
 mod util;
 
 use dcl1::{GpuConfig, SimOptions};

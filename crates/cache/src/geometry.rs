@@ -210,10 +210,10 @@ mod tests {
         // A stride-320 pattern (multiple of the 32-set modulus) lands in
         // one set under modulo indexing but spreads under hashing.
         let modulo = CacheGeometry::new(16 * 1024, 4, 128).unwrap();
-        let mod_sets: std::collections::HashSet<usize> =
+        let mod_sets: std::collections::BTreeSet<usize> =
             (0..64u64).map(|i| modulo.set_of(LineAddr::new(i * 320 + 7))).collect();
         assert_eq!(mod_sets.len(), 1, "stride 320 camps one modulo set");
-        let hash_sets: std::collections::HashSet<usize> =
+        let hash_sets: std::collections::BTreeSet<usize> =
             (0..64u64).map(|i| g.set_of(LineAddr::new(i * 320 + 7))).collect();
         assert!(hash_sets.len() > 16, "hashing must spread sets, got {}", hash_sets.len());
     }

@@ -8,19 +8,19 @@
 
 use dcl1_cache::{CacheGeometry, LookupResult, Mshr, SetAssocCache};
 use dcl1_common::{LineAddr, SplitMix64};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A naive per-set LRU model: each set is a Vec ordered LRU→MRU.
 #[derive(Debug, Default)]
 struct RefModel {
-    sets: HashMap<usize, Vec<u64>>,
+    sets: BTreeMap<usize, Vec<u64>>,
     assoc: usize,
     nsets: usize,
 }
 
 impl RefModel {
     fn new(nsets: usize, assoc: usize) -> Self {
-        RefModel { sets: HashMap::new(), assoc, nsets }
+        RefModel { sets: BTreeMap::new(), assoc, nsets }
     }
     fn set_of(&self, line: u64) -> usize {
         (line as usize) % self.nsets

@@ -1,4 +1,5 @@
-//! Content checksums for crash-safe persistence.
+//! The workspace's one FNV-1a module: content checksums for crash-safe
+//! persistence and the result store's memo-key hasher.
 //!
 //! Cached simulation results and checkpoint-journal entries survive process
 //! kills, disk-full truncation, and concurrent writers only if a reader can
@@ -7,11 +8,13 @@
 //! processes and Rust releases (unlike `DefaultHasher`), cheap, and
 //! sensitive to truncation, bit flips, and reordering.
 
+use std::hash::Hasher;
+
 /// 64-bit FNV-1a offset basis: the digest of the empty input, and the
 /// state a chunked digest starts from.
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
-const PRIME: u64 = 0x0000_0100_0000_01b3;
+pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The 64-bit FNV-1a digest of `bytes`.
 #[must_use]
@@ -25,7 +28,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 pub fn fnv64_from(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
-        state = state.wrapping_mul(PRIME);
+        state = state.wrapping_mul(FNV64_PRIME);
     }
     state
 }
@@ -52,7 +55,7 @@ impl<B: AsRef<[u8]>> FnvBlock<B> {
     /// Wraps `block`; allocates nothing.
     #[must_use]
     pub fn new(block: B) -> FnvBlock<B> {
-        let pow = block.as_ref().iter().fold(1u64, |p, _| p.wrapping_mul(PRIME));
+        let pow = block.as_ref().iter().fold(1u64, |p, _| p.wrapping_mul(FNV64_PRIME));
         FnvBlock { block, pow, memo: None }
     }
 
@@ -91,6 +94,46 @@ impl<B: AsRef<[u8]>> FnvBlock<B> {
 #[must_use]
 pub fn fnv64_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv64(bytes))
+}
+
+/// 128-bit FNV-1a as a [`Hasher`], for identities that must be stable
+/// across processes and Rust releases (unlike `DefaultHasher`): a stored
+/// result is found again only under the key it was written with.
+#[derive(Debug, Clone)]
+pub struct Fnv128 {
+    state: u128,
+}
+
+impl Fnv128 {
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+
+    /// The full 128-bit digest of everything written so far.
+    #[must_use]
+    pub fn value(&self) -> u128 {
+        self.state
+    }
+}
+
+impl Default for Fnv128 {
+    /// The digest of the empty input.
+    fn default() -> Self {
+        Fnv128 { state: 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d }
+    }
+}
+
+impl Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= u128::from(b);
+            self.state = self.state.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    // Hasher contract: fold the 128-bit state to its low 64 bits.
+    #[expect(clippy::cast_possible_truncation)]
+    fn finish(&self) -> u64 {
+        self.state as u64
+    }
 }
 
 /// Verifies a payload against its recorded hex digest. Returns `false` on
@@ -135,6 +178,15 @@ mod tests {
             }
             assert!(!plain.is_memoised(), "apply alone must not allocate the table");
         }
+    }
+
+    #[test]
+    fn fnv128_known_vectors() {
+        // Standard FNV-1a 128-bit test vectors.
+        assert_eq!(Fnv128::default().value(), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
+        let mut h = Fnv128::default();
+        h.write(b"a");
+        assert_eq!(h.value(), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
     }
 
     #[test]

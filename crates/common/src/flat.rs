@@ -5,7 +5,7 @@
 //! is both *flat* — index arithmetic instead of pointer-chasing a tree —
 //! and *deterministic* — no `RandomState`, so iteration and layout are a
 //! pure function of the operation sequence and the on-disk result memo
-//! stays byte-stable (the `hash_order` simcheck rule).
+//! stays byte-stable (clippy.toml bans `HashMap` and `HashSet`).
 //!
 //! [`FlatMap`] is a linear-probing open-addressed table keyed by a
 //! deterministic FNV-seeded multiplicative mixer:
@@ -48,9 +48,8 @@
 /// and cost ~6%. This mixer matched the pre-slab baseline.
 #[inline]
 fn mix_key(key: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-    let h = (key ^ FNV_OFFSET).wrapping_mul(FIB);
+    let h = (key ^ crate::checksum::FNV64_OFFSET).wrapping_mul(FIB);
     h ^ (h >> 29)
 }
 

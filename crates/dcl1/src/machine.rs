@@ -56,6 +56,7 @@ use crate::sleep::{self, Census, Visit};
 use crate::stats::RunStats;
 use crate::txn::Txn;
 use dcl1_cache::CacheStats;
+use dcl1_common::checksum;
 use dcl1_common::stats::RunningMean;
 use dcl1_common::{ActiveSet, ClockDomain, ConfigError, CoreId, Cycle, FlowMeter, WakeWheel};
 use dcl1_gpu::{Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, TraceFactory};
@@ -68,9 +69,7 @@ use dcl1_obs::Observer;
 use dcl1_resilience::SimError;
 use std::collections::VecDeque;
 use std::sync::Arc;
-// Wall time here is read only by the deadline watchdog and the phase
-// profiler; it never feeds statistics.
-// simcheck: allow(wall_clock): supervision and profiler diagnostics only, never feeds stats
+#[expect(clippy::disallowed_types, reason = "deadline watchdog and phase profiler only")]
 use std::time::Instant;
 
 /// Default cycles between progress-watchdog checks once
@@ -241,7 +240,7 @@ pub struct GpuSystem<'w> {
     /// Cycles between progress-hook callbacks.
     progress_every: u64,
     /// Origin of the profiler lap in progress (`None` with the profiler off).
-    // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
+    #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
     lap_t: Option<Instant>,
 
     /// Checked-sim harness (`--check`); `None` by default, in which case
@@ -620,7 +619,7 @@ impl<'w> GpuSystem<'w> {
     /// lap origin so consecutive calls partition the cycle.
     fn lap(&mut self, phase: Phase) {
         if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), self.lap_t.as_mut()) {
-            // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
+            #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
             let now = Instant::now();
             p.add(phase, u64::try_from(now.duration_since(*t0).as_nanos()).unwrap_or(u64::MAX));
             *t0 = now;
@@ -740,10 +739,10 @@ impl<'w> GpuSystem<'w> {
     /// makes forward progress. Cheap (one pass over component stats) and
     /// only computed once per watchdog epoch.
     fn progress_signature(&self) -> u64 {
-        let mut sig: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut sig = checksum::FNV64_OFFSET;
         let mut mix = |v: u64| {
             sig ^= v;
-            sig = sig.wrapping_mul(0x0000_0100_0000_01b3);
+            sig = sig.wrapping_mul(checksum::FNV64_PRIME);
         };
         mix(self.shards.iter().flat_map(|d| d.txn_seq.iter()).sum());
         mix(u64::from(self.dispatcher.remaining()));
@@ -759,7 +758,7 @@ impl<'w> GpuSystem<'w> {
 
     /// One watchdog probe: deadline first (cheap), then the no-progress
     /// check. On success, re-bases the probe window.
-    // simcheck: allow(wall_clock): supervision-only deadline check, never feeds stats
+    #[expect(clippy::disallowed_types, reason = "deadline check only, never feeds stats")]
     fn watchdog_probe(&mut self, started: Option<Instant>) -> Result<(), SimError> {
         if let (Some(limit), Some(t0)) = (self.deadline_secs, started) {
             let elapsed = t0.elapsed();
@@ -1105,7 +1104,7 @@ impl<'w> GpuSystem<'w> {
         if self.obs.tracing() && self.shards.len() > 1 {
             self.set_shards(1);
         }
-        // simcheck: allow(wall_clock): supervision-only deadline check, never feeds stats
+        #[expect(clippy::disallowed_types, reason = "deadline check only, never feeds stats")]
         let started = self.deadline_secs.map(|_| Instant::now());
         self.watch_cycle = self.now;
         self.watch_sig = self.progress_signature();
@@ -1153,8 +1152,9 @@ impl<'w> GpuSystem<'w> {
             return;
         }
         self.steps += 1;
-        // simcheck: allow(wall_clock): phase profiler diagnostics only, never feeds stats
-        self.lap_t = self.profiler.as_deref().map(|_| Instant::now());
+        #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
+        let lap_t = self.profiler.as_deref().map(|_| Instant::now());
+        self.lap_t = lap_t;
         self.dispatch_ctas();
         self.run_regions(match self.topo.attachment {
             Attachment::Noc1 { .. } => &[Region::Issue, Region::Noc1],

@@ -222,7 +222,6 @@ fn forward(
         let pkt = from.pop_output(port).expect("peeked Some");
         let fwd = Packet { src, dst: dst(&pkt.payload), flits: pkt.flits, payload: pkt.payload };
         wake_to(to);
-        // simcheck: allow(epoch_order): NoC#2 is stepped by the coordinator only, never inside a region; both stages belong to the one `Noc2`
         to.try_inject(fwd).unwrap_or_else(|_| unreachable!("checked room"));
         moved = true;
     }

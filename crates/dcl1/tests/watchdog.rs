@@ -88,6 +88,7 @@ fn watchdog_on_a_healthy_run_is_bit_identical_and_succeeds() {
 fn run_panics_with_the_diagnostic_when_unsupervised() {
     let k = kernel(0xDEAD_0004);
     let opts = SimOptions { max_cycles: 10_000_000, ..SimOptions::default() };
+    #[expect(clippy::disallowed_methods, reason = "the test asserts that the panic propagates")]
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sys = build(&DESIGNS[0], &k, opts);
         sys.set_watchdog(2048);

@@ -18,7 +18,6 @@ fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<String> {
 }
 
 fn main() -> std::io::Result<()> {
-    // simcheck: allow(wall_clock): CLI argument parsing, not sim state
     let args: Vec<String> = std::env::args().skip(1).collect();
     let addr = args.first().map_or("127.0.0.1:4411", String::as_str);
     let tenant = args.get(1).map_or("example", String::as_str);

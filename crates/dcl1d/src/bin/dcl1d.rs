@@ -27,7 +27,6 @@ const CLI: Cli = Cli {
 };
 
 fn main() {
-    // simcheck: allow(wall_clock): CLI argument parsing, not sim state
     let args = CLI.parse(std::env::args().skip(1));
     let defaults = Quotas::default();
     let cfg = DaemonConfig {

@@ -166,7 +166,6 @@ impl Core {
 /// variables that sequence dispatch (`work_ready`) and drain
 /// (`all_idle`).
 pub struct Daemon {
-    // simcheck: allow(shard_shared_state): daemon control plane (job queue, tenant accounting), never simulator state
     core: Mutex<Core>,
     work_ready: Condvar,
     all_idle: Condvar,

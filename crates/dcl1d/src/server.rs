@@ -35,7 +35,6 @@ const SUBSCRIBER_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// writes one complete JSON line per call, so every subscriber still
 /// attached has seen whole lines only.
 pub struct FanoutWriter {
-    // simcheck: allow(shard_shared_state): subscriber list is connection state, never simulator state
     subs: SubscriberList,
 }
 
@@ -74,7 +73,6 @@ impl Write for FanoutWriter {
 pub struct Server {
     listener: TcpListener,
     daemon: Arc<Daemon>,
-    // simcheck: allow(shard_shared_state): subscriber list is connection state, never simulator state
     subs: SubscriberList,
 }
 

@@ -14,6 +14,8 @@
 //! 4. **The command line**: the quota flags bound admission, and a flag
 //!    the daemon does not understand stops it before it binds a port.
 
+#![expect(clippy::disallowed_types, reason = "times the binary from outside")]
+
 mod util;
 
 use dcl1::{GpuConfig, RunStats, SimOptions};

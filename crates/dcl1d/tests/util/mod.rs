@@ -3,6 +3,7 @@
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
+#![expect(clippy::disallowed_types, reason = "times the binary from outside")]
 
 use dcl1_obs::json::Json;
 use std::io::{BufRead, BufReader, Write};

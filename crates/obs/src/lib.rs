@@ -39,6 +39,8 @@
 //! obs.trace_hop(42, "l2", 100);
 //! ```
 
+#![expect(clippy::disallowed_types, reason = "a progress event carries its wall-clock time")]
+
 pub mod json;
 pub mod metrics;
 pub mod profiler;

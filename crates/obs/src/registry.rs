@@ -22,8 +22,10 @@
 //!    therefore never perturb simulation results.
 //!
 //! Metric names must be unique, snake_case, and `subsystem.name`-shaped —
-//! enforced at registration (panic) and statically by `simcheck`'s
-//! `metric_names` rule.
+//! enforced at registration (panic). The runner's
+//! `memo_names_collide_with_no_machine_namespace` test registers every
+//! namespace into one registry, so a name shared across registries panics
+//! there too.
 
 use std::fmt::Write as _;
 

@@ -2,7 +2,7 @@
 //! containment, and quarantine.
 //!
 //! This module is the single sanctioned home of `catch_unwind` in the
-//! workspace (enforced by the `simcheck` rule `bare_catch_unwind`):
+//! workspace (clippy's `disallowed_methods` bans it everywhere else):
 //! recovering from a panic is a supervision decision, and scattering
 //! recovery points through the simulator would hide modeling bugs.
 
@@ -107,6 +107,7 @@ pub fn supervise<T>(
                 std::thread::sleep(delay);
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "the workspace's one panic boundary")]
         let outcome = catch_unwind(AssertUnwindSafe(|| attempt_fn(attempt)))
             .unwrap_or_else(|payload| {
                 Err(SimError::Panic { message: panic_message(payload.as_ref()) })

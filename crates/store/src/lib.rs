@@ -21,6 +21,8 @@
 //! 128-bit content hashes; the store never interprets them beyond
 //! routing on the leading byte.
 
+#![expect(clippy::disallowed_types, reason = "tier latencies and entry ages are host time")]
+
 pub mod disk;
 pub mod flight;
 pub mod mem;

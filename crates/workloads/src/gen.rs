@@ -216,7 +216,7 @@ mod tests {
         let spec = catalog().into_iter().find(|a| a.name == "T-AlexNet").unwrap();
         let lines = |cta| {
             let mut t = AppTrace::new(spec, cta, 0);
-            let mut set = std::collections::HashSet::new();
+            let mut set = std::collections::BTreeSet::new();
             for i in drain(&mut t) {
                 if let WavefrontInstr::Mem(m) = i {
                     for a in m.accesses {
@@ -301,7 +301,7 @@ mod tests {
     fn streaming_never_reuses_lines() {
         let spec = catalog()[0]; // C-BLK: pure streaming
         let mut t = AppTrace::new(spec, 0, 0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in drain(&mut t) {
             if let WavefrontInstr::Mem(m) = i {
                 if m.kind == MemKind::Load || m.kind == MemKind::Store {

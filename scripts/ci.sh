@@ -32,11 +32,9 @@ leg_build() { cargo build --release --offline --workspace --bins; }
 leg_test() { cargo test -q --offline --workspace; }
 
 leg_lint() {
+    # clippy.toml bans what lets the host leak into a run (hash order, the
+    # wall clock, the environment, catch_unwind); an unmet `expect` fails too.
     cargo clippy --offline --workspace --all-targets -- -D warnings
-    # Exits 1 on any unannotated finding of the determinism / truncation /
-    # shard-safety rules, then on a stale fingerprint or rule census.
-    cargo run --release --offline --quiet -p simcheck -- lint
-    cargo run --release --offline --quiet -p simcheck -- schema
     # NoC#2's shape is decided in noc2.rs only.
     if grep -nE 'Noc2Kind::|Noc2Net' crates/dcl1/src/machine.rs crates/dcl1/src/shard.rs; then
         return 1
@@ -45,8 +43,9 @@ leg_lint() {
 
 # The command-line surface cannot grow back: every flag a binary's --help
 # lists is named by a test, a leg of this script (this one aside) or the
-# ledger; and the documents name none of the options and binaries that
-# were deleted for lack of a caller.
+# ledger, every DCL1_* variable the code reads is set by one of them; and
+# the documents name none of the options and binaries that were deleted
+# for lack of a caller.
 leg_surface() {
     cargo build --release --offline --workspace --bins
     local corpus=$tmp/surface-corpus bin help flag orphans=()
@@ -59,6 +58,12 @@ leg_surface() {
         for flag in $(grep -oE -- '--[a-z][a-z0-9-]*' <<<"$help" | sort -u); do
             grep -qE -- "$flag([^a-z0-9-]|\$)" "$corpus" || orphans+=("$bin $flag")
         done
+    done
+    # Likewise every DCL1_* variable the code reads is *set* somewhere
+    # (`.env(` / `set_var(` / a shell assignment); `env_remove` does not count.
+    local var
+    for var in $(grep -rhoE '"DCL1_[A-Z0-9_]+"' crates/*/src src | tr -d '"' | sort -u); do
+        grep -qE -- "(env|set_var)\\(\"$var\"|(^|[^A-Za-z0-9_])$var=" "$corpus" || orphans+=("env $var")
     done
     if [ ${#orphans[@]} -gt 0 ]; then
         printf 'exercised nowhere: %s\n' "${orphans[@]}" >&2

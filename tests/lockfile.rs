@@ -31,7 +31,7 @@ fn lockfile_lists_only_the_workspace() {
         let manifest = member.expect("crates/ entry").path().join("Cargo.toml");
         workspace.extend(package_names(&read(&manifest)));
     }
-    assert_eq!(workspace.len(), 16, "{workspace:?}");
+    assert_eq!(workspace.len(), 15, "{workspace:?}");
 
     let lock = read(&root.join("Cargo.lock"));
     assert_eq!(package_names(&lock), workspace);

@@ -12,7 +12,7 @@ use dcl1_repro::dcl1::{
 };
 use dcl1_repro::gpu::{MemAccess, MemInstr, MemKind, TraceFactory, TraceSource, WavefrontInstr};
 use dcl1_repro::obs::json::Json;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
@@ -116,7 +116,7 @@ fn trace_json_is_schema_valid_with_full_span_chains() {
         assert!(!events.is_empty(), "no spans recorded ({design:?})");
 
         // Every event is a complete ("X") span with the required fields.
-        let mut phases_by_txn: HashMap<u64, BTreeSet<String>> = HashMap::new();
+        let mut phases_by_txn: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
         let mut load_txns = BTreeSet::new();
         for ev in events {
             assert_eq!(ev.get("ph").and_then(Json::as_str), Some("X"));
