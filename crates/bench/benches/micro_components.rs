@@ -149,7 +149,7 @@ fn bench_system_step_sparse() {
 }
 
 fn bench_ledger() {
-    use dcl1_bench::ledger::ResultLedger;
+    use dcl1_bench::ledger::{Chunk, ResultLedger};
     // One `daemon_warm` tenant: 28 labels, each completed 5 600 times
     // with identical stats, then a `status` digest over all of them.
     // Reported per completed job, since that is what a tenant accumulates.
@@ -172,7 +172,7 @@ fn bench_ledger() {
     let t0 = Instant::now();
     for _ in 0..COPIES {
         for (label, stats) in &points {
-            ledger.push(black_box(label), black_box(stats));
+            ledger.push(Chunk::new(black_box(label), black_box(stats)));
         }
     }
     let push_ns = t0.elapsed().as_nanos() as f64 / jobs;

@@ -36,6 +36,12 @@ fn point(arg: &str, cfg: &GpuConfig) -> Result<RunRequest, String> {
     })
 }
 
+/// Runs a point outside every store: its statistics and the machine's
+/// debug snapshot.
+fn snapshot(req: &RunRequest, scale: Scale) -> (dcl1::RunStats, String) {
+    runner::with_point(req, scale, 1, |sys, _| Ok((sys.run_result()?, sys.debug_snapshot()))).unwrap()
+}
+
 fn main() {
     let args = CLI.parse(std::env::args().skip(1));
     let cfg = GpuConfig::default();
@@ -51,7 +57,7 @@ fn main() {
         let mut census: BTreeMap<String, u64> = BTreeMap::new();
         let designs = grid::default_designs(&cfg);
         for req in grid::build_grid(&designs, &[], &cfg, SimOptions::default()) {
-            let (_, snapshot) = runner::run_app_snapshot(&req, scale).unwrap();
+            let (_, snapshot) = snapshot(&req, scale);
             for field in snapshot.lines().last().unwrap().split_whitespace() {
                 let (key, value) = field.split_once('=').unwrap();
                 *census.entry(key.to_string()).or_default() += value.parse::<u64>().unwrap();
@@ -78,7 +84,7 @@ fn main() {
     }
     for req in points {
         let t0 = std::time::Instant::now();
-        let (s, snapshot) = runner::run_app_snapshot(&req, scale).unwrap();
+        let (s, snapshot) = snapshot(&req, scale);
         let wall = t0.elapsed();
         let app = req.app.name;
         println!(

@@ -6,10 +6,10 @@
 use dcl1_bench::cli::Cli;
 use dcl1_bench::experiments as ex;
 use dcl1_bench::sweepcli::{self, SweepCli};
-use dcl1_bench::{Scale, Table};
+use dcl1_bench::{Scale, SweepSession, Table};
 
 /// One experiment entry point.
-type Experiment = fn(Scale) -> Vec<Table>;
+type Experiment = fn(&SweepSession, Scale) -> Vec<Table>;
 
 const CLI: Cli = Cli {
     bin: "experiments",
@@ -25,15 +25,15 @@ fn main() {
     let filter = args.positionals();
     let scale = Scale::from_env();
     let all: Vec<(&str, Experiment)> = vec![
-        ("tab1", ex::tab1_private_configs::run),
+        ("tab1", |_, scale| ex::tab1_private_configs::run(scale)),
         ("fig01", ex::fig01_motivation::run),
         ("fig02", ex::fig02_utilization::run),
         ("fig04", ex::fig04_private::run),
-        ("fig06", ex::fig06_noc_area::run),
+        ("fig06", |_, scale| ex::fig06_noc_area::run(scale)),
         ("fig08", ex::fig08_shared::run),
         ("fig09", ex::fig09_shared_insensitive::run),
         ("fig11", ex::fig11_clustered::run),
-        ("fig12", ex::fig12_clustered_noc::run),
+        ("fig12", |_, scale| ex::fig12_clustered_noc::run(scale)),
         ("fig13", ex::fig13_boost::run),
         ("fig14", ex::fig14_final::run),
         ("fig15", ex::fig15_scurve::run),
@@ -49,7 +49,8 @@ fn main() {
     if let Some(arg) = filter.iter().find(|f| !all.iter().any(|(name, _)| f == name)) {
         args.fail(&format!("unknown argument {arg:?}"));
     }
-    eprintln!("[experiments] {}", shared.apply());
+    let (session, banner) = shared.open_session();
+    eprintln!("[experiments] {banner}");
     shared.run_observed(scale);
     let t0 = std::time::Instant::now();
     for (name, run) in all {
@@ -57,13 +58,13 @@ fn main() {
             continue;
         }
         let t = std::time::Instant::now();
-        for table in run(scale) {
+        for table in run(&session, scale) {
             println!("{table}");
         }
         eprintln!("[{name}] done in {:.1?} (total {:.1?})", t.elapsed(), t0.elapsed());
     }
-    println!("{}", dcl1_bench::runner::throughput_summary());
-    let recovery = dcl1_bench::runner::recovery_log();
+    println!("{}", session.throughput_summary());
+    let recovery = session.recovery_log();
     if !recovery.is_clean() {
         eprintln!(
             "[experiments] recovery: {} retries, {} quarantines, {} cache corruptions, \

@@ -13,7 +13,7 @@
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::cli::Kind::{Repeated, Switch, Value};
 use dcl1_bench::cli::{Cli, Flag};
-use dcl1_bench::runner::{self, SweepOutcome};
+use dcl1_bench::runner::{self, SweepOutcome, SweepSession};
 use dcl1_bench::sweepcli::{self, SweepCli};
 use dcl1_bench::{grid, Scale, Table};
 use dcl1_obs::json::escape;
@@ -40,6 +40,7 @@ const FLAGS: &[Flag] = &[
 /// Renders the sweep report as a JSON document.
 #[expect(clippy::too_many_arguments)] // a report has many independent facts
 fn sweep_json(
+    session: &SweepSession,
     scale: Scale,
     fast_forward: bool,
     timings: &[runner::PointTiming],
@@ -50,17 +51,16 @@ fn sweep_json(
     chaos_seed: Option<u64>,
     digest: &str,
 ) -> String {
-    let m = runner::memo_stats();
+    let m = session.memo_stats();
     let sim_wall = m.wall_nanos as f64 / 1e9;
     let khz = if sim_wall > 0.0 { m.sim_cycles as f64 / sim_wall / 1e3 } else { 0.0 };
-    let recovery = runner::recovery_log();
+    let recovery = session.recovery_log();
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"scale\": \"{scale:?}\",\n  \"fast_forward\": {fast_forward},\n  \"workers\": {},\n  \"shards\": {{\n    \"requested\": {},\n    \"effective_max\": {}\n  }},\n  \"chaos_seed\": {},\n  \"stats_digest\": \"{digest}\",\n  \"totals\": {{\n    \"points\": {total_points},\n    \"points_simulated\": {},\n    \"points_from_memo\": {},\n    \"sim_cycles\": {total_sim_cycles},\n    \"sim_wall_seconds\": {sim_wall:.6},\n    \"sim_khz\": {khz:.3},\n    \"end_to_end_wall_seconds\": {end_to_end_wall:.6}\n  }},\n  \"recovery\": {{ {} }},\n  \"quarantined\": [",
-        runner::effective_workers(),
-        runner::effective_shards(),
-        runner::shard_sweep_stats().shards,
+        "{{\n  \"scale\": \"{scale:?}\",\n  \"fast_forward\": {fast_forward},\n  \"workers\": {},\n  \"shards\": {{\n    \"effective_max\": {}\n  }},\n  \"chaos_seed\": {},\n  \"stats_digest\": \"{digest}\",\n  \"totals\": {{\n    \"points\": {total_points},\n    \"points_simulated\": {},\n    \"points_from_memo\": {},\n    \"sim_cycles\": {total_sim_cycles},\n    \"sim_wall_seconds\": {sim_wall:.6},\n    \"sim_khz\": {khz:.3},\n    \"end_to_end_wall_seconds\": {end_to_end_wall:.6}\n  }},\n  \"recovery\": {{ {} }},\n  \"quarantined\": [",
+        session.workers(),
+        session.shard_stats().shards,
         chaos_seed.map_or("null".to_string(), |s| s.to_string()),
         m.simulated,
         m.total_hits(),
@@ -78,9 +78,9 @@ fn sweep_json(
         );
     }
     out.push_str("\n  ],\n  \"profile\": ");
-    runner::sweep_phase_profile().render_json_into(&mut out);
+    session.phase_profile().render_json_into(&mut out);
     out.push_str(",\n  \"registry\": {");
-    runner::sweep_registry_snapshot().render_json_into(&mut out);
+    session.registry_snapshot().render_json_into(&mut out);
     out.push_str("},\n  \"points\": [");
     for (i, t) in timings.iter().enumerate() {
         let _ = write!(
@@ -113,23 +113,23 @@ fn main() {
     let scale = Scale::from_env();
 
     // Everything is read and valid; only now touch the cache.
-    let banner = shared.apply();
     if !args.switch("keep-cache") {
         runner::clear_disk_cache();
     }
+    let (session, banner) = shared.open_session();
     eprintln!("[perf_sweep] {banner}");
     let opts = SimOptions { fast_forward, ..SimOptions::default() };
     let reqs = grid::build_grid(&designs, &only, &cfg, opts);
 
     let t0 = std::time::Instant::now();
-    let outcome = runner::run_apps_supervised(&reqs, scale, runner::effective_workers());
+    let outcome = session.run_points(&reqs, scale);
     let wall = t0.elapsed();
 
     let mut per_point = Table::new(
         format!("Per-point timings ({scale:?}, fast_forward={fast_forward})"),
         &["point", "sim-cycles", "wall s", "KHz"],
     );
-    let timings = runner::point_timings();
+    let timings = session.point_timings();
     for t in &timings {
         per_point.row(
             format!("{}/{}", t.app, t.design),
@@ -141,16 +141,15 @@ fn main() {
         );
     }
     println!("{per_point}");
-    println!("{}", runner::throughput_summary());
-    let completed = outcome.completed();
-    let total: u64 = completed.iter().map(|s| s.cycles).sum();
+    println!("{}", session.throughput_summary());
+    let total: u64 = outcome.results.iter().flatten().map(|s| s.cycles).sum();
     println!(
         "sweep: {} points ({} quarantined), {total} sim-cycles, {:.2} s end-to-end wall",
         reqs.len(),
         outcome.quarantined.len(),
         wall.as_secs_f64()
     );
-    let recovery = runner::recovery_log();
+    let recovery = session.recovery_log();
     if !recovery.is_clean() {
         eprintln!(
             "[perf_sweep] recovery: {} retries, {} quarantines, {} cache corruptions, \
@@ -185,6 +184,7 @@ fn main() {
     }
 
     let report = sweep_json(
+        &session,
         scale,
         fast_forward,
         &timings,
@@ -204,7 +204,7 @@ fn main() {
 
     // Every planned point is accounted for: served by a tier, simulated,
     // or quarantined. An undercount means a tier stopped reporting.
-    let m = runner::memo_stats();
+    let m = session.memo_stats();
     let served = m.total_hits() + m.simulated + recovery.quarantines;
     if served < reqs.len() as u64 {
         eprintln!(

@@ -4,7 +4,7 @@
 //! matters, on three contrasting workloads (streaming C-BLK, sharing
 //! T-AlexNet, camped P-2MM) under the flagship `Sh40+C10+Boost` design.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, GpuConfig};
 use dcl1_workloads::by_name;
@@ -12,7 +12,7 @@ use dcl1_workloads::by_name;
 const APPS: [&str; 3] = ["C-BLK", "T-AlexNet", "P-2MM"];
 
 /// Runs the ablation suite.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let base_cfg = GpuConfig::default();
     let variants: Vec<(&str, GpuConfig)> = vec![
         ("default", base_cfg.clone()),
@@ -47,7 +47,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             });
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = variants.len();
 
     let mut t = Table::new(

@@ -4,14 +4,14 @@
 //! total L1 budget (1×/2×/4×) under both the private baseline and the
 //! flagship `Sh40+C10+Boost`, on the replication-sensitive applications.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, GpuConfig};
 use dcl1_common::stats::geomean;
 use dcl1_workloads::replication_sensitive;
 
 /// Runs the capacity-scaling extension.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_sensitive();
     let budgets = [1usize, 2, 4];
     let mut reqs = Vec::new();
@@ -31,7 +31,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             });
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = budgets.len() * 2;
 
     let mut t = Table::new(

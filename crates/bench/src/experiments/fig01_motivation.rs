@@ -2,13 +2,13 @@
 //! rate, IPC improvement under a 16× L1, and the hypothetical
 //! no-replication single L1.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, GpuConfig};
 use dcl1_workloads::{all_apps, replication_sensitive};
 
 /// Runs the motivation study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = all_apps();
 
     // Baseline + 16×-capacity baseline for every app.
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ..RunRequest::new(*app, Design::Baseline)
         });
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
 
     // Sorted ascending by replication ratio, as in the paper's Fig 1.
     let mut rows: Vec<(usize, f64)> = (0..apps.len())
@@ -55,7 +55,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         reqs.push(RunRequest::new(*app, Design::Baseline));
         reqs.push(RunRequest::new(*app, Design::IdealSingleL1));
     }
-    let istats = run_apps(&reqs, scale);
+    let istats = session.run_points(&reqs, scale).unwrap_all();
     let mut hypo = Table::new(
         "SecII-A: hypothetical single L1 (no replication) on replication-sensitive apps",
         &["app", "miss_base", "miss_ideal", "miss_reduction", "ipc_norm"],

@@ -1,17 +1,17 @@
 //! **Fig 2**: baseline per-core L1 data-port utilization and reply-link
 //! utilization, both as ascending S-curves over the 28 applications.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::all_apps;
 
 /// Runs the utilization study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = all_apps();
     let reqs: Vec<RunRequest> =
         apps.iter().map(|a| RunRequest::new(*a, Design::Baseline)).collect();
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
 
     let mut rows: Vec<(usize, f64)> =
         (0..apps.len()).map(|i| (i, stats[i].max_port_utilization)).collect();

@@ -2,7 +2,7 @@
 //! replication-sensitive applications — IPC, DC-L1 miss rate, and the
 //! perfect-cache limit study.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, SimOptions};
 use dcl1_common::stats::geomean;
@@ -11,7 +11,7 @@ use dcl1_workloads::replication_sensitive;
 const NODE_COUNTS: [usize; 4] = [80, 40, 20, 10];
 
 /// Runs the private DC-L1 study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_sensitive();
 
     let mut reqs = Vec::new();
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, Design::Private { nodes: y }));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + NODE_COUNTS.len();
 
     let mut ipc = Table::new(
@@ -66,7 +66,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             });
         }
     }
-    let pstats = run_apps(&reqs, scale);
+    let pstats = session.run_points(&reqs, scale).unwrap_all();
     let pper = 2 + NODE_COUNTS.len();
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 1 + NODE_COUNTS.len()];
     for i in 0..apps.len() {

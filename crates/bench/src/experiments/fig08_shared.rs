@@ -1,20 +1,20 @@
 //! **Fig 8**: the fully-shared Sh40 design on the replication-sensitive
 //! applications — DC-L1 miss rate and IPC, normalized to baseline.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::replication_sensitive;
 
 /// Runs the shared DC-L1 study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_sensitive();
     let mut reqs = Vec::new();
     for app in &apps {
         reqs.push(RunRequest::new(*app, Design::Baseline));
         reqs.push(RunRequest::new(*app, Design::Shared { nodes: 40 }));
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
 
     let mut t = Table::new(
         "Fig 8: Sh40 on replication-sensitive apps (normalized to baseline)",

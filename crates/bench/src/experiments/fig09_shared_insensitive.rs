@@ -1,20 +1,20 @@
 //! **Fig 9**: Sh40 on the replication-insensitive applications,
 //! highlighting the five poor performers.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::replication_insensitive;
 
 /// Runs the insensitive-application study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_insensitive();
     let mut reqs = Vec::new();
     for app in &apps {
         reqs.push(RunRequest::new(*app, Design::Baseline));
         reqs.push(RunRequest::new(*app, Design::Shared { nodes: 40 }));
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
 
     let mut t = Table::new(
         "Fig 9: Sh40 on replication-insensitive apps (IPC normalized to baseline)",

@@ -2,13 +2,13 @@
 //! replication-sensitive applications — L1 miss rate and IPC.
 
 use crate::experiments::cluster_sweep;
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::replication_sensitive;
 
 /// Runs the clustered shared DC-L1 sweep.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_sensitive();
     let sweep = cluster_sweep();
     let mut reqs = Vec::new();
@@ -18,7 +18,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + sweep.len();
 
     let labels: Vec<&str> = sweep.iter().map(|(l, _)| l.as_str()).collect();

@@ -2,14 +2,14 @@
 //! and Sh40+C10+Boost; (b) maximum crossbar operating frequency vs radix
 //! (analytic).
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_power::CrossbarModel;
 use dcl1_workloads::poor_performing;
 
 /// Runs the frequency-boost study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = poor_performing();
     let designs = [
         Design::Shared { nodes: 40 },
@@ -23,7 +23,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
 
     let mut fig13a = Table::new(

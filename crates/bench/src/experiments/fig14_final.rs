@@ -2,13 +2,13 @@
 //! replication-sensitive applications, plus class and overall means.
 
 use crate::experiments::proposed_designs;
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::all_apps;
 
 /// Runs the headline comparison.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = all_apps();
     let designs = proposed_designs();
     let mut reqs = Vec::new();
@@ -18,7 +18,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
 
     let mut t = Table::new(

@@ -2,13 +2,13 @@
 //! design over all 28 applications, sorted ascending per design.
 
 use crate::experiments::proposed_designs;
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_workloads::all_apps;
 
 /// Runs the S-curve study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = all_apps();
     let designs = proposed_designs();
     let mut reqs = Vec::new();
@@ -18,7 +18,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
 
     // Per design: speedups sorted ascending (the S-curve's x axis is the

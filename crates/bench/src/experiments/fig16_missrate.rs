@@ -3,14 +3,14 @@
 //! / 5.7 Pr40 / 2.8 Sh40+C10+Boost / 0 replicas ≙ 1 copy under Sh40).
 
 use crate::experiments::proposed_designs;
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::Design;
 use dcl1_common::stats::mean;
 use dcl1_workloads::replication_sensitive;
 
 /// Runs the miss-rate / replica-count study.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let apps = replication_sensitive();
     let designs = proposed_designs();
     let mut reqs = Vec::new();
@@ -20,7 +20,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
 
     let mut t = Table::new(

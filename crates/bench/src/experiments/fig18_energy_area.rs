@@ -2,7 +2,7 @@
 //! efficiency, area breakdown, and round-trip-time statistics for
 //! Sh40+C10+Boost vs the private baseline.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, GpuConfig};
 use dcl1_common::stats::mean;
@@ -10,7 +10,7 @@ use dcl1_power::{CrossbarModel, EnergyReport, SramModel};
 use dcl1_workloads::all_apps;
 
 /// Runs the energy/area/latency analysis.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     let cfg = GpuConfig::default();
     let apps = all_apps();
     let flagship = Design::flagship(&cfg);
@@ -19,7 +19,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         reqs.push(RunRequest::new(*app, Design::Baseline));
         reqs.push(RunRequest::new(*app, flagship));
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
 
     let model = CrossbarModel::default();
     let base_spec = Design::Baseline.topology(&cfg).expect("resolves").noc_spec(&cfg);

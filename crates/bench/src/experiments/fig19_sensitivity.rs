@@ -2,7 +2,7 @@
 //! (CDXBar) comparison, L1 access-latency sweep, CTA scheduler, system
 //! size, and boosted baselines.
 
-use crate::runner::{run_apps, RunRequest, Scale};
+use crate::runner::{RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::design::BaselineBoost;
 use dcl1::{Design, GpuConfig, SimOptions};
@@ -11,13 +11,13 @@ use dcl1_gpu::CtaPolicy;
 use dcl1_workloads::{all_apps, replication_sensitive};
 
 /// Runs the full sensitivity suite.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(session: &SweepSession, scale: Scale) -> Vec<Table> {
     vec![
-        cdxbar(scale),
-        latency_sweep(scale),
-        cta_scheduler(scale),
-        system_size(scale),
-        boosted_baselines(scale),
+        cdxbar(session, scale),
+        latency_sweep(session, scale),
+        cta_scheduler(session, scale),
+        system_size(session, scale),
+        boosted_baselines(session, scale),
     ]
 }
 
@@ -30,7 +30,7 @@ fn geomean_ratio(stats: &[dcl1::RunStats], per: usize, j: usize, pick: &[bool]) 
 }
 
 /// Fig 19a: CDXBar / +2xNoC1 / +2xNoC vs Sh40+C10+Boost.
-fn cdxbar(scale: Scale) -> Table {
+fn cdxbar(session: &SweepSession, scale: Scale) -> Table {
     let apps = all_apps();
     let designs = [
         Design::CdXbar { stage1_mult: 1, stage2_mult: 1 },
@@ -45,7 +45,7 @@ fn cdxbar(scale: Scale) -> Table {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
     let sens: Vec<bool> = apps.iter().map(|a| a.replication_sensitive).collect();
     let insens: Vec<bool> = apps.iter().map(|a| !a.replication_sensitive).collect();
@@ -66,7 +66,7 @@ fn cdxbar(scale: Scale) -> Table {
 }
 
 /// Fig 19b: L1/DC-L1 access-latency sweep (0..64 cycles).
-fn latency_sweep(scale: Scale) -> Table {
+fn latency_sweep(session: &SweepSession, scale: Scale) -> Table {
     let apps = replication_sensitive();
     let lats = [0u32, 16, 28, 48, 64];
     let flagship = Design::flagship(&GpuConfig::default());
@@ -78,7 +78,7 @@ fn latency_sweep(scale: Scale) -> Table {
             reqs.push(RunRequest { opts, ..RunRequest::new(*app, flagship) });
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let mut t = Table::new(
         "Fig 19b: Sh40+C10+Boost vs its own-latency baseline (geomean IPC, repl-sensitive)",
         &["l1_latency", "ipc_norm"],
@@ -97,7 +97,7 @@ fn latency_sweep(scale: Scale) -> Table {
 }
 
 /// §VIII-A: distributed CTA scheduler.
-fn cta_scheduler(scale: Scale) -> Table {
+fn cta_scheduler(session: &SweepSession, scale: Scale) -> Table {
     let apps = replication_sensitive();
     let flagship = Design::flagship(&GpuConfig::default());
     let mut reqs = Vec::new();
@@ -108,7 +108,7 @@ fn cta_scheduler(scale: Scale) -> Table {
             reqs.push(RunRequest { opts, ..RunRequest::new(*app, flagship) });
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let mut t = Table::new(
         "SecVIII-A: CTA scheduler sensitivity (geomean IPC of Sh40+C10+Boost vs baseline)",
         &["scheduler", "ipc_norm"],
@@ -127,7 +127,7 @@ fn cta_scheduler(scale: Scale) -> Table {
 }
 
 /// §VIII-A: 120-core system (Sh60+C10+Boost).
-fn system_size(scale: Scale) -> Table {
+fn system_size(session: &SweepSession, scale: Scale) -> Table {
     let apps = replication_sensitive();
     let cfg = GpuConfig::scaled_120();
     let flagship = Design::flagship(&cfg);
@@ -136,7 +136,7 @@ fn system_size(scale: Scale) -> Table {
         reqs.push(RunRequest { cfg: cfg.clone(), ..RunRequest::new(*app, Design::Baseline) });
         reqs.push(RunRequest { cfg: cfg.clone(), ..RunRequest::new(*app, flagship) });
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let vals: Vec<f64> =
         (0..apps.len()).map(|i| stats[2 * i + 1].ipc() / stats[2 * i].ipc()).collect();
     let mut t = Table::new(
@@ -148,7 +148,7 @@ fn system_size(scale: Scale) -> Table {
 }
 
 /// §VIII-A: boosted baselines.
-fn boosted_baselines(scale: Scale) -> Table {
+fn boosted_baselines(session: &SweepSession, scale: Scale) -> Table {
     let apps = replication_sensitive();
     let designs = [
         Design::BoostedBaseline(BaselineBoost::Cache2x),
@@ -163,7 +163,7 @@ fn boosted_baselines(scale: Scale) -> Table {
             reqs.push(RunRequest::new(*app, *d));
         }
     }
-    let stats = run_apps(&reqs, scale);
+    let stats = session.run_points(&reqs, scale).unwrap_all();
     let per = 1 + designs.len();
     let mut t = Table::new(
         "SecVIII-A: boosted baselines (geomean IPC vs baseline, repl-sensitive)",

@@ -1,6 +1,7 @@
 //! One module per paper table/figure. Each exposes
-//! `run(scale) -> Vec<Table>`; the `experiments` binary prints the results
-//! and EXPERIMENTS.md records them against the paper's numbers.
+//! `run(session, scale) -> Vec<Table>` (`run(scale)` for the analytic
+//! ones, which simulate nothing); the `experiments` binary prints the
+//! results and EXPERIMENTS.md records them against the paper's numbers.
 
 pub mod ablations;
 pub mod ext_scaling;

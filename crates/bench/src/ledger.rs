@@ -15,6 +15,22 @@ use dcl1::RunStats;
 use dcl1_common::checksum::{self, FnvBlock};
 use std::collections::BTreeMap;
 
+/// One completion serialised for a ledger, apart from it, so a caller that
+/// locks its ledger (`dcl1d`'s core) serialises before taking the lock.
+#[derive(Debug, Clone)]
+pub struct Chunk {
+    label: String,
+    text: String,
+}
+
+impl Chunk {
+    /// Serialises one completion into its `"=== label\n"` + stats chunk.
+    #[must_use]
+    pub fn new(label: &str, stats: &RunStats) -> Chunk {
+        Chunk { label: label.to_string(), text: format!("=== {label}\n{}", serialize_stats(stats)) }
+    }
+}
+
 /// `count` consecutive arrivals of one chunk under one label.
 #[derive(Debug, Clone)]
 struct Run {
@@ -36,23 +52,22 @@ impl ResultLedger {
     pub fn of(points: &[(String, RunStats)]) -> ResultLedger {
         let mut ledger = ResultLedger::default();
         for (label, stats) in points {
-            ledger.push(label, stats);
+            ledger.push(Chunk::new(label, stats));
         }
         ledger
     }
 
     /// Records one completion.
-    pub fn push(&mut self, label: &str, stats: &RunStats) {
-        let chunk = format!("=== {label}\n{}", serialize_stats(stats));
+    pub fn push(&mut self, Chunk { label, text }: Chunk) {
         self.completed += 1;
-        let runs = self.labels.entry(label.to_string()).or_default();
+        let runs = self.labels.entry(label).or_default();
         match runs.last_mut() {
-            Some(last) if *last.chunk.block() == chunk => {
+            Some(last) if *last.chunk.block() == text => {
                 last.count += 1;
                 // A run of one never pays for the table.
                 last.chunk.memoise();
             }
-            _ => runs.push(Run { chunk: FnvBlock::new(chunk), count: 1 }),
+            _ => runs.push(Run { chunk: FnvBlock::new(text), count: 1 }),
         }
     }
 
@@ -145,10 +160,10 @@ mod tests {
     fn repeats_coalesce_and_only_repeats_allocate() {
         let mut ledger = ResultLedger::default();
         let (label, stats) = point("C-BLK/Baseline", 7);
-        ledger.push(&label, &stats);
+        ledger.push(Chunk::new(&label, &stats));
         assert!(!ledger.labels[&label][0].chunk.is_memoised());
         for _ in 0..999 {
-            ledger.push(&label, &stats);
+            ledger.push(Chunk::new(&label, &stats));
         }
         let runs = &ledger.labels[&label];
         assert_eq!((runs.len(), runs[0].count), (1, 1000));

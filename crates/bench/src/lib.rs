@@ -1,9 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation.
 //!
-//! Each `experiments::figNN` module exposes a `run(scale) -> Vec<Table>`
-//! function that executes the required simulations and returns
-//! paper-style tables; the `experiments` binary prints them (all, or the
+//! Each `experiments::figNN` module exposes a `run(session, scale) ->
+//! Vec<Table>` function that executes the required simulations on the
+//! [`SweepSession`] and returns paper-style tables (the analytic ones take
+//! no session); the `experiments` binary prints them (all, or the
 //! ones named on its command line). `scale` shrinks per-wavefront trace
 //! length (grids stay full so occupancy is realistic); EXPERIMENTS.md
 //! records a `Scale::Quarter` pass, and `Scale::Full` reproduces the
@@ -21,8 +22,5 @@ pub mod runner;
 pub mod sweepcli;
 pub mod table;
 
-pub use runner::{
-    run_app, run_app_observed, run_app_result, run_apps, run_apps_supervised, RunRequest, Scale,
-    SweepOutcome,
-};
+pub use runner::{RunRequest, Scale, SweepOutcome, SweepSession};
 pub use table::Table;

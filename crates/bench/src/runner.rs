@@ -1,18 +1,18 @@
-//! Simulation execution: single runs and supervised parallel sweeps.
+//! Simulation execution: a [`SweepSession`] owns everything a sweep
+//! configures and accumulates, and runs single points and supervised
+//! parallel sweeps.
 //!
 //! Results are memoized in a tiered [`dcl1_store::ResultStore`], keyed by
 //! a structured hash of the full (app, design, config, options, scale)
 //! point: a sharded in-memory LRU of 256 MiB, an unbounded fan-out
-//! checksummed disk tier under `target/dcl1-cache/` (or `DCL1_CACHE_DIR`),
-//! and an optional shared read-through, write-back tier
-//! (`DCL1_CACHE_SHARED_DIR`). Experiment modules that
-//! share points (e.g. every figure's baseline runs) pay for them once per
-//! machine — or, with a shared tier, once per fleet. Concurrent requests
-//! for the same uncomputed key are deduplicated by per-key single-flight:
-//! one thread simulates, the rest wait and read the published result.
+//! checksummed disk tier under the session's directory, and an optional
+//! shared read-through, write-back tier (`DCL1_CACHE_SHARED_DIR`).
+//! Concurrent requests for the same uncomputed key are deduplicated by
+//! per-key single-flight: one thread simulates, the rest wait and read
+//! the published result.
 //!
-//! Sweeps run under supervision ([`run_apps_supervised`]): each point is
-//! executed behind panic containment with retry-and-deterministic-backoff
+//! Sweeps run under supervision ([`SweepSession::run_points`]): each point
+//! is executed behind panic containment with retry-and-deterministic-backoff
 //! ([`dcl1_resilience::supervise`]), hangs are converted into structured
 //! livelock/deadline errors by the machine's progress watchdog, and a point
 //! that exhausts its retry budget is *quarantined* — reported in the sweep
@@ -20,9 +20,13 @@
 //! content checksum and are written via temp-file + atomic rename (safe for
 //! concurrent writers); a corrupt entry is moved to a `quarantine/` subdir
 //! and transparently recomputed. An optional append-only checkpoint journal
-//! ([`set_journal`] / [`resume_from_journal`]) makes long sweeps resumable
-//! after a kill, and deterministic fault injection ([`set_chaos`]) exists
-//! to prove all of the above actually works.
+//! ([`SweepSession::open_journal`]) makes long sweeps resumable after a
+//! kill, and deterministic fault injection ([`SweepSession::with_chaos`],
+//! or one point's [`TenantScope`]) exists to prove all of the above
+//! actually works.
+//!
+//! Sessions share nothing but what their directories share, so two of
+//! them run side by side in one process.
 
 use crate::ledger::ResultLedger;
 use dcl1::{Design, GpuConfig, GpuSystem, ProgressHook, RunStats, SimError, SimOptions};
@@ -32,19 +36,18 @@ use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
 use dcl1_obs::recovery::RecoveryLog;
 use dcl1_obs::registry::{CounterId, GaugeId, HistogramId, Registry};
-use dcl1_resilience::{
-    supervise, Chaos, QuarantineRecord, RetryPolicy, SupervisionEvent,
-};
+use dcl1_resilience::{supervise, Chaos, QuarantineRecord, RetryPolicy, SupervisionEvent};
 use dcl1_store::{
     Codec, Corruption, DiskReload, DiskTierConfig, Flight, ResultStore, StoreConfig, StoreStats,
 };
 use dcl1_workloads::AppSpec;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How much of each wavefront's trace to simulate (CTA grids stay full,
@@ -159,10 +162,9 @@ fn memo_key(req: &RunRequest, scale: Scale) -> u128 {
 }
 
 /// The memo key of a request as a fixed-width hex string — the identity
-/// under which its result is cached. Exposed so determinism tests can
-/// assert that the shard count is *not* part of a point's identity (a
-/// sharded and a sequential run of the same point must share one cache
-/// entry, which is only sound because their stats are byte-identical).
+/// under which its result is cached. The shard count is not part of it: a
+/// sharded and a sequential run of the same point share one cache entry,
+/// which is only sound because their stats are byte-identical.
 pub fn memo_key_hex(req: &RunRequest, scale: Scale) -> String {
     format!("{:032x}", memo_key(req, scale))
 }
@@ -174,30 +176,26 @@ pub fn memo_key_hex(req: &RunRequest, scale: Scale) -> String {
 /// Appends the schema-version component to a cache base directory.
 /// Entries from other schema versions live in sibling `v<N>` directories
 /// and are never read back — stale results cannot leak across a bump.
-fn versioned_cache_dir(base: PathBuf) -> PathBuf {
+fn versioned_cache_dir(base: &Path) -> PathBuf {
     base.join(format!("v{CACHE_SCHEMA_VERSION}"))
 }
 
-/// Directory holding persisted results: `$DCL1_CACHE_DIR` if set, else
-/// `target/dcl1-cache/v<schema>/` in the workspace.
+/// The host's cache base directory: `$DCL1_CACHE_DIR` if set, else
+/// `target/dcl1-cache/` in the workspace.
 #[expect(clippy::disallowed_methods, reason = "where the cache lives is the host's choice")]
-pub fn disk_cache_dir() -> PathBuf {
-    let base = std::env::var_os("DCL1_CACHE_DIR").map(PathBuf::from).unwrap_or_else(|| {
+fn host_cache_dir() -> PathBuf {
+    std::env::var_os("DCL1_CACHE_DIR").map(PathBuf::from).unwrap_or_else(|| {
         std::env::var_os("CARGO_TARGET_DIR")
             .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"))
-            })
+            .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")))
             .join("dcl1-cache")
-    });
-    versioned_cache_dir(base)
+    })
 }
 
-/// Deletes every persisted result (all schema versions).
+/// Deletes every result persisted in the host's cache (all schema
+/// versions). Call it before opening a session on that cache.
 pub fn clear_disk_cache() {
-    if let Some(parent) = disk_cache_dir().parent() {
-        let _ = std::fs::remove_dir_all(parent);
-    }
+    let _ = std::fs::remove_dir_all(host_cache_dir());
 }
 
 /// One serialised `RunStats` field, borrowed so the same table both reads
@@ -344,43 +342,6 @@ const MEM_BUDGET_BYTES: u64 = 256 << 20;
 /// meaningful.
 const MEM_SHARDS: usize = 8;
 
-/// The process-wide tiered result store, built lazily from the
-/// environment on first memo use:
-///
-/// * mem tier — [`MEM_BUDGET_BYTES`];
-/// * disk tier — [`disk_cache_dir`], unbounded, flat-layout entries
-///   migrated and stale `v<N>` siblings purged on open;
-/// * shared tier — `DCL1_CACHE_SHARED_DIR` (schema-versioned subdir is
-///   appended), read-through with write-back. Never migrated or purged:
-///   other hosts of the fleet may still be on an older schema.
-#[expect(clippy::disallowed_methods, reason = "the shared tier's mount is the host's choice")]
-fn store() -> &'static ResultStore<RunStats> {
-    static STORE: std::sync::OnceLock<ResultStore<RunStats>> = std::sync::OnceLock::new();
-    STORE.get_or_init(|| {
-        let shared = std::env::var_os("DCL1_CACHE_SHARED_DIR").map(|dir| DiskTierConfig {
-            root: versioned_cache_dir(PathBuf::from(dir)),
-            budget_bytes: None,
-            migrate_flat: false,
-            purge_stale_siblings: false,
-        });
-        ResultStore::open(
-            &StoreConfig {
-                mem_budget_bytes: MEM_BUDGET_BYTES,
-                mem_shards: MEM_SHARDS,
-                disk: Some(DiskTierConfig {
-                    root: disk_cache_dir(),
-                    budget_bytes: None,
-                    migrate_flat: true,
-                    purge_stale_siblings: true,
-                }),
-                shared,
-                shared_writeback: true,
-            },
-            StatsCodec,
-        )
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------
@@ -411,8 +372,8 @@ impl PointTiming {
     }
 }
 
-/// Aggregate sweep-throughput counters for this process: the tier
-/// breakdown of the result store plus the simulate-side totals.
+/// A session's sweep-throughput counters: the tier breakdown of its result
+/// store plus the simulate-side totals.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoStats {
     /// Points served from the in-memory LRU tier.
@@ -462,67 +423,20 @@ impl MemoStats {
     }
 }
 
-static SIMULATED: AtomicU64 = AtomicU64::new(0);
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Returns this process's sweep-throughput counters.
-pub fn memo_stats() -> MemoStats {
-    let s: StoreStats = store().stats();
-    MemoStats {
-        mem_hits: s.mem_hits,
-        disk_hits: s.disk_hits,
-        shared_hits: s.shared_hits,
-        misses: s.misses,
-        simulated: SIMULATED.load(Ordering::Relaxed),
-        mem_evictions: s.mem_evictions,
-        disk_evictions: s.disk_evictions,
-        mem_bytes: s.mem_bytes,
-        disk_bytes: s.disk_bytes,
-        flight_waits: s.flight_waits,
-        migrated_entries: s.migrated_entries,
-        sim_cycles: SIM_CYCLES.load(Ordering::Relaxed),
-        wall_nanos: WALL_NANOS.load(Ordering::Relaxed),
-    }
+/// A session's intra-point sharding diagnostics.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardSweepStats {
+    /// Largest effective shard count any simulated point ran with.
+    pub shards: u64,
+    /// Always 0: a machine steps its domains on its own thread, so nothing
+    /// waits at a barrier. Kept only because the `benchmark/` ledger reads
+    /// it.
+    pub barrier_wait_nanos: u64,
 }
 
-/// Per-point timing records for every point simulated by this process.
-pub fn point_timings() -> Vec<PointTiming> {
-    timings().lock().expect("timings lock").clone()
-}
-
-/// Builds the end-of-sweep throughput table the `experiments` binary
-/// prints: total simulated cycles, wall time, aggregate simulation speed,
-/// and how many points the memo layers absorbed.
-pub fn throughput_summary() -> crate::Table {
-    let m = memo_stats();
-    let wall = m.wall_nanos as f64 / 1e9;
-    let khz = if wall > 0.0 { m.sim_cycles as f64 / wall / 1e3 } else { 0.0 };
-    let mut t = crate::Table::new("Sweep throughput", &["metric", "value"]);
-    t.row("points simulated", vec![m.simulated.to_string()]);
-    t.row("points from memo (RAM)", vec![m.mem_hits.to_string()]);
-    t.row("points from memo (disk)", vec![m.disk_hits.to_string()]);
-    t.row("points from memo (shared)", vec![m.shared_hits.to_string()]);
-    t.row("memo evictions (RAM/disk)", vec![format!("{}/{}", m.mem_evictions, m.disk_evictions)]);
-    t.row("memo hit rate", vec![format!("{:.1}%", 100.0 * m.hit_rate())]);
-    t.row("sim-cycles", vec![m.sim_cycles.to_string()]);
-    t.row("sim wall seconds", vec![format!("{wall:.2}")]);
-    t.row("sim speed (KHz)", vec![format!("{khz:.0}")]);
-    t
-}
-
-fn timings() -> &'static Mutex<Vec<PointTiming>> {
-    static TIMINGS: std::sync::OnceLock<Mutex<Vec<PointTiming>>> = std::sync::OnceLock::new();
-    TIMINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-// ---------------------------------------------------------------------------
-// Sweep-wide registry, phase profile, and progress stream
-// ---------------------------------------------------------------------------
-
-/// The process-wide registry every simulated point's machine registry is
-/// absorbed into, plus the ids of the runner's own `memo.*` namespace
-/// (cache-layer sweep counters, refreshed at snapshot time).
+/// The registry every simulated point's machine registry is absorbed
+/// into, plus the ids of the runner's own `memo.*` namespace (cache-layer
+/// sweep counters, refreshed at snapshot time).
 struct SweepRegistry {
     reg: Registry,
     mem_hits: CounterId,
@@ -572,126 +486,17 @@ impl SweepRegistry {
     }
 }
 
-fn sweep_registry() -> &'static Mutex<SweepRegistry> {
-    static REG: std::sync::OnceLock<Mutex<SweepRegistry>> = std::sync::OnceLock::new();
-    REG.get_or_init(|| Mutex::new(SweepRegistry::new(Registry::new())))
-}
-
-/// A deterministic snapshot of the sweep-wide counter registry: every
-/// subsystem namespace summed over the points this process actually
-/// simulated (memo hits contribute nothing — their machines never ran),
-/// plus the live `memo.*` tier counters, byte gauges, and lookup/fill
-/// latency histograms. This is the fragment `BENCH_sweep.json` embeds.
-#[must_use]
-pub fn sweep_registry_snapshot() -> Registry {
-    let m = memo_stats();
-    let log = recovery_log();
-    let mut state = sweep_registry().lock().expect("sweep registry lock");
-    let counters = [
-        (state.mem_hits, m.mem_hits),
-        (state.disk_hits, m.disk_hits),
-        (state.shared_hits, m.shared_hits),
-        (state.misses, m.misses),
-        (state.simulated, m.simulated),
-        (state.mem_evictions, m.mem_evictions),
-        (state.disk_evictions, m.disk_evictions),
-        (state.flight_waits, m.flight_waits),
-        (state.migrated_entries, m.migrated_entries),
-        (state.cache_corruptions, log.cache_corruptions),
-        (state.retries, log.retries),
-        (state.quarantined_points, log.quarantines),
-    ];
-    for (id, v) in counters {
-        state.reg.set_counter(id, v);
-    }
-    let gauges = [(state.mem_bytes, m.mem_bytes), (state.disk_bytes, m.disk_bytes)];
-    for (id, v) in gauges {
-        state.reg.set(id, v);
-    }
-    state.reg.clone()
-}
-
-/// Folds one lookup's per-tier latencies into the sweep histograms.
-fn note_lookup_latencies(mem: u64, disk: Option<u64>, shared: Option<u64>) {
-    let mut state = sweep_registry().lock().expect("sweep registry lock");
-    let (id_mem, id_disk, id_shared) =
-        (state.mem_lookup_nanos, state.disk_lookup_nanos, state.shared_lookup_nanos);
-    state.reg.observe(id_mem, mem);
-    if let Some(n) = disk {
-        state.reg.observe(id_disk, n);
-    }
-    if let Some(n) = shared {
-        state.reg.observe(id_shared, n);
-    }
-}
-
-/// Records one store-fill wall time into the sweep histograms.
-fn note_fill_latency(nanos: u64) {
-    let mut state = sweep_registry().lock().expect("sweep registry lock");
-    let id = state.fill_nanos;
-    state.reg.observe(id, nanos);
-}
-
-fn sweep_profiler() -> &'static Mutex<PhaseProfiler> {
-    static PROF: std::sync::OnceLock<Mutex<PhaseProfiler>> = std::sync::OnceLock::new();
-    PROF.get_or_init(|| Mutex::new(PhaseProfiler::new()))
-}
-
-/// The process-wide phase profile: machine pipeline regions summed over
-/// every simulated point, plus the runner's own memo-cache I/O and
-/// journal-write time.
-#[must_use]
-pub fn sweep_phase_profile() -> PhaseProfiler {
-    *sweep_profiler().lock().expect("sweep profiler lock")
-}
-
-fn note_phase(phase: Phase, nanos: u64) {
-    sweep_profiler().lock().expect("sweep profiler lock").add(phase, nanos);
-}
-
-/// Times one runner-side operation into the sweep phase profile.
-fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let out = f();
-    note_phase(phase, u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    out
-}
-
-fn progress_slot() -> &'static Mutex<Option<Arc<ProgressSink>>> {
-    static SINK: std::sync::OnceLock<Mutex<Option<Arc<ProgressSink>>>> = std::sync::OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
-}
-
-/// Attaches (or with `None` detaches) the streaming progress sink every
-/// subsequent run in this process reports lifecycle events to: one JSONL
-/// line per queued/started/progress/retry/quarantined/completed
-/// transition, flushed as it happens. Supervision recovery events share
-/// the same stream.
-pub fn set_progress_sink(sink: Option<Arc<ProgressSink>>) {
-    *progress_slot().lock().expect("progress lock") = sink;
-}
-
-fn active_progress_sink() -> Option<Arc<ProgressSink>> {
-    progress_slot().lock().expect("progress lock").clone()
-}
-
-fn emit_progress(ev: &ProgressEvent<'_>) {
-    if let Some(sink) = active_progress_sink() {
-        sink.emit(ev);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Supervision configuration
 // ---------------------------------------------------------------------------
 
 /// Three attempts, attempt `n` sleeping `n × 50` ms first — or not at all
-/// while chaos is armed (on this thread or process-wide): a chaos sweep
-/// recovers dozens of injected faults, and sleeping through a backoff on
-/// each would dominate its run time without making the proof stronger.
-fn retry_policy() -> RetryPolicy {
+/// while chaos is armed: a chaos sweep recovers dozens of injected faults,
+/// and sleeping through a backoff on each would dominate its run time
+/// without making the proof stronger.
+fn retry_policy(chaos: Option<Chaos>) -> RetryPolicy {
     let policy = RetryPolicy::default();
-    if active_chaos().is_some() {
+    if chaos.is_some() {
         RetryPolicy { backoff: std::time::Duration::ZERO, ..policy }
     } else {
         policy
@@ -704,10 +509,6 @@ pub fn point_label(req: &RunRequest) -> String {
     format!("{}/{}", req.app.name, req.design.name())
 }
 
-// ---------------------------------------------------------------------------
-// Chaos (deterministic fault injection)
-// ---------------------------------------------------------------------------
-
 /// Watchdog epoch used for chaos-injected stalls: small enough that the
 /// livelock is detected in milliseconds, large enough to be a real epoch.
 const CHAOS_STALL_EPOCH: u64 = 1 << 14;
@@ -717,467 +518,773 @@ const CHAOS_STALL_EPOCH: u64 = 1 << 14;
 /// so every injected stall actually engages the watchdog.
 const CHAOS_STALL_CYCLE: u64 = 512;
 
-fn chaos_slot() -> &'static Mutex<Option<Chaos>> {
-    static CHAOS: std::sync::OnceLock<Mutex<Option<Chaos>>> = std::sync::OnceLock::new();
-    CHAOS.get_or_init(|| Mutex::new(None))
+/// What one point brings beyond its request: `dcl1d` passes its tenant's
+/// chaos seed and deadline, which reach no other tenant's runs, even ones
+/// sharing the point's memo key.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TenantScope {
+    /// Chaos seed for this point, overriding the session's.
+    pub chaos: Option<u64>,
+    /// Wall-clock deadline in whole seconds (`0` = none): a point that
+    /// exceeds it fails the attempt with `SimError::Deadline`.
+    pub deadline_secs: Option<u64>,
 }
 
-thread_local! {
-    /// Per-thread chaos override — `dcl1d` scopes fault injection to one
-    /// tenant by arming it only on the worker thread running that
-    /// tenant's job, leaving every other tenant's runs fault-free.
-    static THREAD_CHAOS: std::cell::Cell<Option<Chaos>> = const { std::cell::Cell::new(None) };
-    /// Per-thread deadline (per-job deadlines in `dcl1d`).
-    static THREAD_DEADLINE: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-    /// Tier that served the last completed point on this thread.
-    static LAST_SOURCE: std::cell::Cell<Option<&'static str>> = const { std::cell::Cell::new(None) };
+/// A completed point and the tier that served it.
+#[derive(Debug, Clone)]
+pub struct Served {
+    /// The point's statistics.
+    pub stats: RunStats,
+    /// `"simulated"`, or the store tier that held it: `"memo"`, `"disk"`
+    /// or `"shared"`.
+    pub source: &'static str,
 }
 
-/// Arms (or with `None` disarms) deterministic fault injection for every
-/// subsequent supervised run in this process. See [`dcl1_resilience::Chaos`]
-/// for the fault classes; the same seed faults the same points every run.
-pub fn set_chaos(seed: Option<u64>) {
-    *chaos_slot().lock().expect("chaos lock") = seed.map(Chaos::new);
-}
-
-/// Arms (or with `None` disarms) fault injection for runs on *this thread
-/// only*, overriding the process-wide engine. `dcl1d` uses this to scope a
-/// tenant's requested chaos seed to that tenant's jobs: a worker thread
-/// arms the seed before the job and disarms it after, so concurrent jobs
-/// from other tenants — even ones sharing the same memo key — never see
-/// an injected fault.
-pub fn set_thread_chaos(seed: Option<u64>) {
-    THREAD_CHAOS.with(|c| c.set(seed.map(Chaos::new)));
-}
-
-/// Sets (or with `None` clears) a wall-clock deadline, in whole seconds,
-/// for subsequent runs on this thread (`0` = none): a point that exceeds
-/// it fails the attempt with `SimError::Deadline`. `dcl1d` maps per-job
-/// deadlines onto this.
-pub fn set_thread_deadline_secs(secs: Option<u64>) {
-    THREAD_DEADLINE.with(|d| d.set(secs));
-}
-
-/// The tier that served the most recent completed point on this thread
-/// (`"simulated"`, `"memo"`, `"disk"`, or `"shared"`), clearing the slot.
-/// Worker loops that attribute tier traffic per tenant (the `dcl1d`
-/// scheduler) read this right after each job; it is thread-local, so
-/// concurrent workers never see each other's attribution.
-pub fn take_last_source() -> Option<&'static str> {
-    LAST_SOURCE.with(std::cell::Cell::take)
-}
-
-fn note_source(source: &'static str) {
-    LAST_SOURCE.with(|s| s.set(Some(source)));
-}
-
-/// Serializes tests that mutate process-global supervision state (chaos,
-/// backoff, journal) against each other — without it, a concurrently
-/// running sweep test could absorb another test's injected faults.
-#[cfg(test)]
-pub(crate) fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The currently armed chaos engine, if any: the thread-scoped override
-/// first (see [`set_thread_chaos`]), then the process-wide engine.
-pub fn active_chaos() -> Option<Chaos> {
-    if let Some(c) = THREAD_CHAOS.with(std::cell::Cell::get) {
-        return Some(c);
-    }
-    *chaos_slot().lock().expect("chaos lock")
-}
-
-/// Damages the on-disk cache entries for `key` the way `chaos` dictates
-/// for `point` — called right after a store so the corruption-recovery
-/// path (checksum reject → quarantine → recompute/re-store) runs
-/// in-sweep. Aimed at the v3 fan-out layout: the entry lives in its
-/// two-hex-digit bucket under the local tier, and, when a shared tier is
-/// configured, the write-back copy there is damaged too, so the shared
-/// tier's independent checksum rejection is exercised alongside the local
-/// one.
-fn chaos_corrupt_disk_entry(chaos: &Chaos, point: &str, key: u128) {
-    let targets = [store().disk_entry_path(key), store().shared_entry_path(key)];
-    for path in targets.into_iter().flatten() {
-        let Ok(mut bytes) = std::fs::read(&path) else { continue };
-        chaos.corrupt(point, &mut bytes);
-        let _ = std::fs::write(&path, bytes);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recovery telemetry
-// ---------------------------------------------------------------------------
-
-fn recovery() -> &'static Mutex<RecoveryLog> {
-    static RECOVERY: std::sync::OnceLock<Mutex<RecoveryLog>> = std::sync::OnceLock::new();
-    RECOVERY.get_or_init(|| Mutex::new(RecoveryLog::new()))
-}
-
-/// A snapshot of this process's recovery ledger: retries, quarantines,
-/// cache corruptions, watchdog firings, journal resumes. All zeros unless
-/// something actually went wrong (chaos off on a healthy sweep keeps it
-/// clean — that's what the no-op test asserts).
-pub fn recovery_log() -> RecoveryLog {
-    recovery().lock().expect("recovery lock").clone()
-}
-
-fn record_supervision_event(point: &str, event: &SupervisionEvent) {
-    let mut log = recovery().lock().expect("recovery lock");
-    match event {
-        SupervisionEvent::Retrying { attempt, error, .. } => {
-            log.retries += 1;
-            match error {
-                SimError::Livelock { .. } => log.livelocks += 1,
-                SimError::Deadline { .. } => log.deadlines += 1,
-                _ => {}
-            }
-            log.note(format!("retry {point} after attempt {attempt}: [{}] {error}", error.class()));
-            drop(log);
-            let detail = format!("[{}] {error}", error.class());
-            let ev =
-                ProgressEvent::new(ProgressStage::Retry, point).attempt(*attempt).detail(&detail);
-            emit_progress(&ev);
-        }
-        SupervisionEvent::Quarantined(rec) => {
-            log.quarantines += 1;
-            if rec.class == "livelock" {
-                log.livelocks += 1;
-            } else if rec.class == "deadline" {
-                log.deadlines += 1;
-            }
-            log.note(rec.to_string());
-            drop(log);
-            let detail = rec.to_string();
-            let ev = ProgressEvent::new(ProgressStage::Quarantined, point).detail(&detail);
-            emit_progress(&ev);
-        }
-    }
-}
-
-fn record_cache_corruption(point: &str, path: &str, reason: &str) {
-    let mut log = recovery().lock().expect("recovery lock");
-    log.cache_corruptions += 1;
-    log.note(format!("cache entry for {point} quarantined ({reason}): {path}"));
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint journal
-// ---------------------------------------------------------------------------
-
+/// The checkpoint journal's writer, and the keys already in it.
+#[derive(Default)]
 struct JournalState {
     writer: Option<journal::JournalWriter>,
-    /// Keys already appended this process, so shared points (every
+    /// Keys already appended by this session, so shared points (every
     /// figure's baselines) produce one line each, not one per sweep.
     written: BTreeSet<u128>,
 }
 
-fn journal_state() -> &'static Mutex<JournalState> {
-    static JOURNAL: std::sync::OnceLock<Mutex<JournalState>> = std::sync::OnceLock::new();
-    JOURNAL.get_or_init(|| Mutex::new(JournalState { writer: None, written: BTreeSet::new() }))
+/// The outcome of a supervised sweep: per-point results in input order
+/// (`None` where the point was quarantined) plus the quarantine records.
+#[derive(Debug, Clone)]
+pub struct SweepOutcome {
+    /// One slot per request, input order; `None` marks a quarantined point.
+    pub results: Vec<Option<RunStats>>,
+    /// Points the supervisor gave up on, in input order.
+    pub quarantined: Vec<QuarantineRecord>,
 }
 
-/// Opens (appending) the checkpoint journal at `path`; every point
-/// completed by a supervised sweep from now on is recorded there, one
-/// flushed JSONL line per point, so a killed process loses at most the
-/// line being written.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] when the journal file cannot be opened.
-pub fn set_journal(path: &Path) -> Result<(), SimError> {
-    let writer = journal::JournalWriter::open(path).map_err(|e| SimError::Io {
-        context: format!("opening journal {}", path.display()),
-        message: e.to_string(),
-    })?;
-    let mut state = journal_state().lock().expect("journal lock");
-    state.writer = Some(writer);
-    Ok(())
-}
-
-/// Stops journaling (the already-written file is left intact).
-pub fn clear_journal() {
-    journal_state().lock().expect("journal lock").writer = None;
-}
-
-/// Preloads the in-process memo from an existing checkpoint journal:
-/// every intact line becomes a memo hit, so a re-run of the same sweep
-/// resimulates only the points the killed run never finished. Torn or
-/// corrupt lines are skipped, not fatal. Returns `(restored, skipped)`.
-pub fn resume_from_journal(path: &Path) -> (usize, usize) {
-    let (entries, mut skipped) = journal::read_entries(path);
-    let mut restored = 0usize;
-    for e in entries {
-        match deserialize_stats(&e.payload) {
-            Some(stats) => {
-                // Mem-tier only: a resumed point must not rewrite (or
-                // re-publish to a shared tier) entries this process never
-                // computed.
-                store().insert_mem_only(e.key, &stats);
-                journal_state().lock().expect("journal lock").written.insert(e.key);
-                restored += 1;
-            }
-            None => skipped += 1,
+impl SweepOutcome {
+    /// Every point's statistics, input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics — naming every quarantined point — if any point failed all
+    /// its supervised attempts. The sweep has run to completion by then,
+    /// so the panic reports every failing point, not just the first.
+    #[must_use]
+    pub fn unwrap_all(self) -> Vec<RunStats> {
+        if !self.quarantined.is_empty() {
+            let list: Vec<String> = self.quarantined.iter().map(ToString::to_string).collect();
+            panic!(
+                "sweep completed with {} unrecovered point(s):\n  {}",
+                self.quarantined.len(),
+                list.join("\n  ")
+            );
         }
-    }
-    if restored > 0 || skipped > 0 {
-        let mut log = recovery().lock().expect("recovery lock");
-        log.resumed_points += restored as u64;
-        log.note(format!(
-            "resumed {restored} point(s) from {} ({skipped} line(s) skipped)",
-            path.display()
-        ));
-    }
-    (restored, skipped)
-}
-
-fn journal_append(key: u128, point: &str, stats: &RunStats) {
-    let mut state = journal_state().lock().expect("journal lock");
-    if state.writer.is_none() || state.written.contains(&key) {
-        return;
-    }
-    let payload = serialize_stats(stats);
-    let result = state
-        .writer
-        .as_mut()
-        .map(|w| w.append(key, point, &payload))
-        .unwrap_or(Ok(()));
-    state.written.insert(key);
-    drop(state);
-    if let Err(e) = result {
-        // A failing journal degrades resumability, never the sweep.
-        recovery()
-            .lock()
-            .expect("recovery lock")
-            .note(format!("journal append failed for {point}: {e}"));
+        self.results.into_iter().map(|r| r.expect("no quarantines, so every slot is filled")).collect()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Execution
+// The session
 // ---------------------------------------------------------------------------
 
-/// Runs one simulation point at the given scale, memoized in-process and
-/// on disk (see the module docs). `attempt` is the 0-based retry index —
-/// chaos keys its per-attempt faults on it; unsupervised callers pass 0.
+/// Everything one sweep configures and accumulates: the result store
+/// opened on its cache directory; the point threads, shard domains, chaos,
+/// check mode, journal and progress sink it runs with; and the counters,
+/// timings, registry, phase profile and recovery log of the points it ran.
 ///
-/// # Errors
-///
-/// Returns [`SimError::Config`] when the design fails to resolve, and
-/// [`SimError::Livelock`] / [`SimError::Deadline`] when the armed watchdog
-/// aborts the run. Cache corruption never surfaces here: a corrupt entry
-/// is quarantined, recorded in the [`recovery_log`], and the point is
-/// recomputed.
-pub fn run_app_result(req: &RunRequest, scale: Scale, attempt: u32) -> Result<RunStats, SimError> {
-    let point = point_label(req);
-    let chaos = active_chaos();
-    if let Some(c) = &chaos {
-        if c.should_panic(&point, attempt) {
-            panic!("chaos: injected worker panic at {point} (attempt {attempt})");
+/// Every lock in it is held for a bookkeeping step, never across a
+/// simulation, so the workers of [`SweepSession::run_points`] (or of a
+/// `dcl1d` pool sharing one session) simulate concurrently.
+#[expect(missing_debug_implementations, reason = "a store of results, nothing to print")]
+pub struct SweepSession {
+    tiers: StoreConfig,
+    /// Opened from `tiers` on first use, so a session that runs no point
+    /// never touches its directory.
+    store: OnceLock<ResultStore<RunStats>>,
+    /// Point threads for [`SweepSession::run_points`]; 0 = one per core.
+    workers: AtomicUsize,
+    /// Execution domains asked of every machine.
+    shards: AtomicUsize,
+    /// Run under [`dcl1::GpuSystem::enable_check`], bypassing the store.
+    check: bool,
+    chaos: Option<Chaos>,
+    progress: Mutex<Option<Arc<ProgressSink>>>,
+    journal: Mutex<JournalState>,
+    simulated: AtomicU64,
+    sim_cycles: AtomicU64,
+    wall_nanos: AtomicU64,
+    /// Largest domain count any simulated point ran with.
+    shards_max: AtomicU64,
+    timings: Mutex<Vec<PointTiming>>,
+    registry: Mutex<SweepRegistry>,
+    profiler: Mutex<PhaseProfiler>,
+    recovery: Mutex<RecoveryLog>,
+}
+
+impl SweepSession {
+    /// A session whose disk tier lives under `dir` (in its
+    /// schema-versioned `v<N>` subdirectory; stale siblings are purged
+    /// when the store opens, at first use),
+    /// with no shared tier, one domain per machine, one point thread per
+    /// core, and no chaos, check mode, journal or progress sink.
+    #[must_use]
+    pub fn open(dir: &Path) -> SweepSession {
+        SweepSession::open_tiers(dir, None)
+    }
+
+    /// A session on the host's cache: `$DCL1_CACHE_DIR`, else
+    /// `target/dcl1-cache/` in the workspace, plus the shared tier at
+    /// `$DCL1_CACHE_SHARED_DIR` when that is set — read-through with
+    /// write-back, and never migrated or purged, since other hosts of the
+    /// fleet may still be on an older schema.
+    #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the shared tier's mount is the host's choice")]
+    pub fn from_env() -> SweepSession {
+        let shared = std::env::var_os("DCL1_CACHE_SHARED_DIR").map(PathBuf::from);
+        SweepSession::open_tiers(&host_cache_dir(), shared)
+    }
+
+    fn open_tiers(dir: &Path, shared: Option<PathBuf>) -> SweepSession {
+        let shared = shared.map(|dir| DiskTierConfig {
+            root: versioned_cache_dir(&dir),
+            budget_bytes: None,
+            migrate_flat: false,
+            purge_stale_siblings: false,
+        });
+        let tiers = StoreConfig {
+            mem_budget_bytes: MEM_BUDGET_BYTES,
+            mem_shards: MEM_SHARDS,
+            disk: Some(DiskTierConfig {
+                root: versioned_cache_dir(dir),
+                budget_bytes: None,
+                migrate_flat: true,
+                purge_stale_siblings: true,
+            }),
+            shared,
+            shared_writeback: true,
+        };
+        SweepSession {
+            tiers,
+            store: OnceLock::new(),
+            workers: AtomicUsize::new(0),
+            shards: AtomicUsize::new(1),
+            check: false,
+            chaos: None,
+            progress: Mutex::default(),
+            journal: Mutex::default(),
+            simulated: AtomicU64::new(0),
+            sim_cycles: AtomicU64::new(0),
+            wall_nanos: AtomicU64::new(0),
+            shards_max: AtomicU64::new(0),
+            timings: Mutex::default(),
+            registry: Mutex::new(SweepRegistry::new(Registry::new())),
+            profiler: Mutex::new(PhaseProfiler::new()),
+            recovery: Mutex::new(RecoveryLog::new()),
         }
     }
-    let checked = check_mode();
-    let key = memo_key(req, scale);
-    // Checked mode bypasses the memo in both directions: the point of
-    // `--check` is to actually execute the machine under its invariant
-    // harness, and a checked run must not be served from (or poison) the
-    // cache shared with unchecked runs — even though its stats are
-    // required to be byte-identical.
-    //
-    // Everyone else loops lookup → claim: a tier hit (corruption degrades
-    // to a miss in that tier) returns immediately; otherwise the thread
-    // either becomes the single-flight leader for the key and falls
-    // through to simulate, or waits for the current leader and re-checks
-    // the tiers — a leader that died never strands its waiters, they just
-    // elect a successor.
-    let mut flight_guard = None;
-    if !checked {
-        loop {
-            if let Some(stats) = store_lookup(&point, key) {
-                return Ok(stats);
-            }
-            match store().begin_flight(key) {
-                Flight::Leader(guard) => {
-                    // Leadership re-check: a prior leader may have filled
-                    // the tiers between our miss and our claim, and the
-                    // exactly-once contract demands we serve that hit
-                    // rather than resimulate.
-                    if let Some(stats) = store_lookup(&point, key) {
-                        return Ok(stats);
+
+    /// Runs [`SweepSession::run_points`] on `workers` threads (0 = one per
+    /// core).
+    #[must_use]
+    pub fn with_workers(mut self, workers: usize) -> SweepSession {
+        *self.workers.get_mut() = workers;
+        self
+    }
+
+    /// Partitions every machine into `shards` execution domains (the
+    /// machine may clamp it — see [`dcl1::GpuSystem::set_shards`]).
+    /// Statistics are byte-identical at any count, and the domains step
+    /// one after another on the point's thread.
+    #[must_use]
+    pub fn with_shards(mut self, shards: usize) -> SweepSession {
+        *self.shards.get_mut() = shards.max(1);
+        self
+    }
+
+    /// Runs every point under the machine's conservation-invariant
+    /// harness, which panics on any violation. Checked runs bypass the
+    /// store in both directions; their statistics are byte-identical.
+    #[must_use]
+    pub fn with_check(mut self, check: bool) -> SweepSession {
+        self.check = check;
+        self
+    }
+
+    /// Arms deterministic fault injection for every point; see
+    /// [`dcl1_resilience::Chaos`] for the fault classes. The same seed
+    /// faults the same points every run.
+    #[must_use]
+    pub fn with_chaos(mut self, seed: Option<u64>) -> SweepSession {
+        self.chaos = seed.map(Chaos::new);
+        self
+    }
+
+    /// Opens (appending) the checkpoint journal at `path`: every point a
+    /// supervised run completes from now on is recorded there, one flushed
+    /// JSONL line per point, so a killed process loses at most the line
+    /// being written. With `resume`, the journal's intact lines are first
+    /// preloaded into the mem tier, so a re-run resimulates only the points
+    /// the killed run never finished; torn or corrupt lines are skipped.
+    /// Returns `(restored, skipped)` lines.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Io`] when the journal file cannot be opened.
+    pub fn open_journal(&self, path: &Path, resume: bool) -> Result<(usize, usize), SimError> {
+        let mut state = self.journal.lock().expect("journal lock");
+        let (mut restored, mut skipped) = (0, 0);
+        if resume {
+            let (entries, torn) = journal::read_entries(path);
+            skipped = torn;
+            for e in entries {
+                match deserialize_stats(&e.payload) {
+                    Some(stats) => {
+                        // Mem-tier only: a resumed point must not rewrite
+                        // (or re-publish to a shared tier) entries this
+                        // session never computed.
+                        self.store().insert_mem_only(e.key, &stats);
+                        state.written.insert(e.key);
+                        restored += 1;
                     }
-                    flight_guard = Some(guard);
-                    break;
-                }
-                Flight::Waited => {}
-            }
-        }
-    }
-    let start = Instant::now();
-    let (stats, wall, profile) = with_point(req, scale, |sys, total| {
-        // Registry and profiler are pull-only diagnostics: statistics are
-        // byte-identical with them on (the determinism suite pins this), so
-        // every supervised run carries them.
-        sys.enable_registry();
-        sys.enable_profiler();
-        if let Some(sink) = active_progress_sink() {
-            let label = point.clone();
-            let total = total.max(1);
-            let hook_start = Instant::now();
-            sys.set_progress_hook(ProgressHook::new(move |cycle, retired| {
-                let secs = hook_start.elapsed().as_secs_f64();
-                let khz = if secs > 0.0 { cycle as f64 / secs / 1e3 } else { 0.0 };
-                let ev = ProgressEvent::new(ProgressStage::Progress, &label)
-                    .attempt(attempt)
-                    .pct((100 * retired / total).min(100))
-                    .cycles(cycle)
-                    .khz(khz);
-                sink.emit(&ev);
-            }));
-        }
-        if checked {
-            sys.enable_check();
-        }
-        if let Some(secs) = THREAD_DEADLINE.with(std::cell::Cell::get).filter(|&s| s > 0) {
-            sys.set_deadline_secs(secs);
-        }
-        if let Some(c) = &chaos {
-            if c.should_stall(&point, attempt) {
-                // Freeze progress mid-run and tighten the epoch so the
-                // watchdog converts the hang into a livelock within
-                // milliseconds instead of the default ~1M cycles.
-                sys.inject_stall_from(CHAOS_STALL_CYCLE);
-                sys.set_watchdog(CHAOS_STALL_EPOCH);
-            }
-        }
-        let stats = sys.run_result()?;
-        let wall = start.elapsed();
-        note_shards(sys.shards());
-        let profile = sys.take_profiler().unwrap_or_default();
-        if let Some(mm) = sys.take_metrics() {
-            sweep_registry().lock().expect("sweep registry lock").reg.absorb(mm.registry());
-        }
-        Ok((stats, wall, profile))
-    })?;
-    sweep_profiler().lock().expect("sweep profiler lock").absorb(&profile);
-
-    SIMULATED.fetch_add(1, Ordering::Relaxed);
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    WALL_NANOS.fetch_add(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
-    let timing = PointTiming {
-        app: req.app.name,
-        design: stats.design.clone(),
-        sim_cycles: stats.cycles,
-        wall_seconds: wall.as_secs_f64(),
-        profile,
-    };
-    note_source("simulated");
-    let done = ProgressEvent::new(ProgressStage::Completed, &point)
-        .attempt(attempt)
-        .source("simulated")
-        .cycles(stats.cycles)
-        .khz(timing.khz());
-    emit_progress(&done);
-    timings().lock().expect("timings lock").push(timing);
-
-    if !checked {
-        let t_fill = Instant::now();
-        let fill = store().insert(key, &stats);
-        let fill_nanos = u64::try_from(t_fill.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        note_fill_latency(fill_nanos);
-        if let Some(n) = fill.shared_nanos {
-            note_phase(Phase::SharedIo, n);
-            note_phase(Phase::CacheIo, fill_nanos.saturating_sub(n));
-        } else {
-            note_phase(Phase::CacheIo, fill_nanos);
-        }
-        if let Some(c) = &chaos {
-            if c.should_corrupt(&point) {
-                // Damage the entry we just wrote, then read it back: the
-                // checksum rejects it, the file is quarantined, and the
-                // clean result is re-persisted — the full corruption
-                // recovery path, exercised in-sweep.
-                chaos_corrupt_disk_entry(c, &point, key);
-                let mut corruptions = Vec::new();
-                if let DiskReload::Corrupt(c) = store().reload_disk(key, &mut corruptions) {
-                    record_cache_corruption(&point, &c.path, &c.reason);
-                    store().store_disk(key, &stats);
+                    None => skipped += 1,
                 }
             }
         }
+        if restored > 0 || skipped > 0 {
+            let mut log = self.recovery.lock().expect("recovery lock");
+            log.resumed_points += restored as u64;
+            log.note(format!(
+                "resumed {restored} point(s) from {} ({skipped} line(s) skipped)",
+                path.display()
+            ));
+        }
+        state.writer = Some(journal::JournalWriter::open(path).map_err(|e| SimError::Io {
+            context: format!("opening journal {}", path.display()),
+            message: e.to_string(),
+        })?);
+        Ok((restored, skipped))
     }
-    // Release single-flight leadership only after the tiers hold the
-    // result, so a woken waiter's re-lookup always hits.
-    drop(flight_guard);
-    Ok(stats)
-}
 
-/// One pass through the store tiers for `point`/`key`: records
-/// corruption reports, latency histograms, and phase attribution, and
-/// emits the completion progress event on a hit. The mem-tier hit path
-/// allocates only the returned `RunStats` clone.
-fn store_lookup(point: &str, key: u128) -> Option<RunStats> {
-    let mut corruptions: Vec<Corruption> = Vec::new();
-    let lookup = store().lookup(key, &mut corruptions);
-    for c in &corruptions {
-        // Already quarantined by the store; surface it in the recovery
-        // ledger — corruption degrades to a miss, never an error.
-        record_cache_corruption(point, &c.path, &c.reason);
+    fn store(&self) -> &ResultStore<RunStats> {
+        self.store.get_or_init(|| ResultStore::open(&self.tiers, StatsCodec))
     }
-    note_lookup_latencies(lookup.mem_nanos, lookup.disk_nanos, lookup.shared_nanos);
-    if let Some(n) = lookup.disk_nanos {
-        note_phase(Phase::CacheIo, n);
+
+    /// Attaches (or with `None` detaches) the streaming progress sink every
+    /// later run of this session reports lifecycle events to: one JSONL
+    /// line per queued/started/progress/retry/quarantined/completed
+    /// transition, flushed as it happens.
+    pub fn set_progress_sink(&self, sink: Option<Arc<ProgressSink>>) {
+        *self.progress.lock().expect("progress lock") = sink;
     }
-    if let Some(n) = lookup.shared_nanos {
-        note_phase(Phase::SharedIo, n);
+
+    /// The point-thread count [`SweepSession::run_points`] uses: the one
+    /// asked for, else the number of cores this process may run on (1 when
+    /// the host will not say).
+    pub fn workers(&self) -> usize {
+        match self.workers.load(Ordering::Relaxed) {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            n => n,
+        }
     }
-    let (stats, tier) = lookup.hit?;
-    note_source(tier.name());
-    let done = ProgressEvent::new(ProgressStage::Completed, point)
-        .source(tier.name())
-        .cycles(stats.cycles);
-    emit_progress(&done);
-    Some((*stats).clone())
+
+    // -- what the session accumulated -------------------------------------
+
+    /// The session's sweep-throughput counters.
+    pub fn memo_stats(&self) -> MemoStats {
+        let s: StoreStats = self.store().stats();
+        MemoStats {
+            mem_hits: s.mem_hits,
+            disk_hits: s.disk_hits,
+            shared_hits: s.shared_hits,
+            misses: s.misses,
+            simulated: self.simulated.load(Ordering::Relaxed),
+            mem_evictions: s.mem_evictions,
+            disk_evictions: s.disk_evictions,
+            mem_bytes: s.mem_bytes,
+            disk_bytes: s.disk_bytes,
+            flight_waits: s.flight_waits,
+            migrated_entries: s.migrated_entries,
+            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
+            wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Per-point timing records for every point this session simulated.
+    pub fn point_timings(&self) -> Vec<PointTiming> {
+        self.timings.lock().expect("timings lock").clone()
+    }
+
+    /// The end-of-sweep throughput table the bench binaries print: total
+    /// simulated cycles, wall time, aggregate simulation speed, and how
+    /// many points the memo layers absorbed.
+    pub fn throughput_summary(&self) -> crate::Table {
+        let m = self.memo_stats();
+        let wall = m.wall_nanos as f64 / 1e9;
+        let khz = if wall > 0.0 { m.sim_cycles as f64 / wall / 1e3 } else { 0.0 };
+        let mut t = crate::Table::new("Sweep throughput", &["metric", "value"]);
+        t.row("points simulated", vec![m.simulated.to_string()]);
+        t.row("points from memo (RAM)", vec![m.mem_hits.to_string()]);
+        t.row("points from memo (disk)", vec![m.disk_hits.to_string()]);
+        t.row("points from memo (shared)", vec![m.shared_hits.to_string()]);
+        t.row("memo evictions (RAM/disk)", vec![format!("{}/{}", m.mem_evictions, m.disk_evictions)]);
+        t.row("memo hit rate", vec![format!("{:.1}%", 100.0 * m.hit_rate())]);
+        t.row("sim-cycles", vec![m.sim_cycles.to_string()]);
+        t.row("sim wall seconds", vec![format!("{wall:.2}")]);
+        t.row("sim speed (KHz)", vec![format!("{khz:.0}")]);
+        t
+    }
+
+    /// A deterministic snapshot of the session's counter registry: every
+    /// subsystem namespace summed over the points it actually simulated
+    /// (store hits contribute nothing — their machines never ran), plus
+    /// the live `memo.*` tier counters, byte gauges, and lookup/fill
+    /// latency histograms. This is the fragment `BENCH_sweep.json` embeds.
+    #[must_use]
+    pub fn registry_snapshot(&self) -> Registry {
+        let m = self.memo_stats();
+        let log = self.recovery_log();
+        let mut state = self.registry.lock().expect("sweep registry lock");
+        let counters = [
+            (state.mem_hits, m.mem_hits),
+            (state.disk_hits, m.disk_hits),
+            (state.shared_hits, m.shared_hits),
+            (state.misses, m.misses),
+            (state.simulated, m.simulated),
+            (state.mem_evictions, m.mem_evictions),
+            (state.disk_evictions, m.disk_evictions),
+            (state.flight_waits, m.flight_waits),
+            (state.migrated_entries, m.migrated_entries),
+            (state.cache_corruptions, log.cache_corruptions),
+            (state.retries, log.retries),
+            (state.quarantined_points, log.quarantines),
+        ];
+        for (id, v) in counters {
+            state.reg.set_counter(id, v);
+        }
+        let gauges = [(state.mem_bytes, m.mem_bytes), (state.disk_bytes, m.disk_bytes)];
+        for (id, v) in gauges {
+            state.reg.set(id, v);
+        }
+        state.reg.clone()
+    }
+
+    /// Machine pipeline regions summed over every point the session
+    /// simulated, plus the runner's own memo-cache I/O and journal-write
+    /// time.
+    #[must_use]
+    pub fn phase_profile(&self) -> PhaseProfiler {
+        *self.profiler.lock().expect("sweep profiler lock")
+    }
+
+    /// A snapshot of the session's recovery ledger: retries, quarantines,
+    /// cache corruptions, watchdog firings, journal resumes. All zeros
+    /// unless something actually went wrong.
+    pub fn recovery_log(&self) -> RecoveryLog {
+        self.recovery.lock().expect("recovery lock").clone()
+    }
+
+    /// The session's sharding diagnostics.
+    pub fn shard_stats(&self) -> ShardSweepStats {
+        ShardSweepStats { shards: self.shards_max.load(Ordering::Relaxed), barrier_wait_nanos: 0 }
+    }
+
+    // -- running points ---------------------------------------------------
+
+    /// Runs one point under full supervision on the *current* thread, with
+    /// `scope`'s chaos seed and deadline applying to this point alone.
+    /// Returns the statistics and the tier that served them.
+    ///
+    /// # Errors
+    ///
+    /// The [`QuarantineRecord`] of a point that failed every attempt.
+    pub fn run_point(
+        &self,
+        req: &RunRequest,
+        scale: Scale,
+        scope: TenantScope,
+    ) -> Result<Served, QuarantineRecord> {
+        self.supervise_point(req, scale, scope, &retry_policy(self.chaos_for(scope)))
+    }
+
+    /// Runs many points across [`SweepSession::workers`] threads under full
+    /// supervision: each point executes behind panic containment, transient
+    /// failures (panics, watchdog livelocks/deadlines, I/O) are retried
+    /// with deterministic backoff, and a point that exhausts its budget is
+    /// quarantined — recorded in the outcome while the rest of the sweep
+    /// completes. Input order is preserved in the output.
+    pub fn run_points(&self, reqs: &[RunRequest], scale: Scale) -> SweepOutcome {
+        self.sweep(reqs, scale, self.workers())
+    }
+
+    fn sweep(&self, reqs: &[RunRequest], scale: Scale, workers: usize) -> SweepOutcome {
+        let scope = TenantScope::default();
+        let policy = retry_policy(self.chaos);
+        let results: Vec<Mutex<Option<RunStats>>> = reqs.iter().map(|_| Mutex::new(None)).collect();
+        let quarantined: Mutex<Vec<(usize, QuarantineRecord)>> = Mutex::new(Vec::new());
+        let next = AtomicUsize::new(0);
+        for req in reqs {
+            self.emit(&ProgressEvent::new(ProgressStage::Queued, &point_label(req)));
+        }
+        std::thread::scope(|s| {
+            for _ in 0..workers.max(1).min(reqs.len().max(1)) {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(req) = reqs.get(i) else { break };
+                    match self.supervise_point(req, scale, scope, &policy) {
+                        Ok(served) => *results[i].lock().expect("result lock") = Some(served.stats),
+                        Err(record) => quarantined.lock().expect("quarantine lock").push((i, record)),
+                    }
+                });
+            }
+        });
+        let mut quarantined = quarantined.into_inner().expect("quarantine lock");
+        quarantined.sort_by_key(|(i, _)| *i);
+        SweepOutcome {
+            results: results.into_iter().map(|m| m.into_inner().expect("result lock")).collect(),
+            quarantined: quarantined.into_iter().map(|(_, r)| r).collect(),
+        }
+    }
+
+    /// The chaos engine a point runs under: its tenant's, else the
+    /// session's.
+    fn chaos_for(&self, scope: TenantScope) -> Option<Chaos> {
+        scope.chaos.map(Chaos::new).or(self.chaos)
+    }
+
+    /// Shared per-point supervision wiring: started event, retry/quarantine
+    /// via [`supervise`], recovery-log accounting, and the checkpoint-journal
+    /// append on success.
+    fn supervise_point(
+        &self,
+        req: &RunRequest,
+        scale: Scale,
+        scope: TenantScope,
+        policy: &RetryPolicy,
+    ) -> Result<Served, QuarantineRecord> {
+        let point = point_label(req);
+        self.emit(&ProgressEvent::new(ProgressStage::Started, &point));
+        let outcome = supervise(
+            &point,
+            policy,
+            |attempt| self.attempt(req, scale, attempt, scope),
+            |event| self.record_supervision_event(&point, event),
+        );
+        if let Ok(served) = &outcome {
+            self.timed(Phase::JournalWrite, || {
+                self.journal_append(memo_key(req, scale), &point, &served.stats);
+            });
+        }
+        outcome
+    }
+
+    /// Runs one attempt at a point, memoized in the session's store (see
+    /// the module docs). `attempt` is the 0-based retry index — chaos keys
+    /// its per-attempt faults on it.
+    ///
+    /// Fails with [`SimError::Config`] when the design does not resolve,
+    /// and [`SimError::Livelock`] / [`SimError::Deadline`] when the armed
+    /// watchdog aborts the run. Cache corruption never surfaces here: a
+    /// corrupt entry is quarantined, recorded in the recovery log, and the
+    /// point is recomputed.
+    fn attempt(
+        &self,
+        req: &RunRequest,
+        scale: Scale,
+        attempt: u32,
+        scope: TenantScope,
+    ) -> Result<Served, SimError> {
+        let point = point_label(req);
+        let chaos = self.chaos_for(scope);
+        if let Some(c) = &chaos {
+            if c.should_panic(&point, attempt) {
+                panic!("chaos: injected worker panic at {point} (attempt {attempt})");
+            }
+        }
+        let key = memo_key(req, scale);
+        // Checked mode bypasses the memo in both directions: the point of
+        // `--check` is to actually execute the machine under its invariant
+        // harness, and a checked run must not be served from (or poison) the
+        // cache shared with unchecked runs — even though its stats are
+        // required to be byte-identical.
+        //
+        // Everyone else loops lookup → claim: a tier hit (corruption degrades
+        // to a miss in that tier) returns immediately; otherwise the thread
+        // either becomes the single-flight leader for the key and falls
+        // through to simulate, or waits for the current leader and re-checks
+        // the tiers — a leader that died never strands its waiters, they just
+        // elect a successor.
+        let mut flight_guard = None;
+        if !self.check {
+            loop {
+                if let Some(served) = self.store_lookup(&point, key) {
+                    return Ok(served);
+                }
+                match self.store().begin_flight(key) {
+                    Flight::Leader(guard) => {
+                        // Leadership re-check: a prior leader may have filled
+                        // the tiers between our miss and our claim, and the
+                        // exactly-once contract demands we serve that hit
+                        // rather than resimulate.
+                        if let Some(served) = self.store_lookup(&point, key) {
+                            return Ok(served);
+                        }
+                        flight_guard = Some(guard);
+                        break;
+                    }
+                    Flight::Waited => {}
+                }
+            }
+        }
+        let start = Instant::now();
+        let sink = self.progress.lock().expect("progress lock").clone();
+        let (stats, wall, profile) =
+            with_point(req, scale, self.shards.load(Ordering::Relaxed), |sys, total| {
+                // Registry and profiler are pull-only diagnostics: statistics
+                // are byte-identical with them on (the determinism suite pins
+                // this), so every supervised run carries them.
+                sys.enable_registry();
+                sys.enable_profiler();
+                if let Some(sink) = sink {
+                    let label = point.clone();
+                    let total = total.max(1);
+                    let hook_start = Instant::now();
+                    sys.set_progress_hook(ProgressHook::new(move |cycle, retired| {
+                        let secs = hook_start.elapsed().as_secs_f64();
+                        let khz = if secs > 0.0 { cycle as f64 / secs / 1e3 } else { 0.0 };
+                        let ev = ProgressEvent::new(ProgressStage::Progress, &label)
+                            .attempt(attempt)
+                            .pct((100 * retired / total).min(100))
+                            .cycles(cycle)
+                            .khz(khz);
+                        sink.emit(&ev);
+                    }));
+                }
+                if self.check {
+                    sys.enable_check();
+                }
+                if let Some(secs) = scope.deadline_secs.filter(|&s| s > 0) {
+                    sys.set_deadline_secs(secs);
+                }
+                if chaos.is_some_and(|c| c.should_stall(&point, attempt)) {
+                    // Freeze progress mid-run and tighten the epoch so the
+                    // watchdog converts the hang into a livelock within
+                    // milliseconds instead of the default ~1M cycles.
+                    sys.inject_stall_from(CHAOS_STALL_CYCLE);
+                    sys.set_watchdog(CHAOS_STALL_EPOCH);
+                }
+                let stats = sys.run_result()?;
+                let wall = start.elapsed();
+                self.shards_max.fetch_max(sys.shards() as u64, Ordering::Relaxed);
+                let profile = sys.take_profiler().unwrap_or_default();
+                if let Some(mm) = sys.take_metrics() {
+                    self.registry.lock().expect("sweep registry lock").reg.absorb(mm.registry());
+                }
+                Ok((stats, wall, profile))
+            })?;
+        self.profiler.lock().expect("sweep profiler lock").absorb(&profile);
+
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        self.sim_cycles.fetch_add(stats.cycles, Ordering::Relaxed);
+        let wall_nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+        self.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+        let timing = PointTiming {
+            app: req.app.name,
+            design: stats.design.clone(),
+            sim_cycles: stats.cycles,
+            wall_seconds: wall.as_secs_f64(),
+            profile,
+        };
+        let done = ProgressEvent::new(ProgressStage::Completed, &point)
+            .attempt(attempt)
+            .source("simulated")
+            .cycles(stats.cycles)
+            .khz(timing.khz());
+        self.emit(&done);
+        self.timings.lock().expect("timings lock").push(timing);
+
+        if !self.check {
+            let t_fill = Instant::now();
+            let fill = self.store().insert(key, &stats);
+            let fill_nanos = u64::try_from(t_fill.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let mut state = self.registry.lock().expect("sweep registry lock");
+            let id = state.fill_nanos;
+            state.reg.observe(id, fill_nanos);
+            drop(state);
+            if let Some(n) = fill.shared_nanos {
+                self.note_phase(Phase::SharedIo, n);
+                self.note_phase(Phase::CacheIo, fill_nanos.saturating_sub(n));
+            } else {
+                self.note_phase(Phase::CacheIo, fill_nanos);
+            }
+            if let Some(c) = &chaos {
+                if c.should_corrupt(&point) {
+                    // Damage the entry we just wrote, then read it back: the
+                    // checksum rejects it, the file is quarantined, and the
+                    // clean result is re-persisted — the full corruption
+                    // recovery path, exercised in-sweep.
+                    self.chaos_corrupt_disk_entry(c, &point, key);
+                    let mut corruptions = Vec::new();
+                    if let DiskReload::Corrupt(c) = self.store().reload_disk(key, &mut corruptions) {
+                        self.record_cache_corruption(&point, &c.path, &c.reason);
+                        self.store().store_disk(key, &stats);
+                    }
+                }
+            }
+        }
+        // Release single-flight leadership only after the tiers hold the
+        // result, so a woken waiter's re-lookup always hits.
+        drop(flight_guard);
+        Ok(Served { stats, source: "simulated" })
+    }
+
+    /// One pass through the store tiers for `point`/`key`: records
+    /// corruption reports, latency histograms, and phase attribution, and
+    /// emits the completion progress event on a hit. The mem-tier hit path
+    /// allocates only the returned `RunStats` clone.
+    fn store_lookup(&self, point: &str, key: u128) -> Option<Served> {
+        let mut corruptions: Vec<Corruption> = Vec::new();
+        let lookup = self.store().lookup(key, &mut corruptions);
+        for c in &corruptions {
+            // Already quarantined by the store; surface it in the recovery
+            // ledger — corruption degrades to a miss, never an error.
+            self.record_cache_corruption(point, &c.path, &c.reason);
+        }
+        let mut state = self.registry.lock().expect("sweep registry lock");
+        let (id_mem, id_disk, id_shared) =
+            (state.mem_lookup_nanos, state.disk_lookup_nanos, state.shared_lookup_nanos);
+        state.reg.observe(id_mem, lookup.mem_nanos);
+        if let Some(n) = lookup.disk_nanos {
+            state.reg.observe(id_disk, n);
+        }
+        if let Some(n) = lookup.shared_nanos {
+            state.reg.observe(id_shared, n);
+        }
+        drop(state);
+        if let Some(n) = lookup.disk_nanos {
+            self.note_phase(Phase::CacheIo, n);
+        }
+        if let Some(n) = lookup.shared_nanos {
+            self.note_phase(Phase::SharedIo, n);
+        }
+        let (stats, tier) = lookup.hit?;
+        let done = ProgressEvent::new(ProgressStage::Completed, point)
+            .source(tier.name())
+            .cycles(stats.cycles);
+        self.emit(&done);
+        Some(Served { stats: (*stats).clone(), source: tier.name() })
+    }
+
+    // -- bookkeeping ------------------------------------------------------
+
+    fn emit(&self, ev: &ProgressEvent<'_>) {
+        let sink = self.progress.lock().expect("progress lock").clone();
+        if let Some(sink) = sink {
+            sink.emit(ev);
+        }
+    }
+
+    fn note_phase(&self, phase: Phase, nanos: u64) {
+        self.profiler.lock().expect("sweep profiler lock").add(phase, nanos);
+    }
+
+    /// Times one runner-side operation into the session's phase profile.
+    fn timed<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        self.note_phase(phase, u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        out
+    }
+
+    fn record_supervision_event(&self, point: &str, event: &SupervisionEvent) {
+        let mut log = self.recovery.lock().expect("recovery lock");
+        let (ev, detail) = match event {
+            SupervisionEvent::Retrying { attempt, error, .. } => {
+                log.retries += 1;
+                match error {
+                    SimError::Livelock { .. } => log.livelocks += 1,
+                    SimError::Deadline { .. } => log.deadlines += 1,
+                    _ => {}
+                }
+                log.note(format!("retry {point} after attempt {attempt}: [{}] {error}", error.class()));
+                let ev = ProgressEvent::new(ProgressStage::Retry, point).attempt(*attempt);
+                (ev, format!("[{}] {error}", error.class()))
+            }
+            SupervisionEvent::Quarantined(rec) => {
+                log.quarantines += 1;
+                if rec.class == "livelock" {
+                    log.livelocks += 1;
+                } else if rec.class == "deadline" {
+                    log.deadlines += 1;
+                }
+                log.note(rec.to_string());
+                (ProgressEvent::new(ProgressStage::Quarantined, point), rec.to_string())
+            }
+        };
+        drop(log);
+        self.emit(&ev.detail(&detail));
+    }
+
+    fn record_cache_corruption(&self, point: &str, path: &str, reason: &str) {
+        let mut log = self.recovery.lock().expect("recovery lock");
+        log.cache_corruptions += 1;
+        log.note(format!("cache entry for {point} quarantined ({reason}): {path}"));
+    }
+
+    /// Damages the on-disk cache entries for `key` the way `chaos` dictates
+    /// for `point` — called right after a store so the corruption-recovery
+    /// path (checksum reject → quarantine → recompute/re-store) runs
+    /// in-sweep. The entry lives in its two-hex-digit bucket under the
+    /// local tier, and, when a shared tier is configured, the write-back
+    /// copy there is damaged too, so the shared tier's independent checksum
+    /// rejection is exercised alongside the local one.
+    fn chaos_corrupt_disk_entry(&self, chaos: &Chaos, point: &str, key: u128) {
+        let targets = [self.store().disk_entry_path(key), self.store().shared_entry_path(key)];
+        for path in targets.into_iter().flatten() {
+            let Ok(mut bytes) = std::fs::read(&path) else { continue };
+            chaos.corrupt(point, &mut bytes);
+            let _ = std::fs::write(&path, bytes);
+        }
+    }
+
+    fn journal_append(&self, key: u128, point: &str, stats: &RunStats) {
+        let mut guard = self.journal.lock().expect("journal lock");
+        let state = &mut *guard;
+        let Some(writer) = state.writer.as_mut() else { return };
+        if !state.written.insert(key) {
+            return;
+        }
+        let result = writer.append(key, point, &serialize_stats(stats));
+        drop(guard);
+        if let Err(e) = result {
+            // A failing journal degrades resumability, never the sweep.
+            let mut log = self.recovery.lock().expect("recovery lock");
+            log.note(format!("journal append failed for {point}: {e}"));
+        }
+    }
 }
 
-/// Runs one simulation point at the given scale, memoized in-process and
-/// on disk (see the module docs).
-///
-/// # Panics
-///
-/// Panics if the design fails to resolve (an experiment-definition bug)
-/// or an armed watchdog reports a hang — supervised sweeps use
-/// [`run_app_result`] and recover instead.
-pub fn run_app(req: &RunRequest, scale: Scale) -> RunStats {
-    run_app_result(req, scale, 0).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Whether checked-sim mode is on (see [`set_check_mode`]).
-pub fn check_mode() -> bool {
-    CHECK_MODE.load(Ordering::Relaxed)
-}
-
-/// Turns checked-sim mode on or off for every subsequent [`run_app`] in
-/// this process. Checked runs attach the machine's conservation-invariant
-/// harness ([`dcl1::GpuSystem::enable_check`]), panic on any violation,
-/// and bypass both memo layers in both directions; their statistics are
-/// byte-identical to unchecked runs.
-pub fn set_check_mode(enabled: bool) {
-    CHECK_MODE.store(enabled, Ordering::Relaxed);
-}
-
-static CHECK_MODE: AtomicBool = AtomicBool::new(false);
+// ---------------------------------------------------------------------------
+// Runs outside every store
+// ---------------------------------------------------------------------------
 
 /// Builds the machine of one point and hands it to `run` with the scaled
 /// kernel's instruction count — the only place a run's machine is built:
 /// the app scaled, caches warmed over the first third of the kernel
 /// (standard methodology; keeps short scaled runs from being dominated by
-/// cold misses) unless the request sets its own warm-up, the runner's
-/// shard count, and the progress watchdog armed (it only reads gauges, so
-/// statistics do not change).
-fn with_point<T>(
+/// cold misses) unless the request sets its own warm-up, `shards`
+/// execution domains, and the progress watchdog armed (it only reads
+/// gauges, so statistics do not change).
+///
+/// Sessions call it to simulate; called directly, it runs outside every
+/// store — what an observed run (`--trace` / `--metrics`, whose output is
+/// a side effect of actually simulating) and `dbg` need.
+///
+/// # Errors
+///
+/// Returns [`SimError::Config`] when the design fails to resolve, and
+/// whatever `run` returns.
+pub fn with_point<T>(
     req: &RunRequest,
     scale: Scale,
+    shards: usize,
     run: impl FnOnce(&mut GpuSystem<'_>, u64) -> Result<T, SimError>,
 ) -> Result<T, SimError> {
     let (num, den) = scale.ratio();
@@ -1188,44 +1295,9 @@ fn with_point<T>(
     }
     let mut sys = GpuSystem::build(&req.cfg, &req.design, &app, opts)
         .map_err(|e| SimError::Config(format!("{}: {e}", req.design.name())))?;
-    sys.set_shards(effective_shards());
+    sys.set_shards(shards);
     sys.set_watchdog(dcl1::DEFAULT_WATCHDOG_EPOCH);
     run(&mut sys, app.total_instructions())
-}
-
-/// Runs one simulation point with observability sinks attached.
-///
-/// Bypasses both memo layers in both directions: tracing and metrics are
-/// side effects of actually simulating, so a cached result would produce
-/// empty output files — and an observed run is never written back, keeping
-/// the cache free of runs the observer may have slowed down.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] when the design fails to resolve, and
-/// watchdog errors when the run hangs.
-pub fn run_app_observed(
-    req: &RunRequest,
-    scale: Scale,
-    obs: dcl1::Observer,
-) -> Result<RunStats, SimError> {
-    with_point(req, scale, |sys, _| {
-        sys.attach_observer(obs);
-        let out = sys.run_result();
-        note_shards(sys.shards());
-        out
-    })
-}
-
-/// Runs one point outside the memo and the sweep's bookkeeping, built as
-/// every run is, and returns its statistics with the machine's
-/// [`GpuSystem::debug_snapshot`] — what `dbg` prints.
-///
-/// # Errors
-///
-/// As [`run_app_observed`].
-pub fn run_app_snapshot(req: &RunRequest, scale: Scale) -> Result<(RunStats, String), SimError> {
-    with_point(req, scale, |sys, _| Ok((sys.run_result()?, sys.debug_snapshot())))
 }
 
 /// Renders completed points as one canonical, byte-stable document: each
@@ -1248,209 +1320,98 @@ pub fn stats_digest(points: &[(String, RunStats)]) -> String {
     ResultLedger::of(points).digest()
 }
 
-/// The outcome of a supervised sweep: per-point results in input order
-/// (`None` where the point was quarantined) plus the quarantine records.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// One slot per request, input order; `None` marks a quarantined point.
-    pub results: Vec<Option<RunStats>>,
-    /// Points the supervisor gave up on, in input order.
-    pub quarantined: Vec<QuarantineRecord>,
+// ---------------------------------------------------------------------------
+// The process session, for `benchmark/`
+// ---------------------------------------------------------------------------
+
+/// The process session, opened [`SweepSession::from_env`] on first use.
+/// It exists because `benchmark/src/{child,layers,micro}.rs`, which cannot
+/// change before the ledger's own PR, drive a sweep or `dcl1d`'s
+/// `Server::launch` and then read the counters back in the same process,
+/// through the one-line delegations below. Nothing else calls them.
+pub fn process_session() -> &'static Arc<SweepSession> {
+    static PROCESS: OnceLock<Arc<SweepSession>> = OnceLock::new();
+    PROCESS.get_or_init(|| Arc::new(SweepSession::from_env()))
 }
 
-impl SweepOutcome {
-    /// The completed statistics, skipping quarantined slots.
-    #[must_use]
-    pub fn completed(&self) -> Vec<&RunStats> {
-        self.results.iter().flatten().collect()
-    }
-}
+// The tier that served this thread's last `run_point_supervised`: it exists
+// because `benchmark/src/micro.rs` reads it back through `take_last_source`.
+thread_local!(static LAST_SOURCE: Cell<Option<&'static str>> = const { Cell::new(None) });
 
-/// Shared per-point supervision wiring: started event, retry/quarantine
-/// via [`supervise`], recovery-log accounting, and the checkpoint-journal
-/// append on success.
-fn supervise_point(
-    req: &RunRequest,
-    scale: Scale,
-    policy: &RetryPolicy,
-) -> Result<RunStats, QuarantineRecord> {
-    let point = point_label(req);
-    emit_progress(&ProgressEvent::new(ProgressStage::Started, &point));
-    let outcome = supervise(
-        &point,
-        policy,
-        |attempt| run_app_result(req, scale, attempt),
-        |event| record_supervision_event(&point, event),
-    );
-    if let Ok(stats) = &outcome {
-        timed(Phase::JournalWrite, || {
-            journal_append(memo_key(req, scale), &point, stats);
-        });
-    }
-    outcome
-}
-
-/// Runs one point under full supervision on the *current* thread. The
-/// `dcl1d` scheduler calls this from its own worker pool so the
-/// thread-scoped chaos and deadline overrides ([`set_thread_chaos`],
-/// [`set_thread_deadline_secs`]) armed for the owning tenant apply to the
-/// run — [`run_apps_supervised`] would move the work onto fresh threads
-/// and out of the tenant's fault scope.
-pub fn run_point_supervised(
-    req: &RunRequest,
-    scale: Scale,
-) -> Result<RunStats, QuarantineRecord> {
-    supervise_point(req, scale, &retry_policy())
-}
-
-/// Runs many simulation points across `workers` threads under full
-/// supervision: each point executes behind panic containment, transient
-/// failures (panics, watchdog livelocks/deadlines, I/O) are retried with
-/// deterministic backoff, and a point that exhausts its budget is
-/// quarantined — recorded in the outcome while the rest of the sweep
-/// completes. Input order is preserved in the output.
+/// For `benchmark/src/child.rs`: [`SweepSession::run_points`] on the
+/// process session, on `workers` threads.
 pub fn run_apps_supervised(reqs: &[RunRequest], scale: Scale, workers: usize) -> SweepOutcome {
-    let policy = retry_policy();
-    let results: Vec<Mutex<Option<RunStats>>> = reqs.iter().map(|_| Mutex::new(None)).collect();
-    let quarantined: Mutex<Vec<(usize, QuarantineRecord)>> = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    for req in reqs {
-        emit_progress(&ProgressEvent::new(ProgressStage::Queued, &point_label(req)));
-    }
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1).min(reqs.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= reqs.len() {
-                    break;
-                }
-                let req = &reqs[i];
-                match supervise_point(req, scale, &policy) {
-                    Ok(stats) => {
-                        *results[i].lock().expect("result lock") = Some(stats);
-                    }
-                    Err(record) => {
-                        quarantined.lock().expect("quarantine lock").push((i, record));
-                    }
-                }
-            });
-        }
-    });
-    let mut quarantined = quarantined.into_inner().expect("quarantine lock");
-    quarantined.sort_by_key(|(i, _)| *i);
-    SweepOutcome {
-        results: results
-            .into_iter()
-            .map(|m| m.into_inner().expect("result lock"))
-            .collect(),
-        quarantined: quarantined.into_iter().map(|(_, r)| r).collect(),
-    }
+    process_session().sweep(reqs, scale, workers)
 }
 
-/// Runs many simulation points across `workers` threads, preserving input
-/// order in the output.
-///
-/// # Panics
-///
-/// Panics — naming every quarantined point — if any point failed all its
-/// supervised attempts. Unlike the pre-supervision runner the sweep runs
-/// to completion first, so the panic reports every failing point, not
-/// just the first.
-pub fn run_apps_with_workers(reqs: &[RunRequest], scale: Scale, workers: usize) -> Vec<RunStats> {
-    let outcome = run_apps_supervised(reqs, scale, workers);
-    if !outcome.quarantined.is_empty() {
-        let list: Vec<String> = outcome.quarantined.iter().map(ToString::to_string).collect();
-        panic!(
-            "sweep completed with {} unrecovered point(s):\n  {}",
-            outcome.quarantined.len(),
-            list.join("\n  ")
-        );
-    }
-    outcome
-        .results
-        .into_iter()
-        .map(|r| r.expect("no quarantines, so every slot is filled"))
-        .collect()
+/// For `benchmark/src/micro.rs`: [`SweepSession::run_point`] on the
+/// process session, the serving tier kept for [`take_last_source`].
+pub fn run_point_supervised(req: &RunRequest, scale: Scale) -> Result<RunStats, QuarantineRecord> {
+    let out = process_session().run_point(req, scale, TenantScope::default());
+    LAST_SOURCE.set(out.as_ref().ok().map(|s| s.source));
+    out.map(|s| s.stats)
 }
 
-static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static SHARDS_MAX: AtomicU64 = AtomicU64::new(0);
-
-/// Execution domains requested for every machine built by [`run_app`]
-/// when no override is set: one. Partitioning is determinism-neutral
-/// (stats are byte-identical at any shard count) and buys no speed — a
-/// machine steps its domains one after another on one thread
-/// (EXPERIMENTS.md, "Intra-point parallel scaling") — so it is the opt-in
-/// behind `--workers=N` / [`set_shard_override`].
-pub const DEFAULT_SHARDS: usize = 1;
-
-/// Pins the intra-point shard count used for every subsequent
-/// [`run_app`] in this process; `0` restores [`DEFAULT_SHARDS`].
-/// Orthogonal to [`set_worker_override`], which controls how many points
-/// run concurrently: `--workers=N` on the bench binaries maps to `N`
-/// shards inside each point and leaves the point count alone.
-pub fn set_shard_override(shards: usize) {
-    SHARD_OVERRIDE.store(shards, Ordering::Relaxed);
+/// For `benchmark/src/child.rs`: one unsupervised attempt on the process
+/// session, panicking if it fails.
+pub fn run_app(req: &RunRequest, scale: Scale) -> RunStats {
+    let out = process_session().attempt(req, scale, 0, TenantScope::default());
+    out.map_or_else(|e| panic!("{e}"), |s| s.stats)
 }
 
-/// The shard count [`run_app`] will request from each machine (the
-/// machine may clamp it — see [`dcl1::GpuSystem::set_shards`]).
-pub fn effective_shards() -> usize {
-    match SHARD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => DEFAULT_SHARDS,
-        n => n,
-    }
+/// For `benchmark/src/micro.rs`: the tier that served this thread's last
+/// [`run_point_supervised`], clearing the slot.
+pub fn take_last_source() -> Option<&'static str> {
+    LAST_SOURCE.take()
 }
 
-/// Aggregate intra-point sharding diagnostics for this process.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardSweepStats {
-    /// Largest effective shard count any simulated point ran with.
-    pub shards: u64,
-    /// Always 0: a machine steps its domains on its own thread, so nothing
-    /// waits at a barrier. Kept only because the `benchmark/` ledger reads
-    /// it.
-    pub barrier_wait_nanos: u64,
+/// For `benchmark/src/{child,layers}.rs`: [`SweepSession::memo_stats`].
+pub fn memo_stats() -> MemoStats {
+    process_session().memo_stats()
 }
 
-/// Returns this process's accumulated sharding diagnostics.
+/// For `benchmark/src/layers.rs`: [`SweepSession::recovery_log`].
+pub fn recovery_log() -> RecoveryLog {
+    process_session().recovery_log()
+}
+
+/// For `benchmark/src/layers.rs`: [`SweepSession::phase_profile`].
+#[must_use]
+pub fn sweep_phase_profile() -> PhaseProfiler {
+    process_session().phase_profile()
+}
+
+/// For `benchmark/src/{layers,micro}.rs`: [`SweepSession::registry_snapshot`].
+#[must_use]
+pub fn sweep_registry_snapshot() -> Registry {
+    process_session().registry_snapshot()
+}
+
+/// For `benchmark/src/{child,layers}.rs`: [`SweepSession::shard_stats`].
 pub fn shard_sweep_stats() -> ShardSweepStats {
-    ShardSweepStats { shards: SHARDS_MAX.load(Ordering::Relaxed), barrier_wait_nanos: 0 }
+    process_session().shard_stats()
 }
 
-/// Folds one machine's domain count into the process maximum.
-fn note_shards(shards: usize) {
-    SHARDS_MAX.fetch_max(shards as u64, Ordering::Relaxed);
+/// For `benchmark/src/child.rs`: [`SweepSession::with_shards`] on the
+/// process session (`0` means one domain).
+pub fn set_shard_override(shards: usize) {
+    process_session().shards.store(shards.max(1), Ordering::Relaxed);
 }
 
-/// Pins the worker-thread count used by [`run_apps`] for every subsequent
-/// call in this process; `0` restores the default (one thread per
-/// available core). Benchmark drivers expose this as `--workers=N` so
-/// throughput numbers taken on shared machines are reproducible.
+/// For `benchmark/src/child.rs`: [`SweepSession::with_workers`] on the
+/// process session (`0` means one per core).
 pub fn set_worker_override(workers: usize) {
-    WORKER_OVERRIDE.store(workers, Ordering::Relaxed);
+    process_session().workers.store(workers, Ordering::Relaxed);
 }
 
-/// The worker-thread count [`run_apps`] will use: the override if one is
-/// set, otherwise the number of cores this process may run on (1 when the
-/// host will not say).
+/// For `benchmark/src/child.rs`: [`SweepSession::workers`].
 pub fn effective_workers() -> usize {
-    match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        n => n,
-    }
+    process_session().workers()
 }
 
-/// Runs many simulation points across [`effective_workers`] threads,
-/// preserving input order in the output.
-///
-/// # Panics
-///
-/// Re-panics with the failing request's app/design name if any worker
-/// panics.
-pub fn run_apps(reqs: &[RunRequest], scale: Scale) -> Vec<RunStats> {
-    run_apps_with_workers(reqs, scale, effective_workers())
+/// For `benchmark/src/child.rs`: [`SweepSession::set_progress_sink`].
+pub fn set_progress_sink(sink: Option<Arc<ProgressSink>>) {
+    process_session().set_progress_sink(sink);
 }
 
 #[cfg(test)]
@@ -1459,6 +1420,13 @@ mod tests {
     use dcl1_resilience::supervisor::panic_message;
     use dcl1_workloads::by_name;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// An empty directory of this test's own.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dcl1-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn scale_ratios() {
@@ -1482,32 +1450,36 @@ mod tests {
 
     #[test]
     fn parallel_runner_preserves_order() {
-        let _guard = test_env_lock();
+        let dir = scratch("order");
         let app = by_name("C-BLK").unwrap();
         let reqs = vec![
             RunRequest::new(app, Design::Baseline),
             RunRequest::new(app, Design::Private { nodes: 40 }),
         ];
-        let out = run_apps(&reqs, Scale::Smoke);
+        let out = SweepSession::open(&dir).run_points(&reqs, Scale::Smoke).unwrap_all();
         assert_eq!(out[0].design, "Baseline");
         assert_eq!(out[1].design, "Pr40");
         assert!(out.iter().all(|s| s.instructions > 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn worker_panic_names_the_failing_point() {
-        // Holds the lock because the quarantine it provokes lands in the
-        // process-wide recovery log other tests difference.
-        let _guard = test_env_lock();
+        let dir = scratch("panic");
+        let session = SweepSession::open(&dir);
         let app = by_name("C-BLK").unwrap();
         // An invalid node count fails Design::topology at build time.
         let bad = RunRequest::new(app, Design::Shared { nodes: 77 });
         #[expect(clippy::disallowed_methods, reason = "the test asserts that the panic propagates")]
-        let err = catch_unwind(AssertUnwindSafe(|| run_apps(&[bad], Scale::Smoke)))
-            .expect_err("must propagate the worker panic");
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            session.run_points(&[bad], Scale::Smoke).unwrap_all()
+        }))
+        .expect_err("must propagate the worker panic");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("C-BLK"), "missing app name: {msg}");
         assert!(msg.contains("Sh77"), "missing design name: {msg}");
+        assert_eq!(session.recovery_log().quarantines, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1642,35 +1614,25 @@ mod tests {
             })
             .expect("some seed assigns a transient panic");
 
-        let _guard = test_env_lock();
-        let clean = run_apps(std::slice::from_ref(&req), Scale::Smoke);
-        let before = recovery_log();
-        set_chaos(Some(seed));
-        // Bypass the memo (the clean run filled it) by dropping the key:
-        // chaos panics fire before the memo lookup, so the retry still
-        // exercises the full path; the memo then serves the clean result.
-        let outcome = run_apps_supervised(&[req], Scale::Smoke, 1);
-        set_chaos(None);
+        let dir = scratch("transient");
+        let clean = SweepSession::open(&dir).run_points(std::slice::from_ref(&req), Scale::Smoke);
+        // Chaos panics fire before the store lookup, so the retry still
+        // exercises the full path; the store then serves the clean result.
+        let chaotic = SweepSession::open(&dir).with_chaos(Some(seed));
+        let outcome = chaotic.run_points(&[req], Scale::Smoke);
 
         assert!(outcome.quarantined.is_empty(), "{:?}", outcome.quarantined);
-        assert_eq!(outcome.results[0].as_ref().unwrap(), &clean[0], "retry changed stats");
-        let after = recovery_log();
-        assert_eq!(after.retries, before.retries + 1, "exactly one retry");
-        assert_eq!(after.quarantines, before.quarantines);
+        assert_eq!(outcome.results, clean.results, "retry changed stats");
+        let log = chaotic.recovery_log();
+        assert_eq!((log.retries, log.quarantines), (1, 0), "exactly one retry");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_schema_dirs_are_ignored() {
         // The active directory carries the current schema version…
         let base = PathBuf::from("/some/cache/base");
-        assert_eq!(
-            versioned_cache_dir(base.clone()),
-            base.join(format!("v{CACHE_SCHEMA_VERSION}"))
-        );
-        assert_eq!(
-            disk_cache_dir().file_name().unwrap().to_str().unwrap(),
-            format!("v{CACHE_SCHEMA_VERSION}")
-        );
+        assert_eq!(versioned_cache_dir(&base), base.join(format!("v{CACHE_SCHEMA_VERSION}")));
 
         // …so an entry persisted under a stale sibling (a previous
         // schema's v1/) can never satisfy a lookup, even for the same key

@@ -1,22 +1,21 @@
-//! The flags `perf_sweep` and `experiments` share — parallelism, checked
-//! mode, supervision, observability — read from the command line, applied
-//! to the runner, and the observed-run report both binaries print.
+//! The flags `perf_sweep` and `experiments` share — checked mode,
+//! supervision, observability — read from the command line, the
+//! [`SweepSession`] they open, and the observed-run report both binaries
+//! print.
 
 use crate::cli::Kind::{Optional, Switch, Value};
 use crate::cli::{Args, Flag};
-use crate::runner::{self, run_app_observed, RunRequest, Scale};
+use crate::runner::{self, RunRequest, Scale, SweepSession};
 use crate::table::Table;
 use dcl1::{Design, GpuConfig, MetricsFormat, Observer, RunStats, SimOptions};
 use dcl1_obs::progress::ProgressSink;
 use dcl1_workloads::by_name;
 use std::fs::File;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The shared flag table.
 pub const FLAGS: &[Flag] = &[
-    Flag::new("workers", Value("N"), "N shard domains per machine (points still use every core)"),
     Flag::new("check", Switch, "run every point under the invariant harness (memo bypassed)"),
     Flag::new("journal", Optional("PATH", JOURNAL), "append each finished point to a journal"),
     Flag::new("resume", Optional("PATH", JOURNAL), "preload the journal, then append to it"),
@@ -31,10 +30,9 @@ pub const FLAGS: &[Flag] = &[
 const JOURNAL: &str = "BENCH_journal.jsonl";
 
 /// What the shared flags asked for. Reading it validates every value;
-/// nothing is applied until [`SweepCli::apply`].
+/// nothing is opened until [`SweepCli::open_session`].
 #[derive(Debug)]
 pub struct SweepCli {
-    workers: Option<NonZeroUsize>,
     check: bool,
     journal: Option<PathBuf>,
     resume: bool,
@@ -56,7 +54,6 @@ impl SweepCli {
             .unwrap_or_else(|e| args.fail(&format!("bad --observe: {e}")));
         let resume = args.value::<PathBuf>("resume");
         SweepCli {
-            workers: args.value("workers"),
             check: args.switch("check"),
             journal: args.value("journal").or_else(|| resume.clone()),
             resume: resume.is_some(),
@@ -69,40 +66,39 @@ impl SweepCli {
         }
     }
 
-    /// Arms the runner as asked and returns a one-line banner of the
+    /// Opens the session the flags ask for on the host's cache
+    /// ([`SweepSession::from_env`]), with a one-line banner of the
     /// supervision in force.
     ///
     /// # Panics
     ///
     /// Panics when the journal or the progress stream cannot be opened.
-    pub fn apply(&self) -> String {
-        if let Some(n) = self.workers {
-            runner::set_shard_override(n.get());
-        }
-        runner::set_check_mode(self.check);
-        runner::set_chaos(self.chaos_seed);
+    #[must_use]
+    pub fn open_session(&self) -> (SweepSession, String) {
+        let session = SweepSession::from_env().with_check(self.check).with_chaos(self.chaos_seed);
         let mut banner = Vec::new();
         if let Some(path) = &self.journal {
             banner.push(format!("journal={}", path.display()));
+            let (restored, skipped) = session
+                .open_journal(path, self.resume)
+                .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()));
             if self.resume {
-                let (restored, skipped) = runner::resume_from_journal(path);
                 banner.push(format!("resumed {restored} point(s), skipped {skipped} line(s)"));
             }
-            runner::set_journal(path)
-                .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()));
         }
         if let Some(seed) = self.chaos_seed {
             banner.push(format!("chaos seed={seed}"));
         }
         if let Some(path) = &self.progress {
-            runner::set_progress_sink(Some(Arc::new(ProgressSink::new(Box::new(create(path))))));
+            session.set_progress_sink(Some(Arc::new(ProgressSink::new(Box::new(create(path))))));
             eprintln!("[progress] streaming point events to {}", path.display());
         }
-        if banner.is_empty() {
+        let banner = if banner.is_empty() {
             "supervision: defaults".to_string()
         } else {
             format!("supervision: {}", banner.join(", "))
-        }
+        };
+        (session, banner)
     }
 
     /// With `--trace` or `--metrics`: runs the `--observe` point with the
@@ -135,7 +131,11 @@ impl SweepCli {
             sinks.push_str(&format!(" metrics={}(interval {interval})", path.display()));
         }
         eprintln!("[observe] simulating {}{sinks}", runner::point_label(req));
-        let stats = run_app_observed(req, scale, obs).unwrap_or_else(|e| panic!("{e}"));
+        let stats = runner::with_point(req, scale, 1, |sys, _| {
+            sys.attach_observer(obs);
+            sys.run_result()
+        });
+        let stats = stats.unwrap_or_else(|e| panic!("{e}"));
         println!("{}", stall_report(req, &stats));
         eprintln!("[observe] written:{sinks}");
     }

@@ -11,8 +11,8 @@
 //!   bounded queues with explicit `retry_after_ms` backpressure, and
 //!   shed-lowest-priority-first degradation under overload.
 //! - **Fault isolation** ([`scheduler`]): every job runs under the full
-//!   supervision stack with its tenant's chaos seed and deadline armed
-//!   as thread-scoped overrides — one tenant's persistently-crashing
+//!   supervision stack with its tenant's chaos seed and deadline passed
+//!   in as arguments — one tenant's persistently-crashing
 //!   point is quarantined without touching the worker pool or any other
 //!   tenant's results.
 //! - **Crash-safe queueing** ([`qjournal`]): accepts are journaled

@@ -2,9 +2,9 @@
 //!
 //! Fault isolation is the organizing principle. Each job runs under the
 //! full supervision stack (`dcl1_resilience::supervise` via
-//! `runner::run_point_supervised`) *on the worker's own thread*, with the
-//! owning tenant's chaos seed and deadline armed as thread-scoped
-//! overrides — so one tenant's injected faults, livelocks, or persistent
+//! `SweepSession::run_point`) *on the worker's own thread*, with the
+//! owning tenant's chaos seed and deadline passed in as the job's
+//! `TenantScope` — so one tenant's injected faults, livelocks, or persistent
 //! panics are contained to that tenant's jobs and can never leak into
 //! another tenant's runs or take a worker down. Workers survive
 //! quarantines: a job that exhausts its retry budget is recorded against
@@ -17,8 +17,8 @@
 use crate::qjournal::{self, QueueJournal, QueueOp};
 use crate::queue::{JobQueue, JobSpec, Quotas, Verdict};
 use dcl1::{Design, GpuConfig, SimOptions};
-use dcl1_bench::ledger::ResultLedger;
-use dcl1_bench::runner::{self, RunRequest};
+use dcl1_bench::ledger::{Chunk, ResultLedger};
+use dcl1_bench::runner::{RunRequest, SweepSession, TenantScope};
 use dcl1_bench::Scale;
 use dcl1_obs::json::escape;
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
@@ -162,26 +162,34 @@ impl Core {
     }
 }
 
-/// The daemon: shared core behind a mutex, plus the two condition
-/// variables that sequence dispatch (`work_ready`) and drain
-/// (`all_idle`).
+/// The daemon: shared core behind a mutex, the two condition variables
+/// that sequence dispatch (`work_ready`) and drain (`all_idle`), and the
+/// session every job runs on.
 pub struct Daemon {
     core: Mutex<Core>,
     work_ready: Condvar,
     all_idle: Condvar,
     cfg: DaemonConfig,
     sink: Option<Arc<ProgressSink>>,
+    session: Arc<SweepSession>,
 }
 
 impl Daemon {
-    /// Builds the daemon, replays the journal when resuming, and spawns
-    /// the worker pool (detached threads; they exit on shutdown).
+    /// Builds the daemon on `session`, replays the journal when resuming,
+    /// and spawns the worker pool (detached threads; they exit on
+    /// shutdown). `sink` becomes the session's progress sink too, so the
+    /// runner's point events and the daemon's job events share a stream.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the journal cannot be
     /// opened for appending.
-    pub fn launch(cfg: DaemonConfig, sink: Option<Arc<ProgressSink>>) -> io::Result<Arc<Daemon>> {
+    pub fn launch(
+        cfg: DaemonConfig,
+        sink: Option<Arc<ProgressSink>>,
+        session: Arc<SweepSession>,
+    ) -> io::Result<Arc<Daemon>> {
+        session.set_progress_sink(sink.clone());
         let mut queue = JobQueue::fresh();
         let mut tenants: BTreeMap<String, TenantState> = BTreeMap::new();
         let mut resume = ResumeSummary::default();
@@ -224,6 +232,7 @@ impl Daemon {
             all_idle: Condvar::new(),
             cfg,
             sink,
+            session,
         });
         for n in 0..daemon.cfg.workers.max(1) {
             let d = Arc::clone(&daemon);
@@ -333,7 +342,7 @@ impl Daemon {
             ",\"resume\":{{\"accepted\":{},\"done\":{},\"cancelled\":{},\"pending\":{},\"torn\":{}}},\"memo\":",
             r.accepted, r.done, r.cancelled, r.pending, r.torn
         );
-        runner::sweep_registry_snapshot().render_json_object_into(&mut out);
+        self.session.registry_snapshot().render_json_object_into(&mut out);
         out.push_str("},\"tenants\":{");
         let mut first = true;
         for (name, state) in &mut core.tenants {
@@ -422,7 +431,7 @@ fn build_request(spec: &JobSpec) -> Result<RunRequest, QuarantineRecord> {
     Ok(RunRequest { app, design, cfg: GpuConfig::default(), opts })
 }
 
-/// One worker: pick → arm tenant fault scope → run supervised → record.
+/// One worker: pick → run supervised in the tenant's scope → record.
 fn worker_loop(daemon: &Daemon) {
     loop {
         let job = {
@@ -454,46 +463,39 @@ fn worker_loop(daemon: &Daemon) {
 }
 
 /// Runs one dispatched job start-to-finish on the current thread and
-/// records its outcome. Split from the loop so the arm/run/disarm
-/// sequence reads as one unit.
+/// records its outcome.
 fn self_contained_run(daemon: &Daemon, spec: &JobSpec, label: &str, tenant: &str, id: u64) {
-    // Arm the tenant's fault scope on *this* thread: the chaos seed and
-    // deadline travel with the job, not the process, so faults injected
-    // for one tenant cannot reach another tenant's runs.
-    runner::set_thread_chaos(spec.chaos);
-    runner::set_thread_deadline_secs(spec.deadline_secs);
-    let outcome = match build_request(spec) {
-        Ok(req) => runner::run_point_supervised(&req, daemon.cfg.scale),
-        Err(rec) => Err(rec),
-    };
-    runner::set_thread_chaos(None);
-    runner::set_thread_deadline_secs(None);
-    let source = runner::take_last_source();
+    // The chaos seed and deadline travel with the job, not the process,
+    // so faults injected for one tenant cannot reach another tenant's
+    // runs. The ledger chunk is serialised here, before the core lock,
+    // which then covers only its insert.
+    let scope = TenantScope { chaos: spec.chaos, deadline_secs: spec.deadline_secs };
+    let outcome = build_request(spec)
+        .and_then(|req| daemon.session.run_point(&req, daemon.cfg.scale, scope))
+        .map(|served| (Chunk::new(label, &served.stats), served.source));
 
     let mut core = daemon.lock_core();
     match outcome {
-        Ok(stats) => {
+        Ok((chunk, source)) => {
             core.log(QueueOp::Done, id, "completed");
             let state = core.tenant_mut(tenant);
             let c = state.ids.completed;
             state.registry.inc(c);
             let provenance = match source {
-                Some("memo") => Some(state.ids.mem_hits),
-                Some("disk") => Some(state.ids.disk_hits),
-                Some("shared") => Some(state.ids.shared_hits),
-                Some("simulated") => Some(state.ids.simulated),
+                "memo" => Some(state.ids.mem_hits),
+                "disk" => Some(state.ids.disk_hits),
+                "shared" => Some(state.ids.shared_hits),
+                "simulated" => Some(state.ids.simulated),
                 _ => None,
             };
             if let Some(cid) = provenance {
                 state.registry.inc(cid);
             }
-            state.ledger.push(label, &stats);
+            state.ledger.push(chunk);
             drop(core);
-            let mut ev = ProgressEvent::new(ProgressStage::Completed, label).tenant(tenant);
-            if let Some(s) = source {
-                ev = ev.source(s);
-            }
-            daemon.emit(&ev);
+            daemon.emit(
+                &ProgressEvent::new(ProgressStage::Completed, label).tenant(tenant).source(source),
+            );
         }
         Err(rec) => {
             core.log(QueueOp::Done, id, &format!("quarantined:{}", rec.class));

@@ -77,9 +77,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the full daemon stack: fan-out progress sink (installed as
-    /// the sweep runner's sink so point events share the stream), the
-    /// scheduler with its worker pool, and the TCP listener.
+    /// Builds the full daemon stack on the process session
+    /// ([`runner::process_session`], which the `benchmark/` ledger reads
+    /// back after driving the daemon): the fan-out progress sink, the
+    /// scheduler with its worker pool (which installs that sink as the
+    /// session's, so point events share the stream), and the TCP listener.
     ///
     /// # Errors
     ///
@@ -89,8 +91,7 @@ impl Server {
         let subs: SubscriberList = Arc::new(Mutex::new(Vec::new()));
         let sink =
             Arc::new(ProgressSink::new(Box::new(FanoutWriter { subs: Arc::clone(&subs) })));
-        runner::set_progress_sink(Some(Arc::clone(&sink)));
-        let daemon = Daemon::launch(cfg, Some(sink))?;
+        let daemon = Daemon::launch(cfg, Some(sink), Arc::clone(runner::process_session()))?;
         let listener = TcpListener::bind(addr)?;
         Ok(Server { listener, daemon, subs })
     }

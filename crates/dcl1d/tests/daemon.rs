@@ -19,7 +19,7 @@
 mod util;
 
 use dcl1::{GpuConfig, RunStats, SimOptions};
-use dcl1_bench::{grid, runner, Scale};
+use dcl1_bench::{grid, runner, Scale, SweepSession};
 use dcl1_obs::json::Json;
 use dcl1_resilience::Chaos;
 use std::io::Read;
@@ -152,12 +152,10 @@ fn resubmitted_grid_digest_matches_a_naive_fnv1a() {
     const COPIES: usize = 5;
     let dir = scratch("resubmit");
 
-    // Warm the store in this process (the only runner use in this test
-    // binary, so the store it builds on first use is this directory),
-    // which also yields the dump.
-    std::env::set_var("DCL1_CACHE_DIR", dir.join("cache"));
+    // Warm the daemon's store in this process, on a session over its cache
+    // directory, which also yields the dump.
     let reqs = grid_requests();
-    let outcome = runner::run_apps_supervised(&reqs, Scale::Smoke, runner::effective_workers());
+    let outcome = SweepSession::open(&dir.join("cache")).run_points(&reqs, Scale::Smoke);
     let points: Vec<(String, RunStats)> =
         reqs.iter().map(runner::point_label).zip(outcome.results.into_iter().flatten()).collect();
     assert_eq!(points.len(), 112);

@@ -7,9 +7,11 @@
 
 mod util;
 
+use dcl1_bench::SweepSession;
 use dcl1d::qjournal::{render_record, replay, QueueOp};
 use dcl1d::queue::{JobSpec, Quotas, Verdict};
 use dcl1d::scheduler::{Daemon, DaemonConfig};
+use std::sync::Arc;
 use util::scratch;
 
 fn spec(tenant: &str, app: &str) -> JobSpec {
@@ -75,9 +77,6 @@ fn replay_recovers_at_every_truncation_boundary() {
 #[test]
 fn daemon_restarts_on_torn_journal_and_reaccepts() {
     let dir = scratch("daemon");
-    // Isolate this process's result cache; the one job this test runs is
-    // a single smoke-scale point.
-    std::env::set_var("DCL1_CACHE_DIR", dir.join("cache"));
     let path = dir.join("queue.jsonl");
 
     // Journal: job 1 accepted and finished; job 2's accept torn mid-line.
@@ -100,7 +99,10 @@ fn daemon_restarts_on_torn_journal_and_reaccepts() {
         journal: Some(path.clone()),
         resume: true,
     };
-    let daemon = Daemon::launch(cfg, None).expect("daemon launches on torn journal");
+    // The one job this test runs is a single smoke-scale point, kept in
+    // this test's directory.
+    let session = Arc::new(SweepSession::open(&dir.join("cache")));
+    let daemon = Daemon::launch(cfg, None, session).expect("daemon launches on torn journal");
 
     let status = daemon.status_json(None);
     assert!(status.contains("\"resume\":{\"accepted\":1,\"done\":1,\"cancelled\":0,\"pending\":0,\"torn\":1}"),

@@ -2,17 +2,17 @@
 //! the ones the pre-ledger daemon rendered, and a tenant's digest covers
 //! every completion of a sweep resubmitted many times over.
 //!
-//! One test, because it points this process's result store at a scratch
-//! directory and reads process-wide sweep counters.
+//! The daemon runs on a session of its own over a scratch directory.
 
 mod util;
 
 use dcl1::{GpuConfig, SimOptions};
-use dcl1_bench::runner::{self, RunRequest};
-use dcl1_bench::{grid, Scale};
+use dcl1_bench::runner::{self, RunRequest, TenantScope};
+use dcl1_bench::{grid, Scale, SweepSession};
 use dcl1_obs::json::Json;
 use dcl1d::queue::{JobSpec, Quotas, Verdict};
 use dcl1d::scheduler::{Daemon, DaemonConfig};
+use std::sync::Arc;
 
 /// The reply with the `memo` object cut out: it carries this process's
 /// store-latency histograms, which no two runs share.
@@ -42,7 +42,7 @@ const GOLDEN_ONE: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accept
 #[test]
 fn resubmitted_sweep_digest_and_golden_reply() {
     let dir = util::scratch("status");
-    std::env::set_var("DCL1_CACHE_DIR", dir.join("cache"));
+    let session = Arc::new(SweepSession::open(&dir.join("cache")));
 
     let cfg = GpuConfig::default();
     let sweep: Vec<JobSpec> = grid::default_designs(&cfg)
@@ -60,6 +60,7 @@ fn resubmitted_sweep_digest_and_golden_reply() {
             resume: false,
         },
         None,
+        Arc::clone(&session),
     )
     .expect("daemon launches");
     for _ in 0..50 {
@@ -80,7 +81,8 @@ fn resubmitted_sweep_digest_and_golden_reply() {
             cfg: cfg.clone(),
             opts: SimOptions { fast_forward: true, ..SimOptions::default() },
         };
-        let pair = (job.label(), runner::run_app(&req, Scale::Smoke));
+        let served = session.run_point(&req, Scale::Smoke, TenantScope::default());
+        let pair = (job.label(), served.expect("the daemon stored this point").stats);
         multiset.extend(std::iter::repeat_n(pair, 50));
     }
     let doc = Json::parse(&reply).expect("reply parses");

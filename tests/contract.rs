@@ -3,15 +3,15 @@
 //! repository may change; a change that moves one of these either fixes a
 //! modelling bug (and says so, with the new value) or is a regression.
 //!
-//! Every sweep here simulates: the runner's store is pointed at an empty
-//! private directory first, and stepping and fast-forward differ in their
-//! memo keys.
+//! Every sweep here simulates: the tests share one session on an empty
+//! private directory, and stepping and fast-forward differ in their memo
+//! keys.
 
 mod util;
 
 use dcl1::{GpuConfig, RunStats, SimOptions};
 use dcl1_bench::runner::{self, RunRequest};
-use dcl1_bench::{grid, Scale};
+use dcl1_bench::{grid, Scale, SweepSession};
 use std::sync::OnceLock;
 
 /// 28 apps × the default four designs at smoke scale.
@@ -58,9 +58,15 @@ fn requests(designs: &[&str], only: &[&str], fast_forward: bool) -> Vec<RunReque
     grid::build_grid(&designs, &strings(only), &cfg, opts)
 }
 
+/// The session every test here sweeps on.
+fn session() -> &'static SweepSession {
+    static SESSION: OnceLock<SweepSession> = OnceLock::new();
+    SESSION.get_or_init(|| util::fresh_session("contract"))
+}
+
 /// Sweeps `reqs` at smoke scale; every point must complete.
 fn sweep(reqs: &[RunRequest]) -> Vec<(String, RunStats)> {
-    let outcome = runner::run_apps_supervised(reqs, Scale::Smoke, runner::effective_workers());
+    let outcome = session().run_points(reqs, Scale::Smoke);
     assert!(outcome.quarantined.is_empty(), "quarantined: {:?}", outcome.quarantined);
     reqs.iter().map(runner::point_label).zip(outcome.results.into_iter().flatten()).collect()
 }
@@ -82,7 +88,6 @@ fn smoke_grid() -> &'static [(String, RunStats)] {
 
 #[test]
 fn smoke_grid_digest() {
-    let _store = util::private_store();
     assert_pinned(smoke_grid(), 112, GRID_CYCLES, GRID_DIGEST);
 }
 
@@ -91,7 +96,6 @@ fn smoke_grid_digest() {
 /// stepped cycle by cycle must dump the same bytes.
 #[test]
 fn stepping_and_fast_forward_dump_the_same_bytes() {
-    let _store = util::private_store();
     let stepped = sweep(&requests(&[], &[], false));
     assert!(
         runner::canonical_stats_dump(&stepped) == runner::canonical_stats_dump(smoke_grid()),
@@ -105,7 +109,6 @@ fn stepping_and_fast_forward_dump_the_same_bytes() {
 /// filled, so this also pins the memo round trip.
 #[test]
 fn heavy_points_digest() {
-    let _store = util::private_store();
     smoke_grid();
     let heavy = sweep(&requests(&[], &HEAVY_APPS, true));
     assert_pinned(&heavy, 12, HEAVY_CYCLES, HEAVY_DIGEST);
@@ -113,7 +116,6 @@ fn heavy_points_digest() {
 
 #[test]
 fn all_shapes_digest() {
-    let _store = util::private_store();
     let shapes = sweep(&requests(&ALL_SHAPES_DESIGNS, &ALL_SHAPES_APPS, true));
     assert_pinned(&shapes, 65, ALL_SHAPES_CYCLES, ALL_SHAPES_DIGEST);
 }
@@ -123,10 +125,8 @@ fn all_shapes_digest() {
 /// 80–800× slow).
 #[test]
 fn default_configuration_is_one_domain_with_no_barrier() {
-    let _store = util::private_store();
     smoke_grid();
-    assert_eq!(runner::effective_shards(), 1);
-    let shards = runner::shard_sweep_stats();
+    let shards = session().shard_stats();
     assert_eq!(shards.shards, 1, "a point ran on more than one domain");
     assert_eq!(shards.barrier_wait_nanos, 0, "one domain has no barrier to wait at");
 }

@@ -8,12 +8,12 @@
 mod util;
 
 use dcl1::{Design, GpuConfig, GpuSystem, RunStats, SimOptions};
-use dcl1_bench::runner::{self, RunRequest};
+use dcl1_bench::runner::RunRequest;
 use dcl1_bench::Scale;
 use dcl1_workloads::by_name;
 
 /// Simulates one point directly, bypassing the runner's memo layers.
-/// Mirrors `run_app`'s scaling and default-warmup policy so results are
+/// Mirrors the runner's scaling and default-warmup policy so results are
 /// comparable with the memoized path.
 fn simulate_fresh(req: &RunRequest, scale: Scale) -> RunStats {
     let (num, den) = scale.ratio();
@@ -56,16 +56,21 @@ fn fast_forward_does_not_change_stats() {
 
 #[test]
 fn worker_count_does_not_change_stats() {
-    // So stale entries from other binaries can't leak into the comparison.
-    let _store = util::private_store();
-
     let reqs: Vec<RunRequest> = ["C-BLK", "C-BFS", "P-GEMM"]
         .iter()
         .map(|n| RunRequest::new(by_name(n).expect("catalog app"), Design::Baseline))
         .collect();
 
-    let serial = runner::run_apps_with_workers(&reqs, Scale::Smoke, 1);
-    let parallel = runner::run_apps_with_workers(&reqs, Scale::Smoke, 4);
+    // Each leg on a fresh session of its own, so both simulate every point
+    // and neither can be served the other's results.
+    let sweep = |workers: usize| {
+        let session = util::fresh_session(&format!("workers-{workers}")).with_workers(workers);
+        let stats = session.run_points(&reqs, Scale::Smoke).unwrap_all();
+        assert_eq!(session.memo_stats().simulated, 3, "{workers} worker(s) were served from a store");
+        stats
+    };
+    let serial = sweep(1);
+    let parallel = sweep(4);
     assert_eq!(serial, parallel, "worker count changed results");
 
     for (req, got) in reqs.iter().zip(&serial) {

@@ -1,37 +1,14 @@
 //! Shared by the root integration tests that go through the sweep runner.
 
-use std::path::PathBuf;
-use std::sync::Mutex;
+use dcl1_bench::SweepSession;
+use std::path::Path;
 
-/// Tests of this binary currently holding the private store.
-static HOLDERS: Mutex<usize> = Mutex::new(0);
-
-fn store_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("dcl1-root-tests-{}", std::process::id()))
-}
-
-/// Keeps the runner's disk tier in a directory of this test binary's own
-/// for as long as any test holds one. The runner's store is a
-/// process-wide `OnceLock` built from the environment on first use, so
-/// take this *before* the first runner call: otherwise a warm
-/// `target/dcl1-cache` serves the results and nothing is simulated.
-pub struct PrivateStore;
-
-pub fn private_store() -> PrivateStore {
-    let mut holders = HOLDERS.lock().expect("holder count");
-    if *holders == 0 {
-        std::env::set_var("DCL1_CACHE_DIR", store_dir());
-    }
-    *holders += 1;
-    PrivateStore
-}
-
-impl Drop for PrivateStore {
-    fn drop(&mut self) {
-        let mut holders = HOLDERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *holders -= 1;
-        if *holders == 0 {
-            let _ = std::fs::remove_dir_all(store_dir());
-        }
-    }
+/// A session on an empty directory of this test binary's own, under
+/// cargo's scratch space for integration tests: its store holds nothing,
+/// so every point it is asked for simulates. The directory is emptied on
+/// every open.
+pub fn fresh_session(tag: &str) -> SweepSession {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    SweepSession::open(&dir)
 }
