@@ -266,7 +266,7 @@ fn probe_store_mem_hit(report: &mut Report) {
     for k in 0..KEYS {
         // Spread the leading byte so every shard participates.
         let key = (u128::from(k) << 120) | u128::from(k);
-        store.insert_mem_only(key, &k);
+        store.insert(key, &k);
     }
     let mut corruptions = Vec::new();
     let drive = |store: &ResultStore<u64>, corr: &mut Vec<dcl1_store::Corruption>, iters: u64| {

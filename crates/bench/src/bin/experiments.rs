@@ -14,7 +14,8 @@ type Experiment = fn(&SweepSession, Scale) -> Vec<Table>;
 const CLI: Cli = Cli {
     bin: "experiments",
     about: "Prints the named experiments' tables (tab1, fig01..fig19, ablations, \
-            ext_scaling), or all of them. Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+            ext_scaling), or all of them. Finished points stay in the result cache, so a killed \
+            run resumes when rerun. Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
     positionals: Some("EXPERIMENT"),
     flags: &[sweepcli::FLAGS],
 };
@@ -68,13 +69,12 @@ fn main() {
     if !recovery.is_clean() {
         eprintln!(
             "[experiments] recovery: {} retries, {} quarantines, {} cache corruptions, \
-             {} livelocks, {} deadlines, {} resumed",
+             {} livelocks, {} deadlines",
             recovery.retries,
             recovery.quarantines,
             recovery.cache_corruptions,
             recovery.livelocks,
-            recovery.deadlines,
-            recovery.resumed_points
+            recovery.deadlines
         );
         for line in recovery.events() {
             eprintln!("[experiments]   {line}");

@@ -22,7 +22,8 @@ use std::fmt::Write as _;
 const CLI: Cli = Cli {
     bin: "perf_sweep",
     about: "Clears the result cache, simulates every app on the default four designs, prints \
-            per-point timings and throughput, and writes BENCH_sweep.json. \
+            per-point timings and throughput, and writes BENCH_sweep.json. Every finished point \
+            is in the cache, so after a kill, rerun with --keep-cache to simulate only the rest. \
             Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
     positionals: None,
     flags: &[FLAGS, sweepcli::FLAGS],
@@ -30,7 +31,7 @@ const CLI: Cli = Cli {
 
 const FLAGS: &[Flag] = &[
     Flag::new("no-fast-forward", Switch, "step every cycle (the fast-forward's reference)"),
-    Flag::new("keep-cache", Switch, "keep the cache (measure warm behaviour)"),
+    Flag::new("keep-cache", Switch, "keep the cache (warm behaviour, or resume a killed sweep)"),
     Flag::new("json", Value("PATH"), "the report (default BENCH_sweep.json)"),
     Flag::new("stats-out", Value("PATH"), "also write the byte-comparable per-point stats dump"),
     Flag::new("only", Repeated("SUBSTR"), "keep the points whose APP/DESIGN contains SUBSTR"),
@@ -153,13 +154,12 @@ fn main() {
     if !recovery.is_clean() {
         eprintln!(
             "[perf_sweep] recovery: {} retries, {} quarantines, {} cache corruptions, \
-             {} livelocks, {} deadlines, {} resumed",
+             {} livelocks, {} deadlines",
             recovery.retries,
             recovery.quarantines,
             recovery.cache_corruptions,
             recovery.livelocks,
-            recovery.deadlines,
-            recovery.resumed_points
+            recovery.deadlines
         );
         for line in recovery.events() {
             eprintln!("[perf_sweep]   {line}");

@@ -19,11 +19,12 @@
 //! outcome while every other point completes. On-disk cache entries carry a
 //! content checksum and are written via temp-file + atomic rename (safe for
 //! concurrent writers); a corrupt entry is moved to a `quarantine/` subdir
-//! and transparently recomputed. An optional append-only checkpoint journal
-//! ([`SweepSession::open_journal`]) makes long sweeps resumable after a
-//! kill, and deterministic fault injection ([`SweepSession::with_chaos`],
-//! or one point's [`TenantScope`]) exists to prove all of the above
-//! actually works.
+//! and transparently recomputed. The disk tier is also the sweep's
+//! checkpoint: a point is stored there before its attempt returns, so a
+//! rerun over the same directory after a kill serves every finished point
+//! from disk and simulates only the rest. Deterministic fault injection
+//! ([`SweepSession::with_chaos`], or one point's [`TenantScope`]) exists
+//! to prove all of the above actually works.
 //!
 //! Sessions share nothing but what their directories share, so two of
 //! them run side by side in one process.
@@ -31,7 +32,6 @@
 use crate::ledger::ResultLedger;
 use dcl1::{Design, GpuConfig, GpuSystem, ProgressHook, RunStats, SimError, SimOptions};
 use dcl1_common::checksum::Fnv128;
-use dcl1_common::journal;
 use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
 use dcl1_obs::recovery::RecoveryLog;
@@ -42,7 +42,6 @@ use dcl1_store::{
 };
 use dcl1_workloads::AppSpec;
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
@@ -504,7 +503,7 @@ fn retry_policy(chaos: Option<Chaos>) -> RetryPolicy {
 }
 
 /// Human-readable `APP/DESIGN` label of a request — the identity used by
-/// quarantine reports, the journal, and chaos fault assignment.
+/// quarantine reports and chaos fault assignment.
 pub fn point_label(req: &RunRequest) -> String {
     format!("{}/{}", req.app.name, req.design.name())
 }
@@ -538,15 +537,6 @@ pub struct Served {
     /// `"simulated"`, or the store tier that held it: `"memo"`, `"disk"`
     /// or `"shared"`.
     pub source: &'static str,
-}
-
-/// The checkpoint journal's writer, and the keys already in it.
-#[derive(Default)]
-struct JournalState {
-    writer: Option<journal::JournalWriter>,
-    /// Keys already appended by this session, so shared points (every
-    /// figure's baselines) produce one line each, not one per sweep.
-    written: BTreeSet<u128>,
 }
 
 /// The outcome of a supervised sweep: per-point results in input order
@@ -587,7 +577,7 @@ impl SweepOutcome {
 
 /// Everything one sweep configures and accumulates: the result store
 /// opened on its cache directory; the point threads, shard domains, chaos,
-/// check mode, journal and progress sink it runs with; and the counters,
+/// check mode and progress sink it runs with; and the counters,
 /// timings, registry, phase profile and recovery log of the points it ran.
 ///
 /// Every lock in it is held for a bookkeeping step, never across a
@@ -607,7 +597,6 @@ pub struct SweepSession {
     check: bool,
     chaos: Option<Chaos>,
     progress: Mutex<Option<Arc<ProgressSink>>>,
-    journal: Mutex<JournalState>,
     simulated: AtomicU64,
     sim_cycles: AtomicU64,
     wall_nanos: AtomicU64,
@@ -624,7 +613,7 @@ impl SweepSession {
     /// schema-versioned `v<N>` subdirectory; stale siblings are purged
     /// when the store opens, at first use),
     /// with no shared tier, one domain per machine, one point thread per
-    /// core, and no chaos, check mode, journal or progress sink.
+    /// core, and no chaos, check mode or progress sink.
     #[must_use]
     pub fn open(dir: &Path) -> SweepSession {
         SweepSession::open_tiers(dir, None)
@@ -669,7 +658,6 @@ impl SweepSession {
             check: false,
             chaos: None,
             progress: Mutex::default(),
-            journal: Mutex::default(),
             simulated: AtomicU64::new(0),
             sim_cycles: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
@@ -715,52 +703,6 @@ impl SweepSession {
     pub fn with_chaos(mut self, seed: Option<u64>) -> SweepSession {
         self.chaos = seed.map(Chaos::new);
         self
-    }
-
-    /// Opens (appending) the checkpoint journal at `path`: every point a
-    /// supervised run completes from now on is recorded there, one flushed
-    /// JSONL line per point, so a killed process loses at most the line
-    /// being written. With `resume`, the journal's intact lines are first
-    /// preloaded into the mem tier, so a re-run resimulates only the points
-    /// the killed run never finished; torn or corrupt lines are skipped.
-    /// Returns `(restored, skipped)` lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Io`] when the journal file cannot be opened.
-    pub fn open_journal(&self, path: &Path, resume: bool) -> Result<(usize, usize), SimError> {
-        let mut state = self.journal.lock().expect("journal lock");
-        let (mut restored, mut skipped) = (0, 0);
-        if resume {
-            let (entries, torn) = journal::read_entries(path);
-            skipped = torn;
-            for e in entries {
-                match deserialize_stats(&e.payload) {
-                    Some(stats) => {
-                        // Mem-tier only: a resumed point must not rewrite
-                        // (or re-publish to a shared tier) entries this
-                        // session never computed.
-                        self.store().insert_mem_only(e.key, &stats);
-                        state.written.insert(e.key);
-                        restored += 1;
-                    }
-                    None => skipped += 1,
-                }
-            }
-        }
-        if restored > 0 || skipped > 0 {
-            let mut log = self.recovery.lock().expect("recovery lock");
-            log.resumed_points += restored as u64;
-            log.note(format!(
-                "resumed {restored} point(s) from {} ({skipped} line(s) skipped)",
-                path.display()
-            ));
-        }
-        state.writer = Some(journal::JournalWriter::open(path).map_err(|e| SimError::Io {
-            context: format!("opening journal {}", path.display()),
-            message: e.to_string(),
-        })?);
-        Ok((restored, skipped))
     }
 
     fn store(&self) -> &ResultStore<RunStats> {
@@ -867,15 +809,14 @@ impl SweepSession {
     }
 
     /// Machine pipeline regions summed over every point the session
-    /// simulated, plus the runner's own memo-cache I/O and journal-write
-    /// time.
+    /// simulated, plus the runner's own memo-cache I/O time.
     #[must_use]
     pub fn phase_profile(&self) -> PhaseProfiler {
         *self.profiler.lock().expect("sweep profiler lock")
     }
 
     /// A snapshot of the session's recovery ledger: retries, quarantines,
-    /// cache corruptions, watchdog firings, journal resumes. All zeros
+    /// cache corruptions, watchdog firings. All zeros
     /// unless something actually went wrong.
     pub fn recovery_log(&self) -> RecoveryLog {
         self.recovery.lock().expect("recovery lock").clone()
@@ -906,7 +847,7 @@ impl SweepSession {
 
     /// Runs many points across [`SweepSession::workers`] threads under full
     /// supervision: each point executes behind panic containment, transient
-    /// failures (panics, watchdog livelocks/deadlines, I/O) are retried
+    /// failures (panics, watchdog livelocks/deadlines) are retried
     /// with deterministic backoff, and a point that exhausts its budget is
     /// quarantined — recorded in the outcome while the rest of the sweep
     /// completes. Input order is preserved in the output.
@@ -950,8 +891,7 @@ impl SweepSession {
     }
 
     /// Shared per-point supervision wiring: started event, retry/quarantine
-    /// via [`supervise`], recovery-log accounting, and the checkpoint-journal
-    /// append on success.
+    /// via [`supervise`], and recovery-log accounting.
     fn supervise_point(
         &self,
         req: &RunRequest,
@@ -961,18 +901,12 @@ impl SweepSession {
     ) -> Result<Served, QuarantineRecord> {
         let point = point_label(req);
         self.emit(&ProgressEvent::new(ProgressStage::Started, &point));
-        let outcome = supervise(
+        supervise(
             &point,
             policy,
             |attempt| self.attempt(req, scale, attempt, scope),
             |event| self.record_supervision_event(&point, event),
-        );
-        if let Ok(served) = &outcome {
-            self.timed(Phase::JournalWrite, || {
-                self.journal_append(memo_key(req, scale), &point, &served.stats);
-            });
-        }
-        outcome
+        )
     }
 
     /// Runs one attempt at a point, memoized in the session's store (see
@@ -1185,14 +1119,6 @@ impl SweepSession {
         self.profiler.lock().expect("sweep profiler lock").add(phase, nanos);
     }
 
-    /// Times one runner-side operation into the session's phase profile.
-    fn timed<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
-        let out = f();
-        self.note_phase(phase, u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        out
-    }
-
     fn record_supervision_event(&self, point: &str, event: &SupervisionEvent) {
         let mut log = self.recovery.lock().expect("recovery lock");
         let (ev, detail) = match event {
@@ -1243,22 +1169,6 @@ impl SweepSession {
             let _ = std::fs::write(&path, bytes);
         }
     }
-
-    fn journal_append(&self, key: u128, point: &str, stats: &RunStats) {
-        let mut guard = self.journal.lock().expect("journal lock");
-        let state = &mut *guard;
-        let Some(writer) = state.writer.as_mut() else { return };
-        if !state.written.insert(key) {
-            return;
-        }
-        let result = writer.append(key, point, &serialize_stats(stats));
-        drop(guard);
-        if let Err(e) = result {
-            // A failing journal degrades resumability, never the sweep.
-            let mut log = self.recovery.lock().expect("recovery lock");
-            log.note(format!("journal append failed for {point}: {e}"));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1304,7 +1214,7 @@ pub fn with_point<T>(
 /// `(label, stats)` pair sorted by label, serialized exactly as the disk
 /// cache serializes stats (f64 as bit patterns). Two sweeps over the same
 /// points produced identical statistics iff their dumps are byte-equal —
-/// the artifact `crates/bench/tests/resilience.rs` (a killed and resumed
+/// the artifact `crates/bench/tests/resilience.rs` (a killed and rerun
 /// sweep, a chaos sweep) and `scripts/ci.sh release-digests` diff. Order
 /// and framing are [`ResultLedger`]'s.
 #[must_use]
@@ -1585,7 +1495,7 @@ mod tests {
         let stats = RunStats { design: "Baseline".to_string(), cycles: 42, ..RunStats::default() };
         let body = StatsCodec.encode(&stats);
         assert_eq!(StatsCodec.decode(&body).unwrap(), stats);
-        // Truncation (a torn journal line, a short read) must not parse.
+        // Truncation (a torn write, a short read) must not parse.
         assert!(StatsCodec.decode(&body[..body.len() / 2]).is_none());
     }
 

@@ -17,8 +17,6 @@ use std::sync::Arc;
 /// The shared flag table.
 pub const FLAGS: &[Flag] = &[
     Flag::new("check", Switch, "run every point under the invariant harness (memo bypassed)"),
-    Flag::new("journal", Optional("PATH", JOURNAL), "append each finished point to a journal"),
-    Flag::new("resume", Optional("PATH", JOURNAL), "preload the journal, then append to it"),
     Flag::new("chaos", Value("SEED"), "inject deterministic faults (panics, stalls, corruption)"),
     Flag::new("trace", Optional("PATH", "dcl1-trace.json"), "Chrome trace of the --observe point"),
     Flag::new("metrics", Optional("PATH", "dcl1-metrics.jsonl"), "its time series (CSV if .csv)"),
@@ -27,15 +25,11 @@ pub const FLAGS: &[Flag] = &[
     Flag::new("progress", Optional("PATH", "BENCH_progress.jsonl"), "per-point events as JSONL"),
 ];
 
-const JOURNAL: &str = "BENCH_journal.jsonl";
-
 /// What the shared flags asked for. Reading it validates every value;
 /// nothing is opened until [`SweepCli::open_session`].
 #[derive(Debug)]
 pub struct SweepCli {
     check: bool,
-    journal: Option<PathBuf>,
-    resume: bool,
     /// Chaos seed, when fault injection was requested.
     pub chaos_seed: Option<u64>,
     trace: Option<PathBuf>,
@@ -52,11 +46,8 @@ impl SweepCli {
         let observe = args.value::<String>("observe");
         let observe = observe_request(observe.as_deref().unwrap_or("C-BLK/flagship"))
             .unwrap_or_else(|e| args.fail(&format!("bad --observe: {e}")));
-        let resume = args.value::<PathBuf>("resume");
         SweepCli {
             check: args.switch("check"),
-            journal: args.value("journal").or_else(|| resume.clone()),
-            resume: resume.is_some(),
             chaos_seed: args.value("chaos"),
             trace: args.value("trace"),
             metrics: args.value("metrics"),
@@ -72,32 +63,18 @@ impl SweepCli {
     ///
     /// # Panics
     ///
-    /// Panics when the journal or the progress stream cannot be opened.
+    /// Panics when the progress stream cannot be opened.
     #[must_use]
     pub fn open_session(&self) -> (SweepSession, String) {
         let session = SweepSession::from_env().with_check(self.check).with_chaos(self.chaos_seed);
-        let mut banner = Vec::new();
-        if let Some(path) = &self.journal {
-            banner.push(format!("journal={}", path.display()));
-            let (restored, skipped) = session
-                .open_journal(path, self.resume)
-                .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display()));
-            if self.resume {
-                banner.push(format!("resumed {restored} point(s), skipped {skipped} line(s)"));
-            }
-        }
-        if let Some(seed) = self.chaos_seed {
-            banner.push(format!("chaos seed={seed}"));
-        }
+        let banner = match self.chaos_seed {
+            Some(seed) => format!("supervision: chaos seed={seed}"),
+            None => "supervision: defaults".to_string(),
+        };
         if let Some(path) = &self.progress {
             session.set_progress_sink(Some(Arc::new(ProgressSink::new(Box::new(create(path))))));
             eprintln!("[progress] streaming point events to {}", path.display());
         }
-        let banner = if banner.is_empty() {
-            "supervision: defaults".to_string()
-        } else {
-            format!("supervision: {}", banner.join(", "))
-        };
         (session, banner)
     }
 

@@ -1,6 +1,6 @@
 //! End-to-end supervision acceptance against the real `perf_sweep`
-//! binary: a killed sweep resumes from its checkpoint journal to
-//! byte-identical statistics, a chaos-riddled sweep converges to the
+//! binary: a killed sweep resumes from its disk tier to byte-identical
+//! statistics, a chaos-riddled sweep converges to the
 //! fault-free bytes, and with chaos off the whole layer is a no-op
 //! (clean recovery counters, unchanged on-disk cache schema).
 //!
@@ -17,66 +17,74 @@ use dcl1_bench::{grid, runner};
 use dcl1_obs::json::Json;
 use dcl1_resilience::Chaos;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Stdio;
 use util::{finish, num, quarantined, read, scratch, split_dump, sweep, sweep_cmd};
+
+/// The finished entries under a schema directory
+/// (`cache/v3/<bucket>/*.stats`); an interrupted write's temp file is not
+/// one.
+fn stored_entries(v3: &Path) -> Vec<PathBuf> {
+    let list = |dir: &Path| -> Vec<PathBuf> {
+        std::fs::read_dir(dir).map(|d| d.flatten().map(|e| e.path()).collect()).unwrap_or_default()
+    };
+    list(v3)
+        .iter()
+        .flat_map(|bucket| list(bucket))
+        .filter(|p| p.extension().is_some_and(|x| x == "stats"))
+        .collect()
+}
 
 #[test]
 fn killed_sweep_resumes_to_byte_identical_stats() {
     let dir = scratch("resume");
-    let journal = dir.join("journal.jsonl");
+    let cache = dir.join("cache");
+    let stored_now = || stored_entries(&cache.join("v3")).len();
     // The seven C- apps at the default four designs.
-    const POINTS: usize = 28;
+    const POINTS: f64 = 28.0;
 
-    // Reference: one uninterrupted sweep.
+    // Reference: one uninterrupted sweep. Its entries go, so that every
+    // entry the victim is seen to hold is its own.
     let reference = sweep(&dir, "ref", &["--only=C-"]);
+    std::fs::remove_dir_all(&cache).expect("remove the reference's cache");
 
-    // Victim: same sweep with a journal, killed once the journal shows
-    // at least one checkpointed point. (If the sweep finishes before the
-    // kill lands, the journal simply holds every point — the resume
-    // contract below is identical.)
+    // Victim: the same sweep, killed once its disk tier holds at least
+    // one finished point. (If the sweep finishes before the kill lands,
+    // the tier simply holds every point — the contract below is the same.)
     let mut child = sweep_cmd(&dir)
-        .args(["--only=C-", "--journal=journal.jsonl", "--json=victim.json"])
+        .args(["--only=C-", "--json=victim.json"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn victim sweep");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     loop {
-        let lines =
-            std::fs::read_to_string(&journal).map(|s| s.lines().count()).unwrap_or(0);
         let exited = child.try_wait().expect("poll victim").is_some();
-        if lines >= 1 || exited {
+        if stored_now() >= 1 || exited {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "victim never checkpointed");
+        assert!(std::time::Instant::now() < deadline, "victim never stored a point");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let _ = child.kill();
     let _ = child.wait();
-    let checkpointed = read(&journal).lines().count();
-    assert!(checkpointed >= 1, "journal is empty after the kill");
+    let stored = stored_now();
+    assert!(stored >= 1, "the disk tier is empty after the kill");
 
-    // Resume: only unfinished points are resimulated; the merged output
-    // must be byte-identical to the uninterrupted reference.
-    let resume = ["--only=C-", "--resume=journal.jsonl"];
+    // Rerun on the same cache: every stored point is a disk hit, only the
+    // rest are simulated, and the output is byte-identical to the
+    // uninterrupted reference.
+    let resume = ["--only=C-", "--keep-cache"];
     let resumed = sweep(&dir, "resumed", &resume);
-    assert!(
-        resumed.stderr.contains(&format!("resumed {checkpointed} point(s)")),
-        "banner does not report the restored checkpoint: {}",
-        resumed.stderr
-    );
+    let memo = |run: &util::Sweep, counter: &str| num(&run.report, &["registry", counter]);
+    assert_eq!(memo(&resumed, "memo.disk_hits"), stored as f64, "stored points not served");
+    assert_eq!(memo(&resumed, "memo.simulated"), POINTS - stored as f64);
     assert!(reference.dump == resumed.dump, "resume changed the statistics");
 
-    // The journal is now complete: with the cache gone (a sweep clears
-    // it), every point comes back from the journal and none is simulated.
+    // The tier now holds every point: a second rerun simulates none.
     let restored = sweep(&dir, "restored", &resume);
-    assert!(
-        restored.stderr.contains(&format!("resumed {POINTS} point(s)")),
-        "a complete journal did not restore every point: {}",
-        restored.stderr
-    );
-    assert_eq!(num(&restored.report, &["registry", "memo.simulated"]), 0.0);
+    assert_eq!(memo(&restored, "memo.simulated"), 0.0);
+    assert_eq!(memo(&restored, "memo.disk_hits"), POINTS);
     assert!(reference.dump == restored.dump, "a full restore changed the statistics");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -177,7 +185,7 @@ fn chaos_off_supervision_is_a_no_op() {
     let plain = sweep(&dir, "sweep", &["--only=C-BLK", "--design=pr4"]);
     assert_eq!(util::at(&plain.report, &["chaos_seed"]), &Json::Null, "chaos armed without a flag");
     for field in
-        ["retries", "quarantines", "cache_corruptions", "livelocks", "deadlines", "resumed_points"]
+        ["retries", "quarantines", "cache_corruptions", "livelocks", "deadlines"]
     {
         assert_eq!(num(&plain.report, &["recovery", field]), 0.0, "{field} on a clean run");
     }
@@ -187,21 +195,7 @@ fn chaos_off_supervision_is_a_no_op() {
     // into two-hex-digit buckets, and the integrity header is the only
     // addition to the body.
     let v3 = dir.join("cache").join("v3");
-    let entries: Vec<PathBuf> = std::fs::read_dir(&v3)
-        .expect("v3 cache dir exists")
-        .flat_map(|e| {
-            let p = e.expect("dir entry").path();
-            if p.is_dir() {
-                std::fs::read_dir(&p)
-                    .expect("bucket dir")
-                    .map(|e| e.expect("bucket entry").path())
-                    .collect::<Vec<_>>()
-            } else {
-                vec![p]
-            }
-        })
-        .filter(|p| p.extension().is_some_and(|x| x == "stats"))
-        .collect();
+    let entries = stored_entries(&v3);
     assert_eq!(entries.len(), 1, "expected exactly one cached point in {}", v3.display());
     let entry = read(&entries[0]);
     let first = entry.lines().next().unwrap_or_default();

@@ -1,7 +1,7 @@
 //! The workspace's one FNV-1a module: content checksums for crash-safe
 //! persistence and the result store's memo-key hasher.
 //!
-//! Cached simulation results and checkpoint-journal entries survive process
+//! Cached simulation results and journal lines survive process
 //! kills, disk-full truncation, and concurrent writers only if a reader can
 //! tell a complete payload from a torn one. This module provides the 64-bit
 //! FNV-1a digest those readers verify: not cryptographic, but stable across

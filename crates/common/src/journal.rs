@@ -1,20 +1,21 @@
-//! Append-only JSONL checkpoint journal for long sweeps.
+//! The crc-guarded JSONL line framing every journal in the workspace
+//! shares, and an appender that flushes each line.
 //!
-//! Each completed simulation point is appended as one self-contained JSON
-//! line; a killed process therefore loses at most the line it was writing.
-//! Readers verify a per-line FNV-1a checksum ([`crate::checksum`]) and
-//! silently skip anything torn or scribbled, so a journal that crosses a
-//! crash — or a disk that lost its tail — still resumes every intact
-//! point instead of aborting the sweep.
+//! A line is one self-contained JSON object, so a killed process loses
+//! at most the line it was writing. Readers verify a per-line FNV-1a
+//! checksum ([`crate::checksum`]) and skip anything torn or scribbled, so
+//! a journal that crosses a crash — or a disk that lost its tail — still
+//! yields every intact line.
 //!
-//! The payload is hex-encoded: it carries the runner's multi-line
-//! serialized statistics, and hex keeps the line format trivial to parse
-//! without a JSON-escape round-trip (this crate is dependency-free).
+//! The payload is hex-encoded: hex keeps the line format trivial to
+//! parse without a JSON-escape round-trip (this crate is
+//! dependency-free).
 //!
-//! Line shape (versioned so a future format can coexist):
+//! Line shape (versioned so a future format can coexist; the head fields
+//! are the caller's):
 //!
 //! ```json
-//! {"v":1,"key":"<32 hex>","point":"C-BLK/Pr4","crc":"<16 hex>","payload":"<hex>"}
+//! {"v":1,"op":"accept","id":7,"crc":"<16 hex>","payload":"<hex>"}
 //! ```
 
 use crate::checksum;
@@ -22,19 +23,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// One intact journal record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// The memo key of the simulation point (stable across processes).
-    pub key: u128,
-    /// Human-readable `APP/DESIGN` label, for reports only.
-    pub point: String,
-    /// The serialized statistics payload the checksum covered.
-    pub payload: String,
-}
-
-/// Appends checkpoint records to a journal file, flushing each line so a
-/// kill loses at most the record being written.
+/// Appends framed lines to a journal file, flushing each one so a kill
+/// loses at most the line being written.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -51,27 +41,31 @@ impl JournalWriter {
         Ok(JournalWriter { file })
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends the [`frame`]d line of `head` and `payload` and flushes it
+    /// to the OS.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error on a failed write.
+    pub fn append_frame(&mut self, head: &str, payload: &str) -> io::Result<()> {
+        self.file.write_all(frame(head, payload).as_bytes())?;
+        self.file.flush()
+    }
+
+    /// Appends a line headed by a memo key and a point label. Nothing in
+    /// the workspace writes these lines any more: this exists only for
+    /// the ledger's journal-append micro leg (`benchmark/src/micro.rs`).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error on a failed write.
     pub fn append(&mut self, key: u128, point: &str, payload: &str) -> io::Result<()> {
-        let line = render_line(key, point, payload);
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
+        // Anything that could end the JSON string is filtered out of the
+        // label, so the line stays valid JSON whatever it is given.
+        let point: String =
+            point.chars().filter(|c| c.is_ascii_graphic() && *c != '"' && *c != '\\').collect();
+        self.append_frame(&format!("\"key\":\"{key:032x}\",\"point\":\"{point}\""), payload)
     }
-}
-
-/// Renders one journal line (exposed for tests and tooling).
-#[must_use]
-pub fn render_line(key: u128, point: &str, payload: &str) -> String {
-    // `point` is an APP/DESIGN label (alphanumerics, `/`, `+`, `-`), safe
-    // to embed without JSON escaping; anything exotic is filtered here so
-    // the line stays valid JSON regardless.
-    let point: String =
-        point.chars().filter(|c| c.is_ascii_graphic() && *c != '"' && *c != '\\').collect();
-    frame(&format!("\"key\":\"{key:032x}\",\"point\":\"{point}\""), payload)
 }
 
 /// The line framing every journal in the workspace shares: a version tag,
@@ -116,23 +110,6 @@ pub fn read_intact<T>(path: &Path, parse: impl Fn(&str) -> Option<T>) -> (Vec<T>
         }
     }
     (out, skipped)
-}
-
-/// Reads every intact record from `path`, skipping torn or corrupt lines.
-/// Returns the entries plus the number of lines skipped; a missing file is
-/// an empty journal, not an error.
-#[must_use]
-pub fn read_entries(path: &Path) -> (Vec<JournalEntry>, usize) {
-    read_intact(path, parse_line)
-}
-
-/// Parses one line; `None` when the line is malformed, unversioned, or
-/// fails its checksum.
-#[must_use]
-pub fn parse_line(line: &str) -> Option<JournalEntry> {
-    let payload = unframe(line)?;
-    let key = u128::from_str_radix(&field(line, "key")?, 16).ok()?;
-    Some(JournalEntry { key, point: field(line, "point")?, payload })
 }
 
 /// Extracts the value of `"name":...` from a flat JSON object of
@@ -180,54 +157,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_roundtrip() {
+    fn frame_roundtrip() {
         let payload = "cycles 42\ninstructions 7\ndesign Sh16+C8+Boost\n";
-        let line = render_line(0xDEAD_BEEF, "C-BLK/Sh16+C8+Boost", payload);
+        let line = frame("\"op\":\"done\",\"id\":7", payload);
         assert!(line.ends_with('\n'));
-        let e = parse_line(line.trim_end()).expect("intact line parses");
-        assert_eq!(e.key, 0xDEAD_BEEF);
-        assert_eq!(e.point, "C-BLK/Sh16+C8+Boost");
-        assert_eq!(e.payload, payload);
-    }
-
-    #[test]
-    fn torn_and_corrupt_lines_are_skipped() {
-        let dir = std::env::temp_dir().join(format!("dcl1-journal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let mut w = JournalWriter::open(&path).unwrap();
-        w.append(1, "A/P", "one\n").unwrap();
-        w.append(2, "B/Q", "two\n").unwrap();
-        drop(w);
-        // Simulate a kill mid-append: a torn third line.
-        let good = std::fs::read_to_string(&path).unwrap();
-        let torn = render_line(3, "C/R", "three\n");
-        std::fs::write(&path, format!("{good}{}", &torn[..torn.len() / 2])).unwrap();
-
-        let (entries, skipped) = read_entries(&path);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(skipped, 1);
-        assert_eq!(entries[0].key, 1);
-        assert_eq!(entries[1].payload, "two\n");
-
-        // A scribbled payload fails its checksum and is skipped too.
-        let mut bad = render_line(4, "D/S", "four\n");
-        let flip = bad.rfind('0').unwrap_or(bad.len() - 10);
-        bad.replace_range(flip..=flip, "1");
-        std::fs::write(&path, format!("{good}{bad}")).unwrap();
-        let (entries, skipped) = read_entries(&path);
-        assert_eq!(entries.len(), 2, "corrupt line must not parse");
-        assert_eq!(skipped, 1);
-
-        std::fs::remove_dir_all(&dir).unwrap();
+        let line = line.trim_end();
+        assert_eq!(unframe(line).as_deref(), Some(payload));
+        assert_eq!(field(line, "op").as_deref(), Some("done"));
+        assert_eq!(field(line, "id").as_deref(), Some("7"));
+        assert!(unframe(&line.replace("\"v\":1", "\"v\":2")).is_none(), "unversioned");
     }
 
     #[test]
     fn missing_journal_is_empty() {
-        let (entries, skipped) = read_entries(Path::new("/nonexistent/journal.jsonl"));
-        assert!(entries.is_empty());
+        let (lines, skipped) = read_intact(Path::new("/nonexistent/journal.jsonl"), unframe);
+        assert!(lines.is_empty());
         assert_eq!(skipped, 0);
     }
 

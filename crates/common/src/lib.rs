@@ -5,8 +5,8 @@
 //! * [`active`] — ascending-order occupancy sets for the per-cycle walks;
 //! * [`addr`] — byte addresses, cache-line addresses and sector arithmetic;
 //! * [`checksum`] — stable FNV-1a content digests for crash-safe persistence;
-//! * [`journal`] — append-only JSONL checkpoint records with per-line
-//!   checksums, backing `--resume` on the bench binaries;
+//! * [`journal`] — append-only JSONL line framing with per-line
+//!   checksums, backing `dcl1d`'s queue journal;
 //! * [`ids`] — strongly-typed identifiers for cores, DC-L1 nodes, L2 slices,
 //!   memory controllers and clusters;
 //! * [`clock`] — cycle counting and rational frequency-domain ticking;

@@ -5,22 +5,21 @@
 //! any instant loses at most a record the client never saw accepted.
 //! Replay reconstructs the accepted-but-unfinished job set: `accept`
 //! minus `done` minus `cancel`, keyed by job id. Completed jobs are never
-//! re-run (their results live in the result-store tiers and the sweep
-//! checkpoint journal); pending jobs are re-enqueued under their original
-//! ids, and re-running them hits the disk cache rather than recomputing.
+//! re-run (their results live in the result-store tiers); pending jobs
+//! are re-enqueued under their original ids, and re-running them hits the
+//! disk cache rather than recomputing.
 //!
-//! Line shape (`dcl1_common::journal`'s framing, with an `op`
-//! discriminator and job id where the sweep journal has a memo key):
+//! Line shape (`dcl1_common::journal`'s framing, headed by an `op`
+//! discriminator and the job id):
 //!
 //! ```json
 //! {"v":1,"op":"accept","id":7,"crc":"<16 hex>","payload":"<hex>"}
 //! ```
 
 use crate::queue::JobSpec;
-use dcl1_common::journal::{field, frame, read_intact, unframe};
+use dcl1_common::journal::{field, frame, read_intact, unframe, JournalWriter};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// A queue state transition.
@@ -68,7 +67,7 @@ pub struct QueueRecord {
 /// accept survives any subsequent crash.
 #[derive(Debug)]
 pub struct QueueJournal {
-    file: File,
+    writer: JournalWriter,
 }
 
 impl QueueJournal {
@@ -78,8 +77,7 @@ impl QueueJournal {
     ///
     /// Returns the underlying I/O error when the file cannot be opened.
     pub fn open_append(path: &Path) -> io::Result<QueueJournal> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(QueueJournal { file })
+        JournalWriter::open(path).map(|writer| QueueJournal { writer })
     }
 
     /// Appends one record and flushes it to the OS.
@@ -88,16 +86,19 @@ impl QueueJournal {
     ///
     /// Returns the underlying I/O error on a failed write.
     pub fn append_record(&mut self, op: QueueOp, id: u64, payload: &str) -> io::Result<()> {
-        let line = render_record(op, id, payload);
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
+        self.writer.append_frame(&head(op, id), payload)
     }
+}
+
+/// The head fields of a record's line.
+fn head(op: QueueOp, id: u64) -> String {
+    format!("\"op\":\"{}\",\"id\":{id}", op.tag())
 }
 
 /// Renders one journal line (exposed for tests and tooling).
 #[must_use]
 pub fn render_record(op: QueueOp, id: u64, payload: &str) -> String {
-    frame(&format!("\"op\":\"{}\",\"id\":{id}", op.tag()), payload)
+    frame(&head(op, id), payload)
 }
 
 /// Parses one line; `None` when the line is malformed, unversioned, has
@@ -233,18 +234,43 @@ mod tests {
     fn torn_tail_is_skipped_not_fatal() {
         let dir = scratch("torn");
         let path = dir.join("queue.jsonl");
-        let good = format!(
-            "{}{}",
-            render_record(QueueOp::Accept, 1, &spec("a").encode()),
-            render_record(QueueOp::Done, 1, "completed"),
-        );
+        let _ = std::fs::remove_file(&path);
+        let mut j = QueueJournal::open_append(&path).unwrap();
+        j.append_record(QueueOp::Accept, 1, &spec("a").encode()).unwrap();
+        j.append_record(QueueOp::Done, 1, "completed").unwrap();
+        drop(j);
+        // A kill mid-append: half of a third line.
+        let good = std::fs::read_to_string(&path).unwrap();
         let torn = render_record(QueueOp::Accept, 2, &spec("b").encode());
-        std::fs::write(&path, format!("{good}{}", &torn[..torn.len() - 7])).unwrap();
+        std::fs::write(&path, format!("{good}{}", &torn[..torn.len() / 2])).unwrap();
 
+        let (records, skipped) = read_records(&path);
+        assert_eq!(skipped, 1);
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].op, QueueOp::Done);
         let plan = replay(&path);
         assert_eq!(plan.torn, 1);
         assert!(plan.pending.is_empty());
         assert_eq!(plan.done, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_failing_its_checksum_is_skipped() {
+        let dir = scratch("scribbled");
+        let path = dir.join("queue.jsonl");
+        let good = render_record(QueueOp::Accept, 1, &spec("a").encode());
+        // Flip one payload digit: the line still parses, its crc does not.
+        let mut bad = render_record(QueueOp::Accept, 2, &spec("b").encode());
+        let at = bad.rfind('0').expect("the hex payload has a zero digit");
+        bad.replace_range(at..=at, "1");
+        assert!(parse_record(bad.trim_end()).is_none(), "a scribbled line must not parse");
+        std::fs::write(&path, format!("{good}{bad}")).unwrap();
+
+        let plan = replay(&path);
+        assert_eq!(plan.torn, 1);
+        assert_eq!(plan.accepted, 1);
+        assert_eq!(plan.pending, vec![(1, spec("a"))]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,14 +12,14 @@
 //! 3. **Stall attribution** lives in `dcl1-gpu`'s core model; this crate
 //!    only defines the sinks.
 //! 4. **Recovery telemetry** ([`recovery::RecoveryLog`]) — the supervision
-//!    layer's ledger of retries, quarantines, watchdog firings, cache
-//!    corruptions, and journal resumes, embedded in sweep reports.
+//!    layer's ledger of retries, quarantines, watchdog firings and cache
+//!    corruptions, embedded in sweep reports.
 //! 5. **Counter registry** ([`registry::Registry`]) — zero-alloc typed
 //!    counters/gauges/histograms under `subsystem.name` namespaces,
 //!    pull-snapshotted at epoch barriers and merged partition-independently.
 //! 6. **Phase profiler** ([`profiler::PhaseProfiler`]) — wall-time
 //!    attribution across Issue/NoC/Mem regions, barrier waits, and
-//!    memo-cache / journal IO.
+//!    memo-cache IO.
 //! 7. **Progress stream** ([`progress::ProgressSink`]) — JSONL lifecycle
 //!    events per sweep point (queued/started/progress/retry/quarantined/
 //!    completed, live KHz), the substrate for `dcl1d`.

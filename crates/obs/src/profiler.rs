@@ -1,6 +1,6 @@
 //! Hierarchical phase profiler: wall-time attribution for the machine's
 //! per-cycle regions (Issue / NoC#1 / Mem / memory exchange) and the
-//! runner's memo-cache and journal IO.
+//! runner's memo-cache IO.
 //!
 //! The profiler is a plain accumulator — a fixed array of nanosecond
 //! totals and lap counts indexed by [`Phase`] — so enabling it costs two
@@ -34,7 +34,9 @@ pub enum Phase {
     /// split from [`Phase::CacheIo`] because a shared tier usually sits
     /// on a network mount whose latency must be attributable on its own.
     SharedIo,
-    /// Checkpoint-journal appends.
+    /// Always 0: a finished point's only checkpoint is the store's disk
+    /// tier, timed under [`Phase::CacheIo`]. Kept only because the
+    /// `benchmark/` ledger reads it as `bench.journal_write_s`.
     JournalWrite,
 }
 

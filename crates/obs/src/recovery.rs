@@ -1,7 +1,7 @@
 //! Recovery telemetry for supervised sweeps.
 //!
-//! The supervision layer (retry, quarantine, watchdog, crash-safe cache,
-//! checkpoint journal) must be *observable*: a sweep that silently retried
+//! The supervision layer (retry, quarantine, watchdog, crash-safe cache)
+//! must be *observable*: a sweep that silently retried
 //! its way past a flaky point looks identical to a clean one unless the
 //! recovery events are counted and reported. [`RecoveryLog`] is that
 //! ledger — a plain tally plus an optional bounded event trail, rendered
@@ -27,8 +27,6 @@ pub struct RecoveryLog {
     pub livelocks: u64,
     /// Wall-clock deadline reports (each consumed one attempt).
     pub deadlines: u64,
-    /// Points restored from a checkpoint journal instead of simulated.
-    pub resumed_points: u64,
     /// Human-readable event lines, oldest first, capped at [`MAX_EVENTS`].
     events: Vec<String>,
 }
@@ -59,31 +57,13 @@ impl RecoveryLog {
     /// exactly as an unsupervised one would have.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.retries
-            + self.quarantines
-            + self.cache_corruptions
-            + self.livelocks
-            + self.deadlines
-            + self.resumed_points
+        self.retries + self.quarantines + self.cache_corruptions + self.livelocks + self.deadlines
     }
 
     /// True when no recovery action of any kind was taken.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.total() == 0
-    }
-
-    /// Merges another log into this one (order: `self`'s events first).
-    pub fn absorb(&mut self, other: &RecoveryLog) {
-        self.retries += other.retries;
-        self.quarantines += other.quarantines;
-        self.cache_corruptions += other.cache_corruptions;
-        self.livelocks += other.livelocks;
-        self.deadlines += other.deadlines;
-        self.resumed_points += other.resumed_points;
-        for e in &other.events {
-            self.note(e.clone());
-        }
     }
 
     /// The counters as a JSON object fragment (no surrounding braces), in
@@ -94,13 +74,8 @@ impl RecoveryLog {
         write!(
             s,
             "\"retries\": {}, \"quarantines\": {}, \"cache_corruptions\": {}, \
-             \"livelocks\": {}, \"deadlines\": {}, \"resumed_points\": {}",
-            self.retries,
-            self.quarantines,
-            self.cache_corruptions,
-            self.livelocks,
-            self.deadlines,
-            self.resumed_points
+             \"livelocks\": {}, \"deadlines\": {}",
+            self.retries, self.quarantines, self.cache_corruptions, self.livelocks, self.deadlines
         )
         .expect("write! to String cannot fail");
         s
@@ -120,20 +95,12 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_counters_and_appends_events() {
-        let mut a = RecoveryLog::new();
-        a.retries = 2;
-        a.note("retry A/B");
-        let mut b = RecoveryLog::new();
-        b.quarantines = 1;
-        b.livelocks = 3;
-        b.note("quarantine C/D");
-        a.absorb(&b);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.quarantines, 1);
-        assert_eq!(a.livelocks, 3);
-        assert_eq!(a.total(), 6);
-        assert_eq!(a.events(), ["retry A/B", "quarantine C/D"]);
+    fn any_counter_makes_the_log_unclean() {
+        let mut log = RecoveryLog::new();
+        log.quarantines = 1;
+        log.livelocks = 3;
+        assert_eq!(log.total(), 4);
+        assert!(!log.is_clean());
     }
 
     #[test]
@@ -153,6 +120,6 @@ mod tests {
         let json = log.json_fields();
         assert!(json.starts_with("\"retries\": 0"));
         assert!(json.contains("\"cache_corruptions\": 4"));
-        assert!(json.ends_with("\"resumed_points\": 0"));
+        assert!(json.ends_with("\"deadlines\": 0"));
     }
 }

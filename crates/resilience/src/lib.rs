@@ -42,7 +42,8 @@ use std::fmt;
 /// retried on the assumption of environmental flakiness (and because chaos
 /// injects transient ones), livelocks and deadline misses get one more
 /// attempt before quarantine, and cache corruption is not a point failure
-/// at all — the entry is quarantined and the point recomputed.
+/// at all, so it has no variant — the entry is quarantined and the point
+/// recomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The design does not resolve against the configuration — an
@@ -69,20 +70,6 @@ pub enum SimError {
         /// The configured limit.
         limit_secs: u64,
     },
-    /// A persisted cache entry failed its checksum or did not parse.
-    CacheCorrupt {
-        /// Path of the offending entry.
-        path: String,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// An I/O failure outside the cache (journal, report files).
-    Io {
-        /// What was being attempted.
-        context: String,
-        /// The underlying error, stringified.
-        message: String,
-    },
 }
 
 impl SimError {
@@ -101,7 +88,7 @@ impl SimError {
         match self {
             SimError::Config(_) => 1,
             SimError::Livelock { .. } | SimError::Deadline { .. } => 2,
-            SimError::Panic { .. } | SimError::CacheCorrupt { .. } | SimError::Io { .. } => 3,
+            SimError::Panic { .. } => 3,
         }
     }
 
@@ -113,8 +100,6 @@ impl SimError {
             SimError::Panic { .. } => "panic",
             SimError::Livelock { .. } => "livelock",
             SimError::Deadline { .. } => "deadline",
-            SimError::CacheCorrupt { .. } => "cache_corrupt",
-            SimError::Io { .. } => "io",
         }
     }
 }
@@ -130,10 +115,6 @@ impl fmt::Display for SimError {
             SimError::Deadline { elapsed_secs, limit_secs } => {
                 write!(f, "deadline exceeded: {elapsed_secs}s elapsed, limit {limit_secs}s")
             }
-            SimError::CacheCorrupt { path, reason } => {
-                write!(f, "corrupt cache entry {path}: {reason}")
-            }
-            SimError::Io { context, message } => write!(f, "i/o failure ({context}): {message}"),
         }
     }
 }

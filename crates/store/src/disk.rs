@@ -397,6 +397,41 @@ mod tests {
     }
 
     #[test]
+    fn temp_files_of_a_writer_killed_before_its_rename_are_never_read() {
+        let root = scratch("killed-writer");
+        let key = 0x5a00_0000_0000_0000_0000_0000_0000_0004u128;
+        let body = "cycles 4\n";
+        let entry = format!("checksum {}\n{body}", checksum::fnv64_hex(body.as_bytes()));
+        // What `store` leaves behind when killed between write and rename:
+        // its temp file, whole or cut short, and no entry.
+        let bucket = root.join("5a");
+        std::fs::create_dir_all(&bucket).unwrap();
+        let full = bucket.join(format!("{key:032x}.tmp.{}.0", u32::MAX));
+        let torn = bucket.join(format!("{key:032x}.tmp.{}.1", u32::MAX));
+        std::fs::write(&full, &entry).unwrap();
+        std::fs::write(&torn, &entry[..entry.len() / 2]).unwrap();
+
+        let tier = open(root.clone(), None);
+        assert!(matches!(tier.load(key), DiskLookup::Miss), "a temp file is not an entry");
+        assert_eq!(tier.bytes(), 0, "temp files count toward no budget");
+        assert!(tier.walk_entries().is_empty(), "the GC walk skips temp files");
+        tier.gc(0);
+        assert_eq!(tier.evictions(), 0);
+        assert!(full.exists() && torn.exists(), "GC leaves what it does not own");
+
+        // The rerun's store publishes and loads intact beside the debris.
+        tier.store(key, body);
+        match tier.load(key) {
+            DiskLookup::Hit(b) => assert_eq!(b, body),
+            _ => panic!("a fresh store must hit"),
+        }
+        assert_eq!(tier.bytes(), entry.len() as u64);
+        let reopened = open(root.clone(), None);
+        assert_eq!(reopened.bytes(), entry.len() as u64, "a reopen counts the entry only");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn open_migrates_flat_entries_and_purges_stale_schemas() {
         let base = scratch("migrate");
         let root = base.join("v3");

@@ -281,13 +281,6 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
         fill
     }
 
-    /// Inserts into the in-memory tier only — journal resume uses this so
-    /// replayed points do not rewrite (or re-publish) disk entries.
-    pub fn insert_mem_only(&self, key: u128, value: &V) {
-        let cost = self.codec.encode(value).len() as u64;
-        self.mem.insert(key, Arc::new(value.clone()), cost);
-    }
-
     /// Re-persists a value to the local disk tier only — the corruption
     /// recovery path re-stores the clean result it still holds.
     pub fn store_disk(&self, key: u128, value: &V) {

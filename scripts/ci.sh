@@ -69,7 +69,10 @@ leg_surface() {
         printf 'exercised nowhere: %s\n' "${orphans[@]}" >&2
         return 1
     fi
-    if grep -nE -- '--(watchdog|retry-backoff-ms|deadline=|trace-sample)|(^|[^a-z_])calibrate([^a-z]|$)' \
+    # The sweep binaries' journal went too (the disk tier is their
+    # checkpoint); `dcl1d --journal` / `--resume` are its queue journal.
+    # (`[j]` keeps this line out of a `git grep` for the file name.)
+    if grep -nE -- '--(watchdog|retry-backoff-ms|deadline=|trace-sample)|(^|[^a-z_])calibrate([^a-z]|$)|BENCH_[j]ournal|--(journal|resume)\[=PATH\]|(perf_sweep|experiments).*--(journal|resume)' \
         README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
         return 1
     fi
