@@ -68,9 +68,8 @@ fn main() {
     let recovery = session.recovery_log();
     if !recovery.is_clean() {
         eprintln!(
-            "[experiments] recovery: {} retries, {} quarantines, {} cache corruptions, \
-             {} livelocks, {} deadlines",
-            recovery.retries,
+            "[experiments] recovery: {} quarantines, {} cache corruptions, {} livelocks, \
+             {} deadlines",
             recovery.quarantines,
             recovery.cache_corruptions,
             recovery.livelocks,

@@ -2,8 +2,8 @@
 //! the options.
 //!
 //! The sweep is supervised: worker panics and watchdog-detected hangs are
-//! retried and, on exhaustion, quarantined — the sweep completes, the
-//! quarantined points are listed in the JSON report, and the exit code is
+//! quarantined — the sweep completes, the quarantined points are listed
+//! in the JSON report, and the exit code is
 //! nonzero only when a point failed without fault injection armed, or
 //! when the memo accounting undercounts (every planned point must have
 //! been served by a tier, simulated, or quarantined).
@@ -70,10 +70,9 @@ fn sweep_json(
     for (i, q) in outcome.quarantined.iter().enumerate() {
         let _ = write!(
             out,
-            "{}\n    {{\"point\": \"{}\", \"attempts\": {}, \"class\": \"{}\", \"error\": \"{}\"}}",
+            "{}\n    {{\"point\": \"{}\", \"class\": \"{}\", \"error\": \"{}\"}}",
             if i == 0 { "" } else { "," },
             escape(&q.point),
-            q.attempts,
             escape(&q.class),
             escape(&q.error),
         );
@@ -153,9 +152,8 @@ fn main() {
     let recovery = session.recovery_log();
     if !recovery.is_clean() {
         eprintln!(
-            "[perf_sweep] recovery: {} retries, {} quarantines, {} cache corruptions, \
-             {} livelocks, {} deadlines",
-            recovery.retries,
+            "[perf_sweep] recovery: {} quarantines, {} cache corruptions, {} livelocks, \
+             {} deadlines",
             recovery.quarantines,
             recovery.cache_corruptions,
             recovery.livelocks,
@@ -215,7 +213,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Under chaos, quarantines are injected on purpose (persistent-panic
+    // Under chaos, quarantines are injected on purpose (panic and stall
     // points); the proof of robustness is the byte-identical digest plus
     // the quarantine report, so the sweep still exits 0. Without chaos, a
     // quarantined point is a genuine failure.

@@ -12,17 +12,19 @@
 //! the published result.
 //!
 //! Sweeps run under supervision ([`SweepSession::run_points`]): each point
-//! is executed behind panic containment with retry-and-deterministic-backoff
-//! ([`dcl1_resilience::supervise`]), hangs are converted into structured
-//! livelock/deadline errors by the machine's progress watchdog, and a point
-//! that exhausts its retry budget is *quarantined* — reported in the sweep
-//! outcome while every other point completes. On-disk cache entries carry a
-//! content checksum and are written via temp-file + atomic rename (safe for
-//! concurrent writers); a corrupt entry is moved to a `quarantine/` subdir
-//! and transparently recomputed. The disk tier is also the sweep's
-//! checkpoint: a point is stored there before its attempt returns, so a
-//! rerun over the same directory after a kill serves every finished point
-//! from disk and simulates only the rest. Deterministic fault injection
+//! runs once behind panic containment ([`dcl1_resilience::contain`]), hangs
+//! are converted into structured livelock/deadline errors by the machine's
+//! progress watchdog, and a point that fails is *quarantined* — reported in
+//! the sweep outcome while every other point completes. The simulator is
+//! deterministic, so a failed point is not retried; under `--check` it runs
+//! once more, and a rerun that does not fail the same way is reported as
+//! nondeterminism ([`dcl1_resilience::rerun_verdict`]). On-disk cache
+//! entries carry a content checksum and are written via temp-file + atomic
+//! rename (safe for concurrent writers); a corrupt entry is moved to a
+//! `quarantine/` subdir and transparently recomputed. The disk tier is also
+//! the sweep's checkpoint: a point is stored there before its run returns,
+//! so a rerun over the same directory after a kill serves every finished
+//! point from disk and simulates only the rest. Deterministic fault injection
 //! ([`SweepSession::with_chaos`], or one point's [`TenantScope`]) exists
 //! to prove all of the above actually works.
 //!
@@ -36,7 +38,7 @@ use dcl1_obs::profiler::{Phase, PhaseProfiler};
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
 use dcl1_obs::recovery::RecoveryLog;
 use dcl1_obs::registry::{CounterId, GaugeId, HistogramId, Registry};
-use dcl1_resilience::{supervise, Chaos, QuarantineRecord, RetryPolicy, SupervisionEvent};
+use dcl1_resilience::{contain, rerun_verdict, Chaos, QuarantineRecord};
 use dcl1_store::{
     Codec, Corruption, DiskReload, DiskTierConfig, Flight, ResultStore, StoreConfig, StoreStats,
 };
@@ -448,7 +450,6 @@ struct SweepRegistry {
     flight_waits: CounterId,
     migrated_entries: CounterId,
     cache_corruptions: CounterId,
-    retries: CounterId,
     quarantined_points: CounterId,
     mem_bytes: GaugeId,
     disk_bytes: GaugeId,
@@ -472,7 +473,6 @@ impl SweepRegistry {
             flight_waits: reg.counter("memo.flight_waits"),
             migrated_entries: reg.counter("memo.migrated_entries"),
             cache_corruptions: reg.counter("memo.cache_corruptions"),
-            retries: reg.counter("memo.retries"),
             quarantined_points: reg.counter("memo.quarantined_points"),
             mem_bytes: reg.gauge("memo.mem_bytes"),
             disk_bytes: reg.gauge("memo.disk_bytes"),
@@ -488,19 +488,6 @@ impl SweepRegistry {
 // ---------------------------------------------------------------------------
 // Supervision configuration
 // ---------------------------------------------------------------------------
-
-/// Three attempts, attempt `n` sleeping `n × 50` ms first — or not at all
-/// while chaos is armed: a chaos sweep recovers dozens of injected faults,
-/// and sleeping through a backoff on each would dominate its run time
-/// without making the proof stronger.
-fn retry_policy(chaos: Option<Chaos>) -> RetryPolicy {
-    let policy = RetryPolicy::default();
-    if chaos.is_some() {
-        RetryPolicy { backoff: std::time::Duration::ZERO, ..policy }
-    } else {
-        policy
-    }
-}
 
 /// Human-readable `APP/DESIGN` label of a request — the identity used by
 /// quarantine reports and chaos fault assignment.
@@ -525,7 +512,7 @@ pub struct TenantScope {
     /// Chaos seed for this point, overriding the session's.
     pub chaos: Option<u64>,
     /// Wall-clock deadline in whole seconds (`0` = none): a point that
-    /// exceeds it fails the attempt with `SimError::Deadline`.
+    /// exceeds it fails with `SimError::Deadline`.
     pub deadline_secs: Option<u64>,
 }
 
@@ -545,7 +532,7 @@ pub struct Served {
 pub struct SweepOutcome {
     /// One slot per request, input order; `None` marks a quarantined point.
     pub results: Vec<Option<RunStats>>,
-    /// Points the supervisor gave up on, in input order.
+    /// Points that failed, in input order.
     pub quarantined: Vec<QuarantineRecord>,
 }
 
@@ -554,9 +541,9 @@ impl SweepOutcome {
     ///
     /// # Panics
     ///
-    /// Panics — naming every quarantined point — if any point failed all
-    /// its supervised attempts. The sweep has run to completion by then,
-    /// so the panic reports every failing point, not just the first.
+    /// Panics — naming every quarantined point — if any point failed. The
+    /// sweep has run to completion by then, so the panic reports every
+    /// failing point, not just the first.
     #[must_use]
     pub fn unwrap_all(self) -> Vec<RunStats> {
         if !self.quarantined.is_empty() {
@@ -711,7 +698,7 @@ impl SweepSession {
 
     /// Attaches (or with `None` detaches) the streaming progress sink every
     /// later run of this session reports lifecycle events to: one JSONL
-    /// line per queued/started/progress/retry/quarantined/completed
+    /// line per queued/started/progress/quarantined/completed
     /// transition, flushed as it happens.
     pub fn set_progress_sink(&self, sink: Option<Arc<ProgressSink>>) {
         *self.progress.lock().expect("progress lock") = sink;
@@ -795,7 +782,6 @@ impl SweepSession {
             (state.flight_waits, m.flight_waits),
             (state.migrated_entries, m.migrated_entries),
             (state.cache_corruptions, log.cache_corruptions),
-            (state.retries, log.retries),
             (state.quarantined_points, log.quarantines),
         ];
         for (id, v) in counters {
@@ -815,7 +801,7 @@ impl SweepSession {
         *self.profiler.lock().expect("sweep profiler lock")
     }
 
-    /// A snapshot of the session's recovery ledger: retries, quarantines,
+    /// A snapshot of the session's recovery ledger: quarantines,
     /// cache corruptions, watchdog firings. All zeros
     /// unless something actually went wrong.
     pub fn recovery_log(&self) -> RecoveryLog {
@@ -835,29 +821,27 @@ impl SweepSession {
     ///
     /// # Errors
     ///
-    /// The [`QuarantineRecord`] of a point that failed every attempt.
+    /// The [`QuarantineRecord`] of a point that failed.
     pub fn run_point(
         &self,
         req: &RunRequest,
         scale: Scale,
         scope: TenantScope,
     ) -> Result<Served, QuarantineRecord> {
-        self.supervise_point(req, scale, scope, &retry_policy(self.chaos_for(scope)))
+        self.supervise_point(req, scale, scope)
     }
 
     /// Runs many points across [`SweepSession::workers`] threads under full
-    /// supervision: each point executes behind panic containment, transient
-    /// failures (panics, watchdog livelocks/deadlines) are retried
-    /// with deterministic backoff, and a point that exhausts its budget is
-    /// quarantined — recorded in the outcome while the rest of the sweep
-    /// completes. Input order is preserved in the output.
+    /// supervision: each point runs once behind panic containment, and a
+    /// point that fails (a panic, a watchdog livelock) is quarantined —
+    /// recorded in the outcome while the rest of the sweep completes.
+    /// Input order is preserved in the output.
     pub fn run_points(&self, reqs: &[RunRequest], scale: Scale) -> SweepOutcome {
         self.sweep(reqs, scale, self.workers())
     }
 
     fn sweep(&self, reqs: &[RunRequest], scale: Scale, workers: usize) -> SweepOutcome {
         let scope = TenantScope::default();
-        let policy = retry_policy(self.chaos);
         let results: Vec<Mutex<Option<RunStats>>> = reqs.iter().map(|_| Mutex::new(None)).collect();
         let quarantined: Mutex<Vec<(usize, QuarantineRecord)>> = Mutex::new(Vec::new());
         let next = AtomicUsize::new(0);
@@ -869,7 +853,7 @@ impl SweepSession {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(req) = reqs.get(i) else { break };
-                    match self.supervise_point(req, scale, scope, &policy) {
+                    match self.supervise_point(req, scale, scope) {
                         Ok(served) => *results[i].lock().expect("result lock") = Some(served.stats),
                         Err(record) => quarantined.lock().expect("quarantine lock").push((i, record)),
                     }
@@ -890,28 +874,34 @@ impl SweepSession {
         scope.chaos.map(Chaos::new).or(self.chaos)
     }
 
-    /// Shared per-point supervision wiring: started event, retry/quarantine
-    /// via [`supervise`], and recovery-log accounting.
+    /// Shared per-point supervision wiring: started event, one contained
+    /// run (two under `--check` when the first fails), and the quarantine's
+    /// recovery-log accounting.
     fn supervise_point(
         &self,
         req: &RunRequest,
         scale: Scale,
         scope: TenantScope,
-        policy: &RetryPolicy,
     ) -> Result<Served, QuarantineRecord> {
         let point = point_label(req);
         self.emit(&ProgressEvent::new(ProgressStage::Started, &point));
-        supervise(
-            &point,
-            policy,
-            |attempt| self.attempt(req, scale, attempt, scope),
-            |event| self.record_supervision_event(&point, event),
-        )
+        let run = || self.attempt(req, scale, scope);
+        // A checked run bypasses the store, so the rerun simulates again.
+        let outcome = contain(&point, run).map_err(|first| {
+            if self.check {
+                rerun_verdict(first, contain(&point, run))
+            } else {
+                first
+            }
+        });
+        if let Err(record) = &outcome {
+            self.record_quarantine(record);
+        }
+        outcome
     }
 
-    /// Runs one attempt at a point, memoized in the session's store (see
-    /// the module docs). `attempt` is the 0-based retry index — chaos keys
-    /// its per-attempt faults on it.
+    /// Runs a point once, memoized in the session's store (see the module
+    /// docs).
     ///
     /// Fails with [`SimError::Config`] when the design does not resolve,
     /// and [`SimError::Livelock`] / [`SimError::Deadline`] when the armed
@@ -922,16 +912,15 @@ impl SweepSession {
         &self,
         req: &RunRequest,
         scale: Scale,
-        attempt: u32,
         scope: TenantScope,
     ) -> Result<Served, SimError> {
         let point = point_label(req);
         let chaos = self.chaos_for(scope);
-        if let Some(c) = &chaos {
-            if c.should_panic(&point, attempt) {
-                panic!("chaos: injected worker panic at {point} (attempt {attempt})");
-            }
+        if chaos.is_some_and(|c| c.should_panic(&point)) {
+            panic!("chaos: injected worker panic at {point}");
         }
+        // A stalled point hangs whatever the store holds, so it simulates.
+        let stall = chaos.is_some_and(|c| c.should_stall(&point));
         let key = memo_key(req, scale);
         // Checked mode bypasses the memo in both directions: the point of
         // `--check` is to actually execute the machine under its invariant
@@ -946,7 +935,7 @@ impl SweepSession {
         // the tiers — a leader that died never strands its waiters, they just
         // elect a successor.
         let mut flight_guard = None;
-        if !self.check {
+        if !self.check && !stall {
             loop {
                 if let Some(served) = self.store_lookup(&point, key) {
                     return Ok(served);
@@ -984,7 +973,6 @@ impl SweepSession {
                         let secs = hook_start.elapsed().as_secs_f64();
                         let khz = if secs > 0.0 { cycle as f64 / secs / 1e3 } else { 0.0 };
                         let ev = ProgressEvent::new(ProgressStage::Progress, &label)
-                            .attempt(attempt)
                             .pct((100 * retired / total).min(100))
                             .cycles(cycle)
                             .khz(khz);
@@ -997,7 +985,7 @@ impl SweepSession {
                 if let Some(secs) = scope.deadline_secs.filter(|&s| s > 0) {
                     sys.set_deadline_secs(secs);
                 }
-                if chaos.is_some_and(|c| c.should_stall(&point, attempt)) {
+                if stall {
                     // Freeze progress mid-run and tighten the epoch so the
                     // watchdog converts the hang into a livelock within
                     // milliseconds instead of the default ~1M cycles.
@@ -1027,7 +1015,6 @@ impl SweepSession {
             profile,
         };
         let done = ProgressEvent::new(ProgressStage::Completed, &point)
-            .attempt(attempt)
             .source("simulated")
             .cycles(stats.cycles)
             .khz(timing.khz());
@@ -1119,33 +1106,18 @@ impl SweepSession {
         self.profiler.lock().expect("sweep profiler lock").add(phase, nanos);
     }
 
-    fn record_supervision_event(&self, point: &str, event: &SupervisionEvent) {
+    fn record_quarantine(&self, rec: &QuarantineRecord) {
         let mut log = self.recovery.lock().expect("recovery lock");
-        let (ev, detail) = match event {
-            SupervisionEvent::Retrying { attempt, error, .. } => {
-                log.retries += 1;
-                match error {
-                    SimError::Livelock { .. } => log.livelocks += 1,
-                    SimError::Deadline { .. } => log.deadlines += 1,
-                    _ => {}
-                }
-                log.note(format!("retry {point} after attempt {attempt}: [{}] {error}", error.class()));
-                let ev = ProgressEvent::new(ProgressStage::Retry, point).attempt(*attempt);
-                (ev, format!("[{}] {error}", error.class()))
-            }
-            SupervisionEvent::Quarantined(rec) => {
-                log.quarantines += 1;
-                if rec.class == "livelock" {
-                    log.livelocks += 1;
-                } else if rec.class == "deadline" {
-                    log.deadlines += 1;
-                }
-                log.note(rec.to_string());
-                (ProgressEvent::new(ProgressStage::Quarantined, point), rec.to_string())
-            }
-        };
+        log.quarantines += 1;
+        match rec.class.as_str() {
+            "livelock" => log.livelocks += 1,
+            "deadline" => log.deadlines += 1,
+            _ => {}
+        }
+        let line = rec.to_string();
+        log.note(line.clone());
         drop(log);
-        self.emit(&ev.detail(&detail));
+        self.emit(&ProgressEvent::new(ProgressStage::Quarantined, &rec.point).detail(&line));
     }
 
     fn record_cache_corruption(&self, point: &str, path: &str, reason: &str) {
@@ -1262,10 +1234,10 @@ pub fn run_point_supervised(req: &RunRequest, scale: Scale) -> Result<RunStats, 
     out.map(|s| s.stats)
 }
 
-/// For `benchmark/src/child.rs`: one unsupervised attempt on the process
+/// For `benchmark/src/child.rs`: one unsupervised run on the process
 /// session, panicking if it fails.
 pub fn run_app(req: &RunRequest, scale: Scale) -> RunStats {
-    let out = process_session().attempt(req, scale, 0, TenantScope::default());
+    let out = process_session().attempt(req, scale, TenantScope::default());
     out.map_or_else(|e| panic!("{e}"), |s| s.stats)
 }
 
@@ -1508,34 +1480,6 @@ mod tests {
         assert_eq!(d1, d2, "dump must not depend on completion order");
         assert!(d1.find("A-APP").unwrap() < d1.find("B-APP").unwrap());
         assert_eq!(stats_digest(&[a.clone(), b.clone()]), stats_digest(&[b, a]));
-    }
-
-    #[test]
-    fn chaos_transient_faults_recover_within_a_supervised_sweep() {
-        // Pick a seed whose fault for this point is a transient panic, so
-        // the supervised sweep must retry exactly once and then succeed
-        // with byte-identical stats.
-        let app = by_name("C-BLK").unwrap();
-        let req = RunRequest::new(app, Design::Baseline);
-        let point = point_label(&req);
-        let seed = (0u64..10_000)
-            .find(|s| {
-                Chaos::new(*s).fault_for(&point) == Some(dcl1_resilience::Fault::TransientPanic)
-            })
-            .expect("some seed assigns a transient panic");
-
-        let dir = scratch("transient");
-        let clean = SweepSession::open(&dir).run_points(std::slice::from_ref(&req), Scale::Smoke);
-        // Chaos panics fire before the store lookup, so the retry still
-        // exercises the full path; the store then serves the clean result.
-        let chaotic = SweepSession::open(&dir).with_chaos(Some(seed));
-        let outcome = chaotic.run_points(&[req], Scale::Smoke);
-
-        assert!(outcome.quarantined.is_empty(), "{:?}", outcome.quarantined);
-        assert_eq!(outcome.results, clean.results, "retry changed stats");
-        let log = chaotic.recovery_log();
-        assert_eq!((log.retries, log.quarantines), (1, 0), "exactly one retry");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

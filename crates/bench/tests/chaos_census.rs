@@ -56,7 +56,7 @@ fn chaos_corruption_census_lands_on_v3_bucketed_entries() {
     let seed = (0..200_000u64)
         .find(|&s| {
             let c = Chaos::new(s).census(&labels);
-            c.persistent_panics == 0 && c.corruptions >= 1
+            c.persistent_panics == 0 && c.stalls == 0 && c.corruptions >= 1
         })
         .expect("no corruption seed in range");
     let census = Chaos::new(seed).census(&labels);

@@ -75,8 +75,8 @@ fn grid_points(only: &[&str]) -> Vec<RunRequest> {
 }
 
 /// The four points of the chaos leg (`--only` is a substring filter, so
-/// Sh40 also selects Sh40+C10+Boost). Under seed 1, S-SPMV/Sh40 panics on
-/// every attempt and the other three run clean.
+/// Sh40 also selects Sh40+C10+Boost). Under seed 1, S-SPMV/Sh40 panics
+/// and the other three run clean.
 const CHAOS_POINTS: [&str; 2] = ["S-SPMV/Sh40", "C-BLK/Sh40"];
 const CLEAN_BESIDE_CHAOS: [&str; 3] = ["C-BLK/Sh40", "C-BLK/Sh40+C10+Boost", "S-SPMV/Sh40+C10+Boost"];
 

@@ -1,19 +1,19 @@
 //! Satellite: single-flight leadership must survive a panicking leader.
 //!
-//! The sweep runner wraps every point in `supervise()` (panic containment)
+//! The sweep runner wraps every point in `contain()` (panic containment)
 //! and in the store's single-flight machinery (duplicate suppression). The
 //! dangerous interleaving is their composition: a point that panics *while
 //! holding the flight slot*. The slot's `FlightGuard` must release every
-//! blocked waiter during the unwind — before `supervise` even decides to
-//! retry — and the re-elected leader must publish an entry byte-identical
-//! to a run that never panicked, or the crash would silently change
-//! results.
+//! blocked waiter during the unwind — before `contain` even returns the
+//! quarantine — and the waiter, re-elected leader, must publish an entry
+//! byte-identical to a run that never panicked, or the crash would
+//! silently change results.
 
 #![expect(clippy::disallowed_types, reason = "times the binary from outside")]
 
 mod util;
 
-use dcl1_resilience::{supervise, RetryPolicy};
+use dcl1_resilience::{contain, SimError};
 use dcl1_store::{Codec, DiskTierConfig, Flight, ResultStore, StoreConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +50,7 @@ fn open_store(root: PathBuf) -> ResultStore<String> {
 }
 
 #[test]
-fn panicking_leader_inside_supervise_releases_waiters_and_reelects() {
+fn panicking_leader_is_quarantined_and_its_waiter_reelected() {
     let dir = util::scratch("reelect");
     let store = Arc::new(open_store(dir.join("cache")));
     let reference = open_store(dir.join("reference"));
@@ -64,13 +64,12 @@ fn panicking_leader_inside_supervise_releases_waiters_and_reelects() {
         .expect("reference entry written");
 
     let leader_holding = Arc::new(AtomicBool::new(false));
-    let policy = RetryPolicy { max_attempts: 3, backoff: Duration::ZERO };
-    let mut attempts_seen = 0u32;
 
     std::thread::scope(|s| {
         let waiter = {
             let store = Arc::clone(&store);
             let leader_holding = Arc::clone(&leader_holding);
+            let value = value.clone();
             s.spawn(move || {
                 while !leader_holding.load(Ordering::SeqCst) {
                     std::thread::yield_now();
@@ -78,50 +77,35 @@ fn panicking_leader_inside_supervise_releases_waiters_and_reelects() {
                 // Blocks behind the doomed leader. Only the guard's Drop,
                 // running during the unwind, can let this thread return —
                 // a hang here is the regression this test exists to catch.
-                drop(store.begin_flight(KEY));
+                assert!(matches!(store.begin_flight(KEY), Flight::Waited));
+                // The dead leader's guard removed the key from the
+                // in-flight map, so the released waiter wins a fresh
+                // election and publishes.
+                match store.begin_flight(KEY) {
+                    Flight::Leader(_guard) => store.insert(KEY, &value),
+                    Flight::Waited => panic!("the dead leader's slot is still held"),
+                }
             })
         };
 
-        let out = supervise(
-            "C-BLK/baseline",
-            &policy,
-            |attempt| {
-                attempts_seen = attempt + 1;
-                match store.begin_flight(KEY) {
-                    Flight::Leader(_guard) => {
-                        if attempt == 0 {
-                            leader_holding.store(true, Ordering::SeqCst);
-                            // Let the waiter actually queue behind the slot
-                            // before the leader dies, so the release path
-                            // under test (Drop waking a *blocked* thread)
-                            // is the one exercised.
-                            let t0 = Instant::now();
-                            while store.stats().flight_waits == 0
-                                && t0.elapsed() < Duration::from_secs(10)
-                            {
-                                std::thread::yield_now();
-                            }
-                            panic!("chaos: leader dies holding the flight slot");
-                        }
-                        store.insert(KEY, &value);
-                        Ok(value.clone())
-                    }
-                    // The panicked attempt's guard removed the key from the
-                    // in-flight map, and the waiter never re-enters; the
-                    // retry must therefore win a fresh election.
-                    Flight::Waited => panic!("retry found the dead leader's slot still held"),
-                }
-            },
-            |_| {},
-        );
-        assert_eq!(
-            out.expect("supervisor must recover the point via re-election"),
-            value
-        );
+        let out = contain("C-BLK/baseline", || -> Result<(), SimError> {
+            let Flight::Leader(_guard) = store.begin_flight(KEY) else {
+                panic!("the first claim must lead");
+            };
+            leader_holding.store(true, Ordering::SeqCst);
+            // Let the waiter actually queue behind the slot before the
+            // leader dies, so the release path under test (Drop waking a
+            // *blocked* thread) is the one exercised.
+            let t0 = Instant::now();
+            while store.stats().flight_waits == 0 && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+            panic!("chaos: leader dies holding the flight slot");
+        });
+        assert_eq!(out.expect_err("the leader's panic is quarantined").class, "panic");
         waiter.join().expect("waiter must be released by the guard's Drop");
     });
 
-    assert_eq!(attempts_seen, 2, "exactly one retry after the contained panic");
     assert_eq!(
         store.stats().flight_waits,
         1,

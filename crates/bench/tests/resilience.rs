@@ -15,7 +15,7 @@ mod util;
 use dcl1::{GpuConfig, SimOptions};
 use dcl1_bench::{grid, runner};
 use dcl1_obs::json::Json;
-use dcl1_resilience::Chaos;
+use dcl1_resilience::{Chaos, Fault};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Stdio;
@@ -90,9 +90,9 @@ fn killed_sweep_resumes_to_byte_identical_stats() {
 }
 
 /// Seed 1 over the whole grid injects panics, stalls and cache
-/// corruption into about a quarter of the 112 points (how seeds are
+/// corruption into about a fifth of the 112 points (how seeds are
 /// vetted: `cargo run -p dcl1-resilience --example census`). The sweep
-/// must exit 0, quarantine the persistent-panic points and only those,
+/// must exit 0, quarantine the panic and stall points and only those,
 /// and leave every other point byte-identical to a fault-free run.
 #[test]
 fn chaos_sweep_converges_to_fault_free_bytes() {
@@ -117,13 +117,62 @@ fn chaos_sweep_converges_to_fault_free_bytes() {
             .iter()
             .map(runner::point_label)
             .collect();
-    let census = Chaos::new(SEED).census(&labels);
-    assert_eq!(lost.len(), census.persistent_panics);
+    let chaos_at = Chaos::new(SEED);
+    let census = chaos_at.census(&labels);
     assert!(census.persistent_panics >= 1 && census.stalls >= 1 && census.corruptions >= 1);
+    let injected: BTreeSet<&str> = labels
+        .iter()
+        .filter(|p| matches!(chaos_at.fault_for(p), Some(Fault::PersistentPanic | Fault::Stall)))
+        .map(String::as_str)
+        .collect();
+    assert_eq!(lost, injected, "the quarantined points are not the panic and stall points");
     let recovered = |what: &str| num(&chaos.report, &["recovery", what]);
-    assert!(recovered("retries") >= 1.0, "no retries: faults were not injected");
-    assert!(recovered("livelocks") >= 1.0, "no stall was caught by the watchdog");
-    assert!(recovered("cache_corruptions") >= 1.0, "no cache corruption was detected");
+    assert_eq!(recovered("quarantines"), (census.persistent_panics + census.stalls) as f64);
+    assert_eq!(recovered("livelocks"), census.stalls as f64, "a stall escaped the watchdog");
+    assert_eq!(recovered("cache_corruptions"), census.corruptions as f64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under `--check` a failed point runs a second time, and a deterministic
+/// failure must repeat with the same class and error text. One seed-1
+/// panic point and one seed-1 stall point therefore keep their classes;
+/// neither is reported as nondeterminism.
+#[test]
+fn checked_chaos_failures_repeat_their_class() {
+    const SEED: u64 = 1;
+    let cfg = GpuConfig::default();
+    let grid = |only: &[String]| {
+        grid::build_grid(&grid::default_designs(&cfg), only, &cfg, SimOptions::default())
+    };
+    let labels: Vec<String> = grid(&[]).iter().map(runner::point_label).collect();
+    // The first point of `fault` whose label, as `--only`, selects it alone.
+    let pick = |fault: Fault| {
+        labels
+            .iter()
+            .find(|p| {
+                Chaos::new(SEED).fault_for(p) == Some(fault) && grid(&[(*p).clone()]).len() == 1
+            })
+            .unwrap_or_else(|| panic!("seed {SEED} has no lone {fault:?} point"))
+            .clone()
+    };
+    let (panic_point, stall_point) = (pick(Fault::PersistentPanic), pick(Fault::Stall));
+
+    let dir = scratch("check-chaos");
+    let args = [
+        "--check".to_string(),
+        format!("--chaos={SEED}"),
+        format!("--only={panic_point}"),
+        format!("--only={stall_point}"),
+    ];
+    let run = sweep(&dir, "checked", &args);
+    let mut got: Vec<(&str, &str)> = util::list(&run.report, &["quarantined"])
+        .iter()
+        .map(|q| (util::text(q, &["point"]), util::text(q, &["class"])))
+        .collect();
+    let mut want = [(panic_point.as_str(), "panic"), (stall_point.as_str(), "livelock")];
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "a deterministic failure changed on its rerun");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -184,9 +233,7 @@ fn chaos_off_supervision_is_a_no_op() {
     let dir = scratch("noop");
     let plain = sweep(&dir, "sweep", &["--only=C-BLK", "--design=pr4"]);
     assert_eq!(util::at(&plain.report, &["chaos_seed"]), &Json::Null, "chaos armed without a flag");
-    for field in
-        ["retries", "quarantines", "cache_corruptions", "livelocks", "deadlines"]
-    {
+    for field in ["quarantines", "cache_corruptions", "livelocks", "deadlines"] {
         assert_eq!(num(&plain.report, &["recovery", field]), 0.0, "{field} on a clean run");
     }
     assert!(quarantined(&plain.report).is_empty(), "quarantine list not empty");

@@ -39,7 +39,7 @@ fn progress_stream_report_trace_and_metrics_keep_their_schema() {
     // The progress stream: known stages, the four common fields, a total
     // order, every started point closed, live throughput on completions.
     let events = jsonl(&read(&dir.join("progress.jsonl")));
-    let stages = ["queued", "started", "progress", "retry", "quarantined", "completed"];
+    let stages = ["queued", "started", "progress", "quarantined", "completed"];
     let points_in = |wanted: &[&str]| -> BTreeSet<&str> {
         events
             .iter()

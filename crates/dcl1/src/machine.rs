@@ -698,9 +698,14 @@ impl<'w> GpuSystem<'w> {
     /// Credits every sleeper what it is owed, so a reader sees the counters
     /// ticking every component would have produced (per core `instructions
     /// + stalls == measured cycles`, per crossbar its ticks) at any cycle.
+    ///
+    /// A chaos-stalled machine last stepped the cycle before its stall, so
+    /// its sleepers are clocked through that cycle only: clocking them on
+    /// would skip the wake-ups the frozen steps never ran.
     fn settle(&mut self) {
-        let GpuSystem { shards, rctx, noc2, now, .. } = self;
-        shards.iter_mut().for_each(|d| d.settle(*now, rctx));
+        let through = self.stall_from.map_or(self.now, |c| self.now.min(c.saturating_sub(1)));
+        let GpuSystem { shards, rctx, noc2, .. } = self;
+        shards.iter_mut().for_each(|d| d.settle(through, rctx));
         noc2.settle();
     }
 

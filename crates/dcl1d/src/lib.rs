@@ -1,7 +1,7 @@
 //! `dcl1d` — a fault-isolated, multi-tenant simulation daemon.
 //!
 //! The robustness primitives the workspace grew for batch sweeps —
-//! supervised retry with panic quarantine, cycle-level livelock
+//! panic containment with quarantine, cycle-level livelock
 //! watchdogs, per-point deadlines, chaos injection, the tiered
 //! single-flight result store, and crc-guarded append-only journals —
 //! become *service guarantees* here:
@@ -12,9 +12,9 @@
 //!   shed-lowest-priority-first degradation under overload.
 //! - **Fault isolation** ([`scheduler`]): every job runs under the full
 //!   supervision stack with its tenant's chaos seed and deadline passed
-//!   in as arguments — one tenant's persistently-crashing
-//!   point is quarantined without touching the worker pool or any other
-//!   tenant's results.
+//!   in as arguments — one tenant's crashing, hanging or overdue
+//!   point is run once and quarantined without touching the worker pool
+//!   or any other tenant's results.
 //! - **Crash-safe queueing** ([`qjournal`]): accepts are journaled
 //!   before acknowledgement; `kill -9` the daemon and a `--resume`
 //!   restart re-enqueues exactly the unfinished set, served from the

@@ -183,12 +183,6 @@ impl JobQueue {
         self.queued_by_tenant.get(tenant).copied().unwrap_or(0)
     }
 
-    /// The current logical tick (advances once per successful pick).
-    #[must_use]
-    pub fn logical_now(&self) -> u64 {
-        self.clock
-    }
-
     /// Offers one job. Per-tenant quota violations always reject; when
     /// only the global cap is hit, a strictly lower-priority queued job
     /// is shed to make room (graceful degradation: the queue sheds the

@@ -1,14 +1,15 @@
 //! The daemon core: a worker pool over the multi-tenant job queue.
 //!
 //! Fault isolation is the organizing principle. Each job runs under the
-//! full supervision stack (`dcl1_resilience::supervise` via
+//! full supervision stack (`dcl1_resilience::contain` via
 //! `SweepSession::run_point`) *on the worker's own thread*, with the
 //! owning tenant's chaos seed and deadline passed in as the job's
-//! `TenantScope` — so one tenant's injected faults, livelocks, or persistent
+//! `TenantScope` — so one tenant's injected faults, livelocks, or
 //! panics are contained to that tenant's jobs and can never leak into
 //! another tenant's runs or take a worker down. Workers survive
-//! quarantines: a job that exhausts its retry budget is recorded against
-//! its tenant and the worker moves on.
+//! quarantines: a job that panics, livelocks or passes its deadline is
+//! run once, recorded against its tenant as failed, and the worker moves
+//! on.
 //!
 //! Every accept is journaled before it is acknowledged, so a `kill -9`
 //! resumes exactly the accepted-but-unfinished set on restart; re-run
@@ -244,7 +245,7 @@ impl Daemon {
     }
 
     fn lock_core(&self) -> MutexGuard<'_, Core> {
-        // Sim panics are contained by `supervise`'s catch_unwind before
+        // Sim panics are contained by `contain`'s catch_unwind before
         // they can unwind through a lock-holding frame, so poisoning here
         // means a daemon bug, not a tenant fault.
         self.core.lock().expect("daemon core lock poisoned")
@@ -367,10 +368,9 @@ impl Daemon {
                 }
                 let _ = write!(
                     out,
-                    "{{\"point\":\"{}\",\"class\":\"{}\",\"attempts\":{}}}",
+                    "{{\"point\":\"{}\",\"class\":\"{}\"}}",
                     escape(&q.point),
-                    escape(&q.class),
-                    q.attempts
+                    escape(&q.class)
                 );
             }
             let _ = write!(out, "],\"digest\":\"{}\",\"counters\":", state.ledger.digest());
@@ -418,7 +418,6 @@ impl Daemon {
 fn build_request(spec: &JobSpec) -> Result<RunRequest, QuarantineRecord> {
     let bad = |what: &str| QuarantineRecord {
         point: spec.label(),
-        attempts: 0,
         class: "config".to_string(),
         error: format!("unknown {what}"),
     };

@@ -3,7 +3,7 @@
 //!
 //! 1. **Tenant isolation under chaos**: three tenants sweep the grid
 //!    concurrently, one of them with fault injection armed. The chaotic
-//!    tenant's persistent panics end in quarantine records scoped to that
+//!    tenant's panics and stalls end in quarantine records scoped to that
 //!    tenant; the other two complete fully, on the fault-free digest.
 //! 2. **Crash-safe queueing**: `kill -9` mid-sweep, restart with
 //!    `--resume`, and every accepted job is completed exactly once —
@@ -43,12 +43,14 @@ fn quarantined<'a>(status: &'a Json, tenant: &str) -> &'a [Json] {
 
 #[test]
 fn tenants_are_isolated_under_chaos() {
-    // Seed 1's persistent panics (8 of the 112 points) must visibly
-    // quarantine for the chaotic tenant while the others stay untouched.
+    // Seed 1's panics and stalls (8 + 7 of the 112 points) must visibly
+    // quarantine for the chaotic tenant, each after its one run, while
+    // the others stay untouched.
     const SEED: u64 = 1;
     let labels: Vec<String> = grid_requests().iter().map(runner::point_label).collect();
-    let expected_quarantines = Chaos::new(SEED).census(&labels).persistent_panics;
-    assert!(expected_quarantines >= 1, "seed {SEED} injects no persistent panic");
+    let census = Chaos::new(SEED).census(&labels);
+    let expected_quarantines = census.persistent_panics + census.stalls;
+    assert!(census.persistent_panics >= 1 && census.stalls >= 1, "seed {SEED}: {census:?}");
 
     let dir = scratch("isolation");
     let (mut child, mut ctl) = start_daemon(&dir, "iso", &["--workers=4"]);
@@ -76,7 +78,7 @@ fn tenants_are_isolated_under_chaos() {
     assert_eq!(
         num(&fin, &["tenants", "mallory", "completed"]),
         JOBS - expected_quarantines as f64,
-        "mallory's recoverable faults did not recover"
+        "mallory's unfaulted jobs did not complete"
     );
 
     child.wait().expect("daemon exits after drain");

@@ -110,11 +110,6 @@ impl Wavefront {
             other => panic!("complete_access on non-waiting wavefront ({other:?})"),
         }
     }
-
-    /// Whether the wavefront has retired all work.
-    pub fn is_finished(&self) -> bool {
-        self.state == WavefrontState::Finished
-    }
 }
 
 #[cfg(test)]

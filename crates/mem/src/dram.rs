@@ -75,13 +75,6 @@ pub struct DramStats {
     pub bus_busy_ticks: Counter,
 }
 
-impl DramStats {
-    /// Row-hit rate over all serviced requests.
-    pub fn row_hit_rate(&self) -> f64 {
-        self.row_hits.ratio_of(self.reads.get() + self.writes.get())
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct BankState {
     open_row: Option<u64>,

@@ -12,7 +12,7 @@
 //! 3. **Stall attribution** lives in `dcl1-gpu`'s core model; this crate
 //!    only defines the sinks.
 //! 4. **Recovery telemetry** ([`recovery::RecoveryLog`]) — the supervision
-//!    layer's ledger of retries, quarantines, watchdog firings and cache
+//!    layer's ledger of quarantines, watchdog firings and cache
 //!    corruptions, embedded in sweep reports.
 //! 5. **Counter registry** ([`registry::Registry`]) — zero-alloc typed
 //!    counters/gauges/histograms under `subsystem.name` namespaces,
@@ -21,7 +21,7 @@
 //!    attribution across Issue/NoC/Mem regions, barrier waits, and
 //!    memo-cache IO.
 //! 7. **Progress stream** ([`progress::ProgressSink`]) — JSONL lifecycle
-//!    events per sweep point (queued/started/progress/retry/quarantined/
+//!    events per sweep point (queued/started/progress/quarantined/
 //!    completed, live KHz), the substrate for `dcl1d`.
 //!
 //! The disabled observer is two `None` options: every hook is an `#[inline]`

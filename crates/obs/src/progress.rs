@@ -4,9 +4,9 @@
 //! line, flushed immediately — so an external consumer (the future
 //! `dcl1d` service, a CI tail, a human with `tail -f`) can watch a sweep
 //! live: points queueing, starting, reporting percent-complete and
-//! simulation KHz, retrying, being quarantined, and completing. PR 5's
-//! supervision events are funneled into the same stream, so one file
-//! tells the whole recovery story.
+//! simulation KHz, being quarantined, and completing. Quarantines are
+//! funneled into the same stream, so one file tells the whole recovery
+//! story.
 //!
 //! Event schema (stable; CI validates it):
 //!
@@ -17,8 +17,8 @@
 //!
 //! `seq` increases strictly within one sink; `t_ms` is Unix wall time in
 //! milliseconds (diagnostic only — never fed back into simulation);
-//! optional fields (`attempt`, `pct`, `khz`, `cycles`, `source`,
-//! `detail`, `tenant`) appear only when meaningful for the event.
+//! optional fields (`pct`, `khz`, `cycles`, `source`, `detail`,
+//! `tenant`) appear only when meaningful for the event.
 
 use crate::json;
 use std::fmt::Write as _;
@@ -35,9 +35,7 @@ pub enum ProgressStage {
     Started,
     /// Periodic in-flight update (`pct`, `khz`, `cycles`).
     Progress,
-    /// Supervised retry after a recoverable failure.
-    Retry,
-    /// Point abandoned after exhausting its retry budget.
+    /// Point failed (panic, livelock, deadline) and was set aside.
     Quarantined,
     /// Point finished; `source` says how (simulated / memo / disk).
     Completed,
@@ -51,7 +49,6 @@ impl ProgressStage {
             ProgressStage::Queued => "queued",
             ProgressStage::Started => "started",
             ProgressStage::Progress => "progress",
-            ProgressStage::Retry => "retry",
             ProgressStage::Quarantined => "quarantined",
             ProgressStage::Completed => "completed",
         }
@@ -66,8 +63,6 @@ pub struct ProgressEvent<'a> {
     pub stage: ProgressStage,
     /// Sweep point name, e.g. `"T-AlexNet/Sh16"`.
     pub point: &'a str,
-    /// Retry attempt number (retry events).
-    pub attempt: Option<u32>,
     /// Estimated percent complete, 0..=100 (progress events).
     pub pct: Option<u64>,
     /// Simulation throughput in KHz (progress / completed events).
@@ -89,7 +84,6 @@ impl<'a> ProgressEvent<'a> {
         ProgressEvent {
             stage,
             point,
-            attempt: None,
             pct: None,
             khz: None,
             cycles: None,
@@ -97,13 +91,6 @@ impl<'a> ProgressEvent<'a> {
             detail: None,
             tenant: None,
         }
-    }
-
-    /// Sets the retry attempt number.
-    #[must_use]
-    pub fn attempt(mut self, attempt: u32) -> ProgressEvent<'a> {
-        self.attempt = Some(attempt);
-        self
     }
 
     /// Sets percent complete (clamped to 100).
@@ -198,9 +185,6 @@ impl ProgressSink {
             ev.stage.as_str(),
             json::escape(ev.point)
         );
-        if let Some(a) = ev.attempt {
-            let _ = write!(buf, ", \"attempt\": {a}");
-        }
         if let Some(p) = ev.pct {
             let _ = write!(buf, ", \"pct\": {p}");
         }
@@ -303,7 +287,7 @@ mod tests {
         let sink = ProgressSink::new(Box::new(buf.clone()));
         sink.emit(&ProgressEvent::new(ProgressStage::Queued, "p/d"));
         let line = lines(&buf).pop().unwrap();
-        for absent in ["attempt", "pct", "khz", "cycles", "source", "detail", "tenant"] {
+        for absent in ["pct", "khz", "cycles", "source", "detail", "tenant"] {
             assert!(!line.contains(absent), "{absent} must be absent: {line}");
         }
     }
@@ -329,21 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_quarantine_carry_context() {
+    fn quarantine_carries_context() {
         let buf = SharedBuf::default();
         let sink = ProgressSink::new(Box::new(buf.clone()));
-        sink.emit(
-            &ProgressEvent::new(ProgressStage::Retry, "p/d").attempt(2).detail("livelock"),
-        );
-        sink.emit(
-            &ProgressEvent::new(ProgressStage::Quarantined, "p/d").attempt(3).detail("panic"),
-        );
-        let lines = lines(&buf);
-        let retry = Json::parse(&lines[0]).unwrap();
-        assert_eq!(retry.get("attempt").unwrap().as_f64(), Some(2.0));
-        assert_eq!(retry.get("detail").unwrap().as_str(), Some("livelock"));
-        let quar = Json::parse(&lines[1]).unwrap();
+        sink.emit(&ProgressEvent::new(ProgressStage::Quarantined, "p/d").detail("livelock"));
+        let quar = Json::parse(&lines(&buf)[0]).unwrap();
         assert_eq!(quar.get("event").unwrap().as_str(), Some("quarantined"));
+        assert_eq!(quar.get("detail").unwrap().as_str(), Some("livelock"));
     }
 
     #[test]

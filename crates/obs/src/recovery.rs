@@ -1,9 +1,9 @@
 //! Recovery telemetry for supervised sweeps.
 //!
-//! The supervision layer (retry, quarantine, watchdog, crash-safe cache)
-//! must be *observable*: a sweep that silently retried
-//! its way past a flaky point looks identical to a clean one unless the
-//! recovery events are counted and reported. [`RecoveryLog`] is that
+//! The supervision layer (quarantine, watchdog, crash-safe cache) must
+//! be *observable*: a sweep that silently recomputed a corrupt cache
+//! entry looks identical to a clean one unless the recovery events are
+//! counted and reported. [`RecoveryLog`] is that
 //! ledger — a plain tally plus an optional bounded event trail, rendered
 //! into the sweep report so CI can assert both "every fault recovered" and
 //! "no fault fired at all" (chaos off must be a no-op).
@@ -17,15 +17,16 @@ const MAX_EVENTS: usize = 256;
 /// Counters plus a bounded trail of recovery events observed in one sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryLog {
-    /// Attempts that failed and were retried.
+    /// Always 0: points are never retried. Kept only because
+    /// `benchmark/src/layers.rs` reads it.
     pub retries: u64,
-    /// Points abandoned after exhausting their retry budget.
+    /// Points that failed and were set aside.
     pub quarantines: u64,
     /// Cache entries rejected by checksum or shape and quarantined.
     pub cache_corruptions: u64,
-    /// Watchdog livelock reports (each consumed one attempt).
+    /// Quarantines of class `livelock` (the watchdog fired).
     pub livelocks: u64,
-    /// Wall-clock deadline reports (each consumed one attempt).
+    /// Quarantines of class `deadline`.
     pub deadlines: u64,
     /// Human-readable event lines, oldest first, capped at [`MAX_EVENTS`].
     events: Vec<String>,
@@ -57,7 +58,7 @@ impl RecoveryLog {
     /// exactly as an unsupervised one would have.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.retries + self.quarantines + self.cache_corruptions + self.livelocks + self.deadlines
+        self.quarantines + self.cache_corruptions + self.livelocks + self.deadlines
     }
 
     /// True when no recovery action of any kind was taken.
@@ -73,9 +74,9 @@ impl RecoveryLog {
         let mut s = String::new();
         write!(
             s,
-            "\"retries\": {}, \"quarantines\": {}, \"cache_corruptions\": {}, \
-             \"livelocks\": {}, \"deadlines\": {}",
-            self.retries, self.quarantines, self.cache_corruptions, self.livelocks, self.deadlines
+            "\"quarantines\": {}, \"cache_corruptions\": {}, \"livelocks\": {}, \
+             \"deadlines\": {}",
+            self.quarantines, self.cache_corruptions, self.livelocks, self.deadlines
         )
         .expect("write! to String cannot fail");
         s
@@ -118,7 +119,7 @@ mod tests {
         let mut log = RecoveryLog::new();
         log.cache_corruptions = 4;
         let json = log.json_fields();
-        assert!(json.starts_with("\"retries\": 0"));
+        assert!(json.starts_with("\"quarantines\": 0"));
         assert!(json.contains("\"cache_corruptions\": 4"));
         assert!(json.ends_with("\"deadlines\": 0"));
     }

@@ -16,24 +16,20 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .expect("usage: census SEED  (labels on stdin)");
     let chaos = Chaos::new(seed);
-    let mut counts = [0usize; 4];
+    let mut counts = [0usize; 3];
     for line in std::io::stdin().lines() {
         let point = line.expect("read stdin");
         if point.is_empty() {
             continue;
         }
         let (slot, tag) = match chaos.fault_for(&point) {
-            Some(Fault::TransientPanic) => (0, "transient"),
-            Some(Fault::PersistentPanic) => (1, "persistent"),
-            Some(Fault::Stall) => (2, "stall"),
-            Some(Fault::CorruptCache) => (3, "corrupt"),
+            Some(Fault::PersistentPanic) => (0, "persistent"),
+            Some(Fault::Stall) => (1, "stall"),
+            Some(Fault::CorruptCache) => (2, "corrupt"),
             None => continue,
         };
         counts[slot] += 1;
         println!("{tag} {point}");
     }
-    println!(
-        "transient={} persistent={} stall={} corrupt={}",
-        counts[0], counts[1], counts[2], counts[3]
-    );
+    println!("persistent={} stall={} corrupt={}", counts[0], counts[1], counts[2]);
 }

@@ -7,23 +7,24 @@
 //! which is what lets CI assert that a fault-riddled sweep still converges
 //! to byte-identical statistics.
 //!
-//! Fault classes (roughly 1 point in 4 is faulted at default intensity):
+//! Fault classes (3 points in 16 are faulted):
 //!
-//! * **transient panic** — the worker panics on attempt 0; the supervisor
-//!   retries and attempt 1 runs clean (exercises panic containment);
-//! * **persistent panic** — every attempt panics; the point is quarantined
-//!   and reported while the sweep completes (exercises quarantine);
+//! * **persistent panic** — the worker panics before running; the point
+//!   is quarantined and reported while the sweep completes (exercises
+//!   panic containment and quarantine);
 //! * **stall** — machine progress is frozen mid-run so the cycle-level
-//!   watchdog converts the hang into `SimError::Livelock`; attempt 1 runs
-//!   clean (exercises the watchdog);
+//!   watchdog converts the hang into `SimError::Livelock`, and the point
+//!   is quarantined (exercises the watchdog);
 //! * **cache corruption** — the just-written cache entry is truncated or
 //!   scribbled, then re-read: the checksum rejects it, the entry is
 //!   quarantined, and the point's result is re-persisted (exercises
 //!   crash-safe caching).
 //!
 //! Faults are decided *before* a result exists or applied *after* it was
-//! computed, never during — an injected fault can abort an attempt but can
-//! never alter the statistics a successful attempt produces.
+//! computed, never during — an injected fault can abort a point but can
+//! never alter the statistics a successful point produces. A faulted
+//! point fails the same way every time it runs, as a real failure of a
+//! deterministic simulator would.
 
 use dcl1_common::checksum::fnv64;
 use dcl1_common::SplitMix64;
@@ -31,11 +32,9 @@ use dcl1_common::SplitMix64;
 /// The fault class chaos assigns to a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic on attempt 0 only; retries succeed.
-    TransientPanic,
-    /// Panic on every attempt; the point ends up quarantined.
+    /// Panic before running; the point ends up quarantined.
     PersistentPanic,
-    /// Freeze machine progress on attempt 0 so the watchdog fires.
+    /// Freeze machine progress so the watchdog fires.
     Stall,
     /// Corrupt the point's on-disk cache entry after it is written.
     CorruptCache,
@@ -57,8 +56,9 @@ pub struct Chaos {
 }
 
 /// One fault slot in sixteen per class below keeps total fault density at
-/// 4/16 = 25% of points — high enough that a 112-point smoke sweep
-/// exercises every class, low enough that retries dominate quarantines.
+/// 3/16 of points — high enough that a 112-point smoke sweep exercises
+/// every class. Slot 0 injects nothing, which keeps the slots of the
+/// three classes, and so every pinned seed's faults, where they were.
 const CLASS_SLOTS: u64 = 16;
 
 impl Chaos {
@@ -75,7 +75,7 @@ impl Chaos {
     }
 
     /// The per-point decision stream: seeded from the point name alone so
-    /// it is independent of sweep order, worker count, and attempt.
+    /// it is independent of sweep order and worker count.
     fn stream(&self, point: &str) -> SplitMix64 {
         SplitMix64::new(self.seed).split(fnv64(point.as_bytes()))
     }
@@ -84,7 +84,6 @@ impl Chaos {
     #[must_use]
     pub fn fault_for(&self, point: &str) -> Option<Fault> {
         match self.stream(point).next_u64() % CLASS_SLOTS {
-            0 => Some(Fault::TransientPanic),
             1 => Some(Fault::PersistentPanic),
             2 => Some(Fault::Stall),
             3 => Some(Fault::CorruptCache),
@@ -92,21 +91,17 @@ impl Chaos {
         }
     }
 
-    /// Whether attempt `attempt` of `point` should panic before running.
+    /// Whether `point` should panic before running.
     #[must_use]
-    pub fn should_panic(&self, point: &str, attempt: u32) -> bool {
-        match self.fault_for(point) {
-            Some(Fault::TransientPanic) => attempt == 0,
-            Some(Fault::PersistentPanic) => true,
-            _ => false,
-        }
+    pub fn should_panic(&self, point: &str) -> bool {
+        self.fault_for(point) == Some(Fault::PersistentPanic)
     }
 
-    /// Whether attempt `attempt` of `point` should have its progress
-    /// frozen (to be caught by the machine's watchdog).
+    /// Whether `point` should have its progress frozen (to be caught by
+    /// the machine's watchdog).
     #[must_use]
-    pub fn should_stall(&self, point: &str, attempt: u32) -> bool {
-        attempt == 0 && self.fault_for(point) == Some(Fault::Stall)
+    pub fn should_stall(&self, point: &str) -> bool {
+        self.fault_for(point) == Some(Fault::Stall)
     }
 
     /// Whether the cache entry written for `point` should be corrupted.
@@ -154,7 +149,6 @@ impl Chaos {
         let mut c = ChaosCensus::default();
         for p in points {
             match self.fault_for(p) {
-                Some(Fault::TransientPanic) => c.transient_panics += 1,
                 Some(Fault::PersistentPanic) => c.persistent_panics += 1,
                 Some(Fault::Stall) => c.stalls += 1,
                 Some(Fault::CorruptCache) => c.corruptions += 1,
@@ -168,8 +162,6 @@ impl Chaos {
 /// Fault counts over a point set for one seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosCensus {
-    /// Points assigned [`Fault::TransientPanic`].
-    pub transient_panics: usize,
     /// Points assigned [`Fault::PersistentPanic`].
     pub persistent_panics: usize,
     /// Points assigned [`Fault::Stall`].
@@ -182,7 +174,7 @@ impl ChaosCensus {
     /// Total faulted points.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.transient_panics + self.persistent_panics + self.stalls + self.corruptions
+        self.persistent_panics + self.stalls + self.corruptions
     }
 }
 
@@ -206,42 +198,30 @@ mod tests {
     }
 
     #[test]
-    fn fault_density_is_roughly_a_quarter() {
+    fn fault_density_is_about_three_in_sixteen() {
         let chaos = Chaos::new(7);
         let points: Vec<String> = (0..1000).map(|i| format!("P{i}/Sh16")).collect();
         let census = chaos.census(&points);
         let total = census.total();
-        assert!((150..350).contains(&total), "density off: {census:?}");
-        assert!(census.transient_panics > 0);
+        assert!((130..250).contains(&total), "density off: {census:?}");
         assert!(census.persistent_panics > 0);
         assert!(census.stalls > 0);
         assert!(census.corruptions > 0);
     }
 
     #[test]
-    fn transient_faults_clear_on_retry() {
+    fn each_fault_arms_exactly_its_own_hook() {
         let chaos = Chaos::new(1);
         let points: Vec<String> = (0..200).map(|i| format!("Q{i}/Pr4")).collect();
         for p in &points {
-            match chaos.fault_for(p) {
-                Some(Fault::TransientPanic) => {
-                    assert!(chaos.should_panic(p, 0));
-                    assert!(!chaos.should_panic(p, 1), "retry must run clean");
-                }
-                Some(Fault::PersistentPanic) => {
-                    assert!(chaos.should_panic(p, 0) && chaos.should_panic(p, 5));
-                }
-                Some(Fault::Stall) => {
-                    assert!(chaos.should_stall(p, 0));
-                    assert!(!chaos.should_stall(p, 1));
-                }
-                Some(Fault::CorruptCache) => assert!(chaos.should_corrupt(p)),
-                None => {
-                    assert!(!chaos.should_panic(p, 0));
-                    assert!(!chaos.should_stall(p, 0));
-                    assert!(!chaos.should_corrupt(p));
-                }
-            }
+            let hooks = (chaos.should_panic(p), chaos.should_stall(p), chaos.should_corrupt(p));
+            let want = match chaos.fault_for(p) {
+                Some(Fault::PersistentPanic) => (true, false, false),
+                Some(Fault::Stall) => (false, true, false),
+                Some(Fault::CorruptCache) => (false, false, true),
+                None => (false, false, false),
+            };
+            assert_eq!(hooks, want, "{p}");
         }
     }
 

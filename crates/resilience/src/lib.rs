@@ -7,17 +7,18 @@
 //! turns each of those aborts into a contained, reported event:
 //!
 //! * [`SimError`] — the structured failure taxonomy replacing ad-hoc
-//!   panics on the runner paths. Every variant knows whether retrying can
-//!   possibly help ([`SimError::is_transient`]).
-//! * [`supervisor`] — [`supervise`](supervisor::supervise) runs one
-//!   simulation attempt under `catch_unwind`, retries transient failures
-//!   with a deterministic backoff schedule, and converts exhausted or
-//!   permanent failures into a [`QuarantineRecord`](supervisor::QuarantineRecord)
-//!   so the rest of the sweep completes.
+//!   panics on the runner paths; its class names the quarantine.
+//! * [`supervisor`] — [`contain`](supervisor::contain) runs one
+//!   simulation attempt under `catch_unwind` and converts a failure into
+//!   a [`QuarantineRecord`](supervisor::QuarantineRecord) so the rest of
+//!   the sweep completes. The simulator is deterministic, so a point is
+//!   never retried; under `--check` a failed point runs once more, and
+//!   [`rerun_verdict`](supervisor::rerun_verdict) reports any difference
+//!   as nondeterminism.
 //! * [`chaos`] — `--chaos=SEED` fault injection: worker panics, progress
 //!   stalls, and cache-file corruption, all derived deterministically from
-//!   `(seed, point, attempt)` so every recovery path can be exercised —
-//!   and re-exercised byte-identically — in CI.
+//!   `(seed, point)` so every recovery path can be exercised — and
+//!   re-exercised byte-identically — in CI.
 //!
 //! The crate is std-only and simulation-agnostic: it never sees a machine,
 //! only closures and labels, so `dcl1` itself can depend on it for the
@@ -30,24 +31,23 @@ pub mod chaos;
 pub mod supervisor;
 
 pub use chaos::{Chaos, Fault};
-pub use supervisor::{supervise, QuarantineRecord, RetryPolicy, SupervisionEvent};
+pub use supervisor::{contain, rerun_verdict, QuarantineRecord};
+// Kept only for `benchmark/src/micro.rs`, their one caller.
+pub use supervisor::{supervise, RetryPolicy};
 
 use std::error::Error;
 use std::fmt;
 
 /// A structured simulation failure.
 ///
-/// The taxonomy matters because the supervisor treats classes differently:
-/// configuration errors are deterministic and never retried, panics are
-/// retried on the assumption of environmental flakiness (and because chaos
-/// injects transient ones), livelocks and deadline misses get one more
-/// attempt before quarantine, and cache corruption is not a point failure
-/// at all, so it has no variant — the entry is quarantined and the point
-/// recomputed.
+/// Every variant ends its point in quarantine, and its
+/// [`class`](SimError::class) names the record. Cache corruption is not a
+/// point failure at all, so it has no variant: the entry is quarantined
+/// and the point recomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The design does not resolve against the configuration — an
-    /// experiment-definition bug; retrying cannot help.
+    /// experiment-definition bug.
     Config(String),
     /// A worker panicked while simulating the point.
     Panic {
@@ -73,25 +73,6 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Whether a retry can plausibly succeed. Configuration errors are
-    /// deterministic; everything else is worth at least one more attempt
-    /// (chaos-injected faults are keyed per attempt, and real livelocks
-    /// still deserve a second look before burning a quarantine slot).
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        !matches!(self, SimError::Config(_))
-    }
-
-    /// Total attempts the supervisor grants this class of failure.
-    #[must_use]
-    pub fn max_attempts(&self) -> u32 {
-        match self {
-            SimError::Config(_) => 1,
-            SimError::Livelock { .. } | SimError::Deadline { .. } => 2,
-            SimError::Panic { .. } => 3,
-        }
-    }
-
     /// Short class label for reports and counters.
     #[must_use]
     pub fn class(&self) -> &'static str {
@@ -126,18 +107,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn taxonomy_classes_and_retryability() {
+    fn taxonomy_classes_and_messages() {
         let cfg = SimError::Config("cores not divisible".into());
-        assert!(!cfg.is_transient());
-        assert_eq!(cfg.max_attempts(), 1);
         assert_eq!(cfg.class(), "config");
 
         let p = SimError::Panic { message: "boom".into() };
-        assert!(p.is_transient());
-        assert_eq!(p.max_attempts(), 3);
+        assert_eq!(p.class(), "panic");
 
         let l = SimError::Livelock { cycle: 99, dump: "q1=4".into() };
-        assert_eq!(l.max_attempts(), 2);
+        assert_eq!(l.class(), "livelock");
         assert!(l.to_string().contains("cycle 99"));
         assert!(l.to_string().contains("q1=4"));
 
