@@ -1,49 +1,48 @@
 //! The run-length result ledger: the one definition of the canonical
 //! stats dump (chunk framing and order) and of its digest.
 //!
-//! A completion is serialised once, into its `"=== label\n"` +
-//! `serialize_stats` chunk, and filed under its label. Labels iterate in
-//! byte order and a label's runs stay in arrival order — exactly what a
-//! stable sort by label of the completion list gives — so the dump is the
-//! concatenation of every chunk, `count` times each. Equal consecutive
-//! chunks coalesce into one run, which makes a resubmitted sweep cost one
-//! counter increment, and a run that repeats hashes through a memoised
-//! [`FnvBlock`], which makes the digest one multiply-add per completion.
+//! A completion is filed under its label as its `"=== label\n"` +
+//! `serialize_stats` chunk. Labels iterate in byte order and a label's runs
+//! stay in arrival order — exactly what a stable sort by label of the
+//! completion list gives — so the dump is the concatenation of every chunk,
+//! `count` times each. Equal consecutive chunks coalesce into one run, which
+//! makes a resubmitted sweep cost one counter increment, and a run that
+//! repeats hashes through a memoised [`FnvBlock`], which makes the digest
+//! one multiply-add per completion.
+//!
+//! The ledger is the only place a result is serialised for a dump, and it
+//! serialises once per distinct result: a run remembers the `Arc` of its
+//! last arrival, and an arrival that is that same `Arc` (the store hands
+//! out one `Arc` per entry) is counted without being serialised at all.
 
 use crate::runner::serialize_stats;
 use dcl1::RunStats;
 use dcl1_common::checksum::{self, FnvBlock};
 use std::collections::BTreeMap;
-
-/// One completion serialised for a ledger, apart from it, so a caller that
-/// locks its ledger (`dcl1d`'s core) serialises before taking the lock.
-#[derive(Debug, Clone)]
-pub struct Chunk {
-    label: String,
-    text: String,
-}
-
-impl Chunk {
-    /// Serialises one completion into its `"=== label\n"` + stats chunk.
-    #[must_use]
-    pub fn new(label: &str, stats: &RunStats) -> Chunk {
-        Chunk { label: label.to_string(), text: format!("=== {label}\n{}", serialize_stats(stats)) }
-    }
-}
+use std::sync::Arc;
 
 /// `count` consecutive arrivals of one chunk under one label.
 #[derive(Debug, Clone)]
 struct Run {
     chunk: FnvBlock<String>,
     count: u64,
+    /// The run's latest arrival; an arrival that is this same `Arc` has
+    /// this run's bytes.
+    latest: Arc<RunStats>,
 }
 
-/// Completed points, kept as what the dump and digest need and no more:
-/// no `RunStats` survives [`ResultLedger::push`].
+/// Completed points, kept as what the dump and digest need: each run's
+/// chunk, plus the `Arc` of its last arrival (shared with the result
+/// store, so it costs the ledger no copy).
 #[derive(Debug, Clone, Default)]
 pub struct ResultLedger {
     labels: BTreeMap<String, Vec<Run>>,
     completed: u64,
+}
+
+/// Serialises one completion into its `"=== label\n"` + stats chunk.
+fn chunk_text(label: &str, stats: &RunStats) -> String {
+    format!("=== {label}\n{}", serialize_stats(stats))
 }
 
 impl ResultLedger {
@@ -52,22 +51,33 @@ impl ResultLedger {
     pub fn of(points: &[(String, RunStats)]) -> ResultLedger {
         let mut ledger = ResultLedger::default();
         for (label, stats) in points {
-            ledger.push(Chunk::new(label, stats));
+            ledger.push(label, &Arc::new(stats.clone()));
         }
         ledger
     }
 
-    /// Records one completion.
-    pub fn push(&mut self, Chunk { label, text }: Chunk) {
+    /// Records one completion of `label`. Serialises `stats` only when it
+    /// is not the `Arc` the label's last run last saw.
+    pub fn push(&mut self, label: &str, stats: &Arc<RunStats>) {
         self.completed += 1;
-        let runs = self.labels.entry(label).or_default();
+        let runs = match self.labels.get_mut(label) {
+            Some(runs) => runs,
+            None => self.labels.entry(label.to_string()).or_default(),
+        };
+        if let Some(last) = runs.last_mut().filter(|last| Arc::ptr_eq(&last.latest, stats)) {
+            last.count += 1;
+            last.chunk.memoise();
+            return;
+        }
+        let text = chunk_text(label, stats);
         match runs.last_mut() {
             Some(last) if *last.chunk.block() == text => {
                 last.count += 1;
+                last.latest = Arc::clone(stats);
                 // A run of one never pays for the table.
                 last.chunk.memoise();
             }
-            _ => runs.push(Run { chunk: FnvBlock::new(text), count: 1 }),
+            _ => runs.push(Run { chunk: FnvBlock::new(text), count: 1, latest: Arc::clone(stats) }),
         }
     }
 
@@ -160,14 +170,48 @@ mod tests {
     fn repeats_coalesce_and_only_repeats_allocate() {
         let mut ledger = ResultLedger::default();
         let (label, stats) = point("C-BLK/Baseline", 7);
-        ledger.push(Chunk::new(&label, &stats));
+        ledger.push(&label, &Arc::new(stats.clone()));
         assert!(!ledger.labels[&label][0].chunk.is_memoised());
         for _ in 0..999 {
-            ledger.push(Chunk::new(&label, &stats));
+            ledger.push(&label, &Arc::new(stats.clone()));
         }
         let runs = &ledger.labels[&label];
         assert_eq!((runs.len(), runs[0].count), (1, 1000));
         assert!(runs[0].chunk.is_memoised());
+    }
+
+    /// Pushes `arrivals` under one label as the given `Arc`s; the dump and
+    /// digest must be the oracle's, in `runs` runs.
+    fn check_arcs(arrivals: &[&Arc<RunStats>], runs: usize) -> ResultLedger {
+        let label = "X/Sh40";
+        let mut ledger = ResultLedger::default();
+        for stats in arrivals {
+            ledger.push(label, stats);
+        }
+        let points: Vec<(String, RunStats)> =
+            arrivals.iter().map(|s| (label.to_string(), RunStats::clone(s))).collect();
+        let want = oracle_dump(&points);
+        assert_eq!(ledger.completed(), arrivals.len() as u64);
+        assert_eq!(ledger.dump(), want);
+        assert_eq!(ledger.digest(), checksum::fnv64_hex(want.as_bytes()));
+        assert_eq!(ledger.labels[label].len(), runs);
+        ledger
+    }
+
+    #[test]
+    fn arc_arrivals_match_the_oracle() {
+        let a = Arc::new(point("X/Sh40", 1).1);
+        let b = Arc::new(point("X/Sh40", 2).1);
+        let a_again = Arc::new(RunStats::clone(&a));
+
+        let same = check_arcs(&[&a, &a], 1);
+        assert!(Arc::ptr_eq(&same.labels["X/Sh40"][0].latest, &a));
+        // An equal value in a fresh `Arc` joins the run by its bytes, and the
+        // run then remembers the newer `Arc`.
+        let equal = check_arcs(&[&a, &a_again], 1);
+        assert!(Arc::ptr_eq(&equal.labels["X/Sh40"][0].latest, &a_again));
+        check_arcs(&[&a, &b], 2);
+        check_arcs(&[&a, &b, &a], 3);
     }
 
     #[test]

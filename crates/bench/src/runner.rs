@@ -519,8 +519,9 @@ pub struct TenantScope {
 /// A completed point and the tier that served it.
 #[derive(Debug, Clone)]
 pub struct Served {
-    /// The point's statistics.
-    pub stats: RunStats,
+    /// The point's statistics: the `Arc` the store holds for the point (a
+    /// checked run, which bypasses the store, gets one of its own).
+    pub stats: Arc<RunStats>,
     /// `"simulated"`, or the store tier that held it: `"memo"`, `"disk"`
     /// or `"shared"`.
     pub source: &'static str,
@@ -831,6 +832,23 @@ impl SweepSession {
         self.supervise_point(req, scale, scope)
     }
 
+    /// The statistics the memory tier already holds for `req`, counted as a
+    /// mem hit: what [`SweepSession::run_point`] would return from that
+    /// tier, without running, emitting or touching a disk. `None` on a
+    /// miss, and always under `--check` or when chaos is armed for the
+    /// point, where a run must actually happen.
+    pub fn lookup_memo(
+        &self,
+        req: &RunRequest,
+        scale: Scale,
+        scope: TenantScope,
+    ) -> Option<Arc<RunStats>> {
+        if self.check || self.chaos_for(scope).is_some() {
+            return None;
+        }
+        self.store().peek_mem(memo_key(req, scale))
+    }
+
     /// Runs many points across [`SweepSession::workers`] threads under full
     /// supervision: each point runs once behind panic containment, and a
     /// point that fails (a panic, a watchdog livelock) is quarantined —
@@ -854,7 +872,10 @@ impl SweepSession {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(req) = reqs.get(i) else { break };
                     match self.supervise_point(req, scale, scope) {
-                        Ok(served) => *results[i].lock().expect("result lock") = Some(served.stats),
+                        Ok(served) => {
+                            *results[i].lock().expect("result lock") =
+                                Some(Arc::unwrap_or_clone(served.stats));
+                        }
                         Err(record) => quarantined.lock().expect("quarantine lock").push((i, record)),
                     }
                 });
@@ -1021,9 +1042,10 @@ impl SweepSession {
         self.emit(&done);
         self.timings.lock().expect("timings lock").push(timing);
 
+        let stats = Arc::new(stats);
         if !self.check {
             let t_fill = Instant::now();
-            let fill = self.store().insert(key, &stats);
+            let fill = self.store().insert_arc(key, Arc::clone(&stats));
             let fill_nanos = u64::try_from(t_fill.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let mut state = self.registry.lock().expect("sweep registry lock");
             let id = state.fill_nanos;
@@ -1058,8 +1080,8 @@ impl SweepSession {
 
     /// One pass through the store tiers for `point`/`key`: records
     /// corruption reports, latency histograms, and phase attribution, and
-    /// emits the completion progress event on a hit. The mem-tier hit path
-    /// allocates only the returned `RunStats` clone.
+    /// emits the completion progress event on a hit. A hit returns the
+    /// store's own `Arc`.
     fn store_lookup(&self, point: &str, key: u128) -> Option<Served> {
         let mut corruptions: Vec<Corruption> = Vec::new();
         let lookup = self.store().lookup(key, &mut corruptions);
@@ -1090,7 +1112,7 @@ impl SweepSession {
             .source(tier.name())
             .cycles(stats.cycles);
         self.emit(&done);
-        Some(Served { stats: (*stats).clone(), source: tier.name() })
+        Some(Served { stats, source: tier.name() })
     }
 
     // -- bookkeeping ------------------------------------------------------
@@ -1231,14 +1253,14 @@ pub fn run_apps_supervised(reqs: &[RunRequest], scale: Scale, workers: usize) ->
 pub fn run_point_supervised(req: &RunRequest, scale: Scale) -> Result<RunStats, QuarantineRecord> {
     let out = process_session().run_point(req, scale, TenantScope::default());
     LAST_SOURCE.set(out.as_ref().ok().map(|s| s.source));
-    out.map(|s| s.stats)
+    out.map(|s| Arc::unwrap_or_clone(s.stats))
 }
 
 /// For `benchmark/src/child.rs`: one unsupervised run on the process
 /// session, panicking if it fails.
 pub fn run_app(req: &RunRequest, scale: Scale) -> RunStats {
     let out = process_session().attempt(req, scale, TenantScope::default());
-    out.map_or_else(|e| panic!("{e}"), |s| s.stats)
+    out.map_or_else(|e| panic!("{e}"), |s| Arc::unwrap_or_clone(s.stats))
 }
 
 /// For `benchmark/src/micro.rs`: the tier that served this thread's last

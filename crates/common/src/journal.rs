@@ -1,5 +1,5 @@
 //! The crc-guarded JSONL line framing every journal in the workspace
-//! shares, and an appender that flushes each line.
+//! shares, and an appender that writes whole lines and flushes each write.
 //!
 //! A line is one self-contained JSON object, so a killed process loses
 //! at most the line it was writing. Readers verify a per-line FNV-1a
@@ -23,7 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Appends framed lines to a journal file, flushing each one so a kill
+/// Appends framed lines to a journal file, flushing each write so a kill
 /// loses at most the line being written.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -41,14 +41,14 @@ impl JournalWriter {
         Ok(JournalWriter { file })
     }
 
-    /// Appends the [`frame`]d line of `head` and `payload` and flushes it
-    /// to the OS.
+    /// Appends lines already [`frame`]d, all in one write, and flushes
+    /// them to the OS: a batch costs one write however many lines it holds.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error on a failed write.
-    pub fn append_frame(&mut self, head: &str, payload: &str) -> io::Result<()> {
-        self.file.write_all(frame(head, payload).as_bytes())?;
+    pub fn append_frames(&mut self, lines: &str) -> io::Result<()> {
+        self.file.write_all(lines.as_bytes())?;
         self.file.flush()
     }
 
@@ -64,7 +64,8 @@ impl JournalWriter {
         // label, so the line stays valid JSON whatever it is given.
         let point: String =
             point.chars().filter(|c| c.is_ascii_graphic() && *c != '"' && *c != '\\').collect();
-        self.append_frame(&format!("\"key\":\"{key:032x}\",\"point\":\"{point}\""), payload)
+        let head = format!("\"key\":\"{key:032x}\",\"point\":\"{point}\"");
+        self.append_frames(&frame(&head, payload))
     }
 }
 

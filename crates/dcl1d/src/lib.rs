@@ -9,7 +9,9 @@
 //! - **Admission control** ([`queue`]): per-tenant quotas on queued and
 //!   in-flight work, deterministic priority aging so no tenant starves,
 //!   bounded queues with explicit `retry_after_ms` backpressure, and
-//!   shed-lowest-priority-first degradation under overload.
+//!   shed-lowest-priority-first degradation under overload. A point the
+//!   memory tier already holds is not queued at all: it completes inside
+//!   its own submit ([`scheduler`]).
 //! - **Fault isolation** ([`scheduler`]): every job runs under the full
 //!   supervision stack with its tenant's chaos seed and deadline passed
 //!   in as arguments — one tenant's crashing, hanging or overdue

@@ -88,12 +88,32 @@ fn str_list(doc: &Json, key: &str) -> Vec<String> {
         .unwrap_or_default()
 }
 
+/// The `points` list of a submit, every entry an `{"app":…,"design":…}`
+/// object of two strings. One entry of any other shape refuses the whole
+/// submit, naming its index: a submit is accepted with every job it names
+/// or not at all.
+fn points(doc: &Json) -> Result<Vec<(String, String)>, String> {
+    let Some(entries) = doc.get("points") else { return Ok(Vec::new()) };
+    let entries = entries.as_arr().ok_or("points must be a list")?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let field = |key: &str| p.get(key).and_then(Json::as_str).map(String::from);
+            field("app").zip(field("design")).ok_or_else(|| {
+                format!("points[{i}] must be {{\"app\":\"…\",\"design\":\"…\"}}")
+            })
+        })
+        .collect()
+}
+
 /// Parses one request line.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, a missing or
-/// unknown `cmd`, or missing required fields.
+/// unknown `cmd`, missing required fields, or a submit `points` entry that
+/// is not an `{"app":…,"design":…}` object.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let doc = Json::parse(line).map_err(|e| format!("bad json: {e}"))?;
     let cmd = str_field(&doc, "cmd").ok_or("missing cmd")?;
@@ -102,19 +122,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let tenant = str_field(&doc, "tenant").filter(|t| !t.is_empty());
             let tenant = tenant.ok_or("submit requires a non-empty tenant")?;
             let grid = matches!(doc.get("grid"), Some(Json::Bool(true)));
-            let points = doc
-                .get("points")
-                .and_then(Json::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|p| {
-                            let app = p.get("app").and_then(Json::as_str)?;
-                            let design = p.get("design").and_then(Json::as_str)?;
-                            Some((app.to_string(), design.to_string()))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
+            let points = points(&doc)?;
             let priority =
                 u8::try_from(u64_field(&doc, "priority").unwrap_or(2).min(255)).unwrap_or(255);
             Ok(Request::Submit(Submit {
@@ -218,6 +226,27 @@ mod tests {
         assert!(parse_request("{\"cmd\":\"submit\"}").is_err(), "tenant required");
         assert!(parse_request("{\"cmd\":\"submit\",\"tenant\":\"\"}").is_err());
         assert!(parse_request("{\"cmd\":\"cancel\"}").is_err());
+    }
+
+    #[test]
+    fn a_malformed_point_refuses_the_whole_submit() {
+        let submit = |points: &str| {
+            parse_request(&format!(r#"{{"cmd":"submit","tenant":"a","points":{points}}}"#))
+        };
+        // The pair shape an older README showed is refused, not read as a
+        // submit naming no jobs.
+        let err = submit(r#"[["C-BLK","sh16"]]"#).expect_err("a pair is not a point");
+        assert!(err.contains("points[0]"), "{err}");
+        // A mixed list is refused whole, naming its first bad entry, rather
+        // than accepted with fewer jobs than were sent.
+        let mixed = r#"[{"app":"C-BLK","design":"sh16"},{"app":"C-BLK"},{"app":"C-BLK","design":7}]"#;
+        let err = submit(mixed).expect_err("a point without a design");
+        assert!(err.contains("points[1]"), "{err}");
+        assert!(submit(r#"{"app":"C-BLK","design":"sh16"}"#).is_err(), "not a list");
+
+        let good = submit(r#"[{"app":"C-BLK","design":"sh16"},{"app":"C-NN","design":"pr4"}]"#);
+        let Ok(Request::Submit(sub)) = good else { panic!("a valid submit: {good:?}") };
+        assert_eq!(expand_submit(&sub).expect("valid points").len(), 2);
     }
 
     fn bare_submit(tenant: &str) -> Submit {

@@ -63,11 +63,13 @@ pub struct QueueRecord {
     pub payload: String,
 }
 
-/// Appends queue transitions, flushing each line so an acknowledged
-/// accept survives any subsequent crash.
+/// Appends queue transitions. Records are staged and then committed in
+/// one write, which the daemon does before it acknowledges anything they
+/// record, so an acknowledged accept survives any subsequent crash.
 #[derive(Debug)]
 pub struct QueueJournal {
     writer: JournalWriter,
+    staged: String,
 }
 
 impl QueueJournal {
@@ -77,7 +79,7 @@ impl QueueJournal {
     ///
     /// Returns the underlying I/O error when the file cannot be opened.
     pub fn open_append(path: &Path) -> io::Result<QueueJournal> {
-        JournalWriter::open(path).map(|writer| QueueJournal { writer })
+        JournalWriter::open(path).map(|writer| QueueJournal { writer, staged: String::new() })
     }
 
     /// Appends one record and flushes it to the OS.
@@ -86,7 +88,29 @@ impl QueueJournal {
     ///
     /// Returns the underlying I/O error on a failed write.
     pub fn append_record(&mut self, op: QueueOp, id: u64, payload: &str) -> io::Result<()> {
-        self.writer.append_frame(&head(op, id), payload)
+        self.stage(op, id, payload);
+        self.commit()
+    }
+
+    /// Stages one record for the next [`QueueJournal::commit`]; nothing
+    /// reaches the file before then.
+    pub(crate) fn stage(&mut self, op: QueueOp, id: u64, payload: &str) {
+        self.staged.push_str(&render_record(op, id, payload));
+    }
+
+    /// Writes every staged record in one write and flushes it to the OS.
+    /// The staged records are gone afterwards, written or not.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error on a failed write.
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = self.writer.append_frames(&self.staged);
+        self.staged.clear();
+        written
     }
 }
 

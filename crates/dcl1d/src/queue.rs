@@ -262,9 +262,17 @@ impl JobQueue {
         victims.into_iter().filter_map(|id| self.unlink(id)).collect()
     }
 
-    fn link(&mut self, spec: JobSpec) -> u64 {
+    /// Allocates the next job id without queueing anything: the id of a job
+    /// that completes at admission. Ids stay one sequence across queued
+    /// and admitted jobs.
+    pub(crate) fn allocate_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        id
+    }
+
+    fn link(&mut self, spec: JobSpec) -> u64 {
+        let id = self.allocate_id();
         *self.queued_by_tenant.entry(spec.tenant.clone()).or_default() += 1;
         self.jobs.insert(id, Job { id, spec, enqueue_tick: self.clock });
         id

@@ -1,7 +1,20 @@
-//! The daemon core: a worker pool over the multi-tenant job queue.
+//! The daemon core: admission, and a worker pool over the multi-tenant
+//! job queue.
 //!
-//! Fault isolation is the organizing principle. Each job runs under the
-//! full supervision stack (`dcl1_resilience::contain` via
+//! A submitted point whose result the session's memory tier already holds
+//! completes at admission, inside its own [`Daemon::submit_jobs`]: the
+//! connection thread looks it up before taking the core lock, then, under
+//! the lock, gives it a job id, journals its accept and done records,
+//! counts it against its tenant and files it in the tenant's ledger — the
+//! same `Core::record_completion` a worker's job goes through. It takes
+//! no queue slot and no worker, so priorities and quotas, which ration
+//! those, do not apply to it; it reaches the progress stream as a
+//! `started` and a tenant `completed` line. A point that must actually
+//! run — the session is in check mode, or chaos is armed for it — is
+//! never answered this way, and a miss goes to the queue.
+//!
+//! Fault isolation is the organizing principle of the rest. Each job runs
+//! under the full supervision stack (`dcl1_resilience::contain` via
 //! `SweepSession::run_point`) *on the worker's own thread*, with the
 //! owning tenant's chaos seed and deadline passed in as the job's
 //! `TenantScope` — so one tenant's injected faults, livelocks, or
@@ -11,15 +24,16 @@
 //! run once, recorded against its tenant as failed, and the worker moves
 //! on.
 //!
-//! Every accept is journaled before it is acknowledged, so a `kill -9`
-//! resumes exactly the accepted-but-unfinished set on restart; re-run
-//! jobs are served from the result-store tiers rather than recomputed.
+//! Every accept is journaled before it is acknowledged — a submit's
+//! records in one write — so a `kill -9` resumes exactly the
+//! accepted-but-unfinished set on restart; re-run jobs are served from the
+//! result-store tiers rather than recomputed.
 
 use crate::qjournal::{self, QueueJournal, QueueOp};
 use crate::queue::{JobQueue, JobSpec, Quotas, Verdict};
-use dcl1::{Design, GpuConfig, SimOptions};
-use dcl1_bench::ledger::{Chunk, ResultLedger};
-use dcl1_bench::runner::{RunRequest, SweepSession, TenantScope};
+use dcl1::{Design, GpuConfig, RunStats, SimOptions};
+use dcl1_bench::ledger::ResultLedger;
+use dcl1_bench::runner::{RunRequest, Served, SweepSession, TenantScope};
 use dcl1_bench::Scale;
 use dcl1_obs::json::escape;
 use dcl1_obs::progress::{ProgressEvent, ProgressSink, ProgressStage};
@@ -92,8 +106,8 @@ struct TenantCounters {
 
 /// Everything the daemon tracks about one tenant. Registries are
 /// per-tenant so counter namespaces cannot bleed across tenants. The
-/// ledger owns the tenant's results as dump chunks; the `RunStats` a job
-/// returned is dropped once pushed, since the store already holds it.
+/// ledger owns the tenant's results as dump chunks, and shares the
+/// store's `Arc` of each label's latest result rather than copying it.
 struct TenantState {
     registry: Registry,
     ids: TenantCounters,
@@ -143,14 +157,66 @@ struct Core {
 
 impl Core {
     fn tenant_mut(&mut self, name: &str) -> &mut TenantState {
-        self.tenants.entry(name.to_string()).or_insert_with(TenantState::fresh)
+        // Looked up before `entry`, which would allocate the key each time.
+        if !self.tenants.contains_key(name) {
+            self.tenants.insert(name.to_string(), TenantState::fresh());
+        }
+        self.tenants.get_mut(name).expect("inserted above")
     }
 
+    /// Stages one journal record; [`Core::commit_journal`] writes it.
     fn log(&mut self, op: QueueOp, id: u64, payload: &str) {
+        if let Some(j) = &mut self.journal {
+            j.stage(op, id, payload);
+        }
+    }
+
+    /// Writes every staged journal record in one write. Called before the
+    /// lock is released, so the file's order is the order of decisions.
+    fn commit_journal(&mut self) {
         if let Some(j) = &mut self.journal {
             // An unwritable journal must not wedge the queue; the loss is
             // only of crash-resume fidelity, and the daemon keeps serving.
-            let _ = j.append_record(op, id, payload);
+            let _ = j.commit();
+        }
+    }
+
+    /// Files one finished job — a worker's, or a hit answered at
+    /// admission: its `done` record, its tenant's counters, and its
+    /// statistics in the tenant's ledger or its quarantine record in the
+    /// tenant's list.
+    fn record_completion(
+        &mut self,
+        id: u64,
+        tenant: &str,
+        label: &str,
+        outcome: Result<Served, QuarantineRecord>,
+    ) {
+        match outcome {
+            Ok(served) => {
+                self.log(QueueOp::Done, id, "completed");
+                let state = self.tenant_mut(tenant);
+                let c = state.ids.completed;
+                state.registry.inc(c);
+                let provenance = match served.source {
+                    "memo" => Some(state.ids.mem_hits),
+                    "disk" => Some(state.ids.disk_hits),
+                    "shared" => Some(state.ids.shared_hits),
+                    "simulated" => Some(state.ids.simulated),
+                    _ => None,
+                };
+                if let Some(cid) = provenance {
+                    state.registry.inc(cid);
+                }
+                state.ledger.push(label, &served.stats);
+            }
+            Err(rec) => {
+                self.log(QueueOp::Done, id, &format!("quarantined:{}", rec.class));
+                let state = self.tenant_mut(tenant);
+                let c = state.ids.quarantined;
+                state.registry.inc(c);
+                state.quarantined.push(rec);
+            }
         }
     }
 
@@ -252,11 +318,19 @@ impl Daemon {
     }
 
     /// Offers a batch of jobs, journaling each accept before it is
-    /// acknowledged. Returns one verdict per spec, input order.
+    /// acknowledged. A job whose result the memory tier already holds
+    /// completes here (see the [module docs](crate::scheduler)); the rest
+    /// are offered to the queue. Returns one verdict per spec, input order.
     pub fn submit_jobs(&self, specs: Vec<JobSpec>) -> Vec<Verdict> {
+        // A hit is a hash probe, taken before the lock; a miss costs
+        // nothing more here.
+        let hits: Vec<Option<Arc<RunStats>>> =
+            specs.iter().map(|spec| self.lookup_memo(spec)).collect();
+        let mut admitted: Vec<(String, String, u64)> = Vec::new();
+        let mut queued = false;
         let mut core = self.lock_core();
         let mut verdicts = Vec::with_capacity(specs.len());
-        for spec in specs {
+        for (spec, hit) in specs.into_iter().zip(hits) {
             if core.draining || core.shutdown {
                 verdicts.push(Verdict::Rejected {
                     retry_after_ms: crate::queue::backpressure_retry_ms(core.queue.depth()),
@@ -264,15 +338,28 @@ impl Daemon {
                 });
                 continue;
             }
+            if let Some(stats) = hit {
+                let id = core.queue.allocate_id();
+                core.accepted_total += 1;
+                core.log(QueueOp::Accept, id, &spec.encode());
+                let (label, cycles) = (spec.label(), stats.cycles);
+                let served = Served { stats, source: "memo" };
+                core.record_completion(id, &spec.tenant, &label, Ok(served));
+                admitted.push((label, spec.tenant, cycles));
+                verdicts.push(Verdict::Accepted { id });
+                continue;
+            }
             let tenant = spec.tenant.clone();
             let encoded = spec.encode();
             let verdict = core.queue.offer(spec, &self.cfg.quotas);
             match &verdict {
                 Verdict::Accepted { id } => {
+                    queued = true;
                     core.accepted_total += 1;
                     core.log(QueueOp::Accept, *id, &encoded);
                 }
                 Verdict::Shed { id, shed_id, shed_tenant } => {
+                    queued = true;
                     core.accepted_total += 1;
                     let (shed_id, shed_tenant) = (*shed_id, shed_tenant.clone());
                     core.log(QueueOp::Accept, *id, &encoded);
@@ -291,9 +378,33 @@ impl Daemon {
             core.refresh_gauges(&tenant);
             verdicts.push(verdict);
         }
+        core.commit_journal();
         drop(core);
-        self.work_ready.notify_all();
+        if let Some(sink) = &self.sink {
+            let mut events = Vec::with_capacity(2 * admitted.len());
+            for (label, tenant, cycles) in &admitted {
+                events.push(ProgressEvent::new(ProgressStage::Started, label));
+                events.push(
+                    ProgressEvent::new(ProgressStage::Completed, label)
+                        .tenant(tenant)
+                        .source("memo")
+                        .cycles(*cycles),
+                );
+            }
+            sink.emit_all(&events);
+        }
+        if queued {
+            self.work_ready.notify_all();
+        }
         verdicts
+    }
+
+    /// The memory tier's statistics for `spec`, if it holds them and the
+    /// job may be answered from there (no `--check`, no chaos). A spec
+    /// that names no known point is a miss: a worker quarantines it.
+    fn lookup_memo(&self, spec: &JobSpec) -> Option<Arc<RunStats>> {
+        let req = build_request(spec).ok()?;
+        self.session.lookup_memo(&req, self.cfg.scale, scope_of(spec))
     }
 
     /// Withdraws `job` (or every queued job) belonging to `tenant`.
@@ -305,6 +416,7 @@ impl Daemon {
         for j in &withdrawn {
             core.log(QueueOp::Cancel, j.id, "");
         }
+        core.commit_journal();
         let n = withdrawn.len();
         let state = core.tenant_mut(tenant);
         let c = state.ids.cancelled;
@@ -461,56 +573,31 @@ fn worker_loop(daemon: &Daemon) {
     }
 }
 
+/// A job's chaos seed and deadline. They travel with the job, not the
+/// process, so faults injected for one tenant cannot reach another
+/// tenant's runs.
+fn scope_of(spec: &JobSpec) -> TenantScope {
+    TenantScope { chaos: spec.chaos, deadline_secs: spec.deadline_secs }
+}
+
 /// Runs one dispatched job start-to-finish on the current thread and
 /// records its outcome.
 fn self_contained_run(daemon: &Daemon, spec: &JobSpec, label: &str, tenant: &str, id: u64) {
-    // The chaos seed and deadline travel with the job, not the process,
-    // so faults injected for one tenant cannot reach another tenant's
-    // runs. The ledger chunk is serialised here, before the core lock,
-    // which then covers only its insert.
-    let scope = TenantScope { chaos: spec.chaos, deadline_secs: spec.deadline_secs };
     let outcome = build_request(spec)
-        .and_then(|req| daemon.session.run_point(&req, daemon.cfg.scale, scope))
-        .map(|served| (Chunk::new(label, &served.stats), served.source));
+        .and_then(|req| daemon.session.run_point(&req, daemon.cfg.scale, scope_of(spec)));
+    let source = outcome.as_ref().map_or("", |served| served.source);
+    let class = outcome.as_ref().err().map(|rec| rec.class.clone());
 
     let mut core = daemon.lock_core();
-    match outcome {
-        Ok((chunk, source)) => {
-            core.log(QueueOp::Done, id, "completed");
-            let state = core.tenant_mut(tenant);
-            let c = state.ids.completed;
-            state.registry.inc(c);
-            let provenance = match source {
-                "memo" => Some(state.ids.mem_hits),
-                "disk" => Some(state.ids.disk_hits),
-                "shared" => Some(state.ids.shared_hits),
-                "simulated" => Some(state.ids.simulated),
-                _ => None,
-            };
-            if let Some(cid) = provenance {
-                state.registry.inc(cid);
-            }
-            state.ledger.push(chunk);
-            drop(core);
-            daemon.emit(
-                &ProgressEvent::new(ProgressStage::Completed, label).tenant(tenant).source(source),
-            );
-        }
-        Err(rec) => {
-            core.log(QueueOp::Done, id, &format!("quarantined:{}", rec.class));
-            let state = core.tenant_mut(tenant);
-            let c = state.ids.quarantined;
-            state.registry.inc(c);
-            let class = rec.class.clone();
-            state.quarantined.push(rec);
-            drop(core);
-            daemon.emit(
-                &ProgressEvent::new(ProgressStage::Quarantined, label)
-                    .tenant(tenant)
-                    .detail(&class),
-            );
-        }
-    }
+    core.record_completion(id, tenant, label, outcome);
+    core.commit_journal();
+    drop(core);
+    let event = match &class {
+        None => ProgressEvent::new(ProgressStage::Completed, label).source(source),
+        Some(class) => ProgressEvent::new(ProgressStage::Quarantined, label).detail(class),
+    };
+    daemon.emit(&event.tenant(tenant));
+
     let mut core = daemon.lock_core();
     core.inflight_total -= 1;
     let state = core.tenant_mut(tenant);

@@ -3,12 +3,16 @@
 //! Each connection gets its own thread; a wedged or malicious client
 //! therefore blocks only itself, and the daemon core (behind its own
 //! mutex) keeps answering everyone else — `status` stays responsive even
-//! under full queue overload. `subscribe` upgrades a connection into a
+//! under full queue overload. A connection thread also does a submit's
+//! work when the memory tier already holds its points: those jobs
+//! complete inside the submit, before its reply is written (see
+//! [`crate::scheduler`]). `subscribe` upgrades a connection into a
 //! live JSONL progress stream fed by a fan-out writer shared with the
 //! sweep runner's progress sink, so point-level runner events and the
 //! daemon's own tenant-level job events interleave on one channel. That
-//! channel is written by the job threads themselves, so a subscriber gets
-//! a bounded write timeout and is disconnected when it stops reading.
+//! channel is written by the job threads themselves and, for jobs answered
+//! at admission, by the submitting connection's thread, so a subscriber
+//! gets a bounded write timeout and is disconnected when it stops reading.
 
 use crate::proto::{self, Request};
 use crate::scheduler::{Daemon, DaemonConfig};
@@ -32,8 +36,8 @@ const SUBSCRIBER_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// and drops the ones that are dead or whose socket buffer stayed full
 /// for [`SUBSCRIBER_WRITE_TIMEOUT`] — closing the connection, because a
 /// timed-out write may have left half a line behind. `ProgressSink`
-/// writes one complete JSON line per call, so every subscriber still
-/// attached has seen whole lines only.
+/// writes whole JSON lines only, one or a batch per call, so every
+/// subscriber still attached has seen whole lines only.
 pub struct FanoutWriter {
     subs: SubscriberList,
 }

@@ -6,7 +6,7 @@
 
 mod util;
 
-use dcl1::{GpuConfig, SimOptions};
+use dcl1::{GpuConfig, RunStats, SimOptions};
 use dcl1_bench::runner::{self, RunRequest, TenantScope};
 use dcl1_bench::{grid, Scale, SweepSession};
 use dcl1_obs::json::Json;
@@ -82,7 +82,8 @@ fn resubmitted_sweep_digest_and_golden_reply() {
             opts: SimOptions { fast_forward: true, ..SimOptions::default() },
         };
         let served = session.run_point(&req, Scale::Smoke, TenantScope::default());
-        let pair = (job.label(), served.expect("the daemon stored this point").stats);
+        let stats = served.expect("the daemon stored this point").stats;
+        let pair = (job.label(), RunStats::clone(&stats));
         multiset.extend(std::iter::repeat_n(pair, 50));
     }
     let doc = Json::parse(&reply).expect("reply parses");

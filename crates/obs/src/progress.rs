@@ -165,9 +165,20 @@ impl ProgressSink {
         }
     }
 
-    /// Serializes and writes one event. IO errors are swallowed: progress
-    /// reporting must never abort a sweep.
+    /// Serializes and writes one event, one line per write. IO errors are
+    /// swallowed: progress reporting must never abort a sweep.
     pub fn emit(&self, ev: &ProgressEvent<'_>) {
+        self.emit_all(std::slice::from_ref(ev));
+    }
+
+    /// Serializes `evs` under consecutive `seq` numbers and writes them
+    /// in one write and one flush — a batch of whole lines that no other
+    /// emitter's line can split. IO errors are swallowed, as in
+    /// [`ProgressSink::emit`].
+    pub fn emit_all(&self, evs: &[ProgressEvent<'_>]) {
+        if evs.is_empty() {
+            return;
+        }
         // Wall time is diagnostic stream metadata, never simulation input.
         let t_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -175,38 +186,12 @@ impl ProgressSink {
             .unwrap_or(0);
         let Ok(mut inner) = self.inner.lock() else { return };
         let inner = &mut *inner;
-        inner.seq += 1;
-        let seq = inner.seq;
-        let buf = &mut inner.buf;
-        buf.clear();
-        let _ = write!(
-            buf,
-            "{{\"seq\": {seq}, \"t_ms\": {t_ms}, \"event\": \"{}\", \"point\": \"{}\"",
-            ev.stage.as_str(),
-            json::escape(ev.point)
-        );
-        if let Some(p) = ev.pct {
-            let _ = write!(buf, ", \"pct\": {p}");
+        inner.buf.clear();
+        for ev in evs {
+            inner.seq += 1;
+            render_line(&mut inner.buf, inner.seq, t_ms, ev);
         }
-        if let Some(k) = ev.khz {
-            if k.is_finite() {
-                let _ = write!(buf, ", \"khz\": {k:.3}");
-            }
-        }
-        if let Some(c) = ev.cycles {
-            let _ = write!(buf, ", \"cycles\": {c}");
-        }
-        if let Some(s) = ev.source {
-            let _ = write!(buf, ", \"source\": \"{}\"", json::escape(s));
-        }
-        if let Some(d) = ev.detail {
-            let _ = write!(buf, ", \"detail\": \"{}\"", json::escape(d));
-        }
-        if let Some(t) = ev.tenant {
-            let _ = write!(buf, ", \"tenant\": \"{}\"", json::escape(t));
-        }
-        buf.push_str("}\n");
-        let _ = inner.out.write_all(buf.as_bytes());
+        let _ = inner.out.write_all(inner.buf.as_bytes());
         let _ = inner.out.flush();
     }
 
@@ -215,6 +200,37 @@ impl ProgressSink {
     pub fn emitted(&self) -> u64 {
         self.inner.lock().map(|i| i.seq).unwrap_or(0)
     }
+}
+
+/// Appends the JSONL line of `ev` to `buf`.
+fn render_line(buf: &mut String, seq: u64, t_ms: u128, ev: &ProgressEvent<'_>) {
+    let _ = write!(
+        buf,
+        "{{\"seq\": {seq}, \"t_ms\": {t_ms}, \"event\": \"{}\", \"point\": \"{}\"",
+        ev.stage.as_str(),
+        json::escape(ev.point)
+    );
+    if let Some(p) = ev.pct {
+        let _ = write!(buf, ", \"pct\": {p}");
+    }
+    if let Some(k) = ev.khz {
+        if k.is_finite() {
+            let _ = write!(buf, ", \"khz\": {k:.3}");
+        }
+    }
+    if let Some(c) = ev.cycles {
+        let _ = write!(buf, ", \"cycles\": {c}");
+    }
+    if let Some(s) = ev.source {
+        let _ = write!(buf, ", \"source\": \"{}\"", json::escape(s));
+    }
+    if let Some(d) = ev.detail {
+        let _ = write!(buf, ", \"detail\": \"{}\"", json::escape(d));
+    }
+    if let Some(t) = ev.tenant {
+        let _ = write!(buf, ", \"tenant\": \"{}\"", json::escape(t));
+    }
+    buf.push_str("}\n");
 }
 
 #[cfg(test)]
@@ -320,6 +336,38 @@ mod tests {
         let quar = Json::parse(&lines(&buf)[0]).unwrap();
         assert_eq!(quar.get("event").unwrap().as_str(), Some("quarantined"));
         assert_eq!(quar.get("detail").unwrap().as_str(), Some("livelock"));
+    }
+
+    #[test]
+    fn emit_all_is_one_write_of_consecutive_lines() {
+        #[derive(Clone, Default)]
+        struct Writes(Arc<Mutex<Vec<String>>>);
+        impl Write for Writes {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                let text = String::from_utf8_lossy(data).into_owned();
+                self.0.lock().expect("writes lock").push(text);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let writes = Writes::default();
+        let sink = ProgressSink::new(Box::new(writes.clone()));
+        sink.emit(&ProgressEvent::new(ProgressStage::Queued, "a/d"));
+        sink.emit_all(&[]);
+        sink.emit_all(&[
+            ProgressEvent::new(ProgressStage::Started, "a/d"),
+            ProgressEvent::new(ProgressStage::Completed, "a/d").source("memo").tenant("t"),
+        ]);
+        let writes = writes.0.lock().expect("writes lock");
+        assert_eq!(writes.len(), 2, "one write per call, none for an empty batch");
+        let seqs: Vec<f64> = writes[1]
+            .lines()
+            .map(|l| Json::parse(l).expect("line parses").get("seq").unwrap().as_f64().unwrap())
+            .collect();
+        assert_eq!(seqs, [2.0, 3.0]);
+        assert_eq!(sink.emitted(), 3);
     }
 
     #[test]

@@ -234,6 +234,16 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
         Lookup { hit: None, mem_nanos, disk_nanos, shared_nanos }
     }
 
+    /// Looks up `key` in the mem tier alone, counting a hit and nothing
+    /// else: a miss is left for a later [`ResultStore::lookup`] to count,
+    /// and no disk tier is touched. `dcl1d` answers a submit from here
+    /// without any disk I/O on its connection threads.
+    pub fn peek_mem(&self, key: u128) -> Option<Arc<V>> {
+        let hit = self.mem.get(key)?;
+        self.mem_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
     /// Loads + decodes `key` from one disk tier, quarantining entries
     /// whose body does not decode even under a valid checksum.
     fn decode_tier(
@@ -261,9 +271,16 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
     }
 
     /// Inserts a computed value into every tier (shared only when
-    /// write-back is on), returning per-tier write timings.
+    /// write-back is on), returning per-tier write timings. The mem tier
+    /// holds a copy; [`ResultStore::insert_arc`] shares the caller's.
     pub fn insert(&self, key: u128, value: &V) -> Fill {
-        let body = self.codec.encode(value);
+        self.insert_arc(key, Arc::new(value.clone()))
+    }
+
+    /// [`ResultStore::insert`], keeping `value` itself in the mem tier, so
+    /// later hits return this same `Arc`.
+    pub fn insert_arc(&self, key: u128, value: Arc<V>) -> Fill {
+        let body = self.codec.encode(&value);
         let mut fill = Fill { disk_nanos: None, shared_nanos: None };
         if let Some(disk) = &self.disk {
             let t = Instant::now();
@@ -277,7 +294,7 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
                 fill.shared_nanos = Some(elapsed_nanos(t));
             }
         }
-        self.mem.insert(key, Arc::new(value.clone()), body.len() as u64);
+        self.mem.insert(key, value, body.len() as u64);
         fill
     }
 
@@ -385,21 +402,32 @@ mod tests {
         let mut corr = Vec::new();
         {
             let a = store_at(&dir, None);
-            a.insert(7, &700);
-            assert!(matches!(a.lookup(7, &mut corr).hit, Some((_, HitTier::Mem))));
+            let value = Arc::new(700);
+            a.insert_arc(7, Arc::clone(&value));
+            match a.lookup(7, &mut corr).hit {
+                Some((v, HitTier::Mem)) => assert!(Arc::ptr_eq(&v, &value), "mem keeps the Arc"),
+                _ => panic!("an inserted value is a mem hit"),
+            }
         }
         // A fresh store (new process) has a cold mem tier: first lookup is
-        // a disk hit, the next a mem hit via promotion.
+        // a disk hit, the next a mem hit via promotion. A mem-only peek
+        // before it misses without reading the disk or counting the miss.
         let b = store_at(&dir, None);
+        assert!(b.peek_mem(7).is_none());
         let first = b.lookup(7, &mut corr);
         match first.hit {
             Some((v, HitTier::Disk)) => assert_eq!(*v, 700),
             _ => panic!("cold store must hit disk"),
         }
         assert!(first.disk_nanos.is_some());
-        assert!(matches!(b.lookup(7, &mut corr).hit, Some((_, HitTier::Mem))));
+        let promoted = match b.lookup(7, &mut corr).hit {
+            Some((v, HitTier::Mem)) => v,
+            _ => panic!("a promoted entry is a mem hit"),
+        };
+        let peeked = b.peek_mem(7).expect("a promoted entry is in the mem tier");
+        assert!(Arc::ptr_eq(&peeked, &promoted));
         let s = b.stats();
-        assert_eq!((s.disk_hits, s.mem_hits, s.misses), (1, 1, 0));
+        assert_eq!((s.disk_hits, s.mem_hits, s.misses), (1, 2, 0));
         assert!(corr.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -45,6 +45,11 @@ leg_lint() {
         ':!crates/resilience/src/lib.rs' ':!crates/resilience/src/supervisor.rs'; then
         return 1
     fi
+    # The ledger serialises a result, once per distinct result; the daemon
+    # never does, and holds no serialised chunk of its own.
+    if git grep -nE 'serialize_stats|Chunk' -- crates/dcl1d/src; then
+        return 1
+    fi
 }
 
 # The command-line surface cannot grow back: every flag a binary's --help
