@@ -26,7 +26,7 @@ use dcl1::Design;
 
 /// The four proposed designs of the paper's final evaluation (§VIII),
 /// for the default 80-core machine.
-pub fn proposed_designs() -> Vec<Design> {
+pub(crate) fn proposed_designs() -> Vec<Design> {
     vec![
         Design::Private { nodes: 40 },
         Design::Shared { nodes: 40 },
@@ -36,7 +36,7 @@ pub fn proposed_designs() -> Vec<Design> {
 }
 
 /// The paper's cluster-count sweep (Fig 11): C1 = Sh40 … C40 = Pr40.
-pub fn cluster_sweep() -> Vec<(String, Design)> {
+pub(crate) fn cluster_sweep() -> Vec<(String, Design)> {
     [1usize, 5, 10, 20, 40]
         .into_iter()
         .map(|z| {

@@ -20,7 +20,7 @@ pub mod grid;
 pub mod ledger;
 pub mod runner;
 pub mod sweepcli;
-pub mod table;
+mod table;
 
 pub use runner::{RunRequest, Scale, SweepOutcome, SweepSession};
 pub use table::Table;

@@ -4,12 +4,11 @@
 //!
 //! Results are memoized in a tiered [`dcl1_store::ResultStore`], keyed by
 //! a structured hash of the full (app, design, config, options, scale)
-//! point: a sharded in-memory LRU of 256 MiB, an unbounded fan-out
-//! checksummed disk tier under the session's directory, and an optional
-//! shared read-through, write-back tier (`DCL1_CACHE_SHARED_DIR`).
-//! Concurrent requests for the same uncomputed key are deduplicated by
-//! per-key single-flight: one thread simulates, the rest wait and read
-//! the published result.
+//! point: a sharded in-memory LRU of 256 MiB over an unbounded fan-out
+//! checksummed disk tier under the session's directory. Concurrent
+//! requests for the same uncomputed key are deduplicated by per-key
+//! single-flight: one thread simulates, the rest wait and read the
+//! published result.
 //!
 //! Sweeps run under supervision ([`SweepSession::run_points`]): each point
 //! runs once behind panic containment ([`dcl1_resilience::contain`]), hangs
@@ -379,26 +378,20 @@ impl PointTiming {
 pub struct MemoStats {
     /// Points served from the in-memory LRU tier.
     pub mem_hits: u64,
-    /// Points served from the local on-disk tier.
+    /// Points served from the on-disk tier.
     pub disk_hits: u64,
-    /// Points served from the shared read-through tier.
-    pub shared_hits: u64,
-    /// Lookups that fell through every tier.
+    /// Lookups that fell through both tiers.
     pub misses: u64,
     /// Points actually simulated.
     pub simulated: u64,
     /// In-memory entries evicted to stay under the byte budget.
     pub mem_evictions: u64,
-    /// Disk entries evicted by the GC budget.
-    pub disk_evictions: u64,
     /// Bytes held by the in-memory tier.
     pub mem_bytes: u64,
-    /// Bytes held by the local disk tier.
+    /// Bytes held by the disk tier.
     pub disk_bytes: u64,
     /// Threads that blocked behind another thread computing the same key.
     pub flight_waits: u64,
-    /// Legacy flat-layout entries migrated into the fan-out at open.
-    pub migrated_entries: u64,
     /// Core cycles across simulated points.
     pub sim_cycles: u64,
     /// Wall nanoseconds across simulated points.
@@ -406,15 +399,14 @@ pub struct MemoStats {
 }
 
 impl MemoStats {
-    /// Points served without simulating, across every tier.
+    /// Points served without simulating, from either tier.
     pub fn total_hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits + self.shared_hits
+        self.mem_hits + self.disk_hits
     }
 
-    /// Fraction of accounted points served without simulating. Counts
-    /// every tier (shared hits included — omitting them once let the
-    /// printed rate exceed 100%) against hits + simulated points.
-    pub fn hit_rate(&self) -> f64 {
+    /// Fraction of accounted points served without simulating: hits
+    /// against hits + simulated points.
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.total_hits() + self.simulated;
         if total == 0 {
             0.0
@@ -442,20 +434,16 @@ struct SweepRegistry {
     reg: Registry,
     mem_hits: CounterId,
     disk_hits: CounterId,
-    shared_hits: CounterId,
     misses: CounterId,
     simulated: CounterId,
     mem_evictions: CounterId,
-    disk_evictions: CounterId,
     flight_waits: CounterId,
-    migrated_entries: CounterId,
     cache_corruptions: CounterId,
     quarantined_points: CounterId,
     mem_bytes: GaugeId,
     disk_bytes: GaugeId,
     mem_lookup_nanos: HistogramId,
     disk_lookup_nanos: HistogramId,
-    shared_lookup_nanos: HistogramId,
     fill_nanos: HistogramId,
 }
 
@@ -465,20 +453,16 @@ impl SweepRegistry {
         SweepRegistry {
             mem_hits: reg.counter("memo.mem_hits"),
             disk_hits: reg.counter("memo.disk_hits"),
-            shared_hits: reg.counter("memo.shared_hits"),
             misses: reg.counter("memo.misses"),
             simulated: reg.counter("memo.simulated"),
             mem_evictions: reg.counter("memo.mem_evictions"),
-            disk_evictions: reg.counter("memo.disk_evictions"),
             flight_waits: reg.counter("memo.flight_waits"),
-            migrated_entries: reg.counter("memo.migrated_entries"),
             cache_corruptions: reg.counter("memo.cache_corruptions"),
             quarantined_points: reg.counter("memo.quarantined_points"),
             mem_bytes: reg.gauge("memo.mem_bytes"),
             disk_bytes: reg.gauge("memo.disk_bytes"),
             mem_lookup_nanos: reg.histogram("memo.mem_lookup_nanos"),
             disk_lookup_nanos: reg.histogram("memo.disk_lookup_nanos"),
-            shared_lookup_nanos: reg.histogram("memo.shared_lookup_nanos"),
             fill_nanos: reg.histogram("memo.fill_nanos"),
             reg,
         }
@@ -522,8 +506,8 @@ pub struct Served {
     /// The point's statistics: the `Arc` the store holds for the point (a
     /// checked run, which bypasses the store, gets one of its own).
     pub stats: Arc<RunStats>,
-    /// `"simulated"`, or the store tier that held it: `"memo"`, `"disk"`
-    /// or `"shared"`.
+    /// `"simulated"`, or the store tier that held it: `"memo"` or
+    /// `"disk"`.
     pub source: &'static str,
 }
 
@@ -600,43 +584,21 @@ impl SweepSession {
     /// A session whose disk tier lives under `dir` (in its
     /// schema-versioned `v<N>` subdirectory; stale siblings are purged
     /// when the store opens, at first use),
-    /// with no shared tier, one domain per machine, one point thread per
-    /// core, and no chaos, check mode or progress sink.
+    /// with one domain per machine, one point thread per core, and no
+    /// chaos, check mode or progress sink.
     #[must_use]
     pub fn open(dir: &Path) -> SweepSession {
-        SweepSession::open_tiers(dir, None)
-    }
-
-    /// A session on the host's cache: `$DCL1_CACHE_DIR`, else
-    /// `target/dcl1-cache/` in the workspace, plus the shared tier at
-    /// `$DCL1_CACHE_SHARED_DIR` when that is set — read-through with
-    /// write-back, and never migrated or purged, since other hosts of the
-    /// fleet may still be on an older schema.
-    #[must_use]
-    #[expect(clippy::disallowed_methods, reason = "the shared tier's mount is the host's choice")]
-    pub fn from_env() -> SweepSession {
-        let shared = std::env::var_os("DCL1_CACHE_SHARED_DIR").map(PathBuf::from);
-        SweepSession::open_tiers(&host_cache_dir(), shared)
-    }
-
-    fn open_tiers(dir: &Path, shared: Option<PathBuf>) -> SweepSession {
-        let shared = shared.map(|dir| DiskTierConfig {
-            root: versioned_cache_dir(&dir),
-            budget_bytes: None,
-            migrate_flat: false,
-            purge_stale_siblings: false,
-        });
         let tiers = StoreConfig {
             mem_budget_bytes: MEM_BUDGET_BYTES,
             mem_shards: MEM_SHARDS,
             disk: Some(DiskTierConfig {
                 root: versioned_cache_dir(dir),
                 budget_bytes: None,
-                migrate_flat: true,
+                migrate_flat: false,
                 purge_stale_siblings: true,
             }),
-            shared,
-            shared_writeback: true,
+            shared: None,
+            shared_writeback: false,
         };
         SweepSession {
             tiers,
@@ -655,6 +617,13 @@ impl SweepSession {
             profiler: Mutex::new(PhaseProfiler::new()),
             recovery: Mutex::new(RecoveryLog::new()),
         }
+    }
+
+    /// A session on the host's cache: `$DCL1_CACHE_DIR`, else
+    /// `target/dcl1-cache/` in the workspace.
+    #[must_use]
+    pub fn from_env() -> SweepSession {
+        SweepSession::open(&host_cache_dir())
     }
 
     /// Runs [`SweepSession::run_points`] on `workers` threads (0 = one per
@@ -679,7 +648,7 @@ impl SweepSession {
     /// harness, which panics on any violation. Checked runs bypass the
     /// store in both directions; their statistics are byte-identical.
     #[must_use]
-    pub fn with_check(mut self, check: bool) -> SweepSession {
+    pub(crate) fn with_check(mut self, check: bool) -> SweepSession {
         self.check = check;
         self
     }
@@ -723,15 +692,12 @@ impl SweepSession {
         MemoStats {
             mem_hits: s.mem_hits,
             disk_hits: s.disk_hits,
-            shared_hits: s.shared_hits,
             misses: s.misses,
             simulated: self.simulated.load(Ordering::Relaxed),
             mem_evictions: s.mem_evictions,
-            disk_evictions: s.disk_evictions,
             mem_bytes: s.mem_bytes,
             disk_bytes: s.disk_bytes,
             flight_waits: s.flight_waits,
-            migrated_entries: s.migrated_entries,
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
         }
@@ -753,8 +719,7 @@ impl SweepSession {
         t.row("points simulated", vec![m.simulated.to_string()]);
         t.row("points from memo (RAM)", vec![m.mem_hits.to_string()]);
         t.row("points from memo (disk)", vec![m.disk_hits.to_string()]);
-        t.row("points from memo (shared)", vec![m.shared_hits.to_string()]);
-        t.row("memo evictions (RAM/disk)", vec![format!("{}/{}", m.mem_evictions, m.disk_evictions)]);
+        t.row("memo evictions (RAM)", vec![m.mem_evictions.to_string()]);
         t.row("memo hit rate", vec![format!("{:.1}%", 100.0 * m.hit_rate())]);
         t.row("sim-cycles", vec![m.sim_cycles.to_string()]);
         t.row("sim wall seconds", vec![format!("{wall:.2}")]);
@@ -775,13 +740,10 @@ impl SweepSession {
         let counters = [
             (state.mem_hits, m.mem_hits),
             (state.disk_hits, m.disk_hits),
-            (state.shared_hits, m.shared_hits),
             (state.misses, m.misses),
             (state.simulated, m.simulated),
             (state.mem_evictions, m.mem_evictions),
-            (state.disk_evictions, m.disk_evictions),
             (state.flight_waits, m.flight_waits),
-            (state.migrated_entries, m.migrated_entries),
             (state.cache_corruptions, log.cache_corruptions),
             (state.quarantined_points, log.quarantines),
         ];
@@ -1045,18 +1007,13 @@ impl SweepSession {
         let stats = Arc::new(stats);
         if !self.check {
             let t_fill = Instant::now();
-            let fill = self.store().insert_arc(key, Arc::clone(&stats));
+            self.store().insert_arc(key, Arc::clone(&stats));
             let fill_nanos = u64::try_from(t_fill.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let mut state = self.registry.lock().expect("sweep registry lock");
             let id = state.fill_nanos;
             state.reg.observe(id, fill_nanos);
             drop(state);
-            if let Some(n) = fill.shared_nanos {
-                self.note_phase(Phase::SharedIo, n);
-                self.note_phase(Phase::CacheIo, fill_nanos.saturating_sub(n));
-            } else {
-                self.note_phase(Phase::CacheIo, fill_nanos);
-            }
+            self.note_phase(Phase::CacheIo, fill_nanos);
             if let Some(c) = &chaos {
                 if c.should_corrupt(&point) {
                     // Damage the entry we just wrote, then read it back: the
@@ -1091,21 +1048,14 @@ impl SweepSession {
             self.record_cache_corruption(point, &c.path, &c.reason);
         }
         let mut state = self.registry.lock().expect("sweep registry lock");
-        let (id_mem, id_disk, id_shared) =
-            (state.mem_lookup_nanos, state.disk_lookup_nanos, state.shared_lookup_nanos);
+        let (id_mem, id_disk) = (state.mem_lookup_nanos, state.disk_lookup_nanos);
         state.reg.observe(id_mem, lookup.mem_nanos);
         if let Some(n) = lookup.disk_nanos {
             state.reg.observe(id_disk, n);
         }
-        if let Some(n) = lookup.shared_nanos {
-            state.reg.observe(id_shared, n);
-        }
         drop(state);
         if let Some(n) = lookup.disk_nanos {
             self.note_phase(Phase::CacheIo, n);
-        }
-        if let Some(n) = lookup.shared_nanos {
-            self.note_phase(Phase::SharedIo, n);
         }
         let (stats, tier) = lookup.hit?;
         let done = ProgressEvent::new(ProgressStage::Completed, point)
@@ -1148,20 +1098,16 @@ impl SweepSession {
         log.note(format!("cache entry for {point} quarantined ({reason}): {path}"));
     }
 
-    /// Damages the on-disk cache entries for `key` the way `chaos` dictates
+    /// Damages the on-disk cache entry for `key` the way `chaos` dictates
     /// for `point` — called right after a store so the corruption-recovery
     /// path (checksum reject → quarantine → recompute/re-store) runs
     /// in-sweep. The entry lives in its two-hex-digit bucket under the
-    /// local tier, and, when a shared tier is configured, the write-back
-    /// copy there is damaged too, so the shared tier's independent checksum
-    /// rejection is exercised alongside the local one.
+    /// disk tier.
     fn chaos_corrupt_disk_entry(&self, chaos: &Chaos, point: &str, key: u128) {
-        let targets = [self.store().disk_entry_path(key), self.store().shared_entry_path(key)];
-        for path in targets.into_iter().flatten() {
-            let Ok(mut bytes) = std::fs::read(&path) else { continue };
-            chaos.corrupt(point, &mut bytes);
-            let _ = std::fs::write(&path, bytes);
-        }
+        let Some(path) = self.store().disk_entry_path(key) else { return };
+        let Ok(mut bytes) = std::fs::read(&path) else { return };
+        chaos.corrupt(point, &mut bytes);
+        let _ = std::fs::write(&path, bytes);
     }
 }
 
@@ -1513,7 +1459,7 @@ mod tests {
         // …so an entry persisted under a stale sibling (a previous
         // schema's v1/) can never satisfy a lookup, even for the same key
         // — and the store's open pass deletes such siblings outright
-        // (covered in `dcl1-store`'s migration test). Even a direct read
+        // (covered in `dcl1-store`'s purge test). Even a direct read
         // of a stale payload fails the field-count guard rather than
         // half-parsing.
         let pre_v2 = "cycles 1\ninstructions 2\ndesign Baseline\n";

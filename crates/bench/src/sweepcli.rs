@@ -136,21 +136,11 @@ fn observe_request(selector: &str) -> Result<RunRequest, String> {
     })
 }
 
-/// Resolves a design selector: `baseline`, `flagship`, `prN`, `shN`, or
-/// any full design name `Design::from_str` accepts (e.g. `sh16+c8+boost`).
+/// Resolves a design selector: `flagship`, or any design name
+/// `Design::from_str` accepts (e.g. `pr40`, `sh16+c8+boost`).
 fn parse_design(name: &str, cfg: &GpuConfig) -> Option<Design> {
-    let lower = name.to_ascii_lowercase();
-    if lower == "baseline" {
-        return Some(Design::Baseline);
-    }
-    if lower == "flagship" {
+    if name.eq_ignore_ascii_case("flagship") {
         return Some(Design::flagship(cfg));
-    }
-    if let Some(n) = lower.strip_prefix("pr").and_then(|n| n.parse().ok()) {
-        return Some(Design::Private { nodes: n });
-    }
-    if let Some(n) = lower.strip_prefix("sh").and_then(|n| n.parse().ok()) {
-        return Some(Design::Shared { nodes: n });
     }
     name.parse().ok()
 }
@@ -158,7 +148,7 @@ fn parse_design(name: &str, cfg: &GpuConfig) -> Option<Design> {
 /// The stall-attribution table printed alongside IPC for an observed run:
 /// where every non-issuing core cycle went, as absolute cycles and as a
 /// share of the core-cycle budget (`cores × cycles`).
-pub fn stall_report(req: &RunRequest, stats: &RunStats) -> Table {
+pub(crate) fn stall_report(req: &RunRequest, stats: &RunStats) -> Table {
     let budget = stats.cycles.saturating_mul(req.cfg.cores as u64);
     let pct = |v: u64| {
         if budget == 0 {

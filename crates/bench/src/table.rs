@@ -29,7 +29,7 @@ impl Table {
     }
 
     /// Appends a row of `f64` cells rendered with 3 decimals.
-    pub fn row_f64(&mut self, label: impl Into<String>, cells: &[f64]) {
+    pub(crate) fn row_f64(&mut self, label: impl Into<String>, cells: &[f64]) {
         self.row(label, cells.iter().map(|v| format!("{v:.3}")).collect());
     }
 
@@ -37,7 +37,7 @@ impl Table {
     /// inputs. Columns whose inputs contained non-positive values are
     /// flagged with the clamp count — their aggregate is
     /// epsilon-dominated and must not be read as a real ratio.
-    pub fn row_geomean<C: AsRef<[f64]>>(&mut self, label: impl Into<String>, cols: &[C]) {
+    pub(crate) fn row_geomean<C: AsRef<[f64]>>(&mut self, label: impl Into<String>, cols: &[C]) {
         let cells = cols
             .iter()
             .map(|c| {
@@ -66,7 +66,8 @@ impl Table {
     }
 
     /// Parses a cell as `f64` (testing helper).
-    pub fn cell_f64(&self, row: &str, col: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn cell_f64(&self, row: &str, col: &str) -> Option<f64> {
         self.cell(row, col)?.parse().ok()
     }
 

@@ -1,14 +1,12 @@
 //! Satellite: the chaos corruption census must land on real cache entries.
 //!
-//! `Chaos` aims its post-write corruption at the v3 fan-out disk layout
-//! and at the shared tier's write-back copy. If the schema moves and the
-//! injector keeps scribbling on paths nobody reads, the corruption
-//! recovery path silently stops being tested — a green chaos suite over a
-//! dead fault injector. This census closes that hole: every point the
-//! engine claims to corrupt must resolve to a real bucketed v3 entry that
-//! was (a) detected and quarantined locally, (b) healed by a re-store,
-//! and (c) left detectably corrupt in the shared tier, whose rejection is
-//! each reader's own job (healing is local-only by design).
+//! `Chaos` aims its post-write corruption at the v3 fan-out disk layout.
+//! If the schema moves and the injector keeps scribbling on paths nobody
+//! reads, the corruption recovery path silently stops being tested — a
+//! green chaos suite over a dead fault injector. This census closes that
+//! hole: every point the engine claims to corrupt must resolve to a real
+//! bucketed v3 entry that was (a) detected and quarantined and (b) healed
+//! by a re-store.
 
 mod util;
 
@@ -67,11 +65,10 @@ fn chaos_corruption_census_lands_on_v3_bucketed_entries() {
     let mut args: Vec<String> = CENSUS_APPS.iter().map(|a| format!("--only={a}")).collect();
     args.extend(["--design=pr4".to_string(), "--design=sh16".to_string()]);
     args.push(format!("--chaos={seed}"));
-    let sweep =
-        finish(sweep_cmd(&dir).env("DCL1_CACHE_SHARED_DIR", dir.join("shared")).args(&args), "sweep");
+    let sweep = finish(sweep_cmd(&dir).args(&args), "sweep");
 
     // Every corruption the engine claims must have landed on the real
-    // fan-out layout: healed local entry, still-corrupt shared copy.
+    // fan-out layout, and the entry there must be healed.
     for point in &victims {
         let req = reqs
             .iter()
@@ -79,23 +76,13 @@ fn chaos_corruption_census_lands_on_v3_bucketed_entries() {
             .unwrap_or_else(|| panic!("corruption point {point} not in the census grid"));
         let key = runner::memo_key_hex(req, Scale::Smoke);
 
-        let local = dir.join("cache").join("v3").join(&key[..2]).join(format!("{key}.stats"));
-        assert!(local.is_file(), "{point}: no v3 bucketed entry at {}", local.display());
-        assert!(
-            entry_intact(&local),
-            "{point}: local entry not healed after corruption recovery"
-        );
-
-        let shared = dir.join("shared").join("v3").join(&key[..2]).join(format!("{key}.stats"));
-        assert!(shared.is_file(), "{point}: no shared write-back at {}", shared.display());
-        assert!(
-            !entry_intact(&shared),
-            "{point}: shared copy passes its checksum — the injection missed the shared tier"
-        );
+        let entry = dir.join("cache").join("v3").join(&key[..2]).join(format!("{key}.stats"));
+        assert!(entry.is_file(), "{point}: no v3 bucketed entry at {}", entry.display());
+        assert!(entry_intact(&entry), "{point}: entry not healed after corruption recovery");
     }
 
     // The recovery ledger saw exactly the injected corruptions (each one
-    // detected once, locally), and the quarantine dir holds the damaged
+    // detected once), and the quarantine dir holds the damaged
     // originals.
     assert_eq!(
         num(&sweep.report, &["recovery", "cache_corruptions"]),

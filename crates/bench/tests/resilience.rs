@@ -177,50 +177,23 @@ fn checked_chaos_failures_repeat_their_class() {
 }
 
 #[test]
-fn flat_cache_entries_migrate_into_fanout_on_reopen() {
-    let dir = scratch("migrate");
+fn stale_schema_dirs_are_purged_and_entries_served_on_reopen() {
+    let dir = scratch("purge");
     let one_point = ["--only=C-BLK", "--design=pr4"];
     sweep(&dir, "cold", &one_point);
-
-    // Rewind the layout to the legacy flat v3 scheme: hoist the entry out
-    // of its fan-out bucket and plant stale schema dirs beside v3.
-    let v3 = dir.join("cache").join("v3");
-    let mut hoisted = 0;
-    for bucket in std::fs::read_dir(&v3).expect("v3 exists").map(|e| e.expect("dir entry").path())
-    {
-        if bucket.is_dir() && bucket.file_name().is_some_and(|n| n.len() == 2) {
-            for entry in
-                std::fs::read_dir(&bucket).expect("bucket").map(|e| e.expect("bucket entry").path())
-            {
-                std::fs::rename(&entry, v3.join(entry.file_name().expect("entry name")))
-                    .expect("hoist entry to flat layout");
-                hoisted += 1;
-            }
-            std::fs::remove_dir(&bucket).expect("remove emptied bucket");
-        }
-    }
-    assert_eq!(hoisted, 1, "the one-point sweep must have cached exactly one entry");
     for stale in ["v1", "v2"] {
         let d = dir.join("cache").join(stale);
         std::fs::create_dir_all(&d).expect("stale schema dir");
         std::fs::write(d.join("junk.stats"), "junk").expect("stale entry");
     }
 
-    // Reopening migrates (renames) the flat entry into its bucket, purges
-    // the stale schema dirs, and serves the point from disk — zero
-    // resimulation. (`--keep-cache` skips the sweep's default cache clear.)
+    // Reopening purges the stale schema dirs and serves the point from
+    // disk — zero resimulation. (`--keep-cache` skips the sweep's default
+    // cache clear.)
     let warm = finish(sweep_cmd(&dir).arg("--keep-cache").args(one_point), "warm");
-    for (counter, want) in
-        [("memo.migrated_entries", 1.0), ("memo.disk_hits", 1.0), ("memo.simulated", 0.0)]
-    {
+    for (counter, want) in [("memo.disk_hits", 1.0), ("memo.simulated", 0.0)] {
         assert_eq!(num(&warm.report, &["registry", counter]), want, "{counter}");
     }
-    let flat_leftovers = std::fs::read_dir(&v3)
-        .expect("v3 exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.is_file())
-        .count();
-    assert_eq!(flat_leftovers, 0, "flat entries must be renamed away, not copied");
     assert!(
         !dir.join("cache").join("v1").exists() && !dir.join("cache").join("v2").exists(),
         "stale schema dirs must be purged on open"

@@ -79,21 +79,16 @@ fn progress_stream_report_trace_and_metrics_keep_their_schema() {
     for counter in [
         "memo.mem_hits",
         "memo.disk_hits",
-        "memo.shared_hits",
         "memo.misses",
         "memo.mem_evictions",
-        "memo.disk_evictions",
         "memo.mem_bytes",
         "memo.disk_bytes",
         "memo.flight_waits",
-        "memo.migrated_entries",
     ] {
         num(report, &["registry", counter]);
     }
-    for histogram in ["memo.disk_lookup_nanos", "memo.shared_lookup_nanos"] {
-        num(report, &["registry", histogram, "count"]);
-        list(report, &["registry", histogram, "buckets"]);
-    }
+    num(report, &["registry", "memo.disk_lookup_nanos", "count"]);
+    list(report, &["registry", "memo.disk_lookup_nanos", "buckets"]);
     for probed in ["memo.mem_lookup_nanos", "memo.fill_nanos"] {
         assert!(num(report, &["registry", probed, "count"]) > 0.0, "{probed} never recorded");
         list(report, &["registry", probed, "buckets"]);

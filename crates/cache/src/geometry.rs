@@ -114,7 +114,7 @@ impl CacheGeometry {
     /// index is not recoverable from a hash), trading a few tag bits for
     /// conflict resistance, as hashed-index hardware does.
     #[inline]
-    pub fn tag_of(&self, line: LineAddr) -> u64 {
+    pub(crate) fn tag_of(&self, line: LineAddr) -> u64 {
         match self.indexing {
             SetIndexing::Modulo => line.raw() / self.sets as u64,
             SetIndexing::Hashed => line.raw(),
@@ -123,7 +123,7 @@ impl CacheGeometry {
 
     /// Reconstructs a line address from its tag and set index.
     #[inline]
-    pub fn line_of(&self, tag: u64, set: usize) -> LineAddr {
+    pub(crate) fn line_of(&self, tag: u64, set: usize) -> LineAddr {
         match self.indexing {
             SetIndexing::Modulo => LineAddr::new(tag * self.sets as u64 + set as u64),
             SetIndexing::Hashed => LineAddr::new(tag),

@@ -213,11 +213,6 @@ impl<T> Mshr<T> {
         self.free.is_empty()
     }
 
-    /// The configured entry capacity.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
     /// Total requesters waiting across all entries (each entry counts its
     /// first requester plus merges) — the metrics sampler's occupancy
     /// gauge, finer-grained than [`len`](Mshr::len). Derived from the

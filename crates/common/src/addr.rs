@@ -1,9 +1,7 @@
 //! Byte addresses, cache-line addresses and sector arithmetic.
 //!
 //! The simulated GPU uses 128-byte cache lines (paper Table II) and 32-byte
-//! NoC flits, so a line decomposes into four 32-byte *sectors*. The memory
-//! side interleaves the linear address space across memory partitions in
-//! 256-byte chunks.
+//! NoC flits, so a line decomposes into four 32-byte *sectors*.
 
 use std::fmt;
 
@@ -11,10 +9,6 @@ use std::fmt;
 pub const LINE_SIZE: usize = 128;
 /// Size of a NoC flit / memory sector in bytes (paper Table II: 32 B).
 pub const SECTOR_SIZE: usize = 32;
-/// Number of sectors per cache line.
-pub const SECTORS_PER_LINE: usize = LINE_SIZE / SECTOR_SIZE;
-/// Memory-partition interleaving granularity in bytes (paper Table II: 256 B).
-pub const MC_INTERLEAVE: usize = 256;
 
 const LINE_SHIFT: u32 = LINE_SIZE.trailing_zeros();
 
@@ -133,20 +127,6 @@ impl LineAddr {
             (self.0 as usize) % n
         }
     }
-
-    /// Selects the memory partition (of `n_mcs`) that owns this line using
-    /// the paper's 256-byte interleaving.
-    #[inline]
-    // Result is reduced mod `n_mcs` (< usize).
-    #[expect(clippy::cast_possible_truncation)]
-    pub fn mc_home(self, n_mcs: usize) -> usize {
-        let chunk = self.base().raw() / MC_INTERLEAVE as u64;
-        if n_mcs.is_power_of_two() {
-            (chunk as usize) & (n_mcs - 1)
-        } else {
-            (chunk as usize) % n_mcs
-        }
-    }
 }
 
 impl From<Address> for LineAddr {
@@ -178,7 +158,7 @@ mod tests {
         for off in 0..LINE_SIZE as u64 {
             let s = Address::new(1000 * LINE_SIZE as u64 + off).sector();
             assert_eq!(s, off as usize / SECTOR_SIZE);
-            assert!(s < SECTORS_PER_LINE);
+            assert!(s < LINE_SIZE / SECTOR_SIZE);
         }
     }
 
@@ -200,14 +180,6 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn interleave_zero_targets_panics() {
         LineAddr::new(1).interleave(0);
-    }
-
-    #[test]
-    fn mc_home_uses_256_byte_chunks() {
-        // Lines 0 and 1 live in the same 256 B chunk → same MC.
-        assert_eq!(LineAddr::new(0).mc_home(16), LineAddr::new(1).mc_home(16));
-        // Lines 1 and 2 straddle a chunk boundary → adjacent MCs.
-        assert_eq!(LineAddr::new(2).mc_home(16), 1);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl ClockDomain {
         ClockDomain { freq_mhz, core_mhz, acc: 0, ticks: 0 }
     }
 
-    /// Creates a domain that ticks exactly once per core cycle.
-    pub fn core_rate(core_mhz: u64) -> Self {
-        ClockDomain::new(core_mhz, core_mhz)
-    }
-
     /// Returns the component frequency in MHz.
     pub fn freq_mhz(&self) -> u64 {
         self.freq_mhz
@@ -133,7 +128,7 @@ mod tests {
 
     #[test]
     fn same_rate_ticks_every_cycle() {
-        let mut d = ClockDomain::core_rate(1400);
+        let mut d = ClockDomain::new(1400, 1400);
         for _ in 0..10 {
             assert_eq!(d.advance(), 1);
         }

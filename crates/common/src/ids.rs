@@ -48,26 +48,6 @@ define_id!(
     "core"
 );
 define_id!(
-    /// Identifies a DC-L1 node (or, in the baseline, a per-core L1 cache).
-    NodeId,
-    "dcl1-"
-);
-define_id!(
-    /// Identifies an L2 cache slice.
-    SliceId,
-    "l2-"
-);
-define_id!(
-    /// Identifies a memory controller / memory partition.
-    McId,
-    "mc"
-);
-define_id!(
-    /// Identifies a core/DC-L1 cluster in the clustered shared design.
-    ClusterId,
-    "cluster"
-);
-define_id!(
     /// Identifies a wavefront (warp) within a core.
     WavefrontId,
     "wf"
@@ -78,15 +58,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_are_distinct_types_with_display() {
+    fn ids_display_with_their_prefix() {
         let c = CoreId::new(7);
-        let n = NodeId::new(7);
-        assert_eq!(c.index(), n.index());
+        assert_eq!(c.index(), 7);
         assert_eq!(c.to_string(), "core7");
-        assert_eq!(n.to_string(), "dcl1-7");
-        assert_eq!(SliceId::new(3).to_string(), "l2-3");
-        assert_eq!(McId::new(1).to_string(), "mc1");
-        assert_eq!(ClusterId::new(2).to_string(), "cluster2");
         assert_eq!(WavefrontId::new(0).to_string(), "wf0");
     }
 

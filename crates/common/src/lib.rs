@@ -31,20 +31,20 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod active;
+mod active;
 pub mod addr;
 pub mod checksum;
 pub mod clock;
-pub mod error;
+mod error;
 pub mod journal;
 pub mod flat;
 pub mod hist;
-pub mod ids;
+mod ids;
 pub mod invariant;
 pub mod queue;
 pub mod rng;
 pub mod stats;
-pub mod wheel;
+mod wheel;
 
 pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, LINE_SIZE};
@@ -52,7 +52,7 @@ pub use clock::{ClockDomain, Cycle};
 pub use error::ConfigError;
 pub use flat::{FlatMap, FlatSet};
 pub use hist::Histogram;
-pub use ids::{ClusterId, CoreId, McId, NodeId, SliceId, WavefrontId};
+pub use ids::{CoreId, WavefrontId};
 pub use invariant::{FlowMeter, InvariantError, InvariantResult};
 pub use queue::BoundedQueue;
 pub use rng::SplitMix64;

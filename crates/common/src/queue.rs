@@ -1,4 +1,4 @@
-//! Bounded FIFO queues with occupancy and backpressure statistics.
+//! Bounded FIFO queues with backpressure statistics.
 //!
 //! Every buffering point in the simulator — the four queues of a DC-L1 node
 //! (Q1..Q4 in paper Fig. 3), NoC injection/ejection buffers, MSHR-to-NoC
@@ -32,9 +32,6 @@ pub struct BoundedQueue<T> {
     accepted: u64,
     /// Number of items ever removed (via `pop` or `remove_at`).
     popped: u64,
-    /// Sum of occupancy observed at each `sample_occupancy` call.
-    occupancy_sum: u64,
-    occupancy_samples: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -51,8 +48,6 @@ impl<T> BoundedQueue<T> {
             rejected: 0,
             accepted: 0,
             popped: 0,
-            occupancy_sum: 0,
-            occupancy_samples: 0,
         }
     }
 
@@ -88,11 +83,6 @@ impl<T> BoundedQueue<T> {
         self.items.front()
     }
 
-    /// Returns a mutable reference to the oldest item.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
-    }
-
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -106,11 +96,6 @@ impl<T> BoundedQueue<T> {
     /// Whether the queue is at capacity.
     pub fn is_full(&self) -> bool {
         self.items.len() >= self.capacity
-    }
-
-    /// Remaining slots before the queue is full.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.items.len()
     }
 
     /// The configured capacity.
@@ -133,12 +118,6 @@ impl<T> BoundedQueue<T> {
             debug_assert!(self.popped <= self.accepted, "queue pop/accept skew");
         }
         item
-    }
-
-    /// Records the current occupancy into the running-average statistics.
-    pub fn sample_occupancy(&mut self) {
-        self.occupancy_sum += self.items.len() as u64;
-        self.occupancy_samples += 1;
     }
 
     /// Number of rejected (backpressured) push attempts.
@@ -183,15 +162,6 @@ impl<T> BoundedQueue<T> {
         }
         Ok(())
     }
-
-    /// Mean occupancy over all samples, or 0.0 if never sampled.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.occupancy_samples == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.occupancy_samples as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,26 +188,6 @@ mod tests {
         assert_eq!(q.try_push('c'), Err('c'));
         assert_eq!(q.rejected(), 2);
         assert_eq!(q.accepted(), 1);
-    }
-
-    #[test]
-    fn occupancy_statistics() {
-        let mut q = BoundedQueue::new(8);
-        q.sample_occupancy(); // 0
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.sample_occupancy(); // 2
-        assert!((q.mean_occupancy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn front_and_free_slots() {
-        let mut q = BoundedQueue::new(2);
-        assert_eq!(q.free_slots(), 2);
-        q.try_push(10).unwrap();
-        assert_eq!(q.front(), Some(&10));
-        *q.front_mut().unwrap() = 11;
-        assert_eq!(q.pop(), Some(11));
     }
 
     #[test]

@@ -58,22 +58,14 @@ pub fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// An online mean with count, min/max and Welford variance, for
-/// latency-style statistics and time-series summaries.
-///
-/// The mean is computed from a plain sum (`sum / count`), keeping it
-/// bit-identical to the pre-variance implementation; the Welford state
-/// (`wmean`, `m2`) exists only for [`variance`](RunningMean::variance).
+/// An online mean with count and min/max, for latency-style statistics
+/// and time-series summaries. The mean is a plain `sum / count`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMean {
     sum: f64,
     count: u64,
     min: f64,
     max: f64,
-    /// Welford running mean (variance bookkeeping only).
-    wmean: f64,
-    /// Welford sum of squared deviations.
-    m2: f64,
 }
 
 impl RunningMean {
@@ -89,9 +81,6 @@ impl RunningMean {
             self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
-        let delta = value - self.wmean;
-        self.wmean += delta / self.count as f64;
-        self.m2 += delta * (value - self.wmean);
     }
 
     /// Returns the mean of all observations, or 0.0 if none were recorded.
@@ -126,25 +115,8 @@ impl RunningMean {
         }
     }
 
-    /// Population variance (Welford), or 0.0 with fewer than two
-    /// observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merges another mean into this one (used when aggregating per-node
-    /// statistics into machine-level statistics). Uses Chan's parallel
-    /// update so the merged variance equals recording both streams into
-    /// one accumulator (up to rounding).
+    /// statistics into machine-level statistics).
     pub fn merge(&mut self, other: &RunningMean) {
         if other.count == 0 {
             return;
@@ -153,11 +125,6 @@ impl RunningMean {
             *self = *other;
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.wmean - self.wmean;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2);
-        self.wmean += delta * n2 / (n1 + n2);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
@@ -241,20 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn running_mean_min_max_variance() {
+    fn running_mean_min_max() {
         let mut m = RunningMean::default();
         assert_eq!(m.min(), 0.0);
         assert_eq!(m.max(), 0.0);
-        assert_eq!(m.variance(), 0.0);
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             m.record(v);
         }
         assert_eq!(m.min(), 2.0);
         assert_eq!(m.max(), 9.0);
         assert!((m.mean() - 5.0).abs() < 1e-12);
-        // Classic Welford example: population variance 4, stddev 2.
-        assert!((m.variance() - 4.0).abs() < 1e-9, "{}", m.variance());
-        assert!((m.stddev() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -286,7 +249,6 @@ mod tests {
             assert!((a.mean() - whole.mean()).abs() < 1e-12, "split {split}");
             assert_eq!(a.min(), whole.min(), "split {split}");
             assert_eq!(a.max(), whole.max(), "split {split}");
-            assert!((a.variance() - whole.variance()).abs() < 1e-9, "split {split}");
         }
     }
 

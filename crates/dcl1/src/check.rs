@@ -28,7 +28,7 @@
 /// Cycles between invariant sweeps. A power of two so the machine's
 /// `is_multiple_of` probe is a mask; idle fast-forward may jump over a
 /// boundary, which is sound — quiescent state cannot break conservation.
-pub const EPOCH_CYCLES: u64 = 1024;
+pub(crate) const EPOCH_CYCLES: u64 = 1024;
 
 /// Per-run state of the checked-sim harness.
 ///

@@ -151,7 +151,7 @@ impl GpuConfig {
     }
 
     /// L2 slices per memory controller.
-    pub fn slices_per_mc(&self) -> usize {
+    pub(crate) fn slices_per_mc(&self) -> usize {
         self.l2_slices / self.mcs
     }
 

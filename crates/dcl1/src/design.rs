@@ -111,67 +111,27 @@ impl Design {
             l1_size_mult: 1,
             flit_mult: 1,
             ideal_ports: false,
-            shared_within_cluster: false,
         };
-        match *self {
-            Design::Baseline => Ok(base),
+        // PrY is Y clusters of one node and ShY one cluster of Y nodes:
+        // both resolve as the clustered design they are, under their own
+        // names.
+        let (nodes, clusters, boost) = match *self {
+            Design::Baseline => return Ok(base),
             Design::BoostedBaseline(BaselineBoost::Cache2x) => {
-                Ok(Topology { l1_size_mult: 2, ..base })
+                return Ok(Topology { l1_size_mult: 2, ..base })
             }
             Design::BoostedBaseline(BaselineBoost::NocFreq2x) => {
-                Ok(Topology { noc2_freq_mult: 2, ..base })
+                return Ok(Topology { noc2_freq_mult: 2, ..base })
             }
             Design::BoostedBaseline(BaselineBoost::Flit4x) => {
-                Ok(Topology { flit_mult: 4, ..base })
+                return Ok(Topology { flit_mult: 4, ..base })
             }
-            Design::IdealSingleL1 => Ok(Topology {
-                nodes: 1,
-                clusters: 1,
-                ideal_ports: true,
-                shared_within_cluster: true,
-                ..base
-            }),
-            Design::Private { nodes } => {
-                check_div(x, nodes, "cores", "nodes")?;
-                Ok(Topology {
-                    nodes,
-                    clusters: nodes,
-                    attachment: Attachment::Noc1 { ticks_per_cycle: 1 },
-                    shared_within_cluster: false,
-                    noc2: Noc2Kind::for_nodes_per_cluster(1, l),
-                    ..base
-                })
-            }
-            Design::Shared { nodes } => {
-                check_div(x, nodes, "cores", "nodes")?;
-                Ok(Topology {
-                    nodes,
-                    clusters: 1,
-                    attachment: Attachment::Noc1 { ticks_per_cycle: 1 },
-                    shared_within_cluster: true,
-                    noc2: Noc2Kind::for_nodes_per_cluster(nodes, l),
-                    ..base
-                })
-            }
-            Design::Clustered { nodes, clusters, boost } => {
-                check_div(x, nodes, "cores", "nodes")?;
-                check_div(nodes, clusters, "nodes", "clusters")?;
-                check_div(x, clusters, "cores", "clusters")?;
-                let m = nodes / clusters;
-                Ok(Topology {
-                    nodes,
-                    clusters,
-                    attachment: Attachment::Noc1 {
-                        ticks_per_cycle: if boost { 2 } else { 1 },
-                    },
-                    shared_within_cluster: true,
-                    noc2: Noc2Kind::for_nodes_per_cluster(m, l),
-                    ..base
-                })
+            Design::IdealSingleL1 => {
+                return Ok(Topology { nodes: 1, clusters: 1, ideal_ports: true, ..base })
             }
             Design::CdXbar { stage1_mult, stage2_mult } => {
                 check_div(x, 10, "cores", "stage-1 groups")?;
-                Ok(Topology {
+                return Ok(Topology {
                     noc2: Noc2Kind::TwoStage {
                         groups: 10,
                         uplinks: 2,
@@ -179,9 +139,22 @@ impl Design {
                         stage2_mult,
                     },
                     ..base
-                })
+                });
             }
-        }
+            Design::Private { nodes } => (nodes, nodes, false),
+            Design::Shared { nodes } => (nodes, 1, false),
+            Design::Clustered { nodes, clusters, boost } => (nodes, clusters, boost),
+        };
+        check_div(x, nodes, "cores", "nodes")?;
+        check_div(nodes, clusters, "nodes", "clusters")?;
+        check_div(x, clusters, "cores", "clusters")?;
+        Ok(Topology {
+            nodes,
+            clusters,
+            attachment: Attachment::Noc1 { ticks_per_cycle: if boost { 2 } else { 1 } },
+            noc2: Noc2Kind::for_nodes_per_cluster(nodes / clusters, l),
+            ..base
+        })
     }
 }
 
@@ -297,7 +270,7 @@ impl Noc2Kind {
     /// Chooses the paper's NoC#2 structure for `m` nodes per cluster and
     /// `l` slices: `m` address-range crossbars when `m` divides `l`,
     /// otherwise one big crossbar (the Sh40 case, m=40 > l=32).
-    pub fn for_nodes_per_cluster(m: usize, l: usize) -> Self {
+    pub(crate) fn for_nodes_per_cluster(m: usize, l: usize) -> Self {
         if m <= l && l.is_multiple_of(m) {
             Noc2Kind::Sliced { groups: m }
         } else {
@@ -330,9 +303,6 @@ pub struct Topology {
     pub flit_mult: u32,
     /// Whether the node has one data port per core (ideal single L1).
     pub ideal_ports: bool,
-    /// Whether lines are interleaved across the nodes of a cluster
-    /// (shared organization) or every node caches any line (private).
-    pub shared_within_cluster: bool,
 }
 
 impl Topology {
@@ -351,27 +321,13 @@ impl Topology {
         core / self.cores_per_cluster()
     }
 
-    /// Home node (global index) for `line` accessed by `core`.
-    ///
-    /// Private organizations map the core to its fixed node; shared ones
-    /// interleave by home bits within the core's cluster (paper §V-A,
-    /// §VI-A: `⌈log2(Y/Z)⌉` home bits).
+    /// Home node (global index) for `line` accessed by `core`: lines
+    /// interleave by home bits over the nodes of the core's cluster (paper
+    /// §V-A, §VI-A: `⌈log2(Y/Z)⌉` home bits). A cluster of one node (every
+    /// private and baseline design) homes every line there.
     pub fn home_node(&self, core: usize, line: dcl1_common::LineAddr) -> usize {
         let m = self.nodes_per_cluster();
-        self.cluster_of_core(core) * m + self.home_slot(m, core, line)
-    }
-
-    /// The home node's index within the core's cluster, given
-    /// `m = nodes_per_cluster()` (per-transaction callers cache it).
-    pub fn home_slot(&self, m: usize, core: usize, line: dcl1_common::LineAddr) -> usize {
-        if self.shared_within_cluster {
-            line.interleave(m)
-        } else {
-            // Private: cores of the cluster share the cluster's single
-            // node (m == 1 for PrY); fall back to striping cores over
-            // nodes if m > 1 ever occurs.
-            core % m
-        }
+        self.cluster_of_core(core) * m + line.interleave(m)
     }
 
     /// Per-node DC-L1 capacity in bytes: total L1 budget divided evenly
@@ -382,7 +338,7 @@ impl Topology {
 
     /// DC-L1 access latency: base latency plus the paper's ~7% per
     /// capacity doubling (§VIII: 30 vs 28 cycles at 2×).
-    pub fn node_latency(&self, cfg: &GpuConfig) -> u32 {
+    pub(crate) fn node_latency(&self, cfg: &GpuConfig) -> u32 {
         let ratio = self.node_bytes(cfg) / cfg.l1_bytes.max(1);
         let doublings = if ratio > 1 { ratio.ilog2() } else { 0 };
         cfg.l1_latency + doublings * cfg.l1_latency_per_doubling
@@ -404,7 +360,7 @@ impl Topology {
     }
 
     /// NoC#1 tick multiplier (0 when direct-attached).
-    pub fn noc1_ticks_per_cycle(&self) -> u64 {
+    pub(crate) fn noc1_ticks_per_cycle(&self) -> u64 {
         match self.attachment {
             Attachment::Direct => 0,
             Attachment::Noc1 { ticks_per_cycle } => ticks_per_cycle,
@@ -520,7 +476,6 @@ mod tests {
         assert_eq!(t.clusters, 40);
         assert_eq!(t.cores_per_cluster(), 2);
         assert_eq!(t.nodes_per_cluster(), 1);
-        assert!(!t.shared_within_cluster);
         assert_eq!(t.node_bytes(&cfg()), 32 * 1024); // double capacity
         assert_eq!(t.node_latency(&cfg()), 30); // paper §VIII
         // Both cores of cluster 3 use node 3 for any line.
@@ -533,7 +488,6 @@ mod tests {
     fn sh40_topology() {
         let t = Design::Shared { nodes: 40 }.topology(&cfg()).unwrap();
         assert_eq!(t.clusters, 1);
-        assert!(t.shared_within_cluster);
         assert!(matches!(t.noc2, Noc2Kind::Single)); // 40 > 32 slices
         // Home by interleave over all 40 nodes, same for every core.
         let l = LineAddr::new(87);

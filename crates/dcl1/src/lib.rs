@@ -48,30 +48,25 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod check;
-pub mod config;
+mod check;
+mod config;
 pub mod design;
-pub mod machine;
-pub mod metrics;
+mod machine;
+mod metrics;
 mod noc2;
-pub mod node;
-pub mod presence;
+mod node;
+mod presence;
 mod shard;
 mod sleep;
-pub mod stats;
-pub mod txn;
+mod stats;
+mod txn;
 
-pub use check::SimChecker;
 pub use config::GpuConfig;
-pub use design::{Attachment, Design, Noc2Kind, Topology};
+pub use design::{Design, Noc2Kind, Topology};
 pub use dcl1_resilience::SimError;
-pub use machine::{
-    GpuSystem, ProgressHook, SimOptions, DEFAULT_PROGRESS_EVERY, DEFAULT_WATCHDOG_EPOCH,
-};
+pub use machine::{GpuSystem, ProgressHook, SimOptions, DEFAULT_WATCHDOG_EPOCH};
 pub use metrics::MachineMetrics;
-pub use node::{Dcl1Node, NodeConfig, NodeStats};
-pub use presence::{PresenceLog, PresenceMap, PresenceSession, PresenceSink};
+pub use presence::PresenceMap;
 pub use dcl1_obs::metrics::{MetricsFormat, MetricsSample};
 pub use dcl1_obs::Observer;
 pub use stats::RunStats;
-pub use txn::{Txn, TxnId};

@@ -83,11 +83,11 @@ pub const DEFAULT_WATCHDOG_EPOCH: u64 = 1 << 20;
 /// invariant-epoch boundaries). Pull snapshots overwrite — the final
 /// snapshot at drain is what reports read — so this cadence only bounds
 /// how stale a mid-run [`GpuSystem::registry`] view can be.
-pub const REGISTRY_RECORD_CYCLES: u64 = 1 << 16;
+pub(crate) const REGISTRY_RECORD_CYCLES: u64 = 1 << 16;
 
 /// Cycles between progress-hook callbacks (idle fast-forward clamps to
 /// this boundary so the cadence stays live through quiescent stretches).
-pub const DEFAULT_PROGRESS_EVERY: u64 = 1 << 18;
+pub(crate) const DEFAULT_PROGRESS_EVERY: u64 = 1 << 18;
 
 /// A periodic liveness callback: invoked with `(cycle,
 /// instructions_retired)` every [`DEFAULT_PROGRESS_EVERY`] cycles (see

@@ -15,7 +15,7 @@ use dcl1_obs::registry::{f64_to_micros, CounterId, GaugeId, HistogramId, Registr
 /// Registered ids for the `dcl1.*` namespace (DC-L1 node behaviour —
 /// the paper's replication and stall figures).
 #[derive(Debug, Clone, Copy)]
-pub struct Dcl1Metrics {
+pub(crate) struct Dcl1Metrics {
     cycles: CounterId,
     l1_accesses: CounterId,
     l1_hits: CounterId,
@@ -31,7 +31,7 @@ pub struct Dcl1Metrics {
 
 impl Dcl1Metrics {
     /// Registers the `dcl1.*` namespace.
-    pub fn register(reg: &mut Registry) -> Dcl1Metrics {
+    pub(crate) fn register(reg: &mut Registry) -> Dcl1Metrics {
         Dcl1Metrics {
             cycles: reg.counter("dcl1.cycles"),
             l1_accesses: reg.counter("dcl1.l1_accesses"),
@@ -50,7 +50,7 @@ impl Dcl1Metrics {
     /// Snapshots node statistics summed in the order supplied (global
     /// node order) plus the presence map's mean replication factor. The
     /// per-node access histogram is rebuilt from scratch each snapshot.
-    pub fn record(
+    pub(crate) fn record(
         self,
         reg: &mut Registry,
         cycles: u64,
@@ -93,7 +93,7 @@ impl Dcl1Metrics {
 /// Registered ids for the `shard.*` namespace (execution partitioning and
 /// transaction-flow conservation).
 #[derive(Debug, Clone, Copy)]
-pub struct ShardMetrics {
+pub(crate) struct ShardMetrics {
     txns_produced: CounterId,
     txns_consumed: CounterId,
     txns_in_flight: GaugeId,
@@ -102,7 +102,7 @@ pub struct ShardMetrics {
 
 impl ShardMetrics {
     /// Registers the `shard.*` namespace.
-    pub fn register(reg: &mut Registry) -> ShardMetrics {
+    pub(crate) fn register(reg: &mut Registry) -> ShardMetrics {
         ShardMetrics {
             txns_produced: reg.counter("shard.txns_produced"),
             txns_consumed: reg.counter("shard.txns_consumed"),
@@ -118,7 +118,7 @@ impl ShardMetrics {
     /// time. All are summed over domains by the caller in domain order,
     /// and only partition-independent values are recorded (never the
     /// domain count itself) so 1-shard and N-shard snapshots match.
-    pub fn record(self, reg: &mut Registry, produced: u64, consumed: u64, presence_lines: u64) {
+    pub(crate) fn record(self, reg: &mut Registry, produced: u64, consumed: u64, presence_lines: u64) {
         reg.set_counter(self.txns_produced, produced);
         reg.set_counter(self.txns_consumed, consumed);
         reg.set(self.txns_in_flight, produced.saturating_sub(consumed));

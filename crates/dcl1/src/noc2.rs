@@ -269,7 +269,7 @@ fn eject_into_l2(
 
 impl Noc2 {
     /// Instantiates the shape `ctx.topo.noc2` names.
-    pub fn build(cfg: &GpuConfig, ctx: &Arc<MachineCtx>) -> Self {
+    pub(crate) fn build(cfg: &GpuConfig, ctx: &Arc<MachineCtx>) -> Self {
         let topo = &ctx.topo;
         let l = cfg.l2_slices;
         // First stage: crossbar count, node-side and slice-side ports and
@@ -310,59 +310,64 @@ impl Noc2 {
     }
 
     /// Request-direction crossbars, first stage then second.
-    pub fn req_xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
+    pub(crate) fn req_xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
         self.req.iter().chain(self.stage2.as_ref().map(|s| &s.req))
     }
 
     /// Reply-direction crossbars, first stage then second.
-    pub fn rep_xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
+    pub(crate) fn rep_xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
         self.rep.iter().chain(self.stage2.as_ref().map(|s| &s.rep))
     }
 
     /// Every crossbar of the fabric.
-    pub fn xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
+    pub(crate) fn xbars(&self) -> impl Iterator<Item = &Crossbar<Txn>> {
         self.req_xbars().chain(self.rep_xbars())
     }
 
     /// Zeroes every crossbar's statistics; flits in flight stay.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         let stage2 = self.stage2.iter_mut().flat_map(|s| [&mut s.req, &mut s.rep]);
         self.req.iter_mut().chain(&mut self.rep).chain(stage2).for_each(Crossbar::reset_stats);
     }
 
     /// Replies waiting in the per-slice stash.
-    pub fn stashed_replies(&self) -> usize {
+    pub(crate) fn stashed_replies(&self) -> usize {
         self.stash.iter().flatten().count()
     }
 
     /// Whether slice `s` has a reply waiting in the stash.
-    pub fn has_stashed(&self, s: usize) -> bool {
+    pub(crate) fn has_stashed(&self, s: usize) -> bool {
         self.stash[s].is_some()
     }
 
     /// Whether slice `s`'s stashed reply, if it has one, waits for a grant
     /// of the input it was refused at: nothing else lets it move.
-    pub fn stashed_waits(&self, s: usize) -> Option<bool> {
+    pub(crate) fn stashed_waits(&self, s: usize) -> Option<bool> {
         self.stash[s].as_ref().map(|(i, pkt)| {
             self.stage2.as_ref().map_or(&self.rep[*i], |stage2| &stage2.rep).awaits(pkt.src)
         })
     }
 
     /// No flit in any crossbar and no stashed reply.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.xbars().all(Crossbar::is_idle) && self.stash.iter().all(Option::is_none)
     }
 
     /// Whether any crossbar is on the tick walks: every one holding a
     /// packet is, so every one a sleeper awaits a grant from.
-    pub fn awake(&self) -> bool {
+    pub(crate) fn awake(&self) -> bool {
         !self.live.is_empty()
     }
 
     /// Node Q3 → request injection: one head per node with one to offer
     /// per cycle (one per core port on the ideal single L1), in node
     /// order. A refused head waits in `q3_wait` for a grant of its input.
-    pub fn inject_requests(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
+    pub(crate) fn inject_requests(
+        &mut self,
+        shards: &mut [ShardDomain],
+        obs: &mut Observer,
+        now: Cycle,
+    ) {
         let topo = &self.ctx.topo;
         let pops = if topo.ideal_ports { topo.cores } else { 1 };
         let ticks = self.clock.total_ticks();
@@ -402,7 +407,12 @@ impl Noc2 {
     /// order over the slices with work. A reply is routed once, when it
     /// enters the stash; a refused one awaits a grant of its input with
     /// the packet it has.
-    pub fn inject_replies(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
+    pub(crate) fn inject_replies(
+        &mut self,
+        shards: &mut [ShardDomain],
+        obs: &mut Observer,
+        now: Cycle,
+    ) {
         let Noc2 { ctx, line_bytes, rep, clock, stage2, stash, live, .. } = self;
         for d in shards {
             for li in d.slices_live.iter() {
@@ -444,7 +454,7 @@ impl Noc2 {
     /// queues, replies into node Q4. A grant frees an injection slot: the
     /// node or slice waiting at that input wakes to offer again. A crossbar
     /// left empty goes to sleep.
-    pub fn tick(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
+    pub(crate) fn tick(&mut self, shards: &mut [ShardDomain], obs: &mut Observer, now: Cycle) {
         let slices = self.slices;
         let Noc2 { ctx, req, rep, clock, stage2, live, .. } = self;
         let n = req.len();
@@ -533,7 +543,7 @@ impl Noc2 {
 
     /// Advances the clocks by `cycles` quiescent core cycles; the
     /// crossbars, all empty and asleep, catch up when woken.
-    pub fn skip_idle_cycles(&mut self, cycles: u64) {
+    pub(crate) fn skip_idle_cycles(&mut self, cycles: u64) {
         debug_assert!(!self.awake(), "skip_idle_cycles with a crossbar awake");
         self.clock.advance_by(cycles);
         if let Some(stage2) = &mut self.stage2 {
@@ -543,14 +553,14 @@ impl Noc2 {
 
     /// Puts every crossbar back on the tick walks, clocked through its
     /// stage's ticks so far.
-    pub fn wake_all(&mut self) {
+    pub(crate) fn wake_all(&mut self) {
         self.settle();
         self.live = ActiveSet::full(self.xbars().count());
     }
 
     /// Clocks every sleeping crossbar through its stage's ticks so far (it
     /// stays asleep): what a reader of `ticks` needs.
-    pub fn settle(&mut self) {
+    pub(crate) fn settle(&mut self) {
         let Noc2 { req, rep, clock, stage2, live, .. } = self;
         let stage1 = req.iter_mut().chain(rep).map(|x| (x, clock.total_ticks()));
         let stage2 = stage2.iter_mut().flat_map(|Stage2 { req, rep, clock }| {
@@ -571,7 +581,7 @@ impl Noc2 {
     /// # Errors
     ///
     /// Returns the first violation found.
-    pub fn check_sleepers(&self, shards: &[ShardDomain]) -> InvariantResult {
+    pub(crate) fn check_sleepers(&self, shards: &[ShardDomain]) -> InvariantResult {
         let stage1 = self.req.iter().chain(&self.rep).map(|x| (x, self.clock.total_ticks()));
         let stage2 = self.stage2.iter().flat_map(|s| [&s.req, &s.rep].map(|x| (x, s.clock.total_ticks())));
         for (idx, (x, ticks)) in stage1.chain(stage2).enumerate() {
@@ -597,7 +607,7 @@ impl Noc2 {
 
     /// Flits moved, both directions summed, one entry per NoC#2 entry of
     /// `Topology::noc_spec`: the first stage, then the second if any.
-    pub fn flits_per_spec_entry(&self) -> Vec<u64> {
+    pub(crate) fn flits_per_spec_entry(&self) -> Vec<u64> {
         let flits = |x: &Crossbar<Txn>| x.stats().total_flits();
         let mut per_entry = vec![self.req.iter().chain(&self.rep).map(flits).sum()];
         if let Some(stage2) = &self.stage2 {
@@ -608,7 +618,7 @@ impl Noc2 {
 
     /// Highest utilization of any reply link into the L1 level (Fig 2 /
     /// Fig 17).
-    pub fn max_reply_link_utilization(&self) -> f64 {
+    pub(crate) fn max_reply_link_utilization(&self) -> f64 {
         self.rep.iter().map(|x| x.stats().max_link_utilization()).fold(0.0, f64::max)
     }
 }

@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 /// Structural parameters of one DC-L1 node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeConfig {
+pub(crate) struct NodeConfig {
     /// DC-L1$ capacity in bytes.
     pub size_bytes: usize,
     /// Associativity.
@@ -90,7 +90,7 @@ struct HeadStall {
 
 /// One DC-L1 node.
 #[derive(Debug)]
-pub struct Dcl1Node {
+pub(crate) struct Dcl1Node {
     cache: SetAssocCache,
     mshr: Mshr<Txn>,
     q1: BoundedQueue<Txn>,
@@ -119,7 +119,7 @@ impl Dcl1Node {
     ///
     /// Returns [`ConfigError`] for invalid cache geometry or zero port
     /// count.
-    pub fn new(config: NodeConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn new(config: NodeConfig) -> Result<Self, ConfigError> {
         if config.ports == 0 {
             return Err(ConfigError::new("node must have at least one data port"));
         }
@@ -146,23 +146,23 @@ impl Dcl1Node {
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> &NodeStats {
+    pub(crate) fn stats(&self) -> &NodeStats {
         &self.stats
     }
 
     /// Zeroes the statistics (end-of-warmup measurement reset). Cache
     /// contents, queues and MSHRs are untouched — only counters clear.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = NodeStats::default();
     }
 
     /// The node's cache (occupancy and cache-level statistics).
-    pub fn cache(&self) -> &SetAssocCache {
+    pub(crate) fn cache(&self) -> &SetAssocCache {
         &self.cache
     }
 
     /// Whether Q1 can accept a request this cycle.
-    pub fn can_accept_request(&self) -> bool {
+    pub(crate) fn can_accept_request(&self) -> bool {
         !self.q1.is_full()
     }
 
@@ -171,12 +171,12 @@ impl Dcl1Node {
     /// # Errors
     ///
     /// Returns `Err(txn)` when Q1 is full.
-    pub fn try_push_request(&mut self, txn: Txn) -> Result<(), Txn> {
+    pub(crate) fn try_push_request(&mut self, txn: Txn) -> Result<(), Txn> {
         self.q1.try_push(txn)
     }
 
     /// Whether Q4 can accept an L2 reply this cycle.
-    pub fn can_accept_l2_reply(&self) -> bool {
+    pub(crate) fn can_accept_l2_reply(&self) -> bool {
         !self.q4.is_full()
     }
 
@@ -185,29 +185,29 @@ impl Dcl1Node {
     /// # Errors
     ///
     /// Returns `Err(txn)` when Q4 is full.
-    pub fn try_push_l2_reply(&mut self, txn: Txn) -> Result<(), Txn> {
+    pub(crate) fn try_push_l2_reply(&mut self, txn: Txn) -> Result<(), Txn> {
         self.q4.try_push(txn)
     }
 
     /// Peeks the next request bound for the L2 (head of Q3).
-    pub fn peek_l2_request(&self) -> Option<&Txn> {
+    pub(crate) fn peek_l2_request(&self) -> Option<&Txn> {
         self.q3.front()
     }
 
     /// Pops the next request bound for the L2.
-    pub fn pop_l2_request(&mut self) -> Option<Txn> {
+    pub(crate) fn pop_l2_request(&mut self) -> Option<Txn> {
         // Q3 room may be what the head of Q1 waits for.
         self.head_stall = None;
         self.q3.pop()
     }
 
     /// Peeks the next reply bound for a core (head of Q2).
-    pub fn peek_reply(&self) -> Option<&Txn> {
+    pub(crate) fn peek_reply(&self) -> Option<&Txn> {
         self.q2.front()
     }
 
     /// Pops the next reply bound for a core.
-    pub fn pop_reply(&mut self) -> Option<Txn> {
+    pub(crate) fn pop_reply(&mut self) -> Option<Txn> {
         self.q2.pop()
     }
 
@@ -217,7 +217,7 @@ impl Dcl1Node {
     /// misses wake the node externally via Q4). Returns `None` while any
     /// queue or the reply stage holds a transaction, i.e. while ticking
     /// still does real work.
-    pub fn quiescent_horizon(&self) -> Option<u64> {
+    pub(crate) fn quiescent_horizon(&self) -> Option<u64> {
         if !self.q1.is_empty()
             || !self.q2.is_empty()
             || !self.q3.is_empty()
@@ -239,7 +239,7 @@ impl Dcl1Node {
     /// maturing, staged replies (if any) behind a full Q2, and Q1 empty or
     /// its head stalled — on the MSHR until a fill is serviced, on a full
     /// Q3 until it drains.
-    pub fn blocked(&self) -> bool {
+    pub(crate) fn blocked(&self) -> bool {
         self.q4.is_empty()
             && self.hit_pipe.is_empty()
             && (self.reply_stage.is_empty() || self.q2.is_full())
@@ -252,7 +252,7 @@ impl Dcl1Node {
     /// and whose hit pipe matures no entry in that span: such a tick
     /// increments the clock and, for a stalled Q1 head, the stall counters
     /// (and the tag array's miss count, where the retry looks the line up).
-    pub fn skip_cycles(&mut self, cycles: u64) {
+    pub(crate) fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(self.blocked() || self.quiescent_horizon().is_some_and(|h| h > cycles));
         self.now += cycles;
         if let Some(stall) = self.head_stall {
@@ -269,12 +269,12 @@ impl Dcl1Node {
     }
 
     /// Core cycles this node has been clocked through (ticked or skipped).
-    pub fn now(&self) -> Cycle {
+    pub(crate) fn now(&self) -> Cycle {
         self.now
     }
 
     /// Whether every queue, pipe and MSHR is empty.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.q1.is_empty()
             && self.q2.is_empty()
             && self.q3.is_empty()
@@ -285,47 +285,42 @@ impl Dcl1Node {
     }
 
     /// Request input queue (Q1) depth.
-    pub fn q1_len(&self) -> usize {
+    pub(crate) fn q1_len(&self) -> usize {
         self.q1.len()
     }
 
     /// Reply output queue (Q2) depth.
-    pub fn q2_len(&self) -> usize {
+    pub(crate) fn q2_len(&self) -> usize {
         self.q2.len()
     }
 
     /// L2-bound queue (Q3) depth.
-    pub fn q3_len(&self) -> usize {
+    pub(crate) fn q3_len(&self) -> usize {
         self.q3.len()
     }
 
     /// Fill input queue (Q4) depth.
-    pub fn q4_len(&self) -> usize {
+    pub(crate) fn q4_len(&self) -> usize {
         self.q4.len()
     }
 
-    /// Occupied MSHR entries.
-    pub fn mshr_len(&self) -> usize {
-        self.mshr.len()
-    }
-
     /// Requesters waiting on MSHR fills (entries plus merges).
-    pub fn mshr_waiters(&self) -> usize {
+    pub(crate) fn mshr_waiters(&self) -> usize {
         self.mshr.total_waiters()
     }
 
     /// Cumulative MSHR entry allocations (registry snapshot source).
-    pub fn mshr_allocs(&self) -> u64 {
+    pub(crate) fn mshr_allocs(&self) -> u64 {
         self.mshr.allocs()
     }
 
     /// Cumulative MSHR entry frees (registry snapshot source).
-    pub fn mshr_frees(&self) -> u64 {
+    pub(crate) fn mshr_frees(&self) -> u64 {
         self.mshr.frees()
     }
 
     /// Hits in flight waiting out the access latency.
-    pub fn hit_pipe_len(&self) -> usize {
+    pub(crate) fn hit_pipe_len(&self) -> usize {
         self.hit_pipe.len() + self.reply_stage.len()
     }
 
@@ -338,7 +333,7 @@ impl Dcl1Node {
     /// # Errors
     ///
     /// Returns the first violated law with its counter values.
-    pub fn check_invariants(&self, site: &str) -> dcl1_common::InvariantResult {
+    pub(crate) fn check_invariants(&self, site: &str) -> dcl1_common::InvariantResult {
         self.q1.check_conservation(&format!("{site}.q1"))?;
         self.q2.check_conservation(&format!("{site}.q2"))?;
         self.q3.check_conservation(&format!("{site}.q3"))?;
@@ -369,7 +364,7 @@ impl Dcl1Node {
     /// Returns whether anything moved — if nothing did (the tick advanced
     /// the clock and at most counted a stall), the owner's cue to check
     /// whether the node can sleep.
-    pub fn tick<P: PresenceSink>(&mut self, presence: &mut P, obs: &mut Observer) -> bool {
+    pub(crate) fn tick<P: PresenceSink>(&mut self, presence: &mut P, obs: &mut Observer) -> bool {
         self.now += 1;
 
         // Fast path: with no fills, demands, matured-or-maturing hits or

@@ -26,7 +26,7 @@ use dcl1_common::{FlatMap, LineAddr};
 /// feeds only the replication *measurements* (never timing), so deferring
 /// visibility of a fill/evict to the replay that ends the cycle's Mem
 /// region is a sound relaxation.
-pub trait PresenceSink {
+pub(crate) trait PresenceSink {
     /// Copies of `line` currently visible to this observer.
     fn copies(&self, line: LineAddr) -> u32;
     /// Records that this observer's cache filled `line`.
@@ -53,14 +53,14 @@ impl PresenceSink for PresenceMap {
 /// the [`PresenceMap`] after the Mem region in deterministic shard/node
 /// order. Reused across cycles; steady-state allocation-free once warm.
 #[derive(Debug, Default)]
-pub struct PresenceLog {
+pub(crate) struct PresenceLog {
     /// `(line, +1 fill / -1 evict)` events in occurrence order.
     events: Vec<(LineAddr, i8)>,
 }
 
 impl PresenceLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PresenceLog::default()
     }
 
@@ -75,7 +75,7 @@ impl PresenceLog {
     }
 
     /// True when no deltas are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
@@ -85,7 +85,7 @@ impl PresenceLog {
     /// Replay order across shards never underflows a count: a node only
     /// evicts lines its own cache holds, and every holder contributes at
     /// least one copy to the shared count.
-    pub fn apply_to(&mut self, map: &mut PresenceMap) {
+    pub(crate) fn apply_to(&mut self, map: &mut PresenceMap) {
         for &(line, d) in &self.events {
             if d > 0 {
                 map.on_fill(line);
@@ -107,7 +107,7 @@ impl PresenceLog {
 /// cycle, an ordering artifact no hardware property depends on. Writes go
 /// to the private log, replayed after the region.
 #[derive(Debug)]
-pub struct PresenceSession<'a> {
+pub(crate) struct PresenceSession<'a> {
     base: &'a PresenceMap,
     log: &'a mut PresenceLog,
 }
@@ -115,7 +115,7 @@ pub struct PresenceSession<'a> {
 impl<'a> PresenceSession<'a> {
     /// Opens a session over the cycle-start snapshot `base`, accumulating
     /// deltas into `log`.
-    pub fn new(base: &'a PresenceMap, log: &'a mut PresenceLog) -> Self {
+    pub(crate) fn new(base: &'a PresenceMap, log: &'a mut PresenceLog) -> Self {
         PresenceSession { base, log }
     }
 }
@@ -205,12 +205,6 @@ impl PresenceMap {
         self.counts.len()
     }
 
-    /// Total resident copies summed over every line. O(1): maintained
-    /// incrementally on fill/evict.
-    pub fn total_copies(&self) -> u64 {
-        self.total_copies
-    }
-
     /// Mean copies per distinct resident line (Fig 16's replica count);
     /// 0.0 when the level is empty. O(1) — safe to call every metrics
     /// sampling interval.
@@ -255,7 +249,7 @@ mod tests {
         p.on_evict(l);
         assert_eq!(p.copies(l), 0);
         assert_eq!(p.distinct_lines(), 0);
-        assert_eq!(p.total_copies(), 0);
+        assert_eq!(p.total_copies, 0);
     }
 
     #[test]
@@ -268,7 +262,7 @@ mod tests {
         p.on_fill(LineAddr::new(2));
         assert!((p.mean_replicas() - 2.0).abs() < 1e-12);
         assert_eq!(p.distinct_lines(), 2);
-        assert_eq!(p.total_copies(), 4);
+        assert_eq!(p.total_copies, 4);
     }
 
     #[test]
@@ -321,7 +315,7 @@ mod tests {
         assert!(log_a.is_empty() && log_b.is_empty());
         assert_eq!(map.copies(l), 1, "net of one fill and one evict over one copy");
         assert_eq!(map.copies(fresh), 0);
-        assert_eq!(map.total_copies(), 1);
+        assert_eq!(map.total_copies, 1);
     }
 
     /// Differential property test: the open-addressed map against the old
@@ -352,7 +346,7 @@ mod tests {
                 assert_eq!(p.copies(line), model.get(&raw).copied().unwrap_or(0));
                 assert_eq!(p.distinct_lines(), model.len());
                 let model_total: u64 = model.values().map(|&c| u64::from(c)).sum();
-                assert_eq!(p.total_copies(), model_total);
+                assert_eq!(p.total_copies, model_total);
                 let model_mean = if model.is_empty() {
                     0.0
                 } else {

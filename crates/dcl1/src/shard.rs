@@ -70,7 +70,7 @@ pub(crate) struct MachineCtx {
 
 impl MachineCtx {
     /// Builds a packet using the effective flit width.
-    pub fn packet(&self, src: usize, dst: usize, data_bytes: u32, txn: Txn) -> Packet<Txn> {
+    pub(crate) fn packet(&self, src: usize, dst: usize, data_bytes: u32, txn: Txn) -> Packet<Txn> {
         Packet { src, dst, flits: 1 + data_bytes.div_ceil(self.flit_bytes), payload: txn }
     }
 }
@@ -103,7 +103,7 @@ pub(crate) enum Region {
 
 impl Region {
     /// The profiler phase this region's time is attributed to.
-    pub fn phase(self) -> Phase {
+    pub(crate) fn phase(self) -> Phase {
         match self {
             Region::Issue => Phase::Issue,
             Region::Noc1 => Phase::Noc1,
@@ -188,7 +188,7 @@ pub(crate) struct ShardDomain {
 
 impl ShardDomain {
     /// A domain over the given components, every one of them awake.
-    pub fn new(
+    pub(crate) fn new(
         (core0, node0, cluster0, slice0): (usize, usize, usize, usize),
         cores: Vec<Core>,
         nodes: Vec<Dcl1Node>,
@@ -228,7 +228,7 @@ impl ShardDomain {
     }
 
     /// Executes one region against this domain only.
-    pub fn run_region(
+    pub(crate) fn run_region(
         &mut self,
         region: Region,
         now: Cycle,
@@ -314,7 +314,7 @@ impl ShardDomain {
         let (k, src) = (c / ctx.cpc, c % ctx.cpc);
         let cause = match ctx.topo.attachment {
             Attachment::Direct => {
-                let ni = k * ctx.m + ctx.topo.home_slot(ctx.m, c, txn.line) - self.node0;
+                let ni = k * ctx.m + txn.line.interleave(ctx.m) - self.node0;
                 if self.nodes[ni].can_accept_request() {
                     obs.trace_hop(txn.id, "l1_queue", now);
                     self.wake_node(ni, now - 1);
@@ -331,7 +331,7 @@ impl ShardDomain {
                 // home-node lookup.
                 let ki = k - self.cluster0;
                 if self.noc1_req[ki].can_inject(src) {
-                    let slot = ctx.topo.home_slot(ctx.m, c, txn.line);
+                    let slot = txn.line.interleave(ctx.m);
                     obs.trace_hop(txn.id, "noc1_req", now);
                     self.wake_xbar(2 * ki, now - 1, ctx);
                     self.noc1_req[ki]
@@ -508,7 +508,7 @@ impl ShardDomain {
 
     /// Retires a transaction at its issuing core (always in this domain:
     /// a transaction issues and completes at the same core).
-    pub fn complete_at_core(&mut self, txn: Txn, now: Cycle, obs: &mut Observer) {
+    pub(crate) fn complete_at_core(&mut self, txn: Txn, now: Cycle, obs: &mut Observer) {
         self.flow.consume(1);
         obs.trace_end(txn.id, now);
         let ci = txn.core.index() - self.core0;

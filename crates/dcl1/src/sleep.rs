@@ -42,19 +42,19 @@ pub(crate) struct Census {
 
 impl Census {
     #[inline]
-    pub fn visit(&mut self, class: Visit, acted: bool) {
+    pub(crate) fn visit(&mut self, class: Visit, acted: bool) {
         self.made[class as usize] += 1;
         self.acted[class as usize] += u64::from(acted);
     }
 
     /// Whether a component sleeps, counting it if it sleeps on something.
     #[inline]
-    pub fn park(&mut self, class: Visit, sleeps: bool, idle: bool) -> bool {
+    pub(crate) fn park(&mut self, class: Visit, sleeps: bool, idle: bool) -> bool {
         self.parked[class as usize] += u64::from(sleeps && !idle);
         sleeps
     }
 
-    pub fn merge(&mut self, other: &Census) {
+    pub(crate) fn merge(&mut self, other: &Census) {
         for class in 0..6 {
             self.made[class] += other.made[class];
             self.acted[class] += other.acted[class];
@@ -97,7 +97,7 @@ impl ShardDomain {
     /// Puts core `i` back on the issue walk, first crediting the ticks it
     /// slept through `through`, the last cycle whose issue slot has passed.
     /// Call *before* the event that ends the core's inertia.
-    pub fn wake_core(&mut self, i: usize, through: Cycle) {
+    pub(crate) fn wake_core(&mut self, i: usize, through: Cycle) {
         if self.cores_live.insert(i) {
             self.credit_parked(i, through);
         }
@@ -105,7 +105,7 @@ impl ShardDomain {
 
     /// Clocks every sleeper through `now`, crediting what it is owed (it
     /// stays asleep): what a reader of statistics needs.
-    pub fn settle(&mut self, now: Cycle, ctx: &MachineCtx) {
+    pub(crate) fn settle(&mut self, now: Cycle, ctx: &MachineCtx) {
         for i in 0..self.cores.len() {
             if !self.cores_live.contains(i) {
                 self.credit_parked(i, now);
@@ -140,7 +140,7 @@ impl ShardDomain {
     /// Puts node `ni` back on the node walks, clocked through `through`:
     /// `now - 1` from every producer (outbox heads, NoC#1 and NoC#2
     /// ejection all precede the cycle's node ticks).
-    pub fn wake_node(&mut self, ni: usize, through: Cycle) {
+    pub(crate) fn wake_node(&mut self, ni: usize, through: Cycle) {
         if self.nodes_live.insert(ni) {
             let node = &mut self.nodes[ni];
             node.skip_cycles(through - node.now());
@@ -150,7 +150,7 @@ impl ShardDomain {
     /// Puts slice `i` back on the slice walks, clocked through `through`:
     /// `now - 1` for a request (NoC#2 ejection precedes the cycle's slice
     /// ticks), `now` for a DRAM fill (it follows them).
-    pub fn wake_slice(&mut self, i: usize, through: Cycle) {
+    pub(crate) fn wake_slice(&mut self, i: usize, through: Cycle) {
         if self.slices_live.insert(i) {
             let l2 = &mut self.l2[i];
             l2.skip_cycles(through - l2.now());
@@ -175,7 +175,7 @@ impl ShardDomain {
     }
 
     /// Wakes every component, each clocked (and credited) through `now`.
-    pub fn wake_all(&mut self, now: Cycle, ctx: &MachineCtx) {
+    pub(crate) fn wake_all(&mut self, now: Cycle, ctx: &MachineCtx) {
         (0..self.cores.len()).for_each(|i| self.wake_core(i, now));
         (0..self.nodes.len()).for_each(|ni| self.wake_node(ni, now));
         (0..self.l2.len()).for_each(|i| self.wake_slice(i, now));
@@ -248,7 +248,7 @@ impl ShardDomain {
     /// # Errors
     ///
     /// Returns the first sleeper found with work pending or no wake armed.
-    pub fn check_sleepers(&self, now: Cycle, ctx: &MachineCtx) -> InvariantResult {
+    pub(crate) fn check_sleepers(&self, now: Cycle, ctx: &MachineCtx) -> InvariantResult {
         let fail = |site: String| Err(InvariantError::new(site, "asleep with work pending"));
         for (i, core) in self.cores.iter().enumerate() {
             let (empty, waits) = (self.outbox[i].is_empty(), self.outbox_wait.contains(i));

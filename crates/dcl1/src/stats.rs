@@ -105,15 +105,6 @@ impl RunStats {
         }
     }
 
-    /// L2 miss rate.
-    pub fn l2_miss_rate(&self) -> f64 {
-        if self.l2_accesses == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 / self.l2_accesses as f64
-        }
-    }
-
     /// Load imbalance across nodes: max over mean per-node accesses
     /// (1.0 = perfectly balanced; large = partition camping).
     pub fn node_load_imbalance(&self) -> f64 {
@@ -170,7 +161,6 @@ mod tests {
         assert!((s.ipc() - 2.5).abs() < 1e-12);
         assert!((s.l1_miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.replication_ratio() - 0.25).abs() < 1e-12);
-        assert!((s.l2_miss_rate() - 0.5).abs() < 1e-12);
         assert!((s.node_load_imbalance() - 1.5).abs() < 1e-12);
         assert!((s.seconds(1400) - 100.0 / 1.4e9).abs() < 1e-18);
     }
@@ -181,7 +171,6 @@ mod tests {
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.l1_miss_rate(), 0.0);
         assert_eq!(s.replication_ratio(), 0.0);
-        assert_eq!(s.l2_miss_rate(), 0.0);
         assert_eq!(s.node_load_imbalance(), 0.0);
     }
 }

@@ -4,14 +4,14 @@ use dcl1_common::{CoreId, Cycle, LineAddr, WavefrontId};
 use dcl1_gpu::MemKind;
 
 /// Globally unique transaction identifier.
-pub type TxnId = u64;
+pub(crate) type TxnId = u64;
 
 /// One coalesced memory transaction in flight.
 ///
 /// A wavefront memory instruction fans out into one `Txn` per coalesced
 /// line access; the issuing wavefront blocks until all of them return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Txn {
+pub(crate) struct Txn {
     /// Unique id (diagnostics and ordering).
     pub id: TxnId,
     /// Issuing core.

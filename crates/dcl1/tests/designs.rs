@@ -355,3 +355,44 @@ fn distributed_cta_policy_completes() {
     assert!(stats.cycles < 2_000_000);
     assert_eq!(stats.instructions, (kernel.ctas * kernel.wf_per_cta * kernel.instrs) as u64);
 }
+
+/// The paper's design family is one algebra: `PrY` is `Y` clusters of one
+/// node (`ShY+CY`), and `ShY` one cluster of `Y` nodes (`ShY+C1`). Each
+/// pair runs catalog apps at smoke scale (1/16, warm-up over the first
+/// third, as the sweeps run them) to the same statistics, apart from the
+/// design's name. P-3MM is one of the three apps whose hot lines are
+/// striped onto one home node. The two sides of a pair run on two threads.
+#[test]
+fn private_and_shared_are_the_clustered_extremes() {
+    let cfg = GpuConfig::default();
+    let run_app = |design: &Design, app: &dcl1_workloads::AppSpec| {
+        let app = app.scaled(1, 16);
+        let opts = SimOptions {
+            warmup_instructions: app.total_instructions() / 3,
+            ..SimOptions::default()
+        };
+        let stats = GpuSystem::build(&cfg, design, &app, opts).expect("valid design").run();
+        format!("{:?}", dcl1::RunStats { design: String::new(), ..stats })
+    };
+    let clustered = |nodes, clusters| Design::Clustered { nodes, clusters, boost: false };
+    for name in ["C-NN", "T-SqueezeNet", "P-3MM"] {
+        let app = dcl1_workloads::by_name(name).expect("catalog app");
+        for y in [40, 80] {
+            for (plain, as_clustered) in [
+                (Design::Private { nodes: y }, clustered(y, y)),
+                (Design::Shared { nodes: y }, clustered(y, 1)),
+            ] {
+                std::thread::scope(|s| {
+                    let other = s.spawn(|| run_app(&as_clustered, &app));
+                    assert_eq!(
+                        run_app(&plain, &app),
+                        other.join().expect("the clustered run finishes"),
+                        "{name}: {} and {} differ",
+                        plain.name(),
+                        as_clustered.name()
+                    );
+                });
+            }
+        }
+    }
+}

@@ -70,13 +70,11 @@ fn sliced_noc2_slot_slice_congruence() {
             let home = topo.home_node(core, line);
             let slot = home % topo.nodes_per_cluster();
             let slice = line.interleave(cfg.l2_slices);
-            if topo.shared_within_cluster {
-                assert_eq!(
-                    slice % groups,
-                    slot % groups,
-                    "slot/slice congruence broken: slot {slot} slice {slice} groups {groups}"
-                );
-            }
+            assert_eq!(
+                slice % groups,
+                slot % groups,
+                "slot/slice congruence broken: slot {slot} slice {slice} groups {groups}"
+            );
             // The per-group crossbar output port is always in range.
             assert!(slice / groups < cfg.l2_slices / groups);
         }

@@ -9,7 +9,7 @@ use dcl1_common::{LineAddr, SplitMix64};
 use dcl1_gpu::{MemAccess, MemInstr, MemKind, TraceFactory, TraceSource, WavefrontInstr};
 
 #[derive(Debug, Clone)]
-pub struct KernelParams {
+pub(crate) struct KernelParams {
     pub ctas: u32,
     pub wf_per_cta: u32,
     pub instrs: u32,
@@ -24,7 +24,7 @@ pub struct KernelParams {
 impl KernelParams {
     /// Draws a parameter point from the same ranges the old proptest
     /// strategy used.
-    pub fn draw(rng: &mut SplitMix64) -> Self {
+    pub(crate) fn draw(rng: &mut SplitMix64) -> Self {
         KernelParams {
             ctas: 1 + rng.next_below(11) as u32,
             wf_per_cta: 1 + rng.next_below(3) as u32,
@@ -40,7 +40,7 @@ impl KernelParams {
 }
 
 #[derive(Debug)]
-pub struct RandomKernel(pub KernelParams);
+pub(crate) struct RandomKernel(pub KernelParams);
 
 #[derive(Debug)]
 struct RandomTrace {
@@ -108,7 +108,7 @@ impl TraceFactory for RandomKernel {
     }
 }
 
-pub const DESIGNS: [Design; 9] = [
+pub(crate) const DESIGNS: [Design; 9] = [
     Design::Baseline,
     Design::IdealSingleL1,
     Design::Private { nodes: 8 },
@@ -124,7 +124,7 @@ pub const DESIGNS: [Design; 9] = [
 /// cores, so cores park behind closed ports as well as on outstanding
 /// fills.
 #[allow(dead_code)] // the sleeper tests only
-pub fn congested() -> RandomKernel {
+pub(crate) fn congested() -> RandomKernel {
     let drawn = KernelParams::draw(&mut SplitMix64::new(0x1A2_7C4E));
     RandomKernel(KernelParams {
         ctas: 32,
@@ -140,7 +140,7 @@ pub fn congested() -> RandomKernel {
 /// Every machine the test drives: the 8-core test machine under every
 /// design the paper sweeps, and the 10-core one CDXBar needs.
 #[allow(dead_code)] // the sleeper tests only
-pub fn machines() -> Vec<(GpuConfig, Design)> {
+pub(crate) fn machines() -> Vec<(GpuConfig, Design)> {
     let ten = GpuConfig { cores: 10, ..GpuConfig::small_test() };
     let mut all: Vec<_> = DESIGNS.iter().map(|&d| (GpuConfig::small_test(), d)).collect();
     all.push((ten.clone(), Design::CdXbar { stage1_mult: 1, stage2_mult: 1 }));

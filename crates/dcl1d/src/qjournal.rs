@@ -128,7 +128,7 @@ pub fn render_record(op: QueueOp, id: u64, payload: &str) -> String {
 /// Parses one line; `None` when the line is malformed, unversioned, has
 /// an unknown op, or fails its checksum.
 #[must_use]
-pub fn parse_record(line: &str) -> Option<QueueRecord> {
+pub(crate) fn parse_record(line: &str) -> Option<QueueRecord> {
     let payload = unframe(line)?;
     let op = QueueOp::from_tag(&field(line, "op")?)?;
     let id = field(line, "id")?.parse().ok()?;

@@ -149,7 +149,7 @@ pub enum Verdict {
 /// Deterministic backpressure hint: deeper queue, longer suggested wait.
 /// Pure function of depth — no wall clock anywhere near the daemon core.
 #[must_use]
-pub fn backpressure_retry_ms(depth: usize) -> u64 {
+pub(crate) fn backpressure_retry_ms(depth: usize) -> u64 {
     100 + 25 * (depth as u64).min(4000)
 }
 
@@ -179,7 +179,7 @@ impl JobQueue {
 
     /// Queued jobs owned by `tenant`.
     #[must_use]
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
+    pub(crate) fn tenant_depth(&self, tenant: &str) -> usize {
         self.queued_by_tenant.get(tenant).copied().unwrap_or(0)
     }
 
@@ -223,7 +223,7 @@ impl JobQueue {
     /// Advances the id allocator past every id the journal has ever
     /// issued, so fresh accepts never collide with journaled history —
     /// even when the replayed jobs all finished before the crash.
-    pub fn reserve_ids(&mut self, next_id: u64) {
+    pub(crate) fn reserve_ids(&mut self, next_id: u64) {
         self.next_id = self.next_id.max(next_id);
     }
 

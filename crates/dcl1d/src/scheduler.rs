@@ -95,7 +95,6 @@ struct TenantCounters {
     simulated: CounterId,
     mem_hits: CounterId,
     disk_hits: CounterId,
-    shared_hits: CounterId,
     shed: CounterId,
     rejected: CounterId,
     cancelled: CounterId,
@@ -125,7 +124,6 @@ impl TenantState {
             simulated: registry.counter("tenant.simulated"),
             mem_hits: registry.counter("tenant.mem_hits"),
             disk_hits: registry.counter("tenant.disk_hits"),
-            shared_hits: registry.counter("tenant.shared_hits"),
             shed: registry.counter("tenant.shed"),
             rejected: registry.counter("tenant.rejected"),
             cancelled: registry.counter("tenant.cancelled"),
@@ -201,7 +199,6 @@ impl Core {
                 let provenance = match served.source {
                     "memo" => Some(state.ids.mem_hits),
                     "disk" => Some(state.ids.disk_hits),
-                    "shared" => Some(state.ids.shared_hits),
                     "simulated" => Some(state.ids.simulated),
                     _ => None,
                 };
@@ -512,7 +509,7 @@ impl Daemon {
 
     /// True once drain has completed and workers are exiting.
     #[must_use]
-    pub fn is_shutdown(&self) -> bool {
+    pub(crate) fn is_shutdown(&self) -> bool {
         self.lock_core().shutdown
     }
 

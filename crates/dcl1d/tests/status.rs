@@ -36,8 +36,8 @@ fn spec(tenant: &str, app: &str, design: &str) -> JobSpec {
 /// Captured from `status_json` at the parent of the ledger change (one
 /// worker, so the first run of each label simulates and the rest are
 /// memory hits).
-const GOLDEN_ALL: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accepted_total":201,"draining":true,"workers":1,"resume":{"accepted":0,"done":0,"cancelled":0,"pending":0,"torn":0},"memo":…},"tenants":{"carol":{"queued":0,"inflight":0,"completed":200,"quarantined":[],"digest":"72dba76cd0aef001","counters":{"tenant.cancelled": 0, "tenant.completed": 200, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 196, "tenant.quarantined": 0, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shared_hits": 0, "tenant.shed": 0, "tenant.simulated": 4}},"q\"t":{"queued":0,"inflight":0,"completed":0,"quarantined":[{"point":"NO-SUCH-APP/Baseline","class":"config"}],"digest":"cbf29ce484222325","counters":{"tenant.cancelled": 0, "tenant.completed": 0, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 0, "tenant.quarantined": 1, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shared_hits": 0, "tenant.shed": 0, "tenant.simulated": 0}}}}"#;
-const GOLDEN_ONE: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accepted_total":201,"draining":true,"workers":1,"resume":{"accepted":0,"done":0,"cancelled":0,"pending":0,"torn":0},"memo":…},"tenants":{"q\"t":{"queued":0,"inflight":0,"completed":0,"quarantined":[{"point":"NO-SUCH-APP/Baseline","class":"config"}],"digest":"cbf29ce484222325","counters":{"tenant.cancelled": 0, "tenant.completed": 0, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 0, "tenant.quarantined": 1, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shared_hits": 0, "tenant.shed": 0, "tenant.simulated": 0}}}}"#;
+const GOLDEN_ALL: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accepted_total":201,"draining":true,"workers":1,"resume":{"accepted":0,"done":0,"cancelled":0,"pending":0,"torn":0},"memo":…},"tenants":{"carol":{"queued":0,"inflight":0,"completed":200,"quarantined":[],"digest":"72dba76cd0aef001","counters":{"tenant.cancelled": 0, "tenant.completed": 200, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 196, "tenant.quarantined": 0, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shed": 0, "tenant.simulated": 4}},"q\"t":{"queued":0,"inflight":0,"completed":0,"quarantined":[{"point":"NO-SUCH-APP/Baseline","class":"config"}],"digest":"cbf29ce484222325","counters":{"tenant.cancelled": 0, "tenant.completed": 0, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 0, "tenant.quarantined": 1, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shed": 0, "tenant.simulated": 0}}}}"#;
+const GOLDEN_ONE: &str = r#"{"ok":true,"daemon":{"queued":0,"inflight":0,"accepted_total":201,"draining":true,"workers":1,"resume":{"accepted":0,"done":0,"cancelled":0,"pending":0,"torn":0},"memo":…},"tenants":{"q\"t":{"queued":0,"inflight":0,"completed":0,"quarantined":[{"point":"NO-SUCH-APP/Baseline","class":"config"}],"digest":"cbf29ce484222325","counters":{"tenant.cancelled": 0, "tenant.completed": 0, "tenant.disk_hits": 0, "tenant.inflight": 0, "tenant.mem_hits": 0, "tenant.quarantined": 1, "tenant.queued": 0, "tenant.rejected": 0, "tenant.resumed": 0, "tenant.shed": 0, "tenant.simulated": 0}}}}"#;
 
 #[test]
 fn resubmitted_sweep_digest_and_golden_reply() {

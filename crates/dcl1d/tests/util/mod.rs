@@ -13,7 +13,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// An empty scratch directory unique to one test of one test process.
-pub fn scratch(tag: &str) -> PathBuf {
+pub(crate) fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dcl1d-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -23,7 +23,7 @@ pub fn scratch(tag: &str) -> PathBuf {
 /// Spawns the daemon at smoke scale on an ephemeral port, its result
 /// cache in `dir/cache`, and waits for its port file. Returns the child
 /// and a connection to it.
-pub fn start_daemon(dir: &Path, tag: &str, extra: &[&str]) -> (Child, TcpStream) {
+pub(crate) fn start_daemon(dir: &Path, tag: &str, extra: &[&str]) -> (Child, TcpStream) {
     let port_file = dir.join(format!("port-{tag}"));
     let _ = std::fs::remove_file(&port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_dcl1d"))
@@ -32,7 +32,6 @@ pub fn start_daemon(dir: &Path, tag: &str, extra: &[&str]) -> (Child, TcpStream)
         .args(extra)
         .env("DCL1_SCALE", "smoke")
         .env("DCL1_CACHE_DIR", dir.join("cache"))
-        .env_remove("DCL1_CACHE_SHARED_DIR")
         .current_dir(dir)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -51,7 +50,7 @@ pub fn start_daemon(dir: &Path, tag: &str, extra: &[&str]) -> (Child, TcpStream)
 }
 
 /// Sends one request line and parses the one reply line.
-pub fn rpc(stream: &mut TcpStream, line: &str) -> Json {
+pub(crate) fn rpc(stream: &mut TcpStream, line: &str) -> Json {
     stream.write_all(line.as_bytes()).expect("send request");
     stream.write_all(b"\n").expect("send newline");
     let mut reply = String::new();
@@ -62,7 +61,7 @@ pub fn rpc(stream: &mut TcpStream, line: &str) -> Json {
 
 /// `{"cmd":"submit","tenant":TENANT,"grid":true}`, with `chaos` when
 /// given; the reply's `accepted` count.
-pub fn submit_grid(stream: &mut TcpStream, tenant: &str, chaos: Option<u64>) -> f64 {
+pub(crate) fn submit_grid(stream: &mut TcpStream, tenant: &str, chaos: Option<u64>) -> f64 {
     let chaos = chaos.map_or(String::new(), |s| format!(",\"chaos\":{s}"));
     let reply =
         rpc(stream, &format!("{{\"cmd\":\"submit\",\"tenant\":\"{tenant}\",\"grid\":true{chaos}}}"));
@@ -70,12 +69,12 @@ pub fn submit_grid(stream: &mut TcpStream, tenant: &str, chaos: Option<u64>) -> 
 }
 
 /// `doc[path[0]][path[1]]…`; an absent key fails, naming it.
-pub fn at<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+pub(crate) fn at<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
     path.iter().enumerate().fold(doc, |node, (i, key)| {
         node.get(key).unwrap_or_else(|| panic!("no key {:?} in {doc:?}", &path[..=i]))
     })
 }
 
-pub fn num(doc: &Json, path: &[&str]) -> f64 {
+pub(crate) fn num(doc: &Json, path: &[&str]) -> f64 {
     at(doc, path).as_f64().unwrap_or_else(|| panic!("{path:?} is not a number in {doc:?}"))
 }

@@ -17,10 +17,6 @@ pub enum MemKind {
 }
 
 impl MemKind {
-    /// Whether this access skips the (DC-)L1 cache array.
-    pub fn bypasses_l1(self) -> bool {
-        matches!(self, MemKind::Atomic | MemKind::Aux)
-    }
 }
 
 /// One coalesced memory transaction: a line and the bytes actually needed
@@ -56,17 +52,4 @@ pub enum WavefrontInstr {
     Mem(MemInstr),
     /// End of the wavefront's work.
     Done,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bypass_classification() {
-        assert!(!MemKind::Load.bypasses_l1());
-        assert!(!MemKind::Store.bypasses_l1());
-        assert!(MemKind::Atomic.bypasses_l1());
-        assert!(MemKind::Aux.bypasses_l1());
-    }
 }

@@ -67,25 +67,26 @@ impl Wavefront {
     }
 
     /// Marks the wavefront busy until `until`.
-    pub fn set_busy(&mut self, until: Cycle) {
+    pub(crate) fn set_busy(&mut self, until: Cycle) {
         self.state = WavefrontState::Busy { until };
     }
 
     /// Marks the wavefront blocked on `outstanding` memory transactions.
-    pub fn set_waiting(&mut self, outstanding: u32) {
+    pub(crate) fn set_waiting(&mut self, outstanding: u32) {
         debug_assert!(outstanding > 0);
         self.state = WavefrontState::WaitingMem { outstanding };
     }
 
     /// Marks the wavefront finished.
-    pub fn set_finished(&mut self) {
+    pub(crate) fn set_finished(&mut self) {
         self.state = WavefrontState::Finished;
     }
 
     /// Whether the wavefront is blocked on memory. A non-resolving query
     /// (unlike [`state`](Wavefront::state), never mutates `Busy` expiry),
     /// so schedulers can use it for bookkeeping checks.
-    pub fn is_waiting_mem(&self) -> bool {
+    #[cfg(debug_assertions)]
+    pub(crate) fn is_waiting_mem(&self) -> bool {
         matches!(self.state, WavefrontState::WaitingMem { .. })
     }
 

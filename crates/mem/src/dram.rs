@@ -308,15 +308,6 @@ impl<T> MemoryController<T> {
     pub fn replies_pending(&self) -> usize {
         self.replies.len()
     }
-
-    /// Achieved data bandwidth in bytes per memory tick so far.
-    pub fn bandwidth_bytes_per_tick(&self, line_bytes: usize) -> f64 {
-        if self.now == 0 {
-            return 0.0;
-        }
-        let serviced = self.stats.reads.get() + self.stats.writes.get();
-        (serviced * line_bytes as u64) as f64 / self.now as f64
-    }
 }
 
 #[cfg(test)]
@@ -532,7 +523,8 @@ mod tests {
         assert_eq!(done, 200);
         // 200 lines × 4-tick bursts = 800 busy ticks minimum.
         assert!(m.stats().bus_busy_ticks.get() >= 800);
-        let bw = m.bandwidth_bytes_per_tick(128);
+        let serviced = m.stats().reads.get() + m.stats().writes.get();
+        let bw = (serviced * 128) as f64 / m.now as f64;
         assert!(bw <= 32.0 + 1e-9, "bus overdriven: {bw} B/tick");
     }
 }

@@ -67,7 +67,7 @@ pub struct CrossbarStats {
 
 impl CrossbarStats {
     /// Utilization of output link `port`: flits transferred / ticks.
-    pub fn link_utilization(&self, port: usize) -> f64 {
+    pub(crate) fn link_utilization(&self, port: usize) -> f64 {
         if self.ticks == 0 {
             0.0
         } else {
@@ -647,16 +647,6 @@ impl<T> Crossbar<T> {
     /// Total packets currently inside the switch. O(1).
     pub fn in_flight(&self) -> usize {
         self.queued + self.active_count + self.ejected
-    }
-
-    /// Lifetime packets accepted at the inputs (survives `reset_stats`).
-    pub fn lifetime_injected_packets(&self) -> u64 {
-        self.lifetime_injected_packets
-    }
-
-    /// Lifetime packets handed out by `pop_output` (survives `reset_stats`).
-    pub fn lifetime_delivered_packets(&self) -> u64 {
-        self.lifetime_delivered_packets
     }
 
     /// Lifetime flits moved across the switch fabric (survives `reset_stats`).

@@ -91,11 +91,6 @@ impl<P> EpochBatch<P> {
         self.sealed = true;
     }
 
-    /// True once [`seal`](EpochBatch::seal) has fixed the order.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Number of staged entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -169,7 +164,7 @@ mod tests {
         b.seal();
         let order: Vec<u32> = b.entries().iter().map(|&(_, p)| p).collect();
         assert_eq!(order, vec![10, 20, 30]);
-        assert!(b.is_sealed());
+        assert!(b.sealed);
     }
 
     #[test]
@@ -183,7 +178,7 @@ mod tests {
         assert_eq!(b.entries()[0].1, 0);
         b.clear();
         assert!(b.is_empty());
-        assert!(!b.is_sealed());
+        assert!(!b.sealed);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod profiler;
 pub mod progress;
 pub mod recovery;
 pub mod registry;
-pub mod trace;
+mod trace;
 
 use metrics::{MetricsFormat, MetricsSample, MetricsWriter};
 use std::io::{self, Write};
@@ -102,12 +102,6 @@ impl Observer {
     #[inline]
     pub fn tracing(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Whether `id` would be recorded by the attached tracer.
-    #[inline]
-    pub fn trace_sampled(&self, id: u64) -> bool {
-        self.trace.as_ref().is_some_and(|t| t.sampled(id))
     }
 
     /// Opens the first span of transaction `id` (no-op when not tracing).
@@ -193,7 +187,6 @@ mod tests {
         let mut obs = Observer::disabled();
         assert!(obs.is_off());
         assert!(!obs.tracing());
-        assert!(!obs.trace_sampled(0));
         assert_eq!(obs.metrics_interval(), None);
         obs.trace_begin(1, 0, 0, "load", 64);
         obs.trace_hop(1, "l2", 5);
@@ -212,7 +205,6 @@ mod tests {
             .with_metrics(Box::new(metrics_buf.clone()), 128, MetricsFormat::Jsonl);
         assert!(!obs.is_off());
         assert!(obs.tracing());
-        assert!(obs.trace_sampled(0) && !obs.trace_sampled(1));
         assert_eq!(obs.metrics_interval(), Some(128));
         obs.trace_begin(0, 0, 3, "load", 256);
         obs.trace_hop(0, "reply", 7);

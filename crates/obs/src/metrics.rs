@@ -94,27 +94,6 @@ impl MetricsSample {
     ];
 }
 
-/// Escapes one CSV field per RFC 4180: fields containing commas, double
-/// quotes, or line breaks are wrapped in double quotes with embedded
-/// quotes doubled; everything else passes through unchanged.
-#[must_use]
-pub fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(field.len() + 2);
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        field.to_owned()
-    }
-}
-
 /// Output encoding for the metrics stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricsFormat {
@@ -131,11 +110,6 @@ pub struct MetricsWriter {
     out: io::BufWriter<Box<dyn Write + Send>>,
     wrote_header: bool,
     samples: u64,
-    /// Sweep-point label stamped on every row; names may contain commas
-    /// and quotes (e.g. a hypothetical `App,v2/Design"X"`), so the CSV
-    /// encoder escapes it per RFC 4180. Always the last column, so the
-    /// numeric field prefix of the header never moves.
-    point: Option<String>,
 }
 
 impl fmt::Debug for MetricsWriter {
@@ -157,27 +131,12 @@ impl MetricsWriter {
             out: io::BufWriter::new(sink),
             wrote_header: false,
             samples: 0,
-            point: None,
         }
-    }
-
-    /// Labels every subsequent row with a sweep-point name. Must be set
-    /// before the first `record` so the CSV header (which gains a final
-    /// `point` column) matches the rows.
-    #[must_use]
-    pub fn with_point(mut self, point: &str) -> MetricsWriter {
-        self.point = Some(point.to_owned());
-        self
     }
 
     /// Sampling interval in cycles.
     pub fn interval(&self) -> u64 {
         self.interval
-    }
-
-    /// Number of samples written so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 
     /// Appends one sample in the configured format.
@@ -195,29 +154,17 @@ impl MetricsWriter {
                     line.push_str("\":");
                     line.push_str(&get(sample).to_string());
                 }
-                if let Some(point) = &self.point {
-                    line.push_str(",\"point\":\"");
-                    line.push_str(&crate::json::escape(point));
-                    line.push('"');
-                }
                 line.push_str("}\n");
                 let _ = self.out.write_all(line.as_bytes());
             }
             MetricsFormat::Csv => {
                 if !self.wrote_header {
-                    let mut header: Vec<&str> =
-                        MetricsSample::FIELDS.iter().map(|(n, _)| *n).collect();
-                    if self.point.is_some() {
-                        header.push("point");
-                    }
+                    let header: Vec<&str> = MetricsSample::FIELDS.iter().map(|(n, _)| *n).collect();
                     let _ = writeln!(self.out, "{}", header.join(","));
                     self.wrote_header = true;
                 }
-                let mut row: Vec<String> =
+                let row: Vec<String> =
                     MetricsSample::FIELDS.iter().map(|(_, get)| get(sample).to_string()).collect();
-                if let Some(point) = &self.point {
-                    row.push(csv_escape(point));
-                }
                 let _ = writeln!(self.out, "{}", row.join(","));
             }
         }
@@ -266,7 +213,7 @@ mod tests {
         w.record(&sample(0));
         w.record(&sample(512));
         w.finish().unwrap();
-        assert_eq!(w.samples(), 2);
+        assert_eq!(w.samples, 2);
         drop(w);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -299,53 +246,6 @@ mod tests {
         assert_eq!(row[0], "256");
         let mshr_col = header.iter().position(|&h| h == "node_mshr").unwrap();
         assert_eq!(row[mshr_col], "17");
-    }
-
-    #[test]
-    fn csv_escape_follows_rfc4180() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("he said \"hi\""), "\"he said \"\"hi\"\"\"");
-        assert_eq!(csv_escape("line\nbreak"), "\"line\nbreak\"");
-        assert_eq!(csv_escape(""), "");
-    }
-
-    #[test]
-    fn csv_point_column_is_escaped_and_header_stable() {
-        let buf = SharedBuf::default();
-        let mut w = MetricsWriter::new(Box::new(buf.clone()), 256, MetricsFormat::Csv)
-            .with_point("App,v2/\"X\"");
-        w.record(&sample(256));
-        w.record(&sample(512));
-        w.finish().unwrap();
-        drop(w);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        // Numeric prefix of the header is unchanged; point is last.
-        let header: Vec<&str> = lines[0].split(',').collect();
-        assert_eq!(header.len(), MetricsSample::FIELDS.len() + 1);
-        assert_eq!(header[0], "cycle");
-        assert_eq!(*header.last().unwrap(), "point");
-        for row in &lines[1..] {
-            assert!(
-                row.ends_with("\"App,v2/\"\"X\"\"\""),
-                "point field must be RFC 4180 escaped: {row}"
-            );
-        }
-    }
-
-    #[test]
-    fn jsonl_point_key_roundtrips() {
-        let buf = SharedBuf::default();
-        let mut w = MetricsWriter::new(Box::new(buf.clone()), 256, MetricsFormat::Jsonl)
-            .with_point("A/\"D\"");
-        w.record(&sample(0));
-        w.finish().unwrap();
-        drop(w);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let doc = Json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(doc.get("point").unwrap().as_str(), Some("A/\"D\""));
     }
 
     #[test]

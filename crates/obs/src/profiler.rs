@@ -28,12 +28,8 @@ pub enum Phase {
     /// waits at a barrier. Kept only because the `benchmark/` ledger reads
     /// its share.
     BarrierWait,
-    /// Memo-cache local-disk IO (load, store, checksum verification).
+    /// Memo-cache disk IO (load, store, checksum verification).
     CacheIo,
-    /// Memo-cache shared-tier IO (read-through probes and write-back) —
-    /// split from [`Phase::CacheIo`] because a shared tier usually sits
-    /// on a network mount whose latency must be attributable on its own.
-    SharedIo,
     /// Always 0: a finished point's only checkpoint is the store's disk
     /// tier, timed under [`Phase::CacheIo`]. Kept only because the
     /// `benchmark/` ledger reads it as `bench.journal_write_s`.
@@ -41,7 +37,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants (array dimension for the accumulator).
-pub const PHASE_COUNT: usize = 8;
+pub(crate) const PHASE_COUNT: usize = 7;
 
 impl Phase {
     /// Every phase, in rendering order.
@@ -52,7 +48,6 @@ impl Phase {
         Phase::Exchange,
         Phase::BarrierWait,
         Phase::CacheIo,
-        Phase::SharedIo,
         Phase::JournalWrite,
     ];
 
@@ -66,7 +61,6 @@ impl Phase {
             Phase::Exchange => "exchange",
             Phase::BarrierWait => "barrier_wait",
             Phase::CacheIo => "cache_io",
-            Phase::SharedIo => "shared_io",
             Phase::JournalWrite => "journal_write",
         }
     }
@@ -80,8 +74,7 @@ impl Phase {
             Phase::Exchange => 3,
             Phase::BarrierWait => 4,
             Phase::CacheIo => 5,
-            Phase::SharedIo => 6,
-            Phase::JournalWrite => 7,
+            Phase::JournalWrite => 6,
         }
     }
 }

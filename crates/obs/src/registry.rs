@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 /// Buckets per histogram: bucket `i` counts values `v` with
 /// `floor(log2(v)) + 1 == i` (bucket 0 holds zeros), saturating at the
 /// last bucket.
-pub const HIST_BUCKETS: usize = 32;
+pub(crate) const HIST_BUCKETS: usize = 32;
 
 /// Handle to a registered counter (monotonic within one collection window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,16 +220,6 @@ impl Registry {
         self.hists[slot.hist as usize] = [0; HIST_BUCKETS];
     }
 
-    /// Zeroes every value, keeping all registrations.
-    pub fn reset_values(&mut self) {
-        for s in &mut self.slots {
-            s.value = 0;
-        }
-        for h in &mut self.hists {
-            *h = [0; HIST_BUCKETS];
-        }
-    }
-
     /// The scalar value (or histogram observation count) of `name`.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<u64> {
@@ -405,8 +395,6 @@ mod tests {
         assert_eq!(r.get("a.missing"), None);
         r.set_counter(c, 100);
         assert_eq!(r.get("a.count"), Some(100));
-        r.reset_values();
-        assert_eq!(r.get("a.count"), Some(0));
     }
 
     #[test]

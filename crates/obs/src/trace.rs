@@ -25,7 +25,7 @@ struct OpenSpan {
 ///
 /// Spans are emitted as they close; the file is valid JSON only after
 /// [`finish`](TxnTracer::finish) writes the closing bracket.
-pub struct TxnTracer {
+pub(crate) struct TxnTracer {
     sample_every: u64,
     out: io::BufWriter<Box<dyn Write + Send>>,
     // BTreeMap so `finish` closes dangling spans in ascending id order —
@@ -50,7 +50,7 @@ impl fmt::Debug for TxnTracer {
 impl TxnTracer {
     /// Creates a tracer writing to `sink`, sampling every `sample_every`-th
     /// transaction id (0 is treated as 1 = trace everything).
-    pub fn new(sink: Box<dyn Write + Send>, sample_every: u64) -> io::Result<TxnTracer> {
+    pub(crate) fn new(sink: Box<dyn Write + Send>, sample_every: u64) -> io::Result<TxnTracer> {
         let mut out = io::BufWriter::new(sink);
         out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
         Ok(TxnTracer {
@@ -65,17 +65,12 @@ impl TxnTracer {
 
     /// Whether this transaction id is in the sample.
     #[inline]
-    pub fn sampled(&self, id: u64) -> bool {
+    pub(crate) fn sampled(&self, id: u64) -> bool {
         id.is_multiple_of(self.sample_every)
     }
 
-    /// Number of span events emitted so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// Opens the first span of a sampled transaction's lifetime.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         id: u64,
         phase: &'static str,
@@ -92,7 +87,7 @@ impl TxnTracer {
 
     /// Closes the current span of `id` (emitting it) and opens `phase`.
     /// No-ops for unsampled or unknown ids, so callers never check first.
-    pub fn hop(&mut self, id: u64, phase: &'static str, now: u64) {
+    pub(crate) fn hop(&mut self, id: u64, phase: &'static str, now: u64) {
         let Some(span) = self.open.get_mut(&id) else { return };
         let done = OpenSpan { phase, since: now, ..*span };
         let prev = std::mem::replace(span, done);
@@ -100,7 +95,7 @@ impl TxnTracer {
     }
 
     /// Closes the final span of `id`, ending its track.
-    pub fn end(&mut self, id: u64, now: u64) {
+    pub(crate) fn end(&mut self, id: u64, now: u64) {
         let Some(span) = self.open.remove(&id) else { return };
         self.emit(id, &span, now);
     }
@@ -128,7 +123,7 @@ impl TxnTracer {
     /// Closes any still-open spans at `now`, writes the closing bracket and
     /// flushes. Must be called exactly once before dropping for the file to
     /// be valid JSON.
-    pub fn finish(&mut self, now: u64) -> io::Result<()> {
+    pub(crate) fn finish(&mut self, now: u64) -> io::Result<()> {
         if self.finished {
             return Ok(());
         }
@@ -212,7 +207,7 @@ mod tests {
             t.hop(id, "reply", 10);
             t.end(id, 20);
         }
-        assert_eq!(t.events(), 4); // ids 0 and 4, two spans each
+        assert_eq!(t.events, 4); // ids 0 and 4, two spans each
         t.finish(20).unwrap();
         drop(t);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();

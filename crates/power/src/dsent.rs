@@ -63,7 +63,7 @@ impl XbarSpec {
     }
 
     /// Whether this is a direct link rather than a switched crossbar.
-    pub fn is_direct_link(&self) -> bool {
+    pub(crate) fn is_direct_link(&self) -> bool {
         self.inputs == 1 && self.outputs == 1
     }
 }
@@ -130,7 +130,7 @@ impl Default for CrossbarModel {
 
 impl CrossbarModel {
     /// Area of one direction of `spec` in mm² (all `count` instances).
-    pub fn xbar_area_mm2(&self, spec: &XbarSpec) -> f64 {
+    pub(crate) fn xbar_area_mm2(&self, spec: &XbarSpec) -> f64 {
         if spec.is_direct_link() {
             return 0.0;
         }
@@ -141,7 +141,7 @@ impl CrossbarModel {
     }
 
     /// Static power of one direction of `spec` in mW.
-    pub fn xbar_static_mw(&self, spec: &XbarSpec) -> f64 {
+    pub(crate) fn xbar_static_mw(&self, spec: &XbarSpec) -> f64 {
         if spec.is_direct_link() {
             return 0.0;
         }
@@ -152,7 +152,7 @@ impl CrossbarModel {
     }
 
     /// Energy of one flit traversing one instance of `spec`, in pJ.
-    pub fn flit_energy_pj(&self, spec: &XbarSpec) -> f64 {
+    pub(crate) fn flit_energy_pj(&self, spec: &XbarSpec) -> f64 {
         let switch = if spec.is_direct_link() { 0.0 } else { self.ec_pj };
         switch + self.el_pj_mm * spec.link_mm
     }
@@ -182,7 +182,7 @@ impl CrossbarModel {
     /// # Panics
     ///
     /// Panics if `flits.len() != spec.xbars.len()` or `seconds <= 0`.
-    pub fn noc_dynamic_mw(&self, spec: &NocSpec, flits: &[u64], seconds: f64) -> f64 {
+    pub(crate) fn noc_dynamic_mw(&self, spec: &NocSpec, flits: &[u64], seconds: f64) -> f64 {
         assert_eq!(flits.len(), spec.xbars.len(), "flit counts must align with crossbars");
         assert!(seconds > 0.0, "runtime must be positive");
         let pj: f64 = spec

@@ -20,9 +20,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cacti;
-pub mod dsent;
-pub mod energy;
+mod cacti;
+mod dsent;
+mod energy;
 
 pub use cacti::SramModel;
 pub use dsent::{CrossbarModel, NocSpec, XbarSpec};

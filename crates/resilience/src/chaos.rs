@@ -40,15 +40,6 @@ pub enum Fault {
     CorruptCache,
 }
 
-/// How a cache entry is damaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
-    /// Drop the tail (an interrupted write).
-    Truncate,
-    /// Flip bytes in the middle (media scribble).
-    Scribble,
-}
-
 /// Deterministic chaos engine for one sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chaos {

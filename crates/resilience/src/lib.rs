@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chaos;
+mod chaos;
 pub mod supervisor;
 
 pub use chaos::{Chaos, Fault};

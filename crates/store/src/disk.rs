@@ -2,31 +2,22 @@
 //!
 //! Entries live under `root/<XX>/<key:032x>.stats`, where `<XX>` is the
 //! leading byte of the 128-bit FNV key in hex — the same byte that picks
-//! the in-memory shard. Fan-out keeps directory listings small at fleet
-//! scale (a flat directory with 10^6 entries makes every create/rename a
-//! linear scan on most filesystems) and gives the GC pass 256 naturally
-//! sorted buckets to walk.
+//! the in-memory shard. Fan-out keeps directory listings small (a flat
+//! directory with 10^6 entries makes every create/rename a linear scan on
+//! most filesystems).
 //!
-//! The on-disk format is unchanged from the flat-directory era: a
-//! `checksum <16 hex FNV-64>` header line covering the serialized body,
-//! written to a private temp file and published by atomic rename. Corrupt
-//! entries (bad header, bad checksum, undecodable body) are moved to
-//! `root/quarantine/` so they can never satisfy another lookup while the
-//! evidence survives for inspection.
+//! An entry is a `checksum <16 hex FNV-64>` header line covering the
+//! serialized body, written to a private temp file and published by
+//! atomic rename. Corrupt entries (bad header, bad checksum, undecodable
+//! body) are moved to `root/quarantine/` so they can never satisfy
+//! another lookup while the evidence survives for inspection.
 //!
-//! Opening a tier migrates any legacy flat-layout entries into the
-//! fan-out (rename, not copy) and deletes stale sibling schema
-//! directories (`v1`, `v2`, …). An optional byte budget triggers a GC
-//! pass on overflow: entries are evicted oldest-mtime-first with a
-//! name-sorted tie-break, so two caches with equal timestamps GC in the
-//! same order. Reads touch the entry's mtime (best-effort), making the
-//! policy LRU rather than FIFO.
+//! Opening a tier deletes stale sibling schema directories (`v1`, `v2`,
+//! …). Nothing is ever evicted: a sweep's entries are its checkpoint.
 
 use dcl1_common::checksum;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::SystemTime;
 
 /// A corrupt-entry report: the tier has already moved the entry aside.
 #[derive(Debug, Clone)]
@@ -38,7 +29,7 @@ pub struct Corruption {
 }
 
 /// Outcome of a disk lookup.
-pub enum DiskLookup {
+pub(crate) enum DiskLookup {
     /// No entry for the key.
     Miss,
     /// An intact entry's body (checksum verified, header stripped).
@@ -52,32 +43,29 @@ pub enum DiskLookup {
 pub struct DiskTierConfig {
     /// The schema-versioned cache directory (e.g. `…/dcl1-cache/v3`).
     pub root: PathBuf,
-    /// Evict oldest entries past this many bytes; `None` = unbounded.
+    /// Must be `None`: the tier has no byte budget and evicts nothing.
+    /// Kept only because the `benchmark/` ledger names the field;
+    /// [`DiskTier::open`] panics on `Some`.
     pub budget_bytes: Option<u64>,
-    /// Move legacy flat-layout `*.stats` files into the fan-out on open.
+    /// Must be `false`: there is no flat-layout migration. Kept only
+    /// because the `benchmark/` ledger names the field; [`DiskTier::open`]
+    /// panics on `true`.
     pub migrate_flat: bool,
     /// Delete stale sibling schema directories (`v<N>` ≠ this root) on
-    /// open. Off for shared tiers: other hosts may still run an older
-    /// schema, and their directories are not ours to collect.
+    /// open.
     pub purge_stale_siblings: bool,
 }
 
 /// Distinguishes concurrent writers' temp files *within* one process;
 /// combined with the PID this makes temp names unique across the whole
-/// machine, so two threads (or two hosts on a shared tier) never clobber
-/// each other's in-flight temp file.
+/// machine, so two threads never clobber each other's in-flight temp file.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One disk tier (local or shared). All I/O is best-effort: a failing
-/// filesystem degrades the tier to misses, never the caller.
-pub struct DiskTier {
+/// The local disk tier. All I/O is best-effort: a failing filesystem
+/// degrades the tier to misses, never the caller.
+pub(crate) struct DiskTier {
     root: PathBuf,
-    budget: Option<u64>,
     bytes: AtomicU64,
-    evictions: AtomicU64,
-    migrated: u64,
-    /// Serializes GC passes; concurrent stores still proceed.
-    gc_lock: Mutex<()>,
 }
 
 /// Whether `name` is a fan-out bucket: exactly two lowercase hex chars.
@@ -100,57 +88,39 @@ fn is_schema_dir_name(name: &str) -> bool {
 }
 
 impl DiskTier {
-    /// Opens (creating, migrating, and purging as configured) a tier.
-    /// Never fails: filesystem errors leave an empty tier that misses.
-    pub fn open(cfg: &DiskTierConfig) -> DiskTier {
+    /// Opens (creating, and purging as configured) a tier. Never fails:
+    /// filesystem errors leave an empty tier that misses.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.budget_bytes` is `Some` or `cfg.migrate_flat` is set: the
+    /// tier has neither a collector nor a migration.
+    pub(crate) fn open(cfg: &DiskTierConfig) -> DiskTier {
+        assert!(
+            cfg.budget_bytes.is_none() && !cfg.migrate_flat,
+            "the disk tier has no byte budget and no flat-layout migration"
+        );
         let _ = std::fs::create_dir_all(&cfg.root);
         if cfg.purge_stale_siblings {
             purge_stale_siblings(&cfg.root);
         }
-        let migrated = if cfg.migrate_flat { migrate_flat(&cfg.root) } else { 0 };
-        let tier = DiskTier {
-            root: cfg.root.clone(),
-            budget: cfg.budget_bytes,
-            bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            migrated,
-            gc_lock: Mutex::new(()),
-        };
-        let initial: u64 = tier.walk_entries().iter().map(|e| e.len).sum();
-        tier.bytes.store(initial, Ordering::Relaxed);
-        tier.maybe_gc();
-        tier
+        DiskTier { bytes: AtomicU64::new(entry_bytes(&cfg.root)), root: cfg.root.clone() }
     }
 
-    /// The tier's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Bytes of entries held (maintained incrementally; exact after GC).
-    pub fn bytes(&self) -> u64 {
+    /// Bytes of entries held (maintained incrementally from the walk at
+    /// open).
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by GC since open.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Legacy flat-layout entries renamed into the fan-out at open.
-    pub fn migrated(&self) -> u64 {
-        self.migrated
-    }
-
     /// The canonical entry path for `key`.
-    pub fn entry_path(&self, key: u128) -> PathBuf {
+    pub(crate) fn entry_path(&self, key: u128) -> PathBuf {
         let name = format!("{key:032x}.stats");
         self.root.join(&name[..2]).join(&name)
     }
 
-    /// Looks up `key`, verifying the checksum header. A hit refreshes the
-    /// entry's mtime (best-effort) so the GC policy is LRU, not FIFO.
-    pub fn load(&self, key: u128) -> DiskLookup {
+    /// Looks up `key`, verifying the checksum header.
+    pub(crate) fn load(&self, key: u128) -> DiskLookup {
         let path = self.entry_path(key);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -162,8 +132,6 @@ impl DiskTier {
             }
         };
         let Some(rest) = text.strip_prefix("checksum ") else {
-            // The headerless pre-checksum format is no longer readable;
-            // the flat→fan-out migration was the flag day for it.
             return DiskLookup::Corrupt(self.quarantine(&path, "missing checksum header"));
         };
         let Some((digest, body)) = rest.split_once('\n') else {
@@ -172,15 +140,12 @@ impl DiskTier {
         if !checksum::verify_hex(body.as_bytes(), digest) {
             return DiskLookup::Corrupt(self.quarantine(&path, "checksum mismatch"));
         }
-        if let Ok(f) = std::fs::File::options().read(true).open(&path) {
-            let _ = f.set_modified(SystemTime::now());
-        }
         DiskLookup::Hit(body.to_string())
     }
 
     /// Persists `body` for `key`: checksum header + temp file + atomic
-    /// rename, then a GC pass if the write pushed the tier over budget.
-    pub fn store(&self, key: u128, body: &str) {
+    /// rename.
+    pub(crate) fn store(&self, key: u128, body: &str) {
         let path = self.entry_path(key);
         let Some(bucket) = path.parent() else { return };
         if std::fs::create_dir_all(bucket).is_err() {
@@ -194,7 +159,6 @@ impl DiskTier {
         ));
         if std::fs::write(&tmp, &entry).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
             self.bytes.fetch_add(entry.len() as u64, Ordering::Relaxed);
-            self.maybe_gc();
         } else {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -202,7 +166,7 @@ impl DiskTier {
 
     /// Moves a bad entry into `root/quarantine/` (falling back to
     /// deletion) and returns the report for the recovery log.
-    pub fn quarantine(&self, path: &Path, reason: &str) -> Corruption {
+    pub(crate) fn quarantine(&self, path: &Path, reason: &str) -> Corruption {
         let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let mut moved = false;
         if let Some(name) = path.file_name() {
@@ -220,103 +184,25 @@ impl DiskTier {
         });
         Corruption { path: path.display().to_string(), reason: reason.to_string() }
     }
-
-    /// Every live entry, bucket-by-bucket. Bucket and file names are
-    /// sorted so the walk order is deterministic.
-    fn walk_entries(&self) -> Vec<EntryMeta> {
-        let mut out = Vec::new();
-        let Ok(dir) = std::fs::read_dir(&self.root) else { return out };
-        let mut buckets: Vec<PathBuf> = dir
-            .flatten()
-            .filter(|e| {
-                e.file_name().to_str().is_some_and(is_bucket_name)
-                    && e.file_type().map(|t| t.is_dir()).unwrap_or(false)
-            })
-            .map(|e| e.path())
-            .collect();
-        buckets.sort();
-        for bucket in buckets {
-            let Ok(files) = std::fs::read_dir(&bucket) else { continue };
-            for f in files.flatten() {
-                let name = f.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if !is_entry_name(name) {
-                    continue;
-                }
-                let Ok(meta) = f.metadata() else { continue };
-                let mtime = meta
-                    .modified()
-                    .ok()
-                    .and_then(|t| t.duration_since(SystemTime::UNIX_EPOCH).ok())
-                    .map(|d| d.as_nanos())
-                    .unwrap_or(0);
-                out.push(EntryMeta {
-                    path: f.path(),
-                    name: name.to_string(),
-                    mtime,
-                    len: meta.len(),
-                });
-            }
-        }
-        out
-    }
-
-    /// Runs GC if a budget is set and the running byte total exceeds it.
-    fn maybe_gc(&self) {
-        let Some(budget) = self.budget else { return };
-        if self.bytes.load(Ordering::Relaxed) > budget {
-            self.gc(budget);
-        }
-    }
-
-    /// Evicts entries oldest-mtime-first (name-sorted tie-break) until
-    /// the tier is at or under `budget`. The walk recomputes the byte
-    /// total, so the incremental counter is re-anchored to truth here.
-    fn gc(&self, budget: u64) {
-        let _guard = self.gc_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut entries = self.walk_entries();
-        let mut total: u64 = entries.iter().map(|e| e.len).sum();
-        entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.name.cmp(&b.name)));
-        for e in &entries {
-            if total <= budget {
-                break;
-            }
-            if std::fs::remove_file(&e.path).is_ok() {
-                total -= e.len;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.bytes.store(total, Ordering::Relaxed);
-    }
 }
 
-struct EntryMeta {
-    path: PathBuf,
-    name: String,
-    mtime: u128,
-    len: u64,
-}
-
-/// Renames legacy flat-layout entries (`root/<key>.stats`) into their
-/// fan-out buckets. Returns how many moved. Rename, not copy: the flag
-/// day costs one directory operation per entry, no data I/O.
-fn migrate_flat(root: &Path) -> u64 {
+/// Bytes held by the entries under `root`'s buckets. Temp files of a
+/// writer killed before its rename are not entries and count for nothing.
+fn entry_bytes(root: &Path) -> u64 {
     let Ok(dir) = std::fs::read_dir(root) else { return 0 };
-    let mut moved = 0u64;
-    for e in dir.flatten() {
-        let name = e.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !is_entry_name(name) || !e.file_type().map(|t| t.is_file()).unwrap_or(false) {
+    let mut total = 0;
+    for bucket in dir.flatten() {
+        if !bucket.file_name().to_str().is_some_and(is_bucket_name) {
             continue;
         }
-        let bucket = root.join(&name[..2]);
-        if std::fs::create_dir_all(&bucket).is_ok()
-            && std::fs::rename(e.path(), bucket.join(name)).is_ok()
-        {
-            moved += 1;
+        let Ok(files) = std::fs::read_dir(bucket.path()) else { continue };
+        for f in files.flatten() {
+            if f.file_name().to_str().is_some_and(is_entry_name) {
+                total += f.metadata().map_or(0, |m| m.len());
+            }
         }
     }
-    moved
+    total
 }
 
 /// Deletes sibling schema directories (`v<N>`) other than `root` itself —
@@ -348,11 +234,11 @@ mod tests {
         dir
     }
 
-    fn open(root: PathBuf, budget: Option<u64>) -> DiskTier {
+    fn open(root: PathBuf) -> DiskTier {
         DiskTier::open(&DiskTierConfig {
             root,
-            budget_bytes: budget,
-            migrate_flat: true,
+            budget_bytes: None,
+            migrate_flat: false,
             purge_stale_siblings: true,
         })
     }
@@ -360,7 +246,7 @@ mod tests {
     #[test]
     fn store_load_roundtrip_lands_in_fanout_bucket() {
         let root = scratch("roundtrip");
-        let tier = open(root.clone(), None);
+        let tier = open(root.clone());
         let key = 0xab00_0000_0000_0000_0000_0000_0000_0001u128;
         tier.store(key, "cycles 1\n");
         assert!(root.join("ab").join(format!("{key:032x}.stats")).exists());
@@ -374,7 +260,7 @@ mod tests {
     #[test]
     fn corrupt_and_headerless_entries_are_quarantined() {
         let root = scratch("corrupt");
-        let tier = open(root.clone(), None);
+        let tier = open(root.clone());
         let key = 0x0100_0000_0000_0000_0000_0000_0000_0002u128;
         tier.store(key, "cycles 2\n");
         let path = tier.entry_path(key);
@@ -411,13 +297,10 @@ mod tests {
         std::fs::write(&full, &entry).unwrap();
         std::fs::write(&torn, &entry[..entry.len() / 2]).unwrap();
 
-        let tier = open(root.clone(), None);
+        let tier = open(root.clone());
         assert!(matches!(tier.load(key), DiskLookup::Miss), "a temp file is not an entry");
-        assert_eq!(tier.bytes(), 0, "temp files count toward no budget");
-        assert!(tier.walk_entries().is_empty(), "the GC walk skips temp files");
-        tier.gc(0);
-        assert_eq!(tier.evictions(), 0);
-        assert!(full.exists() && torn.exists(), "GC leaves what it does not own");
+        assert_eq!(tier.bytes(), 0, "temp files are not entries");
+        assert!(full.exists() && torn.exists(), "open leaves what it does not own");
 
         // The rerun's store publishes and loads intact beside the debris.
         tier.store(key, body);
@@ -426,67 +309,35 @@ mod tests {
             _ => panic!("a fresh store must hit"),
         }
         assert_eq!(tier.bytes(), entry.len() as u64);
-        let reopened = open(root.clone(), None);
+        let reopened = open(root.clone());
         assert_eq!(reopened.bytes(), entry.len() as u64, "a reopen counts the entry only");
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn open_migrates_flat_entries_and_purges_stale_schemas() {
-        let base = scratch("migrate");
-        let root = base.join("v3");
-        std::fs::create_dir_all(&root).unwrap();
-        // A legacy flat entry, exactly as the pre-fan-out code wrote it.
-        let key = 0xcd00_0000_0000_0000_0000_0000_0000_0003u128;
-        let body = "cycles 3\n";
-        let entry = format!("checksum {}\n{body}", checksum::fnv64_hex(body.as_bytes()));
-        std::fs::write(root.join(format!("{key:032x}.stats")), entry).unwrap();
-        // Stale sibling schema dirs.
-        std::fs::create_dir_all(base.join("v1")).unwrap();
-        std::fs::create_dir_all(base.join("v2")).unwrap();
-
-        let tier = open(root.clone(), None);
-        assert_eq!(tier.migrated(), 1);
-        assert!(root.join("cd").join(format!("{key:032x}.stats")).exists());
-        assert!(!root.join(format!("{key:032x}.stats")).exists(), "renamed, not copied");
-        match tier.load(key) {
-            DiskLookup::Hit(b) => assert_eq!(b, body),
-            _ => panic!("migrated entry must hit"),
-        }
-        assert!(!base.join("v1").exists(), "stale v1 must be deleted");
-        assert!(!base.join("v2").exists(), "stale v2 must be deleted");
-        let _ = std::fs::remove_dir_all(&base);
+    #[should_panic(expected = "no byte budget")]
+    fn a_byte_budget_is_refused() {
+        let root = scratch("budget");
+        let _ = DiskTier::open(&DiskTierConfig {
+            root,
+            budget_bytes: Some(1),
+            migrate_flat: false,
+            purge_stale_siblings: false,
+        });
     }
 
     #[test]
-    fn gc_respects_budget_boundary_with_name_sorted_ties() {
-        let root = scratch("gc");
-        let tier = open(root.clone(), None);
-        // Three entries, identical mtimes (same instant is likely; force
-        // it to make the tie-break the thing under test).
-        let keys = [0x01u128, 0x02u128, 0x03u128];
-        for k in keys {
-            tier.store(k, "body\n");
-        }
-        let stamp = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
-        for k in keys {
-            let f = std::fs::File::options().read(true).open(tier.entry_path(k)).unwrap();
-            f.set_times(std::fs::FileTimes::new().set_modified(stamp)).unwrap();
-        }
-        let entry_len = std::fs::metadata(tier.entry_path(keys[0])).unwrap().len();
-
-        // Exactly at budget: nothing may be evicted.
-        let at = open(root.clone(), Some(entry_len * 3));
-        assert_eq!(at.evictions(), 0, "at-budget tier must not evict");
-        assert_eq!(at.bytes(), entry_len * 3);
-
-        // One byte under the total: evict exactly the name-smallest entry.
-        let over = open(root.clone(), Some(entry_len * 3 - 1));
-        assert_eq!(over.evictions(), 1);
-        assert!(!over.entry_path(keys[0]).exists(), "name-sorted tie evicts …01 first");
-        assert!(over.entry_path(keys[1]).exists());
-        assert!(over.entry_path(keys[2]).exists());
-        assert_eq!(over.bytes(), entry_len * 2);
-        let _ = std::fs::remove_dir_all(&root);
+    fn open_purges_stale_schemas() {
+        let base = scratch("purge");
+        let root = base.join("v3");
+        std::fs::create_dir_all(base.join("v1")).unwrap();
+        std::fs::create_dir_all(base.join("v2")).unwrap();
+        let tier = open(root.clone());
+        tier.store(0xcd, "cycles 3\n");
+        assert!(!base.join("v1").exists(), "stale v1 must be deleted");
+        assert!(!base.join("v2").exists(), "stale v2 must be deleted");
+        let reopened = open(root);
+        assert!(matches!(reopened.load(0xcd), DiskLookup::Hit(_)), "the live schema survives");
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -26,7 +26,7 @@ struct FlightSlot {
 /// Registry of in-flight keys. `BTreeMap` (not a hash map) keeps the
 /// structure deterministic per the workspace `hash_order` rule; the map
 /// only ever holds the handful of keys currently being computed.
-pub struct SingleFlight {
+pub(crate) struct SingleFlight {
     inflight: Mutex<BTreeMap<u128, Arc<FlightSlot>>>,
     waits: AtomicU64,
 }
@@ -60,12 +60,12 @@ fn relock<'a, T>(
 
 impl SingleFlight {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SingleFlight { inflight: Mutex::new(BTreeMap::new()), waits: AtomicU64::new(0) }
     }
 
     /// Claims `key` or waits for the current leader to finish.
-    pub fn begin(&self, key: u128) -> Flight<'_> {
+    pub(crate) fn begin(&self, key: u128) -> Flight<'_> {
         let slot = {
             let mut map = relock(self.inflight.lock());
             match map.get(&key) {
@@ -85,7 +85,7 @@ impl SingleFlight {
     }
 
     /// Number of times a thread blocked behind another's computation.
-    pub fn waits(&self) -> u64 {
+    pub(crate) fn waits(&self) -> u64 {
         self.waits.load(Ordering::Relaxed)
     }
 }

@@ -1,19 +1,16 @@
 //! Tiered content-addressed result store.
 //!
-//! One [`ResultStore`] facade over three tiers, looked up in order:
+//! One [`ResultStore`] facade over two tiers, looked up in order:
 //!
-//! 1. **mem** — sharded in-memory LRU with a byte budget ([`mem`]);
+//! 1. **mem** — sharded in-memory LRU with a byte budget (`mem.rs`);
 //!    zero-allocation hit path.
-//! 2. **disk** — checksummed crash-safe local tier with 256-way fan-out,
-//!    optional byte budget with LRU-by-mtime GC ([`disk`]).
-//! 3. **shared** — an optional read-through tier on a shared mount
-//!    (e.g. NFS), so a fleet of sweep hosts dedups computation across
-//!    machines; write-back is configurable.
+//! 2. **disk** — checksummed crash-safe local tier with 256-way fan-out
+//!    (`disk.rs`).
 //!
-//! A hit in a lower tier is promoted into every tier above it. Misses
-//! fall through to the caller, which computes under per-key
-//! [single-flight](flight) so N concurrent requests for the same key run
-//! the computation once.
+//! A disk hit is promoted into the mem tier. Misses fall through to the
+//! caller, which computes under per-key single-flight (`flight.rs`,
+//! [`ResultStore::begin_flight`]) so N concurrent requests for the same
+//! key run the computation once.
 //!
 //! The store is payload-agnostic: values cross the disk boundary through
 //! a caller-supplied [`Codec`], so the serialized schema (and its
@@ -21,21 +18,23 @@
 //! 128-bit content hashes; the store never interprets them beyond
 //! routing on the leading byte.
 
-#![expect(clippy::disallowed_types, reason = "tier latencies and entry ages are host time")]
+#![expect(clippy::disallowed_types, reason = "tier latencies are host time")]
 
-pub mod disk;
-pub mod flight;
-pub mod mem;
+mod disk;
+mod flight;
+mod mem;
 
-pub use disk::{Corruption, DiskLookup, DiskTier, DiskTierConfig};
-pub use flight::{Flight, FlightGuard, SingleFlight};
-pub use mem::{MemTier, MemTierStats};
+pub use disk::{Corruption, DiskTierConfig};
+pub use flight::{Flight, FlightGuard};
 
+use disk::{DiskLookup, DiskTier};
+use flight::SingleFlight;
+use mem::MemTier;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Encodes values to / decodes values from the disk tiers' entry bodies.
+/// Encodes values to / decodes values from the disk tier's entry bodies.
 /// `decode` returning `None` marks the entry corrupt (quarantined).
 pub trait Codec<V>: Send + Sync + 'static {
     /// Serializes a value to an entry body.
@@ -52,10 +51,11 @@ pub struct StoreConfig {
     pub mem_shards: usize,
     /// The local disk tier; `None` = memory-only.
     pub disk: Option<DiskTierConfig>,
-    /// The shared read-through tier.
+    /// Must be `None`: the store has no shared tier. Kept only because
+    /// the `benchmark/` ledger names the field; [`ResultStore::open`]
+    /// panics on `Some`.
     pub shared: Option<DiskTierConfig>,
-    /// Whether locally computed results are written back to the shared
-    /// tier (off = read-only consumer of the fleet cache).
+    /// Must be `false`, for the same reason as [`StoreConfig::shared`].
     pub shared_writeback: bool,
 }
 
@@ -66,8 +66,6 @@ pub enum HitTier {
     Mem,
     /// Local disk.
     Disk,
-    /// Shared read-through tier.
-    Shared,
 }
 
 impl HitTier {
@@ -76,15 +74,13 @@ impl HitTier {
         match self {
             HitTier::Mem => "memo",
             HitTier::Disk => "disk",
-            HitTier::Shared => "shared",
         }
     }
 }
 
 /// Result of [`ResultStore::lookup`]: the hit (if any) plus per-tier
-/// probe latencies for the caller's histograms. `disk_nanos` /
-/// `shared_nanos` are `None` when the tier was not probed (an earlier
-/// tier hit, or the tier is not configured).
+/// probe latencies for the caller's histograms. `disk_nanos` is `None`
+/// when the disk tier was not probed (a mem hit, or no disk tier).
 pub struct Lookup<V> {
     /// The value and the tier that served it.
     pub hit: Option<(Arc<V>, HitTier)>,
@@ -92,25 +88,19 @@ pub struct Lookup<V> {
     pub mem_nanos: u64,
     /// Disk-tier probe wall time, if probed.
     pub disk_nanos: Option<u64>,
-    /// Shared-tier probe wall time, if probed.
-    pub shared_nanos: Option<u64>,
 }
 
-/// Accounting snapshot across all tiers.
+/// Accounting snapshot across both tiers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreStats {
     /// Lookups served by the in-memory tier.
     pub mem_hits: u64,
     /// Lookups served by the local disk tier.
     pub disk_hits: u64,
-    /// Lookups served by the shared tier.
-    pub shared_hits: u64,
-    /// Lookups that fell through every tier.
+    /// Lookups that fell through both tiers.
     pub misses: u64,
     /// In-memory entries evicted to stay under the byte budget.
     pub mem_evictions: u64,
-    /// Disk entries evicted by the GC budget.
-    pub disk_evictions: u64,
     /// Bytes held by the in-memory tier.
     pub mem_bytes: u64,
     /// Bytes held by the local disk tier.
@@ -119,8 +109,6 @@ pub struct StoreStats {
     pub mem_entries: u64,
     /// Threads that blocked behind another thread's computation.
     pub flight_waits: u64,
-    /// Legacy flat-layout entries migrated into the fan-out at open.
-    pub migrated_entries: u64,
 }
 
 /// The tiered store. See the [crate docs](self) for the design.
@@ -128,22 +116,10 @@ pub struct ResultStore<V> {
     codec: Box<dyn Codec<V>>,
     mem: MemTier<V>,
     disk: Option<DiskTier>,
-    shared: Option<DiskTier>,
-    shared_writeback: bool,
     flight: SingleFlight,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
-    shared_hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// Per-tier write timings from [`ResultStore::insert`]; `None` = the
-/// tier was not written (unconfigured, or write-back off).
-pub struct Fill {
-    /// Local disk write wall time.
-    pub disk_nanos: Option<u64>,
-    /// Shared-tier write wall time.
-    pub shared_nanos: Option<u64>,
 }
 
 /// Outcome of [`ResultStore::reload_disk`] — the chaos/corruption probe.
@@ -162,34 +138,40 @@ fn elapsed_nanos(t: Instant) -> u64 {
 }
 
 impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
-    /// Opens the store: builds the mem tier and opens (creating,
-    /// migrating, purging) the configured disk tiers.
+    /// Opens the store: builds the mem tier and opens (creating and
+    /// purging) the disk tier, if configured.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.shared` is `Some` or `cfg.shared_writeback` is set: there
+    /// is no shared tier.
     pub fn open(cfg: &StoreConfig, codec: impl Codec<V>) -> ResultStore<V> {
+        assert!(
+            cfg.shared.is_none() && !cfg.shared_writeback,
+            "the result store has no shared tier"
+        );
         ResultStore {
             codec: Box::new(codec),
             mem: MemTier::new(cfg.mem_budget_bytes, cfg.mem_shards),
             disk: cfg.disk.as_ref().map(DiskTier::open),
-            shared: cfg.shared.as_ref().map(DiskTier::open),
-            shared_writeback: cfg.shared_writeback,
             flight: SingleFlight::new(),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
-            shared_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up `key` through mem → disk → shared, promoting hits into
-    /// the tiers above. Corruption reports (already quarantined) are
-    /// appended to `corruptions`; a corrupt entry degrades to a miss in
-    /// that tier. The mem-tier hit path performs no allocations.
+    /// Looks up `key` through mem → disk, promoting a disk hit into the
+    /// mem tier. Corruption reports (already quarantined) are appended to
+    /// `corruptions`; a corrupt entry degrades to a miss. The mem-tier hit
+    /// path performs no allocations.
     pub fn lookup(&self, key: u128, corruptions: &mut Vec<Corruption>) -> Lookup<V> {
         let t_mem = Instant::now();
         let mem_hit = self.mem.get(key);
         let mem_nanos = elapsed_nanos(t_mem);
         if let Some(v) = mem_hit {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            return Lookup { hit: Some((v, HitTier::Mem)), mem_nanos, disk_nanos: None, shared_nanos: None };
+            return Lookup { hit: Some((v, HitTier::Mem)), mem_nanos, disk_nanos: None };
         }
         let mut disk_nanos = None;
         if let Some(disk) = &self.disk {
@@ -200,38 +182,11 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 let value = Arc::new(value);
                 self.mem.insert(key, Arc::clone(&value), body.len() as u64);
-                return Lookup {
-                    hit: Some((value, HitTier::Disk)),
-                    mem_nanos,
-                    disk_nanos,
-                    shared_nanos: None,
-                };
-            }
-        }
-        let mut shared_nanos = None;
-        if let Some(shared) = &self.shared {
-            let t = Instant::now();
-            let outcome = self.decode_tier(shared, key, corruptions);
-            shared_nanos = Some(elapsed_nanos(t));
-            if let Some((value, body)) = outcome {
-                self.shared_hits.fetch_add(1, Ordering::Relaxed);
-                // Read-through promotion: the local tiers absorb the
-                // entry so the next lookup never crosses the mount again.
-                if let Some(disk) = &self.disk {
-                    disk.store(key, &body);
-                }
-                let value = Arc::new(value);
-                self.mem.insert(key, Arc::clone(&value), body.len() as u64);
-                return Lookup {
-                    hit: Some((value, HitTier::Shared)),
-                    mem_nanos,
-                    disk_nanos,
-                    shared_nanos,
-                };
+                return Lookup { hit: Some((value, HitTier::Disk)), mem_nanos, disk_nanos };
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Lookup { hit: None, mem_nanos, disk_nanos, shared_nanos }
+        Lookup { hit: None, mem_nanos, disk_nanos }
     }
 
     /// Looks up `key` in the mem tier alone, counting a hit and nothing
@@ -244,7 +199,7 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
         Some(hit)
     }
 
-    /// Loads + decodes `key` from one disk tier, quarantining entries
+    /// Loads + decodes `key` from the disk tier, quarantining entries
     /// whose body does not decode even under a valid checksum.
     fn decode_tier(
         &self,
@@ -270,32 +225,20 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
         }
     }
 
-    /// Inserts a computed value into every tier (shared only when
-    /// write-back is on), returning per-tier write timings. The mem tier
-    /// holds a copy; [`ResultStore::insert_arc`] shares the caller's.
-    pub fn insert(&self, key: u128, value: &V) -> Fill {
-        self.insert_arc(key, Arc::new(value.clone()))
+    /// Inserts a computed value into both tiers. The mem tier holds a
+    /// copy; [`ResultStore::insert_arc`] shares the caller's.
+    pub fn insert(&self, key: u128, value: &V) {
+        self.insert_arc(key, Arc::new(value.clone()));
     }
 
     /// [`ResultStore::insert`], keeping `value` itself in the mem tier, so
     /// later hits return this same `Arc`.
-    pub fn insert_arc(&self, key: u128, value: Arc<V>) -> Fill {
+    pub fn insert_arc(&self, key: u128, value: Arc<V>) {
         let body = self.codec.encode(&value);
-        let mut fill = Fill { disk_nanos: None, shared_nanos: None };
         if let Some(disk) = &self.disk {
-            let t = Instant::now();
             disk.store(key, &body);
-            fill.disk_nanos = Some(elapsed_nanos(t));
-        }
-        if self.shared_writeback {
-            if let Some(shared) = &self.shared {
-                let t = Instant::now();
-                shared.store(key, &body);
-                fill.shared_nanos = Some(elapsed_nanos(t));
-            }
         }
         self.mem.insert(key, value, body.len() as u64);
-        fill
     }
 
     /// Re-persists a value to the local disk tier only — the corruption
@@ -326,34 +269,24 @@ impl<V: Clone + Send + Sync + 'static> ResultStore<V> {
         self.disk.as_ref().map(|d| d.entry_path(key))
     }
 
-    /// The canonical shared-tier path for `key` — `None` when no shared
-    /// tier is configured. Chaos targets this alongside the local path so
-    /// corruption drills cover the cross-host read path too.
-    pub fn shared_entry_path(&self, key: u128) -> Option<std::path::PathBuf> {
-        self.shared.as_ref().map(|d| d.entry_path(key))
-    }
-
     /// Claims `key` for computation or waits for the current leader; see
     /// [`SingleFlight::begin`].
     pub fn begin_flight(&self, key: u128) -> Flight<'_> {
         self.flight.begin(key)
     }
 
-    /// Accounting snapshot across all tiers.
+    /// Accounting snapshot across both tiers.
     pub fn stats(&self) -> StoreStats {
         let mem = self.mem.stats();
         StoreStats {
             mem_hits: self.mem_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            shared_hits: self.shared_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             mem_evictions: mem.evictions,
-            disk_evictions: self.disk.as_ref().map(DiskTier::evictions).unwrap_or(0),
             mem_bytes: mem.bytes,
             disk_bytes: self.disk.as_ref().map(DiskTier::bytes).unwrap_or(0),
             mem_entries: mem.entries,
             flight_waits: self.flight.waits(),
-            migrated_entries: self.disk.as_ref().map(DiskTier::migrated).unwrap_or(0),
         }
     }
 }
@@ -380,20 +313,21 @@ mod tests {
     }
 
     fn disk_cfg(root: PathBuf) -> DiskTierConfig {
-        DiskTierConfig { root, budget_bytes: None, migrate_flat: true, purge_stale_siblings: true }
+        DiskTierConfig { root, budget_bytes: None, migrate_flat: false, purge_stale_siblings: true }
     }
 
-    fn store_at(dir: &std::path::Path, shared: Option<PathBuf>) -> ResultStore<u64> {
-        ResultStore::open(
-            &StoreConfig {
-                mem_budget_bytes: 1 << 20,
-                mem_shards: 4,
-                disk: Some(disk_cfg(dir.join("v3"))),
-                shared: shared.map(disk_cfg),
-                shared_writeback: true,
-            },
-            U64Codec,
-        )
+    fn store_cfg(dir: &std::path::Path) -> StoreConfig {
+        StoreConfig {
+            mem_budget_bytes: 1 << 20,
+            mem_shards: 4,
+            disk: Some(disk_cfg(dir.join("v3"))),
+            shared: None,
+            shared_writeback: false,
+        }
+    }
+
+    fn store_at(dir: &std::path::Path) -> ResultStore<u64> {
+        ResultStore::open(&store_cfg(dir), U64Codec)
     }
 
     #[test]
@@ -401,7 +335,7 @@ mod tests {
         let dir = scratch("promote");
         let mut corr = Vec::new();
         {
-            let a = store_at(&dir, None);
+            let a = store_at(&dir);
             let value = Arc::new(700);
             a.insert_arc(7, Arc::clone(&value));
             match a.lookup(7, &mut corr).hit {
@@ -412,7 +346,7 @@ mod tests {
         // A fresh store (new process) has a cold mem tier: first lookup is
         // a disk hit, the next a mem hit via promotion. A mem-only peek
         // before it misses without reading the disk or counting the miss.
-        let b = store_at(&dir, None);
+        let b = store_at(&dir);
         assert!(b.peek_mem(7).is_none());
         let first = b.lookup(7, &mut corr);
         match first.hit {
@@ -433,34 +367,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_tier_read_through_and_writeback() {
-        let host_a = scratch("shared-a");
-        let host_b = scratch("shared-b");
-        let shared = scratch("shared-dir");
-        let mut corr = Vec::new();
-
-        let a = store_at(&host_a, Some(shared.join("v3")));
-        a.insert(9, &900); // write-back publishes to the shared tier
-        let b = store_at(&host_b, Some(shared.join("v3")));
-        let hit = b.lookup(9, &mut corr);
-        match hit.hit {
-            Some((v, HitTier::Shared)) => assert_eq!(*v, 900),
-            _ => panic!("host B must be served by the shared tier"),
-        }
-        // Promotion localized the entry: B's next cold-mem lookup would be
-        // a local disk hit; here the mem tier already has it.
-        assert!(matches!(b.lookup(9, &mut corr).hit, Some((_, HitTier::Mem))));
-        assert!(b.disk_entry_path(9).unwrap().exists(), "read-through must fill local disk");
-        assert_eq!(b.stats().shared_hits, 1);
-        for d in [host_a, host_b, shared] {
-            let _ = std::fs::remove_dir_all(&d);
-        }
+    #[should_panic(expected = "no shared tier")]
+    fn a_shared_tier_is_refused() {
+        let dir = scratch("shared");
+        let cfg = StoreConfig { shared: Some(disk_cfg(dir.join("shared"))), ..store_cfg(&dir) };
+        let _ = ResultStore::open(&cfg, U64Codec);
     }
 
     #[test]
     fn single_flight_stress_computes_each_key_once() {
         let dir = scratch("flight-stress");
-        let store = store_at(&dir, None);
+        let store = store_at(&dir);
         let computed = AtomicU64::new(0);
         const THREADS: usize = 8;
         const KEYS: u128 = 5;
@@ -503,52 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_shared_entry_is_quarantined_and_recomputed() {
-        let host_a = scratch("shcorr-a");
-        let host_b = scratch("shcorr-b");
-        let host_c = scratch("shcorr-c");
-        let shared = scratch("shcorr-dir");
-
-        let a = store_at(&host_a, Some(shared.join("v3")));
-        a.insert(5, &500);
-        // Scribble the shared copy so its checksum no longer matches.
-        let entry = shared.join("v3").join("00").join(format!("{:032x}.stats", 5u128));
-        let mut bytes = std::fs::read(&entry).expect("shared entry written back");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&entry, &bytes).unwrap();
-
-        let b = store_at(&host_b, Some(shared.join("v3")));
-        let mut corr = Vec::new();
-        assert!(
-            b.lookup(5, &mut corr).hit.is_none(),
-            "a corrupt shared entry must degrade to a miss, not be served"
-        );
-        assert_eq!(corr.len(), 1);
-        assert!(!entry.exists(), "corrupt entry must leave the shared lookup path");
-        assert_eq!(
-            shared.join("v3").join("quarantine").read_dir().map(Iterator::count).unwrap_or(0),
-            1,
-            "corrupt shared entry must be quarantined for post-mortem"
-        );
-
-        // The recompute + write-back publishes a clean copy for the fleet.
-        b.insert(5, &500);
-        let c = store_at(&host_c, Some(shared.join("v3")));
-        let mut corr = Vec::new();
-        match c.lookup(5, &mut corr).hit {
-            Some((v, HitTier::Shared)) => assert_eq!(*v, 500),
-            _ => panic!("republished entry must serve a third host from the shared tier"),
-        }
-        for d in [host_a, host_b, host_c, shared] {
-            let _ = std::fs::remove_dir_all(&d);
-        }
-    }
-
-    #[test]
     fn undecodable_body_is_quarantined_not_served() {
         let dir = scratch("decode");
-        let a = store_at(&dir, None);
+        let a = store_at(&dir);
         a.insert(5, &500);
         // Rewrite the entry with a valid checksum over garbage the codec
         // cannot parse: the checksum passes, decode fails, quarantine.
@@ -559,7 +433,7 @@ mod tests {
             format!("checksum {}\n{body}", dcl1_common::checksum::fnv64_hex(body.as_bytes())),
         )
         .unwrap();
-        let b = store_at(&dir, None);
+        let b = store_at(&dir);
         let mut corr = Vec::new();
         assert!(b.lookup(5, &mut corr).hit.is_none());
         assert_eq!(corr.len(), 1);

@@ -111,7 +111,7 @@ impl<V> Shard<V> {
 }
 
 /// The in-memory tier. See the module docs for the design.
-pub struct MemTier<V> {
+pub(crate) struct MemTier<V> {
     shards: Vec<Mutex<Shard<V>>>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: usize,
@@ -119,7 +119,7 @@ pub struct MemTier<V> {
 
 /// Aggregated mem-tier accounting (summed over shards under their locks).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MemTierStats {
+pub(crate) struct MemTierStats {
     /// Live entries across all shards.
     pub entries: u64,
     /// Bytes of encoded payload held.
@@ -141,7 +141,7 @@ fn relock<'a, T>(
 impl<V> MemTier<V> {
     /// Creates a tier with `budget_bytes` split evenly across
     /// `shard_count` shards (rounded up to a power of two, min 1).
-    pub fn new(budget_bytes: u64, shard_count: usize) -> Self {
+    pub(crate) fn new(budget_bytes: u64, shard_count: usize) -> Self {
         let n = shard_count.next_power_of_two().max(1);
         let per_shard = budget_bytes / n as u64;
         let shards = (0..n)
@@ -171,7 +171,7 @@ impl<V> MemTier<V> {
 
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     /// Allocation-free.
-    pub fn get(&self, key: u128) -> Option<Arc<V>> {
+    pub(crate) fn get(&self, key: u128) -> Option<Arc<V>> {
         let mut shard = relock(self.shard(key).lock());
         let i = *shard.index.get(fold(key))?;
         let slot = shard.slots[i as usize].as_ref().expect("indexed slot is live");
@@ -190,7 +190,7 @@ impl<V> MemTier<V> {
     /// `cost` bytes, then evicts from the tail as needed. An existing
     /// entry under the same folded key (same key, or a fold collision) is
     /// replaced.
-    pub fn insert(&self, key: u128, value: Arc<V>, cost: u64) {
+    pub(crate) fn insert(&self, key: u128, value: Arc<V>, cost: u64) {
         let mut shard = relock(self.shard(key).lock());
         if let Some(&i) = shard.index.get(fold(key)) {
             shard.unlink(i);
@@ -211,7 +211,7 @@ impl<V> MemTier<V> {
     }
 
     /// Accounting snapshot, summed over shards.
-    pub fn stats(&self) -> MemTierStats {
+    pub(crate) fn stats(&self) -> MemTierStats {
         let mut out = MemTierStats::default();
         for shard in &self.shards {
             let s = relock(shard.lock());

@@ -165,7 +165,7 @@ impl AppSpec {
     /// Instructions per wavefront of CTA `cta` (imbalance-scaled).
     // imbalance-scaled per-wavefront count: small f64, rounds into u32.
     #[expect(clippy::cast_possible_truncation)]
-    pub fn instrs_for_cta(&self, cta: u32) -> u32 {
+    pub(crate) fn instrs_for_cta(&self, cta: u32) -> u32 {
         let mult = 1.0 + self.imbalance * (cta % 5) as f64 / 4.0;
         (self.instrs_per_wavefront as f64 * mult).round() as u32
     }
@@ -213,7 +213,7 @@ const fn app(
 }
 
 /// The 28-application catalog.
-pub fn catalog() -> Vec<AppSpec> {
+pub(crate) fn catalog() -> Vec<AppSpec> {
     use Suite::*;
     vec![
         // ------------------------- CUDA SDK -------------------------

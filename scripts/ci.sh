@@ -50,6 +50,12 @@ leg_lint() {
     if git grep -nE 'serialize_stats|Chunk' -- crates/dcl1d/src; then
         return 1
     fi
+    # One local result store: the shared tier, the disk collector and the
+    # flat-layout migration were deleted for lack of a caller.
+    if git grep -nE 'DCL1_CACHE_SHARED_DIR|SharedIo|HitTier::Shared|shared_hits|disk_evictions|migrated_entries|set_modified' \
+        -- crates src tests; then
+        return 1
+    fi
 }
 
 # The command-line surface cannot grow back: every flag a binary's --help
@@ -82,8 +88,9 @@ leg_surface() {
     fi
     # The sweep binaries' journal went too (the disk tier is their
     # checkpoint); `dcl1d --journal` / `--resume` are its queue journal.
+    # So did the shared store tier and its variable.
     # (`[j]` keeps this line out of a `git grep` for the file name.)
-    if grep -nE -- '--(watchdog|retry-backoff-ms|deadline=|trace-sample)|(^|[^a-z_])calibrate([^a-z]|$)|BENCH_[j]ournal|--(journal|resume)\[=PATH\]|(perf_sweep|experiments).*--(journal|resume)' \
+    if grep -nE -- '--(watchdog|retry-backoff-ms|deadline=|trace-sample)|(^|[^a-z_])calibrate([^a-z]|$)|BENCH_[j]ournal|--(journal|resume)\[=PATH\]|(perf_sweep|experiments).*--(journal|resume)|DCL1_CACHE_SHARED_DIR' \
         README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; then
         return 1
     fi

@@ -7,7 +7,7 @@ use std::path::Path;
 /// cargo's scratch space for integration tests: its store holds nothing,
 /// so every point it is asked for simulates. The directory is emptied on
 /// every open.
-pub fn fresh_session(tag: &str) -> SweepSession {
+pub(crate) fn fresh_session(tag: &str) -> SweepSession {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(tag);
     let _ = std::fs::remove_dir_all(&dir);
     SweepSession::open(&dir)
