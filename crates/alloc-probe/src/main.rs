@@ -19,16 +19,26 @@
 //!   trace generation, little enough that reintroducing a per-event
 //!   tree-node or per-completion `Vec` trips it.
 //!
+//! * **Footprint probe** — for one smoke point on each of the four grid
+//!   designs, the heap a machine holds once `GpuSystem::build` returns and
+//!   the peak heap while the point runs. The built heap is held under
+//!   [`MAX_BUILT_BYTES`], so a structure that quietly regrows the machine
+//!   trips it.
+//!
 //! Exits nonzero on any violation, so CI can run it as a plain step.
 //! `--json=PATH` additionally writes the measurements as a JSON fragment
-//! (`{"probes": [{"name", "allocs", "bytes"}...], "system": {"per_step"}}`),
-//! the source of a PR's allocations-per-step figure.
+//! (`{"probes": [{"name", "allocs", "bytes"}...], "system": {"per_step"},
+//! "footprint": [{"design", "built_bytes", "peak_bytes"}...]}`), the source
+//! of a PR's allocations-per-step and footprint figures.
 
 use dcl1::{Design, GpuConfig, GpuSystem, PresenceMap, SimOptions};
+use dcl1_bench::grid::default_designs;
+use dcl1_bench::runner::with_point;
+use dcl1_bench::{RunRequest, Scale};
 use dcl1_obs::registry::Registry;
 use dcl1_cache::Mshr;
 use dcl1_common::{FlatMap, LineAddr};
-use dcl1_workloads::by_name;
+use dcl1_workloads::{by_name, SharedSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -37,24 +47,35 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes live right now, and the most live since the last
+/// [`reset_peak`]: kept always, not only while `COUNTING`.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// System allocator shim that counts allocations while enabled. Only
-/// `alloc` and `dealloc` are implemented: the default `realloc` /
-/// `alloc_zeroed` route through `alloc`, so growth is counted too.
+/// System allocator shim that counts allocations while enabled, and the
+/// live heap always. Only `alloc` and `dealloc` are implemented: the
+/// default `realloc` / `alloc_zeroed` route through them, so growth is
+/// counted too.
 struct CountingAlloc;
 
 // The only unsafe in the workspace: two direct delegations to the system
 // allocator, with the same layout contract the caller already upheld.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let size = layout.size() as u64;
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            BYTES.fetch_add(size, Ordering::Relaxed);
         }
+        PEAK.fetch_max(
+            LIVE.fetch_add(size, Ordering::Relaxed) + size,
+            Ordering::Relaxed,
+        );
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -72,6 +93,13 @@ fn count<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed), r)
 }
 
+/// Heap bytes live now; starts a new peak window from here.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
 /// Accumulated measurements, for the human report and the `--json` dump.
 #[derive(Default)]
 struct Report {
@@ -80,6 +108,8 @@ struct Report {
     probes: Vec<(&'static str, u64, u64)>,
     /// Allocations per cycle for the system probes (worst of the two).
     per_step: f64,
+    /// `(design, built_bytes, peak_bytes)` per grid design.
+    footprint: Vec<(String, u64, u64)>,
 }
 
 impl Report {
@@ -93,7 +123,20 @@ impl Report {
                 "{{\"name\": \"{slug}\", \"allocs\": {allocs}, \"bytes\": {bytes}}}"
             ));
         }
-        out.push_str(&format!("], \"system\": {{\"per_step\": {:.4}}}}}\n", self.per_step));
+        out.push_str(&format!(
+            "], \"system\": {{\"per_step\": {:.4}}}",
+            self.per_step
+        ));
+        out.push_str(", \"footprint\": [");
+        for (i, (design, built, peak)) in self.footprint.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!(
+                "{{\"design\": \"{design}\", \"built_bytes\": {built}, \"peak_bytes\": {peak}}}"
+            ));
+        }
+        out.push_str("]}\n");
         out
     }
 }
@@ -127,7 +170,7 @@ fn probe_mshr(report: &mut Report) {
             }
         }
     };
-    // Warm up: first-touch growth of waiter vectors and the scratch.
+    // Warm up: the waiter pool grows to its high-water mark, the scratch to its size.
     drive(&mut mshr, &mut scratch, 10_000);
     let (allocs, bytes, ()) = count(|| drive(&mut mshr, &mut scratch, STEADY_OPS));
     expect_zero("mshr", "mshr slab (alloc/merge/complete_into)", allocs, bytes, report);
@@ -291,7 +334,7 @@ fn probe_system(report: &mut Report) {
     const WARMUP_STEPS: u64 = 20_000;
     const PROBE_STEPS: u64 = 20_000;
     let cfg = GpuConfig::default();
-    let app = by_name("T-AlexNet").expect("known workload");
+    let app = SharedSpec::new(by_name("T-AlexNet").expect("known workload"));
     let mut sys = GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default())
         .expect("flagship design builds");
     for _ in 0..WARMUP_STEPS {
@@ -323,7 +366,7 @@ fn probe_sharded_system(report: &mut Report) {
     const WARMUP_STEPS: u64 = 20_000;
     const PROBE_STEPS: u64 = 20_000;
     let cfg = GpuConfig::default();
-    let app = by_name("T-AlexNet").expect("known workload");
+    let app = SharedSpec::new(by_name("T-AlexNet").expect("known workload"));
     let mut sys = GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default())
         .expect("flagship design builds");
     sys.set_shards(2);
@@ -347,6 +390,45 @@ fn probe_sharded_system(report: &mut Report) {
     }
 }
 
+/// Ceiling on the heap a built machine holds (tag arrays, MSHR files,
+/// queues, the presence map), on every grid design.
+const MAX_BUILT_BYTES: u64 = 5 << 19; // 2.5 MiB
+
+fn probe_footprint(report: &mut Report) {
+    // One smoke point through the runner's own build path (the scaled app,
+    // its warm-up, one domain), so the figure is what a sweep thread holds.
+    let cfg = GpuConfig::default();
+    let app = by_name("T-AlexNet").expect("known workload");
+    for design in default_designs(&cfg) {
+        let req = RunRequest::new(app, design);
+        let base = reset_peak();
+        let built = with_point(&req, Scale::Smoke, 1, |sys, _| {
+            let built = LIVE.load(Ordering::Relaxed).saturating_sub(base);
+            sys.run();
+            Ok(built)
+        })
+        .expect("grid designs build");
+        let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+        let ok = built <= MAX_BUILT_BYTES;
+        let name = design.name();
+        println!(
+            "footprint {name:<34} {} (built {:.2} MiB, bound {:.2}; peak {:.2} MiB)",
+            if ok { "OK  " } else { "FAIL" },
+            mib(built),
+            mib(MAX_BUILT_BYTES),
+            mib(peak),
+        );
+        report.footprint.push((name, built, peak));
+        if !ok {
+            report.failed = true;
+        }
+    }
+}
+
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / f64::from(1 << 20)
+}
+
 fn main() {
     let json_path = std::env::args().skip(1).find_map(|a| {
         a.strip_prefix("--json=").map(std::path::PathBuf::from)
@@ -361,6 +443,7 @@ fn main() {
     probe_store_mem_hit(&mut report);
     probe_system(&mut report);
     probe_sharded_system(&mut report);
+    probe_footprint(&mut report);
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("alloc-probe: cannot write {}: {e}", path.display());
@@ -369,7 +452,10 @@ fn main() {
         println!("\nalloc-probe: measurements written to {}", path.display());
     }
     if report.failed {
-        println!("\nalloc-probe: FAILED — a hot path allocated in steady state");
+        println!(
+            "\nalloc-probe: FAILED — a hot path allocated in steady state, \
+             or a built machine outgrew its heap bound"
+        );
         std::process::exit(1);
     }
     println!("\nalloc-probe: all probes passed");

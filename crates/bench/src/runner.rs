@@ -41,7 +41,7 @@ use dcl1_resilience::{contain, rerun_verdict, Chaos, QuarantineRecord};
 use dcl1_store::{
     Codec, Corruption, DiskReload, DiskTierConfig, Flight, ResultStore, StoreConfig, StoreStats,
 };
-use dcl1_workloads::AppSpec;
+use dcl1_workloads::{AppSpec, SharedSpec};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::hash::Hash;
@@ -1138,16 +1138,18 @@ pub fn with_point<T>(
     run: impl FnOnce(&mut GpuSystem<'_>, u64) -> Result<T, SimError>,
 ) -> Result<T, SimError> {
     let (num, den) = scale.ratio();
-    let app = req.app.scaled(num, den);
+    // One spec for the point, shared by every wavefront's trace.
+    let app = SharedSpec::new(req.app.scaled(num, den));
+    let total = app.spec().total_instructions();
     let mut opts = req.opts;
     if opts.warmup_instructions == 0 {
-        opts.warmup_instructions = app.total_instructions() / 3;
+        opts.warmup_instructions = total / 3;
     }
     let mut sys = GpuSystem::build(&req.cfg, &req.design, &app, opts)
         .map_err(|e| SimError::Config(format!("{}: {e}", req.design.name())))?;
     sys.set_shards(shards);
     sys.set_watchdog(dcl1::DEFAULT_WATCHDOG_EPOCH);
-    run(&mut sys, app.total_instructions())
+    run(&mut sys, total)
 }
 
 /// Renders completed points as one canonical, byte-stable document: each

@@ -36,4 +36,4 @@ mod set_assoc;
 
 pub use geometry::{CacheGeometry, SetIndexing};
 pub use mshr::{Mshr, MshrAllocation};
-pub use set_assoc::{CacheStats, LookupResult, SetAssocCache};
+pub use set_assoc::{CacheStats, Evicted, LookupResult, SetAssocCache};

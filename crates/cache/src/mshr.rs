@@ -11,14 +11,18 @@
 //! The file is a *slab*: a flat `Vec` of `max_entries` slots allocated
 //! once at construction, a free-list of slot indices, and a deterministic
 //! FNV-keyed open-addressed index ([`dcl1_common::FlatMap`]) from line
-//! address to slot. The per-transaction operations (`try_allocate`,
-//! `is_pending`, `can_accept`, `complete_into`) are O(1) expected and
-//! allocation-free in steady state: waiter vectors live inside their slot
-//! and are drained, never dropped, so their capacity is reused across
-//! allocations. Where ordered iteration over outstanding entries is
-//! needed, [`lines_sorted`](Mshr::lines_sorted) sorts the ≤`max_entries`
-//! live lines by address — the same guarantee the previous `BTreeMap`
-//! representation provided implicitly, now paid for only on demand.
+//! address to slot. The waiters of every entry share one pool per file:
+//! each slot links its waiters in arrival order, and a drained waiter's
+//! node goes on the pool's free list. So the pool grows to the most
+//! requesters the file ever held *at once*, not to the sum of what each
+//! slot ever held. The per-transaction operations (`try_allocate`,
+//! `is_pending`, `can_accept`, `complete_into`) are O(1) expected (a
+//! completion is O(its waiters)) and allocation-free once the pool has
+//! reached its high-water mark. Where ordered iteration over outstanding
+//! entries is needed, [`lines_sorted`](Mshr::lines_sorted) sorts the
+//! ≤`max_entries` live lines by address — the same guarantee the previous
+//! `BTreeMap` representation provided implicitly, now paid for only on
+//! demand.
 
 use dcl1_common::invariant::{InvariantError, InvariantResult};
 use dcl1_common::stats::Counter;
@@ -33,12 +37,26 @@ pub enum MshrAllocation {
     Merged,
 }
 
-/// One slab slot. A slot is live iff its waiter list is non-empty (a live
-/// MSHR entry always holds at least its first requester).
-#[derive(Debug, Clone)]
-struct Slot<T> {
+/// End of a waiter list, and of the pool's free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: the head and tail of its waiter list in the pool. A slot
+/// is live iff `waiters > 0` (a live MSHR entry always holds at least its
+/// first requester).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     line: LineAddr,
-    waiters: Vec<T>,
+    head: u32,
+    tail: u32,
+    waiters: u32,
+}
+
+/// One pool node: a parked token (`None` while the node is free) and the
+/// next node of its list.
+#[derive(Debug, Clone)]
+struct Waiter<T> {
+    token: Option<T>,
+    next: u32,
 }
 
 /// A file of miss status holding registers, generic over the requester
@@ -65,10 +83,13 @@ struct Slot<T> {
 #[derive(Debug, Clone)]
 pub struct Mshr<T> {
     /// `max_entries` slots, allocated once; never grows.
-    slots: Vec<Slot<T>>,
-    /// Free slot indices (LIFO — recently drained slots, whose waiter
-    /// vectors have warmed-up capacity, are reused first).
+    slots: Vec<Slot>,
+    /// Free slot indices (LIFO).
     free: Vec<usize>,
+    /// Every slot's waiters; grows to the file's high-water mark.
+    pool: Vec<Waiter<T>>,
+    /// Head of the pool's free-node list.
+    free_waiter: u32,
     /// Deterministic line→slot index; pre-sized so it never re-hashes.
     index: FlatMap<usize>,
     max_entries: usize,
@@ -99,14 +120,21 @@ impl<T> Mshr<T> {
     pub fn new(max_entries: usize, max_merges: usize) -> Self {
         assert!(max_entries > 0, "MSHR entry count must be nonzero");
         assert!(max_merges > 0, "MSHR merge limit must be nonzero");
-        let mut slots = Vec::with_capacity(max_entries);
-        slots.resize_with(max_entries, || Slot { line: LineAddr::new(0), waiters: Vec::new() });
+        let idle = Slot {
+            line: LineAddr::new(0),
+            head: NIL,
+            tail: NIL,
+            waiters: 0,
+        };
+        let slots = vec![idle; max_entries];
         // LIFO free list popping from the back: seed it reversed so the
         // very first allocations hand out slots 0, 1, 2, …
         let free: Vec<usize> = (0..max_entries).rev().collect();
         Mshr {
             slots,
             free,
+            pool: Vec::new(),
+            free_waiter: NIL,
             index: FlatMap::with_capacity(max_entries),
             max_entries,
             max_merges,
@@ -128,12 +156,15 @@ impl<T> Mshr<T> {
     /// when no entry is free (new line) or the entry's merge list is full.
     pub fn try_allocate(&mut self, line: LineAddr, token: T) -> Result<MshrAllocation, T> {
         if let Some(&slot) = self.index.get(line.raw()) {
-            let waiters = &mut self.slots[slot].waiters;
-            if waiters.len() >= self.max_merges {
+            if self.slots[slot].waiters as usize >= self.max_merges {
                 self.merge_stalls.inc();
                 return Err(token);
             }
-            waiters.push(token);
+            let node = self.park(token);
+            let s = &mut self.slots[slot];
+            self.pool[s.tail as usize].next = node;
+            s.tail = node;
+            s.waiters += 1;
             self.merges.inc();
             self.waiters_in += 1;
             return Ok(MshrAllocation::Merged);
@@ -142,13 +173,40 @@ impl<T> Mshr<T> {
             self.entry_stalls.inc();
             return Err(token);
         };
-        debug_assert!(self.slots[slot].waiters.is_empty(), "free slot held waiters");
-        self.slots[slot].line = line;
-        self.slots[slot].waiters.push(token);
+        debug_assert_eq!(self.slots[slot].waiters, 0, "free slot held waiters");
+        let node = self.park(token);
+        self.slots[slot] = Slot {
+            line,
+            head: node,
+            tail: node,
+            waiters: 1,
+        };
         self.index.insert(line.raw(), slot);
         self.allocs += 1;
         self.waiters_in += 1;
         Ok(MshrAllocation::Allocated)
+    }
+
+    /// Stores `token` in a free pool node (growing the pool only past its
+    /// high-water mark) and returns the node, unlinked.
+    fn park(&mut self, token: T) -> u32 {
+        let node = self.free_waiter;
+        if node == NIL {
+            self.pool.push(Waiter {
+                token: Some(token),
+                next: NIL,
+            });
+            #[expect(clippy::cast_possible_truncation)] // bounded by entries × merges
+            let node = (self.pool.len() - 1) as u32;
+            return node;
+        }
+        let w = &mut self.pool[node as usize];
+        self.free_waiter = w.next;
+        *w = Waiter {
+            token: Some(token),
+            next: NIL,
+        };
+        node
     }
 
     /// Whether a fill for `line` is already outstanding.
@@ -162,24 +220,36 @@ impl<T> Mshr<T> {
     /// *before* dequeuing it.
     pub fn can_accept(&self, line: LineAddr) -> bool {
         match self.index.get(line.raw()) {
-            Some(&slot) => self.slots[slot].waiters.len() < self.max_merges,
+            Some(&slot) => (self.slots[slot].waiters as usize) < self.max_merges,
             None => !self.free.is_empty(),
         }
     }
 
     /// Completes the fill for `line`, appending all waiting tokens to
     /// `out` in arrival order and returning how many were appended (zero
-    /// if the line had no entry). The freed slot keeps its waiter
-    /// vector's capacity, so a warmed-up file never allocates here.
+    /// if the line had no entry). The tokens move one by one (an entry
+    /// holds a handful), and their pool nodes go back on the free list.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<T>) -> usize {
         let Some(slot) = self.index.remove(line.raw()) else {
             return 0;
         };
-        debug_assert_eq!(self.slots[slot].line, line, "MSHR index points at wrong slot");
-        let waiters = &mut self.slots[slot].waiters;
-        let n = waiters.len();
+        let s = &mut self.slots[slot];
+        debug_assert_eq!(s.line, line, "MSHR index points at wrong slot");
+        let (n, mut node) = (s.waiters as usize, s.head);
         debug_assert!(n > 0, "indexed MSHR slot had no waiters");
-        out.append(waiters);
+        *s = Slot {
+            line,
+            head: NIL,
+            tail: NIL,
+            waiters: 0,
+        };
+        while node != NIL {
+            let w = &mut self.pool[node as usize];
+            out.push(w.token.take().expect("a linked waiter holds a token"));
+            let next = std::mem::replace(&mut w.next, self.free_waiter);
+            self.free_waiter = node;
+            node = next;
+        }
         self.free.push(slot);
         self.frees += 1;
         self.waiters_out += n as u64;
@@ -268,9 +338,9 @@ impl<T> Mshr<T> {
                 ),
             ));
         }
-        // Recount waiters from the slots themselves rather than trusting
-        // the O(1) derived gauge — this is the checker, after all.
-        let waiting: u64 = self.slots.iter().map(|s| s.waiters.len() as u64).sum();
+        // Recount waiters from the pool itself rather than trusting the
+        // O(1) derived gauge — this is the checker, after all.
+        let waiting = self.pool.iter().filter(|w| w.token.is_some()).count() as u64;
         if self.waiters_in != self.waiters_out + waiting {
             return Err(InvariantError::new(
                 site,
@@ -364,6 +434,27 @@ mod tests {
         assert_eq!(m.try_allocate(b, 1), Err(1));
         m.complete(a);
         assert_eq!(m.try_allocate(b, 1), Ok(MshrAllocation::Allocated));
+    }
+
+    #[test]
+    fn waiters_keep_arrival_order_across_interleaved_entries() {
+        let mut m: Mshr<u32> = Mshr::new(3, 4);
+        let (a, b, c) = (LineAddr::new(1), LineAddr::new(2), LineAddr::new(3));
+        for (line, t) in [(a, 1), (b, 2), (a, 3), (c, 4), (b, 5), (a, 6)] {
+            m.try_allocate(line, t).unwrap();
+        }
+        assert_eq!(m.complete(b), vec![2, 5]);
+        // b's freed nodes are reused by later arrivals on other lines.
+        m.try_allocate(c, 7).unwrap();
+        m.try_allocate(c, 8).unwrap();
+        assert_eq!(m.complete(a), vec![1, 3, 6]);
+        assert_eq!(m.complete(c), vec![4, 7, 8]);
+        assert!(m.check_conservation("test").is_ok());
+        assert_eq!(
+            m.pool.len(),
+            6,
+            "the pool grows to the most waiters held at once"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Tag-only set-associative cache with true-LRU replacement.
+//! Tag-only set-associative cache with true-LRU replacement and a dirty
+//! bit per line.
 
 use crate::CacheGeometry;
 use dcl1_common::stats::Counter;
@@ -40,14 +41,68 @@ impl CacheStats {
     }
 }
 
+/// Bit of [`Way::meta`] set while the way holds a line.
+const VALID: u64 = 1;
+/// Bit of [`Way::meta`] set while the held line differs from memory.
+const DIRTY: u64 = 2;
+/// The use stamp sits above the two state bits.
+const STAMP_SHIFT: u32 = 2;
+
+/// One way of the tag array: 16 bytes, so a lookup of a 4-way set reads
+/// one host cache line and an 8-way set two. The valid and dirty bits
+/// ride below the LRU use stamp.
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
-    valid: bool,
-    last_use: u64,
+    /// `last_use << STAMP_SHIFT | DIRTY | VALID`.
+    meta: u64,
 }
 
-/// A set-associative cache storing line presence only (no data payloads).
+impl Way {
+    fn installed(tag: u64, stamp: u64, dirty: bool) -> Way {
+        let state = if dirty { VALID | DIRTY } else { VALID };
+        Way {
+            tag,
+            meta: stamp << STAMP_SHIFT | state,
+        }
+    }
+
+    #[inline]
+    fn holds(&self, tag: u64) -> bool {
+        self.tag == tag && self.is_valid()
+    }
+
+    #[inline]
+    fn is_valid(&self) -> bool {
+        self.meta & VALID != 0
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    fn last_use(&self) -> u64 {
+        self.meta >> STAMP_SHIFT
+    }
+
+    /// Moves the way to use stamp `stamp`, keeping its state bits.
+    #[inline]
+    fn touch(&mut self, stamp: u64) {
+        self.meta = stamp << STAMP_SHIFT | (self.meta & (VALID | DIRTY));
+    }
+}
+
+/// A line a fill displaced from the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted {
+    /// The displaced line.
+    pub line: LineAddr,
+    /// Whether it was dirty, i.e. must be written back.
+    pub dirty: bool,
+}
+
+/// A set-associative cache storing line presence and a dirty bit per
+/// line (no data payloads).
 ///
 /// Replacement is true LRU via a monotonically increasing use stamp.
 /// See the [crate root](crate) for an example.
@@ -93,8 +148,8 @@ impl SetAssocCache {
         let tag = self.geom.tag_of(line);
         let range = self.set_range(line);
         for way in &mut self.ways[range] {
-            if way.valid && way.tag == tag {
-                way.last_use = self.stamp;
+            if way.holds(tag) {
+                way.touch(self.stamp);
                 self.stats.hits.inc();
                 return LookupResult::Hit;
             }
@@ -118,8 +173,19 @@ impl SetAssocCache {
     /// at the same level on a miss (paper Section II-A) and must not alter
     /// their behaviour.
     pub fn probe(&self, line: LineAddr) -> bool {
+        self.find(line).is_some()
+    }
+
+    /// Index of the way holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
         let tag = self.geom.tag_of(line);
-        self.ways[self.set_range(line)].iter().any(|w| w.valid && w.tag == tag)
+        let range = self.set_range(line);
+        let start = range.start;
+        self.ways[range]
+            .iter()
+            .position(|w| w.holds(tag))
+            .map(|i| start + i)
     }
 
     /// Installs `line`, evicting the LRU way if the set is full.
@@ -127,41 +193,66 @@ impl SetAssocCache {
     /// Returns the evicted line, if any. Filling a line that is already
     /// present refreshes its LRU position and evicts nothing.
     pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+        self.install(line, false).map(|e| e.line)
+    }
+
+    /// Installs `line` as [`fill`](SetAssocCache::fill) does, marking it
+    /// dirty if `dirty`. A line already present keeps its dirty bit: a
+    /// clean refill never clears it. Returns the line it evicted, with
+    /// that line's dirty bit.
+    pub fn install(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         self.stamp += 1;
         self.stats.fills.inc();
+        let stamp = self.stamp;
         let tag = self.geom.tag_of(line);
         let set = self.geom.set_of(line);
         let range = self.set_range(line);
+        let ways = &mut self.ways[range];
 
         // Already present → refresh.
-        if let Some(way) = self.ways[range.clone()].iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_use = self.stamp;
+        if let Some(way) = ways.iter_mut().find(|w| w.holds(tag)) {
+            way.touch(stamp);
+            if dirty {
+                way.meta |= DIRTY;
+            }
             return None;
         }
 
         // Prefer an invalid way.
-        let stamp = self.stamp;
-        if let Some(way) = self.ways[range.clone()].iter_mut().find(|w| !w.valid) {
-            *way = Way { tag, valid: true, last_use: stamp };
+        if let Some(way) = ways.iter_mut().find(|w| !w.is_valid()) {
+            *way = Way::installed(tag, stamp, dirty);
             return None;
         }
 
         // Evict the LRU way.
-        let victim_idx = {
-            let slice = &self.ways[range.clone()];
-            let local = slice
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_use)
-                .expect("associativity is nonzero")
-                .0;
-            range.start + local
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| w.last_use())
+            .expect("associativity is nonzero");
+        let line = self.geom.line_of(victim.tag, set);
+        let evicted = Evicted {
+            line,
+            dirty: victim.is_dirty(),
         };
-        let victim = &mut self.ways[victim_idx];
-        let evicted_tag = victim.tag;
-        *victim = Way { tag, valid: true, last_use: stamp };
+        *victim = Way::installed(tag, stamp, dirty);
         self.stats.evictions.inc();
-        Some(self.geom.line_of(evicted_tag, set))
+        Some(evicted)
+    }
+
+    /// Marks the resident `line` dirty, without touching LRU state or
+    /// statistics. Returns whether `line` was resident.
+    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.ways[i].meta |= DIRTY;
+        true
+    }
+
+    /// Whether `line` is resident and dirty (no LRU or statistics effect).
+    #[cfg(test)]
+    fn is_dirty(&self, line: LineAddr) -> bool {
+        self.find(line).is_some_and(|i| self.ways[i].is_dirty())
     }
 
     /// Removes `line` if present (write-evict policy), returning whether it
@@ -170,8 +261,8 @@ impl SetAssocCache {
         let tag = self.geom.tag_of(line);
         let range = self.set_range(line);
         for way in &mut self.ways[range] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
+            if way.holds(tag) {
+                *way = Way::default();
                 self.stats.invalidations.inc();
                 return true;
             }
@@ -181,13 +272,13 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.is_valid()).count()
     }
 
     /// Iterates over all resident lines (used by replica-count sampling).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         let assoc = self.geom.assoc();
-        self.ways.iter().enumerate().filter(|(_, w)| w.valid).map(move |(i, w)| {
+        self.ways.iter().enumerate().filter(|(_, w)| w.is_valid()).map(move |(i, w)| {
             let set = i / assoc;
             self.geom.line_of(w.tag, set)
         })
@@ -316,6 +407,83 @@ mod tests {
         let mut resident: Vec<u64> = c.resident_lines().map(|l| l.raw()).collect();
         resident.sort_unstable();
         assert_eq!(resident, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_way_is_at_most_sixteen_bytes() {
+        assert!(std::mem::size_of::<Way>() <= 16);
+    }
+
+    #[test]
+    fn marking_a_hit_line_dirty_sets_only_its_bit() {
+        let mut c = small();
+        let (a, b) = (LineAddr::new(0), LineAddr::new(2));
+        c.fill(a);
+        c.fill(b);
+        assert!(!c.is_dirty(a), "a fill installs a clean line");
+        assert_eq!(c.lookup(a), LookupResult::Hit);
+        assert!(c.mark_dirty(a));
+        assert!(c.is_dirty(a) && !c.is_dirty(b));
+        assert!(
+            !c.mark_dirty(LineAddr::new(4)),
+            "an absent line cannot be marked"
+        );
+        assert_eq!(c.stats().accesses(), 1, "marking is not an access");
+    }
+
+    #[test]
+    fn evictions_report_their_dirty_bit() {
+        let mut c = small();
+        let [a, b, d, e] = [0, 2, 4, 6].map(LineAddr::new);
+        assert_eq!(c.install(a, true), None);
+        assert_eq!(c.install(b, false), None);
+        assert_eq!(
+            c.install(d, false),
+            Some(Evicted {
+                line: a,
+                dirty: true
+            })
+        );
+        assert_eq!(
+            c.install(e, true),
+            Some(Evicted {
+                line: b,
+                dirty: false
+            })
+        );
+        // The way `a` left is reused clean: its dirty bit went with it.
+        assert!(!c.is_dirty(d) && c.is_dirty(e));
+        assert_eq!(c.stats().evictions.get(), 2);
+    }
+
+    #[test]
+    fn refilling_a_present_line_keeps_its_dirty_bit() {
+        let mut c = small();
+        let (a, b) = (LineAddr::new(0), LineAddr::new(2));
+        c.install(a, true);
+        c.fill(b);
+        assert_eq!(c.install(a, false), None, "a refill evicts nothing");
+        assert!(c.is_dirty(a), "a clean refill must not clear the dirty bit");
+        assert_eq!(c.install(b, true), None);
+        assert!(c.is_dirty(b), "a dirty refill sets it");
+        // The refills refreshed LRU as fills do: `a` is now the victim.
+        assert_eq!(
+            c.install(LineAddr::new(4), false),
+            Some(Evicted {
+                line: a,
+                dirty: true
+            })
+        );
+    }
+
+    #[test]
+    fn invalidate_drops_the_dirty_bit() {
+        let mut c = small();
+        let l = LineAddr::new(6);
+        c.install(l, true);
+        assert!(c.invalidate(l));
+        c.fill(l);
+        assert!(!c.is_dirty(l));
     }
 
     #[test]

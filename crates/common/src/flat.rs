@@ -1,11 +1,12 @@
-//! Deterministic open-addressed map and set over `u64` keys.
+//! Deterministic open-addressed map over `u64` keys.
 //!
 //! The simulator's hot per-transaction paths (MSHR lookups, the
-//! cross-cache presence map, the L2 dirty set) need associative state that
-//! is both *flat* — index arithmetic instead of pointer-chasing a tree —
-//! and *deterministic* — no `RandomState`, so iteration and layout are a
-//! pure function of the operation sequence and the on-disk result memo
-//! stays byte-stable (clippy.toml bans `HashMap` and `HashSet`).
+//! cross-cache presence map) and the result store's memory-tier index
+//! need associative state that is both *flat* — index arithmetic instead
+//! of pointer-chasing a tree — and *deterministic* — no `RandomState`, so
+//! iteration and layout are a pure function of the operation sequence and
+//! the on-disk result memo stays byte-stable (clippy.toml bans `HashMap`
+//! and `HashSet`).
 //!
 //! [`FlatMap`] is a linear-probing open-addressed table keyed by a
 //! deterministic FNV-seeded multiplicative mixer:
@@ -18,9 +19,10 @@
 //!   releases. Where callers need *address-ordered* output (per-line
 //!   reports), [`FlatMap::sorted_keys`] materializes the ≤len live keys
 //!   and sorts them, preserving the ordered-iteration guarantee the old
-//!   `BTreeMap` structures promised.
-//!
-//! [`FlatSet`] is membership-only sugar over `FlatMap<()>`.
+//!   `BTreeMap` structures promised;
+//! * a slot is a bare `(key, value)` pair: one key value, `u64::MAX`,
+//!   marks an empty slot, and the map keeps that key's entry outside the
+//!   table, so it still accepts every `u64`.
 //!
 //! # Examples
 //!
@@ -60,23 +62,34 @@ fn table_len_for(entries: usize) -> usize {
     needed.next_power_of_two().max(8)
 }
 
+/// The key an empty table slot holds. The map still accepts it: its entry
+/// lives outside the table, in [`FlatMap::reserved`].
+const EMPTY: u64 = u64::MAX;
+
 /// A deterministic open-addressed hash map from `u64` keys to `V`.
+///
+/// A slot is a bare `(key, value)` pair, with no `Option` around it: an
+/// empty slot holds [`EMPTY`] and `V::default()`. So a `FlatMap<u32>` or a
+/// `FlatMap<usize>` costs 16 bytes a slot.
 ///
 /// See the [module docs](self) for the design constraints it satisfies.
 #[derive(Debug, Clone)]
 pub struct FlatMap<V> {
-    /// Power-of-two slot array; `None` = empty slot.
-    slots: Vec<Option<(u64, V)>>,
+    /// Power-of-two slot array; a slot keyed [`EMPTY`] is empty.
+    slots: Vec<(u64, V)>,
+    /// The value of key [`EMPTY`], which the table cannot hold.
+    reserved: Option<V>,
+    /// Live entries in `slots` (`reserved` not included).
     len: usize,
 }
 
-impl<V> Default for FlatMap<V> {
+impl<V: Default> Default for FlatMap<V> {
     fn default() -> Self {
         FlatMap::new()
     }
 }
 
-impl<V> FlatMap<V> {
+impl<V: Default> FlatMap<V> {
     /// Creates an empty map with the minimum table size.
     pub fn new() -> Self {
         FlatMap::with_capacity(0)
@@ -85,19 +98,21 @@ impl<V> FlatMap<V> {
     /// Creates an empty map pre-sized so `entries` insertions never
     /// re-hash — the allocation-free steady state the hot paths rely on.
     pub fn with_capacity(entries: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(table_len_for(entries), || None);
-        FlatMap { slots, len: 0 }
+        FlatMap {
+            slots: empty_slots(table_len_for(entries)),
+            reserved: None,
+            len: 0,
+        }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + usize::from(self.reserved.is_some())
     }
 
     /// Whether the map has no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     #[inline]
@@ -105,38 +120,54 @@ impl<V> FlatMap<V> {
         self.slots.len() - 1
     }
 
-    /// Slot index holding `key`, if present.
+    /// Home slot of `key`.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        #[expect(clippy::cast_possible_truncation)] // masked to table range
+        let i = mix_key(key) as usize & self.mask();
+        i
+    }
+
+    /// Slot index holding `key` (never [`EMPTY`]), if present.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
         let mask = self.mask();
-        #[expect(clippy::cast_possible_truncation)] // masked to table range
-        let mut i = mix_key(key) as usize & mask;
+        let mut i = self.home(key);
         loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == key => return Some(i),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
+            let k = self.slots[i].0;
+            if k == key {
+                return Some(i);
             }
+            if k == EMPTY {
+                return None;
+            }
+            i = (i + 1) & mask;
         }
     }
 
     /// Returns a reference to the value for `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.find(key).map(|i| &self.slots[i].as_ref().expect("found slot is live").1)
+        if key == EMPTY {
+            return self.reserved.as_ref();
+        }
+        self.find(key).map(|i| &self.slots[i].1)
     }
 
     /// Returns a mutable reference to the value for `key`.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        if key == EMPTY {
+            return self.reserved.as_mut();
+        }
         let i = self.find(key)?;
-        Some(&mut self.slots[i].as_mut().expect("found slot is live").1)
+        Some(&mut self.slots[i].1)
     }
 
     /// Whether `key` is present.
     #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
-        self.find(key).is_some()
+        self.get(key).is_some()
     }
 
     /// Inserts `key` → `value`, returning the previous value if the key
@@ -145,22 +176,25 @@ impl<V> FlatMap<V> {
     /// [`with_capacity`](FlatMap::with_capacity) for its worst-case
     /// occupancy never re-hashes.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        if key == EMPTY {
+            return self.reserved.replace(value);
+        }
         if (self.len + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
         let mask = self.mask();
-        #[expect(clippy::cast_possible_truncation)] // masked to table range
-        let mut i = mix_key(key) as usize & mask;
+        let mut i = self.home(key);
         loop {
-            match &mut self.slots[i] {
-                Some((k, v)) if *k == key => return Some(std::mem::replace(v, value)),
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.slots[i] = Some((key, value));
-                    self.len += 1;
-                    return None;
-                }
+            let slot = &mut self.slots[i];
+            if slot.0 == key {
+                return Some(std::mem::replace(&mut slot.1, value));
             }
+            if slot.0 == EMPTY {
+                *slot = (key, value);
+                self.len += 1;
+                return None;
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -168,21 +202,26 @@ impl<V> FlatMap<V> {
     /// backward-shift deletion: every entry displaced past the vacated
     /// slot is shifted back, so no tombstones accumulate.
     pub fn remove(&mut self, key: u64) -> Option<V> {
+        if key == EMPTY {
+            return self.reserved.take();
+        }
         let mut hole = self.find(key)?;
-        let (_, value) = self.slots[hole].take().expect("found slot is live");
+        let (_, value) = std::mem::replace(&mut self.slots[hole], (EMPTY, V::default()));
         self.len -= 1;
         let mask = self.mask();
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            let Some((k, _)) = &self.slots[j] else { break };
-            #[expect(clippy::cast_possible_truncation)] // masked to table range
-            let home = mix_key(*k) as usize & mask;
+            let k = self.slots[j].0;
+            if k == EMPTY {
+                break;
+            }
+            let home = self.home(k);
             // The entry at `j` may move into the hole iff the hole lies on
             // its probe path, i.e. the cyclic distance home→j covers the
             // distance hole→j.
             if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                self.slots[hole] = self.slots[j].take();
+                self.slots.swap(hole, j);
                 hole = j;
             }
         }
@@ -191,25 +230,29 @@ impl<V> FlatMap<V> {
 
     /// Doubles the table and re-inserts every entry.
     fn grow(&mut self) {
-        let mut bigger: Vec<Option<(u64, V)>> = Vec::new();
-        bigger.resize_with(self.slots.len() * 2, || None);
+        let bigger = empty_slots(self.slots.len() * 2);
         let old = std::mem::replace(&mut self.slots, bigger);
         let mask = self.mask();
-        for slot in old.into_iter().flatten() {
-            #[expect(clippy::cast_possible_truncation)] // masked to table range
-            let mut i = mix_key(slot.0) as usize & mask;
-            while self.slots[i].is_some() {
+        for slot in old.into_iter().filter(|s| s.0 != EMPTY) {
+            let mut i = self.home(slot.0);
+            while self.slots[i].0 != EMPTY {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = Some(slot);
+            self.slots[i] = slot;
         }
     }
 
-    /// Iterates over `(key, &value)` in slot order — deterministic for a
-    /// given operation history, but *not* key-ordered. Use
-    /// [`sorted_keys`](FlatMap::sorted_keys) when output order matters.
+    /// Iterates over `(key, &value)` in slot order, then the [`EMPTY`]
+    /// key's entry — deterministic for a given operation history, but
+    /// *not* key-ordered. Use [`sorted_keys`](FlatMap::sorted_keys) when
+    /// output order matters.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
+        let table = self
+            .slots
+            .iter()
+            .filter(|s| s.0 != EMPTY)
+            .map(|(k, v)| (*k, v));
+        table.chain(self.reserved.as_ref().map(|v| (EMPTY, v)))
     }
 
     /// All live keys in ascending order (the ordered-iteration guarantee
@@ -221,53 +264,11 @@ impl<V> FlatMap<V> {
     }
 }
 
-/// A deterministic open-addressed membership set over `u64` keys.
-#[derive(Debug, Clone, Default)]
-pub struct FlatSet {
-    map: FlatMap<()>,
-}
-
-impl FlatSet {
-    /// Creates an empty set with the minimum table size.
-    pub fn new() -> Self {
-        FlatSet::default()
-    }
-
-    /// Creates an empty set pre-sized so `entries` insertions never
-    /// re-hash.
-    pub fn with_capacity(entries: usize) -> Self {
-        FlatSet { map: FlatMap::with_capacity(entries) }
-    }
-
-    /// Inserts `key`; returns `true` if it was not already present.
-    pub fn insert(&mut self, key: u64) -> bool {
-        self.map.insert(key, ()).is_none()
-    }
-
-    /// Removes `key`; returns `true` if it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        self.map.remove(key).is_some()
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// All members in ascending order.
-    pub fn sorted_keys(&self) -> Vec<u64> {
-        self.map.sorted_keys()
-    }
+/// `n` empty slots.
+fn empty_slots<V: Default>(n: usize) -> Vec<(u64, V)> {
+    let mut slots = Vec::with_capacity(n);
+    slots.resize_with(n, || (EMPTY, V::default()));
+    slots
 }
 
 #[cfg(test)]
@@ -336,14 +337,41 @@ mod tests {
     }
 
     #[test]
-    fn set_membership() {
-        let mut s = FlatSet::with_capacity(4);
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.contains(5));
-        assert!(s.remove(5));
-        assert!(!s.remove(5));
-        assert!(s.is_empty());
+    fn extreme_keys_round_trip() {
+        let mut m: FlatMap<u32> = FlatMap::with_capacity(4);
+        for (i, k) in (0..).zip([0, u64::MAX, 1, u64::MAX - 1]) {
+            assert_eq!(m.insert(k, i), None);
+        }
+        assert_eq!(m.len(), 4);
+        assert_eq!(m.get(0), Some(&0));
+        assert_eq!(m.get(u64::MAX), Some(&1));
+        assert_eq!(m.insert(u64::MAX, 9), Some(1));
+        *m.get_mut(u64::MAX).unwrap() += 1;
+        assert_eq!(m.sorted_keys(), vec![0, 1, u64::MAX - 1, u64::MAX]);
+        assert_eq!(m.iter().count(), 4);
+        assert_eq!(m.remove(u64::MAX), Some(10));
+        assert!(!m.contains_key(u64::MAX));
+        assert_eq!(m.remove(0), Some(0));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(u64::MAX - 1), Some(&3));
+    }
+
+    #[test]
+    fn slots_are_sixteen_bytes() {
+        // What the simulator's maps (MSHR index, presence counts, the
+        // store index) pay per slot: a key and a value, no `Option` tag.
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
+        assert_eq!(std::mem::size_of::<(u64, usize)>(), 16);
+        let m: FlatMap<u32> = FlatMap::with_capacity(1000);
+        assert_eq!(
+            std::mem::size_of_val(m.slots.as_slice()),
+            16 * m.slots.len()
+        );
+        let m: FlatMap<usize> = FlatMap::with_capacity(1000);
+        assert_eq!(
+            std::mem::size_of_val(m.slots.as_slice()),
+            16 * m.slots.len()
+        );
     }
 
     #[test]

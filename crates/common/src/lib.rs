@@ -10,7 +10,7 @@
 //! * [`ids`] — strongly-typed identifiers for cores, DC-L1 nodes, L2 slices,
 //!   memory controllers and clusters;
 //! * [`clock`] — cycle counting and rational frequency-domain ticking;
-//! * [`flat`] — deterministic open-addressed maps/sets for hot-path state;
+//! * [`flat`] — deterministic open-addressed map for hot-path state;
 //! * [`invariant`] — conservation-law meters backing checked-sim mode;
 //! * [`queue`] — bounded FIFO queues with occupancy/backpressure statistics;
 //! * [`stats`] — counters, running means and utilization helpers;
@@ -50,7 +50,7 @@ pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, LINE_SIZE};
 pub use clock::{ClockDomain, Cycle};
 pub use error::ConfigError;
-pub use flat::{FlatMap, FlatSet};
+pub use flat::FlatMap;
 pub use hist::Histogram;
 pub use ids::{CoreId, WavefrontId};
 pub use invariant::{FlowMeter, InvariantError, InvariantResult};

@@ -7,7 +7,7 @@
 
 #![allow(clippy::cast_possible_truncation)] // test values are tiny
 
-use dcl1_common::{BoundedQueue, FlatMap, FlatSet, FlowMeter, SplitMix64};
+use dcl1_common::{BoundedQueue, FlatMap, FlowMeter, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
 
 #[test]
@@ -127,22 +127,27 @@ fn flatmap_matches_btreemap_reference_model() {
     }
 }
 
-/// Same differential discipline for `FlatSet` (used for the L2 dirty-line
-/// set) against `BTreeSet`.
+/// Same differential discipline for `FlatMap<()>` as a membership set
+/// against `BTreeSet`, over a key range that takes in both ends of `u64`:
+/// `u64::MAX` marks an empty slot, so the map holds it outside the table.
 #[test]
-fn flatset_matches_btreeset_reference_model() {
+fn flatmap_membership_matches_btreeset_reference_model() {
     for seed in 0..8u64 {
         let mut rng = SplitMix64::new(0x5E7_5E7 ^ (seed << 9));
-        let mut set = FlatSet::with_capacity(4);
+        let mut set: FlatMap<()> = FlatMap::with_capacity(4);
         let mut model: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..3000 {
-            let key = rng.next_u64() % 96;
+            // 0..48 and u64::MAX-47..=u64::MAX.
+            let r = rng.next_u64() % 96;
+            let key = if r < 48 { r } else { u64::MAX - (r - 48) };
             if rng.next_u64() % 3 < 2 {
-                assert_eq!(set.insert(key), model.insert(key), "insert diverged for {key}");
+                let fresh = set.insert(key, ()).is_none();
+                assert_eq!(fresh, model.insert(key), "insert diverged for {key}");
             } else {
-                assert_eq!(set.remove(key), model.remove(&key), "remove diverged for {key}");
+                let held = set.remove(key).is_some();
+                assert_eq!(held, model.remove(&key), "remove diverged for {key}");
             }
-            assert_eq!(set.contains(key), model.contains(&key));
+            assert_eq!(set.contains_key(key), model.contains(&key));
             assert_eq!(set.len(), model.len(), "population diverged");
         }
         let model_sorted: Vec<u64> = model.into_iter().collect();

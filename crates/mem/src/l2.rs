@@ -1,7 +1,7 @@
 //! One address-sliced L2 cache bank.
 
 use dcl1_cache::{CacheGeometry, LookupResult, Mshr, MshrAllocation, SetAssocCache, SetIndexing};
-use dcl1_common::{BoundedQueue, ConfigError, Cycle, FlatSet, LineAddr};
+use dcl1_common::{BoundedQueue, ConfigError, Cycle, LineAddr};
 use std::collections::VecDeque;
 
 /// What a memory access wants from the hierarchy.
@@ -111,16 +111,13 @@ pub struct DramAccess {
 /// from [`pop_reply`](L2Slice::pop_reply) / [`pop_dram`](L2Slice::pop_dram).
 #[derive(Debug)]
 pub struct L2Slice<T> {
+    /// The tag array, which also holds each line's dirty bit.
     cache: SetAssocCache,
     mshr: Mshr<(MemAccessKind, T)>,
     input: BoundedQueue<L2Request<T>>,
     /// Replies waiting out the access latency: ready-time ordered.
     pending_replies: VecDeque<(Cycle, L2Reply<T>)>,
     dram_out: VecDeque<DramAccess>,
-    // Deterministic open-addressed set: membership-only today, but any
-    // future iteration (e.g. a flush phase) must be hasher-independent —
-    // FlatSet::sorted_keys provides that on demand.
-    dirty: FlatSet,
     /// Scratch buffer for MSHR completions, reused across fills so the
     /// fan-out never allocates in steady state.
     fill_scratch: Vec<(MemAccessKind, T)>,
@@ -150,9 +147,6 @@ impl<T> L2Slice<T> {
             input: BoundedQueue::new(config.input_queue),
             pending_replies: VecDeque::new(),
             dram_out: VecDeque::new(),
-            // Dirty lines are resident lines, so sizing the set at the
-            // slice's line capacity means it never re-hashes.
-            dirty: FlatSet::with_capacity(config.size_bytes / config.line_size),
             fill_scratch: Vec::new(),
             head_stall: None,
             config,
@@ -235,12 +229,7 @@ impl<T> L2Slice<T> {
                 let hit = self.cache.lookup(line) == LookupResult::Hit;
                 self.stats.accesses.inc();
                 if hit { self.stats.hits.inc() } else { self.stats.misses.inc() }
-                if let Some(evicted) = self.cache.fill(line) {
-                    if self.dirty.remove(evicted.raw()) {
-                        self.dram_out.push_back(DramAccess { line: evicted, is_write: true });
-                    }
-                }
-                self.dirty.insert(line.raw());
+                self.install(line, true);
                 self.queue_reply(line, kind, hit, req.payload, self.config.latency);
             }
             MemAccessKind::Atomic => {
@@ -259,7 +248,8 @@ impl<T> L2Slice<T> {
                 match self.cache.lookup(line) {
                     LookupResult::Hit => {
                         let req = self.input.pop().expect("front was Some");
-                        self.dirty.insert(line.raw());
+                        let resident = self.cache.mark_dirty(line);
+                        debug_assert!(resident, "an atomic hit's line is resident");
                         self.queue_reply(
                             line,
                             kind,
@@ -292,15 +282,24 @@ impl<T> L2Slice<T> {
         ));
     }
 
+    /// Installs `line` in the tag array, dirty if `dirty`, and writes back
+    /// the line it evicts if that one was dirty.
+    fn install(&mut self, line: LineAddr, dirty: bool) {
+        if let Some(evicted) = self.cache.install(line, dirty) {
+            if evicted.dirty {
+                self.dram_out.push_back(DramAccess {
+                    line: evicted.line,
+                    is_write: true,
+                });
+            }
+        }
+    }
+
     /// Completes a DRAM fill for `line`: installs it and wakes all merged
     /// requesters.
     pub fn dram_fill(&mut self, line: LineAddr) {
         self.head_stall = None;
-        if let Some(evicted) = self.cache.fill(line) {
-            if self.dirty.remove(evicted.raw()) {
-                self.dram_out.push_back(DramAccess { line: evicted, is_write: true });
-            }
-        }
+        self.install(line, false);
         // Drain the waiters through the reusable scratch buffer (taken out
         // of `self` so `queue_reply` can borrow `&mut self`), keeping its
         // capacity for the next fill.
@@ -309,7 +308,7 @@ impl<T> L2Slice<T> {
         self.mshr.complete_into(line, &mut woken);
         for (kind, payload) in woken.drain(..) {
             if kind == MemAccessKind::Atomic {
-                self.dirty.insert(line.raw());
+                self.cache.mark_dirty(line);
             }
             self.queue_reply(line, kind, false, payload, self.config.latency);
         }

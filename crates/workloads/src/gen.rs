@@ -4,6 +4,7 @@
 use crate::spec::{AppSpec, STRIPE_LINES};
 use dcl1_common::{LineAddr, SplitMix64};
 use dcl1_gpu::{MemAccess, MemInstr, MemKind, TraceFactory, TraceSource, WavefrontInstr};
+use std::sync::Arc;
 
 /// Line-number bases for the synthetic address-space layout. Regions are
 /// far apart so they can never alias.
@@ -18,26 +19,34 @@ const STREAM_BASE: u64 = 1 << 28;
 const STRIPE_RESIDUE: u64 = 7;
 
 /// One wavefront's instruction stream for an [`AppSpec`].
+///
+/// The spec is shared, not copied: every trace a [`SharedSpec`] creates
+/// points at the one spec of its point.
 #[derive(Debug)]
 pub struct AppTrace {
-    spec: AppSpec,
+    spec: Arc<AppSpec>,
     rng: SplitMix64,
     cta: u32,
-    wf_uid: u64,
     remaining: u32,
+    wf_uid: u64,
     stream_cursor: u64,
 }
 
 impl AppTrace {
     /// Creates the trace of wavefront `wf` of CTA `cta`.
     pub fn new(spec: AppSpec, cta: u32, wf: u32) -> Self {
+        AppTrace::shared(Arc::new(spec), cta, wf)
+    }
+
+    /// Creates the trace of wavefront `wf` of CTA `cta` over a shared spec.
+    fn shared(spec: Arc<AppSpec>, cta: u32, wf: u32) -> Self {
         let wf_uid = cta as u64 * spec.wavefronts_per_cta as u64 + wf as u64;
         AppTrace {
             rng: SplitMix64::new(0xA99_5EED).split(wf_uid),
+            remaining: spec.instrs_for_cta(cta),
             spec,
             cta,
             wf_uid,
-            remaining: spec.instrs_for_cta(cta),
             stream_cursor: 0,
         }
     }
@@ -121,13 +130,15 @@ impl TraceSource for AppTrace {
         }
 
         // Pick the memory-instruction kind.
-        let s = self.spec;
+        let s = &*self.spec;
+        let (aux, atomic, store) = (s.aux_fraction, s.atomic_fraction, s.store_fraction);
+        let (span, bytes) = (s.access_span, s.bytes_per_txn);
         let k = self.rng.next_f64();
-        let (kind, line0) = if k < s.aux_fraction {
+        let (kind, line0) = if k < aux {
             (MemKind::Aux, AUX_BASE + self.rng.next_below(512))
-        } else if k < s.aux_fraction + s.atomic_fraction {
+        } else if k < aux + atomic {
             (MemKind::Atomic, ATOMIC_BASE + self.rng.next_below(64))
-        } else if k < s.aux_fraction + s.atomic_fraction + s.store_fraction {
+        } else if k < aux + atomic + store {
             (MemKind::Store, self.store_line())
         } else {
             (MemKind::Load, self.data_line())
@@ -136,23 +147,59 @@ impl TraceSource for AppTrace {
         // Fan out into 1..=access_span coalesced transactions. Regular
         // apps stay at one; irregular ones draw extra independent lines
         // from the same stream.
-        let n = if s.access_span > 1 && kind == MemKind::Load {
-            1 + self.rng.next_below(s.access_span as u64) as u32
+        let n = if span > 1 && kind == MemKind::Load {
+            1 + self.rng.next_below(span as u64) as u32
         } else {
             1
         };
         let mut accesses = Vec::with_capacity(n as usize);
-        accesses.push(MemAccess { line: LineAddr::new(line0), bytes: s.bytes_per_txn });
+        accesses.push(MemAccess {
+            line: LineAddr::new(line0),
+            bytes,
+        });
         for _ in 1..n {
             accesses.push(MemAccess {
                 line: LineAddr::new(self.data_line()),
-                bytes: s.bytes_per_txn,
+                bytes,
             });
         }
         WavefrontInstr::Mem(MemInstr { kind, accesses })
     }
 }
 
+/// An [`AppSpec`] as a [`TraceFactory`] whose traces share it: each
+/// wavefront holds a pointer to the one spec instead of its own copy.
+/// What a point builds its machine from.
+#[derive(Debug, Clone)]
+pub struct SharedSpec(Arc<AppSpec>);
+
+impl SharedSpec {
+    /// Shares `spec` among the traces this factory creates.
+    pub fn new(spec: AppSpec) -> Self {
+        SharedSpec(Arc::new(spec))
+    }
+
+    /// The shared spec.
+    pub fn spec(&self) -> &AppSpec {
+        &self.0
+    }
+}
+
+impl TraceFactory for SharedSpec {
+    fn wavefront_trace(&self, cta: u32, wf: u32) -> Box<dyn TraceSource> {
+        Box::new(AppTrace::shared(Arc::clone(&self.0), cta, wf))
+    }
+
+    fn total_ctas(&self) -> u32 {
+        self.0.ctas
+    }
+
+    fn wavefronts_per_cta(&self) -> u32 {
+        self.0.wavefronts_per_cta
+    }
+}
+
+/// Each trace gets its own copy of the spec; [`SharedSpec`] shares one.
 impl TraceFactory for AppSpec {
     fn wavefront_trace(&self, cta: u32, wf: u32) -> Box<dyn TraceSource> {
         Box::new(AppTrace::new(*self, cta, wf))
@@ -192,6 +239,33 @@ mod tests {
         assert_eq!(a, b);
         let c = drain(&mut AppTrace::new(spec, 3, 2));
         assert_ne!(a, c, "different wavefronts should differ");
+    }
+
+    #[test]
+    fn shared_spec_traces_match_copied_ones() {
+        for spec in catalog() {
+            let shared = SharedSpec::new(spec);
+            assert_eq!(shared.total_ctas(), spec.total_ctas(), "{}", spec.name);
+            assert_eq!(
+                shared.wavefronts_per_cta(),
+                spec.wavefronts_per_cta(),
+                "{}",
+                spec.name
+            );
+            for (cta, wf) in [(0, 0), (3, 1)] {
+                let a = drain(&mut AppTrace::new(spec, cta, wf));
+                let mut t = shared.wavefront_trace(cta, wf);
+                let b: Vec<_> = std::iter::from_fn(|| Some(t.next_instr()))
+                    .take_while(|i| *i != WavefrontInstr::Done)
+                    .collect();
+                assert_eq!(a, b, "{} cta {cta} wf {wf}", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_holds_no_copy_of_its_spec() {
+        assert!(std::mem::size_of::<AppTrace>() <= 40);
     }
 
     #[test]

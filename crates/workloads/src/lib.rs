@@ -44,7 +44,7 @@ mod gen;
 mod spec;
 mod tracefile;
 
-pub use gen::AppTrace;
+pub use gen::{AppTrace, SharedSpec};
 pub use spec::{AppSpec, Suite, STRIPE_LINES};
 pub use tracefile::{record_trace, FileTraceFactory};
 

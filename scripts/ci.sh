@@ -105,17 +105,19 @@ leg_checked() {
     done
 }
 
-# Zero steady-state allocations on the hot paths.
+# Zero steady-state allocations on the hot paths, and a built machine's
+# heap under its bound on every grid design.
 leg_alloc() { cargo run --release --offline --quiet -p alloc-probe; }
 
 # What a step costs, counted: the component visits the smoke grid makes per
 # step (`dbg --census`, EXPERIMENTS.md "Where a step goes"). An exact,
 # repeatable count, so the ceiling needs no noise band; it was 143.7 before
-# blocked components slept.
+# blocked components slept. The copy to stderr appends: a plain `tee
+# /dev/stderr` reopens a log file that stderr points at and truncates it.
 leg_census() {
     (cd "$tmp" && DCL1_SCALE=smoke cargo run --release --offline --quiet \
         --manifest-path "$root/Cargo.toml" -p dcl1-bench --bin dbg -- --census) |
-        tee /dev/stderr | awk '$1 == "visits" { ok = $4 <= 70 } END { exit !ok }'
+        tee -a /dev/stderr | awk '$1 == "visits" { ok = $4 <= 70 } END { exit !ok }'
 }
 
 # The release build on its own: stepping and fast-forward dump the same

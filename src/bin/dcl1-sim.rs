@@ -6,7 +6,7 @@ use dcl1_repro::bench::cli::{Cli, Flag};
 use dcl1_repro::bench::{Scale, Table};
 use dcl1_repro::dcl1::{Design, GpuConfig, GpuSystem, RunStats, SimOptions};
 use dcl1_repro::gpu::{CtaPolicy, IssuePolicy, TraceFactory};
-use dcl1_repro::workloads::{all_apps, by_name, FileTraceFactory};
+use dcl1_repro::workloads::{all_apps, by_name, FileTraceFactory, SharedSpec};
 
 const CLI: Cli = Cli {
     bin: "dcl1-sim",
@@ -78,11 +78,13 @@ fn main() {
         None => {
             let name = args.value("app").unwrap_or_else(|| "T-AlexNet".to_string());
             let (num, den) = Scale::from_env().ratio();
-            spec = by_name(&name)
-                .unwrap_or_else(|| args.fail(&format!("unknown app {name}; try --list-apps")))
-                .scaled(num, den);
+            spec = SharedSpec::new(
+                by_name(&name)
+                    .unwrap_or_else(|| args.fail(&format!("unknown app {name}; try --list-apps")))
+                    .scaled(num, den),
+            );
             if !args.switch("no-warmup") {
-                opts.warmup_instructions = spec.total_instructions() / 3;
+                opts.warmup_instructions = spec.spec().total_instructions() / 3;
             }
             (name, &spec)
         }
