@@ -15,13 +15,14 @@ use std::collections::BTreeMap;
 const CLI: Cli = Cli {
     bin: "dbg",
     about: "Prints each APP:DESIGN point's statistics and debug snapshot (default \
-            P-2MM:baseline P-2MM:sh40). Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
+            P-2MM:baseline P-2MM:sh40), or with --census the points' visit census. \
+            Scale: DCL1_SCALE=full|quarter|smoke (default quarter).",
     positionals: Some("APP:DESIGN"),
     flags: &[&[Flag::new(
         "census",
         Kind::Switch,
-        "instead, visits per step by component class over the 112-point grid: moved state, \
-         did nothing, parked (EXPERIMENTS.md \"Where a step goes\")",
+        "instead, visits per step by component class over the given points (default the \
+         112-point grid): moved state, did nothing, parked (EXPERIMENTS.md \"Where a step goes\")",
     )]],
 };
 
@@ -53,11 +54,13 @@ fn main() {
     let scale = Scale::from_env();
     if args.switch("census") {
         // Sum every counter of the snapshot's last line (`steps=`,
-        // `visit*=`, `acted_*=`, `parked_*=`) over the grid.
+        // `visit*=`, `acted_*=`, `parked_*=`) over the points.
         let mut census: BTreeMap<String, u64> = BTreeMap::new();
-        let designs = grid::default_designs(&cfg);
-        for req in grid::build_grid(&designs, &[], &cfg, SimOptions::default()) {
-            let (_, snapshot) = snapshot(&req, scale);
+        if points.is_empty() {
+            points = grid::build_grid(&grid::default_designs(&cfg), &[], &cfg, SimOptions::default());
+        }
+        for req in &points {
+            let (_, snapshot) = snapshot(req, scale);
             for field in snapshot.lines().last().unwrap().split_whitespace() {
                 let (key, value) = field.split_once('=').unwrap();
                 *census.entry(key.to_string()).or_default() += value.parse::<u64>().unwrap();

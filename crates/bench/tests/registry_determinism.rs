@@ -9,6 +9,7 @@
 
 use dcl1::{Design, GpuConfig, GpuSystem, ProgressHook, SimOptions};
 use dcl1_bench::runner;
+use dcl1_obs::profiler::Phase;
 use dcl1_workloads::by_name;
 use std::str::FromStr;
 
@@ -103,4 +104,47 @@ fn registry_snapshot_reflects_run_totals() {
         assert_eq!(reg.get("shard.txns_produced"), reg.get("shard.txns_consumed"));
         assert_eq!(reg.get("shard.txns_in_flight"), Some(0));
     });
+}
+
+/// The profiler reads the clock on one step in `LAP_STRIDE` and counts
+/// every lap: on a heavy point, at one and at two domains, a profiled run
+/// dumps the unprofiled run's bytes, its Issue and Exchange laps number
+/// its steps, and its interconnect laps two a step (NoC#1, then NoC#2).
+#[test]
+fn sampled_laps_count_every_step_and_move_no_statistic() {
+    let cfg = GpuConfig::default();
+    let req = runner::RunRequest {
+        app: by_name("P-GEMM").expect("P-GEMM workload"),
+        design: Design::flagship(&cfg),
+        cfg,
+        opts: SimOptions::default(),
+    };
+    for shards in [1, 2] {
+        let run = |profiled: bool| {
+            runner::with_point(&req, runner::Scale::Smoke, shards, |sys, _| {
+                if profiled {
+                    sys.enable_profiler();
+                }
+                let dump = runner::canonical_stats_dump(&[(req.design.name(), sys.run_result()?)]);
+                let snapshot = sys.debug_snapshot();
+                let steps = snapshot
+                    .split_whitespace()
+                    .find_map(|f| f.strip_prefix("steps="))
+                    .and_then(|n| n.parse::<u64>().ok())
+                    .expect("steps in the snapshot");
+                Ok((dump, steps, sys.take_profiler()))
+            })
+            .expect("heavy point runs")
+        };
+        let (plain, steps, none) = run(false);
+        let (dump, profiled_steps, profile) = run(true);
+        let profile = profile.expect("profiler was enabled");
+        assert!(none.is_none());
+        assert_eq!(dump, plain, "{shards} domains: the profiler moved statistics");
+        assert_eq!(profiled_steps, steps, "{shards} domains");
+        assert_eq!(profile.count(Phase::Issue), steps, "{shards} domains: Issue laps");
+        assert_eq!(profile.count(Phase::Exchange), steps, "{shards} domains: Exchange laps");
+        assert_eq!(profile.count(Phase::Noc1), 2 * steps, "{shards} domains: interconnect laps");
+        assert!(profile.nanos(Phase::Issue) > 0, "{shards} domains: no lap was timed");
+    }
 }

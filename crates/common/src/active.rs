@@ -52,10 +52,11 @@ impl ActiveSet {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Whether `i` is in the set.
+    /// Whether `i` is in the set (an index past its capacity never is: a
+    /// walk that takes its set out leaves an empty one behind).
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+        self.words.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
     /// Whether no index is in the set.
@@ -121,6 +122,7 @@ mod tests {
         assert!(set.insert(0));
         assert!(set.insert(199));
         assert!(set.contains(64) && !set.contains(65));
+        assert!(!ActiveSet::default().contains(64), "past the capacity");
         set.remove(64);
         assert_eq!(set.iter().collect::<Vec<_>>(), [0, 199]);
         assert_eq!(set.count(), 2);

@@ -123,8 +123,9 @@ impl GpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when slice/MC counts don't divide evenly or
-    /// any structural parameter is zero.
+    /// Returns [`ConfigError`] when slice/MC counts don't divide evenly,
+    /// any structural parameter is zero, or a core has more wavefront
+    /// slots than [`dcl1_gpu::MAX_WAVEFRONTS`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 || self.l2_slices == 0 || self.mcs == 0 {
             return Err(ConfigError::new("cores, L2 slices and MCs must be nonzero"));
@@ -140,6 +141,12 @@ impl GpuConfig {
         }
         if !self.l1_bytes.is_multiple_of(self.l1_assoc * self.line_bytes) {
             return Err(ConfigError::new("L1 size must be a multiple of assoc × line size"));
+        }
+        if self.max_wavefronts > dcl1_gpu::MAX_WAVEFRONTS {
+            return Err(ConfigError::new(format!(
+                "at most {} wavefronts per core",
+                dcl1_gpu::MAX_WAVEFRONTS
+            )));
         }
         Ok(())
     }

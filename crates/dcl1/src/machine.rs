@@ -52,7 +52,7 @@ use crate::noc2::Noc2;
 use crate::node::{Dcl1Node, NodeConfig, NodeStats};
 use crate::presence::PresenceMap;
 use crate::shard::{self, CoreMeter, MachineCtx, Region, ShardDomain};
-use crate::sleep::{self, Census, Visit};
+use crate::sleep::{self, Alarm, Census, Visit};
 use crate::stats::RunStats;
 use crate::txn::Txn;
 use dcl1_cache::CacheStats;
@@ -63,7 +63,7 @@ use dcl1_gpu::{Core, CoreConfig, CoreStats, CtaDispatcher, CtaPolicy, TraceFacto
 use dcl1_mem::{DramAccess, L2Slice, MemoryController};
 use dcl1_noc::Crossbar;
 use dcl1_obs::metrics::MetricsSample;
-use dcl1_obs::profiler::{Phase, PhaseProfiler};
+use dcl1_obs::profiler::{Phase, PhaseProfiler, LAP_STRIDE};
 use dcl1_obs::registry::Registry;
 use dcl1_obs::Observer;
 use dcl1_resilience::SimError;
@@ -239,7 +239,8 @@ pub struct GpuSystem<'w> {
     progress: Option<ProgressHook<'w>>,
     /// Cycles between progress-hook callbacks.
     progress_every: u64,
-    /// Origin of the profiler lap in progress (`None` with the profiler off).
+    /// Origin of the profiler lap in progress (`None` with the profiler
+    /// off, or on a step it does not time).
     #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
     lap_t: Option<Instant>,
 
@@ -592,8 +593,9 @@ impl<'w> GpuSystem<'w> {
     }
 
     /// Turns on the hierarchical phase profiler: per-cycle pipeline
-    /// regions (issue, NoC#1, memory, exchange) are lap-timed with the
-    /// wall clock. Diagnostic only — results never reach simulation
+    /// laps (issue, interconnect, memory, exchange) are counted on every
+    /// step and timed with the wall clock on one step in
+    /// [`LAP_STRIDE`]. Diagnostic only — results never reach simulation
     /// state, so statistics stay byte-identical.
     pub fn enable_profiler(&mut self) {
         if self.profiler.is_none() {
@@ -615,15 +617,19 @@ impl<'w> GpuSystem<'w> {
         self.progress = Some(hook);
     }
 
-    /// Times one pipeline lap when the profiler is enabled, re-basing the
-    /// lap origin so consecutive calls partition the cycle.
+    /// Counts one pipeline lap when the profiler is enabled and, on a timed
+    /// step, times it, re-basing the lap origin so consecutive calls
+    /// partition the cycle.
     fn lap(&mut self, phase: Phase) {
-        if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), self.lap_t.as_mut()) {
+        let Some(p) = self.profiler.as_deref_mut() else { return };
+        let nanos = self.lap_t.as_mut().map(|t0| {
             #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
             let now = Instant::now();
-            p.add(phase, u64::try_from(now.duration_since(*t0).as_nanos()).unwrap_or(u64::MAX));
+            let nanos = u64::try_from(now.duration_since(*t0).as_nanos()).unwrap_or(u64::MAX);
             *t0 = now;
-        }
+            nanos
+        });
+        p.add_sampled(phase, nanos);
     }
 
     /// Arms the cycle-level progress watchdog: every `epoch_cycles`, the
@@ -859,19 +865,19 @@ impl<'w> GpuSystem<'w> {
 
     /// L2 ↔ DRAM moves and DRAM ticks (machine-wide: memory controllers
     /// serve slices from every domain, in global slice order), over the
-    /// slices and channels with work. The cycle's last visit to a slice:
-    /// it sleeps once `sleep::slice_sleeps` — a refused DRAM access awaits
-    /// the controller's next dequeue, a brewing reply two or more cycles
-    /// from ready the alarm set here. A channel with only a read completing
-    /// two or more ticks away sleeps to that tick.
+    /// slices with a DRAM access on offer and the channels with work. A
+    /// refused access waits for the controller's next dequeue. A channel
+    /// with only a read completing two or more ticks away sleeps to that
+    /// tick.
     fn exchange_memory(&mut self) {
         let GpuSystem {
-            shards, mcs, channels_live, dram_stash, dram_wait, dram_wheel, dram_clock, noc2, cfg, now, ..
+            shards, mcs, channels_live, dram_stash, dram_wait, dram_wheel, dram_clock, cfg, now, ..
         } = self;
         let spm = cfg.slices_per_mc();
         for d in shards.iter_mut() {
-            let ShardDomain { slices_live, l2, slice0, visits, wheel, .. } = d;
-            slices_live.retain(|i| {
+            let ShardDomain { slices, l2, slice0, visits, .. } = d;
+            let mut offering = std::mem::take(&mut slices.dram);
+            offering.retain(|i| {
                 let (s, l2) = (*slice0 + i, &mut l2[i]);
                 // L2 → DRAM (via stash).
                 if dram_stash[s].is_none() {
@@ -896,17 +902,13 @@ impl<'w> GpuSystem<'w> {
                     }
                 }
                 visits.visit(Visit::Slices, offered.is_some() && dram_stash[s].is_none());
-                let holds = (dram_stash[s].map(|_| true), noc2.stashed_waits(s));
-                let sleeps = sleep::slice_sleeps(l2, holds, |at| {
-                    let timed = at > *now + 2;
-                    if timed {
-                        wheel.schedule(*now, at, sleep::alarm_id(false, i));
-                    }
-                    timed
-                });
-                let idle = holds == (None, None) && l2.quiescent_horizon() == Some(u64::MAX);
-                !visits.park(Visit::Slices, sleeps, idle)
+                // Another access queued, none refused: on offer next cycle.
+                let offers = dram_stash[s].is_none() && l2.dram_out_len() > 0;
+                let idle = l2.is_idle() && dram_stash[s].is_none();
+                visits.park(Visit::Slices, !offers && slices.on_no_walk(i), idle);
+                offers
             });
+            slices.dram = offering;
         }
         // DRAM domain.
         let ticks = dram_clock.total_ticks();
@@ -922,14 +924,14 @@ impl<'w> GpuSystem<'w> {
                 let mut acted = issued;
                 while let Some((line, slice)) = mcs[mc].pop_reply() {
                     // Fills follow the cycle's slice ticks.
-                    shard::slice_awake(shards, slice, *now).dram_fill(line);
+                    shard::slice_filled(shards, slice, line, *now);
                     acted = true;
                 }
                 // So does the queue slot a dequeue frees.
                 for s in (mc * spm..(mc + 1) * spm).filter(|_| issued) {
                     if dram_wait.contains(s) {
                         dram_wait.remove(s);
-                        shard::slice_awake(shards, s, *now);
+                        shard::retry_dram(shards, s);
                     }
                 }
                 shards[0].visits.visit(Visit::Channels, acted);
@@ -1005,15 +1007,9 @@ impl<'w> GpuSystem<'w> {
         let unarmed = |site: String| Err(InvariantError::new(site, "asleep with no wake armed"));
         for d in &self.shards {
             d.check_sleepers(self.now, &self.rctx)?;
-            for i in (0..d.l2.len()).filter(|&i| !d.slices_live.contains(i)) {
-                let s = d.slice0 + i;
-                let dram = self.dram_stash[s].map(|_| self.dram_wait.contains(s));
-                let alarm = |at| d.wheel.is_set(self.now, at, sleep::alarm_id(false, i));
-                if !sleep::slice_sleeps(&d.l2[i], (dram, self.noc2.stashed_waits(s)), alarm) {
-                    return unarmed(format!("l2_{s}"));
-                }
-            }
+            d.check_offers()?;
         }
+        self.check_slices(self.now)?;
         let ticks = self.dram_clock.total_ticks();
         for (i, mc) in self.mcs.iter().enumerate() {
             match mc.quiescent_horizon().filter(|_| mc.now() <= ticks) {
@@ -1063,6 +1059,51 @@ impl<'w> GpuSystem<'w> {
                         cs.mem_stall_cycles.get()
                     ),
                 ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The coordinator's half of `ShardDomain::check_offers`, for the
+    /// slices: one off the L2 → DRAM walk has nothing queued for DRAM, or
+    /// a stashed access the controller refused; one off the reply walk has
+    /// a stashed reply the fabric refused, or none stashed and no head
+    /// reply that pops at the next inject (which sees the slices clocked
+    /// through `clock`), with the alarm of the cycle after it is ready set
+    /// if one brews.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first slice found with something to offer off a walk,
+    /// or a brewing reply with no alarm.
+    fn check_slices(&self, clock: Cycle) -> dcl1_common::InvariantResult {
+        for d in &self.shards {
+            for (i, l2) in d.l2.iter().enumerate() {
+                let s = d.slice0 + i;
+                let dram = match self.dram_stash[s] {
+                    Some(_) => !self.dram_wait.contains(s),
+                    None => l2.dram_out_len() > 0,
+                };
+                if dram && !d.slices.dram.contains(i) {
+                    return Err(sleep::off_walk(format!("l2_{s}")));
+                }
+                if d.slices.reply.contains(i) {
+                    continue;
+                }
+                let head = match self.noc2.stash_offers(s) {
+                    Some(offers) => offers.then_some(clock),
+                    None => l2.next_reply_in().map(|h| l2.now() + h),
+                };
+                let alarm =
+                    |ready: Cycle| d.wheel.is_set(self.now, ready + 1, sleep::alarm_id(Alarm::Slice, i));
+                match head {
+                    Some(ready) if ready <= clock => return Err(sleep::off_walk(format!("l2_{s}"))),
+                    Some(ready) if !alarm(ready) => {
+                        let site = format!("l2_{s}");
+                        return Err(dcl1_common::InvariantError::new(site, "asleep with no wake armed"));
+                    }
+                    _ => {}
+                }
             }
         }
         Ok(())
@@ -1157,14 +1198,19 @@ impl<'w> GpuSystem<'w> {
             return;
         }
         self.steps += 1;
+        // The profiler reads the clock on the last step of each stride
+        // only (not the first: a point's first step dispatches every core's
+        // CTAs into cold caches), and counts every step's laps.
+        let timed = self.profiler.is_some() && self.steps.is_multiple_of(LAP_STRIDE);
         #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
-        let lap_t = self.profiler.as_deref().map(|_| Instant::now());
+        let lap_t = timed.then(Instant::now);
         self.lap_t = lap_t;
         self.dispatch_ctas();
         self.run_regions(match self.topo.attachment {
             Attachment::Noc1 { .. } => &[Region::Issue, Region::Noc1],
             Attachment::Direct => &[Region::Issue],
         });
+        debug_assert_eq!(self.check_slices(self.now - 1), Ok(()));
         let GpuSystem { noc2, shards, obs, now, .. } = self;
         noc2.inject_requests(shards, obs, *now);
         noc2.inject_replies(shards, obs, *now);
@@ -1229,26 +1275,16 @@ impl<'w> GpuSystem<'w> {
         }
         let mut horizon = u64::MAX;
         for d in &self.shards {
-            if !d.outbox_wait.is_empty() || !d.xbars_live.is_empty() {
+            // A slice with anything on offer has work next cycle; a
+            // brewing reply's alarm is in the wheel.
+            let offers = [&d.outbox_wait, &d.xbars_live, &d.slices.tick, &d.slices.reply, &d.slices.dram];
+            if offers.iter().any(|set| !set.is_empty()) {
                 return;
             }
             for ni in d.nodes_live.iter() {
                 match d.nodes[ni].quiescent_horizon() {
                     None => return,
                     Some(h) => horizon = horizon.min(h),
-                }
-            }
-            for i in d.slices_live.iter() {
-                let s = d.slice0 + i;
-                if self.dram_stash[s].is_some() || self.noc2.has_stashed(s) {
-                    return;
-                }
-                match d.l2[i].quiescent_horizon() {
-                    None => return,
-                    // Replies are popped in the inject phase, which sees the
-                    // slice clock one tick behind the machine step count.
-                    Some(u64::MAX) => {}
-                    Some(h) => horizon = horizon.min(h + 1),
                 }
             }
         }
@@ -1329,9 +1365,6 @@ impl<'w> GpuSystem<'w> {
             }
             for ni in d.nodes_live.iter() {
                 d.nodes[ni].skip_cycles(skip);
-            }
-            for i in d.slices_live.iter() {
-                d.l2[i].skip_cycles(skip);
             }
         }
         self.noc2.skip_idle_cycles(skip);

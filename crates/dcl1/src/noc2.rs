@@ -32,8 +32,9 @@
 //! one back, first clocking it through the ticks it slept. A producer the
 //! fabric refuses is not offered again until the fabric reports the grant
 //! of its input ([`Crossbar::await_grant`] / `take_granted`): a node's Q3
-//! head waits in its domain's `q3_wait`, a slice's stashed reply on the
-//! crossbar's own awaited mask ([`Noc2::stashed_waits`]).
+//! head waits in its domain's `q3_wait`, off `q3_offer`; a slice's stashed
+//! reply on the crossbar's own awaited mask ([`Noc2::stash_offers`]), off
+//! the reply walk's offer set.
 //!
 //! ## Never sharded
 //!
@@ -45,7 +46,7 @@
 use crate::config::GpuConfig;
 use crate::design::{Noc2Kind, Topology};
 use crate::shard::{self, MachineCtx, ShardDomain};
-use crate::sleep::Visit;
+use crate::sleep::{head_reply_due, Visit};
 use crate::txn::Txn;
 use dcl1_common::{ActiveSet, ClockDomain, Cycle, InvariantError, InvariantResult};
 use dcl1_gpu::MemKind;
@@ -251,7 +252,8 @@ fn eject_into_l2(
         while d.l2[li].can_accept() {
             let Some(Packet { payload: txn, .. }) = x.pop_output(port) else { break };
             // Ejection precedes the cycle's slice ticks.
-            d.wake_slice(li, now - 1);
+            d.clock_slice(li, now - 1);
+            d.slices.tick.insert(li);
             let l2 = &mut d.l2[li];
             moved = true;
             obs.trace_hop(txn.id, "l2", now);
@@ -335,19 +337,6 @@ impl Noc2 {
         self.stash.iter().flatten().count()
     }
 
-    /// Whether slice `s` has a reply waiting in the stash.
-    pub(crate) fn has_stashed(&self, s: usize) -> bool {
-        self.stash[s].is_some()
-    }
-
-    /// Whether slice `s`'s stashed reply, if it has one, waits for a grant
-    /// of the input it was refused at: nothing else lets it move.
-    pub(crate) fn stashed_waits(&self, s: usize) -> Option<bool> {
-        self.stash[s].as_ref().map(|(i, pkt)| {
-            self.stage2.as_ref().map_or(&self.rep[*i], |stage2| &stage2.rep).awaits(pkt.src)
-        })
-    }
-
     /// No flit in any crossbar and no stashed reply.
     pub(crate) fn is_idle(&self) -> bool {
         self.xbars().all(Crossbar::is_idle) && self.stash.iter().all(Option::is_none)
@@ -359,9 +348,20 @@ impl Noc2 {
         !self.live.is_empty()
     }
 
+    /// Whether slice `s`'s stashed reply, if it has one, is on offer: the
+    /// fabric has room for it, or its refusal has yet to await the grant
+    /// (once it does, only the grant lets it move).
+    pub(crate) fn stash_offers(&self, s: usize) -> Option<bool> {
+        self.stash[s].as_ref().map(|(i, pkt)| {
+            let x = self.stage2.as_ref().map_or(&self.rep[*i], |stage2| &stage2.rep);
+            x.can_inject(pkt.src) || !x.awaits(pkt.src)
+        })
+    }
+
     /// Node Q3 → request injection: one head per node with one to offer
     /// per cycle (one per core port on the ideal single L1), in node
-    /// order. A refused head waits in `q3_wait` for a grant of its input.
+    /// order, over the nodes in `q3_offer`. A refused head waits in
+    /// `q3_wait` for a grant of its input.
     pub(crate) fn inject_requests(
         &mut self,
         shards: &mut [ShardDomain],
@@ -372,11 +372,8 @@ impl Noc2 {
         let pops = if topo.ideal_ports { topo.cores } else { 1 };
         let ticks = self.clock.total_ticks();
         for d in shards {
-            let ShardDomain { nodes_live, q3_wait, nodes, visits, node0, .. } = d;
-            for ni in nodes_live.iter() {
-                if q3_wait.contains(ni) {
-                    continue; // refused, and its input not granted since
-                }
+            let ShardDomain { q3_offer, q3_wait, nodes, visits, node0, .. } = d;
+            for ni in q3_offer.iter() {
                 let node = &mut nodes[ni];
                 let (i, port) = self.req_port[*node0 + ni];
                 let mut sent = false;
@@ -404,9 +401,12 @@ impl Noc2 {
     }
 
     /// L2 replies → reply injection through the per-slice stash, in slice
-    /// order over the slices with work. A reply is routed once, when it
-    /// enters the stash; a refused one awaits a grant of its input with
-    /// the packet it has.
+    /// order over the slices with a reply on offer (`SliceOffers::reply`), which
+    /// this visit clocks through the cycle before (the inject precedes the
+    /// cycle's slice ticks). A reply is routed once, when it enters the
+    /// stash; a refused one awaits a grant of its input with the packet it
+    /// has. The visit leaves a slice on the walk while it has more to
+    /// offer, and arms the next head otherwise.
     pub(crate) fn inject_replies(
         &mut self,
         shards: &mut [ShardDomain],
@@ -415,11 +415,16 @@ impl Noc2 {
     ) {
         let Noc2 { ctx, line_bytes, rep, clock, stage2, stash, live, .. } = self;
         for d in shards {
-            for li in d.slices_live.iter() {
-                let s = d.slice0 + li;
+            let slice0 = d.slice0;
+            let mut offering = std::mem::take(&mut d.slices.reply);
+            offering.retain(|li| {
+                let s = slice0 + li;
+                d.clock_slice(li, now - 1);
+                let ShardDomain { l2, wheel, visits, slices, .. } = &mut *d;
+                let l2 = &mut l2[li];
                 let mut moved = false;
                 if stash[s].is_none() {
-                    stash[s] = d.l2[li].pop_reply().map(|reply| {
+                    stash[s] = l2.pop_reply().map(|reply| {
                         let txn = reply.payload;
                         // Full-line fills for loads; acks/small data otherwise.
                         let data = match txn.kind {
@@ -444,8 +449,15 @@ impl Noc2 {
                         x.await_grant(pkt.src);
                     }
                 }
-                d.visits.visit(Visit::Slices, moved);
-            }
+                visits.visit(Visit::Slices, moved);
+                // A refused reply waits for its grant; with none stashed,
+                // the next head is armed.
+                let offers = stash[s].is_none() && head_reply_due(l2, wheel, li, now);
+                let idle = l2.is_idle() && stash[s].is_none();
+                visits.park(Visit::Slices, !offers && slices.on_no_walk(li), idle);
+                offers
+            });
+            d.slices.reply = offering;
         }
     }
 
@@ -503,7 +515,7 @@ impl Noc2 {
             for _ in 0..t2 {
                 let Some(flits) = tick_awake(live, 2 * n + 1, x) else { break };
                 for s in x.take_granted() {
-                    shard::slice_awake(shards, s, now - 1);
+                    shard::retry_reply(shards, s);
                 }
                 let (mut at, mut moved) = (0, false);
                 while let Some(port) = x.next_parked(at) {
@@ -520,7 +532,7 @@ impl Noc2 {
             for (i, x) in rep.iter_mut().enumerate() {
                 let Some(flits) = tick_awake(live, n + i, x) else { continue };
                 for src in x.take_granted().filter(|_| entry) {
-                    shard::slice_awake(shards, src * n + i, now - 1);
+                    shard::retry_reply(shards, src * n + i);
                 }
                 let (mut at, mut moved) = (0, false);
                 while let Some(port) = x.next_parked(at) {

@@ -16,10 +16,10 @@
 use crate::design::{Attachment, Topology};
 use crate::node::Dcl1Node;
 use crate::presence::{PresenceLog, PresenceMap, PresenceSession};
-use crate::sleep::{Census, Visit};
+use crate::sleep::{alarm_id, Alarm, Census, SliceOffers, Visit};
 use crate::txn::Txn;
 use dcl1_common::stats::RunningMean;
-use dcl1_common::{ActiveSet, Cycle, FlowMeter, Histogram, WakeWheel};
+use dcl1_common::{ActiveSet, Cycle, FlowMeter, Histogram, LineAddr, WakeWheel};
 use dcl1_gpu::{Core, MemBlock, MemKind};
 use dcl1_mem::L2Slice;
 use dcl1_noc::{Crossbar, Packet};
@@ -161,6 +161,10 @@ pub(crate) struct ShardDomain {
     /// Nodes whose Q3 head NoC#2 refused: offered again only once the
     /// input it awaits is granted.
     pub q3_wait: ActiveSet,
+    /// Nodes with a Q3 head on offer to NoC#2: Q3 non-empty and not
+    /// waiting. Set at the node's visit of the Mem region, the cycle's
+    /// last; the Q3 walk visits only these.
+    pub q3_offer: ActiveSet,
     pub noc1_req: Vec<Crossbar<Txn>>,
     pub noc1_rep: Vec<Crossbar<Txn>>,
     /// NoC#1 crossbars a tick or an ejection can move a packet in: cluster
@@ -170,10 +174,10 @@ pub(crate) struct ShardDomain {
     /// Q1: ticked again once a node of the cluster has room.
     pub xbars_wait: ActiveSet,
     pub l2: Vec<L2Slice<Txn>>,
-    /// Slices a tick, a reply offer or a DRAM offer can move something in.
-    pub slices_live: ActiveSet,
-    /// Alarms, by cycle, of the nodes and slices whose only pending thing
-    /// is a timer.
+    /// The slice walks' offer sets: a slice on none of them sleeps.
+    pub slices: SliceOffers,
+    /// Alarms, by cycle, of the cores, nodes and slices waiting on a
+    /// timer.
     pub wheel: WakeWheel,
 
     /// Presence deltas accumulated by this domain's node ticks, replayed
@@ -213,12 +217,13 @@ impl ShardDomain {
             cores,
             nodes_live: ActiveSet::full(nodes.len()),
             q3_wait: ActiveSet::new(nodes.len()),
+            q3_offer: ActiveSet::full(nodes.len()),
             nodes,
             xbars_live: ActiveSet::full(2 * noc1_req.len()),
             xbars_wait: ActiveSet::new(2 * noc1_req.len()),
             noc1_req,
             noc1_rep,
-            slices_live: ActiveSet::full(l2.len()),
+            slices: SliceOffers::full(l2.len()),
             l2,
             wheel: WakeWheel::new(),
             plog: PresenceLog::new(),
@@ -252,6 +257,7 @@ impl ShardDomain {
         // The cycle's first pass: the timers that expire in it ring here.
         self.ring_alarms(now);
         debug_assert_eq!(self.check_sleepers(now, ctx), Ok(()));
+        debug_assert_eq!(self.check_offers(), Ok(()));
         // Nothing wakes a core during the pass: the set can leave `self`.
         let mut live = std::mem::take(&mut self.cores_live);
         live.retain(|i| {
@@ -263,12 +269,18 @@ impl ShardDomain {
             }
             // Park a core with no head left to offer whose ticks are
             // predetermined: nothing ready, or only memory instructions
-            // ready behind a head that waits.
-            let waits = self.outbox_wait.contains(i);
+            // ready behind a head that waits, until an alarm at its
+            // earliest ALU expiry — unless that is the next cycle anyway.
+            let (core, waits) = (&self.cores[i], self.outbox_wait.contains(i));
+            let expiry = core.next_busy_expiry();
             let parks = (waits || self.outbox[i].is_empty())
-                && self.cores[i].inert().is_some_and(|port_blocked| !port_blocked || waits);
-            if parks {
+                && core.inert().is_some_and(|port_blocked| !port_blocked || waits)
+                && expiry > now + 1;
+            if self.visits.park(Visit::Cores, parks, core.is_drained()) {
                 self.parked_at[i] = now;
+                if expiry != Cycle::MAX {
+                    self.wheel.schedule(now, expiry, alarm_id(Alarm::Core, i));
+                }
             }
             !parks
         });
@@ -415,11 +427,13 @@ impl ShardDomain {
         }
     }
 
-    /// L2 slice ticks, then one pass over the nodes with work: the node's
-    /// tick (presence reads from the cycle-start snapshot, writes to the
-    /// domain log) and its reply drain — node `j`'s tick never reads what
-    /// node `i`'s drain wrote. The cycle's last visit to a node: one that
-    /// can do nothing more goes to sleep ([`node_sleeps`]).
+    /// Ticks of the slices whose input has a head to serve (a reply queued
+    /// behind none, or a DRAM access, puts the slice on that walk), then one pass
+    /// over the nodes with work: the node's tick (presence reads from the
+    /// cycle-start snapshot, writes to the domain log) and its reply drain
+    /// — node `j`'s tick never reads what node `i`'s drain wrote. The
+    /// cycle's last visit to a node: one that can do nothing more goes to
+    /// sleep ([`node_sleeps`]), and whether its Q3 head is on offer is set.
     ///
     /// [`node_sleeps`]: ShardDomain::node_sleeps
     fn region_mem(
@@ -429,10 +443,17 @@ impl ShardDomain {
         presence: &PresenceMap,
         obs: &mut Observer,
     ) {
-        for i in self.slices_live.iter() {
-            let served = self.l2[i].tick();
+        let mut ticking = std::mem::take(&mut self.slices.tick);
+        ticking.retain(|i| {
+            let l2 = &mut self.l2[i];
+            let brewing = l2.replies_pending() > 0;
+            let served = l2.tick();
             self.visits.visit(Visit::Slices, served);
-        }
+            let serves = self.slices.after_change(l2, &mut self.wheel, i, brewing, now);
+            self.visits.park(Visit::Slices, !serves && self.slices.on_no_walk(i), l2.is_idle());
+            serves
+        });
+        self.slices.tick = ticking;
         // Nothing wakes a node during the pass: the set can leave `self`.
         let mut live = std::mem::take(&mut self.nodes_live);
         live.retain(|ni| {
@@ -441,7 +462,13 @@ impl ShardDomain {
             let drained = self.drain_replies(ni, now, ctx, obs);
             self.visits.visit(Visit::Nodes, moved || drained);
             // Only a node whose tick moved nothing can have nothing to do.
-            moved || !self.node_sleeps(ni, now, ctx)
+            let awake = moved || !self.node_sleeps(ni, now, ctx);
+            if self.nodes[ni].q3_len() > 0 && !self.q3_wait.contains(ni) {
+                self.q3_offer.insert(ni);
+            } else {
+                self.q3_offer.remove(ni);
+            }
+            awake
         });
         self.nodes_live = live;
     }
@@ -567,6 +594,7 @@ pub(crate) fn node_awake(shards: &mut [ShardDomain], n: usize, through: Cycle) -
 pub(crate) fn retry_q3(shards: &mut [ShardDomain], n: usize, through: Cycle) {
     let (d, i) = domain_of_node(shards, n);
     d.q3_wait.remove(i);
+    d.q3_offer.insert(i);
     d.wake_node(i, through);
 }
 
@@ -580,9 +608,32 @@ pub(crate) fn domain_of_slice(shards: &mut [ShardDomain], s: usize) -> (&mut Sha
     (d, i)
 }
 
-/// Global L2 slice `s`, awake ([`ShardDomain::wake_slice`]).
-pub(crate) fn slice_awake(shards: &mut [ShardDomain], s: usize, through: Cycle) -> &mut L2Slice<Txn> {
+/// NoC#2 granted the input global L2 slice `s`'s stashed reply waited
+/// at: the reply is on offer again.
+pub(crate) fn retry_reply(shards: &mut [ShardDomain], s: usize) {
     let (d, i) = domain_of_slice(shards, s);
-    d.wake_slice(i, through);
-    &mut d.l2[i]
+    d.slices.reply.insert(i);
+}
+
+/// DRAM returned `line` to global L2 slice `s` in cycle `now`, after the
+/// cycle's slice walks: clocked through `now`, the slice takes the fill,
+/// and whatever the fill gives it to offer is on offer — the input head
+/// it unblocks, the reply it queues behind none, the dirty line it
+/// evicts.
+pub(crate) fn slice_filled(shards: &mut [ShardDomain], s: usize, line: LineAddr, now: Cycle) {
+    let (d, i) = domain_of_slice(shards, s);
+    d.clock_slice(i, now);
+    let l2 = &mut d.l2[i];
+    let brewing = l2.replies_pending() > 0;
+    l2.dram_fill(line);
+    if d.slices.after_change(l2, &mut d.wheel, i, brewing, now) {
+        d.slices.tick.insert(i);
+    }
+}
+
+/// The controller that refused global L2 slice `s`'s stashed DRAM access
+/// dequeued: the access is on offer again.
+pub(crate) fn retry_dram(shards: &mut [ShardDomain], s: usize) {
+    let (d, i) = domain_of_slice(shards, s);
+    d.slices.dram.insert(i);
 }

@@ -7,17 +7,26 @@
 //! controller dequeue, Q1 room, or an alarm in the domain's wake wheel.
 //! Whoever causes the event puts the component back, first clocking it
 //! through the cycles it slept and crediting what their ticks would have
-//! counted. This module is [`ShardDomain`]'s half of that protocol — the
-//! wakes, the settling of every sleeper for a reader of statistics, the
-//! node's park decision, the invariant that no sleeper is left without a
-//! wake — and the visit census that measures what the walks cost.
+//! counted. An L2 slice has one such set per walk (tick, reply inject,
+//! L2 → DRAM), each holding the slices with something for that walk, and
+//! is clocked only when a walk needs its clock. This module is
+//! [`ShardDomain`]'s half of that protocol — the wakes, the settling of
+//! every sleeper for a reader of statistics, the node's park decision, the
+//! invariant that no sleeper is left without a wake — and the visit
+//! census that measures what the walks cost.
 
 use crate::design::Attachment;
 use crate::shard::{MachineCtx, ShardDomain};
 use crate::txn::Txn;
-use dcl1_common::{Cycle, InvariantError, InvariantResult};
+use dcl1_common::{ActiveSet, Cycle, InvariantError, InvariantResult, WakeWheel};
 use dcl1_mem::L2Slice;
 use dcl1_noc::Crossbar;
+
+/// The invariant error of a component with something to offer off the
+/// walk that would take it.
+pub(crate) fn off_walk(site: String) -> InvariantError {
+    InvariantError::new(site, "has something to offer off its walk")
+}
 
 /// Component classes of the per-cycle visit tally (`debug_snapshot`).
 #[derive(Debug, Clone, Copy)]
@@ -69,28 +78,93 @@ pub(crate) fn wheel_id(i: usize) -> u32 {
     i as u32
 }
 
-/// The id, in its domain's wake wheel, of the alarm of the node (or else
-/// slice) with local index `i`.
-pub(crate) fn alarm_id(node: bool, i: usize) -> u32 {
-    wheel_id(i) << 1 | u32::from(node)
+/// Whose alarm a domain's wake wheel rings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Alarm {
+    /// An L2 slice's brewing reply.
+    Slice,
+    /// A DC-L1 node's maturing hit.
+    Node,
+    /// A core's earliest ALU-busy expiry.
+    Core,
 }
 
-/// Whether an L2 slice can be off the walks: its ticks serve nothing, and
-/// whatever it holds has its wake armed. `holds` is what the coordinator
-/// keeps for it — a stashed DRAM access, if any, and whether the
-/// controller's next dequeue is awaited; a stashed reply, if any, and
-/// whether the grant of its NoC#2 input is. With no reply stashed, one
-/// brewing needs an alarm for the cycle after its ready one (the inject
-/// phase that pops it runs ahead of the slice's tick): `alarm` sets or
-/// checks it.
-pub(crate) fn slice_sleeps(
-    l2: &L2Slice<Txn>,
-    (dram, reply): (Option<bool>, Option<bool>),
-    alarm: impl FnOnce(Cycle) -> bool,
-) -> bool {
-    l2.input_blocked()
-        && dram.unwrap_or(l2.dram_out_len() == 0)
-        && reply.unwrap_or_else(|| l2.next_reply_in().is_none_or(|h| alarm(l2.now() + h + 1)))
+/// The id, in its domain's wake wheel, of the alarm of the `kind`
+/// component with local index `i`.
+pub(crate) fn alarm_id(kind: Alarm, i: usize) -> u32 {
+    wheel_id(i) << 2 | kind as u32
+}
+
+/// The three slice walks' offer sets (local indices). A slice is on each
+/// walk it has something for, and asleep when on none; whatever gives it
+/// something puts it back. A walk takes its own set out while it runs, so
+/// [`on_no_walk`](SliceOffers::on_no_walk) then asks about the other two.
+#[derive(Debug)]
+pub(crate) struct SliceOffers {
+    /// Slices whose input a tick serves from (not
+    /// [`L2Slice::input_blocked`]). A slice off this walk is clocked when
+    /// a walk or a reader next needs its clock
+    /// ([`ShardDomain::clock_slice`]).
+    pub tick: ActiveSet,
+    /// Slices with a reply to offer NoC#2: a head reply that pops at this
+    /// cycle's inject, or a stashed one the fabric has not refused since
+    /// its input's grant. Whatever changes the head arms it
+    /// ([`head_reply_due`]): at once, or by the alarm of the cycle it pops.
+    pub reply: ActiveSet,
+    /// Slices with a DRAM access to offer: one queued with none stashed,
+    /// or a stashed one the controller has not refused since its last
+    /// dequeue.
+    pub dram: ActiveSet,
+}
+
+impl SliceOffers {
+    /// Every one of `slices` on every walk.
+    pub(crate) fn full(slices: usize) -> Self {
+        let all = ActiveSet::full(slices);
+        SliceOffers { tick: all.clone(), reply: all.clone(), dram: all }
+    }
+
+    /// Whether slice `i` is on no walk (but the one running, if any).
+    pub(crate) fn on_no_walk(&self, i: usize) -> bool {
+        !(self.tick.contains(i) || self.reply.contains(i) || self.dram.contains(i))
+    }
+
+    /// After a tick or a DRAM fill changed slice `i` in cycle `now`: puts
+    /// it on the reply walk if it queued a reply behind none (`brewing`:
+    /// one was queued before) that pops at the next inject — else arms
+    /// the reply's alarm — and on the L2 → DRAM walk if it has an access
+    /// queued. Returns whether its input has a head a tick serves.
+    pub(crate) fn after_change(
+        &mut self,
+        l2: &L2Slice<Txn>,
+        wheel: &mut WakeWheel,
+        i: usize,
+        brewing: bool,
+        now: Cycle,
+    ) -> bool {
+        if !brewing && head_reply_due(l2, wheel, i, now) {
+            self.reply.insert(i);
+        }
+        if l2.dram_out_len() > 0 {
+            self.dram.insert(i);
+        }
+        !l2.input_blocked()
+    }
+}
+
+/// Whether slice `i`'s head reply, with none stashed, pops at the next
+/// inject — that of cycle `now + 1`, which sees the slice clocked through
+/// `now` — and so belongs on the reply walk. If it brews longer, the
+/// alarm for the cycle after it is ready is set instead. Called wherever
+/// the head can change with nothing stashed: after an inject visit, and
+/// when a tick or a fill queues a reply behind none.
+pub(crate) fn head_reply_due(l2: &L2Slice<Txn>, wheel: &mut WakeWheel, i: usize, now: Cycle) -> bool {
+    let Some(h) = l2.next_reply_in() else { return false };
+    let ready = l2.now() + h;
+    if ready > now {
+        wheel.schedule(now, ready + 1, alarm_id(Alarm::Slice, i));
+    }
+    ready <= now
 }
 
 impl ShardDomain {
@@ -116,10 +190,8 @@ impl ShardDomain {
                 node.skip_cycles(now - node.now());
             }
         }
-        for (i, l2) in self.l2.iter_mut().enumerate() {
-            if !self.slices_live.contains(i) {
-                l2.skip_cycles(now - l2.now());
-            }
+        for i in 0..self.l2.len() {
+            self.clock_slice(i, now);
         }
         let ticks = now * ctx.topo.noc1_ticks_per_cycle();
         for xi in 0..2 * self.noc1_req.len() {
@@ -147,12 +219,14 @@ impl ShardDomain {
         }
     }
 
-    /// Puts slice `i` back on the slice walks, clocked through `through`:
-    /// `now - 1` for a request (NoC#2 ejection precedes the cycle's slice
-    /// ticks), `now` for a DRAM fill (it follows them).
-    pub(crate) fn wake_slice(&mut self, i: usize, through: Cycle) {
-        if self.slices_live.insert(i) {
-            let l2 = &mut self.l2[i];
+    /// Clocks slice `i` through `through`, crediting the ticks the tick
+    /// walk skipped (its input served nothing): `now - 1` for a request
+    /// (NoC#2 ejection precedes the cycle's slice ticks) and for the
+    /// reply inject (it precedes them too), `now` for a DRAM fill (it
+    /// follows them).
+    pub(crate) fn clock_slice(&mut self, i: usize, through: Cycle) {
+        let l2 = &mut self.l2[i];
+        if l2.now() < through {
             l2.skip_cycles(through - l2.now());
         }
     }
@@ -174,12 +248,17 @@ impl ShardDomain {
         }
     }
 
-    /// Wakes every component, each clocked (and credited) through `now`.
+    /// Wakes every component, each clocked (and credited) through `now`,
+    /// and puts each on every walk that offers: the next step visits them
+    /// all, as a machine with neither sleepers nor offer sets would.
     pub(crate) fn wake_all(&mut self, now: Cycle, ctx: &MachineCtx) {
         (0..self.cores.len()).for_each(|i| self.wake_core(i, now));
         (0..self.nodes.len()).for_each(|ni| self.wake_node(ni, now));
-        (0..self.l2.len()).for_each(|i| self.wake_slice(i, now));
+        (0..self.l2.len()).for_each(|i| self.clock_slice(i, now));
         (0..2 * self.noc1_req.len()).for_each(|xi| self.wake_xbar(xi, now, ctx));
+        self.slices = SliceOffers::full(self.l2.len());
+        self.q3_offer = ActiveSet::full(self.nodes.len());
+        self.q3_wait.iter().for_each(|ni| self.q3_offer.remove(ni));
     }
 
     /// The port outbox `i`'s head waits on freed a slot: visit the core
@@ -191,13 +270,18 @@ impl ShardDomain {
         }
     }
 
-    /// Wakes the nodes and slices whose alarm rings in cycle `now`, ahead of
-    /// its first pass.
+    /// Wakes the cores and nodes whose alarm rings in cycle `now`, ahead of
+    /// its first pass, and puts the slices whose head reply it rings for
+    /// on the reply walk.
     pub(crate) fn ring_alarms(&mut self, now: Cycle) {
         while let Some(id) = self.wheel.pop_due(now) {
-            match id & 1 {
-                1 => self.wake_node((id >> 1) as usize, now - 1),
-                _ => self.wake_slice((id >> 1) as usize, now - 1),
+            let i = (id >> 2) as usize;
+            match id & 3 {
+                1 => self.wake_node(i, now - 1),
+                2 => self.wake_core(i, now - 1),
+                _ => {
+                    self.slices.reply.insert(i);
+                }
             }
         }
     }
@@ -225,7 +309,7 @@ impl ShardDomain {
         let sleeps = match horizon {
             Some(h) if h >= 2 => {
                 if h != u64::MAX {
-                    self.wheel.schedule(now, node.now() + h, alarm_id(true, ni));
+                    self.wheel.schedule(now, node.now() + h, alarm_id(Alarm::Node, ni));
                 }
                 true
             }
@@ -235,15 +319,41 @@ impl ShardDomain {
         self.visits.park(Visit::Nodes, sleeps, horizon == Some(u64::MAX))
     }
 
+    /// What the offer walks skip has nothing for them: a node outside
+    /// `q3_offer` has an empty Q3, or its head awaits a grant; a slice
+    /// off the tick walk has an input a tick serves nothing from.
+    /// (The DRAM and reply offers are the coordinator's:
+    /// `GpuSystem::check_slices`.)
+    ///
+    /// # Errors
+    ///
+    /// Returns the first component found with something to offer off its
+    /// walk.
+    pub(crate) fn check_offers(&self) -> InvariantResult {
+        for (ni, node) in self.nodes.iter().enumerate() {
+            if !self.q3_offer.contains(ni) && node.q3_len() > 0 && !self.q3_wait.contains(ni) {
+                return Err(off_walk(format!("node{}", self.node0 + ni)));
+            }
+        }
+        for (i, l2) in self.l2.iter().enumerate() {
+            if !self.slices.tick.contains(i) && !l2.input_blocked() {
+                return Err(off_walk(format!("l2_{}", self.slice0 + i)));
+            }
+        }
+        Ok(())
+    }
+
     /// Everything outside a set can do nothing, and what ends that is
     /// armed: a parked core is inert with no head to offer (a waiting one,
-    /// if port-blocked) and only non-empty outboxes wait; a sleeping node
+    /// if port-blocked), with an alarm at its earliest ALU expiry, and
+    /// only non-empty outboxes wait; a sleeping node
     /// holds nothing, or only maturing hits with an alarm set, or is
     /// blocked behind grants it awaits; a sleeping NoC#1 crossbar is
     /// empty, or waits for the Q1 room of nodes that all refuse what it
-    /// has parked for them; a sleeping slice's ticks serve nothing; and no
-    /// sleeper's clock is ahead of `now`. (What a sleeping slice waits on is
-    /// the coordinator's: `GpuSystem::invariant_sweep`.)
+    /// has parked for them; and no sleeper's clock — nor any slice's,
+    /// clocked only when a walk needs it — is ahead of `now`. (What a
+    /// slice off its walks waits on is the coordinator's:
+    /// `GpuSystem::check_slices`.)
     ///
     /// # Errors
     ///
@@ -257,6 +367,12 @@ impl ShardDomain {
             if (waits && empty) || (parked && !(inert && (empty || waits) && self.parked_at[i] <= now)) {
                 return fail(format!("core{}", self.core0 + i));
             }
+            let expiry = core.next_busy_expiry();
+            let alarm = || self.wheel.is_set(now, expiry, alarm_id(Alarm::Core, i));
+            if parked && expiry != Cycle::MAX && !alarm() {
+                let site = format!("core{}", self.core0 + i);
+                return Err(InvariantError::new(site, "asleep with no wake armed"));
+            }
         }
         for (ni, node) in self.nodes.iter().enumerate() {
             let site = || format!("node{}", self.node0 + ni);
@@ -268,7 +384,7 @@ impl ShardDomain {
             }
             let armed = match node.quiescent_horizon() {
                 Some(u64::MAX) => true,
-                Some(h) => self.wheel.is_set(now, node.now() + h, alarm_id(true, ni)),
+                Some(h) => self.wheel.is_set(now, node.now() + h, alarm_id(Alarm::Node, ni)),
                 None if !node.blocked() => return fail(site()),
                 None => self.outputs_wait(ni, ctx),
             };
@@ -279,7 +395,7 @@ impl ShardDomain {
             }
         }
         for (i, l2) in self.l2.iter().enumerate() {
-            if !(self.slices_live.contains(i) || l2.input_blocked() && l2.now() <= now) {
+            if l2.now() > now {
                 return fail(format!("l2_{}", self.slice0 + i));
             }
         }

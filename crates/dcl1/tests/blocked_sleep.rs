@@ -106,3 +106,34 @@ fn reading_every_cycle_matches_reading_once_with_and_without_fast_forward() {
         );
     }
 }
+
+/// The cheap-step class: on the 12 heavy points, at two domains, cores
+/// sleep on ALU latencies too, and the offer walks skip whatever has
+/// nothing for them. Read once, a run agrees with one whose every
+/// component is polled — woken and put on every walk — every cycle.
+#[test]
+fn heavy_points_at_two_domains_read_once_match_polled() {
+    let cfg = dcl1::GpuConfig::default();
+    let mut cores_parked = 0;
+    for (label, kernel, design) in util::heavy_points() {
+        let build = |opts| {
+            let mut sys = GpuSystem::build(&cfg, &design, &kernel, opts).unwrap();
+            sys.set_shards(2);
+            sys.enable_registry();
+            sys
+        };
+        let opts = SimOptions::default();
+        let mut lazy = build(opts);
+        let want = everything(&mut lazy);
+        let cycles = lazy.now();
+        assert!(cycles < opts.max_cycles, "{label}: did not drain");
+        let mut polled = build(SimOptions { max_cycles: cycles, ..opts });
+        for _ in 0..cycles {
+            polled.step();
+            polled.wake_all();
+        }
+        assert_same(&everything(&mut polled), &want, &format!("{label}, polled"));
+        cores_parked += census(&lazy.debug_snapshot(), "parked_cores");
+    }
+    assert!(cores_parked > 0, "no heavy point parked a core");
+}

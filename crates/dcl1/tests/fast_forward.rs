@@ -47,6 +47,24 @@ fn fast_forward_is_bit_identical_across_designs() {
     }
 }
 
+/// The 12 heavy points at two domains, with the runner's warm-up (a third
+/// of the kernel's instructions): the jump lands where stepping does.
+#[test]
+fn fast_forward_is_bit_identical_on_the_heavy_points_at_two_domains() {
+    let cfg = GpuConfig::default();
+    for (label, kernel, design) in util::heavy_points() {
+        let total = kernel.spec().total_instructions();
+        let run = |fast_forward| {
+            let opts =
+                SimOptions { warmup_instructions: total / 3, fast_forward, ..SimOptions::default() };
+            let mut sys = GpuSystem::build(&cfg, &design, &kernel, opts).expect("build");
+            sys.set_shards(2);
+            sys.run()
+        };
+        assert_bit_identical(&run(false), &run(true), &label);
+    }
+}
+
 #[test]
 fn fast_forward_respects_warmup_and_sampling_boundaries() {
     // Warmup resets fire on 64-cycle probes and replica samples on

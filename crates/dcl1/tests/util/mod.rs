@@ -147,3 +147,30 @@ pub(crate) fn machines() -> Vec<(GpuConfig, Design)> {
     all.push((ten, Design::Baseline));
     all
 }
+
+/// The three applications that carry most of the grid's simulated cycles.
+const HEAVY_APPS: [&str; 3] = ["P-GEMM", "C-RAY", "P-3MM"];
+
+/// The 12 heavy points — each heavy application on each of the grid's four
+/// designs, on the default machine — at smoke length (a sixteenth of each
+/// trace): `(label, kernel, design)`. The cheap-step class: mostly ALU
+/// work, so their cores sleep on ALU latencies as well as on fills.
+#[allow(dead_code)] // the sleeper and fast-forward tests only
+pub(crate) fn heavy_points() -> Vec<(String, dcl1_workloads::SharedSpec, Design)> {
+    let cfg = GpuConfig::default();
+    let designs = [
+        Design::Baseline,
+        Design::Private { nodes: 40 },
+        Design::Shared { nodes: 40 },
+        Design::flagship(&cfg),
+    ];
+    let mut points = Vec::new();
+    for app in HEAVY_APPS {
+        let spec = dcl1_workloads::by_name(app).unwrap().scaled(1, 16);
+        for design in designs {
+            let kernel = dcl1_workloads::SharedSpec::new(spec);
+            points.push((format!("{app}/{}", design.name()), kernel, design));
+        }
+    }
+    points
+}

@@ -123,25 +123,17 @@ pub struct IssuedMem {
     pub instr: MemInstr,
 }
 
-/// Outcome of visiting one slot during an issue scan.
-enum Visit {
-    /// Nothing issued from this slot; keep scanning.
-    Continue,
-    /// An ALU instruction issued; the cycle is consumed.
-    Alu,
-    /// A memory instruction issued; the cycle is consumed.
-    Mem(IssuedMem),
-}
-
-/// Scan-wide accumulators threaded through [`Core::visit_slot`].
-struct ScanAcc {
-    mem_blocked: bool,
-    any_ready: bool,
-    ready_blocked: usize,
-    min_busy: Cycle,
-}
+/// The most wavefront slots a core can have: one bit each in its slot
+/// masks.
+pub const MAX_WAVEFRONTS: usize = 64;
 
 /// One GPU core: wavefront contexts plus a greedy round-robin issue stage.
+///
+/// Which slots can issue is kept exact on every event that changes it —
+/// issue, retirement, a fill, a CTA's arrival and an ALU latency running
+/// out — so a tick visits only the ready slots, and a tick with none (or
+/// with only memory instructions ready behind a closed port) visits no
+/// slot at all.
 #[derive(Debug)]
 pub struct Core {
     id: CoreId,
@@ -163,40 +155,33 @@ pub struct Core {
     /// classification: any waiter makes an idle cycle a fill-wait).
     waiting_wavefronts: usize,
     rr: usize,
-    /// Schedulable-slot bitmask, valid when `use_mask`: bit `i` is set iff
-    /// slot `i` holds a wavefront that is *not* `WaitingMem` — i.e. stored
-    /// `Ready` or `Busy` (lazy `Busy → Ready` resolution happens during
-    /// the scan, so `Busy` slots must stay visible to it). Issue scans walk
-    /// only set bits, making scan cost proportional to schedulable
-    /// wavefronts instead of `max_wavefronts`; in memory-bound phases most
-    /// slots are `WaitingMem` and the scan collapses to a few bit tricks.
-    sched_mask: u64,
-    /// Whether `sched_mask` covers every slot (`max_wavefronts <= 64`).
-    /// Larger cores fall back to the full rotated scan.
-    use_mask: bool,
+    /// Slots whose wavefront can issue (stored `Ready`). Bit `i` is slot
+    /// `i`; every occupied slot is in exactly one of `ready`, `busy` or
+    /// waiting on memory.
+    ready: u64,
+    /// The ready slots whose next instruction is a memory instruction a
+    /// closed port has already turned away: a tick behind a closed port
+    /// need not look at them again.
+    mem_ready: u64,
+    /// Slots whose wavefront executes an ALU instruction (stored `Busy`).
+    busy: u64,
+    /// The earliest cycle a `busy` wavefront becomes ready (`Cycle::MAX`
+    /// if none): exact, so nothing expires before it.
+    next_busy_expiry: Cycle,
     /// Reusable scratch buffer for GTO ordering (avoids per-tick allocs).
     order_buf: Vec<usize>,
-    /// Inert-tick memo: when `scan_valid`, the last full scan issued
-    /// nothing, found `validated_ready` stored-`Ready` wavefronts (all
-    /// memory-blocked), and no `Busy` wavefront expires before
-    /// `next_busy_expiry`. While those facts hold, a tick's outcome is
-    /// fully determined without rescanning the slots.
-    scan_valid: bool,
-    /// Stored-`Ready` slots; exact while `scan_valid` (incremented by
-    /// [`complete_access`](Core::complete_access) and
-    /// [`add_cta`](Core::add_cta), reset by every validating scan).
-    ready_count: usize,
-    /// `ready_count` at validation time.
-    validated_ready: usize,
-    /// Earliest `until` among `Busy` wavefronts at validation time
-    /// (`Cycle::MAX` if none) — a lower bound on every later expiry.
-    next_busy_expiry: Cycle,
     stats: CoreStats,
 }
 
 impl Core {
     /// Creates an empty core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_wavefronts` exceeds [`MAX_WAVEFRONTS`]
+    /// (`GpuConfig::validate` refuses such a machine first).
     pub fn new(id: CoreId, config: CoreConfig) -> Self {
+        assert!(config.max_wavefronts <= MAX_WAVEFRONTS, "more than {MAX_WAVEFRONTS} wavefront slots");
         Core {
             id,
             config,
@@ -209,13 +194,11 @@ impl Core {
             resident_wavefronts: 0,
             waiting_wavefronts: 0,
             rr: 0,
-            sched_mask: 0,
-            use_mask: config.max_wavefronts <= 64,
+            ready: 0,
+            mem_ready: 0,
+            busy: 0,
+            next_busy_expiry: Cycle::MAX,
             order_buf: Vec::with_capacity(config.max_wavefronts),
-            scan_valid: false,
-            ready_count: 0,
-            validated_ready: 0,
-            next_busy_expiry: 0,
             stats: CoreStats::default(),
         }
     }
@@ -242,37 +225,20 @@ impl Core {
             && self.slots.len() - self.resident_wavefronts >= wavefronts
     }
 
-    /// Marks slot `idx` schedulable (no-op on mask-less large cores).
-    #[inline]
-    fn mask_set(&mut self, idx: usize) {
-        if self.use_mask {
-            self.sched_mask |= 1 << idx;
-        }
-    }
-
-    /// Marks slot `idx` unschedulable (no-op on mask-less large cores).
-    #[inline]
-    fn mask_clear(&mut self, idx: usize) {
-        if self.use_mask {
-            self.sched_mask &= !(1 << idx);
-        }
-    }
-
-    /// Debug-build check that `sched_mask` mirrors the slots: bit set iff
-    /// the slot is occupied by a non-`WaitingMem` wavefront.
+    /// Debug-build check that the slot masks mirror the stored states.
     #[cfg(debug_assertions)]
-    fn debug_assert_mask(&self) {
-        if !self.use_mask {
-            return;
-        }
+    fn debug_assert_masks(&self) {
         for (i, slot) in self.slots.iter().enumerate() {
-            let want = matches!(slot, Some(wf) if !wf.is_waiting_mem());
-            debug_assert_eq!(
-                self.sched_mask & (1 << i) != 0,
-                want,
-                "sched_mask out of sync at slot {i}"
-            );
+            let bit = 1u64 << i;
+            let want = match slot.as_ref().map(Wavefront::stored_state) {
+                Some(WavefrontState::Ready) => (true, false),
+                Some(WavefrontState::Busy { .. }) => (false, true),
+                _ => (false, false),
+            };
+            let got = (self.ready & bit != 0, self.busy & bit != 0);
+            assert_eq!(got, want, "slot masks out of sync at slot {i}");
         }
+        assert_eq!(self.mem_ready & !self.ready, 0, "a memory-blocked slot that is not ready");
     }
 
     /// Installs a CTA's wavefronts into free slots.
@@ -292,11 +258,7 @@ impl Core {
                         *slot = Some(Wavefront::new(t));
                         *owner = Some(cta);
                         self.resident_wavefronts += 1;
-                        // The new wavefront is stored-`Ready`.
-                        self.ready_count += 1;
-                        if self.use_mask {
-                            self.sched_mask |= 1 << i;
-                        }
+                        self.ready |= 1 << i;
                         self.age_counter += 1;
                         self.slot_age[i] = self.age_counter;
                     }
@@ -323,9 +285,8 @@ impl Core {
 
     /// Records `cycles` cycles where the core had nothing to issue, without
     /// scanning the slots. A [`tick`](Core::tick) on a drained or fully
-    /// blocked core does exactly this (plus a fruitless scan), so callers
-    /// that already know the core is inert can account for skipped cycles
-    /// with this instead.
+    /// blocked core does exactly this, so callers that already know the
+    /// core is inert can account for skipped cycles with this instead.
     pub fn add_idle_cycles(&mut self, cycles: u64) {
         self.count_idle(cycles);
     }
@@ -359,18 +320,21 @@ impl Core {
     }
 
     /// Whether every tick's outcome is known until the next
-    /// [`complete_access`](Core::complete_access) or
-    /// [`add_cta`](Core::add_cta): the inert-tick memo holds and no `Busy`
-    /// wavefront will expire. The owner may then stop clocking the core and
-    /// settle later with [`add_inert_cycles`](Core::add_inert_cycles).
+    /// [`complete_access`](Core::complete_access), [`add_cta`](Core::add_cta)
+    /// or [`next_busy_expiry`](Core::next_busy_expiry), whichever comes
+    /// first. The owner may then stop clocking the core and settle later
+    /// with [`add_inert_cycles`](Core::add_inert_cycles).
     /// `Some(false)`: nothing is ready — each tick is an idle cycle.
     /// `Some(true)`: only memory instructions are ready — each tick behind
     /// a closed port is a memory-port stall; an open port ends the inertia.
     pub fn inert(&self) -> Option<bool> {
-        (self.scan_valid
-            && self.ready_count == self.validated_ready
-            && self.next_busy_expiry == Cycle::MAX)
-            .then_some(self.ready_count > 0)
+        (self.ready == self.mem_ready).then_some(self.ready != 0)
+    }
+
+    /// The earliest cycle an ALU-busy wavefront becomes ready on its own
+    /// (`Cycle::MAX` if none is busy).
+    pub fn next_busy_expiry(&self) -> Cycle {
+        self.next_busy_expiry
     }
 
     /// Records what `cycles` calls of [`tick_blocked`](Core::tick_blocked)
@@ -398,40 +362,37 @@ impl Core {
         self.waiting_wavefronts
     }
 
+    /// Makes ready every busy wavefront whose ALU latency has run out by
+    /// `now`.
+    #[inline]
+    fn expire_busy(&mut self, now: Cycle) {
+        if now < self.next_busy_expiry {
+            return;
+        }
+        let mut next = Cycle::MAX;
+        let mut m = self.busy;
+        while m != 0 {
+            let idx = m.trailing_zeros() as usize;
+            m &= m - 1;
+            match self.slots[idx].as_mut().expect("busy slot is occupied").state(now) {
+                WavefrontState::Busy { until } => next = next.min(until),
+                _ => {
+                    self.busy &= !(1 << idx);
+                    self.ready |= 1 << idx;
+                }
+            }
+        }
+        self.next_busy_expiry = next;
+    }
+
     /// If no resident wavefront can issue at `now`, returns the earliest
     /// cycle at which one could become ready *on its own* — the soonest
     /// ALU-busy expiry — or `u64::MAX` when all are blocked on memory (or
     /// the core is drained). Returns `None` when some wavefront is ready
     /// now, i.e. the core is not inert.
-    ///
-    /// Resolving `Busy` expiry mutates wavefront state exactly as
-    /// [`tick`](Core::tick)'s scan would.
     pub fn blocked_until(&mut self, now: Cycle) -> Option<Cycle> {
-        let mut horizon = Cycle::MAX;
-        if self.use_mask {
-            // Only schedulable (`Ready`/`Busy`) slots can affect the
-            // answer; `WaitingMem` slots neither resolve nor bound it.
-            let mut m = self.sched_mask;
-            while m != 0 {
-                let idx = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let wf = self.slots[idx].as_mut().expect("masked slot is occupied");
-                match wf.state(now) {
-                    WavefrontState::Ready => return None,
-                    WavefrontState::Busy { until } => horizon = horizon.min(until),
-                    WavefrontState::WaitingMem { .. } | WavefrontState::Finished => {}
-                }
-            }
-            return Some(horizon);
-        }
-        for slot in self.slots.iter_mut().flatten() {
-            match slot.state(now) {
-                WavefrontState::Ready => return None,
-                WavefrontState::Busy { until } => horizon = horizon.min(until),
-                WavefrontState::WaitingMem { .. } | WavefrontState::Finished => {}
-            }
-        }
-        Some(horizon)
+        self.expire_busy(now);
+        (self.ready == 0).then_some(self.next_busy_expiry)
     }
 
     /// Advances one cycle. `mem_ready` tells the core whether its memory
@@ -454,209 +415,111 @@ impl Core {
     /// cannot — which is charged to the stall breakdown if a memory
     /// instruction was ready behind the closed port.
     ///
-    /// Computing the cause costs the caller a queue peek and a port probe,
-    /// but only on cycles whose outbox is non-empty — which are exactly
-    /// the cycles that would otherwise sit in the (cheap) blocked fast
-    /// path below, so the attribution work stays off the issue hot path.
+    /// The slots visited are the ready ones, in policy order; behind a
+    /// closed port, only those not already known to hold a memory
+    /// instruction. Any other slot's visit would have found it busy or
+    /// waiting and moved on, so skipping it changes nothing.
     pub fn tick_blocked(&mut self, now: Cycle, block: Option<MemBlock>) -> Option<IssuedMem> {
-        let mem_ready = block.is_none();
-        let blocked = block.is_some();
-        // Inert fast path: if no wavefront became ready since the last
-        // fruitless scan (`ready_count` unchanged) and no `Busy` wavefront
-        // has expired yet (`now < next_busy_expiry`), the scan outcome is
-        // already known. The stored states a scan would observe — and its
-        // lazy `Busy → Ready` resolutions — are untouched, so skipping is
-        // exactly equivalent to re-running it.
-        if self.scan_valid && self.ready_count == self.validated_ready && now < self.next_busy_expiry
-        {
-            if self.ready_count == 0 {
-                // Nothing can issue: the scan would count an idle cycle.
-                self.count_idle(1);
-                return None;
-            }
-            if blocked {
-                // Every stored-`Ready` wavefront was memory-blocked at
-                // validation and the port is still closed.
-                self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain), 1);
-                return None;
-            }
-            // The port opened for a waiting memory instruction: scan.
-        }
-
-        let n = self.slots.len();
-        let mut acc = ScanAcc {
-            mem_blocked: false,
-            any_ready: false,
-            ready_blocked: 0,
-            min_busy: Cycle::MAX,
-        };
-
-        // Walk schedulable slots in policy order. `WaitingMem` slots are
-        // never visited on the masked paths: observing one is a pure no-op
-        // in the full scan (`state()` does not resolve anything for
-        // waiters and the scan just `continue`s), so skipping them is
-        // observably identical. `Busy` slots stay in the mask so their
-        // lazy `Busy → Ready` resolution and `min_busy` bound happen
-        // exactly as the full scan would.
-        match self.config.issue_policy {
-            IssuePolicy::GreedyRoundRobin if self.use_mask => {
-                // Rotated-mask round robin: visit set bits at indices
-                // `rr..n` in ascending order, then `0..rr` — the same
-                // sequence as `(rr + k) % n` filtered to schedulable
-                // slots. `rr < n <= 64`, so the shift is in range.
-                let mut hi = self.sched_mask & (!0u64 << self.rr);
-                let mut lo = self.sched_mask & !(!0u64 << self.rr);
-                loop {
-                    let m = if hi != 0 {
-                        &mut hi
-                    } else if lo != 0 {
-                        &mut lo
-                    } else {
-                        break;
-                    };
-                        let idx = m.trailing_zeros() as usize;
-                    *m &= *m - 1;
-                    match self.visit_slot(idx, now, mem_ready, &mut acc) {
-                        Visit::Continue => {}
-                        Visit::Alu => return None,
-                        Visit::Mem(issued) => return Some(issued),
+        self.expire_busy(now);
+        let candidates = if block.is_some() { self.ready & !self.mem_ready } else { self.ready };
+        if candidates != 0 {
+            match self.config.issue_policy {
+                IssuePolicy::GreedyRoundRobin => {
+                    // Rotated round robin: set bits at indices `rr..n` in
+                    // ascending order, then `0..rr` — the order of
+                    // `(rr + k) % n`. `rr < n <= 64`, so the shift is in
+                    // range.
+                    let high = candidates & (!0u64 << self.rr);
+                    for mut m in [high, candidates & !high] {
+                        while m != 0 {
+                            let idx = m.trailing_zeros() as usize;
+                            m &= m - 1;
+                            if let Some(issued) = self.visit_slot(idx, now, block.is_some()) {
+                                return issued;
+                            }
+                        }
                     }
                 }
-            }
-            IssuePolicy::GreedyRoundRobin => {
-                for k in 0..n {
-                    let idx = (self.rr + k) % n;
-                    match self.visit_slot(idx, now, mem_ready, &mut acc) {
-                        Visit::Continue => {}
-                        Visit::Alu => return None,
-                        Visit::Mem(issued) => return Some(issued),
-                    }
-                }
-            }
-            IssuePolicy::GreedyThenOldest => {
-                // Last issuer first (greediness), then the remaining
-                // schedulable slots oldest-first. Built in `order_buf` and
-                // sorted in place — no per-scan allocation.
-                self.order_buf.clear();
-                let last = self.last_issued.filter(|&l| self.slots[l].is_some());
-                if let Some(l) = last {
-                    self.order_buf.push(l);
-                }
-                let tail = self.order_buf.len();
-                if self.use_mask {
-                    let mut m = self.sched_mask;
+                IssuePolicy::GreedyThenOldest => {
+                    // Last issuer first (greediness), then the remaining
+                    // candidates oldest-first. Built in `order_buf` and
+                    // sorted in place — no per-scan allocation; ages are
+                    // unique, so the order is total.
+                    self.order_buf.clear();
+                    let last = self.last_issued.filter(|&l| candidates & (1 << l) != 0);
+                    self.order_buf.extend(last);
+                    let tail = self.order_buf.len();
+                    let mut m = candidates & !last.map_or(0, |l| 1u64 << l);
                     while m != 0 {
-                                let idx = m.trailing_zeros() as usize;
+                        self.order_buf.push(m.trailing_zeros() as usize);
                         m &= m - 1;
-                        if Some(idx) != last {
-                            self.order_buf.push(idx);
-                        }
                     }
-                } else {
-                    for i in 0..n {
-                        if Some(i) != last && self.slots[i].is_some() {
-                            self.order_buf.push(i);
+                    let ages = &self.slot_age;
+                    self.order_buf[tail..].sort_unstable_by_key(|&i| ages[i]);
+                    for k in 0..self.order_buf.len() {
+                        if let Some(issued) = self.visit_slot(self.order_buf[k], now, block.is_some()) {
+                            return issued;
                         }
-                    }
-                }
-                // Ages are unique (monotone assignment counter), so the
-                // order is total and independent of collection order.
-                let ages = &self.slot_age;
-                self.order_buf[tail..].sort_unstable_by_key(|&i| ages[i]);
-                for k in 0..self.order_buf.len() {
-                    let idx = self.order_buf[k];
-                    match self.visit_slot(idx, now, mem_ready, &mut acc) {
-                        Visit::Continue => {}
-                        Visit::Alu => return None,
-                        Visit::Mem(issued) => return Some(issued),
                     }
                 }
             }
         }
-
         #[cfg(debug_assertions)]
-        self.debug_assert_mask();
-
-        // Nothing issued: every schedulable slot was observed, so the
-        // inert memo can be (re)validated exactly. The surviving
-        // stored-`Ready` wavefronts are precisely the memory-blocked ones.
-        self.ready_count = acc.ready_blocked;
-        self.validated_ready = acc.ready_blocked;
-        self.next_busy_expiry = acc.min_busy;
-        self.scan_valid = true;
-
-        if acc.mem_blocked {
-            // `mem_blocked` only becomes true behind a closed port, so the
-            // cause is always present.
-            self.count_mem_stall(block.unwrap_or(MemBlock::OutboxDrain), 1);
-        } else if !acc.any_ready {
-            self.count_idle(1);
+        self.debug_assert_masks();
+        // Nothing issued: every ready slot left holds a memory instruction
+        // the closed port turned away, if any is left.
+        match block {
+            Some(cause) if self.mem_ready != 0 => self.count_mem_stall(cause, 1),
+            _ => self.count_idle(1),
         }
         None
     }
 
-    /// Examines one slot during an issue scan: resolves its state against
-    /// `now`, retires finished wavefronts, and issues at most one
-    /// instruction. Scan-wide observations accumulate in `acc`.
+    /// Visits ready slot `idx` during an issue scan: retires a finished
+    /// wavefront, or issues its next instruction — `Some` ends the scan,
+    /// with the memory instruction if it was one — unless a closed port
+    /// (`blocked`) turns a memory instruction away.
     #[inline]
-    fn visit_slot(&mut self, idx: usize, now: Cycle, mem_ready: bool, acc: &mut ScanAcc) -> Visit {
-        let n = self.slots.len();
-        let Some(wf) = self.slots[idx].as_mut() else { return Visit::Continue };
-        match wf.state(now) {
-            WavefrontState::Ready => {}
-            WavefrontState::Busy { until } => {
-                acc.min_busy = acc.min_busy.min(until);
-                return Visit::Continue;
-            }
-            WavefrontState::WaitingMem { .. } | WavefrontState::Finished => return Visit::Continue,
-        }
-        match wf.peek() {
+    fn visit_slot(&mut self, idx: usize, now: Cycle, blocked: bool) -> Option<Option<IssuedMem>> {
+        let wf = self.slots[idx].as_mut().expect("ready slot is occupied");
+        let issued = match wf.peek() {
             WavefrontInstr::Done => {
                 wf.set_finished();
                 self.retire_slot(idx);
-                Visit::Continue
+                return None;
+            }
+            WavefrontInstr::Mem(_) if blocked => {
+                self.mem_ready |= 1 << idx;
+                return None;
             }
             WavefrontInstr::Alu { .. } => {
                 let WavefrontInstr::Alu { latency } = wf.take() else { unreachable!() };
-                wf.set_busy(now + 1 + latency as Cycle);
-                self.stats.instructions.inc();
-                self.rr = (idx + 1) % n;
-                self.last_issued = Some(idx);
-                self.scan_valid = false;
-                Visit::Alu
+                let until = now + 1 + latency as Cycle;
+                wf.set_busy(until);
+                self.busy |= 1 << idx;
+                self.next_busy_expiry = self.next_busy_expiry.min(until);
+                None
             }
             WavefrontInstr::Mem(_) => {
-                acc.any_ready = true;
-                if !mem_ready {
-                    // Port busy: remember the stall, try other wavefronts
-                    // for ALU work.
-                    acc.mem_blocked = true;
-                    acc.ready_blocked += 1;
-                    return Visit::Continue;
-                }
                 let WavefrontInstr::Mem(instr) = wf.take() else { unreachable!() };
                 debug_assert!(!instr.accesses.is_empty(), "memory instruction with no accesses");
                 wf.set_waiting(u32::try_from(instr.accesses.len()).expect("coalesced count"));
-                self.mask_clear(idx);
                 self.waiting_wavefronts += 1;
-                self.stats.instructions.inc();
                 self.stats.mem_instructions.inc();
-                let issued = IssuedMem {
-                    core: self.id,
-                    wavefront: WavefrontId::new(idx),
-                    instr,
-                };
-                self.rr = (idx + 1) % n;
-                self.last_issued = Some(idx);
-                self.scan_valid = false;
-                Visit::Mem(issued)
+                Some(IssuedMem { core: self.id, wavefront: WavefrontId::new(idx), instr })
             }
-        }
+        };
+        self.ready &= !(1 << idx);
+        self.mem_ready &= !(1 << idx);
+        self.stats.instructions.inc();
+        self.rr = (idx + 1) % self.slots.len();
+        self.last_issued = Some(idx);
+        Some(issued)
     }
 
     fn retire_slot(&mut self, idx: usize) {
         self.slots[idx] = None;
-        self.mask_clear(idx);
+        self.ready &= !(1 << idx);
         self.resident_wavefronts -= 1;
         if self.last_issued == Some(idx) {
             self.last_issued = None;
@@ -681,11 +544,9 @@ impl Core {
             .as_mut()
             .expect("memory completion for an empty wavefront slot");
         if wf.complete_access() {
-            // `WaitingMem → Ready`: invalidates the inert-tick memo via
-            // the `ready_count == validated_ready` comparison.
-            self.ready_count += 1;
+            // `WaitingMem → Ready`.
             self.waiting_wavefronts -= 1;
-            self.mask_set(wavefront.index());
+            self.ready |= 1 << wavefront.index();
         }
     }
 }

@@ -30,7 +30,9 @@ mod trace;
 mod wavefront;
 
 pub use coalesce::coalesce;
-pub use core_model::{Core, CoreConfig, CoreStats, IssuePolicy, IssuedMem, MemBlock, StallBreakdown};
+pub use core_model::{
+    Core, CoreConfig, CoreStats, IssuePolicy, IssuedMem, MemBlock, StallBreakdown, MAX_WAVEFRONTS,
+};
 pub use cta::{CtaDispatcher, CtaPolicy};
 pub use instr::{MemAccess, MemInstr, MemKind, WavefrontInstr};
 pub use trace::{TraceFactory, TraceSource, VecTrace};

@@ -82,12 +82,12 @@ impl Wavefront {
         self.state = WavefrontState::Finished;
     }
 
-    /// Whether the wavefront is blocked on memory. A non-resolving query
-    /// (unlike [`state`](Wavefront::state), never mutates `Busy` expiry),
-    /// so schedulers can use it for bookkeeping checks.
+    /// The state as last stored: a non-resolving query (unlike
+    /// [`state`](Wavefront::state), never resolves `Busy` expiry), so
+    /// schedulers can use it for bookkeeping checks.
     #[cfg(debug_assertions)]
-    pub(crate) fn is_waiting_mem(&self) -> bool {
-        matches!(self.state, WavefrontState::WaitingMem { .. })
+    pub(crate) fn stored_state(&self) -> WavefrontState {
+        self.state
     }
 
     /// Signals completion of one outstanding memory transaction.

@@ -368,22 +368,6 @@ impl<T> L2Slice<T> {
         self.pending_replies.len()
     }
 
-    /// If ticking this slice does no work, returns how many more ticks the
-    /// head pending reply needs before [`pop_reply`](L2Slice::pop_reply)
-    /// releases it (0 = poppable now, `u64::MAX` = no reply brewing;
-    /// outstanding MSHR fills wake the slice externally via
-    /// [`dram_fill`](L2Slice::dram_fill)). Returns `None` while the input
-    /// queue or the DRAM-out queue holds work.
-    pub fn quiescent_horizon(&self) -> Option<u64> {
-        if !self.input.is_empty() || !self.dram_out.is_empty() {
-            return None;
-        }
-        match self.pending_replies.front() {
-            Some((ready, _)) => Some(ready.saturating_sub(self.now)),
-            None => Some(u64::MAX),
-        }
-    }
-
     /// Whether a tick services nothing: the input queue is empty, or its
     /// head waits for an MSHR entry or merge slot, which only
     /// [`dram_fill`](L2Slice::dram_fill) frees.

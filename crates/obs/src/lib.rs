@@ -18,7 +18,8 @@
 //!    counters/gauges/histograms under `subsystem.name` namespaces,
 //!    pull-snapshotted at epoch barriers and merged partition-independently.
 //! 6. **Phase profiler** ([`profiler::PhaseProfiler`]) — wall-time
-//!    attribution across Issue/NoC/Mem regions, barrier waits, and
+//!    attribution across the Issue/NoC/Mem/exchange laps, sampled on one
+//!    step in [`profiler::LAP_STRIDE`] with every lap counted, and
 //!    memo-cache IO.
 //! 7. **Progress stream** ([`progress::ProgressSink`]) — JSONL lifecycle
 //!    events per sweep point (queued/started/progress/quarantined/

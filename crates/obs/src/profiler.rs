@@ -1,28 +1,35 @@
 //! Hierarchical phase profiler: wall-time attribution for the machine's
-//! per-cycle regions (Issue / NoC#1 / Mem / memory exchange) and the
+//! per-cycle laps (Issue / NoC#1 + NoC#2 / Mem / memory exchange) and the
 //! runner's memo-cache IO.
 //!
 //! The profiler is a plain accumulator — a fixed array of nanosecond
-//! totals and lap counts indexed by [`Phase`] — so enabling it costs two
-//! monotonic-clock reads per timed region and zero allocations. It is
-//! diagnostic-only: phase times never feed back into simulation state,
-//! so profiled and unprofiled runs produce byte-identical statistics.
-//! [`PhaseProfiler::absorb`] folds per-point profiles into a sweep-level
-//! breakdown for `BENCH_sweep.json` and the `benchmark/` ledger's phase shares.
+//! totals and lap counts indexed by [`Phase`] — with zero allocations.
+//! The machine reads the clock on one step in [`LAP_STRIDE`] only: that
+//! step's laps are timed and stand for the stride
+//! ([`add_sampled`](PhaseProfiler::add_sampled)), while every lap of every
+//! step is counted, so lap counts are exact and nanoseconds an unbiased
+//! estimate. It is diagnostic-only: phase times never feed back into
+//! simulation state, so profiled and unprofiled runs produce
+//! byte-identical statistics. [`PhaseProfiler::absorb`] folds per-point
+//! profiles into a sweep-level breakdown for `BENCH_sweep.json` and the
+//! `benchmark/` ledger's phase shares.
 
 use std::fmt::Write as _;
 
 /// A timed region of the simulate-one-point pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// CTA dispatch plus the core-side Issue region.
+    /// CTA dispatch plus the core-side Issue region; one lap per step.
     Issue,
-    /// NoC#1 / NoC#2 region: cluster crossbars, slice networks, DRAM clocks.
+    /// The interconnect: the NoC#1 region's ticks and ejections (one lap,
+    /// on designs with NoC#1), then NoC#2's request and reply injection
+    /// and its ticks (a second lap, on every design).
     Noc1,
-    /// Memory region: DC-L1 node ticks, L2, DRAM, reply drains.
+    /// Memory region: L2 slice ticks, DC-L1 node ticks and their reply
+    /// drains; one lap per step.
     Mem,
-    /// Machine-wide memory work: presence replay, L2 ↔ DRAM moves, DRAM
-    /// ticks.
+    /// Machine-wide memory work: presence replay, L2 ↔ DRAM moves and
+    /// DRAM ticks; one lap per step.
     Exchange,
     /// Always 0: a machine steps its domains on its own thread, so nothing
     /// waits at a barrier. Kept only because the `benchmark/` ledger reads
@@ -35,6 +42,11 @@ pub enum Phase {
     /// `benchmark/` ledger reads it as `bench.journal_write_s`.
     JournalWrite,
 }
+
+/// The machine times one step in this many. Odd, so the sampled steps
+/// walk through every phase of the even clock ratios (NoC#2 ticks on
+/// every other core cycle) instead of always landing on the same one.
+pub const LAP_STRIDE: u64 = 61;
 
 /// Number of [`Phase`] variants (array dimension for the accumulator).
 pub(crate) const PHASE_COUNT: usize = 7;
@@ -97,6 +109,17 @@ impl PhaseProfiler {
     #[inline]
     pub fn add(&mut self, phase: Phase, nanos: u64) {
         self.nanos[phase.index()] += nanos;
+        self.counts[phase.index()] += 1;
+    }
+
+    /// Adds one lap of `phase` from a machine that times one step in
+    /// [`LAP_STRIDE`]: the lap is counted, and if its step was timed its
+    /// `nanos` stand for the stride's laps.
+    #[inline]
+    pub fn add_sampled(&mut self, phase: Phase, nanos: Option<u64>) {
+        if let Some(nanos) = nanos {
+            self.nanos[phase.index()] += nanos.saturating_mul(LAP_STRIDE);
+        }
         self.counts[phase.index()] += 1;
     }
 
@@ -191,6 +214,26 @@ mod tests {
         assert!((p.share(Phase::Issue) - 0.6).abs() < 1e-12);
         assert!((p.share(Phase::Noc1)).abs() < 1e-12);
         assert!(PhaseProfiler::new().share(Phase::Issue).abs() < 1e-12, "empty profile");
+    }
+
+    #[test]
+    fn sampled_laps_are_all_counted_and_the_timed_ones_scaled() {
+        let mut p = PhaseProfiler::new();
+        for step in 0..3 * LAP_STRIDE {
+            let timed = step % LAP_STRIDE == 0;
+            p.add_sampled(Phase::Issue, timed.then_some(10));
+            p.add_sampled(Phase::Noc1, timed.then_some(5));
+            p.add_sampled(Phase::Noc1, timed.then_some(1));
+        }
+        assert_eq!(p.count(Phase::Issue), 3 * LAP_STRIDE);
+        assert_eq!(p.count(Phase::Noc1), 6 * LAP_STRIDE);
+        assert_eq!(p.nanos(Phase::Issue), 3 * 10 * LAP_STRIDE);
+        assert_eq!(p.nanos(Phase::Noc1), 3 * 6 * LAP_STRIDE);
+        assert_eq!(p.count(Phase::Mem), 0);
+        // An untimed lap counts and adds no time.
+        p.add_sampled(Phase::Mem, None);
+        assert_eq!((p.count(Phase::Mem), p.nanos(Phase::Mem)), (1, 0));
+        assert!((p.share(Phase::Issue) - 10.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

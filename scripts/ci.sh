@@ -111,13 +111,16 @@ leg_alloc() { cargo run --release --offline --quiet -p alloc-probe; }
 
 # What a step costs, counted: the component visits the smoke grid makes per
 # step (`dbg --census`, EXPERIMENTS.md "Where a step goes"). An exact,
-# repeatable count, so the ceiling needs no noise band; it was 143.7 before
-# blocked components slept. The copy to stderr appends: a plain `tee
-# /dev/stderr` reopens a log file that stderr points at and truncates it.
+# repeatable count, so the ceiling needs no noise band: it is the grid's
+# 31.80 plus under 5 %, so a walk that stops skipping what has nothing for
+# it (an offer set that never drops a member) fails. It was 143.7 before
+# blocked components slept and 46.72 before the offer walks. The copy to
+# stderr appends: a plain `tee /dev/stderr` reopens a log file that stderr
+# points at and truncates it.
 leg_census() {
     (cd "$tmp" && DCL1_SCALE=smoke cargo run --release --offline --quiet \
         --manifest-path "$root/Cargo.toml" -p dcl1-bench --bin dbg -- --census) |
-        tee -a /dev/stderr | awk '$1 == "visits" { ok = $4 <= 70 } END { exit !ok }'
+        tee -a /dev/stderr | awk '$1 == "visits" { ok = $4 <= 33.3 } END { exit !ok }'
 }
 
 # The release build on its own: stepping and fast-forward dump the same
