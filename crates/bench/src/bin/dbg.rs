@@ -57,7 +57,12 @@ fn main() {
         // `visit*=`, `acted_*=`, `parked_*=`) over the points.
         let mut census: BTreeMap<String, u64> = BTreeMap::new();
         if points.is_empty() {
-            points = grid::build_grid(&grid::default_designs(&cfg), &[], &cfg, SimOptions::default());
+            points = grid::build_grid(
+                &grid::default_designs(&cfg),
+                &[],
+                &cfg,
+                SimOptions::default(),
+            );
         }
         for req in &points {
             let (_, snapshot) = snapshot(req, scale);

@@ -140,11 +140,29 @@ fn sampled_laps_count_every_step_and_move_no_statistic() {
         let (dump, profiled_steps, profile) = run(true);
         let profile = profile.expect("profiler was enabled");
         assert!(none.is_none());
-        assert_eq!(dump, plain, "{shards} domains: the profiler moved statistics");
+        assert_eq!(
+            dump, plain,
+            "{shards} domains: the profiler moved statistics"
+        );
         assert_eq!(profiled_steps, steps, "{shards} domains");
-        assert_eq!(profile.count(Phase::Issue), steps, "{shards} domains: Issue laps");
-        assert_eq!(profile.count(Phase::Exchange), steps, "{shards} domains: Exchange laps");
-        assert_eq!(profile.count(Phase::Noc1), 2 * steps, "{shards} domains: interconnect laps");
-        assert!(profile.nanos(Phase::Issue) > 0, "{shards} domains: no lap was timed");
+        assert_eq!(
+            profile.count(Phase::Issue),
+            steps,
+            "{shards} domains: Issue laps"
+        );
+        assert_eq!(
+            profile.count(Phase::Exchange),
+            steps,
+            "{shards} domains: Exchange laps"
+        );
+        assert_eq!(
+            profile.count(Phase::Noc1),
+            2 * steps,
+            "{shards} domains: interconnect laps"
+        );
+        assert!(
+            profile.nanos(Phase::Issue) > 0,
+            "{shards} domains: no lap was timed"
+        );
     }
 }

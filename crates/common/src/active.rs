@@ -56,7 +56,9 @@ impl ActiveSet {
     /// walk that takes its set out leaves an empty one behind).
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.words.get(i / 64).is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
     /// Whether no index is in the set.

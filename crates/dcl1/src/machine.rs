@@ -621,7 +621,9 @@ impl<'w> GpuSystem<'w> {
     /// step, times it, re-basing the lap origin so consecutive calls
     /// partition the cycle.
     fn lap(&mut self, phase: Phase) {
-        let Some(p) = self.profiler.as_deref_mut() else { return };
+        let Some(p) = self.profiler.as_deref_mut() else {
+            return;
+        };
         let nanos = self.lap_t.as_mut().map(|t0| {
             #[expect(clippy::disallowed_types, reason = "phase profiler only, never feeds stats")]
             let now = Instant::now();
@@ -871,11 +873,26 @@ impl<'w> GpuSystem<'w> {
     /// tick.
     fn exchange_memory(&mut self) {
         let GpuSystem {
-            shards, mcs, channels_live, dram_stash, dram_wait, dram_wheel, dram_clock, cfg, now, ..
+            shards,
+            mcs,
+            channels_live,
+            dram_stash,
+            dram_wait,
+            dram_wheel,
+            dram_clock,
+            cfg,
+            now,
+            ..
         } = self;
         let spm = cfg.slices_per_mc();
         for d in shards.iter_mut() {
-            let ShardDomain { slices, l2, slice0, visits, .. } = d;
+            let ShardDomain {
+                slices,
+                l2,
+                slice0,
+                visits,
+                ..
+            } = d;
             let mut offering = std::mem::take(&mut slices.dram);
             offering.retain(|i| {
                 let (s, l2) = (*slice0 + i, &mut l2[i]);
@@ -1094,13 +1111,20 @@ impl<'w> GpuSystem<'w> {
                     Some(offers) => offers.then_some(clock),
                     None => l2.next_reply_in().map(|h| l2.now() + h),
                 };
-                let alarm =
-                    |ready: Cycle| d.wheel.is_set(self.now, ready + 1, sleep::alarm_id(Alarm::Slice, i));
+                let alarm = |ready: Cycle| {
+                    d.wheel
+                        .is_set(self.now, ready + 1, sleep::alarm_id(Alarm::Slice, i))
+                };
                 match head {
-                    Some(ready) if ready <= clock => return Err(sleep::off_walk(format!("l2_{s}"))),
+                    Some(ready) if ready <= clock => {
+                        return Err(sleep::off_walk(format!("l2_{s}")))
+                    }
                     Some(ready) if !alarm(ready) => {
                         let site = format!("l2_{s}");
-                        return Err(dcl1_common::InvariantError::new(site, "asleep with no wake armed"));
+                        return Err(dcl1_common::InvariantError::new(
+                            site,
+                            "asleep with no wake armed",
+                        ));
                     }
                     _ => {}
                 }
@@ -1277,7 +1301,13 @@ impl<'w> GpuSystem<'w> {
         for d in &self.shards {
             // A slice with anything on offer has work next cycle; a
             // brewing reply's alarm is in the wheel.
-            let offers = [&d.outbox_wait, &d.xbars_live, &d.slices.tick, &d.slices.reply, &d.slices.dram];
+            let offers = [
+                &d.outbox_wait,
+                &d.xbars_live,
+                &d.slices.tick,
+                &d.slices.reply,
+                &d.slices.dram,
+            ];
             if offers.iter().any(|set| !set.is_empty()) {
                 return;
             }

@@ -353,7 +353,10 @@ impl Noc2 {
     /// (once it does, only the grant lets it move).
     pub(crate) fn stash_offers(&self, s: usize) -> Option<bool> {
         self.stash[s].as_ref().map(|(i, pkt)| {
-            let x = self.stage2.as_ref().map_or(&self.rep[*i], |stage2| &stage2.rep);
+            let x = self
+                .stage2
+                .as_ref()
+                .map_or(&self.rep[*i], |stage2| &stage2.rep);
             x.can_inject(pkt.src) || !x.awaits(pkt.src)
         })
     }
@@ -372,7 +375,14 @@ impl Noc2 {
         let pops = if topo.ideal_ports { topo.cores } else { 1 };
         let ticks = self.clock.total_ticks();
         for d in shards {
-            let ShardDomain { q3_offer, q3_wait, nodes, visits, node0, .. } = d;
+            let ShardDomain {
+                q3_offer,
+                q3_wait,
+                nodes,
+                visits,
+                node0,
+                ..
+            } = d;
             for ni in q3_offer.iter() {
                 let node = &mut nodes[ni];
                 let (i, port) = self.req_port[*node0 + ni];
@@ -420,7 +430,13 @@ impl Noc2 {
             offering.retain(|li| {
                 let s = slice0 + li;
                 d.clock_slice(li, now - 1);
-                let ShardDomain { l2, wheel, visits, slices, .. } = &mut *d;
+                let ShardDomain {
+                    l2,
+                    wheel,
+                    visits,
+                    slices,
+                    ..
+                } = &mut *d;
                 let l2 = &mut l2[li];
                 let mut moved = false;
                 if stash[s].is_none() {

@@ -274,7 +274,9 @@ impl ShardDomain {
             let (core, waits) = (&self.cores[i], self.outbox_wait.contains(i));
             let expiry = core.next_busy_expiry();
             let parks = (waits || self.outbox[i].is_empty())
-                && core.inert().is_some_and(|port_blocked| !port_blocked || waits)
+                && core
+                    .inert()
+                    .is_some_and(|port_blocked| !port_blocked || waits)
                 && expiry > now + 1;
             if self.visits.park(Visit::Cores, parks, core.is_drained()) {
                 self.parked_at[i] = now;
@@ -449,8 +451,14 @@ impl ShardDomain {
             let brewing = l2.replies_pending() > 0;
             let served = l2.tick();
             self.visits.visit(Visit::Slices, served);
-            let serves = self.slices.after_change(l2, &mut self.wheel, i, brewing, now);
-            self.visits.park(Visit::Slices, !serves && self.slices.on_no_walk(i), l2.is_idle());
+            let serves = self
+                .slices
+                .after_change(l2, &mut self.wheel, i, brewing, now);
+            self.visits.park(
+                Visit::Slices,
+                !serves && self.slices.on_no_walk(i),
+                l2.is_idle(),
+            );
             serves
         });
         self.slices.tick = ticking;

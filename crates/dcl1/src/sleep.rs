@@ -121,7 +121,11 @@ impl SliceOffers {
     /// Every one of `slices` on every walk.
     pub(crate) fn full(slices: usize) -> Self {
         let all = ActiveSet::full(slices);
-        SliceOffers { tick: all.clone(), reply: all.clone(), dram: all }
+        SliceOffers {
+            tick: all.clone(),
+            reply: all.clone(),
+            dram: all,
+        }
     }
 
     /// Whether slice `i` is on no walk (but the one running, if any).
@@ -158,8 +162,15 @@ impl SliceOffers {
 /// alarm for the cycle after it is ready is set instead. Called wherever
 /// the head can change with nothing stashed: after an inject visit, and
 /// when a tick or a fill queues a reply behind none.
-pub(crate) fn head_reply_due(l2: &L2Slice<Txn>, wheel: &mut WakeWheel, i: usize, now: Cycle) -> bool {
-    let Some(h) = l2.next_reply_in() else { return false };
+pub(crate) fn head_reply_due(
+    l2: &L2Slice<Txn>,
+    wheel: &mut WakeWheel,
+    i: usize,
+    now: Cycle,
+) -> bool {
+    let Some(h) = l2.next_reply_in() else {
+        return false;
+    };
     let ready = l2.now() + h;
     if ready > now {
         wheel.schedule(now, ready + 1, alarm_id(Alarm::Slice, i));
@@ -309,7 +320,8 @@ impl ShardDomain {
         let sleeps = match horizon {
             Some(h) if h >= 2 => {
                 if h != u64::MAX {
-                    self.wheel.schedule(now, node.now() + h, alarm_id(Alarm::Node, ni));
+                    self.wheel
+                        .schedule(now, node.now() + h, alarm_id(Alarm::Node, ni));
                 }
                 true
             }
@@ -384,7 +396,9 @@ impl ShardDomain {
             }
             let armed = match node.quiescent_horizon() {
                 Some(u64::MAX) => true,
-                Some(h) => self.wheel.is_set(now, node.now() + h, alarm_id(Alarm::Node, ni)),
+                Some(h) => self
+                    .wheel
+                    .is_set(now, node.now() + h, alarm_id(Alarm::Node, ni)),
                 None if !node.blocked() => return fail(site()),
                 None => self.outputs_wait(ni, ctx),
             };

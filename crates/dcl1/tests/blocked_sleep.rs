@@ -127,7 +127,10 @@ fn heavy_points_at_two_domains_read_once_match_polled() {
         let want = everything(&mut lazy);
         let cycles = lazy.now();
         assert!(cycles < opts.max_cycles, "{label}: did not drain");
-        let mut polled = build(SimOptions { max_cycles: cycles, ..opts });
+        let mut polled = build(SimOptions {
+            max_cycles: cycles,
+            ..opts
+        });
         for _ in 0..cycles {
             polled.step();
             polled.wake_all();

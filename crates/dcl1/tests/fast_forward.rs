@@ -55,8 +55,11 @@ fn fast_forward_is_bit_identical_on_the_heavy_points_at_two_domains() {
     for (label, kernel, design) in util::heavy_points() {
         let total = kernel.spec().total_instructions();
         let run = |fast_forward| {
-            let opts =
-                SimOptions { warmup_instructions: total / 3, fast_forward, ..SimOptions::default() };
+            let opts = SimOptions {
+                warmup_instructions: total / 3,
+                fast_forward,
+                ..SimOptions::default()
+            };
             let mut sys = GpuSystem::build(&cfg, &design, &kernel, opts).expect("build");
             sys.set_shards(2);
             sys.run()

@@ -63,7 +63,12 @@ struct AluOnly;
 
 impl dcl1_gpu::TraceFactory for AluOnly {
     fn wavefront_trace(&self, _cta: u32, _wf: u32) -> Box<dyn dcl1_gpu::TraceSource> {
-        Box::new(dcl1_gpu::VecTrace::new(vec![dcl1_gpu::WavefrontInstr::Alu { latency: 12 }; 20]))
+        Box::new(dcl1_gpu::VecTrace::new(vec![
+            dcl1_gpu::WavefrontInstr::Alu {
+                latency: 12
+            };
+            20
+        ]))
     }
     fn total_ctas(&self) -> u32 {
         8
@@ -79,18 +84,27 @@ impl dcl1_gpu::TraceFactory for AluOnly {
 #[test]
 fn a_core_waiting_on_alu_latencies_parks_with_the_stepped_breakdown() {
     let cfg = GpuConfig::small_test();
-    let opts = SimOptions { fast_forward: false, ..SimOptions::default() };
+    let opts = SimOptions {
+        fast_forward: false,
+        ..SimOptions::default()
+    };
     let build = |opts| GpuSystem::build(&cfg, &dcl1::Design::Baseline, &AluOnly, opts).unwrap();
     let mut parked = build(opts);
     parked.run();
     let cycles = parked.now();
     let snapshot = parked.debug_snapshot();
     let line = snapshot.lines().last().unwrap();
-    let parks = line.split_whitespace().find_map(|f| f.strip_prefix("parked_cores=")).unwrap();
+    let parks = line
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("parked_cores="))
+        .unwrap();
     let parks: u64 = parks.parse().unwrap();
     assert!(parks > 0, "no core parked: {line}");
 
-    let mut polled = build(SimOptions { max_cycles: cycles, ..opts });
+    let mut polled = build(SimOptions {
+        max_cycles: cycles,
+        ..opts
+    });
     for _ in 0..cycles {
         polled.step();
         polled.wake_all();
@@ -100,6 +114,9 @@ fn a_core_waiting_on_alu_latencies_parks_with_the_stepped_breakdown() {
     assert_eq!(format!("{got:?}"), format!("{want:?}"));
     for cs in &got {
         assert_eq!(cs.instructions.get(), 2 * 20, "{cs:?}");
-        assert!(cs.stall.alu_busy.get() > 0 && cs.stall.fill_wait.get() == 0, "{cs:?}");
+        assert!(
+            cs.stall.alu_busy.get() > 0 && cs.stall.fill_wait.get() == 0,
+            "{cs:?}"
+        );
     }
 }

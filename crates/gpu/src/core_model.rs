@@ -181,7 +181,10 @@ impl Core {
     /// Panics if `config.max_wavefronts` exceeds [`MAX_WAVEFRONTS`]
     /// (`GpuConfig::validate` refuses such a machine first).
     pub fn new(id: CoreId, config: CoreConfig) -> Self {
-        assert!(config.max_wavefronts <= MAX_WAVEFRONTS, "more than {MAX_WAVEFRONTS} wavefront slots");
+        assert!(
+            config.max_wavefronts <= MAX_WAVEFRONTS,
+            "more than {MAX_WAVEFRONTS} wavefront slots"
+        );
         Core {
             id,
             config,
@@ -238,7 +241,11 @@ impl Core {
             let got = (self.ready & bit != 0, self.busy & bit != 0);
             assert_eq!(got, want, "slot masks out of sync at slot {i}");
         }
-        assert_eq!(self.mem_ready & !self.ready, 0, "a memory-blocked slot that is not ready");
+        assert_eq!(
+            self.mem_ready & !self.ready,
+            0,
+            "a memory-blocked slot that is not ready"
+        );
     }
 
     /// Installs a CTA's wavefronts into free slots.
@@ -374,7 +381,11 @@ impl Core {
         while m != 0 {
             let idx = m.trailing_zeros() as usize;
             m &= m - 1;
-            match self.slots[idx].as_mut().expect("busy slot is occupied").state(now) {
+            match self.slots[idx]
+                .as_mut()
+                .expect("busy slot is occupied")
+                .state(now)
+            {
                 WavefrontState::Busy { until } => next = next.min(until),
                 _ => {
                     self.busy &= !(1 << idx);
@@ -421,7 +432,11 @@ impl Core {
     /// waiting and moved on, so skipping it changes nothing.
     pub fn tick_blocked(&mut self, now: Cycle, block: Option<MemBlock>) -> Option<IssuedMem> {
         self.expire_busy(now);
-        let candidates = if block.is_some() { self.ready & !self.mem_ready } else { self.ready };
+        let candidates = if block.is_some() {
+            self.ready & !self.mem_ready
+        } else {
+            self.ready
+        };
         if candidates != 0 {
             match self.config.issue_policy {
                 IssuePolicy::GreedyRoundRobin => {
@@ -457,7 +472,9 @@ impl Core {
                     let ages = &self.slot_age;
                     self.order_buf[tail..].sort_unstable_by_key(|&i| ages[i]);
                     for k in 0..self.order_buf.len() {
-                        if let Some(issued) = self.visit_slot(self.order_buf[k], now, block.is_some()) {
+                        if let Some(issued) =
+                            self.visit_slot(self.order_buf[k], now, block.is_some())
+                        {
                             return issued;
                         }
                     }
@@ -506,7 +523,11 @@ impl Core {
                 wf.set_waiting(u32::try_from(instr.accesses.len()).expect("coalesced count"));
                 self.waiting_wavefronts += 1;
                 self.stats.mem_instructions.inc();
-                Some(IssuedMem { core: self.id, wavefront: WavefrontId::new(idx), instr })
+                Some(IssuedMem {
+                    core: self.id,
+                    wavefront: WavefrontId::new(idx),
+                    instr,
+                })
             }
         };
         self.ready &= !(1 << idx);
